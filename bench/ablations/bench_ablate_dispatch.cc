@@ -36,7 +36,6 @@ int main(int argc, char** argv) {
       c.tps = 600;
       c.total_txns = opt.txns;
       c.seed = opt.seed;
-      c.kernel_threads = opt.kernel_threads;
       c.pipelined_dispatch = pipelined;
       specs.push_back({c, kind});
       pipelined_modes.push_back(pipelined);

@@ -78,7 +78,6 @@ int main(int argc, char** argv) {
   for (core::ProtocolKind kind : opt.protocols) {
     for (double loss : {0.0, 0.001, 0.01, 0.05, 0.1}) {
       core::SystemConfig c = BaseConfig(opt.txns, opt.seed);
-      c.kernel_threads = opt.kernel_threads;
       c.fault.loss_prob = loss;
       specs.push_back({c, kind});
       sweeps.push_back("loss");
@@ -93,7 +92,6 @@ int main(int argc, char** argv) {
   for (core::ProtocolKind kind : opt.protocols) {
     for (double mtbf : {0.0, 120.0, 60.0, 30.0, 15.0}) {
       core::SystemConfig c = BaseConfig(opt.txns, opt.seed);
-      c.kernel_threads = opt.kernel_threads;
       c.fault.site_mtbf = mtbf;
       c.fault.site_mttr = 1.0;
       specs.push_back({c, kind});

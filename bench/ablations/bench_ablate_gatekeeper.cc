@@ -31,7 +31,6 @@ int main(int argc, char** argv) {
       c.tps = kTps;
       c.total_txns = opt.txns;
       c.seed = opt.seed;
-      c.kernel_threads = opt.kernel_threads;
       c.read_gatekeeper = gate;
       specs.push_back({c, kind});
       gates.push_back(gate);

@@ -40,7 +40,6 @@ int main(int argc, char** argv) {
         c.tps = tps;
         c.total_txns = opt.txns;
         c.seed = opt.seed;
-        c.kernel_threads = opt.kernel_threads;
         c.workload.relaxed_ownership = relaxed;
         c.Normalize();
         specs.push_back({c, kind});

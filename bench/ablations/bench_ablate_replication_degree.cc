@@ -35,7 +35,6 @@ int main(int argc, char** argv) {
       c.tps = kTps;
       c.total_txns = opt.txns;
       c.seed = opt.seed;
-      c.kernel_threads = opt.kernel_threads;
       c.replication_degree = degree;
       c.Normalize();
       specs.push_back({c, kind});

@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
       c.tps = kTps;
       c.total_txns = opt.txns;
       c.seed = opt.seed;
-      c.kernel_threads = opt.kernel_threads;
       c.timeout = timeout;
       c.graph.wait_timeout = timeout;
       specs.push_back({c, kind});

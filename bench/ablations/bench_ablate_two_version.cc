@@ -38,7 +38,6 @@ int main(int argc, char** argv) {
       c.tps = kTps;
       c.total_txns = opt.txns;
       c.seed = opt.seed;
-      c.kernel_threads = opt.kernel_threads;
       c.two_version_reads = two_version;
       specs.push_back({c, kind});
       modes.push_back(two_version);

@@ -104,7 +104,6 @@ int RunChaos(const core::BenchOptions& opt, const ChaosCli& cli) {
   for (core::ProtocolKind kind : opt.protocols) {
     for (int s = cli.first; s < cli.first + cli.schedules; ++s) {
       core::SystemConfig c = core::MakeChaosConfig(cli.chaos, kind, s);
-      c.kernel_threads = opt.kernel_threads;
       specs.push_back({c, kind});
       schedule_of.push_back(s);
     }
@@ -219,7 +218,9 @@ int RunA9(const core::BenchOptions& opt, const ChaosCli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt = core::BenchOptions::Parse(
+      argc, argv,
+      {"--schedules=", "--chaos-schedules=", "--first=", "--check", "--a9"});
   if (!opt.protocols_set) {
     opt.protocols = {core::ProtocolKind::kLocking,
                      core::ProtocolKind::kPessimistic,

@@ -13,31 +13,23 @@
 //   bench_kernel --report   key=value lines (piped into tools/bench_to_json)
 //   bench_kernel --check    exit non-zero if any scenario exceeds its
 //                           committed steady-state allocation budget (zero)
-//                           or the parallel_scale fingerprints diverge
-//                           across worker counts
-//   bench_kernel --check-scaling
-//                           additionally gate the 1024-shard parallel_scale
-//                           scenario at >= 2.5x events/s with 8 workers vs 1
-//                           (auto-skips on hosts with < 4 hardware threads)
 //
 // The allocation counter is a whole-program operator-new override, so this
 // file must not be linked into binaries that care about allocator identity.
 
-#include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/facility.h"
 #include "sim/frame_pool.h"
-#include "sim/parallel_kernel.h"
 #include "sim/process.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
@@ -46,16 +38,12 @@ namespace {
 
 // -- counting allocator ------------------------------------------------------
 
-// Relaxed atomic: the parallel_scale scenario allocates (or rather, must
-// not) from several workers at once. Relaxed increments keep the perturbation
-// to one lock-prefixed add per allocation — and the hot paths this binary
-// gates make none at steady state anyway.
-std::atomic<uint64_t> g_allocs{0};
+uint64_t g_allocs = 0;
 
 }  // namespace
 
 void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocs;
   if (void* p = std::malloc(n ? n : 1)) return p;
   std::abort();
 }
@@ -63,7 +51,7 @@ void* operator new(std::size_t n) {
 void* operator new[](std::size_t n) { return ::operator new(n); }
 
 void* operator new(std::size_t n, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++g_allocs;
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
                                    (n + static_cast<std::size_t>(align) - 1) &
                                        ~(static_cast<std::size_t>(align) - 1))) {
@@ -111,11 +99,11 @@ ScenarioResult Measure(const char* name, int rounds, Simulation* sim,
   r.name = name;
   uint64_t events0 = sim->events_fired();
   double sim0 = sim->Now();
-  uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+  uint64_t allocs0 = g_allocs;
   Clock::time_point t0 = Clock::now();
   for (int i = 0; i < rounds; ++i) round();
   r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-  r.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
+  r.allocs = g_allocs - allocs0;
   r.events = sim->events_fired() - events0;
   r.sim_s = sim->Now() - sim0;
   return r;
@@ -241,150 +229,6 @@ ScenarioResult GeoMulticast(int rounds) {
   });
 }
 
-// -- parallel_scale: the conservative kernel at fleet size --------------------
-
-/// Per-shard workload state, cache-line padded: round-robin ownership puts
-/// adjacent shards on different workers.
-struct alignas(64) ScaleShard {
-  uint64_t rng = 0;
-  uint64_t fp = 1469598103934665603ull;  // FNV-1a offset basis
-  uint64_t events = 0;
-  uint64_t deliveries = 0;
-};
-
-inline uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ull;
-  }
-  return h;
-}
-
-inline uint64_t TimeBits(double t) {
-  uint64_t bits;
-  std::memcpy(&bits, &t, sizeof bits);
-  return bits;
-}
-
-/// A 1024-site fleet as 1024 logical shards: every shard runs a self-renewing
-/// chain of site-local events (LCG-driven service times) and every fourth
-/// event posts a cross-shard delivery at now + lookahead — the shape of a
-/// site fleet exchanging protocol messages over the star network whose
-/// minimum latency is exactly the kernel's lookahead. Each event folds its
-/// fire time into a per-shard FNV fingerprint, so the combined fingerprint
-/// certifies that the schedule is identical at every worker count.
-class ScaleSim {
- public:
-  ScaleSim(int shards, int workers, double lookahead)
-      : kernel_({shards, workers, lookahead, /*mailbox_capacity=*/16384}),
-        st_(shards),
-        lookahead_(lookahead) {
-    kernel_.Reserve(4096);
-    for (int s = 0; s < shards; ++s) {
-      // splitmix64: decorrelated per-shard streams from the shard id.
-      uint64_t z = static_cast<uint64_t>(s) + 0x9e3779b97f4a7c15ull;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      st_[s].rng = z ^ (z >> 31);
-      const double start = 1e-5 * static_cast<double>(s % 97);
-      kernel_.ScheduleAt(s, start, [this, s] { ChainEvent(s); });
-    }
-  }
-
-  /// Advances the fleet by `sim_seconds` of simulated time.
-  void RunRound(double sim_seconds) {
-    until_ += sim_seconds;
-    kernel_.Run(until_);
-  }
-
-  /// Shard-order combination of the per-shard fingerprints: identical at any
-  /// worker count iff every shard saw the same events at the same times.
-  uint64_t Fingerprint() const {
-    uint64_t h = 1469598103934665603ull;
-    for (const ScaleShard& sh : st_) {
-      h = FnvMix(h, sh.fp);
-      h = FnvMix(h, sh.events);
-      h = FnvMix(h, sh.deliveries);
-    }
-    return h;
-  }
-
-  uint64_t events_fired() const { return kernel_.events_fired(); }
-  uint64_t windows() const { return kernel_.windows(); }
-  uint64_t cross_posts() const { return kernel_.cross_posts(); }
-  uint64_t mailbox_spills() const { return kernel_.mailbox_spills(); }
-
- private:
-  void ChainEvent(int s) {
-    ScaleShard& sh = st_[s];
-    const double now = kernel_.Now(s);
-    sh.rng = sh.rng * 6364136223846793005ull + 1442695040888963407ull;
-    sh.fp = FnvMix(sh.fp, TimeBits(now) ^ sh.rng);
-    ++sh.events;
-    const double service =
-        1e-4 + 2e-4 * static_cast<double>((sh.rng >> 33) & 1023) / 1024.0;
-    if ((sh.events & 3) == 0) {
-      const int shards = kernel_.num_shards();
-      const int dst = static_cast<int>(
-          (static_cast<uint64_t>(s) + 1 +
-           ((sh.rng >> 17) % static_cast<uint64_t>(shards - 1))) %
-          static_cast<uint64_t>(shards));
-      kernel_.Post(s, dst, now + lookahead_ + service,
-                   [this, dst] { Delivery(dst); });
-    }
-    kernel_.ScheduleAt(s, now + service, [this, s] { ChainEvent(s); });
-  }
-
-  void Delivery(int d) {
-    ScaleShard& sh = st_[d];
-    sh.fp = FnvMix(sh.fp, TimeBits(kernel_.Now(d)) + 0x9e3779b97f4a7c15ull);
-    ++sh.deliveries;
-  }
-
-  ParallelKernel kernel_;
-  std::vector<ScaleShard> st_;
-  double lookahead_ = 0;
-  double until_ = 0;
-};
-
-/// One parallel_scale measurement at `workers` workers.
-struct ScaleResult {
-  ScenarioResult base;
-  int workers = 1;
-  uint64_t fingerprint = 0;
-  uint64_t windows = 0;
-  uint64_t cross_posts = 0;
-  uint64_t mailbox_spills = 0;
-};
-
-constexpr int kScaleShards = 1024;
-constexpr double kScaleRoundSimSeconds = 0.125;
-
-ScaleResult ParallelScale(int rounds, int workers, const char* name) {
-  // The lookahead is the topology's own number: the minimum cross-endpoint
-  // latency of the 1024-site OC-3 star (= the 4 ms switch latency).
-  net::NetworkParams params;
-  const double lookahead =
-      net::Topology::Star(kScaleShards, params).MinCrossGroupLatency();
-  ScaleSim sim(kScaleShards, workers, lookahead);
-  sim.RunRound(kScaleRoundSimSeconds);  // warm-up: queues, rings, scratch
-  ScaleResult r;
-  r.base.name = name;
-  r.workers = workers;
-  const uint64_t events0 = sim.events_fired();
-  const uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-  Clock::time_point t0 = Clock::now();
-  for (int i = 0; i < rounds; ++i) sim.RunRound(kScaleRoundSimSeconds);
-  r.base.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
-  r.base.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
-  r.base.events = sim.events_fired() - events0;
-  r.base.sim_s = rounds * kScaleRoundSimSeconds;
-  r.fingerprint = sim.Fingerprint();
-  r.windows = sim.windows();
-  r.cross_posts = sim.cross_posts();
-  r.mailbox_spills = sim.mailbox_spills();
-  return r;
-}
-
 // -- reporting ---------------------------------------------------------------
 
 void PrintHuman(const ScenarioResult& r) {
@@ -412,12 +256,10 @@ void PrintReport(const ScenarioResult& r) {
 
 int Run(int argc, char** argv) {
   bool check = false;
-  bool check_scaling = false;
   bool report = false;
   int rounds = 5;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--check") == 0) check = true;
-    if (std::strcmp(argv[i], "--check-scaling") == 0) check_scaling = true;
     if (std::strcmp(argv[i], "--report") == 0) report = true;
     if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
       rounds = std::atoi(argv[i] + 9);
@@ -431,49 +273,9 @@ int Run(int argc, char** argv) {
   results.push_back(Multicast(rounds));
   results.push_back(GeoMulticast(rounds));
 
-  // The conservative kernel at fleet size, swept over worker counts. The
-  // scenario (shard count, lookahead, workload) is identical at every
-  // count — only capacity changes — so the fingerprints must match.
-  static constexpr int kWorkerSweep[] = {1, 2, 4, 8};
-  static constexpr const char* kScaleNames[] = {
-      "parallel_scale_w1", "parallel_scale_w2", "parallel_scale_w4",
-      "parallel_scale_w8"};
-  std::vector<ScaleResult> scale;
-  for (size_t i = 0; i < std::size(kWorkerSweep); ++i) {
-    scale.push_back(ParallelScale(rounds, kWorkerSweep[i], kScaleNames[i]));
-    results.push_back(scale.back().base);
-  }
-  bool identical = true;
-  for (const ScaleResult& r : scale) {
-    if (r.fingerprint != scale[0].fingerprint) identical = false;
-  }
-  const double speedup_8v1 =
-      (scale[0].base.events / scale[0].base.wall_s) > 0
-          ? (scale[3].base.events / scale[3].base.wall_s) /
-                (scale[0].base.events / scale[0].base.wall_s)
-          : 0.0;
-
   FramePoolStats pool = FramePoolThreadStats();
   if (report) {
     for (const ScenarioResult& r : results) PrintReport(r);
-    std::printf("kernel.parallel_scale.shards=%d\n", kScaleShards);
-    std::printf("kernel.parallel_scale.identical=%d\n", identical ? 1 : 0);
-    std::printf("kernel.parallel_scale.speedup_8v1=%.3f\n", speedup_8v1);
-    // One run object per worker count: the scaling curve bench_to_json
-    // groups by its `threads` field.
-    for (const ScaleResult& r : scale) {
-      std::printf("{\"name\":\"parallel_scale\",\"threads\":%d,"
-                  "\"events\":%llu,\"events_per_s\":%.0f,\"allocs\":%llu,"
-                  "\"windows\":%llu,\"cross_posts\":%llu,"
-                  "\"mailbox_spills\":%llu,\"fingerprint\":\"%016llx\"}\n",
-                  r.workers, static_cast<unsigned long long>(r.base.events),
-                  r.base.events / r.base.wall_s,
-                  static_cast<unsigned long long>(r.base.allocs),
-                  static_cast<unsigned long long>(r.windows),
-                  static_cast<unsigned long long>(r.cross_posts),
-                  static_cast<unsigned long long>(r.mailbox_spills),
-                  static_cast<unsigned long long>(r.fingerprint));
-    }
     std::printf("kernel.frame_pool.fresh_allocs=%llu\n",
                 static_cast<unsigned long long>(pool.fresh_allocs));
     std::printf("kernel.frame_pool.pooled_allocs=%llu\n",
@@ -481,38 +283,9 @@ int Run(int argc, char** argv) {
     std::printf("kernel.rounds=%d\n", rounds);
   } else {
     for (const ScenarioResult& r : results) PrintHuman(r);
-    std::printf("parallel_scale: %d shards, fingerprints %s, "
-                "8v1 speedup %.2fx\n",
-                kScaleShards, identical ? "identical" : "DIVERGED",
-                speedup_8v1);
     std::printf("frame pool: %llu fresh, %llu pooled\n",
                 static_cast<unsigned long long>(pool.fresh_allocs),
                 static_cast<unsigned long long>(pool.pooled_allocs));
-  }
-
-  if (check && !identical) {
-    std::fprintf(stderr,
-                 "CHECK FAILED: parallel_scale fingerprints diverge across "
-                 "worker counts (determinism regression)\n");
-    return 1;
-  }
-  if (check_scaling) {
-    // The scaling gate needs real cores; a starved container measures only
-    // scheduler noise. CI's Release job provides the multi-core runner.
-    const unsigned cores = std::thread::hardware_concurrency();
-    if (cores < 4) {
-      std::printf("scaling check skipped: %u hardware threads (< 4); the "
-                  "gate needs a multi-core host\n", cores);
-    } else if (speedup_8v1 < 2.5) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: parallel_scale 8-worker speedup %.2fx is "
-                   "below the 2.5x gate (%u cores)\n",
-                   speedup_8v1, cores);
-      return 1;
-    } else {
-      std::printf("scaling check passed: 8-worker speedup %.2fx >= 2.5x on "
-                  "%u cores\n", speedup_8v1, cores);
-    }
   }
 
   if (check) {
@@ -522,10 +295,8 @@ int Run(int argc, char** argv) {
     int failures = 0;
     for (const ScenarioResult& r : results) {
 #ifdef LAZYREP_FRAME_POOL_DISABLED
-      // Sanitized builds bypass the frame pool by design, and the sanitizer
-      // runtimes allocate inside their thread-synchronization interceptors;
-      // only the single-threaded non-coroutine scenarios must stay
-      // allocation-free there.
+      // Sanitized builds bypass the frame pool by design; only the
+      // non-coroutine scenarios must stay allocation-free there.
       bool pooled_scenario = std::strcmp(r.name, "schedule_fire") != 0 &&
                              std::strcmp(r.name, "cancel_heavy") != 0;
       if (pooled_scenario) continue;

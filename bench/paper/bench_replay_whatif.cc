@@ -59,12 +59,10 @@ struct Workload {
 
 /// The two captured workloads. Both run open-loop at 30 loc-TPS per site so
 /// the baseline (optimistic) operates below saturation with real contention.
-std::vector<Workload> MakeWorkloads(uint64_t txns, uint64_t seed,
-                                    int kernel_threads) {
+std::vector<Workload> MakeWorkloads(uint64_t txns, uint64_t seed) {
   std::vector<Workload> w;
   {
     core::SystemConfig c;  // OC-3 star: Table-1 network defaults
-    c.kernel_threads = kernel_threads;
     c.num_sites = 8;
     c.workload.items_per_site = 15;
     c.tps = 240;
@@ -76,7 +74,6 @@ std::vector<Workload> MakeWorkloads(uint64_t txns, uint64_t seed,
   }
   {
     core::SystemConfig c;  // 3-DC geo hierarchy over a 20 ms backbone
-    c.kernel_threads = kernel_threads;
     c.num_sites = 12;
     c.workload.items_per_site = 20;
     c.tps = 360;
@@ -133,7 +130,8 @@ double StdDev(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt =
+      core::BenchOptions::Parse(argc, argv, {"--report", "--tmp="});
   bool report = false;
   std::string tmp = "/tmp";
   for (int i = 1; i < argc; ++i) {
@@ -141,8 +139,7 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--tmp=", 6) == 0) tmp = argv[i] + 6;
   }
 
-  std::vector<Workload> workloads =
-      MakeWorkloads(opt.txns, opt.seed, opt.kernel_threads);
+  std::vector<Workload> workloads = MakeWorkloads(opt.txns, opt.seed);
   std::printf("Replay what-if study — %zu captured workloads x %zu protocols, "
               "%llu transactions per capture, %d fresh-seed re-samples, "
               "serializability audit on\n\n",

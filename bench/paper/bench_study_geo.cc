@@ -84,7 +84,7 @@ void ReportPoint(const char* sweep, double x, core::ProtocolKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv, {"--report"});
   if (!opt.protocols_set) opt.protocols = kFourWay;
   bool report = false;
   for (int i = 1; i < argc; ++i) {

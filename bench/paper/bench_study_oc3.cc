@@ -4,7 +4,7 @@
 //
 // Usage: bench_study_oc3 [--txns=N] [--points=N] [--figure=N] [--quick]
 //                        [--protocols=lpo] [--seed=N] [--jobs=N]
-//                        [--sites=N] [--kernel-threads=N]
+//                        [--sites=N]
 //
 // --sites overrides the preset's 100-site fleet (items scale with it: 20 per
 // site), the fleet-scale entry point: --sites=1024 runs the paper's study at

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
     core::SystemConfig c = core::SystemConfig::VsN(static_cast<int>(sites));
     c.total_txns = opt.txns;
     c.seed = opt.seed;
-    c.kernel_threads = opt.kernel_threads;  // sites are the swept axis
     return c;
   });
   runner.set_protocols(opt.protocols);

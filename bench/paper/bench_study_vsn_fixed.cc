@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
         static_cast<int>(sites), kTps, kTotalItems);
     c.total_txns = opt.txns;
     c.seed = opt.seed;
-    c.kernel_threads = opt.kernel_threads;  // sites are the swept axis
     return c;
   });
   runner.set_protocols(opt.protocols);

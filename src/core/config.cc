@@ -47,6 +47,19 @@ void SystemConfig::Normalize() {
   LAZYREP_CHECK_MSG(fault.Validate(topo, &fault_error), fault_error.c_str());
 }
 
+bool SystemConfig::Validate(ProtocolKind protocol, std::string* error) const {
+  // The locking protocol's primary-copy write locks would need remote
+  // acquisition once writers no longer co-originate: one of the "different
+  // protocols" footnote 2 defers.
+  if (protocol == ProtocolKind::kLocking && workload.relaxed_ownership) {
+    *error =
+        "relaxed ownership is not supported by the locking protocol "
+        "(footnote 2 defers its variant)";
+    return false;
+  }
+  return true;
+}
+
 SystemConfig SystemConfig::Oc3() {
   SystemConfig c;
   c.num_sites = 100;

@@ -109,14 +109,6 @@ struct SystemConfig {
   /// Transactions discarded per site as warm-up transients (paper: 5).
   int warmup_per_site = 5;
   uint64_t seed = 1;
-  /// Worker threads of the in-run event kernel (sim::ParallelKernel,
-  /// `--kernel-threads`). The protocol fleet still shares state (completion
-  /// tracker, metrics, replication graph), so a System run executes as one
-  /// protocol-coupled shard: extra workers assemble and park at the kernel
-  /// barrier, and output is byte-identical at any value by construction.
-  /// The flag exercises the full kernel handoff end to end while System
-  /// state sharding lands (ROADMAP). <= 1 runs the loop inline.
-  int kernel_threads = 1;
 
   // -- extensions / ablations ---------------------------------------------------
   /// 0 = full replication (paper). k >= 1: each item is replicated at its
@@ -142,6 +134,11 @@ struct SystemConfig {
 
   /// Validates internal consistency (e.g. workload.num_sites == num_sites).
   void Normalize();
+
+  /// Checks that `protocol` implements everything this configuration turns
+  /// on; false with a named reason in `*error` otherwise. core::System
+  /// checks it at construction.
+  bool Validate(ProtocolKind protocol, std::string* error) const;
 
   /// Builds the topology tree for the configured site count — sites only;
   /// auxiliary endpoints (the graph site) are allocated by core::System on

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/batch_stats.h"
 #include "sim/stats.h"
 #include "txn/transaction.h"
 

@@ -273,16 +273,43 @@ void PrintFigure(const std::vector<StudyPoint>& points,
   std::fflush(stdout);
 }
 
-BenchOptions BenchOptions::Parse(int argc, char** argv) {
+namespace {
+
+/// True when `arg` is one of a bench's own flags (see BenchOptions::Parse).
+bool IsBenchFlag(const char* arg,
+                 std::initializer_list<const char*> bench_flags) {
+  for (const char* flag : bench_flags) {
+    const size_t n = std::strlen(flag);
+    const bool takes_value = n > 0 && flag[n - 1] == '=';
+    if (takes_value ? std::strncmp(arg, flag, n) == 0
+                    : std::strcmp(arg, flag) == 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void PrintBenchUsage(std::FILE* out, const char* argv0,
+                     std::initializer_list<const char*> bench_flags) {
+  std::fprintf(out,
+               "usage: %s [--txns=N] [--points=N] [--figure=N] [--seed=N] "
+               "[--jobs=N] [--sites=N] [--quick] [--protocols=lpoe] "
+               "[--trace=FILE]",
+               argv0);
+  for (const char* flag : bench_flags) std::fprintf(out, " [%s]", flag);
+  std::fprintf(out, "\n");
+}
+
+}  // namespace
+
+BenchOptions BenchOptions::Parse(
+    int argc, char** argv, std::initializer_list<const char*> bench_flags) {
   BenchOptions opt;
   if (const char* env = std::getenv("LAZYREP_TXNS")) {
     opt.txns = std::strtoull(env, nullptr, 10);
   }
   if (const char* env = std::getenv("LAZYREP_JOBS")) {
     opt.jobs = std::atoi(env);
-  }
-  if (const char* env = std::getenv("LAZYREP_KERNEL_THREADS")) {
-    opt.kernel_threads = std::atoi(env);
   }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -296,8 +323,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
       opt.seed = std::strtoull(a + 7, nullptr, 10);
     } else if (std::strncmp(a, "--jobs=", 7) == 0) {
       opt.jobs = std::atoi(a + 7);
-    } else if (std::strncmp(a, "--kernel-threads=", 17) == 0) {
-      opt.kernel_threads = std::atoi(a + 17);
     } else if (std::strncmp(a, "--sites=", 8) == 0) {
       opt.sites = std::atoi(a + 8);
     } else if (std::strcmp(a, "--quick") == 0) {
@@ -319,11 +344,12 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
         opt.protocols.push_back(ProtocolKind::kEager);
       }
     } else if (std::strcmp(a, "--help") == 0) {
-      std::printf(
-          "options: --txns=N --points=N --figure=N --seed=N --jobs=N "
-          "--kernel-threads=N --sites=N --quick --protocols=[lpoe] "
-          "--trace=FILE\n");
+      PrintBenchUsage(stdout, argv[0], bench_flags);
       std::exit(0);
+    } else if (!IsBenchFlag(a, bench_flags)) {
+      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], a);
+      PrintBenchUsage(stderr, argv[0], bench_flags);
+      std::exit(2);
     }
   }
   if (opt.quick && opt.max_points == 0) opt.max_points = 3;
@@ -332,7 +358,6 @@ BenchOptions BenchOptions::Parse(int argc, char** argv) {
 
 void BenchOptions::Apply(SystemConfig* config) const {
   if (sites > 0) config->num_sites = sites;
-  config->kernel_threads = kernel_threads;
   config->Normalize();
 }
 

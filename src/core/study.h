@@ -2,6 +2,7 @@
 #define LAZYREP_CORE_STUDY_H_
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -158,9 +159,6 @@ struct BenchOptions {
   int figure = 0;              ///< 0 = print every figure of the study
   uint64_t seed = 1;
   int jobs = 0;                ///< worker threads; 0 = hardware_concurrency
-  /// In-run event-kernel workers (SystemConfig::kernel_threads); output is
-  /// byte-identical at any value, composing with --jobs.
-  int kernel_threads = 1;
   /// Fleet-size override for fixed-fleet studies (0 = the preset's count).
   /// Sweep-over-sites benches ignore it.
   int sites = 0;
@@ -175,11 +173,15 @@ struct BenchOptions {
   /// FILE (empty = tracing off).
   std::string trace;
 
-  static BenchOptions Parse(int argc, char** argv);
-  /// Applies the run-control overrides — kernel_threads always, the sites
-  /// override when set — and re-normalizes. Benches call this at the end of
-  /// their make_config lambdas; sweep-over-sites benches set kernel_threads
-  /// directly instead (their site count is the swept axis).
+  /// Parses argv. `bench_flags` names the flags a bench reads from argv
+  /// itself: "--report" matches exactly, a name ending in '=' such as
+  /// "--tmp=" matches it with any value. Any other argument is an error:
+  /// Parse names it, prints the usage line to stderr and exits 2.
+  static BenchOptions Parse(
+      int argc, char** argv,
+      std::initializer_list<const char*> bench_flags = {});
+  /// Applies the sites override when set and re-normalizes. Fixed-fleet
+  /// benches call this at the end of their make_config lambdas.
   void Apply(SystemConfig* config) const;
   /// Thins `xs` to at most max_points (keeping endpoints) and applies quick.
   std::vector<double> Thin(std::vector<double> xs) const;

@@ -9,13 +9,15 @@
 #include "protocols/optimistic_protocol.h"
 #include "protocols/pessimistic_protocol.h"
 #include "sim/check.h"
-#include "sim/parallel_kernel.h"
 
 namespace lazyrep::core {
 
 System::System(const SystemConfig& config, ProtocolKind kind)
     : config_(config), kind_(kind) {
   config_.Normalize();
+  std::string unsupported;
+  LAZYREP_CHECK_MSG(config_.Validate(kind_, &unsupported),
+                    unsupported.c_str());
   workload_ =
       std::make_unique<GeneratedWorkload>(config_.workload, config_.loc_tps());
   sim::RandomStream seeder(config_.seed);
@@ -727,22 +729,6 @@ void System::Freeze(MetricsSnapshot* snap) {
 }
 
 MetricsSnapshot System::Run() {
-  if (config_.kernel_threads <= 1) return RunInline();
-  // The protocol fleet shares state across every site (completion tracker,
-  // metrics, replication graph), so the whole run is one protocol-coupled
-  // shard of the parallel kernel: the worker fleet assembles, worker 0
-  // executes the sequential loop as a single infinite window, and the
-  // schedule — hence every output byte — matches kernel_threads=1 exactly.
-  sim::ParallelKernel::Options kopt;
-  kopt.num_shards = 1;
-  kopt.num_workers = config_.kernel_threads;
-  sim::ParallelKernel kernel(kopt);
-  MetricsSnapshot snap;
-  kernel.RunCoupled([&] { snap = RunInline(); });
-  return snap;
-}
-
-MetricsSnapshot System::RunInline() {
   if (injector_) injector_->Start();
   if (amnesia()) {
     for (int s = 0; s < config_.num_sites; ++s) {

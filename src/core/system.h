@@ -67,10 +67,6 @@ class System {
 
   /// Runs the experiment: submits config.total_txns transactions, discards
   /// warm-up transients, freezes measurements at the last submission (§4).
-  /// With config.kernel_threads > 1 the run executes under the parallel
-  /// kernel as one protocol-coupled shard (see SystemConfig::kernel_threads);
-  /// the schedule — and therefore every output byte — is identical at any
-  /// thread count.
   MetricsSnapshot Run();
 
   // -- component access (protocol implementations) ----------------------------
@@ -324,9 +320,6 @@ class System {
 
   sim::Process GeneratorProcess(db::SiteId s, sim::RandomStream rng);
   sim::Process GatedExecute(txn::Transaction* t);
-  /// The sequential event loop Run() delegates to (directly, or as the
-  /// parallel kernel's coupled drive when kernel_threads > 1).
-  MetricsSnapshot RunInline();
   void Submit(db::SiteId s, sim::RandomStream* rng);
   void OnTrackerCompleted(db::TxnId id);
   void ResetAllStats();

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 
 #include "sim/check.h"
 
@@ -170,45 +169,6 @@ int Topology::AncestorAt(db::SiteId endpoint, int depth) const {
   if (groups_[g].depth < depth) return kNoGroup;
   while (groups_[g].depth > depth) g = groups_[g].parent;
   return g;
-}
-
-double Topology::PathLatency(db::SiteId src, db::SiteId dst) const {
-  if (src == dst) return 0;
-  // Lowest common ancestor of the two access switches.
-  int x = endpoints_[src].parent;
-  int y = endpoints_[dst].parent;
-  while (groups_[x].depth > groups_[y].depth) x = groups_[x].parent;
-  while (groups_[y].depth > groups_[x].depth) y = groups_[y].parent;
-  while (x != y) {
-    x = groups_[x].parent;
-    y = groups_[y].parent;
-  }
-  const int lca = x;
-  // Mirror of Network::BuildRoutes(), keeping only the fixed terms of each
-  // hop (switch residency + propagation), dropping transmission time.
-  double total = endpoints_[src].uplink.latency;  // sender's access link
-  for (int g = endpoints_[src].parent; g != lca; g = groups_[g].parent) {
-    total += groups_[g].switch_latency + groups_[g].uplink.latency;
-  }
-  for (int g = endpoints_[dst].parent; g != lca; g = groups_[g].parent) {
-    total += groups_[groups_[g].parent].switch_latency +
-             groups_[g].uplink.latency;
-  }
-  total += groups_[endpoints_[dst].parent].switch_latency +
-           endpoints_[dst].uplink.latency;  // final switch + access link
-  return total;
-}
-
-double Topology::MinCrossGroupLatency() const {
-  const int n = num_endpoints();
-  double best = std::numeric_limits<double>::infinity();
-  for (db::SiteId a = 0; a < n; ++a) {
-    for (db::SiteId b = a + 1; b < n; ++b) {
-      const double lat = PathLatency(a, b);
-      if (lat < best) best = lat;
-    }
-  }
-  return best;
 }
 
 Topology Topology::Star(int endpoints, const NetworkParams& params) {

@@ -122,21 +122,6 @@ class Topology {
   /// when the endpoint's parent is shallower than `depth`.
   int AncestorAt(db::SiteId endpoint, int depth) const;
 
-  /// Fixed one-way latency of the routed src → dst path: the sum of every
-  /// switch residency and edge propagation delay along the same hops
-  /// `Network::BuildRoutes()` walks, excluding the bytes-dependent
-  /// transmission terms — i.e. a lower bound on delivering any message from
-  /// `src` to `dst`. Symmetric; zero when src == dst.
-  double PathLatency(db::SiteId src, db::SiteId dst) const;
-
-  /// Minimum PathLatency over all pairs of distinct endpoints: the fastest
-  /// any message can cross between two endpoints. Because every partition of
-  /// endpoints into shards only removes pairs from that minimum, this is a
-  /// safe conservative lookahead for *any* sharding of the fleet — the
-  /// source of truth for sim::ParallelKernel window advancement. Returns
-  /// +infinity with fewer than two endpoints (no cross traffic possible).
-  double MinCrossGroupLatency() const;
-
   /// Flat star: `endpoints` leaves under one switch with latency
   /// `params.latency`, every link `params.bandwidth_bps` both ways.
   static Topology Star(int endpoints, const NetworkParams& params);

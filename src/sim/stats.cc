@@ -1,5 +1,6 @@
 #include "sim/stats.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -33,6 +34,44 @@ double TallyStat::HalfWidth95() const {
   // z_{0.975} = 1.959964; with the thousands of samples per study point the
   // normal approximation to the t quantile is exact to four digits.
   return 1.959964 * StdDev() / std::sqrt(static_cast<double>(count_));
+}
+
+QuantileStat::QuantileStat() : buckets_(kBuckets, 0) {}
+
+int QuantileStat::BucketOf(double x) const {
+  if (x <= kMinValue) return 0;
+  int b = static_cast<int>(std::log(x / kMinValue) / std::log(kGrowth)) + 1;
+  return std::min(b, kBuckets - 1);
+}
+
+double QuantileStat::BucketUpperEdge(int bucket) const {
+  if (bucket == 0) return kMinValue;
+  return kMinValue * std::pow(kGrowth, bucket);
+}
+
+void QuantileStat::Add(double x) {
+  ++count_;
+  max_ = std::max(max_, x);
+  ++buckets_[BucketOf(x)];
+}
+
+void QuantileStat::Clear() {
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+  max_ = 0;
+}
+
+double QuantileStat::Quantile(double q) const {
+  if (count_ == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count_));
+  if (target >= count_) target = count_ - 1;
+  uint64_t seen = 0;
+  for (int b = 0; b < kBuckets; ++b) {
+    seen += buckets_[b];
+    if (seen > target) return BucketUpperEdge(b);
+  }
+  return max_;
 }
 
 void TimeWeightedStat::Start(SimTime start_time, double value) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/event_queue.h"
 
@@ -34,6 +35,39 @@ class TallyStat {
   double min_ = 0;
   double max_ = 0;
   double sum_ = 0;
+};
+
+/// Streaming quantile summary over a bounded-resolution histogram.
+///
+/// Response times span ~0.1 ms to ~10 s; buckets are logarithmic with 5%
+/// resolution, so p50/p95/p99 are exact to within one bucket. Memory is a
+/// fixed few KB regardless of sample count.
+class QuantileStat {
+ public:
+  QuantileStat();
+
+  void Add(double x);
+  void Clear();
+
+  uint64_t Count() const { return count_; }
+  /// Value at quantile q in [0,1] (upper edge of the containing bucket).
+  double Quantile(double q) const;
+  double P50() const { return Quantile(0.50); }
+  double P95() const { return Quantile(0.95); }
+  double P99() const { return Quantile(0.99); }
+  double Max() const { return max_; }
+
+ private:
+  static constexpr double kMinValue = 1e-5;  // 10 µs
+  static constexpr double kGrowth = 1.05;    // 5% buckets
+  static constexpr int kBuckets = 400;       // covers up to ~3000 s
+
+  int BucketOf(double x) const;
+  double BucketUpperEdge(int bucket) const;
+
+  std::vector<uint64_t> buckets_;
+  uint64_t count_ = 0;
+  double max_ = 0;
 };
 
 /// Time-weighted average of a piecewise-constant signal (queue lengths,

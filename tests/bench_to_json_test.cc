@@ -28,10 +28,8 @@ TEST(BenchToJsonTest, GoldenReportConverts) {
       "  \"geo.topology\": \"geo:3x2x2\",\n"
       "  \"kernel.ns_per_event\": 41.5,\n"
       "  \"runs\": [\n"
-      "    {\"schedule\":0,\"protocol\":\"locking\",\"serializable\":1,"
-      "\"threads\":1},\n"
-      "    {\"schedule\":1,\"protocol\":\"eager\",\"serializable\":1,"
-      "\"threads\":1}\n"
+      "    {\"schedule\":0,\"protocol\":\"locking\",\"serializable\":1},\n"
+      "    {\"schedule\":1,\"protocol\":\"eager\",\"serializable\":1}\n"
       "  ]\n"
       "}\n";
   std::string out, error;
@@ -43,8 +41,7 @@ TEST(BenchToJsonTest, PairedNestedRunObjectsSurviveVerbatim) {
   // bench_replay_whatif emits one run object per grid cell pairing the
   // recorded and replayed runs as nested objects, and indents them for
   // readability. Nothing may be dropped or flattened: the object must land
-  // in "runs" verbatim (minus the indent and the defaulted "threads"
-  // field), every field intact.
+  // in "runs" verbatim (minus the indent), every field intact.
   const std::string input =
       "replay-whatif: 8 cells, round trip ok\n"
       "  {\"workload\":\"oc3\",\"protocol\":\"eager\",\"recorded\":"
@@ -59,11 +56,9 @@ TEST(BenchToJsonTest, PairedNestedRunObjectsSurviveVerbatim) {
       "  \"runs\": [\n"
       "    {\"workload\":\"oc3\",\"protocol\":\"eager\",\"recorded\":"
       "{\"tps\":94.2,\"abort_rate\":0.031},\"replayed\":"
-      "{\"tps\":61.0,\"abort_rate\":0.377},\"serializable\":1,"
-      "\"threads\":1},\n"
+      "{\"tps\":61.0,\"abort_rate\":0.377},\"serializable\":1},\n"
       "    {\"workload\":\"geo\",\"protocol\":\"locking\",\"recorded\":"
-      "{\"tps\":88.1},\"replayed\":{\"tps\":79.4},\"serializable\":1,"
-      "\"threads\":1}\n"
+      "{\"tps\":88.1},\"replayed\":{\"tps\":79.4},\"serializable\":1}\n"
       "  ]\n"
       "}\n";
   std::string out, error;
@@ -78,40 +73,6 @@ TEST(BenchToJsonTest, IndentedMalformedRunObjectStillRejected) {
   EXPECT_FALSE(ConvertBenchReport("  {\"schedule\":0,\"proto\n", &out,
                                   &error));
   EXPECT_NE(error.find("malformed run object"), std::string::npos) << error;
-}
-
-TEST(BenchToJsonTest, RunsLackingThreadsAreDefaultedToOne) {
-  // Benches that predate --kernel-threads emit no "threads" field; the
-  // converter defaults it to 1 so BENCH_KERNEL.json scaling baselines can
-  // always key on it. A run that already carries the field — like the
-  // bench_kernel parallel_scale lines — is left exactly as emitted.
-  const std::string input =
-      "{\"name\":\"drain\",\"events\":1000}\n"
-      "{\"name\":\"parallel_scale\",\"threads\":8,\"events\":800416}\n"
-      "{}\n";
-  const std::string golden =
-      "{\n"
-      "  \"runs\": [\n"
-      "    {\"name\":\"drain\",\"events\":1000,\"threads\":1},\n"
-      "    {\"name\":\"parallel_scale\",\"threads\":8,\"events\":800416},\n"
-      "    {\"threads\":1}\n"
-      "  ]\n"
-      "}\n";
-  std::string out, error;
-  ASSERT_TRUE(ConvertBenchReport(input, &out, &error)) << error;
-  EXPECT_EQ(out, golden);
-}
-
-TEST(BenchToJsonTest, ThreadsDefaultIgnoresNestedAndStringOccurrences) {
-  // Only a *top-level* "threads" key suppresses the default: a nested
-  // object's key or a string value spelling the word must not.
-  const std::string input =
-      "{\"recorded\":{\"threads\":4},\"note\":\"\\\"threads\\\": fake\"}\n";
-  std::string out, error;
-  ASSERT_TRUE(ConvertBenchReport(input, &out, &error)) << error;
-  EXPECT_NE(out.find("\"note\":\"\\\"threads\\\": fake\",\"threads\":1}"),
-            std::string::npos)
-      << out;
 }
 
 TEST(BenchToJsonTest, KeyValueOnlyReportHasNoRunsArray) {

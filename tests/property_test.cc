@@ -98,14 +98,23 @@ class SystemProperties : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SystemProperties, InvariantsHold) {
   auto [kind, cls, seed] = GetParam();
-  // The locking protocol is out of scope for the relaxed-ownership
-  // extension (footnote 2 defers its "different protocols") and forfeits
-  // read serializability under two-version reads by design. Eager ignores
-  // the two-version flag (no graph-guarded read path), so that class would
-  // only repeat its baseline; relaxed ownership it handles naturally (the
-  // write X-locks every replica regardless of which site owns the primary).
-  if (kind == ProtocolKind::kLocking &&
-      (cls == ConfigClass::kRelaxedOwner || cls == ConfigClass::kTwoVersion)) {
+  // The locking protocol has no relaxed-ownership variant (footnote 2 defers
+  // its "different protocols"): the combination is rejected up front, by
+  // the config check and by System's constructor.
+  if (kind == ProtocolKind::kLocking && cls == ConfigClass::kRelaxedOwner) {
+    SystemConfig config = MakeConfig(cls, seed);
+    std::string why;
+    EXPECT_FALSE(config.Validate(kind, &why));
+    EXPECT_NE(why.find("footnote 2"), std::string::npos) << why;
+    EXPECT_DEATH(System(config, kind), "footnote 2");
+    return;
+  }
+  // The locking protocol forfeits read serializability under two-version
+  // reads by design. Eager ignores the two-version flag (no graph-guarded
+  // read path), so that class would only repeat its baseline; relaxed
+  // ownership it handles naturally (the write X-locks every replica
+  // regardless of which site owns the primary).
+  if (kind == ProtocolKind::kLocking && cls == ConfigClass::kTwoVersion) {
     GTEST_SKIP();
   }
   if (kind == ProtocolKind::kEager && cls == ConfigClass::kTwoVersion) {

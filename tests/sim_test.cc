@@ -9,7 +9,6 @@
 #include "sim/condition.h"
 #include "sim/event_queue.h"
 #include "sim/facility.h"
-#include "sim/mailbox.h"
 #include "sim/process.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
@@ -432,54 +431,6 @@ TEST(FacilityTest, MeanQueueLengthTracksWaiters) {
 }
 
 // ---------------------------------------------------------------------------
-// Mailbox
-// ---------------------------------------------------------------------------
-
-Process Producer(Simulation* sim, Mailbox<int>* mb) {
-  for (int i = 0; i < 3; ++i) {
-    co_await sim->Delay(1.0);
-    mb->Send(i);
-  }
-}
-
-Process Consumer(Simulation* sim, Mailbox<int>* mb, std::vector<int>* got,
-                 std::vector<double>* when) {
-  for (int i = 0; i < 3; ++i) {
-    auto r = co_await mb->Receive();
-    got->push_back(r.message);
-    when->push_back(sim->Now());
-  }
-}
-
-TEST(MailboxTest, MessagesDeliveredInOrder) {
-  Simulation sim;
-  Mailbox<int> mb(&sim);
-  std::vector<int> got;
-  std::vector<double> when;
-  sim.Spawn(Consumer(&sim, &mb, &got, &when));
-  sim.Spawn(Producer(&sim, &mb));
-  sim.Run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(when, (std::vector<double>{1.0, 2.0, 3.0}));
-}
-
-Process TimedConsumer(Simulation* sim, Mailbox<int>* mb, WaitStatus* status) {
-  auto r = co_await mb->Receive(2.0);
-  *status = r.status;
-  (void)sim;
-}
-
-TEST(MailboxTest, ReceiveTimesOutWhenEmpty) {
-  Simulation sim;
-  Mailbox<int> mb(&sim);
-  WaitStatus status = WaitStatus::kSignaled;
-  sim.Spawn(TimedConsumer(&sim, &mb, &status));
-  sim.Run();
-  EXPECT_EQ(status, WaitStatus::kTimeout);
-  EXPECT_EQ(mb.waiting_receivers(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // RandomStream
 // ---------------------------------------------------------------------------
 
@@ -601,6 +552,38 @@ TEST(StatsTest, FormatWithCiIsReadable) {
   std::string text = FormatWithCi(s);
   EXPECT_NE(text.find("0.5000"), std::string::npos);
   EXPECT_NE(text.find("±"), std::string::npos);
+}
+
+TEST(QuantileTest, ExactOnUniformGrid) {
+  QuantileStat q;
+  for (int i = 1; i <= 1000; ++i) q.Add(i * 0.001);  // 1ms .. 1s
+  // 5% bucket resolution: quantiles within 6% of truth.
+  EXPECT_NEAR(q.P50(), 0.5, 0.5 * 0.06);
+  EXPECT_NEAR(q.P95(), 0.95, 0.95 * 0.06);
+  EXPECT_NEAR(q.P99(), 0.99, 0.99 * 0.06);
+  EXPECT_DOUBLE_EQ(q.Max(), 1.0);
+}
+
+TEST(QuantileTest, HeavyTailCaptured) {
+  QuantileStat q;
+  for (int i = 0; i < 990; ++i) q.Add(0.01);
+  for (int i = 0; i < 10; ++i) q.Add(2.0);
+  EXPECT_NEAR(q.P50(), 0.01, 0.01 * 0.06);
+  EXPECT_NEAR(q.Quantile(0.995), 2.0, 2.0 * 0.06);
+}
+
+TEST(QuantileTest, TinyAndHugeValuesClamp) {
+  QuantileStat q;
+  q.Add(1e-9);   // below resolution floor
+  q.Add(1e6);    // beyond the last bucket
+  EXPECT_EQ(q.Count(), 2u);
+  EXPECT_LE(q.Quantile(0.0), 1e-5);
+  EXPECT_DOUBLE_EQ(q.Max(), 1e6);
+}
+
+TEST(QuantileTest, EmptyIsZero) {
+  QuantileStat q;
+  EXPECT_DOUBLE_EQ(q.P95(), 0.0);
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // (the uplink is charged once per receiving subtree, asymmetric edge
 // directions serialize independently).
 
-#include <cmath>
 #include <string>
 #include <vector>
 
@@ -317,49 +316,6 @@ TEST(GeoSystemTest, DcPartitionDropsTrafficAndStaysSerializable) {
   EXPECT_GT(snaps[0].completed, 0u);
   EXPECT_GT(snaps[0].faults_injected_partition, 0u);
   EXPECT_NE(snaps[0].serializable, 0) << snaps[0].serializability_why;
-}
-
-// --- MinCrossGroupLatency: the parallel kernel's lookahead source of truth.
-
-TEST(TopologyLookaheadTest, FlatStarMinLatencyIsSwitchLatency) {
-  NetworkParams params;  // 0.004s OC-3 switch, zero-latency access links
-  Topology topo = Topology::Star(8, params);
-  // Any pair crosses exactly the root switch once.
-  EXPECT_DOUBLE_EQ(topo.PathLatency(0, 7), params.latency);
-  EXPECT_DOUBLE_EQ(topo.PathLatency(7, 0), params.latency);
-  EXPECT_DOUBLE_EQ(topo.PathLatency(3, 3), 0.0);
-  EXPECT_DOUBLE_EQ(topo.MinCrossGroupLatency(), params.latency);
-}
-
-TEST(TopologyLookaheadTest, GeoTreeMinLatencyTiersAndSymmetry) {
-  TopologySpec spec;
-  spec.kind = TopologySpec::Kind::kGeo;  // 3 DCs x 2 metros, defaults
-  NetworkParams params;
-  const double L = params.latency;            // every switch: 0.004
-  const double U = spec.uplink_latency;       // metro uplink: 0.002
-  const double B = spec.backbone_latency;     // dc uplink: 0.02
-
-  // 12 sites over 6 metros: two sites per metro, blocks in site order.
-  Topology topo = Topology::Geo(spec, 12, params);
-  // Co-metro pair: one metro switch only.
-  EXPECT_DOUBLE_EQ(topo.PathLatency(0, 1), L);
-  // Same DC, different metros: metro, dc, metro switches + 2 metro uplinks.
-  EXPECT_DOUBLE_EQ(topo.PathLatency(0, 2), 3 * L + 2 * U);
-  // Cross-DC: 5 switches + 2 metro uplinks + 2 backbone hops.
-  EXPECT_DOUBLE_EQ(topo.PathLatency(0, 4), 5 * L + 2 * U + 2 * B);
-  EXPECT_DOUBLE_EQ(topo.PathLatency(4, 0), topo.PathLatency(0, 4));
-  EXPECT_DOUBLE_EQ(topo.MinCrossGroupLatency(), L);
-
-  // 6 sites over 6 metros: no co-metro pair exists, so the minimum climbs
-  // to the same-DC cross-metro tier.
-  Topology sparse = Topology::Geo(spec, 6, params);
-  EXPECT_DOUBLE_EQ(sparse.MinCrossGroupLatency(), 3 * L + 2 * U);
-}
-
-TEST(TopologyLookaheadTest, SingleSiteHasNoCrossLatency) {
-  NetworkParams params;
-  Topology topo = Topology::Star(1, params);
-  EXPECT_TRUE(std::isinf(topo.MinCrossGroupLatency()));
 }
 
 }  // namespace

@@ -64,58 +64,6 @@ bool LooksLikeRunObject(const std::string& s) {
   return depth == 0 && !in_string;
 }
 
-/// True when the run object carries `key` at its top level (nested objects
-/// and string values don't count). Same shallow scanner as
-/// LooksLikeRunObject: track depth and string state, and treat a quoted
-/// token at depth 1 whose next significant character is ':' as a key.
-bool HasTopLevelKey(const std::string& s, const std::string& key) {
-  int depth = 0;
-  bool in_string = false, escaped = false;
-  size_t token_start = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    char c = s[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-        if (depth == 1) {
-          size_t j = i + 1;
-          while (j < s.size() && (s[j] == ' ' || s[j] == '\t')) ++j;
-          if (j < s.size() && s[j] == ':' &&
-              s.compare(token_start, i - token_start, key) == 0) {
-            return true;
-          }
-        }
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-      token_start = i + 1;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-    }
-  }
-  return false;
-}
-
-/// Run objects must carry a "threads" field so downstream baselining (e.g.
-/// BENCH_KERNEL.json scaling curves) can compare runs across worker counts.
-/// Benches that predate --kernel-threads emit none; default them to the
-/// single-threaded kernel rather than forcing every harness to re-emit.
-std::string EnsureThreadsField(std::string obj) {
-  if (HasTopLevelKey(obj, "threads")) return obj;
-  size_t body = obj.find_first_not_of(" \t", 1);
-  const bool empty = body != std::string::npos && obj[body] == '}';
-  obj.insert(obj.size() - 1, empty ? "\"threads\":1" : ",\"threads\":1");
-  return obj;
-}
-
 }  // namespace
 
 bool ConvertBenchReport(const std::string& input, std::string* out,
@@ -146,7 +94,7 @@ bool ConvertBenchReport(const std::string& input, std::string* out,
         }
         return false;
       }
-      runs.push_back(EnsureThreadsField(std::move(obj)));
+      runs.push_back(std::move(obj));
       continue;
     }
     size_t eq = s.find('=');

@@ -13,10 +13,7 @@ namespace lazyrep::tools {
 ///   * key=value lines become top-level fields; values that parse fully as
 ///     numbers are emitted as JSON numbers, everything else as strings;
 ///   * lines that are themselves JSON objects (one per run) are collected
-///     into a top-level "runs" array. Each run is kept verbatim except that
-///     a run lacking a top-level "threads" field gains `"threads":1`, so
-///     every run record carries the kernel worker count it was measured at
-///     (benches predating --kernel-threads are single-threaded).
+///     verbatim into a top-level "runs" array.
 /// Prose lines are ignored, so the converter can sit at the end of a
 /// pipeline that also prints diagnostics — except that a line which *starts*
 /// like a run object ('{') but is not a well-formed single-line object is

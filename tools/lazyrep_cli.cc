@@ -83,8 +83,6 @@ void PrintHelp() {
       "  --check-serializability         run the MVSG checker (slower)\n"
       "  --jobs=N                        run --protocol=all runs on N worker\n"
       "                                  threads (0 = all cores; default 1)\n"
-      "  --kernel-threads=N              in-run event-kernel workers; output\n"
-      "                                  is byte-identical at any N\n"
       "  --quiet                         suppress the human-readable block\n");
 }
 
@@ -317,8 +315,6 @@ int main(int argc, char** argv) {
     } else if (FlagValue(a, "--jobs", &v)) {
       jobs = std::atoi(v);
       if (jobs <= 0) jobs = 0;  // 0 = hardware_concurrency
-    } else if (FlagValue(a, "--kernel-threads", &v)) {
-      config.kernel_threads = std::atoi(v);
     } else if (std::strcmp(a, "--check-serializability") == 0) {
       check_serializability = true;
     } else if (std::strcmp(a, "--quiet") == 0) {
@@ -375,6 +371,12 @@ int main(int argc, char** argv) {
     }
   }
   config.Normalize();
+  for (core::ProtocolKind kind : protocols) {
+    if (std::string err; !config.Validate(kind, &err)) {
+      std::fprintf(stderr, "unsupported configuration: %s\n", err.c_str());
+      return 1;
+    }
+  }
 
   std::vector<core::RunSpec> specs;
   specs.reserve(protocols.size());
