@@ -57,6 +57,13 @@ bool SystemConfig::Validate(ProtocolKind protocol, std::string* error) const {
         "(footnote 2 defers its variant)";
     return false;
   }
+  // Eager's strict 2PL at every replica has no lock-free read path.
+  if (protocol == ProtocolKind::kEager && two_version_reads) {
+    *error =
+        "two-version reads are not supported by the eager protocol "
+        "(its readers always take strict 2PL read locks)";
+    return false;
+  }
   return true;
 }
 

@@ -80,6 +80,7 @@ struct SystemConfig {
   /// Read-only transactions read without acquiring local read locks
   /// (§4.3 future work, "two-version approach"): reads never block behind
   /// replica installations and installations never wait for readers.
+  /// Eager has no lock-free read path and rejects it (Validate).
   bool two_version_reads = false;
 
   /// Dispatch the per-operation control round trips (global read locks,

@@ -117,7 +117,14 @@ System::System(const SystemConfig& config, ProtocolKind kind)
   site_submitted_.assign(config_.num_sites, 0);
 }
 
-System::~System() = default;
+System::~System() {
+  // A stranded transaction's process stays suspended on its completion shot
+  // and never resumes: leave that shot to it, so the liveness audit reports
+  // the strand instead of the destructor's armed-shot check aborting.
+  for (auto& [id, shot] : completion_shots_) {
+    if (shot->armed()) shot.release();
+  }
+}
 
 const char* System::protocol_name() const { return ProtocolKindName(kind_); }
 
@@ -189,6 +196,20 @@ void System::NoteAborted(txn::Transaction* t, txn::AbortCause cause) {
   tracker_.OnAborted(t->id);
   site(t->origin).store.RemoveReader(t->id, t->read_set);
   GateRelease(*t);
+}
+
+db::Timestamp System::NoteRead(const txn::Transaction& t, db::ItemId item,
+                               ConflictEdges* edges) {
+  db::ItemStore& store = site(t.origin).store;
+  db::Timestamp version =
+      edges != nullptr ? store.Read(item, t.id) : store.VersionOf(item);
+  if (history_ != nullptr) history_->RecordRead(t.id, item, version);
+  TraceEvent(trace::EventType::kRead, t, t.origin, item, version.txn,
+             version.time);
+  if (edges != nullptr && version.txn != db::kNoTxn) {
+    edges->emplace_back(t.id, version.txn);
+  }
+  return version;
 }
 
 void System::set_trace(trace::TraceSink* sink) {
@@ -313,10 +334,13 @@ sim::Task<void> System::AwaitServing(int e) {
   }
 }
 
-sim::Task<bool> System::ForceCommitRecord(txn::Transaction* t) {
-  Site& origin = site(t->origin);
+sim::Task<bool> System::CommitWrites(txn::Transaction* t) {
   if (!amnesia()) {
-    co_await origin.disk.ForceLog(config_.log_bytes);
+    // Conflict edges of the origin apply deliver instantly: every party
+    // (co-owners by the ownership rule, local readers) executes here. Only
+    // updates commit through here; read-only commits force no log.
+    co_await ApplyWrites(t->origin, *t, /*at_origin=*/true);
+    co_await site(t->origin).disk.ForceLog(config_.log_bytes);
     co_return true;
   }
   if (LostToCrash(*t)) co_return false;  // already wiped: nothing to commit
@@ -331,9 +355,10 @@ sim::Task<bool> System::ForceCommitRecord(txn::Transaction* t) {
   // A crash between the append and the force's completion loses the commit
   // record even if the platter write finished in some interleaving: only a
   // force completed within the transaction's birth epoch commits.
-  bool ok = forced && !LostToCrash(*t);
-  if (ok) t->commit_durable = true;
-  co_return ok;
+  if (!forced || LostToCrash(*t)) co_return false;
+  t->commit_durable = true;
+  co_await ApplyWrites(t->origin, *t, /*at_origin=*/true);
+  co_return true;
 }
 
 void System::OnSiteCrash(int e) {

@@ -119,6 +119,18 @@ class System {
   /// registrations at the origin. Idempotent; the first call's `cause` wins.
   void NoteAborted(txn::Transaction* t, txn::AbortCause cause);
 
+  /// Conflict edges (dependent, predecessor) discovered at a site, delivered
+  /// to the completion tracker when the carrying message arrives.
+  using ConflictEdges = std::vector<std::pair<db::TxnId, db::TxnId>>;
+
+  /// Reads `item` for `t` at its origination site (reads happen only there)
+  /// and records the version for the MVSG audit and the trace. The read
+  /// registers `t` as a reader of the item and appends the wr edge (the
+  /// writer precedes `t`) to `edges`. With `edges` null the reader stays out
+  /// of the completion dependency graph: no registration, no wr edge.
+  db::Timestamp NoteRead(const txn::Transaction& t, db::ItemId item,
+                         ConflictEdges* edges);
+
   /// One-shot fired when the tracker completes the transaction (used by the
   /// locking protocol to hold read locks until completion).
   sim::OneShot* CompletionShotFor(db::TxnId id);
@@ -166,12 +178,14 @@ class System {
   /// fault injection is off or the endpoint is already serving.
   sim::Task<void> AwaitServing(int e);
 
-  /// Commit-point durability at `t`'s origin. Amnesia mode: stages one redo
-  /// record per write-set page plus the commit record and forces the WAL —
-  /// resolves true only if the force completed in `t`'s birth epoch (a crash
-  /// mid-force loses the commit record; the caller must abort with
-  /// kSiteFailure). Legacy mode: the classic log force, always true.
-  sim::Task<bool> ForceCommitRecord(txn::Transaction* t);
+  /// Commits update `t`'s writes at its origination site, under the locks
+  /// the caller holds. Amnesia mode follows the WAL discipline: one redo
+  /// record per write-set page plus the commit record are forced *before*
+  /// the store mutates, and the result is false (nothing applied; the caller
+  /// must abort with kSiteFailure) unless the force completed in `t`'s birth
+  /// epoch. Otherwise the writes apply first, then the log force, and the
+  /// result is always true.
+  sim::Task<bool> CommitWrites(txn::Transaction* t);
 
   /// Recovery-metric hooks for the protocols.
   void NoteCatchupInstall() { ++catchup_installs_; }
@@ -221,9 +235,6 @@ class System {
   sim::Task<bool> SendPayloadReliable(db::SiteId from, db::SiteId to,
                                       size_t bytes);
 
-  /// Conflict edges (dependent, predecessor) discovered at a site, delivered
-  /// to the completion tracker when the carrying message arrives.
-  using ConflictEdges = std::vector<std::pair<db::TxnId, db::TxnId>>;
   void DeliverEdges(const ConflictEdges& edges);
 
   /// Executes one operation's local cost at `s`: CPU plus a buffered page
@@ -303,14 +314,6 @@ class System {
     if (trace_ == nullptr) return;
     trace_->Emit(type, sim_.Now(), t.id, site, TraceFlags(t), item, aux,
                  aux_time);
-  }
-
-  /// Emits the version-read record the protocols pair with
-  /// HistoryRecorder::RecordRead (the offline MVSG audit's wr/rw input).
-  void TraceRead(const txn::Transaction& t, db::ItemId item,
-                 db::Timestamp version) {
-    TraceEvent(trace::EventType::kRead, t, t.origin, item, version.txn,
-               version.time);
   }
 
   const char* protocol_name() const;

@@ -12,18 +12,6 @@ using core::System;
 using db::LockMode;
 using sim::WaitStatus;
 
-void EagerProtocol::OnRegister(txn::Transaction* t) {
-  // Updates commit at the origin and at every replica target (each
-  // participant reports its subtransaction after the COMMIT-ACK lands at the
-  // origin, so completion timing covers the full ack round). Read-only
-  // transactions are entirely local.
-  int remaining = 1;
-  if (t->is_update) {
-    remaining += static_cast<int>(sys_->ReplicaTargets(*t, t->origin).size());
-  }
-  sys_->tracker().SetRemainingCommits(t->id, remaining);
-}
-
 sim::Process EagerProtocol::LockLeg(txn::Transaction* t, db::SiteId dst,
                                     db::ItemId item, StatePtr st,
                                     RoundState* round, bool via_multicast) {
@@ -291,6 +279,22 @@ void EagerProtocol::AbortNow(txn::Transaction* t, StatePtr st,
   sys_->NoteAborted(t, cause);
 }
 
+void EagerProtocol::PresumeAbort(txn::Transaction* t, StatePtr st,
+                                 TwoPCPtr pc, txn::AbortCause cause) {
+  pc->decided = true;
+  pc->commit = false;
+  sys_->sim().Spawn(BroadcastOutcome(t->origin, pc));
+  // Prepared participants release through their abort outcome (they hold
+  // the right to the locks until then); only unprepared sites' grants are
+  // released directly.
+  std::erase_if(st->granted_remote,
+                [&](const std::pair<db::SiteId, db::ItemId>& p) {
+                  int idx = pc->IndexOf(p.first);
+                  return idx >= 0 && pc->prepared[idx];
+                });
+  AbortNow(t, st, cause);
+}
+
 sim::Process EagerProtocol::ReleaseRemote(
     db::SiteId origin, db::TxnId id,
     std::vector<std::pair<db::SiteId, db::ItemId>> granted) {
@@ -335,14 +339,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
         co_return;
       }
     } else {
-      db::Timestamp version = origin.store.Read(op.item, t->id);
-      if (sys_->history() != nullptr) {
-        sys_->history()->RecordRead(t->id, op.item, version);
-      }
-      sys_->TraceRead(*t, op.item, version);
-      if (version.txn != db::kNoTxn) {
-        st->edges.emplace_back(t->id, version.txn);  // wr: writer precedes us
-      }
+      sys_->NoteRead(*t, op.item, &st->edges);
     }
   }
 
@@ -368,15 +365,9 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   if (targets.empty()) {
     // Degenerate partial-replication case: no replicas, one-site commit.
     sys_->StampCommitTimestamp(t);
-    if (sys_->amnesia()) {
-      if (!co_await sys_->ForceCommitRecord(t)) {
-        AbortNow(t, st, txn::AbortCause::kSiteFailure);
-        co_return;
-      }
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-    } else {
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-      co_await origin.disk.ForceLog(cfg.log_bytes);
+    if (!co_await sys_->CommitWrites(t)) {
+      AbortNow(t, st, txn::AbortCause::kSiteFailure);
+      co_return;
     }
     sys_->NoteCommitted(t);
     origin.locks.ReleaseAll(t->id);
@@ -413,15 +404,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   // presumed abort — exactly what a recovering coordinator's log inspection
   // would conclude, since no commit record survives.
   if (sys_->LostToCrash(*t)) {
-    pc->decided = true;
-    pc->commit = false;
-    sys_->sim().Spawn(BroadcastOutcome(t->origin, pc));
-    std::erase_if(st->granted_remote,
-                  [&](const std::pair<db::SiteId, db::ItemId>& p) {
-                    int idx = pc->IndexOf(p.first);
-                    return idx >= 0 && pc->prepared[idx];
-                  });
-    AbortNow(t, st, txn::AbortCause::kSiteFailure);
+    PresumeAbort(t, st, pc, txn::AbortCause::kSiteFailure);
     co_return;
   }
 
@@ -430,27 +413,15 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
     // this transaction's X locks, so TWR timestamps are monotone here — no
     // stale-write certification is needed.
     sys_->StampCommitTimestamp(t);
+    // The commit decision record (redo images + commit + outcome) must be
+    // durable before the store mutates; losing the force to a crash means
+    // no commit record survives — presumed abort, like the crash above.
     if (sys_->amnesia()) {
-      // Commit decision record (redo images + commit + outcome) must be
-      // durable before the store mutates; losing the force to a crash means
-      // no commit record survives — presumed abort, like the crash above.
       sys_->wal(t->origin)->Append(fault::WalRecordType::kOutcome, 0);
-      if (!co_await sys_->ForceCommitRecord(t)) {
-        pc->decided = true;
-        pc->commit = false;
-        sys_->sim().Spawn(BroadcastOutcome(t->origin, pc));
-        std::erase_if(st->granted_remote,
-                      [&](const std::pair<db::SiteId, db::ItemId>& p) {
-                        int idx = pc->IndexOf(p.first);
-                        return idx >= 0 && pc->prepared[idx];
-                      });
-        AbortNow(t, st, txn::AbortCause::kSiteFailure);
-        co_return;
-      }
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-    } else {
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-      co_await origin.disk.ForceLog(cfg.log_bytes);  // commit decision record
+    }
+    if (!co_await sys_->CommitWrites(t)) {
+      PresumeAbort(t, st, pc, txn::AbortCause::kSiteFailure);
+      co_return;
     }
     sys_->NoteCommitted(t);
     origin.locks.ReleaseAll(t->id);
@@ -465,59 +436,11 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   // Vote collection timed out (lost votes, a crashed or overloaded
   // participant): presumed abort.
   sys_->metrics().OnEagerVoteTimeout(t->measured);
-  pc->decided = true;
-  pc->commit = false;
-  sys_->sim().Spawn(BroadcastOutcome(t->origin, pc));
-  // Prepared participants release through their abort outcome (they hold
-  // the right to the locks until then); only unprepared sites' grants are
-  // released directly.
-  std::erase_if(st->granted_remote,
-                [&](const std::pair<db::SiteId, db::ItemId>& p) {
-                  int idx = pc->IndexOf(p.first);
-                  return idx >= 0 && pc->prepared[idx];
-                });
-  AbortNow(t, st, txn::AbortCause::kUnavailable);
+  PresumeAbort(t, st, pc, txn::AbortCause::kUnavailable);
 }
 
 void EagerProtocol::OnCompleted(txn::Transaction* t) {
-  sys_->site(t->origin).locks.ReleaseAll(t->id);  // defensive; normally empty
-  sys_->tracker().NotifyCompletionAtSite(t->id, t->origin);
-  sys_->sim().Spawn(BroadcastCompletion(t->id, t->origin));
-}
-
-sim::Process EagerProtocol::CompleteAtSite(db::TxnId id, db::SiteId origin,
-                                           db::SiteId dst) {
-  // A lost completion notice would strand dependents' fixpoints forever.
-  co_await sys_->SendCtrlAssured(origin, dst);
-  sys_->site(dst).locks.ReleaseAll(id);
-  sys_->tracker().NotifyCompletionAtSite(id, dst);
-}
-
-sim::Process EagerProtocol::BroadcastCompletion(db::TxnId id,
-                                                db::SiteId origin) {
-  const core::SystemConfig& cfg = sys_->config();
-  std::vector<db::SiteId> others;
-  others.reserve(cfg.num_sites - 1);
-  for (int s = 0; s < cfg.num_sites; ++s) {
-    if (s != origin) others.push_back(static_cast<db::SiteId>(s));
-  }
-  if (sys_->fault_enabled()) {
-    for (db::SiteId dst : others) {
-      sys_->sim().Spawn(CompleteAtSite(id, origin, dst));
-    }
-    co_return;
-  }
-  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
-  co_await sys_->network().Multicast(
-      origin, others, cfg.ctrl_msg_bytes, [this, id](db::SiteId dst) {
-        sys_->sim().Spawn([](EagerProtocol* self, db::TxnId txn,
-                             db::SiteId site) -> sim::Process {
-          co_await self->sys_->site(site).cpu.Execute(
-              self->sys_->config().message_instr);
-          self->sys_->site(site).locks.ReleaseAll(txn);
-          self->sys_->tracker().NotifyCompletionAtSite(txn, site);
-        }(this, id, dst));
-      });
+  BroadcastCompletion(t);
 }
 
 }  // namespace lazyrep::proto

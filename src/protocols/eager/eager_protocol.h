@@ -5,9 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/system.h"
 #include "protocols/protocol.h"
-#include "sim/condition.h"
 #include "sim/random.h"
 
 namespace lazyrep::proto {
@@ -35,7 +33,7 @@ namespace lazyrep::proto {
 ///   coordinator crash after PREPARE leaves participants blocked holding
 ///   locks until the (retried-forever) outcome message lands after recovery
 ///   — the classic 2PC blocking window, measured rather than patched.
-/// * The dedicated graph site is unused; completion notices are multicast
+/// * The dedicated graph site is unused; completion is broadcast
 ///   (deferred-cascade tracking), exactly as in the locking protocol.
 ///
 /// Deviations from a textbook 2PC are catalogued in DESIGN.md §4.5.
@@ -44,7 +42,6 @@ class EagerProtocol : public Protocol {
   explicit EagerProtocol(core::System* system) : Protocol(system) {}
 
   sim::Process Execute(txn::Transaction* t) override;
-  void OnRegister(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
   const char* name() const override { return "Eager"; }
 
@@ -133,17 +130,15 @@ class EagerProtocol : public Protocol {
   /// Abort path: release origin locks, queue remote releases, notify.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);
 
+  /// Presumed-abort decision: abort outcome to the prepared targets, direct
+  /// releases for the rest, then AbortNow.
+  void PresumeAbort(txn::Transaction* t, StatePtr st, TwoPCPtr pc,
+                    txn::AbortCause cause);
+
   /// Sends assured release notices for unprepared remote X locks.
   sim::Process ReleaseRemote(
       db::SiteId origin, db::TxnId id,
       std::vector<std::pair<db::SiteId, db::ItemId>> granted);
-
-  /// Fault-mode completion notice to one site (replaces a multicast leg).
-  sim::Process CompleteAtSite(db::TxnId id, db::SiteId origin, db::SiteId dst);
-
-  /// Multicasts the completion notice so dependents' completion fixpoints
-  /// advance at their origination sites (deferred-cascade tracking).
-  sim::Process BroadcastCompletion(db::TxnId id, db::SiteId origin);
 };
 
 }  // namespace lazyrep::proto

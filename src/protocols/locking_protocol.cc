@@ -102,96 +102,12 @@ sim::Process LockingProtocol::ReleaseRemoteReads(
 
 sim::Process LockingProtocol::Installer(txn::Transaction* t, db::SiteId dst,
                                         sim::Countdown* acks) {
-  const core::SystemConfig& cfg = sys_->config();
-  core::Site& site = sys_->site(dst);
-  co_await site.cpu.Execute(cfg.message_instr);  // receive the propagation
-
-  const bool amnesia = sys_->amnesia();
-  uint32_t epoch = amnesia ? sys_->SiteEpoch(dst) : 0;
-  System::ConflictEdges edges;
-  for (;;) {
-    if (amnesia && sys_->SiteEpoch(dst) != epoch) {
-      // dst crashed since the payload arrived: the staged subtransaction is
-      // gone. Log-shipping catch-up — wait for the replay to finish, let
-      // the recovered site request the missed propagation, re-ship it, and
-      // install from scratch (ApplyWrites is TWR-idempotent).
-      co_await sys_->AwaitServing(dst);
-      co_await sys_->SendCtrlAssured(dst, t->origin);  // catch-up request
-      size_t bytes = cfg.propagation_overhead_bytes +
-                     t->write_set.size() * cfg.item_bytes;
-      co_await sys_->SendPayloadAssured(t->origin, dst, bytes);
-      co_await site.cpu.Execute(cfg.message_instr);  // receive again
-      epoch = sys_->SiteEpoch(dst);
-      sys_->NoteCatchupInstall();
-      continue;
-    }
-
-    // Local update locks for the installed items; a local deadlock aborts
-    // and restarts the subtransaction (§2.1).
-    std::vector<db::ItemId> held;
-    size_t next = 0;
-    bool locked = true;
-    while (next < t->write_set.size()) {
-      db::ItemId item = t->write_set[next];
-      if (!cfg.HasReplica(item, dst)) {
-        ++next;
-        continue;
-      }
-      WaitStatus s = co_await site.locks.Acquire(t->id, item,
-                                                 LockMode::kUpdate,
-                                                 cfg.timeout);
-      if (s == WaitStatus::kSignaled) {
-        held.push_back(item);
-        ++next;
-        continue;
-      }
-      // Timeout (or cancelled by a crash wipe): restart from scratch.
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
-      held.clear();
-      if (amnesia && sys_->SiteEpoch(dst) != epoch) {
-        locked = false;  // crash mid-acquisition: back to catch-up
-        break;
-      }
-      next = 0;
-    }
-    if (!locked) continue;
-
-    for (size_t i = 0; i < held.size(); ++i) {
-      co_await site.cpu.Execute(cfg.op_instr);
-    }
-    edges = co_await sys_->ApplyWrites(dst, *t);
-    if (amnesia) {
-      fault::SiteWal* w = sys_->wal(dst);
-      for (db::ItemId item : t->write_set) {
-        if (cfg.HasReplica(item, dst)) {
-          w->Append(fault::WalRecordType::kItemWrite, cfg.item_bytes);
-        }
-      }
-      w->Append(fault::WalRecordType::kReceipt, 0);
-      bool durable = co_await w->Force();
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
-      // A crash mid-force lost the receipt: the install must re-run after
-      // recovery so the redo records make it into the log.
-      if (!durable || sys_->SiteEpoch(dst) != epoch) continue;
-    } else {
-      co_await site.disk.ForceLog(cfg.log_bytes);
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
-    }
-    break;
-  }
-
+  System::ConflictEdges edges = co_await InstallAt(t, dst);
   // Ack to the origin, carrying this site's conflict predecessors. The
   // origin blocks on the ack countdown, so the ack must get through.
   co_await sys_->SendCtrlAssured(dst, t->origin);
   sys_->DeliverEdges(edges);
   acks->Arrive();
-}
-
-sim::Process LockingProtocol::PropagateAndInstall(txn::Transaction* t,
-                                                  db::SiteId dst, size_t bytes,
-                                                  sim::Countdown* acks) {
-  co_await sys_->SendPayloadAssured(t->origin, dst, bytes);
-  sys_->sim().Spawn(Installer(t, dst, acks));
 }
 
 sim::Process LockingProtocol::Execute(txn::Transaction* t) {
@@ -247,18 +163,9 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
       // the reader) and deadlock the completion fixpoint. They read the
       // version unregistered and record no wr edge — the MVSG recorder
       // still sees the read, so the lost guarantee stays measurable.
-      db::Timestamp version = lock_free_reads
-                                  ? origin.store.VersionOf(op.item)
-                                  : origin.store.Read(op.item, t->id);
-      if (sys_->history() != nullptr) {
-        sys_->history()->RecordRead(t->id, op.item, version);
-      }
-      sys_->TraceRead(*t, op.item, version);
-      if (lock_free_reads) {
-        read_versions.emplace_back(op.item, version);
-      } else if (version.txn != db::kNoTxn) {
-        st->edges.emplace_back(t->id, version.txn);  // wr: writer precedes us
-      }
+      db::Timestamp version =
+          sys_->NoteRead(*t, op.item, lock_free_reads ? nullptr : &st->edges);
+      if (lock_free_reads) read_versions.emplace_back(op.item, version);
     }
   }
 
@@ -286,20 +193,10 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
       AbortNow(t, st, txn::AbortCause::kStaleWrite);
       co_return;
     }
-    if (sys_->amnesia()) {
-      // WAL discipline: the redo + commit records must be durable *before*
-      // the store mutates — a crash mid-force aborts with nothing applied.
-      if (!co_await sys_->ForceCommitRecord(t)) {
-        AbortNow(t, st, txn::AbortCause::kSiteFailure);
-        co_return;
-      }
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-    } else {
-      // Apply under the held update locks; conflict edges deliver instantly
-      // (all parties are co-located with the origination site).
-      co_await sys_->ApplyWrites(t->origin, *t, /*at_origin=*/true);
-      co_await origin.disk.ForceLog(cfg.log_bytes);  // read-only commits
-    }                                                // write no redo records
+    if (!co_await sys_->CommitWrites(t)) {
+      AbortNow(t, st, txn::AbortCause::kSiteFailure);
+      co_return;
+    }
   }
   sys_->NoteCommitted(t);
   sys_->DeliverEdges(st->edges);
@@ -307,22 +204,10 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
   if (t->is_update) {
     std::vector<db::SiteId> targets = sys_->ReplicaTargets(*t, t->origin);
     if (!targets.empty()) {
+      // Every leg must install (and ack) eventually, or the countdown would
+      // never resolve.
       sim::Countdown acks(&sys_->sim(), static_cast<int>(targets.size()));
-      size_t bytes = cfg.propagation_overhead_bytes +
-                     t->write_set.size() * cfg.item_bytes;
-      if (sys_->fault_enabled()) {
-        // Per-target reliable delivery (every leg must eventually install,
-        // or the ack countdown would never resolve).
-        for (db::SiteId dst : targets) {
-          sys_->sim().Spawn(PropagateAndInstall(t, dst, bytes, &acks));
-        }
-      } else {
-        co_await origin.cpu.Execute(cfg.message_instr);
-        co_await sys_->network().Multicast(
-            t->origin, targets, bytes, [this, t, &acks](db::SiteId dst) {
-              sys_->sim().Spawn(Installer(t, dst, &acks));
-            });
-      }
+      co_await Propagate(t, targets, &acks);
       co_await acks.Wait();
     }
     // All replicas updated: the primary-copy update locks may fall (§2.2).
@@ -342,46 +227,8 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
 }
 
 void LockingProtocol::OnCompleted(txn::Transaction* t) {
-  // Release locally held locks (read locks and any stragglers).
-  sys_->site(t->origin).locks.ReleaseAll(t->id);
-  sys_->tracker().NotifyCompletionAtSite(t->id, t->origin);
-  sys_->sim().Spawn(BroadcastCompletion(t->id, t->origin));
-}
-
-sim::Process LockingProtocol::CompleteAtSite(db::TxnId id, db::SiteId origin,
-                                             db::SiteId dst) {
-  // Reliable point-to-point completion notice: a lost leg would strand the
-  // transaction's relayed read locks and its dependents' fixpoints forever.
-  co_await sys_->SendCtrlAssured(origin, dst);
-  sys_->site(dst).locks.ReleaseAll(id);
-  sys_->tracker().NotifyCompletionAtSite(id, dst);
-}
-
-sim::Process LockingProtocol::BroadcastCompletion(db::TxnId id,
-                                                  db::SiteId origin) {
-  const core::SystemConfig& cfg = sys_->config();
-  std::vector<db::SiteId> others;
-  others.reserve(cfg.num_sites - 1);
-  for (int s = 0; s < cfg.num_sites; ++s) {
-    if (s != origin) others.push_back(static_cast<db::SiteId>(s));
-  }
-  if (sys_->fault_enabled()) {
-    for (db::SiteId dst : others) {
-      sys_->sim().Spawn(CompleteAtSite(id, origin, dst));
-    }
-    co_return;
-  }
-  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
-  co_await sys_->network().Multicast(
-      origin, others, cfg.ctrl_msg_bytes, [this, id](db::SiteId dst) {
-        sys_->sim().Spawn([](LockingProtocol* self, db::TxnId txn,
-                             db::SiteId site) -> sim::Process {
-          co_await self->sys_->site(site).cpu.Execute(
-              self->sys_->config().message_instr);
-          self->sys_->site(site).locks.ReleaseAll(txn);
-          self->sys_->tracker().NotifyCompletionAtSite(txn, site);
-        }(this, id, dst));
-      });
+  // Releases the retained read locks, here and at every primary site.
+  BroadcastCompletion(t);
 }
 
 }  // namespace lazyrep::proto

@@ -4,9 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/system.h"
 #include "protocols/protocol.h"
-#include "sim/condition.h"
 
 namespace lazyrep::proto {
 
@@ -20,8 +18,8 @@ namespace lazyrep::proto {
 ///   synchronized by the Thomas Write Rule) and is held until every replica
 ///   has been updated.
 /// * Deadlocks resolve by timeout. The dedicated graph site is unused.
-/// * Completion notices are multicast so that dependents' read locks release
-///   and their completion fixpoints advance (deferred-cascade tracking).
+/// * Completion is broadcast so that dependents' read locks release and
+///   their completion fixpoints advance (deferred-cascade tracking).
 class LockingProtocol : public Protocol {
  public:
   explicit LockingProtocol(core::System* system) : Protocol(system) {}
@@ -52,17 +50,10 @@ class LockingProtocol : public Protocol {
   /// Acquires the global lock for operation `index` and fires its grant slot.
   sim::Process FetchLock(txn::Transaction* t, int index, StatePtr st);
 
-  /// Installs the write set at a remote site, acks to the origin, then
-  /// reports conflict edges and the subtransaction commit.
+  /// InstallAt, then the ack to the origin that carries the conflict edges;
+  /// the origin gathers the acks before its single subtransaction commit.
   sim::Process Installer(txn::Transaction* t, db::SiteId dst,
-                         sim::Countdown* acks);
-
-  /// Fault-mode propagation: reliable per-target payload, then Installer.
-  sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
-                                   size_t bytes, sim::Countdown* acks);
-
-  /// Fault-mode completion notice to one site (replaces a multicast leg).
-  sim::Process CompleteAtSite(db::TxnId id, db::SiteId origin, db::SiteId dst);
+                         sim::Countdown* acks) override;
 
   /// Abort path: release everything, notify the tracker and metrics.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);
@@ -71,10 +62,6 @@ class LockingProtocol : public Protocol {
   sim::Process ReleaseRemoteReads(db::TxnId id,
                                   std::vector<std::pair<db::SiteId, db::ItemId>>
                                       granted);
-
-  /// Multicasts the completion notice; receivers release the transaction's
-  /// relayed read locks and advance their local completion fixpoints.
-  sim::Process BroadcastCompletion(db::TxnId id, db::SiteId origin);
 };
 
 }  // namespace lazyrep::proto

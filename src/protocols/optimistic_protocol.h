@@ -1,11 +1,7 @@
 #ifndef LAZYREP_PROTOCOLS_OPTIMISTIC_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_OPTIMISTIC_PROTOCOL_H_
 
-#include <memory>
-
-#include "core/system.h"
 #include "protocols/protocol.h"
-#include "rg/graph_site.h"
 
 namespace lazyrep::proto {
 
@@ -23,16 +19,8 @@ class OptimisticProtocol : public Protocol {
   explicit OptimisticProtocol(core::System* system) : Protocol(system) {}
 
   sim::Process Execute(txn::Transaction* t) override;
-  void OnRegister(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
   const char* name() const override { return "Optimistic"; }
-
- private:
-  sim::Process Installer(txn::Transaction* t, db::SiteId dst);
-  /// Fault-mode propagation: reliable per-target payload, then Installer.
-  sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
-                                   size_t bytes);
-  sim::Process CompletionNotice(db::SiteId origin);
 };
 
 }  // namespace lazyrep::proto

@@ -4,10 +4,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/system.h"
 #include "protocols/protocol.h"
-#include "rg/graph_site.h"
-#include "sim/condition.h"
 
 namespace lazyrep::proto {
 
@@ -27,7 +24,6 @@ class PessimisticProtocol : public Protocol {
   explicit PessimisticProtocol(core::System* system) : Protocol(system) {}
 
   sim::Process Execute(txn::Transaction* t) override;
-  void OnRegister(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
   const char* name() const override { return "Pessimistic"; }
 
@@ -37,7 +33,6 @@ class PessimisticProtocol : public Protocol {
     std::vector<std::unique_ptr<sim::OneShot>> slots;
     std::vector<rg::Verdict> verdicts;
     core::System::ConflictEdges edges;
-    bool aborted = false;
   };
   using StatePtr = std::shared_ptr<ExecState>;
 
@@ -47,24 +42,6 @@ class PessimisticProtocol : public Protocol {
   /// Post-commit notification to the graph site: committed-state mark,
   /// origin conflict edges, origin subtransaction commit.
   sim::Process CommitNotice(txn::Transaction* t, StatePtr st);
-
-  /// Origin-initiated abort (local lock timeout): informs the graph site.
-  sim::Process AbortNotice(db::TxnId id, db::SiteId origin);
-
-  /// Remote replica installation; acks to the graph site.
-  sim::Process Installer(txn::Transaction* t, db::SiteId dst);
-
-  /// Fault-mode propagation: one reliably-delivered payload per target,
-  /// installer spawned on delivery (replaces the shared multicast path).
-  sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
-                                   size_t bytes);
-
-  /// Notifies the origination site that the transaction completed (metrics
-  /// and bookkeeping ride on the tracker; this models the message cost).
-  sim::Process CompletionNotice(db::SiteId origin);
-
-  void AbortLocal(txn::Transaction* t, StatePtr st, bool notify_graph,
-                  txn::AbortCause cause);
 };
 
 }  // namespace lazyrep::proto

@@ -1,0 +1,214 @@
+#include "protocols/protocol.h"
+
+#include <utility>
+
+namespace lazyrep::proto {
+
+using core::System;
+using sim::WaitStatus;
+
+void Protocol::OnRegister(txn::Transaction* t) {
+  int remaining = 1;
+  if (t->is_update) {
+    remaining += static_cast<int>(sys_->ReplicaTargets(*t, t->origin).size());
+  }
+  sys_->tracker().SetRemainingCommits(t->id, remaining);
+}
+
+sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
+                                                     db::SiteId dst) {
+  const core::SystemConfig& cfg = sys_->config();
+  core::Site& site = sys_->site(dst);
+  co_await site.cpu.Execute(cfg.message_instr);  // receive the propagation
+
+  const bool amnesia = sys_->amnesia();
+  uint32_t epoch = amnesia ? sys_->SiteEpoch(dst) : 0;
+  for (;;) {
+    if (amnesia && sys_->SiteEpoch(dst) != epoch) {
+      // dst crashed since the payload arrived: the staged subtransaction is
+      // gone. Log-shipping catch-up — wait for the replay to finish, let
+      // the recovered site request the missed propagation, re-ship it, and
+      // install from scratch (ApplyWrites is TWR-idempotent).
+      co_await sys_->AwaitServing(dst);
+      co_await sys_->SendCtrlAssured(dst, t->origin);  // catch-up request
+      size_t bytes = cfg.propagation_overhead_bytes +
+                     t->write_set.size() * cfg.item_bytes;
+      co_await sys_->SendPayloadAssured(t->origin, dst, bytes);
+      co_await site.cpu.Execute(cfg.message_instr);  // receive again
+      epoch = sys_->SiteEpoch(dst);
+      sys_->NoteCatchupInstall();
+      continue;
+    }
+
+    // Local update locks for the installed items; a local deadlock aborts
+    // and restarts the subtransaction (§2.1).
+    std::vector<db::ItemId> held;
+    size_t next = 0;
+    bool locked = true;
+    while (next < t->write_set.size()) {
+      db::ItemId item = t->write_set[next];
+      if (!cfg.HasReplica(item, dst)) {
+        ++next;
+        continue;
+      }
+      WaitStatus s = co_await site.locks.Acquire(t->id, item,
+                                                 db::LockMode::kUpdate,
+                                                 cfg.timeout);
+      if (s == WaitStatus::kSignaled) {
+        held.push_back(item);
+        ++next;
+        continue;
+      }
+      // Timeout (or cancelled by a crash wipe): restart from scratch.
+      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      held.clear();
+      if (amnesia && sys_->SiteEpoch(dst) != epoch) {
+        locked = false;  // crash mid-acquisition: back to catch-up
+        break;
+      }
+      next = 0;
+    }
+    if (!locked) continue;
+
+    for (size_t i = 0; i < held.size(); ++i) {
+      co_await site.cpu.Execute(cfg.op_instr);
+    }
+    System::ConflictEdges edges = co_await sys_->ApplyWrites(dst, *t);
+    if (amnesia) {
+      fault::SiteWal* w = sys_->wal(dst);
+      for (db::ItemId item : t->write_set) {
+        if (cfg.HasReplica(item, dst)) {
+          w->Append(fault::WalRecordType::kItemWrite, cfg.item_bytes);
+        }
+      }
+      w->Append(fault::WalRecordType::kReceipt, 0);
+      bool durable = co_await w->Force();
+      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      // A crash mid-force lost the receipt: the install must re-run after
+      // recovery so the redo records make it into the log.
+      if (!durable || sys_->SiteEpoch(dst) != epoch) continue;
+    } else {
+      co_await site.disk.ForceLog(cfg.log_bytes);
+      for (db::ItemId h : held) site.locks.Release(t->id, h);
+    }
+    co_return edges;
+  }
+}
+
+sim::Process Protocol::Installer(txn::Transaction* t, db::SiteId dst,
+                                 sim::Countdown* /*acks*/) {
+  System::ConflictEdges edges = co_await InstallAt(t, dst);
+  co_await sys_->SendCtrlAssured(dst, sys_->graph_endpoint());
+  co_await sys_->graph_site()->ChargeMessages(1);
+  sys_->DeliverEdges(edges);
+  sys_->tracker().OnSubtxnCommitted(t->id);
+}
+
+sim::Task<void> Protocol::Propagate(txn::Transaction* t,
+                                    const std::vector<db::SiteId>& targets,
+                                    sim::Countdown* acks) {
+  const core::SystemConfig& cfg = sys_->config();
+  size_t bytes =
+      cfg.propagation_overhead_bytes + t->write_set.size() * cfg.item_bytes;
+  if (sys_->fault_enabled()) {
+    for (db::SiteId dst : targets) {
+      sys_->sim().Spawn(PropagateAndInstall(t, dst, bytes, acks));
+    }
+    co_return;
+  }
+  co_await sys_->site(t->origin).cpu.Execute(cfg.message_instr);
+  // Named lvalue: see Network::Multicast for the toolchain bug this avoids.
+  net::Network::DeliveryFn on_payload = [this, t, acks](db::SiteId dst) {
+    sys_->sim().Spawn(Installer(t, dst, acks));
+  };
+  co_await sys_->network().Multicast(t->origin, targets, bytes,
+                                     std::move(on_payload));
+}
+
+sim::Process Protocol::PropagateAndInstall(txn::Transaction* t,
+                                           db::SiteId dst, size_t bytes,
+                                           sim::Countdown* acks) {
+  co_await sys_->SendPayloadAssured(t->origin, dst, bytes);
+  sys_->sim().Spawn(Installer(t, dst, acks));
+}
+
+void Protocol::CompleteAtGraphSite(txn::Transaction* t) {
+  sys_->sim().Spawn(GraphRemove(t->id, sys_->graph_endpoint()));
+  sys_->sim().Spawn(CompletionNotice(t->origin));
+}
+
+sim::Process Protocol::CompletionNotice(db::SiteId origin) {
+  // Models the message cost; the bookkeeping rides on the tracker.
+  co_await sys_->SendCtrlAssured(sys_->graph_endpoint(), origin);
+}
+
+// A remove requested by database site `from` first travels to the graph
+// site, assured; the graph site's own removes pass its endpoint.
+sim::Process Protocol::GraphRemove(db::TxnId id, db::SiteId from) {
+  if (from != sys_->graph_endpoint()) {
+    co_await sys_->SendCtrlAssured(from, sys_->graph_endpoint());
+  }
+  co_await sys_->graph_site()->HandleRemove(id);
+}
+
+void Protocol::BroadcastCompletion(txn::Transaction* t) {
+  sys_->site(t->origin).locks.ReleaseAll(t->id);
+  sys_->tracker().NotifyCompletionAtSite(t->id, t->origin);
+  sys_->sim().Spawn(CompletionMulticast(t->id, t->origin));
+}
+
+sim::Process Protocol::CompletionMulticast(db::TxnId id, db::SiteId origin) {
+  const core::SystemConfig& cfg = sys_->config();
+  std::vector<db::SiteId> others;
+  others.reserve(cfg.num_sites - 1);
+  for (int s = 0; s < cfg.num_sites; ++s) {
+    if (s != origin) others.push_back(static_cast<db::SiteId>(s));
+  }
+  if (sys_->fault_enabled()) {
+    for (db::SiteId dst : others) {
+      sys_->sim().Spawn(
+          CompleteAtSite(id, origin, dst, /*via_multicast=*/false));
+    }
+    co_return;
+  }
+  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
+  // Named lvalue: see Network::Multicast for the toolchain bug this avoids.
+  net::Network::DeliveryFn on_notice = [this, id, origin](db::SiteId dst) {
+    sys_->sim().Spawn(CompleteAtSite(id, origin, dst, /*via_multicast=*/true));
+  };
+  co_await sys_->network().Multicast(origin, others, cfg.ctrl_msg_bytes,
+                                     std::move(on_notice));
+}
+
+sim::Process Protocol::CompleteAtSite(db::TxnId id, db::SiteId origin,
+                                      db::SiteId dst, bool via_multicast) {
+  if (via_multicast) {
+    co_await sys_->site(dst).cpu.Execute(sys_->config().message_instr);
+  } else {
+    // Reliable point-to-point notice: a lost leg would strand the relayed
+    // locks and the dependents' completion fixpoints forever.
+    co_await sys_->SendCtrlAssured(origin, dst);
+  }
+  sys_->site(dst).locks.ReleaseAll(id);
+  sys_->tracker().NotifyCompletionAtSite(id, dst);
+}
+
+void Protocol::AbortAtOrigin(txn::Transaction* t, txn::AbortCause cause,
+                             bool remove_from_graph) {
+  sys_->site(t->origin).locks.ReleaseAll(t->id);
+  sys_->NoteAborted(t, cause);
+  if (remove_from_graph) {
+    sys_->sim().Spawn(GraphRemove(t->id, t->origin));
+  }
+}
+
+void Protocol::AbortForVerdict(txn::Transaction* t, rg::Verdict v) {
+  txn::AbortCause cause = v == rg::Verdict::kUnavailable
+                              ? txn::AbortCause::kUnavailable
+                          : v == rg::Verdict::kRejected
+                              ? txn::AbortCause::kGraphRejected
+                              : txn::AbortCause::kGraphAbort;
+  AbortAtOrigin(t, cause, v == rg::Verdict::kUnavailable);
+}
+
+}  // namespace lazyrep::proto

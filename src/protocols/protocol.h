@@ -1,18 +1,23 @@
 #ifndef LAZYREP_PROTOCOLS_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_PROTOCOL_H_
 
+#include <vector>
+
+#include "core/system.h"
+#include "sim/condition.h"
 #include "sim/process.h"
 #include "txn/transaction.h"
-
-namespace lazyrep::core {
-class System;
-}  // namespace lazyrep::core
 
 namespace lazyrep::proto {
 
 /// A replication-management protocol: drives a transaction's whole lifecycle
 /// (execution at the origination site, commit, lazy replica propagation,
 /// completion) against the shared System substrate.
+///
+/// The phases the protocols share live here and in core::System; a protocol
+/// keeps only how it certifies and where its acks go. A shared helper is a
+/// Task awaited inline (a symmetric transfer, no event of its own) or a
+/// Process spawned where the protocol spawned its own: no event moves.
 class Protocol {
  public:
   explicit Protocol(core::System* system) : sys_(system) {}
@@ -23,19 +28,65 @@ class Protocol {
   /// The transaction's top-level process, spawned at submission time.
   virtual sim::Process Execute(txn::Transaction* t) = 0;
 
-  /// Called at submission, before Execute: protocol-specific registration
-  /// (e.g. how many site-level commits completion requires).
-  virtual void OnRegister(txn::Transaction* t) = 0;
+  /// Called at submission, before Execute: how many site-level commits
+  /// completion requires. Default: the origin plus, for an update, every
+  /// replica target.
+  virtual void OnRegister(txn::Transaction* t);
 
   /// Called the instant the completion tracker declares `t` completed:
-  /// protocol-specific teardown (lock releases, completion notices,
-  /// replication-graph removal).
+  /// protocol-specific teardown, one of the two completion styles below.
   virtual void OnCompleted(txn::Transaction* t) = 0;
 
   virtual const char* name() const = 0;
 
  protected:
+  /// Receives `t`'s write set at `dst` and installs it: update locks (a local
+  /// deadlock restarts the subtransaction, §2.1), TWR apply, log force; under
+  /// amnesia a crash at `dst` re-fetches the payload and installs again.
+  /// Returns the conflict edges found; the ack carrying them is the caller's.
+  sim::Task<core::System::ConflictEdges> InstallAt(txn::Transaction* t,
+                                                   db::SiteId dst);
+
+  /// The process a propagated write set starts at each target. Default, for
+  /// the graph protocols: InstallAt, then the ack to the graph site that
+  /// carries the conflict edges and the subtransaction commit.
+  virtual sim::Process Installer(txn::Transaction* t, db::SiteId dst,
+                                 sim::Countdown* acks);
+
+  /// Post-commit propagation of `t`'s write set to `targets`: one multicast,
+  /// or under faults one assured payload per target. Every delivery spawns
+  /// Installer(t, dst, acks).
+  sim::Task<void> Propagate(txn::Transaction* t,
+                            const std::vector<db::SiteId>& targets,
+                            sim::Countdown* acks);
+
+  /// Graph-site completion: the split rule and retests at the graph site,
+  /// then a completion notice to the origination site.
+  void CompleteAtGraphSite(txn::Transaction* t);
+
+  /// Deferred-cascade completion: releases at the origin, then notifies every
+  /// site so relayed locks fall and dependents' completion fixpoints advance.
+  void BroadcastCompletion(txn::Transaction* t);
+
+  /// Graph-protocol abort: releases `t`'s locks at its origin, notes the
+  /// abort and, with `remove_from_graph`, asks the graph site to drop `t`.
+  void AbortAtOrigin(txn::Transaction* t, txn::AbortCause cause,
+                     bool remove_from_graph);
+
+  /// Aborts `t` on a failed RGtest. Only an unavailable verdict (request or
+  /// reply lost) can leave `t` in the graph, so only it sends a remove.
+  void AbortForVerdict(txn::Transaction* t, rg::Verdict v);
+
   core::System* sys_;
+
+ private:
+  sim::Process GraphRemove(db::TxnId id, db::SiteId from);
+  sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
+                                   size_t bytes, sim::Countdown* acks);
+  sim::Process CompletionNotice(db::SiteId origin);
+  sim::Process CompletionMulticast(db::TxnId id, db::SiteId origin);
+  sim::Process CompleteAtSite(db::TxnId id, db::SiteId origin,
+                              db::SiteId dst, bool via_multicast);
 };
 
 }  // namespace lazyrep::proto

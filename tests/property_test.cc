@@ -98,26 +98,30 @@ class SystemProperties : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SystemProperties, InvariantsHold) {
   auto [kind, cls, seed] = GetParam();
-  // The locking protocol has no relaxed-ownership variant (footnote 2 defers
-  // its "different protocols"): the combination is rejected up front, by
-  // the config check and by System's constructor.
+  // Combinations a protocol does not implement are rejected up front, by
+  // the config check and by System's constructor: the locking protocol has
+  // no relaxed-ownership variant (footnote 2 defers its "different
+  // protocols"), and eager has no lock-free read path for two-version
+  // readers. Relaxed ownership eager handles naturally (the write X-locks
+  // every replica regardless of which site owns the primary).
+  const char* unsupported = nullptr;
   if (kind == ProtocolKind::kLocking && cls == ConfigClass::kRelaxedOwner) {
+    unsupported = "footnote 2";
+  }
+  if (kind == ProtocolKind::kEager && cls == ConfigClass::kTwoVersion) {
+    unsupported = "two-version reads are not supported by the eager";
+  }
+  if (unsupported != nullptr) {
     SystemConfig config = MakeConfig(cls, seed);
     std::string why;
     EXPECT_FALSE(config.Validate(kind, &why));
-    EXPECT_NE(why.find("footnote 2"), std::string::npos) << why;
-    EXPECT_DEATH(System(config, kind), "footnote 2");
+    EXPECT_NE(why.find(unsupported), std::string::npos) << why;
+    EXPECT_DEATH(System(config, kind), unsupported);
     return;
   }
   // The locking protocol forfeits read serializability under two-version
-  // reads by design. Eager ignores the two-version flag (no graph-guarded
-  // read path), so that class would only repeat its baseline; relaxed
-  // ownership it handles naturally (the write X-locks every replica
-  // regardless of which site owns the primary).
+  // reads by design.
   if (kind == ProtocolKind::kLocking && cls == ConfigClass::kTwoVersion) {
-    GTEST_SKIP();
-  }
-  if (kind == ProtocolKind::kEager && cls == ConfigClass::kTwoVersion) {
     GTEST_SKIP();
   }
   SystemConfig config = MakeConfig(cls, seed);

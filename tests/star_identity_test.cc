@@ -11,9 +11,12 @@
 //
 // If a deliberate semantic change to the simulation invalidates these
 // fingerprints, regenerate them together with the committed results/
-// references — they describe the same behavior.
+// references — they describe the same behavior. Sweep D was captured later,
+// from the protocol code before its shared phases moved into
+// proto::Protocol, and pins the option branches no reference covers.
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -173,6 +176,91 @@ void RunSweepC(int jobs) {
 
 TEST(StarIdentityTest, SweepCMatchesHistoricalStarSerial) { RunSweepC(1); }
 TEST(StarIdentityTest, SweepCMatchesHistoricalStarParallel) { RunSweepC(4); }
+
+// -- sweep D: the chaos schedules of sweep C crossed with the protocol
+//    options: the install filters of partial replication, lock-free readers,
+//    sequential dispatch and the read gatekeeper, all under amnesia crashes.
+//    Point 13 (pessimistic, sequential dispatch, schedule 1) is not
+//    serializable; the fingerprint carries no verdict and pins it as is ---
+
+const char* kGoldenD[] = {
+    "0x0p+0|0|124|84|84|38|0x1.9cb25bfce98acp+4|0x1.39ce739ce739dp-2|0x1.a0d9362c4d924p+1|0x1.ac8c0d7058827p-3|0x1.e45b560eb226p-6|0x1.97dc44aba7426p-1|0x0p+0|0x1.787679b7ebfddp-10|0x1.1576165392f89p-9|98|0|2|382|0|359|0|0|2",
+    "0x1p+0|0|121|108|107|7|0x1.25fd2697b7f35p+5|0x1.d9ead7cd391fcp-5|0x1.74b1c2f591a9cp+1|0x1.631899c265cc9p-5|0x1.13bf014a3f2d5p-4|0x1.f0a4f82460a56p-5|0x0p+0|0x1.c9b7a90e47ec7p-10|0x1.251579673f31dp-9|32|0|7|72|0|88|0|0|3",
+    "0x0p+0|0|121|100|100|19|0x1.0460b4ca9856fp+5|0x1.419637021d9ebp-3|0x1.89465688b974ep+1|0x1.86845a0eeaf94p-7|0x1.0244c0598d348p-1|0x1.957acbd2ca98p-6|0x0p+0|0x1.05fcc678b1045p-10|0x1.c065843fa4a8ep-10|26|0|2|383|0|363|0|16|2",
+    "0x1p+0|0|122|113|113|6|0x1.64d791709319dp+5|0x1.92e29f79b4758p-5|0x1.444446c8d599ep+1|0x1.8a554f0bad629p-7|0x1.0f577c9a91d2p-5|0x1.fbf245f4c8866p-6|0x0p+0|0x1.7f65d5d218bd4p-11|0x1.8c80237fe40e1p-10|0|0|3|33|0|37|0|0|3",
+    "0x0p+0|0|121|61|61|37|0x1.3da92e7c4936ep+4|0x1.391fbc4c2a506p-2|0x1.89465688b974ep+1|0x1.fce974bc4c18bp-2|0x1.6a933ba4bf994p-1|0x1.2b8a8e8b1cb8p-6|0x0p+0|0x1.8445ab277c639p-10|0x1.162b58cce1b1dp-9|70|0|23|349|0|335|0|1|2",
+    "0x1p+0|0|122|105|105|11|0x1.4b943351f32a2p+5|0x1.714fbcda3ac11p-4|0x1.444446c8d599ep+1|0x1.d3a8c1688794ep-4|0x1.2ccb0d9411dp-4|0x1.b20ecfab06afp-6|0x0p+0|0x1.2c650d5bfdfb8p-9|0x1.a622e8006dcadp-9|18|0|6|61|0|70|0|0|3",
+    "0x0p+0|0|121|90|90|27|0x1.d4ae1239789c8p+4|0x1.c8fde26152833p-3|0x1.89465688b974ep+1|0x1.3cfd3e313b1f7p-1|0x1.8d895dd7e6e26p-3|0x1.b947a164ee48p-6|0x0p+0|0x1.fbdd042b1a43p-10|0x1.58ae94293075bp-9|109|0|4|287|0|270|0|3|2",
+    "0x1p+0|0|122|112|112|6|0x1.61af25acbf1bep+5|0x1.92e29f79b4758p-5|0x1.444446c8d599ep+1|0x1.ce09f530cf821p-5|0x1.54f84c460598ap-5|0x1.fbb8d75034633p-6|0x0p+0|0x1.2770401d97f95p-9|0x1.ac49f87132d8ep-9|13|0|4|86|0|97|0|0|3",
+    "0x0p+0|1|120|110|110|6|0x1.4dafc55daec34p+5|0x1.999999999999ap-5|0x1.518fef5d15186p+1|0x1.9b088f349208bp-6|0x1.fc7560b9c1d79p-6|0x1.08c03b3309076p-4|0x1.5eb54d76331cap-8|0x1.41fc770cf7a07p-9|0x1.b8ce9e16a5454p-8|1|1446|4|140|0|140|34|137|1",
+    "0x1p+0|1|121|113|113|5|0x1.ffd562a362285p+4|0x1.52832c6e043b4p-5|0x1.c425a20d9f766p+1|0x1.30a68c28afa8p-5|0x1.730b46a3e969p-5|0x1.12f01f510821cp-4|0x1.11b9022ea1ae3p-8|0x1.03daef381b567p-9|0x1.514ee7d0005afp-8|1|1469|3|141|0|141|0|138|1",
+    "0x0p+0|1|122|113|113|8|0x1.341e9e643bebfp+5|0x1.0c9714fbcda3bp-4|0x1.778adfe494adbp+1|0x1.7adf23088c0d2p-6|0x1.4266e7408a6cp-5|0x1.11999e6993e42p-3|0x1.852893167c6bcp-8|0x1.4c0238ced9ef2p-9|0x1.995c31ca08868p-8|0|1468|1|36|0|36|35|32|1",
+    "0x1p+0|1|120|105|105|13|0x1.477351aef057ep+5|0x1.bbbbbbbbbbbbcp-4|0x1.485ae1c8c1a16p+1|0x1.57b7714ec81ap-5|0x1.47b53e6878397p-5|0x1.de5b59bb17dabp-4|0x1.a2f3fd0e5f8a3p-8|0x1.774a72406d019p-9|0x1.c9e4b0a98db46p-8|1|1451|2|203|0|203|0|196|1",
+    "0x0p+0|1|122|102|102|14|0x1.16202b4a9e4dp+5|0x1.d60864b8a7de7p-4|0x1.778adfe494adbp+1|0x1.f1f3a2e49fb7dp-4|0x1.919c8852b17d4p-4|0x1.a0e5a2dadec46p-2|0x1.7f4bcb1b44235p-8|0x1.1edd4cb21dc5bp-9|0x1.88af4792177f6p-8|15|1421|6|32|0|32|34|13|1",
+    "0x1p+0|1|120|84|70|28|0x1.b499c23e95ca8p+4|0x1.ddddddddddddep-3|0x1.485ae1c8c1a16p+1|0x1.ce45fb37a53bap-4|0x1.616531d868d9cp-4|0x1.22973ee672a5bp-1|0x1.126f966cad936p-7|0x1.349143b7ce2ccp-9|0x1.9ba5f64add787p-8|20|1372|22|41|0|44|0|31|1",
+    "0x0p+0|1|122|113|113|8|0x1.341e9e643bebfp+5|0x1.0c9714fbcda3bp-4|0x1.778adfe494adbp+1|0x1.1d2cf59affd85p-4|0x1.4266e7408a6cp-5|0x1.119ea8984b9b9p-3|0x1.6ffb8070fe3a1p-8|0x1.4c0238ced9ef1p-9|0x1.99a7c0211ca66p-8|2|1475|1|36|0|36|35|32|1",
+    "0x1p+0|1|120|108|108|10|0x1.50ce62a54efb5p+5|0x1.5555555555555p-4|0x1.485ae1c8c1a16p+1|0x1.d3d46272fa23fp-4|0x1.47b53e6878397p-5|0x1.de7424090465ap-4|0x1.965edddd2c1c3p-8|0x1.751ff4bbfdaabp-9|0x1.cabcb9ab480b7p-8|8|1464|2|106|0|106|0|99|1",
+    "0x0p+0|2|123|103|103|16|0x1.5670a8110b967p+5|0x1.0a6810a6810a7p-3|0x1.3400580f8654p+1|0x1.0386ca84e9914p-5|0x1.901b9b33daacp-3|0x1.3c26e5cc0cfe8p-2|0x1.58256327c9e64p-8|0x1.1f2b69a9ce126p-11|0x1.2320c879252b3p-10|21|133|4|30|0|29|0|11|1",
+    "0x1p+0|2|123|111|109|10|0x1.2bdaa92272dd4p+5|0x1.4d0214d0214dp-4|0x1.743bfbb6561cap+1|0x1.f5bd3804b650cp-6|0x1.c633dedb30142p-4|0x1.84a4205f72246p-4|0x1.a86145be5e7ddp-9|0x1.a0460e331104bp-12|0x1.a5a2268dcf6c2p-11|25|138|4|19|0|19|0|16|2",
+    "0x0p+0|2|122|103|103|16|0x1.8c4311a66a7d6p+5|0x1.0c9714fbcda3bp-3|0x1.0a2ad6e8a7023p+1|0x1.640a5b863bf63p-7|0x1.20051417f1713p-5|0x1.95002de12cfeap-3|0x1.7b2244edf2e54p-8|0x1.d6f91536e4419p-11|0x1.4fd818bf5e994p-9|0|137|3|26|0|25|0|16|1",
+    "0x1p+0|2|123|117|117|4|0x1.3b29db01e2c05p+5|0x1.0a6810a6810a7p-5|0x1.7c25427e84775p+1|0x1.4ce9721bd33bp-7|0x1.0c8d00dc175fcp-5|0x1.fa0ec4e70fd41p-5|0x1.ea14afc18eedbp-9|0x1.c4a85b3dff807p-11|0x1.dc20f7ad4fa9cp-10|0|144|2|17|0|17|0|13|2",
+    "0x0p+0|2|122|107|107|12|0x1.9ba69b08d7038p+5|0x1.92e29f79b4758p-4|0x1.0a2ad6e8a7023p+1|0x1.7f1f9a9d6f6ccp-7|0x1.1015ddbec4036p-5|0x1.a0d7e7a843d55p-3|0x1.803a0f0e0643dp-8|0x1.d78738b35f5a4p-11|0x1.5042b35cbaebbp-9|10|137|3|26|0|25|0|16|1",
+    "0x1p+0|2|123|119|119|2|0x1.408d0852e0103p+5|0x1.0a6810a6810a7p-6|0x1.7c25427e84775p+1|0x1.604095fc7d7d4p-7|0x1.05cc34573f361p-5|0x1.f7251c8a567dp-5|0x1.ead0fd7c9b9bp-9|0x1.c5d2ebc2bbcc9p-11|0x1.dc20f7ad4fa9cp-10|6|146|2|17|0|17|0|13|2",
+    "0x0p+0|2|122|107|107|12|0x1.9ba69b08d7038p+5|0x1.92e29f79b4758p-4|0x1.0a2ad6e8a7023p+1|0x1.1f37e97a03fd5p-5|0x1.0eb8574285356p-5|0x1.98a0206690176p-3|0x1.70adc2d5f1fe7p-8|0x1.d6f91536e441bp-11|0x1.5042b35cbaebbp-9|9|137|3|20|0|19|0|10|1",
+    "0x1p+0|2|123|119|119|2|0x1.408d0852e0103p+5|0x1.0a6810a6810a7p-6|0x1.7c25427e84775p+1|0x1.6e15041f4e841p-7|0x1.05cc34573f361p-5|0x1.f7251c8a567dp-5|0x1.ead0fd7c9b9bp-9|0x1.c5d2ebc2bbcc9p-11|0x1.dc20f7ad4fa9cp-10|6|146|2|17|0|17|0|13|2",
+    "0x0p+0|3|121|89|89|17|0x1.ffad7a245a616p+4|0x1.1fbc4c2a50659p-3|0x1.64396a53c352ep+1|0x1.a904e8a3e0c8dp-5|0x1.53b916312d887p+0|0x1.292619255878p-6|0x0p+0|0x1.ba0901334b5f3p-12|0x1.71a44d2ac6a1fp-11|40|0|15|130|0|121|4|21|1",
+    "0x1p+0|3|120|39|39|42|0x1.04d1ce817989ep+4|0x1.6666666666666p-2|0x1.323c1594d32bp+1|0x1.7398c73e09882p-5|0x1.6c040c101ec3cp-1|0x1.77993cd1f816p-6|0x0p+0|0x1.63e7c4a8a48d3p-12|0x1.300711dd4bf5dp-11|126|0|39|174|0|167|0|167|0",
+    "0x0p+0|3|123|113|113|9|0x1.11a2f339a3ae8p+5|0x1.2bb512bb512bbp-4|0x1.a6de163830521p+1|0x1.12a2e47e6f1edp-6|0x1.be874e3981bfbp-4|0x1.f690ba7d26025p-6|0x0p+0|0x1.87549772a7111p-11|0x1.33316dcc5fdefp-10|15|0|1|137|0|127|7|16|1",
+    "0x1p+0|3|120|61|61|36|0x1.90c20dfd8a5eep+4|0x1.3333333333333p-2|0x1.37bab0501c615p+1|0x1.ed8250a6319bdp-4|0x1.29fb3a76c318bp-2|0x1.91ff01fa80268p-4|0x0p+0|0x1.3546bba74774fp-11|0x1.111191eaaabccp-10|124|0|23|149|0|146|0|146|0",
+    "0x0p+0|3|123|113|113|9|0x1.11a2f339a3ae8p+5|0x1.2bb512bb512bbp-4|0x1.a6de163830521p+1|0x1.12a2e47e6f1edp-6|0x1.be874e3981bfbp-4|0x1.f690ba7d26025p-6|0x0p+0|0x1.87549772a7111p-11|0x1.33316dcc5fdefp-10|15|0|1|137|0|127|7|16|1",
+    "0x1p+0|3|120|49|49|30|0x1.41eb9e1f991ep+4|0x1p-2|0x1.37bab0501c615p+1|0x1.7a05eca3e9ccdp-2|0x1.6018cbae87accp-1|0x1.3f2b553fa1975p-4|0x0p+0|0x1.7c9ffd8e9901fp-11|0x1.a000c44b81b62p-10|93|0|41|145|0|142|0|142|0",
+};
+
+void RunSweepD(int jobs) {
+  ChaosOptions opt;
+  opt.txns = 150;
+  std::vector<RunSpec> specs;
+  std::vector<std::pair<ProtocolKind, int>> ids;
+  for (ProtocolKind k : kAll) {
+    for (int option = 0; option < 4; ++option) {
+      // Eager rejects two-version reads (SystemConfig::Validate).
+      if (k == ProtocolKind::kEager && option == 1) continue;
+      for (int s = 0; s < 2; ++s) {
+        SystemConfig c = MakeChaosConfig(opt, k, s);
+        switch (option) {
+          case 0:
+            c.replication_degree = 3;
+            break;
+          case 1:
+            c.two_version_reads = true;
+            break;
+          case 2:
+            c.pipelined_dispatch = false;
+            break;
+          case 3:
+            c.read_gatekeeper = 2;
+            break;
+        }
+        c.Normalize();
+        specs.push_back({c, k});
+        ids.push_back({k, s});
+      }
+    }
+  }
+  std::vector<MetricsSnapshot> ms =
+      RunAll(specs, jobs, /*check_serializability=*/true, {},
+             /*post_run_audit=*/true);
+  ASSERT_EQ(ms.size(), std::size(kGoldenD));
+  for (size_t i = 0; i < ms.size(); ++i) {
+    EXPECT_EQ(Fp(ms[i], ids[i].first, ids[i].second), kGoldenD[i])
+        << "point " << i;
+  }
+}
+
+TEST(StarIdentityTest, SweepDMatchesProtocolOptionsSerial) { RunSweepD(1); }
+TEST(StarIdentityTest, SweepDMatchesProtocolOptionsParallel) {
+  RunSweepD(4);
+}
 
 }  // namespace
 }  // namespace lazyrep::core

@@ -19,8 +19,13 @@
 namespace lazyrep::trace {
 namespace {
 
+/// Scratch file of the running test: ctest runs every case as a process of
+/// its own, in parallel, so cases sharing a name would race on one file.
 std::string TmpPath(const char* name) {
-  return ::testing::TempDir() + "trace_format_" + name;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "trace_format_" + test->test_suite_name() +
+         "_" + test->name() + "_" + name;
 }
 
 /// splitmix64: deterministic record fuzz without touching global RNG state.
