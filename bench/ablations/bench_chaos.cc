@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -49,25 +50,31 @@ struct ChaosCli {
 ChaosCli ParseChaosCli(int argc, char** argv, const core::BenchOptions& opt) {
   ChaosCli cli;
   cli.chaos.seed = opt.seed;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+  auto Number = [&](const char* name, const char* text, auto lo, auto hi) {
+    return core::ParseNumberOrExit(argv[0], name, text, lo, hi,
+                                   core::kBenchUsageExit);
+  };
   // Chaos runs want many short schedules, so the per-schedule transaction
   // count defaults low (ChaosOptions); LAZYREP_TXNS and --txns= override.
   if (const char* env = std::getenv("LAZYREP_TXNS")) {
-    cli.chaos.txns = std::strtoull(env, nullptr, 10);
+    cli.chaos.txns = Number("LAZYREP_TXNS", env, uint64_t{1}, kMaxU64);
   }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--schedules=", 12) == 0) {
-      cli.schedules = std::atoi(a + 12);
+      cli.schedules = Number("--schedules", a + 12, 1, kMaxInt);
     } else if (std::strncmp(a, "--chaos-schedules=", 18) == 0) {
-      cli.schedules = std::atoi(a + 18);
+      cli.schedules = Number("--chaos-schedules", a + 18, 1, kMaxInt);
     } else if (std::strncmp(a, "--first=", 8) == 0) {
-      cli.first = std::atoi(a + 8);
+      cli.first = Number("--first", a + 8, 0, kMaxInt);
     } else if (std::strcmp(a, "--check") == 0) {
       cli.check = true;
     } else if (std::strcmp(a, "--a9") == 0) {
       cli.a9 = true;
     } else if (std::strncmp(a, "--txns=", 7) == 0) {
-      cli.chaos.txns = std::strtoull(a + 7, nullptr, 10);
+      cli.chaos.txns = Number("--txns", a + 7, uint64_t{1}, kMaxU64);
     }
   }
   return cli;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <utility>
 
@@ -305,26 +306,32 @@ void PrintBenchUsage(std::FILE* out, const char* argv0,
 BenchOptions BenchOptions::Parse(
     int argc, char** argv, std::initializer_list<const char*> bench_flags) {
   BenchOptions opt;
+  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  auto Number = [&](const char* name, const char* text, auto lo, auto hi) {
+    return ParseNumberOrExit(argv[0], name, text, lo, hi, kBenchUsageExit);
+  };
   if (const char* env = std::getenv("LAZYREP_TXNS")) {
-    opt.txns = std::strtoull(env, nullptr, 10);
+    opt.txns = Number("LAZYREP_TXNS", env, uint64_t{1}, kMaxU64);
   }
   if (const char* env = std::getenv("LAZYREP_JOBS")) {
-    opt.jobs = std::atoi(env);
+    opt.jobs = Number("LAZYREP_JOBS", env, 0, kMaxJobs);
   }
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--txns=", 7) == 0) {
-      opt.txns = std::strtoull(a + 7, nullptr, 10);
+      opt.txns = Number("--txns", a + 7, uint64_t{1}, kMaxU64);
     } else if (std::strncmp(a, "--points=", 9) == 0) {
-      opt.max_points = std::atoi(a + 9);
+      opt.max_points = Number("--points", a + 9, 0, kMaxInt);
     } else if (std::strncmp(a, "--figure=", 9) == 0) {
-      opt.figure = std::atoi(a + 9);
+      opt.figure = Number("--figure", a + 9, 0, kMaxInt);
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(a + 7, nullptr, 10);
+      opt.seed = Number("--seed", a + 7, uint64_t{0}, kMaxU64);
     } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(a + 7);
+      opt.jobs = Number("--jobs", a + 7, 0, kMaxJobs);
     } else if (std::strncmp(a, "--sites=", 8) == 0) {
-      opt.sites = std::atoi(a + 8);
+      opt.sites = Number("--sites", a + 8, 0,
+                         int{std::numeric_limits<db::SiteId>::max()});
     } else if (std::strcmp(a, "--quick") == 0) {
       opt.quick = true;
     } else if (std::strncmp(a, "--trace=", 8) == 0) {
@@ -349,7 +356,7 @@ BenchOptions BenchOptions::Parse(
     } else if (!IsBenchFlag(a, bench_flags)) {
       std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], a);
       PrintBenchUsage(stderr, argv[0], bench_flags);
-      std::exit(2);
+      std::exit(kBenchUsageExit);
     }
   }
   if (opt.quick && opt.max_points == 0) opt.max_points = 3;

@@ -9,6 +9,7 @@
 
 #include "core/config.h"
 #include "core/metrics.h"
+#include "core/parse_number.h"
 
 namespace lazyrep::core {
 
@@ -149,6 +150,12 @@ void PrintFigure(const std::vector<StudyPoint>& points,
                      ProtocolKind::kLocking, ProtocolKind::kPessimistic,
                      ProtocolKind::kOptimistic});
 
+/// Largest accepted --jobs (benches, LAZYREP_JOBS and the CLI).
+inline constexpr int kMaxJobs = 1024;
+
+/// Exit code of a bench given an unknown flag or a malformed number.
+inline constexpr int kBenchUsageExit = 2;
+
 /// Standard sweep-value parser for bench binaries: reads --txns=, --points=,
 /// --figure=, --protocols=, --jobs= and scale overrides from
 /// argv/environment (LAZYREP_TXNS, LAZYREP_JOBS). Shared by all paper
@@ -176,7 +183,9 @@ struct BenchOptions {
   /// Parses argv. `bench_flags` names the flags a bench reads from argv
   /// itself: "--report" matches exactly, a name ending in '=' such as
   /// "--tmp=" matches it with any value. Any other argument is an error:
-  /// Parse names it, prints the usage line to stderr and exits 2.
+  /// Parse names it, prints the usage line to stderr and exits 2. So is a
+  /// malformed or out-of-range number, in a flag or in LAZYREP_TXNS /
+  /// LAZYREP_JOBS: Parse names the flag and the text and exits 2.
   static BenchOptions Parse(
       int argc, char** argv,
       std::initializer_list<const char*> bench_flags = {});

@@ -1,5 +1,7 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "sim/check.h"
@@ -11,6 +13,9 @@ namespace {
 /// while a node's children share one or two cache lines; measured best on
 /// the cancel-heavy and schedule/fire microbenches.
 constexpr size_t kArity = 4;
+
+/// heap_pos_ value of a slot whose event waits in the same-instant lane.
+constexpr uint32_t kInLane = std::numeric_limits<uint32_t>::max();
 }  // namespace
 
 uint32_t EventQueue::AllocateSlot() {
@@ -46,6 +51,7 @@ void EventQueue::Reserve(size_t events) {
     }
   }
   heap_.reserve(events);
+  lane_.reserve(events);
 }
 
 void EventQueue::PlaceNode(size_t pos, const HeapNode& node) {
@@ -64,10 +70,37 @@ void EventQueue::SiftUp(size_t pos, HeapNode node) {
 }
 
 EventId EventQueue::Push(SimTime t, uint32_t slot) {
-  HeapNode node{t, next_seq_++, slot};
-  heap_.emplace_back();  // grow; SiftUp writes every vacated position
-  SiftUp(heap_.size() - 1, node);
+  const uint64_t seq = next_seq_++;
+  if (t == lane_time_) {
+    // Same instant as the lane: appending keeps it sorted by (time, seq).
+    AppendToLane(seq, slot);
+  } else {
+    heap_.emplace_back();  // grow; SiftUp writes every vacated position
+    SiftUp(heap_.size() - 1, HeapNode{t, seq, slot});
+  }
   return EventId{slot, slots_[slot].generation};
+}
+
+void EventQueue::AppendToLane(uint64_t seq, uint32_t slot) {
+  // When full, drop the fired prefix if it is at least half the array, so
+  // capacity tracks the live lane length, not the events per instant.
+  if (lane_.size() == lane_.capacity() && 2 * lane_head_ >= lane_.size()) {
+    lane_.erase(lane_.begin(), lane_.begin() + lane_head_);
+    lane_head_ = 0;
+  }
+  lane_.push_back(LaneNode{seq, slot});
+  heap_pos_[slot] = kInLane;
+}
+
+void EventQueue::RemoveFromLane(uint32_t slot) {
+  auto it = std::find_if(lane_.begin() + lane_head_, lane_.end(),
+                         [slot](const LaneNode& n) { return n.slot == slot; });
+  LAZYREP_CHECK(it != lane_.end());
+  lane_.erase(it);
+  if (lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
 }
 
 EventId EventQueue::ScheduleResume(SimTime t, std::coroutine_handle<> handle) {
@@ -124,24 +157,45 @@ bool EventQueue::Cancel(EventId id) {
   if (!id.valid() || id.slot >= slots_.size()) return false;
   Slot& s = slots_[id.slot];
   if (s.generation != id.generation || s.kind == Kind::kFree) return false;
-  RemoveAt(heap_pos_[id.slot]);
+  const uint32_t pos = heap_pos_[id.slot];
+  if (pos == kInLane) {
+    RemoveFromLane(id.slot);
+  } else {
+    RemoveAt(pos);
+  }
   ReleaseSlot(id.slot);
   return true;
 }
 
 EventQueue::Fired EventQueue::Pop() {
-  LAZYREP_CHECK(!heap_.empty());
-  HeapNode top = heap_[0];
-  Slot& s = slots_[top.slot];
+  LAZYREP_CHECK(!Empty());
   Fired fired;
-  fired.time = top.time;
+  uint32_t slot;
+  // Merge on the (time, seq) key: the lane front fires unless the heap top
+  // comes first, so the pop order is the heap-only order.
+  if (!lane_.empty() &&
+      (heap_.empty() ||
+       NodeBefore(HeapNode{lane_time_, lane_[lane_head_].seq, 0}, heap_[0]))) {
+    slot = lane_[lane_head_].slot;
+    fired.time = lane_time_;
+    if (++lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
+    }
+  } else {
+    slot = heap_[0].slot;
+    fired.time = heap_[0].time;
+    RemoveAt(0);
+    // The lane follows the clock: events scheduled at this instant join it.
+    if (lane_.empty()) lane_time_ = fired.time;
+  }
+  Slot& s = slots_[slot];
   if (s.kind == Kind::kResume) {
     fired.handle = s.handle;
   } else {
     fired.callback = std::move(s.callback);
   }
-  RemoveAt(0);
-  ReleaseSlot(top.slot);
+  ReleaseSlot(slot);
   return fired;
 }
 

@@ -29,11 +29,24 @@ struct EventId {
 /// Priority queue of simulation events ordered by (time, insertion sequence).
 ///
 /// Events are either a coroutine handle to resume or an arbitrary callback.
-/// The queue is an **indexed 4-ary min-heap**: each slot records its current
-/// heap position, so Cancel() removes the entry from the heap in O(log n)
-/// instead of leaving a dead entry behind. The heap therefore holds exactly
-/// the live events at all times — cancel-heavy workloads (condition timeouts,
-/// retransmission timers) cannot bloat it, and PeekTime()/Empty() are const.
+/// The queue is an **indexed 4-ary min-heap** beside a **same-instant lane**:
+///
+///   * The lane is a FIFO of events scheduled at exactly the instant being
+///     fired — the zero-delay wake-ups (OneShot::Fire, Simulation::Spawn)
+///     that make up about half of all events. They skip the heap's
+///     O(log n) push and pop. Every lane entry has the same time and they
+///     arrive in sequence order, so the lane is sorted by (time, seq), and
+///     Pop() merges it with the heap under that key: the pop order is
+///     exactly that of the heap alone.
+///   * Every other event goes to the heap. Each slot records its current
+///     heap position, so Cancel() removes the entry in O(log n) instead of
+///     leaving a dead entry behind; cancelling a lane entry shifts the lane
+///     (linear in its length; zero-delay wake-ups are not cancelled in
+///     practice).
+///
+/// Heap plus lane therefore hold exactly the live events at all times —
+/// cancel-heavy workloads (condition timeouts, retransmission timers) cannot
+/// bloat them, and PeekTime()/Empty() are const.
 ///
 /// Slots are recycled through a free list; generation counters make stale
 /// EventIds (including ids of already-fired events) harmless to cancel.
@@ -59,14 +72,15 @@ class EventQueue {
   bool Cancel(EventId id);
 
   /// True when no live event is pending.
-  bool Empty() const { return heap_.empty(); }
+  bool Empty() const { return heap_.empty() && lane_.empty(); }
 
   /// Number of live pending events.
-  size_t Size() const { return heap_.size(); }
+  size_t Size() const { return heap_.size() + lane_size(); }
 
   /// Time of the earliest live event, or kTimeInfinity when empty.
   SimTime PeekTime() const {
-    return heap_.empty() ? kTimeInfinity : heap_[0].time;
+    SimTime t = heap_.empty() ? kTimeInfinity : heap_[0].time;
+    return !lane_.empty() && lane_time_ < t ? lane_time_ : t;
   }
 
   /// Fired event returned by Pop. Move-only: the callback is moved out of
@@ -80,15 +94,19 @@ class EventQueue {
   /// Removes and returns the earliest live event. Requires !Empty().
   Fired Pop();
 
-  /// Number of heap entries — always equal to Size(): the indexed heap keeps
-  /// no dead entries (the O(live) invariant the fuzz test pins down).
+  /// Number of heap entries. heap_size() + lane_size() is always Size():
+  /// neither keeps dead entries (the O(live) invariant the fuzz test pins
+  /// down).
   size_t heap_size() const { return heap_.size(); }
+
+  /// Number of same-instant lane entries.
+  size_t lane_size() const { return lane_.size() - lane_head_; }
 
   /// Slot array length (live + free-listed); bounds memory diagnostics.
   size_t slot_count() const { return slots_.size(); }
 
-  /// Pre-sizes the slot and heap arrays for `events` concurrent events so
-  /// the first simulated seconds do not pay vector growth.
+  /// Pre-sizes the slot, heap and lane arrays for `events` concurrent events
+  /// so the first simulated seconds do not pay vector growth.
   void Reserve(size_t events);
 
  private:
@@ -99,6 +117,12 @@ class EventQueue {
   /// pop order is independent of the heap arity or cancellation history.
   struct HeapNode {
     SimTime time;
+    uint64_t seq;
+    uint32_t slot;
+  };
+
+  /// Lane entry; its time is lane_time_.
+  struct LaneNode {
     uint64_t seq;
     uint32_t slot;
   };
@@ -118,6 +142,11 @@ class EventQueue {
   uint32_t AllocateSlot();
   void ReleaseSlot(uint32_t slot);
   EventId Push(SimTime t, uint32_t slot);
+  /// Kept out of Push so the heap path stays small enough to inline into
+  /// the Schedule* entry points.
+  void AppendToLane(uint64_t seq, uint32_t slot);
+  /// Removes lane entry `slot` (linear in the lane length).
+  void RemoveFromLane(uint32_t slot);
   /// Writes `node` at heap position `pos` and updates its slot's heap_pos.
   void PlaceNode(size_t pos, const HeapNode& node);
   void SiftUp(size_t pos, HeapNode node);
@@ -126,13 +155,23 @@ class EventQueue {
   void RemoveAt(size_t pos);
 
   std::vector<Slot> slots_;
-  /// Heap position of each scheduled slot, parallel to slots_. Kept out of
-  /// Slot on purpose: every sift step writes the moved node's position, and
-  /// a dense 4-byte array keeps those scattered writes an order of magnitude
-  /// more cache-friendly than striding through the full Slot records.
+  /// Heap position of each scheduled slot (kInLane for lane entries),
+  /// parallel to slots_. Kept out of Slot on purpose: every sift step writes
+  /// the moved node's position, and a dense 4-byte array keeps those
+  /// scattered writes an order of magnitude more cache-friendly than
+  /// striding through the full Slot records.
   std::vector<uint32_t> heap_pos_;
   std::vector<uint32_t> free_slots_;
   std::vector<HeapNode> heap_;
+  /// Same-instant lane: live entries are lane_[lane_head_..], in seq order.
+  /// An empty lane is always cleared, so lane_.empty() means "no entries".
+  std::vector<LaneNode> lane_;
+  size_t lane_head_ = 0;
+  /// Time shared by every lane entry. Pop sets it to the fired time while
+  /// the lane is empty, so events scheduled at the current instant join the
+  /// lane. Any event at exactly this time may join: all entries then share
+  /// one time and arrive in seq order, which keeps the lane sorted.
+  SimTime lane_time_ = 0;
   uint64_t next_seq_ = 0;
 };
 

@@ -1,7 +1,10 @@
 // Unit tests for the core layer (src/core): configuration presets, replica
 // placement, the MVSG serializability checker, metrics accounting, the
-// analytic contention model, and the bench option parser.
+// analytic contention model, and the bench option and strict number parsers.
 
+#include <cfloat>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -324,6 +327,85 @@ TEST(BenchOptionsTest, DeclaredBenchFlagsAreAccepted) {
   BenchOptions opt = BenchOptions::Parse(4, const_cast<char**>(argv),
                                          {"--report", "--tmp="});
   EXPECT_EQ(opt.txns, 7u);
+}
+
+TEST(BenchOptionsTest, MalformedNumberExitsTwoNamingFlagAndText) {
+  const char* argv[] = {"bench", "--txns=12x"};
+  EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(argv)),
+              ::testing::ExitedWithCode(2),
+              "bad value for --txns: '12x' \\(not a base-10 integer\\)");
+  const char* jobs[] = {"bench", "--jobs=-1"};
+  EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(jobs)),
+              ::testing::ExitedWithCode(2),
+              "bad value for --jobs: '-1' \\(want 0 to 1024\\)");
+}
+
+TEST(BenchOptionsTest, MalformedEnvironmentOverrideExitsTwo) {
+  const char* argv[] = {"bench", "--txns=10"};
+  EXPECT_EXIT(
+      {
+        setenv("LAZYREP_JOBS", "abc", 1);
+        BenchOptions::Parse(2, const_cast<char**>(argv));
+      },
+      ::testing::ExitedWithCode(2), "bad value for LAZYREP_JOBS: 'abc'");
+  EXPECT_EXIT(
+      {
+        setenv("LAZYREP_TXNS", "0", 1);
+        BenchOptions::Parse(2, const_cast<char**>(argv));
+      },
+      ::testing::ExitedWithCode(2), "bad value for LAZYREP_TXNS: '0'");
+}
+
+TEST(ParseNumberTest, AcceptsWholeBase10NumbersInRange) {
+  std::string error;
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseNumber<uint64_t>("--txns", "18446744073709551615", 1,
+                                    UINT64_MAX, &u, &error));
+  EXPECT_EQ(u, UINT64_MAX);
+  int i = 0;
+  EXPECT_TRUE(ParseNumber("--first", "-7", -10, 10, &i, &error));
+  EXPECT_EQ(i, -7);
+  double d = 0;
+  EXPECT_TRUE(ParseNumber("--tps", "2.5e3", 0.0, 1e9, &d, &error));
+  EXPECT_EQ(d, 2500.0);
+  EXPECT_TRUE(ParseNumber("--loss", "1", 0.0, 1.0, &d, &error));
+  EXPECT_EQ(d, 1.0);
+}
+
+TEST(ParseNumberTest, RejectsMalformedTextAndLeavesValueUntouched) {
+  constexpr uint64_t kMax = UINT64_MAX;
+  for (const char* bad : {"", "abc", "12x", " 5", "5 ", "+5", "-1", "0x10",
+                          "1e3", "5.0", "18446744073709551616"}) {
+    uint64_t u = 42;
+    std::string error;
+    EXPECT_FALSE(ParseNumber<uint64_t>("--txns", bad, 0, kMax, &u, &error))
+        << bad;
+    EXPECT_EQ(u, 42u) << bad;
+    EXPECT_EQ(error.find(std::string("bad value for --txns: '") + bad + "'"),
+              0u)
+        << error;
+  }
+  for (const char* bad : {"inf", "-inf", "nan", "1e999", "1.5x", ".", "1,5"}) {
+    double d = 0.25;
+    std::string error;
+    EXPECT_FALSE(ParseNumber("--tps", bad, 0.0, DBL_MAX, &d, &error)) << bad;
+    EXPECT_EQ(d, 0.25) << bad;
+  }
+}
+
+TEST(ParseNumberTest, RangeErrorsNameTheRange) {
+  std::string error;
+  int i = 0;
+  EXPECT_FALSE(ParseNumber("--sites", "0", 1, 65535, &i, &error));
+  EXPECT_EQ(error, "bad value for --sites: '0' (want 1 to 65535)");
+  EXPECT_FALSE(ParseNumber("--sites", "99999999999", 1, 65535, &i, &error));
+  EXPECT_EQ(error, "bad value for --sites: '99999999999' (want 1 to 65535)");
+  double d = 0;
+  EXPECT_FALSE(ParseNumber("--loss", "1.5", 0.0, 1.0, &d, &error));
+  EXPECT_EQ(error, "bad value for --loss: '1.5' (want 0 to 1)");
+  uint64_t u = 0;
+  EXPECT_FALSE(ParseNumber<uint64_t>("--txns", "0", 1, UINT64_MAX, &u, &error));
+  EXPECT_EQ(error, "bad value for --txns: '0' (want at least 1)");
 }
 
 TEST(BenchOptionsTest, ThinKeepsEndpoints) {

@@ -1,8 +1,10 @@
-// Randomized differential test for the indexed event queue: a long random
-// interleaving of schedule / cancel / pop is checked move-for-move against a
-// naive sorted-vector model, including stale-id and double-cancel abuse.
-// Also pins down the O(live) heap-size invariant the indexed design exists
-// for: cancelled events leave no dead entries behind.
+// Randomized differential tests for the event queue (indexed heap plus
+// same-instant lane): long random interleavings of schedule / cancel / pop
+// are checked move-for-move against a naive sorted-vector model, including
+// stale-id and double-cancel abuse. The first draws uniform random times, so
+// it exercises the heap; the second schedules mostly at the current instant,
+// so it exercises the lane and its merge with the heap. Both pin down the
+// O(live) invariant: cancelled events leave no dead entries behind.
 
 #include <gtest/gtest.h>
 
@@ -67,6 +69,7 @@ class ModelQueue {
 struct LiveEvent {
   EventId id;
   uint64_t model_seq;
+  SimTime time;
 };
 
 TEST(EventQueueFuzz, MatchesSortedVectorModel) {
@@ -89,7 +92,7 @@ TEST(EventQueueFuzz, MatchesSortedVectorModel) {
         uint64_t seq = model.Schedule(t, tag);
         EventId id =
             q.ScheduleCallback(t, [tag, &popped_tag] { popped_tag = tag; });
-        live.push_back({id, seq});
+        live.push_back({id, seq, t});
       } else if (roll < 0.70) {
         size_t pick =
             static_cast<size_t>(rng.Uniform(0, 1) * live.size()) % live.size();
@@ -125,8 +128,8 @@ TEST(EventQueueFuzz, MatchesSortedVectorModel) {
       ASSERT_EQ(q.Size(), model.Size());
       ASSERT_EQ(q.Empty(), model.Empty());
       ASSERT_EQ(q.PeekTime(), model.PeekTime());
-      // The indexed-heap invariant: no dead entries, ever.
-      ASSERT_EQ(q.heap_size(), model.Size());
+      // The O(live) invariant: no dead entries, ever.
+      ASSERT_EQ(q.heap_size() + q.lane_size(), model.Size());
     }
 
     // Drain: remaining pops must come out in exact model order.
@@ -139,6 +142,118 @@ TEST(EventQueueFuzz, MatchesSortedVectorModel) {
       ASSERT_EQ(popped_tag, expect.tag);
     }
     ASSERT_TRUE(q.Empty());
+  }
+}
+
+// Drives the queue and the model in lockstep the way Simulation does: `now`
+// is the time of the event fired last, and a firing event may schedule more
+// events at `now` (a nested zero-delay chain, like OneShot::Fire resuming a
+// waiter that spawns a process).
+struct SameInstantHarness {
+  EventQueue q;
+  ModelQueue model;
+  RandomStream rng;
+  std::vector<LiveEvent> live;
+  std::vector<EventId> stale;
+  SimTime now = 0;
+  int next_tag = 0;
+  int fired_tag = -1;
+
+  explicit SameInstantHarness(uint64_t seed) : rng(seed) {}
+
+  void Schedule(SimTime t) {
+    int tag = next_tag++;
+    uint64_t seq = model.Schedule(t, tag);
+    EventId id = q.ScheduleCallback(t, [this, tag] { Fire(tag); });
+    live.push_back({id, seq, t});
+  }
+
+  void Fire(int tag) {
+    fired_tag = tag;
+    if (rng.Chance(0.3)) {
+      for (int64_t n = rng.UniformInt(1, 2); n > 0; --n) Schedule(now);
+    }
+  }
+};
+
+TEST(EventQueueFuzz, SameInstantLaneMatchesModel) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SameInstantHarness d(seed);
+    size_t max_lane = 0;
+
+    for (int step = 0; step < 20000; ++step) {
+      double roll = d.rng.Uniform(0, 1);
+      if (roll < 0.30 || d.live.empty()) {
+        d.Schedule(d.now);  // zero-delay: the lane's own traffic
+      } else if (roll < 0.40) {
+        // On a coarse grid, so heap events land on instants that later fire
+        // with lane entries beside them.
+        d.Schedule(d.now + 0.25 * static_cast<double>(d.rng.UniformInt(1, 4)));
+      } else if (roll < 0.43) {
+        // Up to 1e-12 in the past: the tolerance Simulation::Step allows.
+        d.Schedule(d.now - d.rng.Uniform(0, 1e-12));
+      } else if (roll < 0.53) {
+        // Cancel, half the time an event at the current instant, which
+        // usually waits in the lane.
+        std::vector<size_t> candidates;
+        if (d.rng.Chance(0.5)) {
+          for (size_t i = 0; i < d.live.size(); ++i) {
+            if (d.live[i].time == d.now) candidates.push_back(i);
+          }
+        }
+        if (candidates.empty()) {
+          for (size_t i = 0; i < d.live.size(); ++i) candidates.push_back(i);
+        }
+        size_t pick = candidates[static_cast<size_t>(d.rng.UniformInt(
+            0, static_cast<int64_t>(candidates.size()) - 1))];
+        ASSERT_TRUE(d.q.Cancel(d.live[pick].id));
+        ASSERT_TRUE(d.model.Cancel(d.live[pick].model_seq));
+        d.stale.push_back(d.live[pick].id);
+        d.live.erase(d.live.begin() + pick);
+      } else if (roll < 0.58 && !d.stale.empty()) {
+        size_t pick = static_cast<size_t>(d.rng.UniformInt(
+            0, static_cast<int64_t>(d.stale.size()) - 1));
+        ASSERT_FALSE(d.q.Cancel(d.stale[pick]));
+        ASSERT_FALSE(d.q.Cancel(d.stale[pick]));  // double cancel
+        ASSERT_FALSE(d.q.Cancel(EventId{}));
+      } else {
+        ASSERT_FALSE(d.q.Empty());
+        ModelQueue::Entry expect = d.model.Pop();
+        ASSERT_EQ(d.q.PeekTime(), expect.time);
+        EventQueue::Fired fired = d.q.Pop();
+        ASSERT_EQ(fired.time, expect.time);
+        ASSERT_TRUE(fired.callback);
+        auto it = std::find_if(
+            d.live.begin(), d.live.end(),
+            [&](const LiveEvent& e) { return e.model_seq == expect.seq; });
+        ASSERT_NE(it, d.live.end());
+        d.stale.push_back(it->id);
+        d.live.erase(it);
+        d.now = fired.time;
+        d.fired_tag = -1;
+        fired.callback();
+        ASSERT_EQ(d.fired_tag, expect.tag);
+      }
+      max_lane = std::max(max_lane, d.q.lane_size());
+      ASSERT_EQ(d.q.Size(), d.model.Size());
+      ASSERT_EQ(d.q.Empty(), d.model.Empty());
+      ASSERT_EQ(d.q.PeekTime(), d.model.PeekTime());
+      // The O(live) invariant over heap plus lane.
+      ASSERT_EQ(d.q.heap_size() + d.q.lane_size(), d.model.Size());
+    }
+    // The schedule above must actually reach the lane.
+    ASSERT_GE(max_lane, 8u);
+
+    while (!d.model.Empty()) {
+      ModelQueue::Entry expect = d.model.Pop();
+      EventQueue::Fired fired = d.q.Pop();
+      ASSERT_EQ(fired.time, expect.time);
+      d.now = fired.time;
+      d.fired_tag = -1;
+      fired.callback();
+      ASSERT_EQ(d.fired_tag, expect.tag);
+    }
+    ASSERT_TRUE(d.q.Empty());
   }
 }
 

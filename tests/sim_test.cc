@@ -91,6 +91,45 @@ TEST(EventQueueTest, RunUntilStopsAtHorizon) {
   EXPECT_EQ(fired, 2);
 }
 
+Process Record(std::vector<std::string>* order, std::string name) {
+  order->push_back(std::move(name));
+  co_return;
+}
+
+Process WaitThenRecord(OneShot* shot, std::vector<std::string>* order) {
+  co_await shot->Wait();
+  order->push_back("woken");
+}
+
+// Zero-delay events join the same-instant lane; the heap still holds the
+// events scheduled earlier for that instant, which come first in (time, seq)
+// order. Then the lane fires in FIFO order, nested zero-delay events last.
+TEST(EventQueueTest, EarlierScheduledEventsAtAnInstantFireBeforeZeroDelayOnes) {
+  Simulation sim;
+  std::vector<std::string> order;
+  OneShot shot(&sim);
+  sim.Spawn(WaitThenRecord(&shot, &order));
+  sim.ScheduleCallbackAt(1.0, [&] {
+    order.push_back("a");
+    sim.ScheduleCallbackAt(sim.Now(), [&] {
+      order.push_back("z0");
+      sim.ScheduleCallbackAt(sim.Now(), [&] { order.push_back("nested"); });
+    });
+    sim.Spawn(Record(&order, "z1"));
+    shot.Fire(WaitStatus::kSignaled);
+    sim.ScheduleCallbackAt(sim.Now(), [&] { order.push_back("z2"); });
+    EXPECT_EQ(sim.event_queue().lane_size(), 4u);
+    EXPECT_EQ(sim.event_queue().heap_size(), 3u);  // b, c and d
+  });
+  sim.ScheduleCallbackAt(1.0, [&] { order.push_back("b"); });
+  sim.ScheduleCallbackAt(2.0, [&] { order.push_back("d"); });
+  sim.ScheduleCallbackAt(1.0, [&] { order.push_back("c"); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "z0", "z1",
+                                             "woken", "z2", "nested", "d"}));
+  EXPECT_EQ(sim.event_queue().lane_size(), 0u);
+}
+
 TEST(EventQueueTest, ManyEventsStressOrdering) {
   Simulation sim;
   RandomStream rng(42);

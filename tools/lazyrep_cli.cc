@@ -14,12 +14,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <sys/stat.h>
 #include <vector>
 
 #include "core/config.h"
+#include "core/parse_number.h"
 #include "core/study.h"
 #include "core/system.h"
 #include "replay/workload_script.h"
@@ -95,6 +98,18 @@ bool FlagValue(const char* arg, const char* name, const char** value) {
   return false;
 }
 
+/// Splits `text` at every `sep` ("1,2" -> {"1", "2"}; "" -> {""}).
+std::vector<std::string_view> Split(std::string_view text, char sep) {
+  std::vector<std::string_view> fields;
+  size_t start = 0;
+  for (size_t pos; (pos = text.find(sep, start)) != std::string_view::npos;
+       start = pos + 1) {
+    fields.push_back(text.substr(start, pos - start));
+  }
+  fields.push_back(text.substr(start));
+  return fields;
+}
+
 void AppendCsv(const std::string& path, const char* protocol,
                const core::SystemConfig& c, const core::MetricsSnapshot& m,
                int serializable) {
@@ -147,6 +162,16 @@ int main(int argc, char** argv) {
   bool check_serializability = false;
   bool quiet = false;
   int jobs = 1;  // serial by default; --jobs=0 means all cores
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  constexpr int kMaxSite = std::numeric_limits<db::SiteId>::max();
+  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  // Strict value of a numeric flag: a bad one names the flag and the text
+  // and exits 1, as the CLI's other input errors do.
+  auto Number = [&](const char* flag, std::string_view text, auto lo,
+                    auto hi) {
+    return core::ParseNumberOrExit(argv[0], flag, text, lo, hi, 1);
+  };
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
@@ -190,27 +215,32 @@ int main(int argc, char** argv) {
       config.tps = tps;
       config.total_txns = txns;
     } else if (FlagValue(a, "--sites", &v)) {
-      config.num_sites = std::atoi(v);
+      config.num_sites = Number("--sites", v, 1, kMaxSite);
     } else if (FlagValue(a, "--items", &v)) {
-      config.workload.items_per_site = std::atoi(v);
+      config.workload.items_per_site = Number("--items", v, 1, kMaxInt);
     } else if (FlagValue(a, "--tps", &v)) {
-      config.tps = std::atof(v);
+      config.tps = Number("--tps", v, 0.0, kMaxDouble);
     } else if (FlagValue(a, "--txns", &v)) {
-      config.total_txns = std::strtoull(v, nullptr, 10);
+      config.total_txns = Number("--txns", v, uint64_t{1}, kMaxU64);
     } else if (FlagValue(a, "--read-fraction", &v)) {
-      config.workload.read_only_fraction = std::atof(v);
+      config.workload.read_only_fraction =
+          Number("--read-fraction", v, 0.0, 1.0);
     } else if (FlagValue(a, "--write-fraction", &v)) {
-      config.workload.write_op_fraction = std::atof(v);
+      config.workload.write_op_fraction =
+          Number("--write-fraction", v, 0.0, 1.0);
     } else if (FlagValue(a, "--ops", &v)) {
-      int lo = 0, hi = 0;
-      if (std::sscanf(v, "%d,%d", &lo, &hi) == 2) {
-        config.workload.min_ops = lo;
-        config.workload.max_ops = hi;
+      std::vector<std::string_view> f = Split(v, ',');
+      if (f.size() != 2) {
+        std::fprintf(stderr, "--ops wants MIN,MAX\n");
+        return 1;
       }
+      config.workload.min_ops = Number("--ops", f[0], 1, kMaxInt);
+      config.workload.max_ops = Number("--ops", f[1], 1, kMaxInt);
     } else if (FlagValue(a, "--latency", &v)) {
-      config.network.latency = std::atof(v);
+      config.network.latency = Number("--latency", v, 0.0, kMaxDouble);
     } else if (FlagValue(a, "--bandwidth", &v)) {
-      config.network.bandwidth_bps = std::atof(v);
+      config.network.bandwidth_bps =
+          Number("--bandwidth", v, 0.0, kMaxDouble);
     } else if (FlagValue(a, "--topology", &v)) {
       std::string err;
       if (!config.topology.Parse(v, &err)) {
@@ -218,15 +248,16 @@ int main(int argc, char** argv) {
         return 1;
       }
     } else if (FlagValue(a, "--timeout", &v)) {
-      config.timeout = std::atof(v);
+      config.timeout = Number("--timeout", v, 0.0, kMaxDouble);
       config.graph.wait_timeout = config.timeout;
     } else if (FlagValue(a, "--seed", &v)) {
-      config.seed = std::strtoull(v, nullptr, 10);
+      config.seed = Number("--seed", v, uint64_t{0}, kMaxU64);
       seed_set = true;
     } else if (FlagValue(a, "--replication-degree", &v)) {
-      config.replication_degree = std::atoi(v);
+      config.replication_degree =
+          Number("--replication-degree", v, 0, kMaxInt);
     } else if (FlagValue(a, "--gatekeeper", &v)) {
-      config.read_gatekeeper = std::atoi(v);
+      config.read_gatekeeper = Number("--gatekeeper", v, 0, kMaxInt);
     } else if (std::strcmp(a, "--two-version") == 0) {
       config.two_version_reads = true;
     } else if (std::strcmp(a, "--relaxed-ownership") == 0) {
@@ -234,59 +265,51 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--sequential-dispatch") == 0) {
       config.pipelined_dispatch = false;
     } else if (FlagValue(a, "--loss", &v)) {
-      config.fault.loss_prob = std::atof(v);
+      config.fault.loss_prob = Number("--loss", v, 0.0, 1.0);
     } else if (FlagValue(a, "--dup", &v)) {
-      config.fault.dup_prob = std::atof(v);
+      config.fault.dup_prob = Number("--dup", v, 0.0, 1.0);
     } else if (FlagValue(a, "--site-mtbf", &v)) {
-      config.fault.site_mtbf = std::atof(v);
+      config.fault.site_mtbf = Number("--site-mtbf", v, 0.0, kMaxDouble);
     } else if (FlagValue(a, "--site-mttr", &v)) {
-      config.fault.site_mttr = std::atof(v);
+      config.fault.site_mttr = Number("--site-mttr", v, 0.0, kMaxDouble);
     } else if (std::strcmp(a, "--crash-graph-site") == 0) {
       config.fault.crash_graph_site = true;
     } else if (FlagValue(a, "--crash", &v)) {
       fault::ScheduledCrash c;
-      double at = 0, dur = 0;
-      if (std::sscanf(v, "%d,%lf,%lf", &c.endpoint, &at, &dur) != 3) {
+      std::vector<std::string_view> f = Split(v, ',');
+      if (f.size() != 3) {
         std::fprintf(stderr, "--crash wants ENDPOINT,AT,DURATION\n");
         return 1;
       }
-      c.at = at;
-      c.duration = dur;
+      c.endpoint = Number("--crash", f[0], 0, kMaxSite);
+      c.at = Number("--crash", f[1], 0.0, kMaxDouble);
+      c.duration = Number("--crash", f[2], 0.0, kMaxDouble);
       config.fault.crashes.push_back(c);
     } else if (FlagValue(a, "--partition", &v)) {
       // Two spellings, both ending in @AT:DUR. Legacy: endpoints separated
       // by '+'. Named: topology group names separated by '|', each becoming
       // its own island (validated against the topology in Normalize()).
       fault::ScheduledPartition part;
-      std::string spec(v);
+      std::string_view spec(v);
       size_t at_pos = spec.rfind('@');
-      bool ok =
-          at_pos != std::string::npos &&
-          std::sscanf(spec.c_str() + at_pos + 1, "%lf:%lf", &part.at,
-                      &part.duration) == 2;
+      std::vector<std::string_view> window;
+      if (at_pos != std::string_view::npos) {
+        window = Split(spec.substr(at_pos + 1), ':');
+      }
+      bool ok = window.size() == 2;
       if (ok) {
-        std::string members = spec.substr(0, at_pos);
-        if (members.find_first_not_of("0123456789+") == std::string::npos) {
-          size_t pos = 0;
-          while (ok && pos <= members.size()) {
-            size_t plus = members.find('+', pos);
-            if (plus == std::string::npos) plus = members.size();
-            std::string tok = members.substr(pos, plus - pos);
-            char* end = nullptr;
-            long e = std::strtol(tok.c_str(), &end, 10);
-            ok = !tok.empty() && *end == '\0';
-            if (ok) part.group.push_back(static_cast<int>(e));
-            pos = plus + 1;
-          }
-        } else {
-          size_t pos = 0;
-          while (ok && pos <= members.size()) {
-            size_t bar = members.find('|', pos);
-            if (bar == std::string::npos) bar = members.size();
-            std::string name = members.substr(pos, bar - pos);
-            ok = !name.empty();
-            if (ok) part.groups.push_back(std::move(name));
-            pos = bar + 1;
+        part.at = Number("--partition", window[0], 0.0, kMaxDouble);
+        part.duration = Number("--partition", window[1], 0.0, kMaxDouble);
+        std::string_view members = spec.substr(0, at_pos);
+        const bool legacy =
+            members.find_first_not_of("0123456789+") == std::string_view::npos;
+        for (std::string_view m : Split(members, legacy ? '+' : '|')) {
+          ok = ok && !m.empty();
+          if (!ok) break;
+          if (legacy) {
+            part.group.push_back(Number("--partition", m, 0, kMaxSite));
+          } else {
+            part.groups.emplace_back(m);
           }
         }
       }
@@ -299,11 +322,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--amnesia") == 0) {
       config.fault.amnesia = true;
     } else if (FlagValue(a, "--checkpoint-interval", &v)) {
-      config.fault.checkpoint_interval = std::atof(v);
+      config.fault.checkpoint_interval =
+          Number("--checkpoint-interval", v, 0.0, kMaxDouble);
     } else if (FlagValue(a, "--retries", &v)) {
-      config.fault.max_retries = std::atoi(v);
+      config.fault.max_retries = Number("--retries", v, 0, kMaxInt);
     } else if (FlagValue(a, "--rto", &v)) {
-      config.fault.rto_initial = std::atof(v);
+      config.fault.rto_initial = Number("--rto", v, 0.0, kMaxDouble);
     } else if (FlagValue(a, "--csv", &v)) {
       csv_path = v;
     } else if (FlagValue(a, "--trace", &v)) {
@@ -311,10 +335,9 @@ int main(int argc, char** argv) {
     } else if (FlagValue(a, "--replay", &v)) {
       replay_path = v;
     } else if (FlagValue(a, "--replay-point", &v)) {
-      replay_point = std::atoi(v);
+      replay_point = Number("--replay-point", v, 0, kMaxInt);
     } else if (FlagValue(a, "--jobs", &v)) {
-      jobs = std::atoi(v);
-      if (jobs <= 0) jobs = 0;  // 0 = hardware_concurrency
+      jobs = Number("--jobs", v, 0, core::kMaxJobs);
     } else if (std::strcmp(a, "--check-serializability") == 0) {
       check_serializability = true;
     } else if (std::strcmp(a, "--quiet") == 0) {
