@@ -13,6 +13,11 @@
 //   bench_kernel --report   key=value lines (piped into tools/bench_to_json)
 //   bench_kernel --check    exit non-zero if any scenario exceeds its
 //                           committed steady-state allocation budget (zero)
+//                           or fired no events
+//   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
+//
+// An unknown argument or a malformed --rounds prints the usage line and
+// exits 2.
 //
 // The allocation counter is a whole-program operator-new override, so this
 // file must not be linked into binaries that care about allocator identity.
@@ -27,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "core/parse_number.h"
+#include "core/study.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "sim/condition.h"
@@ -216,9 +223,8 @@ ScenarioResult Wakeup(int rounds) {
   });
 }
 
-Process MulticastDriver(Simulation* sim, net::Network* net,
-                        const std::vector<db::SiteId>* dsts, int sends,
-                        uint64_t* delivered) {
+Process MulticastDriver(net::Network* net, const std::vector<db::SiteId>* dsts,
+                        int sends, uint64_t* delivered) {
   for (int i = 0; i < sends; ++i) {
     net::Network::DeliveryFn on_delivered = [delivered](db::SiteId) {
       ++*delivered;
@@ -238,14 +244,13 @@ ScenarioResult Multicast(int rounds) {
   for (int s = 1; s < kSites; ++s) dsts.push_back(static_cast<db::SiteId>(s));
   uint64_t delivered = 0;
   return Measure("multicast", rounds, &sim, [&] {
-    sim.Spawn(MulticastDriver(&sim, &net, &dsts, kSends, &delivered));
+    sim.Spawn(MulticastDriver(&net, &dsts, kSends, &delivered));
     sim.Run();
   });
 }
 
-Process GeoDriver(Simulation* sim, net::Network* net,
-                  const std::vector<db::SiteId>* dsts, int sends,
-                  uint64_t* delivered) {
+Process GeoDriver(net::Network* net, const std::vector<db::SiteId>* dsts,
+                  int sends, uint64_t* delivered) {
   for (int i = 0; i < sends; ++i) {
     // One cross-backbone unicast plus one all-sites multicast per iteration:
     // the routed hot path (route tables, per-subtree fan-out, climb legs).
@@ -274,7 +279,7 @@ ScenarioResult GeoMulticast(int rounds) {
   for (int s = 1; s < kSites; ++s) dsts.push_back(static_cast<db::SiteId>(s));
   uint64_t delivered = 0;
   return Measure("geo_multicast", rounds, &sim, [&] {
-    sim.Spawn(GeoDriver(&sim, &net, &dsts, kSends, &delivered));
+    sim.Spawn(GeoDriver(&net, &dsts, kSends, &delivered));
     sim.Run();
   });
 }
@@ -309,10 +314,20 @@ int Run(int argc, char** argv) {
   bool report = false;
   int rounds = 5;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) check = true;
-    if (std::strcmp(argv[i], "--report") == 0) report = true;
-    if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds = std::atoi(argv[i] + 9);
+    const char* a = argv[i];
+    if (std::strcmp(a, "--check") == 0) {
+      check = true;
+    } else if (std::strcmp(a, "--report") == 0) {
+      report = true;
+    } else if (std::strncmp(a, "--rounds=", 9) == 0) {
+      rounds = core::ParseNumberOrExit(argv[0], "--rounds", a + 9, 1, 1000,
+                                       core::kBenchUsageExit);
+    } else {
+      std::fprintf(stderr,
+                   "%s: unknown flag %s\n"
+                   "usage: %s [--check] [--report] [--rounds=N]\n",
+                   argv[0], a, argv[0]);
+      return core::kBenchUsageExit;
     }
   }
 
@@ -342,9 +357,15 @@ int Run(int argc, char** argv) {
   if (check) {
     // The committed budget: zero heap allocations per event at steady state.
     // The warm-up round absorbs all capacity growth; any measured-round
-    // allocation is a regression on the allocation-free hot path.
+    // allocation is a regression on the allocation-free hot path. A scenario
+    // that fired nothing measured nothing, so it fails too.
     int failures = 0;
     for (const ScenarioResult& r : results) {
+      if (r.events == 0) {
+        std::fprintf(stderr, "CHECK FAILED: %s fired no events\n", r.name);
+        ++failures;
+        continue;
+      }
 #ifdef LAZYREP_FRAME_POOL_DISABLED
       // Sanitized builds bypass the frame pool by design; only the
       // non-coroutine scenarios must stay allocation-free there.

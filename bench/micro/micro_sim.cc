@@ -109,9 +109,8 @@ void BM_FacilityContention(benchmark::State& state) {
 }
 BENCHMARK(BM_FacilityContention)->Arg(10)->Arg(100);
 
-Process MulticastLoop(Simulation* sim, net::Network* net,
-                      const std::vector<db::SiteId>* dsts, int sends,
-                      uint64_t* delivered) {
+Process MulticastLoop(net::Network* net, const std::vector<db::SiteId>* dsts,
+                      int sends, uint64_t* delivered) {
   for (int i = 0; i < sends; ++i) {
     net::Network::DeliveryFn on_delivered = [delivered](db::SiteId) {
       ++*delivered;
@@ -131,7 +130,7 @@ void BM_NetworkMulticast(benchmark::State& state) {
     std::vector<db::SiteId> dsts;
     for (int s = 1; s < sites; ++s) dsts.push_back(static_cast<db::SiteId>(s));
     uint64_t delivered = 0;
-    sim.Spawn(MulticastLoop(&sim, &net, &dsts, sends, &delivered));
+    sim.Spawn(MulticastLoop(&net, &dsts, sends, &delivered));
     sim.Run();
     benchmark::DoNotOptimize(delivered);
   }

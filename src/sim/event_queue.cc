@@ -13,6 +13,7 @@ namespace {
 /// while a node's children share one or two cache lines; measured best on
 /// the cancel-heavy and schedule/fire microbenches.
 constexpr size_t kArity = 4;
+static_assert(kArity == 4, "RemoveAt's child tournament is written for four");
 
 /// heap_pos_ value of a slot whose event waits in the same-instant lane.
 constexpr uint32_t kInLane = std::numeric_limits<uint32_t>::max();
@@ -62,7 +63,7 @@ void EventQueue::PlaceNode(size_t pos, const HeapNode& node) {
 void EventQueue::SiftUp(size_t pos, HeapNode node) {
   while (pos > 0) {
     size_t parent = (pos - 1) / kArity;
-    if (!NodeBefore(node, heap_[parent])) break;
+    if (!Before(node, heap_[parent])) break;
     PlaceNode(pos, heap_[parent]);
     pos = parent;
   }
@@ -71,12 +72,13 @@ void EventQueue::SiftUp(size_t pos, HeapNode node) {
 
 EventId EventQueue::Push(SimTime t, uint32_t slot) {
   const uint64_t seq = next_seq_++;
-  if (t == lane_time_) {
+  const uint64_t key = TimeKey(t);
+  if (key == lane_key_) {
     // Same instant as the lane: appending keeps it sorted by (time, seq).
     AppendToLane(seq, slot);
   } else {
     heap_.emplace_back();  // grow; SiftUp writes every vacated position
-    SiftUp(heap_.size() - 1, HeapNode{t, seq, slot});
+    SiftUp(heap_.size() - 1, HeapNode{key, seq, slot});
   }
   return EventId{slot, slots_[slot].generation};
 }
@@ -127,7 +129,7 @@ void EventQueue::RemoveAt(size_t pos) {
   const size_t size = heap_.size();
   if (pos == size) return;  // removed the tail entry
   // Re-seat the former tail at `pos`: it may need to move either direction.
-  if (pos > 0 && NodeBefore(last, heap_[(pos - 1) / kArity])) {
+  if (pos > 0 && Before(last, heap_[(pos - 1) / kArity])) {
     SiftUp(pos, last);
     return;
   }
@@ -137,17 +139,28 @@ void EventQueue::RemoveAt(size_t pos) {
   // almost always, so the sift-up ends immediately and each level costs
   // kArity - 1 compares instead of kArity. The climb cannot pass `pos`: we
   // just checked `last` is not before pos's parent.
+  const HeapNode* h = heap_.data();
   size_t hole = pos;
-  for (;;) {
-    size_t first_child = hole * kArity + 1;
-    if (first_child >= size) break;
-    size_t last_child = first_child + kArity;
-    if (last_child > size) last_child = size;
-    size_t best = first_child;
-    for (size_t c = first_child + 1; c < last_child; ++c) {
-      if (NodeBefore(heap_[c], heap_[best])) best = c;
+  size_t c = hole * kArity + 1;
+  // A full group of four children: a two-round tournament whose winners are
+  // picked by index arithmetic, so no branch depends on the keys.
+  for (; c + kArity <= size; c = hole * kArity + 1) {
+    const size_t b01 = c + Before(h[c + 1], h[c]);
+    const size_t b23 = c + 2 + Before(h[c + 3], h[c + 2]);
+    // Before(h[b23], h[b01]) ? b23 : b01, as a mask select (a plain ternary
+    // compiles to a branch here).
+    const size_t take23 = 0 - size_t{Before(h[b23], h[b01])};
+    const size_t best = b01 ^ ((b01 ^ b23) & take23);
+    PlaceNode(hole, h[best]);
+    hole = best;
+  }
+  // The short last group (one to three children); its winner is a leaf.
+  if (c < size) {
+    size_t best = c;
+    for (size_t k = c + 1; k < size; ++k) {
+      if (Before(h[k], h[best])) best = k;
     }
-    PlaceNode(hole, heap_[best]);
+    PlaceNode(hole, h[best]);
     hole = best;
   }
   SiftUp(hole, last);
@@ -175,19 +188,20 @@ EventQueue::Fired EventQueue::Pop() {
   // comes first, so the pop order is the heap-only order.
   if (!lane_.empty() &&
       (heap_.empty() ||
-       NodeBefore(HeapNode{lane_time_, lane_[lane_head_].seq, 0}, heap_[0]))) {
+       Before(HeapNode{lane_key_, lane_[lane_head_].seq, 0}, heap_[0]))) {
     slot = lane_[lane_head_].slot;
-    fired.time = lane_time_;
+    fired.time = KeyTime(lane_key_);
     if (++lane_head_ == lane_.size()) {
       lane_.clear();
       lane_head_ = 0;
     }
   } else {
+    const uint64_t key = heap_[0].key;
     slot = heap_[0].slot;
-    fired.time = heap_[0].time;
+    fired.time = KeyTime(key);
     RemoveAt(0);
     // The lane follows the clock: events scheduled at this instant join it.
-    if (lane_.empty()) lane_time_ = fired.time;
+    if (lane_.empty()) lane_key_ = key;
   }
   Slot& s = slots_[slot];
   if (s.kind == Kind::kResume) {

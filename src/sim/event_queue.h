@@ -1,6 +1,7 @@
 #ifndef LAZYREP_SIM_EVENT_QUEUE_H_
 #define LAZYREP_SIM_EVENT_QUEUE_H_
 
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <limits>
@@ -42,7 +43,9 @@ struct EventId {
 ///     heap position, so Cancel() removes the entry in O(log n) instead of
 ///     leaving a dead entry behind; cancelling a lane entry shifts the lane
 ///     (linear in its length; zero-delay wake-ups are not cancelled in
-///     practice).
+///     practice). A heap node stores its time as an integer key that orders
+///     exactly like the double (TimeKey), so (time, seq) compares as one
+///     unsigned 128-bit integer, without a data-dependent branch.
 ///
 /// Heap plus lane therefore hold exactly the live events at all times —
 /// cancel-heavy workloads (condition timeouts, retransmission timers) cannot
@@ -79,8 +82,9 @@ class EventQueue {
 
   /// Time of the earliest live event, or kTimeInfinity when empty.
   SimTime PeekTime() const {
-    SimTime t = heap_.empty() ? kTimeInfinity : heap_[0].time;
-    return !lane_.empty() && lane_time_ < t ? lane_time_ : t;
+    uint64_t key = heap_.empty() ? TimeKey(kTimeInfinity) : heap_[0].key;
+    if (!lane_.empty() && lane_key_ < key) key = lane_key_;
+    return KeyTime(key);
   }
 
   /// Fired event returned by Pop. Move-only: the callback is moved out of
@@ -112,16 +116,18 @@ class EventQueue {
  private:
   enum class Kind : uint8_t { kFree, kResume, kCallback };
 
-  /// Heap node, kept small so sift compares stay within few cache lines.
-  /// Ordering key is (time, seq); seq is unique, so the order is total and
-  /// pop order is independent of the heap arity or cancellation history.
+  /// Heap node (24 bytes), kept small so sift compares stay within few cache
+  /// lines. Ordering key is (time, seq), with the time stored as its
+  /// TimeKey; seq is unique, so the order is total and pop order is
+  /// independent of the heap arity or cancellation history.
   struct HeapNode {
-    SimTime time;
+    uint64_t key;
     uint64_t seq;
     uint32_t slot;
   };
+  static_assert(sizeof(HeapNode) == 24);
 
-  /// Lane entry; its time is lane_time_.
+  /// Lane entry; its time is the one lane_key_ encodes.
   struct LaneNode {
     uint64_t seq;
     uint32_t slot;
@@ -134,9 +140,29 @@ class EventQueue {
     Callback callback;
   };
 
-  static bool NodeBefore(const HeapNode& a, const HeapNode& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  static constexpr uint64_t kSignBit = uint64_t{1} << 63;
+
+  /// Order-preserving integer image of a time: for any two non-NaN times,
+  /// a < b exactly when TimeKey(a) < TimeKey(b), and a == b exactly when the
+  /// keys are equal. Sign-flip encoding: a non-negative double's bits gain
+  /// the sign bit, a negative one's are inverted, so the ≤1e-12-past times
+  /// Simulation::Step tolerates still sort first. −0.0 encodes as +0.0, so
+  /// the two tie as they do under the double compare.
+  static uint64_t TimeKey(SimTime t) {
+    uint64_t bits = std::bit_cast<uint64_t>(t);
+    if (bits == kSignBit) bits = 0;  // −0.0
+    return bits ^ ((0 - (bits >> 63)) | kSignBit);
+  }
+
+  /// Inverse of TimeKey (−0.0 comes back as +0.0, which compares equal).
+  static SimTime KeyTime(uint64_t key) {
+    return std::bit_cast<SimTime>(key ^ (((key >> 63) - 1) | kSignBit));
+  }
+
+  /// (key, seq) as one unsigned 128-bit compare: no data-dependent branch.
+  static bool Before(const HeapNode& a, const HeapNode& b) {
+    using U128 = unsigned __int128;
+    return ((U128{a.key} << 64) | a.seq) < ((U128{b.key} << 64) | b.seq);
   }
 
   uint32_t AllocateSlot();
@@ -167,11 +193,12 @@ class EventQueue {
   /// An empty lane is always cleared, so lane_.empty() means "no entries".
   std::vector<LaneNode> lane_;
   size_t lane_head_ = 0;
-  /// Time shared by every lane entry. Pop sets it to the fired time while
-  /// the lane is empty, so events scheduled at the current instant join the
-  /// lane. Any event at exactly this time may join: all entries then share
-  /// one time and arrive in seq order, which keeps the lane sorted.
-  SimTime lane_time_ = 0;
+  /// TimeKey of the time shared by every lane entry. Pop sets it to the
+  /// fired time's key while the lane is empty, so events scheduled at the
+  /// current instant join the lane. Any event at exactly this time may join:
+  /// all entries then share one time and arrive in seq order, which keeps
+  /// the lane sorted.
+  uint64_t lane_key_ = TimeKey(0);
   uint64_t next_seq_ = 0;
 };
 

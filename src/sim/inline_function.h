@@ -47,6 +47,12 @@ class InlineFunction<R(Args...), Capacity> {
                   "over-aligned capture");
     static_assert(std::is_nothrow_move_constructible_v<D>,
                   "captures must be nothrow-movable");
+    if constexpr (std::is_empty_v<D>) {
+      // A capture-less target writes no byte of storage_; give it one, so
+      // the memcpy in MoveFrom never copies a wholly unwritten buffer (GCC
+      // reports that as -Wuninitialized). Targets with state skip this.
+      storage_[0] = 0;
+    }
     ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
     invoke_ = [](void* s, Args... args) -> R {
       return (*static_cast<D*>(s))(std::forward<Args>(args)...);

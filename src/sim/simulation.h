@@ -3,6 +3,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/process.h"
@@ -78,9 +79,13 @@ class Simulation {
     return events_.ScheduleResume(now_, handle);
   }
 
-  /// Schedules a callback at absolute time `t`.
-  EventId ScheduleCallbackAt(SimTime t, EventQueue::Callback fn) {
-    return events_.ScheduleCallback(t, std::move(fn));
+  /// Schedules a callback at absolute time `t`. `fn` is anything a Callback
+  /// is constructible from; a lambda is built straight into the queue's
+  /// by-value parameter, saving a Callback move per event.
+  template <typename F>
+  EventId ScheduleCallbackAt(SimTime t, F&& fn) {
+    return events_.ScheduleCallback(t,
+                                    EventQueue::Callback(std::forward<F>(fn)));
   }
 
   /// Cancels a pending event; safe on stale ids.

@@ -61,6 +61,17 @@ bool ReadTraceFile(const std::string& path, TraceFile* out,
                              std::to_string(h.record_bytes) + ", want " +
                              std::to_string(sizeof(Record)));
     }
+    // Every point block starts with a PointHeader, so a count the remaining
+    // bytes cannot hold is corrupt; checked before it sizes anything.
+    if (h.num_points > cur.remaining / sizeof(PointHeader)) {
+      return Fail(error, "overlength point count (or truncated file): " +
+                             std::to_string(h.num_points) +
+                             " point blocks need at least " +
+                             std::to_string(uint64_t{h.num_points} *
+                                            sizeof(PointHeader)) +
+                             " bytes, " + std::to_string(cur.remaining) +
+                             " remain");
+    }
     out->points.resize(h.num_points);
     for (uint32_t p = 0; p < h.num_points; ++p) {
       PointTrace& pt = out->points[p];

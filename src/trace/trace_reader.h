@@ -23,8 +23,9 @@ struct TraceFile {
 
 /// Reads and validates `path`. Returns false with a one-line diagnostic in
 /// `error` on any malformation: bad magic or version, wrong record size,
-/// bad point marker, record counts that overrun the file (truncation or an
-/// overlength length prefix), unknown record types, or trailing bytes.
+/// a point count or record count that overruns the file (truncation or an
+/// overlength length prefix), bad point marker, unknown record types, or
+/// trailing bytes.
 /// Never reads past the file or trusts a length prefix unchecked.
 bool ReadTraceFile(const std::string& path, TraceFile* out,
                    std::string* error);

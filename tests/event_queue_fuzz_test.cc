@@ -1,15 +1,19 @@
 // Randomized differential tests for the event queue (indexed heap plus
 // same-instant lane): long random interleavings of schedule / cancel / pop
-// are checked move-for-move against a naive sorted-vector model, including
-// stale-id and double-cancel abuse. The first draws uniform random times, so
-// it exercises the heap; the second schedules mostly at the current instant,
-// so it exercises the lane and its merge with the heap. Both pin down the
-// O(live) invariant: cancelled events leave no dead entries behind.
+// are checked move-for-move against a naive sorted-vector model that orders
+// by the double time and then seq, including stale-id and double-cancel
+// abuse. The first draws uniform random times, so it exercises the heap; the
+// second draws from a coarse grid with signed zeros and tiny negative times,
+// the edges of the heap's integer time key; the third schedules mostly at the
+// current instant, so it exercises the lane and its merge with the heap. All
+// pin down the O(live) invariant: cancelled events leave no dead entries
+// behind.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -72,76 +76,117 @@ struct LiveEvent {
   SimTime time;
 };
 
-TEST(EventQueueFuzz, MatchesSortedVectorModel) {
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    EventQueue q;
-    ModelQueue model;
-    RandomStream rng(seed);
-    std::vector<LiveEvent> live;
-    // Ids already fired or cancelled; cancelling them must be a no-op in
-    // both worlds (generation counters make stale ids harmless).
-    std::vector<EventId> stale;
-    int next_tag = 0;
-    int popped_tag = -1;
+/// One long random interleaving of schedule / cancel / stale cancel / pop,
+/// checked move for move against the model, with event times drawn by
+/// `draw_time(rng)`. Counts in *ties the pops whose time equals the previous
+/// pop's.
+template <typename DrawTime>
+void FuzzAgainstModel(uint64_t seed, DrawTime draw_time, int* ties) {
+  EventQueue q;
+  ModelQueue model;
+  RandomStream rng(seed);
+  std::vector<LiveEvent> live;
+  // Ids already fired or cancelled; cancelling them must be a no-op in
+  // both worlds (generation counters make stale ids harmless).
+  std::vector<EventId> stale;
+  int next_tag = 0;
+  int popped_tag = -1;
+  SimTime last_popped = kTimeInfinity;
 
-    for (int step = 0; step < 20000; ++step) {
-      double roll = rng.Uniform(0, 1);
-      if (roll < 0.45 || live.empty()) {
-        SimTime t = rng.Uniform(0, 100);
-        int tag = next_tag++;
-        uint64_t seq = model.Schedule(t, tag);
-        EventId id =
-            q.ScheduleCallback(t, [tag, &popped_tag] { popped_tag = tag; });
-        live.push_back({id, seq, t});
-      } else if (roll < 0.70) {
-        size_t pick =
-            static_cast<size_t>(rng.Uniform(0, 1) * live.size()) % live.size();
-        ASSERT_TRUE(q.Cancel(live[pick].id));
-        ASSERT_TRUE(model.Cancel(live[pick].model_seq));
-        stale.push_back(live[pick].id);
-        live.erase(live.begin() + pick);
-      } else if (roll < 0.78 && !stale.empty()) {
-        // Stale-id abuse: double-cancel and cancel-after-fire must both
-        // report false and change nothing.
-        size_t pick =
-            static_cast<size_t>(rng.Uniform(0, 1) * stale.size()) %
-            stale.size();
-        ASSERT_FALSE(q.Cancel(stale[pick]));
-        ASSERT_FALSE(q.Cancel(EventId{}));  // invalid id is a no-op too
-      } else {
-        ASSERT_FALSE(q.Empty());
-        ModelQueue::Entry expect = model.Pop();
-        ASSERT_EQ(q.PeekTime(), expect.time);
-        EventQueue::Fired fired = q.Pop();
-        ASSERT_EQ(fired.time, expect.time);
-        ASSERT_TRUE(fired.callback);
-        popped_tag = -1;
-        fired.callback();
-        ASSERT_EQ(popped_tag, expect.tag);
-        auto it = std::find_if(
-            live.begin(), live.end(),
-            [&](const LiveEvent& e) { return e.model_seq == expect.seq; });
-        ASSERT_NE(it, live.end());
-        stale.push_back(it->id);
-        live.erase(it);
-      }
-      ASSERT_EQ(q.Size(), model.Size());
-      ASSERT_EQ(q.Empty(), model.Empty());
-      ASSERT_EQ(q.PeekTime(), model.PeekTime());
-      // The O(live) invariant: no dead entries, ever.
-      ASSERT_EQ(q.heap_size() + q.lane_size(), model.Size());
-    }
-
-    // Drain: remaining pops must come out in exact model order.
-    while (!model.Empty()) {
+  for (int step = 0; step < 20000; ++step) {
+    double roll = rng.Uniform(0, 1);
+    if (roll < 0.45 || live.empty()) {
+      SimTime t = draw_time(rng);
+      int tag = next_tag++;
+      uint64_t seq = model.Schedule(t, tag);
+      EventId id =
+          q.ScheduleCallback(t, [tag, &popped_tag] { popped_tag = tag; });
+      live.push_back({id, seq, t});
+    } else if (roll < 0.70) {
+      size_t pick =
+          static_cast<size_t>(rng.Uniform(0, 1) * live.size()) % live.size();
+      ASSERT_TRUE(q.Cancel(live[pick].id));
+      ASSERT_TRUE(model.Cancel(live[pick].model_seq));
+      stale.push_back(live[pick].id);
+      live.erase(live.begin() + pick);
+    } else if (roll < 0.78 && !stale.empty()) {
+      // Stale-id abuse: double-cancel and cancel-after-fire must both
+      // report false and change nothing.
+      size_t pick =
+          static_cast<size_t>(rng.Uniform(0, 1) * stale.size()) % stale.size();
+      ASSERT_FALSE(q.Cancel(stale[pick]));
+      ASSERT_FALSE(q.Cancel(EventId{}));  // invalid id is a no-op too
+    } else {
+      ASSERT_FALSE(q.Empty());
       ModelQueue::Entry expect = model.Pop();
+      ASSERT_EQ(q.PeekTime(), expect.time);
       EventQueue::Fired fired = q.Pop();
       ASSERT_EQ(fired.time, expect.time);
+      ASSERT_TRUE(fired.callback);
       popped_tag = -1;
       fired.callback();
       ASSERT_EQ(popped_tag, expect.tag);
+      auto it = std::find_if(
+          live.begin(), live.end(),
+          [&](const LiveEvent& e) { return e.model_seq == expect.seq; });
+      ASSERT_NE(it, live.end());
+      stale.push_back(it->id);
+      live.erase(it);
+      if (fired.time == last_popped) ++*ties;
+      last_popped = fired.time;
     }
-    ASSERT_TRUE(q.Empty());
+    ASSERT_EQ(q.Size(), model.Size());
+    ASSERT_EQ(q.Empty(), model.Empty());
+    ASSERT_EQ(q.PeekTime(), model.PeekTime());
+    // The O(live) invariant: no dead entries, ever.
+    ASSERT_EQ(q.heap_size() + q.lane_size(), model.Size());
+  }
+
+  // Drain: remaining pops must come out in exact model order.
+  while (!model.Empty()) {
+    ModelQueue::Entry expect = model.Pop();
+    EventQueue::Fired fired = q.Pop();
+    ASSERT_EQ(fired.time, expect.time);
+    popped_tag = -1;
+    fired.callback();
+    ASSERT_EQ(popped_tag, expect.tag);
+  }
+  ASSERT_TRUE(q.Empty());
+}
+
+TEST(EventQueueFuzz, MatchesSortedVectorModel) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    int ties = 0;
+    ASSERT_NO_FATAL_FAILURE(FuzzAgainstModel(
+        seed, [](RandomStream& rng) { return rng.Uniform(0, 100); }, &ties));
+  }
+}
+
+// The edges of the heap's integer time key, heap-heavy: times on a coarse
+// grid, so that most heap entries tie exactly and order by seq alone;
+// negative times within 1e-12 of zero (the lateness Simulation::Step
+// tolerates), which must sort before zero; and -0.0 beside +0.0, which must
+// tie. A key made of the raw bit pattern, a key without the -0.0 fold, or a
+// compare that drops seq fails here.
+TEST(EventQueueFuzz, TiedAndSignedTimesMatchModel) {
+  constexpr SimTime kTinyPast[] = {-1e-12, -5e-13, -1e-300,
+                                   -std::numeric_limits<double>::denorm_min()};
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    int ties = 0;
+    ASSERT_NO_FATAL_FAILURE(FuzzAgainstModel(
+        seed,
+        [&](RandomStream& rng) -> SimTime {
+          double roll = rng.Uniform01();
+          if (roll < 0.15) return -0.0;
+          if (roll < 0.30) return 0.0;
+          if (roll < 0.40) return -rng.Uniform(0, 1e-12);
+          if (roll < 0.45) return kTinyPast[rng.UniformInt(0, 3)];
+          return 0.25 * static_cast<double>(rng.UniformInt(0, 8));
+        },
+        &ties));
+    // Over a thousand pops tie with the one before (uniform draws give
+    // almost none).
+    ASSERT_GT(ties, 1000);
   }
 }
 

@@ -123,7 +123,9 @@ TEST_F(Fixture, PerTransactionVerdictsArriveInSubmissionOrder) {
   sim.Run();
   for (int i = 0; i < 6; ++i) {
     EXPECT_EQ(verdicts[i], Verdict::kOk);
-    if (i > 0) EXPECT_GE(when[i], when[i - 1]);
+    if (i > 0) {
+      EXPECT_GE(when[i], when[i - 1]);
+    }
   }
 }
 

@@ -179,14 +179,14 @@ TEST(TopologyTest, DatacenterOrdinalsDensifyInSiteOrder) {
 }
 
 // -- routed timing on a hand-built two-level tree ----------------------------
-//
-//        root (switch 0.5 s)
-//        /                \
-//   a (0.25 s)         b (0.25 s)
-//   up/down 8 kb/s     up 8 kb/s, down 4 kb/s   <- asymmetric
-//    /    \              /    \
-//   0      1            2      3    access links 8 kb/s both ways
-//
+/*
+        root (switch 0.5 s)
+        /                \
+   a (0.25 s)         b (0.25 s)
+   up/down 8 kb/s     up 8 kb/s, down 4 kb/s   <- asymmetric
+    /    \              /    \
+   0      1            2      3    access links 8 kb/s both ways
+*/
 // With 1000-byte (8000-bit) messages: 1 s per 8 kb/s link, 2 s down into b.
 
 Topology TwoLevelTree() {

@@ -2,7 +2,10 @@
 // round trip bit-exactly (including a forced ring spill), and the reader
 // rejects every malformation — truncation at any structural boundary, bad
 // magic/version, overlength length prefixes, unknown record types, trailing
-// garbage — with a diagnostic instead of reading past the buffer.
+// garbage — with a diagnostic instead of reading past the buffer. A seeded
+// mutation fuzz (bit flips, truncations, header-field edits; no corpus)
+// checks that every mutant either reads consistently or fails with a named
+// reason, never aborts.
 
 #include <cstddef>
 #include <cstdint>
@@ -269,6 +272,130 @@ TEST_F(TraceCorruptionTest, UnknownRecordTypeIsRejected) {
 
 TEST_F(TraceCorruptionTest, TrailingBytesAreRejected) {
   ExpectRejected(bytes_ + "junk", "trailing bytes");
+}
+
+TEST_F(TraceCorruptionTest, OverlengthPointCountIsRejected) {
+  // The file header's point count is a length prefix too: it must be checked
+  // against the remaining bytes (one PointHeader per block at least) before
+  // it sizes the point array. Unchecked, the first value dies in bad_alloc
+  // and the second allocates hundreds of MB before the truncation shows.
+  for (uint32_t count : {0xFFFFFFF0u, 3000000u}) {
+    std::string bytes = bytes_;
+    std::memcpy(&bytes[offsetof(FileHeader, num_points)], &count,
+                sizeof(count));
+    ExpectRejected(bytes, "overlength point count");
+  }
+}
+
+// -- mutation fuzz ------------------------------------------------------------
+
+/// Offsets of the version, size, count and tag fields of the file header and
+/// of each point header in `bytes` (a valid file).
+struct HeaderField {
+  size_t offset;
+  size_t width;  ///< 4 or 8 bytes
+};
+
+std::vector<HeaderField> HeaderFields(const std::string& bytes) {
+  std::vector<HeaderField> fields = {
+      {offsetof(FileHeader, version), 4},
+      {offsetof(FileHeader, record_bytes), 4},
+      {offsetof(FileHeader, num_points), 4}};
+  FileHeader h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  size_t at = sizeof(FileHeader);
+  for (uint32_t p = 0; p < h.num_points; ++p) {
+    PointHeader ph;
+    std::memcpy(&ph, bytes.data() + at, sizeof(ph));
+    fields.push_back({at + offsetof(PointHeader, marker), 4});
+    fields.push_back({at + offsetof(PointHeader, num_sites), 4});
+    fields.push_back({at + offsetof(PointHeader, record_count), 8});
+    fields.push_back({at + offsetof(PointHeader, dc_count), 4});
+    at += sizeof(PointHeader) + ph.num_sites * sizeof(uint16_t) +
+          ph.record_count * sizeof(Record);
+  }
+  return fields;
+}
+
+/// Reads `bytes` and checks the outcome: a rejection must say why, and an
+/// accepted file must be internally consistent with its own headers.
+/// Returns whether the reader accepted it.
+bool ReadsOrFailsCleanly(const std::string& path, const std::string& bytes,
+                         const std::string& what) {
+  WriteAll(path, bytes);
+  TraceFile file;
+  std::string error;
+  if (!ReadTraceFile(path, &file, &error)) {
+    EXPECT_FALSE(error.empty()) << what << ": rejected without a reason";
+    return false;
+  }
+  EXPECT_EQ(file.points.size(), file.header.num_points) << what;
+  for (const PointTrace& pt : file.points) {
+    EXPECT_EQ(pt.header.marker, kPointMarker) << what;
+    EXPECT_EQ(pt.dc_of_site.size(), pt.header.num_sites) << what;
+    EXPECT_EQ(pt.records.size(), pt.header.record_count) << what;
+    for (const Record& r : pt.records) {
+      EXPECT_GE(r.type, 1) << what;
+      EXPECT_LE(r.type, kMaxEventType) << what;
+    }
+  }
+  return true;
+}
+
+TEST(TraceMutationFuzz, SeededMutantsReadOrFailCleanly) {
+  // A small multi-point capture: three blocks, one of them empty.
+  std::string base_path = TmpPath("base");
+  std::vector<std::vector<Record>> emitted;
+  WriteTrace(base_path, {12, 0, 5}, 97, &emitted);
+  const std::string base = ReadAll(base_path);
+  std::remove(base_path.c_str());
+  const std::vector<HeaderField> fields = HeaderFields(base);
+  ASSERT_EQ(fields.size(), 3u + 3u * 4u);
+
+  const uint64_t kEdges[] = {0, 1, 2, 3, 0x7FFFFFFF, 0x80000000, 0xFFFFFFF0,
+                             0xFFFFFFFF, 3000000, 1ull << 40, ~0ull};
+  const std::string path = TmpPath("mutant");
+  uint64_t s = 20240611;
+  int accepted = 0, rejected = 0;
+  for (int k = 0; k < 3000; ++k) {
+    std::string bytes = base;
+    std::string what;
+    switch (k % 3) {
+      case 0: {  // one to four bit flips anywhere
+        for (uint64_t n = 1 + Mix(&s) % 4; n > 0; --n) {
+          uint64_t bit = Mix(&s) % (bytes.size() * 8);
+          bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+        }
+        what = "bit flips";
+        break;
+      }
+      case 1:  // truncation at any length
+        bytes.resize(Mix(&s) % bytes.size());
+        what = "truncation to " + std::to_string(bytes.size());
+        break;
+      default: {  // one header field set to an edge value or a random one
+        const HeaderField& f = fields[Mix(&s) % fields.size()];
+        uint64_t v = Mix(&s) % 4 == 0
+                         ? Mix(&s)
+                         : kEdges[Mix(&s) % (sizeof(kEdges) / sizeof(*kEdges))];
+        std::memcpy(&bytes[f.offset], &v, f.width);  // little-endian low part
+        what = "field at " + std::to_string(f.offset) + " = " +
+               std::to_string(v);
+        break;
+      }
+    }
+    if (ReadsOrFailsCleanly(path, bytes, "mutant " + std::to_string(k) +
+                                             " (" + what + ")")) {
+      ++accepted;
+    } else {
+      ++rejected;
+    }
+  }
+  std::remove(path.c_str());
+  // Both outcomes occur, or the mutations are not reaching the decisions
+  // they are meant to probe.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // -- version compatibility ----------------------------------------------------

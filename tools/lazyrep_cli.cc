@@ -7,8 +7,7 @@
 //
 // Examples:
 //   lazyrep_cli --protocol=optimistic --preset=oc3 --tps=1800 --txns=20000
-//   lazyrep_cli --protocol=all --sites=12 --items=20 --latency=0.02 \
-//               --tps=400 --csv=sweep.csv
+//   lazyrep_cli --protocol=all --sites=12 --items=20 --tps=400 --csv=sweep.csv
 //   lazyrep_cli --help
 
 #include <cstdio>

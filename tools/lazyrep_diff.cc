@@ -8,17 +8,19 @@
 // tells a displaced event from one that vanished.
 //
 //   lazyrep_diff A.trace B.trace              all points
-//   lazyrep_diff A.trace B.trace --point=2    one point pair
-//   lazyrep_diff A.trace B.trace --context=8  wider context window
+//   lazyrep_diff A.trace B.trace --point=2    one point pair (N >= 0)
+//   lazyrep_diff A.trace B.trace --context=8  wider context window (0-10000)
 //
-// Exit status: 0 identical, 1 divergence found, 2 usage or read error.
+// Exit status: 0 identical, 1 divergence found, 2 usage or read error (a
+// malformed or out-of-range number is a usage error).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "core/parse_number.h"
 #include "replay/trace_diff.h"
 #include "trace/trace_reader.h"
 
@@ -34,12 +36,18 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strncmp(a, "--point=", 8) == 0) {
-      only_point = std::atoi(a + 8);
+      only_point = lazyrep::core::ParseNumberOrExit(
+          "lazyrep_diff", "--point", a + 8, 0,
+          std::numeric_limits<int>::max(), 2);
     } else if (std::strncmp(a, "--context=", 10) == 0) {
-      opt.context = std::atoi(a + 10);
+      opt.context = lazyrep::core::ParseNumberOrExit(
+          "lazyrep_diff", "--context", a + 10, 0, 10000, 2);
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf(
           "usage: lazyrep_diff A.trace B.trace [--point=N] [--context=N]\n"
+          "  --point=N    diff only point pair N (N >= 0)\n"
+          "  --context=N  records shown around a divergence (0-10000, "
+          "default 3)\n"
           "exit: 0 identical, 1 divergence, 2 error\n");
       return 0;
     } else if (a[0] == '-') {

@@ -13,11 +13,16 @@
 //   lazyrep_trace FILE --audit    serializability verdicts only; exits
 //                                 nonzero when any point has an MVSG cycle
 //   lazyrep_trace FILE --json     machine-readable per-point "runs" array
+//   lazyrep_trace FILE --buckets=N  timeline buckets (1-10000, default 10)
+//
+// A usage error (an unknown flag, a malformed or out-of-range number) or an
+// unreadable trace exits 2.
 
 #include <cstdio>
 #include <cstring>
 #include <string>
 
+#include "core/parse_number.h"
 #include "trace/trace_analysis.h"
 #include "trace/trace_reader.h"
 
@@ -174,10 +179,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--timeline") == 0) {
       timeline = true;
     } else if (std::strncmp(a, "--buckets=", 10) == 0) {
-      buckets = std::atoi(a + 10);
+      buckets = lazyrep::core::ParseNumberOrExit("lazyrep_trace", "--buckets",
+                                                 a + 10, 1, 10000, 2);
     } else if (std::strcmp(a, "--help") == 0) {
       std::printf("usage: lazyrep_trace FILE [--audit] [--json] [--by-site] "
-                  "[--by-dc] [--timeline] [--buckets=N]\n");
+                  "[--by-dc] [--timeline] [--buckets=N]\n"
+                  "  --buckets=N  timeline buckets (1-10000, default 10)\n");
       return 0;
     } else if (a[0] == '-') {
       std::fprintf(stderr, "unknown flag %s (try --help)\n", a);
