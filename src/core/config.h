@@ -71,12 +71,6 @@ struct SystemConfig {
   /// Log-force payload at commit.
   size_t log_bytes = 512;
 
-  /// Record read-only response time under the optimistic protocol at the
-  /// local commit point rather than after the graph-site round trip; the
-  /// paper's reported OC-1 response ratios imply this measurement
-  /// convention (semantics unchanged; see DESIGN.md, Substitutions).
-  bool measure_ro_response_at_local_commit = true;
-
   /// Read-only transactions read without acquiring local read locks
   /// (§4.3 future work, "two-version approach"): reads never block behind
   /// replica installations and installations never wait for readers.
@@ -97,12 +91,8 @@ struct SystemConfig {
   /// the k-th retry sleeps Uniform(0, base * 2^k) seconds.
   double eager_backoff_base = 0.05;
   /// How long the 2PC coordinator waits for unanimous YES votes before
-  /// presuming abort. 0 = derive from timeout and network latency.
-  double eager_vote_timeout = 0;
-  double EagerVoteTimeout() const {
-    return eager_vote_timeout > 0 ? eager_vote_timeout
-                                  : timeout + 4 * network.latency;
-  }
+  /// presuming abort: the lock timeout plus four network latencies.
+  double EagerVoteTimeout() const { return timeout + 4 * network.latency; }
 
   // -- run control -------------------------------------------------------------
   /// Transactions submitted per run (the paper used 100,000).

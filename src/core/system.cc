@@ -466,35 +466,6 @@ bool System::ReplicasConverged(std::string* why) {
   return true;
 }
 
-void System::DebugDumpLive(std::FILE* out) {
-  static const char* kStateNames[] = {"active", "committed", "aborted",
-                                      "completed"};
-  for (const auto& [id, t] : txns_) {
-    if (t->state == txn::TxnState::kAborted ||
-        t->state == txn::TxnState::kCompleted) {
-      continue;
-    }
-    std::fprintf(out,
-                 "  live txn %llu: origin=%d state=%s update=%d epoch=%u/%u "
-                 "writes=%zu origin_locks=%zu\n",
-                 (unsigned long long)id, t->origin,
-                 kStateNames[static_cast<int>(t->state)], t->is_update ? 1 : 0,
-                 t->born_epoch, SiteEpoch(t->origin), t->write_set.size(),
-                 site(t->origin).locks.HeldItems(id).size());
-  }
-  for (int s = 0; s < config_.num_sites; ++s) {
-    for (const auto& [id, t] : txns_) {
-      std::vector<db::ItemId> held =
-          site(static_cast<db::SiteId>(s)).locks.HeldItems(id);
-      if (held.empty()) continue;
-      std::fprintf(out, "  site %d: txn %llu holds", s,
-                   (unsigned long long)id);
-      for (db::ItemId item : held) std::fprintf(out, " %u", item);
-      std::fprintf(out, "\n");
-    }
-  }
-}
-
 void System::DeliverEdges(const ConflictEdges& edges) {
   for (const auto& [dep, pred] : edges) {
     if (tracker_.IsLive(dep)) tracker_.AddPredecessor(dep, pred);

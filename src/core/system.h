@@ -1,7 +1,6 @@
 #ifndef LAZYREP_CORE_SYSTEM_H_
 #define LAZYREP_CORE_SYSTEM_H_
 
-#include <cstdio>
 #include <deque>
 #include <memory>
 #include <string>
@@ -206,11 +205,6 @@ class System {
   /// after a clean post-run drain; nonzero means a coroutine is stranded on
   /// a wait that never resolved (the chaos harness's liveness audit).
   uint64_t LiveTxns() const { return submitted_ - terminal_; }
-
-  /// Chaos-triage diagnostic: prints every live (non-terminal) transaction —
-  /// id, origin, state, birth epoch vs the origin's current epoch, and the
-  /// locks it still holds at its origin — to `out`.
-  void DebugDumpLive(std::FILE* out);
 
   /// Control message with ack + capped retransmission. Resolves true once the
   /// message (and its ack) got through; false when the retry budget ran out —

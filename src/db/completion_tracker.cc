@@ -1,5 +1,7 @@
 #include "db/completion_tracker.h"
 
+#include <vector>
+
 #include "sim/check.h"
 
 namespace lazyrep::db {
@@ -128,12 +130,6 @@ bool CompletionTracker::IsLive(TxnId txn) const {
   auto it = entries_.find(txn);
   if (it == entries_.end()) return false;
   return !it->second.completed && !it->second.aborted;
-}
-
-std::vector<TxnId> CompletionTracker::PendingPredecessors(TxnId txn) const {
-  auto it = entries_.find(txn);
-  if (it == entries_.end()) return {};
-  return {it->second.preds.begin(), it->second.preds.end()};
 }
 
 }  // namespace lazyrep::db

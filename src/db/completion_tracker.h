@@ -5,7 +5,6 @@
 #include <functional>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "db/types.h"
 
@@ -66,9 +65,6 @@ class CompletionTracker {
   bool IsTerminal(TxnId txn) const;
   /// Registered and not yet terminal.
   bool IsLive(TxnId txn) const;
-
-  /// Predecessors still blocking `txn` (for diagnostics/tests).
-  std::vector<TxnId> PendingPredecessors(TxnId txn) const;
 
   /// Live (non-terminal) registered transactions.
   size_t live_count() const { return live_count_; }

@@ -106,12 +106,7 @@ sim::Process OptimisticProtocol::Execute(txn::Transaction* t) {
   // local commit point, not including the graph-site round trip. The
   // semantics are unchanged — the transaction still commits only after the
   // verdict — only the recorded response reference moves.
-  if (!t->is_update && cfg.measure_ro_response_at_local_commit &&
-      local_ready >= 0) {
-    sys_->NoteCommitted(t, local_ready);
-  } else {
-    sys_->NoteCommitted(t);
-  }
+  sys_->NoteCommitted(t, t->is_update ? sys_->sim().Now() : local_ready);
   origin.locks.ReleaseAll(t->id);
 
   // The OK reply doubles as the graph site's record of the origin commit:

@@ -49,11 +49,6 @@ void ReplicationGraph::MarkCommitted(db::TxnId txn) {
   it->second.committed = true;
 }
 
-bool ReplicationGraph::IsCommitted(db::TxnId txn) const {
-  auto it = txns_.find(txn);
-  return it != txns_.end() && it->second.committed;
-}
-
 db::TxnId ReplicationGraph::Find(db::SiteId site, db::TxnId txn) const {
   const auto& parent = sites_[site].parent;
   db::TxnId cur = txn;

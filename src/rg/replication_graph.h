@@ -80,7 +80,6 @@ class ReplicationGraph {
   void MarkCommitted(db::TxnId txn);
 
   bool Contains(db::TxnId txn) const { return txns_.contains(txn); }
-  bool IsCommitted(db::TxnId txn) const;
 
   /// Removes the transaction (on abort or completion) and applies the split
   /// rule to every group it belonged to. Cost accumulates into `cost`.

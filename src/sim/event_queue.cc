@@ -40,21 +40,6 @@ void EventQueue::ReleaseSlot(uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-void EventQueue::Reserve(size_t events) {
-  if (slots_.size() < events) {
-    slots_.reserve(events);
-    free_slots_.reserve(events);
-    heap_pos_.reserve(events);
-    while (slots_.size() < events) {
-      slots_.emplace_back();
-      heap_pos_.push_back(0);
-      free_slots_.push_back(static_cast<uint32_t>(slots_.size() - 1));
-    }
-  }
-  heap_.reserve(events);
-  lane_.reserve(events);
-}
-
 void EventQueue::PlaceNode(size_t pos, const HeapNode& node) {
   heap_[pos] = node;
   heap_pos_[node.slot] = static_cast<uint32_t>(pos);

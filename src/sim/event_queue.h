@@ -109,10 +109,6 @@ class EventQueue {
   /// Slot array length (live + free-listed); bounds memory diagnostics.
   size_t slot_count() const { return slots_.size(); }
 
-  /// Pre-sizes the slot, heap and lane arrays for `events` concurrent events
-  /// so the first simulated seconds do not pay vector growth.
-  void Reserve(size_t events);
-
  private:
   enum class Kind : uint8_t { kFree, kResume, kCallback };
 

@@ -68,11 +68,6 @@ class Simulation {
     return DelayUntilAwaiter{this, at};
   }
 
-  /// Schedules `handle` to resume at absolute time `t` (>= Now()).
-  EventId ScheduleResumeAt(SimTime t, std::coroutine_handle<> handle) {
-    return events_.ScheduleResume(t, handle);
-  }
-
   /// Schedules `handle` to resume immediately (at the current time, after
   /// already-queued same-time events).
   EventId ScheduleResumeNow(std::coroutine_handle<> handle) {
@@ -104,10 +99,6 @@ class Simulation {
 
   /// Number of pending events (cancellations excluded).
   size_t pending_events() const { return events_.Size(); }
-
-  /// Pre-sizes the event queue for `events` concurrent events (perf harness
-  /// warm-up; optional — the queue grows on demand either way).
-  void ReserveEvents(size_t events) { events_.Reserve(events); }
 
   /// The underlying queue, for kernel diagnostics (heap occupancy checks).
   const EventQueue& event_queue() const { return events_; }
