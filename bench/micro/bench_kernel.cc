@@ -16,10 +16,11 @@
 // Modes:
 //   bench_kernel            human-readable summary
 //   bench_kernel --report   key=value lines (piped into tools/bench_to_json)
-//   bench_kernel --check    exit non-zero if a kernel scenario allocates in
-//                           its measured rounds (budget: zero) or if any
-//                           scenario did no work; the db and graph
-//                           scenarios' allocations are reported, not gated
+//   bench_kernel --check    exit non-zero if a kernel scenario or the store
+//                           allocates in its measured rounds (budget: zero)
+//                           or if any scenario did no work; the lock and
+//                           graph scenarios' allocations are reported, not
+//                           gated
 //   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
 //
 // An unknown argument or a malformed --rounds prints the usage line and
@@ -103,9 +104,8 @@ using Clock = std::chrono::steady_clock;
 
 struct ScenarioResult {
   const char* name;
-  /// Unit of work: "event" for the kernel scenarios, which --check holds to
-  /// zero steady-state allocations; the db and graph scenarios, which fire
-  /// few or no events and still allocate, count their own.
+  /// Unit of work: "event" for the kernel scenarios; the db and graph
+  /// scenarios, which fire few or no events, count their own.
   const char* unit;
   uint64_t work = 0;    ///< units of work across the measured rounds
   uint64_t events = 0;  ///< events fired across the measured rounds
@@ -379,9 +379,10 @@ ScenarioResult LockScenario(const char* name, int rounds, int txns,
 }
 
 /// Thomas-Write-Rule store over 100,000 items: per item, an applied write
-/// (which takes the replaced version's reader list), a stale write the rule
-/// ignores and a read that registers its reader; the reader is removed from
-/// every item at the end. Four store operations per item.
+/// (which hands back and drops the replaced version's reader list), a stale
+/// write the rule ignores and a read that registers its reader; the reader
+/// is removed from every item at the end. Four store operations per item.
+/// Every item has a live reader at once, the reader table's worst case.
 ScenarioResult StoreTwr(int rounds) {
   constexpr db::ItemId kItems = 100000;
   db::ItemStore store(kItems);
@@ -536,6 +537,13 @@ bool CountsEvents(const ScenarioResult& r) {
   return std::strcmp(r.unit, "event") == 0;
 }
 
+/// Scenarios --check holds to zero steady-state allocations: the kernel
+/// scenarios and the store. The lock table and the graph still allocate per
+/// operation.
+bool Gated(const ScenarioResult& r) {
+  return CountsEvents(r) || std::strcmp(r.name, "store_twr") == 0;
+}
+
 void PrintHuman(const ScenarioResult& r) {
   std::printf(
       "%-16s %9llu %-8s allocs=%-8llu (%.4f/%s)  wall=%.3fs  %.2fM/s  "
@@ -629,14 +637,13 @@ int Run(int argc, char** argv) {
   }
 
   if (check) {
-    // The committed budget: zero heap allocations per event at steady state
-    // in the kernel scenarios. The warm-up round absorbs all capacity
-    // growth; any measured-round allocation there is a regression on the
-    // allocation-free hot path. The lock table, the store's reader lists
-    // and the graph still allocate per operation, so the db and graph
-    // scenarios report their counts (the baseline for making them
-    // allocation-free) without a budget. A scenario that did no work
-    // measured nothing, so it fails too.
+    // The committed budget: zero heap allocations per unit at steady state
+    // in the kernel scenarios and the store. The warm-up round absorbs all
+    // capacity growth; any measured-round allocation there is a regression
+    // on the allocation-free hot path. The lock table and the graph still
+    // allocate per operation, so their scenarios report their counts (the
+    // baseline for making them allocation-free) without a budget. A
+    // scenario that did no work measured nothing, so it fails too.
     int failures = 0;
     int gated = 0;
     for (const ScenarioResult& r : results) {
@@ -645,11 +652,12 @@ int Run(int argc, char** argv) {
         ++failures;
         continue;
       }
-      if (!CountsEvents(r)) continue;
+      if (!Gated(r)) continue;
 #ifdef LAZYREP_FRAME_POOL_DISABLED
       // Sanitized builds bypass the frame pool by design; only the
       // non-coroutine scenarios must stay allocation-free there.
-      bool pooled_scenario = std::strcmp(r.name, "schedule_fire") != 0 &&
+      bool pooled_scenario = CountsEvents(r) &&
+                             std::strcmp(r.name, "schedule_fire") != 0 &&
                              std::strcmp(r.name, "cancel_heavy") != 0;
       if (pooled_scenario) continue;
 #endif

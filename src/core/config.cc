@@ -48,6 +48,29 @@ void SystemConfig::Normalize() {
 }
 
 bool SystemConfig::Validate(ProtocolKind protocol, std::string* error) const {
+  // Inputs the workload generator and the network cannot run with: no
+  // arrivals, an empty operation range, or links that never deliver.
+  char buf[128];
+  if (!(tps > 0)) {
+    std::snprintf(buf, sizeof(buf), "tps must be positive (got %g)", tps);
+    *error = buf;
+    return false;
+  }
+  if (workload.min_ops < 1 || workload.min_ops > workload.max_ops) {
+    std::snprintf(buf, sizeof(buf),
+                  "operations per transaction need 1 <= min_ops <= max_ops "
+                  "(got %d,%d)",
+                  workload.min_ops, workload.max_ops);
+    *error = buf;
+    return false;
+  }
+  if (!(network.bandwidth_bps > 0)) {
+    std::snprintf(buf, sizeof(buf),
+                  "network bandwidth must be positive (got %g bps)",
+                  network.bandwidth_bps);
+    *error = buf;
+    return false;
+  }
   // The locking protocol's primary-copy write locks would need remote
   // acquisition once writers no longer co-originate: one of the "different
   // protocols" footnote 2 defers.

@@ -126,9 +126,11 @@ struct SystemConfig {
   /// Validates internal consistency (e.g. workload.num_sites == num_sites).
   void Normalize();
 
-  /// Checks that `protocol` implements everything this configuration turns
-  /// on; false with a named reason in `*error` otherwise. core::System
-  /// checks it at construction.
+  /// Checks that the load, the operation range and the network bandwidth
+  /// are usable and that `protocol` implements everything this
+  /// configuration turns on; false with a named reason in `*error`
+  /// otherwise. core::System checks it at construction; lazyrep_cli checks
+  /// it before Normalize, so bad input exits with the reason.
   bool Validate(ProtocolKind protocol, std::string* error) const;
 
   /// Builds the topology tree for the configured site count — sites only;

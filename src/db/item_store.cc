@@ -1,44 +1,122 @@
 #include "db/item_store.h"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
 
 namespace lazyrep::db {
 
 ItemStore::WriteResult ItemStore::ApplyWrite(ItemId item, Timestamp ts) {
-  Replica& r = replicas_[item];
+  Timestamp& version = versions_[item];
   WriteResult result;
-  if (ts > r.ts) {
+  result.other_writer = version.txn;
+  if (ts > version) {
     result.applied = true;
-    result.other_writer = r.ts.txn;
-    result.prior_readers = std::move(r.readers);
-    r.readers.clear();
-    r.ts = ts;
+    if (const size_t pos = Find(item); pos != kNotFound) {
+      result.prior_readers = lists_[slots_[pos].list];
+      Erase(pos);
+    }
+    version = ts;
     ++writes_applied_;
   } else {
     // Thomas Write Rule: the write is ignored; logically it precedes the
-    // installed (newer) version, so its writer must precede r.ts.txn.
-    result.applied = false;
-    result.other_writer = r.ts.txn;
+    // installed (newer) version, so its writer must precede version.txn.
     ++writes_ignored_;
   }
   return result;
 }
 
 Timestamp ItemStore::Read(ItemId item, TxnId reader) {
-  Replica& r = replicas_[item];
-  if (std::find(r.readers.begin(), r.readers.end(), reader) ==
-      r.readers.end()) {
-    r.readers.push_back(reader);
+  if (slots_.empty()) Grow();
+  size_t pos = Probe(item);
+  if (slots_[pos].list != kEmpty) {
+    std::vector<TxnId>& readers = lists_[slots_[pos].list];
+    if (std::find(readers.begin(), readers.end(), reader) == readers.end()) {
+      readers.push_back(reader);
+    }
+    return versions_[item];
   }
-  return r.ts;
+  if (2 * (live_ + 1) > slots_.size()) {
+    Grow();
+    pos = Probe(item);
+  }
+  uint32_t list;
+  if (free_lists_.empty()) {
+    list = static_cast<uint32_t>(lists_.size());
+    lists_.emplace_back();
+  } else {
+    list = free_lists_.back();
+    free_lists_.pop_back();
+    lists_[list].clear();
+  }
+  lists_[list].push_back(reader);
+  slots_[pos] = Slot{item, list};
+  ++live_;
+  return versions_[item];
 }
 
 void ItemStore::RemoveReader(TxnId reader, const std::vector<ItemId>& items) {
   for (ItemId item : items) {
-    auto& readers = replicas_[item].readers;
+    const size_t pos = Find(item);
+    if (pos == kNotFound) continue;
+    std::vector<TxnId>& readers = lists_[slots_[pos].list];
     readers.erase(std::remove(readers.begin(), readers.end(), reader),
                   readers.end());
+    if (readers.empty()) Erase(pos);
+  }
+}
+
+std::span<const TxnId> ItemStore::ReadersOf(ItemId item) const {
+  const size_t pos = Find(item);
+  if (pos == kNotFound) return {};
+  return lists_[slots_[pos].list];
+}
+
+size_t ItemStore::Home(ItemId item) const {
+  // Fibonacci hashing: the top log2(size) bits of a multiplicative hash.
+  return static_cast<size_t>((uint64_t{item} * 0x9E3779B97F4A7C15ull) >>
+                             shift_);
+}
+
+size_t ItemStore::Probe(ItemId item) const {
+  const size_t mask = slots_.size() - 1;
+  size_t pos = Home(item);
+  while (slots_[pos].list != kEmpty && slots_[pos].item != item) {
+    pos = (pos + 1) & mask;
+  }
+  return pos;
+}
+
+size_t ItemStore::Find(ItemId item) const {
+  if (live_ == 0) return kNotFound;
+  const size_t pos = Probe(item);
+  return slots_[pos].list == kEmpty ? kNotFound : pos;
+}
+
+void ItemStore::Erase(size_t pos) {
+  free_lists_.push_back(slots_[pos].list);
+  --live_;
+  const size_t mask = slots_.size() - 1;
+  size_t hole = pos;
+  for (size_t next = (hole + 1) & mask; slots_[next].list != kEmpty;
+       next = (next + 1) & mask) {
+    // The entry at `next` fills the hole when its probe run from its home
+    // slot passes through the hole.
+    const size_t home = Home(slots_[next].item);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      slots_[hole] = slots_[next];
+      hole = next;
+    }
+  }
+  slots_[hole].list = kEmpty;
+}
+
+void ItemStore::Grow() {
+  const size_t size = slots_.empty() ? 16 : 2 * slots_.size();
+  std::vector<Slot> old(size);
+  old.swap(slots_);
+  shift_ = static_cast<uint32_t>(64 - std::countr_zero(size));
+  for (const Slot& slot : old) {
+    if (slot.list != kEmpty) slots_[Probe(slot.item)] = slot;
   }
 }
 

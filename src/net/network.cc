@@ -22,77 +22,74 @@ Network::Network(sim::Simulation* sim, int num_endpoints,
 
 void Network::BuildLinks() {
   const int endpoints = topology_.num_endpoints();
-  leaf_edges_.resize(endpoints);
+  links_.resize(2 * (static_cast<size_t>(endpoints) + topology_.num_groups()));
   for (int i = 0; i < endpoints; ++i) {
-    const EdgeParams& ep = topology_.endpoint(i).uplink;
-    leaf_edges_[i].up.facility = std::make_unique<sim::Facility>(
+    const Topology::Endpoint& ep = topology_.endpoint(i);
+    Link& up = links_[UpId(i)];
+    up.facility = std::make_unique<sim::Facility>(
         sim_, "out_link_" + std::to_string(i));
-    leaf_edges_[i].up.bps = ep.up_bps;
-    leaf_edges_[i].up.propagation = ep.latency;
-    leaf_edges_[i].down.facility = std::make_unique<sim::Facility>(
+    up.bps = ep.uplink.up_bps;
+    up.propagation = ep.uplink.latency;
+    Link& down = links_[DownId(i)];
+    down.facility = std::make_unique<sim::Facility>(
         sim_, "in_link_" + std::to_string(i));
-    leaf_edges_[i].down.bps = ep.down_bps;
-    leaf_edges_[i].down.propagation = ep.latency;
+    down.bps = ep.uplink.down_bps;
+    down.pre_delay = topology_.group(ep.parent).switch_latency;
+    down.propagation = ep.uplink.latency;
   }
-  group_edges_.resize(topology_.num_groups());
   for (int g = 1; g < topology_.num_groups(); ++g) {
-    const EdgeParams& ep = topology_.group(g).uplink;
-    const std::string& name = topology_.group(g).name;
-    group_edges_[g].up.facility =
-        std::make_unique<sim::Facility>(sim_, "up_" + name);
-    group_edges_[g].up.bps = ep.up_bps;
-    group_edges_[g].up.propagation = ep.latency;
-    group_edges_[g].down.facility =
-        std::make_unique<sim::Facility>(sim_, "down_" + name);
-    group_edges_[g].down.bps = ep.down_bps;
-    group_edges_[g].down.propagation = ep.latency;
+    const Topology::Group& group = topology_.group(g);
+    Link& up = links_[UpId(GroupEdge(g))];
+    up.facility = std::make_unique<sim::Facility>(sim_, "up_" + group.name);
+    up.bps = group.uplink.up_bps;
+    up.pre_delay = group.switch_latency;
+    up.propagation = group.uplink.latency;
+    Link& down = links_[DownId(GroupEdge(g))];
+    down.facility = std::make_unique<sim::Facility>(sim_, "down_" + group.name);
+    down.bps = group.uplink.down_bps;
+    down.pre_delay = topology_.group(group.parent).switch_latency;
+    down.propagation = group.uplink.latency;
   }
 }
 
 void Network::BuildRoutes() {
-  const int endpoints = topology_.num_endpoints();
-  route_offset_.assign(static_cast<size_t>(endpoints) * endpoints, 0);
-  route_len_.assign(static_cast<size_t>(endpoints) * endpoints, 0);
-  hops_.clear();
-  std::vector<int> down_path;
+  // A route is the sender's access uplink, the uplinks from its switch up
+  // to the LCA, the downlinks from below the LCA to the receiver's switch,
+  // and the receiver's access downlink. A counting pass sizes the id array
+  // exactly, so building it never reallocates.
+  const size_t endpoints = topology_.num_endpoints();
+  route_offset_.assign(endpoints * endpoints + 1, 0);
+  uint64_t total = 0;
+  for (db::SiteId src = 0; src < endpoints; ++src) {
+    const int src_depth = topology_.group(topology_.endpoint(src).parent).depth;
+    for (db::SiteId dst = 0; dst < endpoints; ++dst) {
+      const int dst_depth =
+          topology_.group(topology_.endpoint(dst).parent).depth;
+      const int lca_depth = topology_.group(LcaOf(src, dst)).depth;
+      total += 2 + (src_depth - lca_depth) + (dst_depth - lca_depth);
+      LAZYREP_CHECK(total <= UINT32_MAX);
+      route_offset_[src * endpoints + dst + 1] = static_cast<uint32_t>(total);
+    }
+  }
+  route_links_.resize(total);
   for (db::SiteId src = 0; src < endpoints; ++src) {
     for (db::SiteId dst = 0; dst < endpoints; ++dst) {
-      const size_t idx = static_cast<size_t>(src) * endpoints + dst;
-      route_offset_[idx] = static_cast<uint32_t>(hops_.size());
+      const size_t idx = src * endpoints + dst;
       const int lca = LcaOf(src, dst);
-      // Up: the sender's access link, then every uplink below the LCA.
-      const EdgeParams& sup = topology_.endpoint(src).uplink;
-      hops_.push_back(
-          Hop{leaf_edges_[src].up.facility.get(), sup.up_bps, 0, sup.latency});
+      uint32_t* up = route_links_.data() + route_offset_[idx];
+      *up++ = UpId(src);
       for (int g = topology_.endpoint(src).parent; g != lca;
            g = topology_.group(g).parent) {
-        hops_.push_back(Hop{group_edges_[g].up.facility.get(),
-                            topology_.group(g).uplink.up_bps,
-                            topology_.group(g).switch_latency,
-                            topology_.group(g).uplink.latency});
+        *up++ = UpId(GroupEdge(g));
       }
-      // Down: uplinks from below the LCA to the receiver's switch (walked
-      // bottom-up, emitted top-down), then the receiver's access link.
-      down_path.clear();
+      // The down half is walked bottom-up, so it is written back to front.
+      uint32_t* down = route_links_.data() + route_offset_[idx + 1];
+      *--down = DownId(dst);
       for (int g = topology_.endpoint(dst).parent; g != lca;
            g = topology_.group(g).parent) {
-        down_path.push_back(g);
+        *--down = DownId(GroupEdge(g));
       }
-      for (size_t k = down_path.size(); k-- > 0;) {
-        const int g = down_path[k];
-        hops_.push_back(Hop{group_edges_[g].down.facility.get(),
-                            topology_.group(g).uplink.down_bps,
-                            topology_.group(topology_.group(g).parent)
-                                .switch_latency,
-                            topology_.group(g).uplink.latency});
-      }
-      const EdgeParams& dup = topology_.endpoint(dst).uplink;
-      hops_.push_back(
-          Hop{leaf_edges_[dst].down.facility.get(), dup.down_bps,
-              topology_.group(topology_.endpoint(dst).parent).switch_latency,
-              dup.latency});
-      route_len_[idx] =
-          static_cast<uint16_t>(hops_.size() - route_offset_[idx]);
+      LAZYREP_CHECK(up == down);
     }
   }
 }
@@ -126,27 +123,33 @@ int Network::FateOf(db::SiteId src, db::SiteId dst) {
 
 sim::Task<bool> Network::Transfer(db::SiteId src, db::SiteId dst,
                                   size_t bytes) {
-  const size_t idx =
-      static_cast<size_t>(src) * topology_.num_endpoints() + dst;
-  const Hop* hop = &hops_[route_offset_[idx]];
-  const int n = route_len_[idx];
-  const double bits = static_cast<double>(bytes) * 8.0;
-  co_await hop[0].facility->Use(bits / hop[0].bps);
-  if (hop[0].propagation > 0) co_await sim_->Delay(hop[0].propagation);
-  for (int k = 1; k + 1 < n; ++k) {
-    co_await sim_->Delay(hop[k].pre_delay);
-    co_await hop[k].facility->Use(bits / hop[k].bps);
-    if (hop[k].propagation > 0) co_await sim_->Delay(hop[k].propagation);
+  // Few locals live across the awaits, so the coroutine frame stays small.
+  const uint32_t* id;
+  const uint32_t* last_id;
+  {
+    const size_t idx =
+        static_cast<size_t>(src) * topology_.num_endpoints() + dst;
+    id = route_links_.data() + route_offset_[idx];
+    last_id = route_links_.data() + route_offset_[idx + 1] - 1;
   }
-  co_await sim_->Delay(hop[n - 1].pre_delay);
+  const double bits = static_cast<double>(bytes) * 8.0;
+  const Link* link = &links_[*id];
+  co_await link->facility->Use(bits / link->bps);
+  if (link->propagation > 0) co_await sim_->Delay(link->propagation);
+  while (++id != last_id) {
+    link = &links_[*id];
+    co_await sim_->Delay(link->pre_delay);
+    co_await link->facility->Use(bits / link->bps);
+    if (link->propagation > 0) co_await sim_->Delay(link->propagation);
+  }
+  link = &links_[*last_id];
+  co_await sim_->Delay(link->pre_delay);
   int copies = FateOf(src, dst);
   if (copies == 0) co_return false;  // lost at the final switch
   for (int i = 0; i < copies; ++i) {
-    co_await hop[n - 1].facility->Use(bits / hop[n - 1].bps);
+    co_await link->facility->Use(bits / link->bps);
   }
-  if (hop[n - 1].propagation > 0) {
-    co_await sim_->Delay(hop[n - 1].propagation);
-  }
+  if (link->propagation > 0) co_await sim_->Delay(link->propagation);
   ++messages_delivered_;
   co_return true;
 }
@@ -265,7 +268,7 @@ void Network::SpawnRuns(int group, size_t begin, size_t end, size_t bytes,
     const db::SiteId r = node->recips[i];
     const int child = topology_.AncestorAt(r, child_depth);
     if (child == Topology::kNoGroup) {
-      sim_->Spawn(LeafLeg(group, r, bytes, src, node));
+      sim_->Spawn(LeafLeg(r, bytes, src, node));
       ++i;
       continue;
     }
@@ -284,7 +287,7 @@ sim::Task<void> Network::MulticastSend(db::SiteId src, size_t bytes,
   // The switch tree replicates the packet: the sender's access link carries
   // the message exactly once, then every edge toward a receiving subtree
   // carries it once.
-  const Link& up = leaf_edges_[src].up;
+  const Link& up = LeafUp(src);
   co_await up.facility->Use(static_cast<double>(bytes) * 8.0 / up.bps);
   if (node == nullptr) co_return;
   if (up.propagation > 0) co_await sim_->Delay(up.propagation);
@@ -308,8 +311,8 @@ sim::Process Network::Climb(db::SiteId src, size_t bytes, MulticastNode* node,
   size_t i = next;
   while (i < n) {
     LAZYREP_CHECK(topology_.group(group).parent != Topology::kNoGroup);
-    const Link& up = group_edges_[group].up;
-    co_await sim_->Delay(topology_.group(group).switch_latency);
+    const Link& up = GroupUp(group);
+    co_await sim_->Delay(up.pre_delay);
     co_await up.facility->Use(static_cast<double>(bytes) * 8.0 / up.bps);
     if (up.propagation > 0) co_await sim_->Delay(up.propagation);
     group = topology_.group(group).parent;
@@ -324,20 +327,19 @@ sim::Process Network::Climb(db::SiteId src, size_t bytes, MulticastNode* node,
 sim::Process Network::DescendBranch(int child, size_t begin, size_t end,
                                     size_t bytes, db::SiteId src,
                                     MulticastNode* node) {
-  co_await sim_->Delay(
-      topology_.group(topology_.group(child).parent).switch_latency);
-  const Link& down = group_edges_[child].down;
+  const Link& down = GroupDown(child);
+  co_await sim_->Delay(down.pre_delay);
   co_await down.facility->Use(static_cast<double>(bytes) * 8.0 / down.bps);
   if (down.propagation > 0) co_await sim_->Delay(down.propagation);
   SpawnRuns(child, begin, end, bytes, src, node);
 }
 
-sim::Process Network::LeafLeg(int parent_group, db::SiteId dst, size_t bytes,
-                              db::SiteId src, MulticastNode* node) {
-  co_await sim_->Delay(topology_.group(parent_group).switch_latency);
+sim::Process Network::LeafLeg(db::SiteId dst, size_t bytes, db::SiteId src,
+                              MulticastNode* node) {
+  const Link& down = LeafDown(dst);
+  co_await sim_->Delay(down.pre_delay);
   int copies = FateOf(src, dst);
   if (copies > 0) {
-    const Link& down = leaf_edges_[dst].down;
     const double tx = static_cast<double>(bytes) * 8.0 / down.bps;
     for (int i = 0; i < copies; ++i) {
       co_await down.facility->Use(tx);
@@ -365,20 +367,20 @@ double Network::MeanUtilization() const {
   // Leaf up-links first, then leaf down-links, then interior edges: the same
   // summation order (hence the same floating-point sum) as the historical
   // flat star, which had no interior edges.
+  const int endpoints = topology_.num_endpoints();
   double sum = 0;
   int links = 0;
-  for (const Edge& e : leaf_edges_) {
-    sum += e.up.facility->Utilization();
+  for (db::SiteId e = 0; e < endpoints; ++e) {
+    sum += LeafUp(e).facility->Utilization();
     ++links;
   }
-  for (const Edge& e : leaf_edges_) {
-    sum += e.down.facility->Utilization();
+  for (db::SiteId e = 0; e < endpoints; ++e) {
+    sum += LeafDown(e).facility->Utilization();
     ++links;
   }
-  for (const Edge& e : group_edges_) {
-    if (e.up.facility == nullptr) continue;  // root has no uplink
-    sum += e.up.facility->Utilization();
-    sum += e.down.facility->Utilization();
+  for (int g = 1; g < topology_.num_groups(); ++g) {
+    sum += GroupUp(g).facility->Utilization();
+    sum += GroupDown(g).facility->Utilization();
     links += 2;
   }
   return sum / static_cast<double>(links);
@@ -387,40 +389,34 @@ double Network::MeanUtilization() const {
 double Network::GroupUpUtilization(const std::string& name) const {
   const int g = topology_.FindGroup(name);
   LAZYREP_CHECK_MSG(g > 0, "unknown or root topology group");
-  return group_edges_[g].up.facility->Utilization();
+  return GroupUp(g).facility->Utilization();
 }
 
 double Network::GroupDownUtilization(const std::string& name) const {
   const int g = topology_.FindGroup(name);
   LAZYREP_CHECK_MSG(g > 0, "unknown or root topology group");
-  return group_edges_[g].down.facility->Utilization();
+  return GroupDown(g).facility->Utilization();
 }
 
 double Network::MaxUtilization() const {
+  const int endpoints = topology_.num_endpoints();
   double mx = 0;
-  for (const Edge& e : leaf_edges_) {
-    mx = std::max(mx, e.up.facility->Utilization());
+  for (db::SiteId e = 0; e < endpoints; ++e) {
+    mx = std::max(mx, LeafUp(e).facility->Utilization());
   }
-  for (const Edge& e : leaf_edges_) {
-    mx = std::max(mx, e.down.facility->Utilization());
+  for (db::SiteId e = 0; e < endpoints; ++e) {
+    mx = std::max(mx, LeafDown(e).facility->Utilization());
   }
-  for (const Edge& e : group_edges_) {
-    if (e.up.facility == nullptr) continue;
-    mx = std::max(mx, e.up.facility->Utilization());
-    mx = std::max(mx, e.down.facility->Utilization());
+  for (int g = 1; g < topology_.num_groups(); ++g) {
+    mx = std::max(mx, GroupUp(g).facility->Utilization());
+    mx = std::max(mx, GroupDown(g).facility->Utilization());
   }
   return mx;
 }
 
 void Network::ResetStats() {
-  for (Edge& e : leaf_edges_) {
-    e.up.facility->ResetStats();
-    e.down.facility->ResetStats();
-  }
-  for (Edge& e : group_edges_) {
-    if (e.up.facility == nullptr) continue;
-    e.up.facility->ResetStats();
-    e.down.facility->ResetStats();
+  for (Link& link : links_) {
+    if (link.facility != nullptr) link.facility->ResetStats();
   }
   messages_delivered_ = 0;
   messages_dropped_ = 0;

@@ -28,8 +28,9 @@ namespace lazyrep::net {
 /// link" rule to "every edge once per subtree that contains recipients":
 /// the switch tree replicates the packet at the last possible branch point.
 ///
-/// Routes are pre-resolved into a flat per-pair hop table at construction,
-/// and multicast bookkeeping lives in pooled per-message nodes, so the
+/// Every direction of every edge is one link in a flat table, and every
+/// (src, dst) route is pre-resolved at construction into a run of 4-byte
+/// link ids. Multicast bookkeeping lives in pooled per-message nodes, so the
 /// steady-state data path performs no allocation.
 class Network {
  public:
@@ -113,29 +114,30 @@ class Network {
   const Topology& topology() const { return topology_; }
 
  private:
-  /// One direction of one topology edge, instantiated as a facility.
+  /// One direction of one topology edge, instantiated as a facility, and
+  /// one routing step. A route's first link (the sender's access uplink) has
+  /// no pre-delay; every later link pays the latency of the switch joining it
+  /// to the previous one (always scheduled, even when zero, to keep the flat
+  /// star's event sequence unchanged).
   struct Link {
     std::unique_ptr<sim::Facility> facility;
     double bps = 0;
+    double pre_delay = 0;
     double propagation = 0;  ///< One-way edge latency; 0 schedules nothing.
   };
 
-  /// Both directions of an edge (endpoint access link or group uplink).
-  struct Edge {
-    Link up;
-    Link down;
-  };
-
-  /// One pre-resolved routing step. The first hop of a route has no
-  /// pre-delay; every later hop pays the switch latency of the node joining
-  /// it to the previous hop (always scheduled, even when zero, to keep the
-  /// flat star's event sequence unchanged).
-  struct Hop {
-    sim::Facility* facility = nullptr;
-    double bps = 0;
-    double pre_delay = 0;
-    double propagation = 0;
-  };
+  /// Link ids: endpoint e's access edge is 2e (up) and 2e + 1 (down); group
+  /// g's uplink edge is 2(E + g) and 2(E + g) + 1, E endpoints. The root
+  /// group's pair is unused (no facility).
+  static uint32_t UpId(uint32_t edge) { return 2 * edge; }
+  static uint32_t DownId(uint32_t edge) { return 2 * edge + 1; }
+  uint32_t GroupEdge(int group) const {
+    return static_cast<uint32_t>(topology_.num_endpoints() + group);
+  }
+  const Link& LeafUp(db::SiteId e) const { return links_[UpId(e)]; }
+  const Link& LeafDown(db::SiteId e) const { return links_[DownId(e)]; }
+  const Link& GroupUp(int g) const { return links_[UpId(GroupEdge(g))]; }
+  const Link& GroupDown(int g) const { return links_[DownId(GroupEdge(g))]; }
 
   /// Per-multicast node: holds the shared delivery callback, the count of
   /// legs still in flight, and the reused (hierarchically grouped) recipient
@@ -183,8 +185,8 @@ class Network {
   sim::Process DescendBranch(int child, size_t begin, size_t end, size_t bytes,
                              db::SiteId src, MulticastNode* node);
   /// Final hop of one leg: switch latency, fault fate, access link, deliver.
-  sim::Process LeafLeg(int parent_group, db::SiteId dst, size_t bytes,
-                       db::SiteId src, MulticastNode* node);
+  sim::Process LeafLeg(db::SiteId dst, size_t bytes, db::SiteId src,
+                       MulticastNode* node);
 
   /// Copies arriving for one delivery leg (1 when no hook is installed).
   int FateOf(db::SiteId src, db::SiteId dst);
@@ -193,15 +195,13 @@ class Network {
   Topology topology_;
   NetworkParams params_;
   FaultHook fault_hook_;
-  /// Access edges, indexed by endpoint id.
-  std::vector<Edge> leaf_edges_;
-  /// Uplink edges, indexed by group id (slot 0, the root, is unused).
-  std::vector<Edge> group_edges_;
-  /// All unicast routes, concatenated; route (src, dst) occupies
-  /// hops_[route_offset_[src * E + dst] ...] for route_len_ hops.
-  std::vector<Hop> hops_;
+  /// Every link, indexed by link id (see UpId/DownId).
+  std::vector<Link> links_;
+  /// All unicast routes, concatenated as link ids: route (src, dst) is
+  /// route_links_[route_offset_[i] .. route_offset_[i + 1]), i = src * E +
+  /// dst.
+  std::vector<uint32_t> route_links_;
   std::vector<uint32_t> route_offset_;
-  std::vector<uint16_t> route_len_;
   std::vector<std::unique_ptr<MulticastNode>> node_arena_;
   MulticastNode* free_nodes_ = nullptr;
   /// Shared grouping buffer; only touched synchronously inside Multicast().

@@ -1,6 +1,10 @@
 // Unit tests for the local-DBMS substrate (src/db): lock manager, item store
 // with the Thomas Write Rule, and the completion tracker.
 
+#include <algorithm>
+#include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -339,6 +343,8 @@ TEST(ItemStoreTest, WriteCollectsPriorReaders) {
   auto r = store.ApplyWrite(3, Timestamp{1.0, 42});
   EXPECT_TRUE(r.applied);
   ASSERT_EQ(r.prior_readers.size(), 2u);
+  EXPECT_EQ(r.prior_readers[0], 100u);  // registration order
+  EXPECT_EQ(r.prior_readers[1], 101u);
   EXPECT_EQ(store.ReadersOf(3).size(), 0u);  // cleared by the write
 }
 
@@ -350,6 +356,178 @@ TEST(ItemStoreTest, ReadReturnsVersionAndRegisters) {
   EXPECT_EQ(store.ReadersOf(3).size(), 1u);
   store.RemoveReader(100, {3});
   EXPECT_EQ(store.ReadersOf(3).size(), 0u);
+}
+
+// The store before its reader table: one timestamp and one reader vector
+// per item. The differential test below holds ItemStore to it.
+class VectorPerItemStore {
+ public:
+  explicit VectorPerItemStore(uint32_t num_items) : replicas_(num_items) {}
+
+  struct WriteResult {
+    bool applied = false;
+    std::vector<TxnId> prior_readers;
+    TxnId other_writer = kNoTxn;
+  };
+
+  WriteResult ApplyWrite(ItemId item, Timestamp ts) {
+    Replica& r = replicas_[item];
+    WriteResult result;
+    result.other_writer = r.ts.txn;
+    if (ts > r.ts) {
+      result.applied = true;
+      result.prior_readers = std::move(r.readers);
+      r.readers.clear();
+      r.ts = ts;
+    }
+    return result;
+  }
+
+  Timestamp Read(ItemId item, TxnId reader) {
+    Replica& r = replicas_[item];
+    if (std::find(r.readers.begin(), r.readers.end(), reader) ==
+        r.readers.end()) {
+      r.readers.push_back(reader);
+    }
+    return r.ts;
+  }
+
+  void RemoveReader(TxnId reader, const std::vector<ItemId>& items) {
+    for (ItemId item : items) {
+      auto& readers = replicas_[item].readers;
+      readers.erase(std::remove(readers.begin(), readers.end(), reader),
+                    readers.end());
+    }
+  }
+
+  Timestamp VersionOf(ItemId item) const { return replicas_[item].ts; }
+  const std::vector<TxnId>& ReadersOf(ItemId item) const {
+    return replicas_[item].readers;
+  }
+
+ private:
+  struct Replica {
+    Timestamp ts;
+    std::vector<TxnId> readers;
+  };
+  std::vector<Replica> replicas_;
+};
+
+std::vector<TxnId> Copy(std::span<const TxnId> readers) {
+  return {readers.begin(), readers.end()};
+}
+
+}  // namespace
+
+// Reads where the reader table placed each item, so the differential test
+// can show that its sequences grow the table and shift entries back across
+// its end.
+struct ItemStoreTestPeer {
+  static size_t Slots(const ItemStore& store) { return store.slots_.size(); }
+  /// Slot of `item`'s reader list, or -1 when it has no live readers.
+  static long SlotOf(const ItemStore& store, ItemId item) {
+    const size_t pos = store.Find(item);
+    return pos == ItemStore::kNotFound ? -1 : static_cast<long>(pos);
+  }
+};
+
+namespace {
+
+// Seeded random sequences of reads, newer and stale writes and reader
+// removals over a pool of 64 items and 40 reader ids, run through ItemStore
+// and the vector-per-item model side by side. After every operation the
+// results and every pooled item's version and readers must agree element by
+// element. Phases of 1,000 operations alternate between filling and
+// draining the reader table. Each draining phase starts by retiring 8
+// pooled items (every reader removed) for fresh ids from a larger space, so
+// the occupied home slots keep moving and probe runs form across the end of
+// the table.
+TEST(ItemStoreTest, ReaderTableMatchesVectorPerItemModel) {
+  constexpr uint32_t kUniverse = 1 << 16;
+  constexpr int kItems = 64;
+  constexpr TxnId kReaders = 40;
+  constexpr int kOps = 20000;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](uint64_t n) { return rng() % n; };
+    std::vector<ItemId> items;
+    auto fresh_item = [&] {
+      ItemId id;
+      do {
+        id = static_cast<ItemId>(below(kUniverse));
+      } while (std::find(items.begin(), items.end(), id) != items.end());
+      return id;
+    };
+    while (items.size() < kItems) items.push_back(fresh_item());
+    ItemStore store(kUniverse);
+    VectorPerItemStore model(kUniverse);
+    double clock = 0;
+    size_t max_slots = 0;
+    int wrapped_shifts = 0;
+    std::vector<long> before(kItems);
+    std::vector<ItemId> list;
+    for (int op = 0; op < kOps; ++op) {
+      SCOPED_TRACE(testing::Message() << "op " << op);
+      const bool filling = (op / 1000) % 2 == 0;
+      if (!filling && op % 1000 == 0) {
+        for (int k = 0; k < 8; ++k) {
+          ItemId& retired = items[below(kItems)];
+          for (TxnId r = 1; r <= kReaders; ++r) {
+            store.RemoveReader(r, {retired});
+            model.RemoveReader(r, {retired});
+          }
+          ASSERT_TRUE(store.ReadersOf(retired).empty());
+          retired = fresh_item();
+        }
+      }
+      const size_t slots_before = ItemStoreTestPeer::Slots(store);
+      for (int i = 0; i < kItems; ++i) {
+        before[i] = ItemStoreTestPeer::SlotOf(store, items[i]);
+      }
+      const ItemId item = items[below(kItems)];
+      const TxnId reader = 1 + below(kReaders);
+      const uint64_t kind = below(100);
+      if (kind < (filling ? 70u : 20u)) {
+        ASSERT_EQ(store.Read(item, reader), model.Read(item, reader));
+      } else if (kind < (filling ? 85u : 60u)) {
+        // Newer, stale or same-instant writes, by writers outside the
+        // reader ids.
+        Timestamp ts{clock, 100 + below(1000)};
+        const uint64_t age = below(4);
+        if (age == 0) ts.time = (clock += 1);
+        if (age == 1) ts.time = model.VersionOf(item).time;
+        if (age == 2) ts.time = std::max(0.0, clock - 1 - below(5));
+        auto got = store.ApplyWrite(item, ts);
+        auto want = model.ApplyWrite(item, ts);
+        ASSERT_EQ(got.applied, want.applied);
+        ASSERT_EQ(got.other_writer, want.other_writer);
+        ASSERT_EQ(Copy(got.prior_readers), want.prior_readers);
+      } else {
+        list.clear();
+        for (uint64_t k = 1 + below(8); k > 0; --k) {
+          list.push_back(items[below(kItems)]);
+        }
+        store.RemoveReader(reader, list);
+        model.RemoveReader(reader, list);
+      }
+      for (ItemId i : items) {
+        ASSERT_EQ(store.VersionOf(i), model.VersionOf(i)) << "item " << i;
+        ASSERT_EQ(Copy(store.ReadersOf(i)), model.ReadersOf(i))
+            << "item " << i;
+      }
+      const size_t slots = ItemStoreTestPeer::Slots(store);
+      max_slots = std::max(max_slots, slots);
+      if (slots != slots_before) continue;
+      for (int i = 0; i < kItems; ++i) {
+        // Backward shifts only lower a slot index, except across the end.
+        const long after = ItemStoreTestPeer::SlotOf(store, items[i]);
+        if (before[i] >= 0 && after > before[i]) ++wrapped_shifts;
+      }
+    }
+    EXPECT_GE(max_slots, 128u);
+    EXPECT_GT(wrapped_shifts, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -244,6 +244,133 @@ TEST(RoutedNetworkTest, IntraGroupUnicastNeverTouchesTheBackbone) {
   EXPECT_NEAR(done, 1 + 0.25 + 1, 1e-12);
 }
 
+// -- every route against a walk of the tree ----------------------------------
+
+// Arrival time of one `bytes` message from `src` to `dst` on an idle network,
+// by walking the tree: the sender's access link; each uplink from the
+// sender's switch up to the LCA, after that switch's latency; each downlink
+// from below the LCA to the receiver's switch, after its parent switch's
+// latency; the receiver's switch latency and access link. Each link adds
+// its transmission time, then its propagation, summed in event order.
+double WalkArrival(const Topology& topo, SiteId src, SiteId dst,
+                   size_t bytes) {
+  const double bits = static_cast<double>(bytes) * 8.0;
+  auto ancestors = [&topo](SiteId e) {  // parent switch first, root last
+    std::vector<int> chain;
+    for (int g = topo.endpoint(e).parent; g != Topology::kNoGroup;
+         g = topo.group(g).parent) {
+      chain.push_back(g);
+    }
+    return chain;
+  };
+  std::vector<int> up = ancestors(src);
+  std::vector<int> down = ancestors(dst);
+  // Strip the shared path above the LCA; both chains then end at the LCA.
+  while (up.size() > 1 && down.size() > 1 &&
+         up[up.size() - 2] == down[down.size() - 2]) {
+    up.pop_back();
+    down.pop_back();
+  }
+  const EdgeParams& access_up = topo.endpoint(src).uplink;
+  double t = bits / access_up.up_bps;
+  t += access_up.latency;
+  for (size_t i = 0; i + 1 < up.size(); ++i) {
+    const Topology::Group& g = topo.group(up[i]);
+    t += g.switch_latency;
+    t += bits / g.uplink.up_bps;
+    t += g.uplink.latency;
+  }
+  for (size_t i = down.size() - 1; i-- > 0;) {
+    const Topology::Group& g = topo.group(down[i]);
+    t += topo.group(g.parent).switch_latency;
+    t += bits / g.uplink.down_bps;
+    t += g.uplink.latency;
+  }
+  const EdgeParams& access_down = topo.endpoint(dst).uplink;
+  t += topo.group(topo.endpoint(dst).parent).switch_latency;
+  t += bits / access_down.down_bps;
+  t += access_down.latency;
+  return t;
+}
+
+// Every edge gets its own asymmetric bandwidths and latency, and every
+// switch its own latency, so a route through a wrong link, or through the
+// wrong direction of the right edge, arrives at a different time.
+class DistinctEdges {
+ public:
+  EdgeParams Next() {
+    ++n_;
+    return EdgeParams{/*up_bps=*/8e3 + 64.0 * n_, /*down_bps=*/4e3 + 32.0 * n_,
+                      /*latency=*/1e-3 * n_};
+  }
+  double NextSwitchLatency() { return 0.01 + 1e-4 * ++n_; }
+
+ private:
+  int n_ = 0;
+};
+
+// One Transfer per ordered pair, each on a fresh idle network.
+void ExpectEveryRouteMatchesWalk(const Topology& topo) {
+  constexpr size_t kBytes = 1000;
+  const int endpoints = topo.num_endpoints();
+  for (SiteId src = 0; src < endpoints; ++src) {
+    for (SiteId dst = 0; dst < endpoints; ++dst) {
+      Simulation sim;
+      Network net(&sim, topo, NetworkParams{});
+      double done = -1;
+      sim.Spawn(DoTransfer(&sim, &net, src, dst, kBytes, &done));
+      sim.Run();
+      EXPECT_DOUBLE_EQ(done, WalkArrival(topo, src, dst, kBytes))
+          << src << " -> " << dst;
+    }
+  }
+}
+
+TEST(RoutedNetworkTest, EveryStarRouteMatchesATreeWalk) {
+  DistinctEdges edges;
+  Topology star(edges.NextSwitchLatency());
+  for (int i = 0; i < 9; ++i) star.AddEndpoint(Topology::kRoot, edges.Next());
+  ExpectEveryRouteMatchesWalk(star);
+}
+
+TEST(RoutedNetworkTest, EveryGeoRouteMatchesATreeWalk) {
+  // bench_study_geo's layout: 3 datacenters x 2 metros, 24 sites in blocks
+  // of 4, then the graph endpoint at the root.
+  DistinctEdges edges;
+  Topology geo(edges.NextSwitchLatency());
+  std::vector<int> metros;
+  for (int d = 0; d < 3; ++d) {
+    const std::string dc_name = "dc" + std::to_string(d);
+    const int dc = geo.AddGroup(dc_name, Topology::kRoot,
+                                edges.NextSwitchLatency(), edges.Next());
+    for (int m = 0; m < 2; ++m) {
+      metros.push_back(geo.AddGroup(dc_name + ".m" + std::to_string(m), dc,
+                                    edges.NextSwitchLatency(), edges.Next()));
+    }
+  }
+  for (int s = 0; s < 24; ++s) geo.AddEndpoint(metros[s / 4], edges.Next());
+  geo.AddAuxEndpoint(edges.Next());
+
+  // Same tree as the study's, up to the edge parameters.
+  TopologySpec spec;
+  spec.kind = TopologySpec::Kind::kGeo;
+  spec.datacenters = 3;
+  spec.metros_per_dc = 2;
+  Topology study = Topology::Geo(spec, 24, NetworkParams{});
+  study.AddAuxEndpoint(AccessEdge(NetworkParams{}));
+  ASSERT_EQ(geo.num_groups(), study.num_groups());
+  ASSERT_EQ(geo.num_endpoints(), study.num_endpoints());
+  for (int g = 0; g < geo.num_groups(); ++g) {
+    EXPECT_EQ(geo.group(g).name, study.group(g).name);
+    EXPECT_EQ(geo.group(g).parent, study.group(g).parent);
+  }
+  for (SiteId e = 0; e < geo.num_endpoints(); ++e) {
+    EXPECT_EQ(geo.endpoint(e).parent, study.endpoint(e).parent);
+  }
+
+  ExpectEveryRouteMatchesWalk(geo);
+}
+
 Process DoMulticast(Network* net, SiteId src, std::vector<SiteId> dsts,
                     size_t bytes, Network::DeliveryFn fn) {
   Network::DeliveryFn moved = std::move(fn);

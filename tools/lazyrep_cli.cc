@@ -392,13 +392,13 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  config.Normalize();
   for (core::ProtocolKind kind : protocols) {
     if (std::string err; !config.Validate(kind, &err)) {
-      std::fprintf(stderr, "unsupported configuration: %s\n", err.c_str());
+      std::fprintf(stderr, "invalid configuration: %s\n", err.c_str());
       return 1;
     }
   }
+  config.Normalize();
 
   std::vector<core::RunSpec> specs;
   specs.reserve(protocols.size());
