@@ -8,8 +8,6 @@
 // paper's OC-1 response-time ratios (optimistic better by 7.7x/6.1x, §4.2)
 // are only attainable with overlapped round trips; this bench quantifies the
 // difference.
-//
-// Usage: bench_ablate_dispatch [--txns=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -20,7 +18,9 @@
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   std::printf("A6: control-dispatch mode, OC-1 at 600 TPS, %llu "
               "transactions per point\n\n",
               (unsigned long long)opt.txns);

@@ -11,8 +11,6 @@
 // tally (in-doubt time) that the lazy protocols by construction do not have.
 //
 // One JSON object per line per (protocol, point), for scripted plotting.
-//
-// Usage: bench_ablate_eager_fault_rate [--txns=N] [--seed=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -62,13 +60,13 @@ void PrintPoint(const char* sweep, double x, const core::MetricsSnapshot& m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
-  if (!opt.protocols_set) {
-    opt.protocols = {core::ProtocolKind::kLocking,
-                     core::ProtocolKind::kPessimistic,
-                     core::ProtocolKind::kOptimistic,
-                     core::ProtocolKind::kEager};
-  }
+  core::BenchOptions opt;
+  opt.protocols = {core::ProtocolKind::kLocking,
+                   core::ProtocolKind::kPessimistic,
+                   core::ProtocolKind::kOptimistic, core::ProtocolKind::kEager};
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs |
+                core::kBenchProtocols)
+      .Parse(argc, argv);
 
   std::vector<core::RunSpec> specs;
   std::vector<const char*> sweeps;

@@ -7,8 +7,6 @@
 // in-flight coordination as unavailable until they recover).
 //
 // One JSON object per line per (protocol, point), for scripted plotting.
-//
-// Usage: bench_ablate_fault_rate [--txns=N] [--seed=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -52,7 +50,9 @@ void PrintPoint(const char* sweep, double x, const core::MetricsSnapshot& m,
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   const core::ProtocolKind kinds[] = {core::ProtocolKind::kLocking,
                                       core::ProtocolKind::kPessimistic,
                                       core::ProtocolKind::kOptimistic};

@@ -2,8 +2,6 @@
 // number of read-only transactions submitted", directing a greater share of
 // the aborts away from update transactions — motivated by stock-trading
 // workloads where prices must post promptly regardless of contention.
-//
-// Usage: bench_ablate_gatekeeper [--txns=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -14,7 +12,9 @@
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   const double kTps = 1400;
   std::printf("A4: read-only gatekeeper sweep, OC-1* at %.0f TPS, %llu "
               "transactions per point\n\n",

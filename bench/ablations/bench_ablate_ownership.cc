@@ -11,8 +11,6 @@
 // applies. The locking protocol is out of scope here (its primary-copy
 // write locks would need remote acquisition — one of the "different
 // protocols" the paper defers).
-//
-// Usage: bench_ablate_ownership [--txns=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -23,7 +21,9 @@
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   std::printf("A5: ownership rule vs footnote-2 relaxation, 20 sites, %llu "
               "transactions per point\n\n",
               (unsigned long long)opt.txns);

@@ -5,8 +5,6 @@
 // "overall performance is not highly sensitive to the specific choice of
 // bound" while the majority of pessimistic aborts at high load are queue
 // rejections. This bench sweeps the bound at a saturating OC-3 load.
-//
-// Usage: bench_ablate_queue_bound [--txns=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -17,7 +15,9 @@
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   const double kTps = 2400;  // near pessimistic saturation on OC-3
   std::printf("A1: graph-site queue bound sweep, OC-3 at %.0f TPS, %llu "
               "transactions per point\n\n",

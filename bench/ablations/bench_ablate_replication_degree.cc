@@ -5,8 +5,6 @@
 // be significantly higher." Each item is replicated at its primary site and
 // the next k-1 sites; reads draw from locally replicated items; update
 // propagation fans out only to the replica holders.
-//
-// Usage: bench_ablate_replication_degree [--txns=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -17,7 +15,9 @@
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   const double kTps = 1200;
   std::printf("A3: replication degree sweep, 20 sites at %.0f TPS, %llu "
               "transactions per point\n\n",

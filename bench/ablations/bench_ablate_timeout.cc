@@ -4,8 +4,6 @@
 // changing this parameter showed relatively little sensitivity." This bench
 // sweeps the timeout on the highest-contention study (OC-1*) for all three
 // protocols.
-//
-// Usage: bench_ablate_timeout [--txns=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -16,7 +14,9 @@
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   const double kTps = 800;
   std::printf("A2: deadlock-timeout sweep, OC-1* at %.0f TPS, %llu "
               "transactions per point\n\n",

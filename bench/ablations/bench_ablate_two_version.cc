@@ -8,8 +8,6 @@
 // graph protocols keep one-copy serializability by revalidating read
 // currency at the commit point (see DESIGN.md deviation 5), while the
 // locking protocol loses its only global guard for read-only transactions.
-//
-// Usage: bench_ablate_two_version [--txns=N] [--jobs=N]
 
 #include <cstdio>
 
@@ -20,7 +18,9 @@
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Parse(argc, argv);
   const double kTps = 1400;
   std::printf("A4b: two-version readers, OC-1* at %.0f TPS, %llu "
               "transactions per point\n\n",

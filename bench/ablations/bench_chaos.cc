@@ -20,13 +20,8 @@
 // Output is one JSON object per line in spec order, byte-identical at any
 // --jobs level (schedules derive their seeds from identity, never from
 // scheduling).
-//
-// Usage: bench_chaos [--schedules=N] [--txns=N] [--seed=N] [--jobs=N]
-//                    [--protocols=lpoe] [--check] [--a9]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -46,39 +41,6 @@ struct ChaosCli {
   bool a9 = false;
   core::ChaosOptions chaos;
 };
-
-ChaosCli ParseChaosCli(int argc, char** argv, const core::BenchOptions& opt) {
-  ChaosCli cli;
-  cli.chaos.seed = opt.seed;
-  constexpr int kMaxInt = std::numeric_limits<int>::max();
-  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
-  auto Number = [&](const char* name, const char* text, auto lo, auto hi) {
-    return core::ParseNumberOrExit(argv[0], name, text, lo, hi,
-                                   core::kBenchUsageExit);
-  };
-  // Chaos runs want many short schedules, so the per-schedule transaction
-  // count defaults low (ChaosOptions); LAZYREP_TXNS and --txns= override.
-  if (const char* env = std::getenv("LAZYREP_TXNS")) {
-    cli.chaos.txns = Number("LAZYREP_TXNS", env, uint64_t{1}, kMaxU64);
-  }
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--schedules=", 12) == 0) {
-      cli.schedules = Number("--schedules", a + 12, 1, kMaxInt);
-    } else if (std::strncmp(a, "--chaos-schedules=", 18) == 0) {
-      cli.schedules = Number("--chaos-schedules", a + 18, 1, kMaxInt);
-    } else if (std::strncmp(a, "--first=", 8) == 0) {
-      cli.first = Number("--first", a + 8, 0, kMaxInt);
-    } else if (std::strcmp(a, "--check") == 0) {
-      cli.check = true;
-    } else if (std::strcmp(a, "--a9") == 0) {
-      cli.a9 = true;
-    } else if (std::strncmp(a, "--txns=", 7) == 0) {
-      cli.chaos.txns = Number("--txns", a + 7, uint64_t{1}, kMaxU64);
-    }
-  }
-  return cli;
-}
 
 void PrintChaosPoint(int schedule, core::ProtocolKind kind,
                      const core::MetricsSnapshot& m) {
@@ -188,7 +150,7 @@ int RunA9(const core::BenchOptions& opt, const ChaosCli& cli) {
   }
   std::vector<core::MetricsSnapshot> ms =
       core::RunAll(specs, opt.jobs, /*check_serializability=*/true, {},
-                   /*post_run_audit=*/true);
+                   /*post_run_audit=*/true, opt.trace);
   for (size_t i = 0; i < specs.size(); ++i) {
     const core::MetricsSnapshot& m = ms[i];
     std::printf(
@@ -225,15 +187,25 @@ int RunA9(const core::BenchOptions& opt, const ChaosCli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(
-      argc, argv,
-      {"--schedules=", "--chaos-schedules=", "--first=", "--check", "--a9"});
-  if (!opt.protocols_set) {
-    opt.protocols = {core::ProtocolKind::kLocking,
-                     core::ProtocolKind::kPessimistic,
-                     core::ProtocolKind::kOptimistic,
-                     core::ProtocolKind::kEager};
-  }
-  ChaosCli cli = ParseChaosCli(argc, argv, opt);
+  core::BenchOptions opt;
+  // Chaos runs want many short schedules, so the per-schedule transaction
+  // count defaults low.
+  opt.txns = core::ChaosOptions().txns;
+  opt.protocols = {core::ProtocolKind::kLocking,
+                   core::ProtocolKind::kPessimistic,
+                   core::ProtocolKind::kOptimistic, core::ProtocolKind::kEager};
+  ChaosCli cli;
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs |
+                core::kBenchProtocols | core::kBenchTrace)
+      .Number("--schedules=N", &cli.schedules, 1, kMaxInt,
+              "fault schedules per protocol (default 20)")
+      .Number("--first=N", &cli.first, 0, kMaxInt,
+              "index of the first schedule (default 0)")
+      .Switch("--check", &cli.check, "exit 1 if any invariant is violated")
+      .Switch("--a9", &cli.a9,
+              "sweep the mean outage duration instead (ablation A9)")
+      .Parse(argc, argv);
+  cli.chaos = {opt.txns, opt.seed};
   return cli.a9 ? RunA9(opt, cli) : RunChaos(opt, cli);
 }

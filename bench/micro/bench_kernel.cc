@@ -23,8 +23,7 @@
 //                           gated
 //   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
 //
-// An unknown argument or a malformed --rounds prints the usage line and
-// exits 2.
+// An unknown argument or a malformed --rounds exits 2 with the usage line.
 //
 // The allocation counter is a whole-program operator-new override, so this
 // file must not be linked into binaries that care about allocator identity.
@@ -40,8 +39,7 @@
 #include <string>
 #include <vector>
 
-#include "core/parse_number.h"
-#include "core/study.h"
+#include "core/flags.h"
 #include "db/item_store.h"
 #include "db/lock_manager.h"
 #include "net/network.h"
@@ -583,23 +581,14 @@ int Run(int argc, char** argv) {
   bool check = false;
   bool report = false;
   int rounds = 5;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(a, "--report") == 0) {
-      report = true;
-    } else if (std::strncmp(a, "--rounds=", 9) == 0) {
-      rounds = core::ParseNumberOrExit(argv[0], "--rounds", a + 9, 1, 1000,
-                                       core::kBenchUsageExit);
-    } else {
-      std::fprintf(stderr,
-                   "%s: unknown flag %s\n"
-                   "usage: %s [--check] [--report] [--rounds=N]\n",
-                   argv[0], a, argv[0]);
-      return core::kBenchUsageExit;
-    }
-  }
+  core::Flags()
+      .Switch("--check", &check,
+              "exit 1 on a steady-state allocation or no work")
+      .Switch("--report", &report,
+              "key=value lines for bench_to_json")
+      .Number("--rounds=N", &rounds, 1, 1000,
+              "measured rounds per scenario (1-1000, default 5)")
+      .Parse(argc, argv);
 
   std::vector<ScenarioResult> results;
   results.push_back(ScheduleFire(rounds));

@@ -7,20 +7,22 @@
 // readers) should scale linearly in TPS/|DB|.
 
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "analysis/contention_model.h"
 #include "core/config.h"
+#include "core/flags.h"
 #include "core/system.h"
 
 using namespace lazyrep;
 
 int main(int argc, char** argv) {
   uint64_t txns = 4000;
-  for (int i = 1; i < argc; ++i) {
-    if (sscanf(argv[i], "--txns=%llu", (unsigned long long*)&txns) == 1) {
-    }
-  }
+  core::Flags()
+      .Number("--txns=N", &txns, 1, std::numeric_limits<uint64_t>::max(),
+              "transactions per run (default 4000)")
+      .Parse(argc, argv);
 
   std::printf("Appendix, Theorem 1: E[C] = beta * TPS/|DB|\n\n");
 

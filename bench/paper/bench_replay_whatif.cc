@@ -21,9 +21,6 @@
 //                    workload-sampling spread against the fixed-workload
 //                    protocol effect the grid measures.
 //
-// Usage: bench_replay_whatif [--txns=N] [--seed=N] [--jobs=N] [--report]
-//                            [--tmp=DIR]
-//
 // --report emits one JSON object per grid cell pairing the recorded and
 // replayed runs, plus key=value summary lines (pipe through
 // tools/bench_to_json for BENCH_REPLAY.json). Exits 2 on a round-trip
@@ -32,7 +29,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,14 +126,14 @@ double StdDev(const std::vector<double>& xs) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt =
-      core::BenchOptions::Parse(argc, argv, {"--report", "--tmp="});
+  core::BenchOptions opt;
   bool report = false;
   std::string tmp = "/tmp";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--report") == 0) report = true;
-    if (std::strncmp(argv[i], "--tmp=", 6) == 0) tmp = argv[i] + 6;
-  }
+  opt.FlagTable(core::kBenchTxns | core::kBenchSeed | core::kBenchJobs)
+      .Switch("--report", &report,
+              "add JSON and key=value lines for bench_to_json")
+      .Text("--tmp=DIR", &tmp, "directory for the capture traces (/tmp)")
+      .Parse(argc, argv);
 
   std::vector<Workload> workloads = MakeWorkloads(opt.txns, opt.seed);
   std::printf("Replay what-if study — %zu captured workloads x %zu protocols, "

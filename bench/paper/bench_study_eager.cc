@@ -9,9 +9,6 @@
 //                              at fixed load (where eager availability
 //                              collapses while lazy degrades gracefully)
 //
-// Usage: bench_study_eager [--txns=N] [--points=N] [--figure=N] [--quick]
-//                          [--jobs=N] [--protocols=lpoe]
-//
 // Figures are numbered E1..E8 via --figure=1..8 (0 = all).
 
 #include <cstdio>
@@ -46,10 +43,36 @@ bool AuditOk(const std::vector<core::StudyPoint>& points) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
-  // This is the four-way comparison: default to all four protocols unless
-  // the user narrowed the set explicitly.
-  if (!opt.protocols_set) opt.protocols = kFourWay;
+  std::vector<FigureSpec> oc3_figs = {
+      {1, "Completed transactions, eager vs lazy, OC-3", "TPS",
+       "completed transactions per second", CompletedTps(), kFourWay},
+      {2, "Update response time, eager vs lazy, OC-3", "TPS",
+       "update start to commit time (seconds)", UpdateResponse(), kFourWay},
+      {3, "Abort rate, eager vs lazy, OC-3", "TPS", "abort rate", AbortRate(),
+       kFourWay},
+  };
+  std::vector<FigureSpec> oc1_figs = {
+      {4, "Completed transactions, eager vs lazy, OC-1", "TPS",
+       "completed transactions per second", CompletedTps(), kFourWay},
+      {5, "Update response time, eager vs lazy, OC-1", "TPS",
+       "update start to commit time (seconds)", UpdateResponse(), kFourWay},
+      {6, "Abort rate, eager vs lazy, OC-1", "TPS", "abort rate", AbortRate(),
+       kFourWay},
+  };
+  std::vector<FigureSpec> mix_figs = {
+      {7, "Completed transactions vs update mix, OC-3 at 600 TPS",
+       "update fraction", "completed transactions per second", CompletedTps(),
+       kFourWay},
+      {8, "Abort rate vs update mix, OC-3 at 600 TPS", "update fraction",
+       "abort rate", AbortRate(), kFourWay},
+  };
+  core::BenchOptions opt;
+  // This is the four-way comparison: all four protocols unless --protocols
+  // narrows the set.
+  opt.protocols = kFourWay;
+  opt.FlagTable(core::kBenchStudy | core::kBenchSites,
+                FigureNumbers(oc3_figs, oc1_figs, mix_figs))
+      .Parse(argc, argv);
 
   std::printf(
       "Eager-vs-lazy four-way study — %llu transactions per point, "
@@ -106,29 +129,6 @@ int main(int argc, char** argv) {
   std::vector<double> fractions = {0.05, 0.1, 0.2, 0.3, 0.5};
   std::vector<core::StudyPoint> p_mix = mix.Sweep(opt.Thin(fractions));
 
-  std::vector<FigureSpec> oc3_figs = {
-      {1, "Completed transactions, eager vs lazy, OC-3", "TPS",
-       "completed transactions per second", CompletedTps(), kFourWay},
-      {2, "Update response time, eager vs lazy, OC-3", "TPS",
-       "update start to commit time (seconds)", UpdateResponse(), kFourWay},
-      {3, "Abort rate, eager vs lazy, OC-3", "TPS", "abort rate", AbortRate(),
-       kFourWay},
-  };
-  std::vector<FigureSpec> oc1_figs = {
-      {4, "Completed transactions, eager vs lazy, OC-1", "TPS",
-       "completed transactions per second", CompletedTps(), kFourWay},
-      {5, "Update response time, eager vs lazy, OC-1", "TPS",
-       "update start to commit time (seconds)", UpdateResponse(), kFourWay},
-      {6, "Abort rate, eager vs lazy, OC-1", "TPS", "abort rate", AbortRate(),
-       kFourWay},
-  };
-  std::vector<FigureSpec> mix_figs = {
-      {7, "Completed transactions vs update mix, OC-3 at 600 TPS",
-       "update fraction", "completed transactions per second", CompletedTps(),
-       kFourWay},
-      {8, "Abort rate vs update mix, OC-3 at 600 TPS", "update fraction",
-       "abort rate", AbortRate(), kFourWay},
-  };
   PrintFigures(p_oc3, oc3_figs, opt.figure);
   PrintFigures(p_oc1, oc1_figs, opt.figure);
   PrintFigures(p_mix, mix_figs, opt.figure);

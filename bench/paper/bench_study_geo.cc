@@ -12,14 +12,10 @@
 //          named-group partition ("dc0" vs the rest) and must heal: the run
 //          is audited and the partition must actually drop traffic
 //
-// Usage: bench_study_geo [--txns=N] [--points=N] [--figure=N] [--quick]
-//                        [--jobs=N] [--protocols=lpoe] [--report]
-//
 // --report additionally emits one JSON object per point plus key=value
 // summary lines (pipe through tools/bench_to_json for BENCH_GEO.json).
 
 #include <cstdio>
-#include <cstring>
 
 #include "bench/paper/figures.h"
 #include "core/config.h"
@@ -84,12 +80,25 @@ void ReportPoint(const char* sweep, double x, core::ProtocolKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv, {"--report"});
-  if (!opt.protocols_set) opt.protocols = kFourWay;
+  std::vector<FigureSpec> figures = {
+      {1, "Completed transactions vs backbone latency, geo study",
+       "backbone latency (s)", "completed transactions per second",
+       CompletedTps(), kFourWay},
+      {2, "Update response time vs backbone latency, geo study",
+       "backbone latency (s)", "update start to commit time (seconds)",
+       UpdateResponse(), kFourWay},
+      {3, "Abort rate vs backbone latency, geo study", "backbone latency (s)",
+       "abort rate", AbortRate(), kFourWay},
+  };
+  std::vector<int> numbers = FigureNumbers(figures);
+  numbers.push_back(4);  // G4, the partition table, prints at every --figure
+  core::BenchOptions opt;
+  opt.protocols = kFourWay;
   bool report = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--report") == 0) report = true;
-  }
+  opt.FlagTable(core::kBenchStudy | core::kBenchSites, numbers)
+      .Switch("--report", &report,
+              "add JSON and key=value lines for bench_to_json")
+      .Parse(argc, argv);
 
   std::printf(
       "Geo topology study — %d sites over 3 DCs x 2 metros, %.0f TPS offered, "
@@ -108,17 +117,6 @@ int main(int argc, char** argv) {
   runner.set_check_serializability(true);
   std::vector<double> bb_lat = {0.005, 0.02, 0.05, 0.1};
   std::vector<core::StudyPoint> points = runner.Sweep(opt.Thin(bb_lat));
-
-  std::vector<FigureSpec> figures = {
-      {1, "Completed transactions vs backbone latency, geo study",
-       "backbone latency (s)", "completed transactions per second",
-       CompletedTps(), opt.protocols},
-      {2, "Update response time vs backbone latency, geo study",
-       "backbone latency (s)", "update start to commit time (seconds)",
-       UpdateResponse(), opt.protocols},
-      {3, "Abort rate vs backbone latency, geo study", "backbone latency (s)",
-       "abort rate", AbortRate(), opt.protocols},
-  };
   PrintFigures(points, figures, opt.figure);
 
   // -- G4: datacenter partition -----------------------------------------------

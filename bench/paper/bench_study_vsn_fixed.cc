@@ -3,8 +3,6 @@
 // owns a shrinking share (locTPS = TPS/#sites, IPS = |DB|/#sites). The paper
 // reports results "similar to the vsN study" and omits the plots; this bench
 // regenerates the same series so the claim can be checked.
-//
-// Usage: bench_study_vsn_fixed [--txns=N] [--points=N] [--quick] [--jobs=N]
 
 #include <cstdio>
 
@@ -16,7 +14,15 @@ using namespace lazyrep;
 using namespace lazyrep::bench;
 
 int main(int argc, char** argv) {
-  core::BenchOptions opt = core::BenchOptions::Parse(argc, argv);
+  std::vector<FigureSpec> figures = {
+      {15, "Completed transactions, fixed-TPS/|DB| scale-up", "#sites",
+       "completed transactions per second", CompletedTps()},
+      {16, "Abort rate, fixed-TPS/|DB| scale-up", "#sites", "abort rate",
+       AbortRate()},
+  };
+  core::BenchOptions opt;
+  opt.FlagTable(core::kBenchStudy, FigureNumbers(figures))
+      .Parse(argc, argv);
   constexpr double kTps = 300;
   constexpr int kTotalItems = 2000;
   core::StudyRunner runner("vsN-fixed", [&](double sites) {
@@ -35,13 +41,6 @@ int main(int argc, char** argv) {
               "%llu transactions per point\n",
               kTps, kTotalItems, (unsigned long long)opt.txns);
   std::vector<core::StudyPoint> points = runner.Sweep(opt.Thin(sites));
-
-  std::vector<FigureSpec> figures = {
-      {15, "Completed transactions, fixed-TPS/|DB| scale-up", "#sites",
-       "completed transactions per second", CompletedTps()},
-      {16, "Abort rate, fixed-TPS/|DB| scale-up", "#sites", "abort rate",
-       AbortRate()},
-  };
-  PrintFigures(points, figures, 0);
+  PrintFigures(points, figures, opt.figure);
   return 0;
 }

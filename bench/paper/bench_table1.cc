@@ -4,10 +4,12 @@
 #include <cstdio>
 
 #include "core/config.h"
+#include "core/flags.h"
 
 using namespace lazyrep;
 
-int main() {
+int main(int argc, char** argv) {
+  core::Flags().Parse(argc, argv);
   struct Entry {
     const char* name;
     core::SystemConfig config;

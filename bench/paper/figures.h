@@ -46,6 +46,17 @@ inline core::SeriesFn CommitToComplete() {
   };
 }
 
+/// The numbers of the figures in `lists`: what a study's --figure accepts
+/// besides 0.
+template <typename... Lists>
+std::vector<int> FigureNumbers(const Lists&... lists) {
+  std::vector<int> numbers;
+  for (const std::vector<FigureSpec>* figures : {&lists...}) {
+    for (const FigureSpec& spec : *figures) numbers.push_back(spec.number);
+  }
+  return numbers;
+}
+
 /// Prints the requested figures (all when `figure` is 0).
 void PrintFigures(const std::vector<core::StudyPoint>& points,
                   const std::vector<FigureSpec>& figures, int figure);

@@ -2,22 +2,16 @@
 // and print a side-by-side verdict, including the analytic contention
 // prediction of the paper's Appendix.
 //
-// Run: ./build/examples/protocol_faceoff [--sites=N] [--tps=X] [--items=N]
-//                                        [--latency=SEC] [--txns=N]
-//
-// Numbers are strict (core::ParseNumber): --sites 1-65535, --items >= 1,
-// --tps >= 0.001, --latency >= 0, --txns >= 1. A malformed number or an
-// unknown argument exits 2, the latter with the usage line.
+// `./build/examples/protocol_faceoff --help` lists the flags. A malformed
+// number or an unknown argument exits 2 with the usage line.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "analysis/contention_model.h"
 #include "core/config.h"
-#include "core/parse_number.h"
-#include "core/study.h"
+#include "core/flags.h"
 #include "core/system.h"
 
 using namespace lazyrep;
@@ -30,35 +24,21 @@ int main(int argc, char** argv) {
   c.network.bandwidth_bps = 155e6;
   c.tps = 400;
   c.total_txns = 12000;
-  auto Number = [&](const char* flag, const char* text, auto lo, auto hi) {
-    return core::ParseNumberOrExit(argv[0], flag, text, lo, hi,
-                                   core::kBenchUsageExit);
-  };
   constexpr int kMaxSite = std::numeric_limits<db::SiteId>::max();
   constexpr int kMaxInt = std::numeric_limits<int>::max();
   constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
   constexpr double kMaxDouble = std::numeric_limits<double>::max();
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--sites=", 8) == 0) {
-      c.num_sites = Number("--sites", a + 8, 1, kMaxSite);
-    } else if (std::strncmp(a, "--tps=", 6) == 0) {
-      c.tps = Number("--tps", a + 6, 0.001, kMaxDouble);
-    } else if (std::strncmp(a, "--items=", 8) == 0) {
-      c.workload.items_per_site = Number("--items", a + 8, 1, kMaxInt);
-    } else if (std::strncmp(a, "--latency=", 10) == 0) {
-      c.network.latency = Number("--latency", a + 10, 0.0, kMaxDouble);
-    } else if (std::strncmp(a, "--txns=", 7) == 0) {
-      c.total_txns = Number("--txns", a + 7, uint64_t{1}, kMaxU64);
-    } else {
-      std::fprintf(stderr,
-                   "%s: unknown flag %s\n"
-                   "usage: %s [--sites=N] [--tps=X] [--items=N] "
-                   "[--latency=SEC] [--txns=N]\n",
-                   argv[0], a, argv[0]);
-      return core::kBenchUsageExit;
-    }
-  }
+  core::Flags()
+      .Number("--sites=N", &c.num_sites, 1, kMaxSite, "sites (default 20)")
+      .Number("--tps=X", &c.tps, 0.001, kMaxDouble,
+              "offered global load (default 400)")
+      .Number("--items=N", &c.workload.items_per_site, 1, kMaxInt,
+              "primary items per site (default 20)")
+      .Number("--latency=SEC", &c.network.latency, 0.0, kMaxDouble,
+              "one-way network latency (default 0.01)")
+      .Number("--txns=N", &c.total_txns, 1, kMaxU64,
+              "transactions per protocol (default 12000)")
+      .Parse(argc, argv);
   c.Normalize();
 
   std::printf("Face-off: %d sites, %d items, %.0f TPS, %.0f ms latency\n\n",

@@ -8,11 +8,13 @@
 #include <cstdio>
 
 #include "core/config.h"
+#include "core/flags.h"
 #include "core/metrics.h"
 #include "core/system.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace lazyrep;
+  core::Flags().Parse(argc, argv);
 
   // 1. Describe the system: 10 database sites on a metro ATM network, 20
   //    hot-spot items owned per site, the paper's 90/10 read/update mix.

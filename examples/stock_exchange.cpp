@@ -10,13 +10,14 @@
 // "in a stock-trading application, it is important that current prices be
 // posted promptly regardless of contention".
 //
-// Run: ./build/examples/stock_exchange [exchanges...]
+// Run: ./build/examples/stock_exchange [EXCHANGES...]
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "core/config.h"
+#include "core/flags.h"
 #include "core/system.h"
 
 using namespace lazyrep;
@@ -84,12 +85,20 @@ void RunGatekeeper(int exchanges) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::vector<int> sweep;
+  core::Flags()
+      .Positional(
+          "[EXCHANGES...]", 0, std::numeric_limits<size_t>::max(),
+          [&sweep](std::string_view text, std::string* error) {
+            return core::ParseNumber(
+                "EXCHANGES", text, 1,
+                int{std::numeric_limits<db::SiteId>::max()},
+                &sweep.emplace_back(), error);
+          },
+          "federation sizes to run (default 4 12 32)")
+      .Parse(argc, argv);
+  if (sweep.empty()) sweep = {4, 12, 32};
   std::printf("Federated stock exchanges on lazy replication\n");
-  std::vector<int> sweep = {4, 12, 32};
-  if (argc > 1) {
-    sweep.clear();
-    for (int i = 1; i < argc; ++i) sweep.push_back(std::atoi(argv[i]));
-  }
   for (int exchanges : sweep) RunFederation(exchanges);
   RunGatekeeper(8);
   return 0;

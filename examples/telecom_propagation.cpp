@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "core/config.h"
+#include "core/flags.h"
 #include "core/system.h"
 
 using namespace lazyrep;
@@ -57,7 +58,8 @@ void Propagation(bool metro) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  core::Flags().Parse(argc, argv);
   std::printf(
       "Telecom replica propagation: how fast is a config change live "
       "everywhere?\n");

@@ -1,8 +1,10 @@
 #include "core/parallel.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
-#include <utility>
+#include <thread>
+#include <vector>
 
 namespace lazyrep::core {
 
@@ -11,69 +13,23 @@ int DefaultJobs() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(int threads) {
-  int n = std::max(threads, 1);
-  workers_.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++active_;
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
-  }
-}
-
 void ParallelFor(int jobs, size_t n,
                  const std::function<void(size_t)>& body) {
   if (jobs <= 0) jobs = DefaultJobs();
-  size_t workers = std::min<size_t>(jobs, n);
+  const size_t workers = std::min<size_t>(jobs, n);
   if (workers <= 1) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(static_cast<int>(workers));
-  for (size_t i = 0; i < n; ++i) {
-    pool.Submit([&body, i] { body(i); });
+  std::atomic<size_t> next{0};
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&next, &body, n] {
+      for (size_t i = next++; i < n; i = next++) body(i);
+    });
   }
-  pool.Wait();
+  for (std::thread& t : threads) t.join();
 }
 
 uint64_t SplitMix64(uint64_t x) {

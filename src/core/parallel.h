@@ -1,14 +1,9 @@
 #ifndef LAZYREP_CORE_PARALLEL_H_
 #define LAZYREP_CORE_PARALLEL_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace lazyrep::core {
 
@@ -16,43 +11,12 @@ namespace lazyrep::core {
 /// (jobs == 0): hardware_concurrency, never less than 1.
 int DefaultJobs();
 
-/// Fixed-size thread pool over one shared FIFO queue (no work stealing:
-/// every worker pops from the same mutex-guarded deque). Simulations are
-/// coarse tasks — seconds each — so a single queue is never the bottleneck
-/// and keeps completion order reasoning trivial.
-class ThreadPool {
- public:
-  /// Spawns `threads` workers (clamped to >= 1).
-  explicit ThreadPool(int threads);
-  /// Waits for all submitted work, then joins the workers.
-  ~ThreadPool();
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Tasks must not throw (the library is exception-free).
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished executing.
-  void Wait();
-
-  int threads() const { return static_cast<int>(workers_.size()); }
-
- private:
-  void WorkerLoop();
-
-  std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;  // workers: queue non-empty or stopping
-  std::condition_variable idle_cv_;  // Wait(): queue empty and nothing active
-  size_t active_ = 0;
-  bool stop_ = false;
-};
-
-/// Runs body(i) for every i in [0, n) on up to `jobs` threads (0 = default).
-/// With one effective worker the loop runs inline on the calling thread, in
-/// index order — byte-identical to a plain for loop. `body` must be safe to
-/// call concurrently from distinct threads for distinct indices.
+/// Runs body(i) for every i in [0, n) on up to `jobs` threads (0 = default),
+/// each claiming the next unclaimed index from one shared counter.
+/// Simulations are coarse tasks (seconds each), so the counter is never the
+/// bottleneck. With one effective worker the loop runs inline on the calling
+/// thread, in index order — byte-identical to a plain for loop. `body` must
+/// be safe to call concurrently from distinct threads for distinct indices.
 void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& body);
 
 /// splitmix64 finalizer (Steele/Lea/Flood). Bijective on uint64_t, so

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -13,20 +12,30 @@
 
 namespace lazyrep::core {
 
-/// Strict number parsing for command-line flags and environment overrides.
-/// The whole of `text` must be one base-10 number: no leading space or '+',
-/// no trailing characters, no sign on an unsigned type, no hex; a double must
-/// be finite. The value must lie in [lo, hi]. On success stores it in *out
-/// and returns true. Otherwise leaves *out untouched, writes
+/// Writes "bad value for <name>: '<text>' (<reason>)" to *error and returns
+/// false: the one message for a flag, environment or spec value that does
+/// not parse or is out of range.
+inline bool BadValue(std::string_view name, std::string_view text,
+                     std::string_view reason, std::string* error) {
+  *error = "bad value for " + std::string(name) + ": '" + std::string(text) +
+           "' (" + std::string(reason) + ")";
+  return false;
+}
+
+/// Strict number parsing for command-line flags, environment overrides and
+/// spec strings. The whole of `text` must be one base-10 number: no leading
+/// space or '+', no trailing characters, no sign on an unsigned type, no hex;
+/// a double must be finite. The value must lie in [lo, hi]. On success stores
+/// it in *out and returns true. Otherwise leaves *out untouched, writes
 /// "bad value for <name>: '<text>' (<reason>)" to *error and returns false.
+/// Header-only with no lazyrep dependency, so every layer can use it (net
+/// parses --topology specs with it).
 template <typename T>
-bool ParseNumber(const char* name, std::string_view text, T lo, T hi, T* out,
-                 std::string* error) {
+bool ParseNumber(std::string_view name, std::string_view text, T lo, T hi,
+                 T* out, std::string* error) {
   static_assert(std::is_arithmetic_v<T>);
   auto fail = [&](const std::string& reason) {
-    *error = std::string("bad value for ") + name + ": '" + std::string(text) +
-             "' (" + reason + ")";
-    return false;
+    return BadValue(name, text, reason, error);
   };
   auto show = [](T v) {
     if constexpr (std::is_floating_point_v<T>) {
@@ -57,20 +66,6 @@ bool ParseNumber(const char* name, std::string_view text, T lo, T hi, T* out,
   }
   *out = value;
   return true;
-}
-
-/// ParseNumber for a command line: returns the value, or prints
-/// "<prog>: <error>" to stderr and exits with `exit_code`.
-template <typename T>
-T ParseNumberOrExit(const char* prog, const char* name, std::string_view text,
-                    T lo, T hi, int exit_code) {
-  T value = lo;
-  std::string error;
-  if (!ParseNumber(name, text, lo, hi, &value, &error)) {
-    std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
-    std::exit(exit_code);
-  }
-  return value;
 }
 
 }  // namespace lazyrep::core

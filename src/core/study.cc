@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <mutex>
@@ -274,93 +273,74 @@ void PrintFigure(const std::vector<StudyPoint>& points,
   std::fflush(stdout);
 }
 
-namespace {
-
-/// True when `arg` is one of a bench's own flags (see BenchOptions::Parse).
-bool IsBenchFlag(const char* arg,
-                 std::initializer_list<const char*> bench_flags) {
-  for (const char* flag : bench_flags) {
-    const size_t n = std::strlen(flag);
-    const bool takes_value = n > 0 && flag[n - 1] == '=';
-    if (takes_value ? std::strncmp(arg, flag, n) == 0
-                    : std::strcmp(arg, flag) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void PrintBenchUsage(std::FILE* out, const char* argv0,
-                     std::initializer_list<const char*> bench_flags) {
-  std::fprintf(out,
-               "usage: %s [--txns=N] [--points=N] [--figure=N] [--seed=N] "
-               "[--jobs=N] [--sites=N] [--quick] [--protocols=lpoe] "
-               "[--trace=FILE]",
-               argv0);
-  for (const char* flag : bench_flags) std::fprintf(out, " [%s]", flag);
-  std::fprintf(out, "\n");
-}
-
-}  // namespace
-
-BenchOptions BenchOptions::Parse(
-    int argc, char** argv, std::initializer_list<const char*> bench_flags) {
-  BenchOptions opt;
+Flags BenchOptions::FlagTable(unsigned fields, std::vector<int> figures) {
   constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
   constexpr int kMaxInt = std::numeric_limits<int>::max();
-  auto Number = [&](const char* name, const char* text, auto lo, auto hi) {
-    return ParseNumberOrExit(argv[0], name, text, lo, hi, kBenchUsageExit);
-  };
-  if (const char* env = std::getenv("LAZYREP_TXNS")) {
-    opt.txns = Number("LAZYREP_TXNS", env, uint64_t{1}, kMaxU64);
+  Flags flags;
+  if (fields & kBenchTxns) {
+    flags.Number("--txns=N", &txns, 1, kMaxU64, "transactions per point")
+        .Env("LAZYREP_TXNS", &txns, 1, kMaxU64, "default of --txns");
   }
-  if (const char* env = std::getenv("LAZYREP_JOBS")) {
-    opt.jobs = Number("LAZYREP_JOBS", env, 0, kMaxJobs);
+  if (fields & kBenchPoints) {
+    flags
+        .Number("--points=N", &max_points, 0, kMaxInt,
+                "run at most N sweep values, endpoints kept (0 = all)")
+        .Switch("--quick", &quick, "at most 3 sweep values unless --points");
   }
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--txns=", 7) == 0) {
-      opt.txns = Number("--txns", a + 7, uint64_t{1}, kMaxU64);
-    } else if (std::strncmp(a, "--points=", 9) == 0) {
-      opt.max_points = Number("--points", a + 9, 0, kMaxInt);
-    } else if (std::strncmp(a, "--figure=", 9) == 0) {
-      opt.figure = Number("--figure", a + 9, 0, kMaxInt);
-    } else if (std::strncmp(a, "--seed=", 7) == 0) {
-      opt.seed = Number("--seed", a + 7, uint64_t{0}, kMaxU64);
-    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      opt.jobs = Number("--jobs", a + 7, 0, kMaxJobs);
-    } else if (std::strncmp(a, "--sites=", 8) == 0) {
-      opt.sites = Number("--sites", a + 8, 0,
-                         int{std::numeric_limits<db::SiteId>::max()});
-    } else if (std::strcmp(a, "--quick") == 0) {
-      opt.quick = true;
-    } else if (std::strncmp(a, "--trace=", 8) == 0) {
-      opt.trace = a + 8;
-    } else if (std::strncmp(a, "--protocols=", 12) == 0) {
-      opt.protocols.clear();
-      opt.protocols_set = true;
-      const char* s = a + 12;
-      if (std::strchr(s, 'l')) opt.protocols.push_back(ProtocolKind::kLocking);
-      if (std::strchr(s, 'p')) {
-        opt.protocols.push_back(ProtocolKind::kPessimistic);
-      }
-      if (std::strchr(s, 'o')) {
-        opt.protocols.push_back(ProtocolKind::kOptimistic);
-      }
-      if (std::strchr(s, 'e')) {
-        opt.protocols.push_back(ProtocolKind::kEager);
-      }
-    } else if (std::strcmp(a, "--help") == 0) {
-      PrintBenchUsage(stdout, argv[0], bench_flags);
-      std::exit(0);
-    } else if (!IsBenchFlag(a, bench_flags)) {
-      std::fprintf(stderr, "%s: unknown flag %s\n", argv[0], a);
-      PrintBenchUsage(stderr, argv[0], bench_flags);
-      std::exit(kBenchUsageExit);
-    }
+  if (fields & kBenchFigure) {
+    LAZYREP_CHECK(!figures.empty());
+    std::string want = "want 0 (all) or one of";
+    for (int n : figures) want += " " + std::to_string(n);
+    figures.push_back(0);
+    flags.Value(
+        "--figure=N",
+        [this, figures, want](std::string_view text, std::string* error) {
+          return ParseNumber("--figure", text, 0, kMaxInt, &figure, error) &&
+                 (std::count(figures.begin(), figures.end(), figure) > 0 ||
+                  BadValue("--figure", text, want, error));
+        },
+        "print only figure N (default: every figure)");
   }
-  if (opt.quick && opt.max_points == 0) opt.max_points = 3;
-  return opt;
+  if (fields & kBenchSeed) {
+    flags.Number("--seed=N", &seed, 0, kMaxU64,
+                 "base seed; each point derives its own from it");
+  }
+  if (fields & kBenchJobs) {
+    flags
+        .Number("--jobs=N", &jobs, 0, kMaxJobs,
+                "worker threads (0 = every core)")
+        .Env("LAZYREP_JOBS", &jobs, 0, kMaxJobs, "default of --jobs");
+  }
+  if (fields & kBenchSites) {
+    flags.Number("--sites=N", &sites, 0,
+                 int{std::numeric_limits<db::SiteId>::max()},
+                 "fleet size (0 = the preset's)");
+  }
+  if (fields & kBenchProtocols) {
+    flags.Value(
+        "--protocols=lpoe",
+        [this](std::string_view text, std::string* error) {
+          constexpr std::string_view kLetters = "lpoe";  // ProtocolKind order
+          if (text.empty() || text.find_first_not_of(kLetters) !=
+                                  std::string_view::npos) {
+            return BadValue("--protocols", text, "want letters from lpoe",
+                            error);
+          }
+          protocols.clear();
+          for (size_t i = 0; i < kLetters.size(); ++i) {
+            if (text.find(kLetters[i]) != std::string_view::npos) {
+              protocols.push_back(static_cast<ProtocolKind>(i));
+            }
+          }
+          return true;
+        },
+        "letters of the protocols to run (l, p, o, e)");
+  }
+  if (fields & kBenchTrace) {
+    flags.Text("--trace=FILE", &trace,
+               "record every point's event trace into FILE");
+  }
+  return flags;
 }
 
 void BenchOptions::Apply(SystemConfig* config) const {
@@ -369,13 +349,14 @@ void BenchOptions::Apply(SystemConfig* config) const {
 }
 
 std::vector<double> BenchOptions::Thin(std::vector<double> xs) const {
-  if (max_points <= 0 || static_cast<size_t>(max_points) >= xs.size()) {
+  const int budget = max_points > 0 ? max_points : quick ? 3 : 0;
+  if (budget <= 0 || static_cast<size_t>(budget) >= xs.size()) {
     return xs;
   }
   std::vector<double> out;
-  out.reserve(max_points);
-  for (int i = 0; i < max_points; ++i) {
-    size_t idx = (xs.size() - 1) * i / (max_points - 1 == 0 ? 1 : max_points - 1);
+  out.reserve(budget);
+  for (int i = 0; i < budget; ++i) {
+    size_t idx = (xs.size() - 1) * i / (budget - 1 == 0 ? 1 : budget - 1);
     if (out.empty() || out.back() != xs[idx]) out.push_back(xs[idx]);
   }
   return out;

@@ -2,14 +2,13 @@
 #define LAZYREP_CORE_STUDY_H_
 
 #include <functional>
-#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/config.h"
+#include "core/flags.h"
 #include "core/metrics.h"
-#include "core/parse_number.h"
 
 namespace lazyrep::core {
 
@@ -153,13 +152,25 @@ void PrintFigure(const std::vector<StudyPoint>& points,
 /// Largest accepted --jobs (benches, LAZYREP_JOBS and the CLI).
 inline constexpr int kMaxJobs = 1024;
 
-/// Exit code of a bench given an unknown flag or a malformed number.
-inline constexpr int kBenchUsageExit = 2;
+/// BenchOptions fields as a bit set. A bench names the fields it reads, and
+/// each brings its rows to the bench's flag table.
+enum BenchField : unsigned {
+  kBenchTxns = 1u << 0,       ///< --txns=N and LAZYREP_TXNS
+  kBenchPoints = 1u << 1,     ///< --points=N and --quick
+  kBenchFigure = 1u << 2,     ///< --figure=N
+  kBenchSeed = 1u << 3,       ///< --seed=N
+  kBenchJobs = 1u << 4,       ///< --jobs=N and LAZYREP_JOBS
+  kBenchSites = 1u << 5,      ///< --sites=N
+  kBenchProtocols = 1u << 6,  ///< --protocols=lpoe
+  kBenchTrace = 1u << 7,      ///< --trace=FILE
+  /// What every sweep study reads; fixed-fleet studies add kBenchSites.
+  kBenchStudy = kBenchTxns | kBenchPoints | kBenchFigure | kBenchSeed |
+                kBenchJobs | kBenchProtocols | kBenchTrace,
+};
 
-/// Standard sweep-value parser for bench binaries: reads --txns=, --points=,
-/// --figure=, --protocols=, --jobs= and scale overrides from
-/// argv/environment (LAZYREP_TXNS, LAZYREP_JOBS). Shared by all paper
-/// benches.
+/// The options bench binaries share. A bench sets its own defaults (a
+/// different protocol set, fewer transactions), then parses the flag table
+/// of the fields it reads.
 struct BenchOptions {
   uint64_t txns = 3000;        ///< transactions per point
   int max_points = 0;          ///< 0 = all sweep values
@@ -167,28 +178,19 @@ struct BenchOptions {
   uint64_t seed = 1;
   int jobs = 0;                ///< worker threads; 0 = hardware_concurrency
   /// Fleet-size override for fixed-fleet studies (0 = the preset's count).
-  /// Sweep-over-sites benches ignore it.
   int sites = 0;
-  bool quick = false;          ///< halve the sweep for smoke runs
+  bool quick = false;          ///< at most 3 sweep values unless max_points
   std::vector<ProtocolKind> protocols = {ProtocolKind::kLocking,
                                          ProtocolKind::kPessimistic,
                                          ProtocolKind::kOptimistic};
-  /// True when --protocols= was given explicitly; benches with a different
-  /// default set (the four-way eager studies) only apply theirs when false.
-  bool protocols_set = false;
   /// --trace=FILE: record per-transaction event traces of every point into
   /// FILE (empty = tracing off).
   std::string trace;
 
-  /// Parses argv. `bench_flags` names the flags a bench reads from argv
-  /// itself: "--report" matches exactly, a name ending in '=' such as
-  /// "--tmp=" matches it with any value. Any other argument is an error:
-  /// Parse names it, prints the usage line to stderr and exits 2. So is a
-  /// malformed or out-of-range number, in a flag or in LAZYREP_TXNS /
-  /// LAZYREP_JOBS: Parse names the flag and the text and exits 2.
-  static BenchOptions Parse(
-      int argc, char** argv,
-      std::initializer_list<const char*> bench_flags = {});
+  /// The flag table of `fields` (BenchField bits), bound to this object.
+  /// `figures` lists the figure numbers the study prints: --figure accepts
+  /// those and 0. The bench adds its own rows, then calls Parse.
+  Flags FlagTable(unsigned fields, std::vector<int> figures = {});
   /// Applies the sites override when set and re-normalizes. Fixed-fleet
   /// benches call this at the end of their make_config lambdas.
   void Apply(SystemConfig* config) const;

@@ -14,8 +14,6 @@ FaultInjector::FaultInjector(sim::Simulation* sim, int num_endpoints,
       rng_(seed),
       up_(num_endpoints, true),
       recovering_(num_endpoints, false),
-      incoming_(num_endpoints,
-                EndpointFaults{params.loss_prob, params.dup_prob}),
       downtime_(num_endpoints, 0),
       down_since_(num_endpoints, 0),
       pending_(num_endpoints) {
@@ -24,10 +22,6 @@ FaultInjector::FaultInjector(sim::Simulation* sim, int num_endpoints,
   LAZYREP_CHECK_MSG(topology != nullptr ? params_.Validate(*topology, &error)
                                         : params_.Validate(&error),
                     error.c_str());
-  for (const LinkFault& lf : params_.link_faults) {
-    LAZYREP_CHECK(lf.endpoint >= 0 && lf.endpoint < num_endpoints);
-    incoming_[lf.endpoint] = EndpointFaults{lf.loss_prob, lf.dup_prob};
-  }
   partitions_.reserve(params_.partitions.size());
   std::vector<db::SiteId> members;
   for (const ScheduledPartition& sp : params_.partitions) {
@@ -188,12 +182,11 @@ int FaultInjector::OnDelivery(db::SiteId src, db::SiteId dst) {
       return 0;
     }
   }
-  const EndpointFaults& f = incoming_[dst];
-  if (f.loss_prob > 0 && rng_.Chance(f.loss_prob)) {
+  if (params_.loss_prob > 0 && rng_.Chance(params_.loss_prob)) {
     ++dropped_;
     return 0;
   }
-  if (f.dup_prob > 0 && rng_.Chance(f.dup_prob)) {
+  if (params_.dup_prob > 0 && rng_.Chance(params_.dup_prob)) {
     ++duplicated_;
     return 2;
   }

@@ -115,11 +115,6 @@ class FaultInjector {
   void ResetStats();
 
  private:
-  struct EndpointFaults {
-    double loss_prob;
-    double dup_prob;
-  };
-
   /// One scheduled partition, precomputed for O(1) membership tests. Every
   /// endpoint carries an island label; a delivery is dropped while the
   /// partition is active and the two labels differ. The historical
@@ -140,8 +135,6 @@ class FaultInjector {
   sim::RandomStream rng_;
   std::vector<bool> up_;
   std::vector<bool> recovering_;
-  /// Resolved per-endpoint incoming-link probabilities (global + overrides).
-  std::vector<EndpointFaults> incoming_;
   /// Accumulated closed-outage downtime + open-outage start per endpoint.
   std::vector<double> downtime_;
   std::vector<double> down_since_;

@@ -28,15 +28,6 @@ bool FaultParams::Validate(std::string* error) const {
   if (!IsProb(dup_prob)) {
     return Fail(error, "dup_prob %g outside [0,1]", dup_prob);
   }
-  for (const LinkFault& lf : link_faults) {
-    if (lf.endpoint < 0) {
-      return Fail(error, "link_fault endpoint %d negative", lf.endpoint);
-    }
-    if (!IsProb(lf.loss_prob) || !IsProb(lf.dup_prob)) {
-      return Fail(error, "link_fault on endpoint %d has probability outside [0,1]",
-                  lf.endpoint);
-    }
-  }
   if (site_mtbf < 0) {
     return Fail(error, "site_mtbf %g negative", site_mtbf);
   }
@@ -132,12 +123,6 @@ bool FaultParams::Validate(const net::Topology& topology,
                            std::string* error) const {
   if (!Validate(error)) return false;
   const int num_endpoints = topology.num_endpoints();
-  for (const LinkFault& lf : link_faults) {
-    if (lf.endpoint >= num_endpoints) {
-      return Fail(error, "link_fault endpoint %d outside topology (%d endpoints)",
-                  lf.endpoint, num_endpoints);
-    }
-  }
   for (const ScheduledCrash& c : crashes) {
     if (c.endpoint >= num_endpoints) {
       return Fail(error,

@@ -39,14 +39,6 @@ struct ScheduledPartition {
   std::vector<std::string> groups;
 };
 
-/// Per-link fault override: applies to deliveries INTO `endpoint` (its
-/// incoming star link), replacing the global loss/duplication probabilities.
-struct LinkFault {
-  int endpoint = 0;
-  double loss_prob = 0;
-  double dup_prob = 0;
-};
-
 /// Fault-injection knobs. All default to zero / empty: with the defaults the
 /// injector is never constructed and every simulated run is bit-identical to
 /// the fault-free model.
@@ -60,8 +52,6 @@ struct FaultParams {
   /// handed to the protocol once — receivers filter duplicates by sequence
   /// number in the reliable-messaging layer.
   double dup_prob = 0;
-  /// Per-incoming-link overrides of the two probabilities above.
-  std::vector<LinkFault> link_faults;
 
   // -- site crash / recovery --------------------------------------------------
   /// Mean time between failures per database site, seconds (exponential).
@@ -109,8 +99,8 @@ struct FaultParams {
   /// when false, the network hook is not installed and all protocols use
   /// the original (ack-free) message paths.
   bool enabled() const {
-    return loss_prob > 0 || dup_prob > 0 || !link_faults.empty() ||
-           site_mtbf > 0 || !crashes.empty() || !partitions.empty();
+    return loss_prob > 0 || dup_prob > 0 || site_mtbf > 0 ||
+           !crashes.empty() || !partitions.empty();
   }
 
   /// Checks the parameter set for contradictions: probabilities outside
@@ -123,8 +113,8 @@ struct FaultParams {
 
   /// Topology-aware validation: everything Validate() checks, plus named
   /// partition groups must exist in `topology`, partition islands must not
-  /// overlap, and endpoint indices (partitions, scripted crashes, link
-  /// faults) must be within the topology's endpoint range.
+  /// overlap, and endpoint indices (partitions, scripted crashes) must be
+  /// within the topology's endpoint range.
   bool Validate(const net::Topology& topology, std::string* error) const;
 };
 

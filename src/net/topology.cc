@@ -1,28 +1,14 @@
 #include "net/topology.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 
+#include "core/parse_number.h"
 #include "sim/check.h"
 
 namespace lazyrep::net {
 
 namespace {
-
-bool ParseDouble(const std::string& s, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && !s.empty();
-}
-
-bool ParseInt(const std::string& s, int* out) {
-  char* end = nullptr;
-  long v = std::strtol(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || s.empty()) return false;
-  *out = static_cast<int>(v);
-  return true;
-}
 
 bool SpecFail(std::string* error, const std::string& why) {
   if (error != nullptr) *error = why;
@@ -59,28 +45,33 @@ bool TopologySpec::Parse(const std::string& text, std::string* error) {
     }
     std::string key = kv.substr(0, eq);
     std::string val = kv.substr(eq + 1);
+    // The ranges Validate enforces; a bandwidth of 0 parses and Validate
+    // names it.
+    constexpr int kMaxInt = std::numeric_limits<int>::max();
+    constexpr double kMaxDouble = std::numeric_limits<double>::max();
+    const std::string name = "topology key '" + key + "'";
+    std::string why;
     bool ok = true;
     if (key == "dc") {
-      ok = ParseInt(val, &datacenters);
+      ok = core::ParseNumber(name, val, 1, kMaxInt, &datacenters, &why);
     } else if (key == "metros") {
-      ok = ParseInt(val, &metros_per_dc);
+      ok = core::ParseNumber(name, val, 1, kMaxInt, &metros_per_dc, &why);
     } else if (key == "bb_bps") {
-      ok = ParseDouble(val, &backbone_bps);
+      ok = core::ParseNumber(name, val, 0.0, kMaxDouble, &backbone_bps, &why);
     } else if (key == "bb_lat") {
-      ok = ParseDouble(val, &backbone_latency);
+      ok = core::ParseNumber(name, val, 0.0, kMaxDouble, &backbone_latency,
+                             &why);
     } else if (key == "up_bps") {
-      ok = ParseDouble(val, &uplink_bps);
+      ok = core::ParseNumber(name, val, 0.0, kMaxDouble, &uplink_bps, &why);
     } else if (key == "up_lat") {
-      ok = ParseDouble(val, &uplink_latency);
+      ok = core::ParseNumber(name, val, 0.0, kMaxDouble, &uplink_latency,
+                             &why);
     } else {
       return SpecFail(error, "unknown topology key '" + key +
                                  "' (want dc, metros, bb_bps, bb_lat, "
                                  "up_bps, up_lat)");
     }
-    if (!ok) {
-      return SpecFail(error,
-                      "bad value '" + val + "' for topology key '" + key + "'");
-    }
+    if (!ok) return SpecFail(error, why);
   }
   return Validate(error);
 }

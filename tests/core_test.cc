@@ -1,6 +1,7 @@
 // Unit tests for the core layer (src/core): configuration presets, replica
 // placement, the MVSG serializability checker, metrics accounting, the
-// analytic contention model, and the bench option and strict number parsers.
+// analytic contention model, the flag table, the bench options and the
+// strict number parser.
 
 #include <cfloat>
 #include <cstdint>
@@ -282,15 +283,73 @@ TEST(ContentionModelTest, WaitProbabilityBounded) {
 }
 
 // ---------------------------------------------------------------------------
-// BenchOptions
+// Flags and BenchOptions
 // ---------------------------------------------------------------------------
+
+TEST(FlagsTest, AppliesFlagsInArgvOrder) {
+  const char* argv[] = {"tool", "in.trace", "--n=3", "--on", "--n=5"};
+  std::string path;
+  int n = 0;
+  bool on = false;
+  Flags()
+      .Positional("FILE", 1, 1,
+                  [&path](std::string_view text, std::string*) {
+                    path = text;
+                    return true;
+                  },
+                  "input")
+      .Number("--n=N", &n, 0, 10, "a number")
+      .Switch("--on", &on, "a switch")
+      .Parse(5, argv);
+  EXPECT_EQ(path, "in.trace");
+  EXPECT_EQ(n, 5);
+  EXPECT_TRUE(on);
+}
+
+TEST(FlagsTest, PositionalCountIsChecked) {
+  auto table = [] {
+    return Flags().Positional(
+        "A B", 2, 2, [](std::string_view, std::string*) { return true; },
+        "two files");
+  };
+  const char* extra[] = {"tool", "a", "b", "c"};
+  EXPECT_EXIT(table().Parse(4, extra), ::testing::ExitedWithCode(2),
+              "unexpected argument 'c'\nusage: tool A B\n");
+  const char* missing[] = {"tool", "a"};
+  EXPECT_EXIT(table().Parse(2, missing), ::testing::ExitedWithCode(2),
+              "want 2 arguments \\(A B\\), got 1");
+  const char* none[] = {"tool", "a"};
+  EXPECT_EXIT(Flags().Parse(2, none), ::testing::ExitedWithCode(2),
+              "unexpected argument 'a'");
+}
+
+TEST(FlagsTest, HelpPrintsUsageAndExitsZero) {
+  const char* argv[] = {"tool", "--help"};
+  int n = 0;
+  EXPECT_EXIT(
+      Flags(1).Number("--n=N", &n, 0, 10, "a number").Parse(2, argv),
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EQ(Flags().Number("--n=N", &n, 0, 10, "a number").UsageLine("tool"),
+            "usage: tool [--n=N]\n");
+}
+
+TEST(FlagsTest, BadInputExitsWithTheBinarysCode) {
+  // lazyrep_cli exits 1 on bad input: its 2 means a serializability
+  // violation.
+  const char* argv[] = {"tool", "--n=11"};
+  int n = 0;
+  EXPECT_EXIT(Flags(1).Number("--n=N", &n, 0, 10, "a number").Parse(2, argv),
+              ::testing::ExitedWithCode(1),
+              "tool: bad value for --n: '11' \\(want 0 to 10\\)\n"
+              "usage: tool \\[--n=N\\]");
+}
 
 TEST(BenchOptionsTest, ParsesFlags) {
   const char* argv[] = {"bench",      "--txns=1234", "--points=3",
                         "--figure=7", "--seed=9",    "--protocols=lo",
                         "--jobs=4"};
-  BenchOptions opt =
-      BenchOptions::Parse(7, const_cast<char**>(argv));
+  BenchOptions opt;
+  opt.FlagTable(kBenchStudy, {7}).Parse(7, argv);
   EXPECT_EQ(opt.txns, 1234u);
   EXPECT_EQ(opt.max_points, 3);
   EXPECT_EQ(opt.figure, 7);
@@ -303,14 +362,15 @@ TEST(BenchOptionsTest, ParsesFlags) {
 
 TEST(BenchOptionsTest, JobsDefaultsToAllCores) {
   const char* argv[] = {"bench"};
-  BenchOptions opt = BenchOptions::Parse(1, const_cast<char**>(argv));
+  BenchOptions opt;
+  opt.FlagTable(kBenchJobs).Parse(1, argv);
   EXPECT_EQ(opt.jobs, 0);  // 0 = hardware_concurrency at sweep time
 }
 
 TEST(BenchOptionsTest, UnknownFlagExitsTwoNamingIt) {
   // A typo must not silently run the default sweep.
   const char* argv[] = {"bench", "--quick", "--txn=50"};
-  EXPECT_EXIT(BenchOptions::Parse(3, const_cast<char**>(argv)),
+  EXPECT_EXIT(BenchOptions().FlagTable(kBenchStudy, {1}).Parse(3, argv),
               ::testing::ExitedWithCode(2), "unknown flag --txn=50");
 }
 
@@ -318,24 +378,58 @@ TEST(BenchOptionsTest, KernelThreadsFlagIsRejected) {
   // The flag of the deleted parallel event kernel; spelled in two pieces so
   // a search for the removed name finds no live reference to it.
   const char* argv[] = {"bench", "--kernel" "-threads=2"};
-  EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(argv)),
+  EXPECT_EXIT(BenchOptions().FlagTable(kBenchStudy, {1}).Parse(2, argv),
               ::testing::ExitedWithCode(2), "unknown flag --kernel.threads=2");
 }
 
 TEST(BenchOptionsTest, DeclaredBenchFlagsAreAccepted) {
+  // A bench's own rows parse beside the common ones.
   const char* argv[] = {"bench", "--report", "--tmp=/x", "--txns=7"};
-  BenchOptions opt = BenchOptions::Parse(4, const_cast<char**>(argv),
-                                         {"--report", "--tmp="});
+  BenchOptions opt;
+  bool report = false;
+  std::string tmp;
+  opt.FlagTable(kBenchTxns | kBenchSeed | kBenchJobs)
+      .Switch("--report", &report, "report lines")
+      .Text("--tmp=DIR", &tmp, "scratch directory")
+      .Parse(4, argv);
   EXPECT_EQ(opt.txns, 7u);
+  EXPECT_TRUE(report);
+  EXPECT_EQ(tmp, "/x");
+}
+
+TEST(BenchOptionsTest, UndeclaredFieldsAreRejected) {
+  // An ablation that reads no trace must not accept --trace and write none.
+  const char* argv[] = {"bench", "--trace=t.trace"};
+  EXPECT_EXIT(BenchOptions()
+                  .FlagTable(kBenchTxns | kBenchSeed | kBenchJobs)
+                  .Parse(2, argv),
+              ::testing::ExitedWithCode(2), "unknown flag --trace=t.trace");
+}
+
+TEST(BenchOptionsTest, ProtocolAndFigureValuesAreChecked) {
+  for (const char* bad : {"--protocols=q", "--protocols=", "--protocols=lx"}) {
+    const char* argv[] = {"bench", bad};
+    EXPECT_EXIT(BenchOptions().FlagTable(kBenchStudy, {11}).Parse(2, argv),
+                ::testing::ExitedWithCode(2),
+                "bad value for --protocols: '.*' \\(want letters from "
+                "lpoe\\)")
+        << bad;
+  }
+  const char* figure[] = {"bench", "--figure=99"};
+  EXPECT_EXIT(
+      BenchOptions().FlagTable(kBenchStudy, {11, 13, 14}).Parse(2, figure),
+      ::testing::ExitedWithCode(2),
+      "bad value for --figure: '99' \\(want 0 \\(all\\) or one of 11 13 "
+      "14\\)");
 }
 
 TEST(BenchOptionsTest, MalformedNumberExitsTwoNamingFlagAndText) {
   const char* argv[] = {"bench", "--txns=12x"};
-  EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(argv)),
+  EXPECT_EXIT(BenchOptions().FlagTable(kBenchStudy, {1}).Parse(2, argv),
               ::testing::ExitedWithCode(2),
               "bad value for --txns: '12x' \\(not a base-10 integer\\)");
   const char* jobs[] = {"bench", "--jobs=-1"};
-  EXPECT_EXIT(BenchOptions::Parse(2, const_cast<char**>(jobs)),
+  EXPECT_EXIT(BenchOptions().FlagTable(kBenchStudy, {1}).Parse(2, jobs),
               ::testing::ExitedWithCode(2),
               "bad value for --jobs: '-1' \\(want 0 to 1024\\)");
 }
@@ -345,13 +439,13 @@ TEST(BenchOptionsTest, MalformedEnvironmentOverrideExitsTwo) {
   EXPECT_EXIT(
       {
         setenv("LAZYREP_JOBS", "abc", 1);
-        BenchOptions::Parse(2, const_cast<char**>(argv));
+        BenchOptions().FlagTable(kBenchStudy, {1}).Parse(2, argv);
       },
       ::testing::ExitedWithCode(2), "bad value for LAZYREP_JOBS: 'abc'");
   EXPECT_EXIT(
       {
         setenv("LAZYREP_TXNS", "0", 1);
-        BenchOptions::Parse(2, const_cast<char**>(argv));
+        BenchOptions().FlagTable(kBenchStudy, {1}).Parse(2, argv);
       },
       ::testing::ExitedWithCode(2), "bad value for LAZYREP_TXNS: '0'");
 }
@@ -416,6 +510,15 @@ TEST(BenchOptionsTest, ThinKeepsEndpoints) {
   ASSERT_EQ(thinned.size(), 3u);
   EXPECT_DOUBLE_EQ(thinned.front(), 1);
   EXPECT_DOUBLE_EQ(thinned.back(), 7);
+}
+
+TEST(BenchOptionsTest, QuickThinsToThreeUnlessPointsIsSet) {
+  BenchOptions opt;
+  opt.quick = true;
+  std::vector<double> xs = {1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(opt.Thin(xs).size(), 3u);
+  opt.max_points = 5;
+  EXPECT_EQ(opt.Thin(xs).size(), 5u);
 }
 
 TEST(BenchOptionsTest, ThinNoOpWhenEnoughBudget) {

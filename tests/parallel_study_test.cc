@@ -2,11 +2,9 @@
 // are byte-identical regardless of --jobs level, point ordering, or which
 // subset of a sweep is selected — because each point's seed is derived from
 // its identity, every simulation is self-contained, and results are
-// collected in canonical order. Plus unit coverage of the thread-pool
-// executor itself.
+// collected in canonical order. Plus unit coverage of ParallelFor itself.
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -290,32 +288,6 @@ TEST(ParallelStudyTest, TracingLeavesStudyResultsUntouched) {
 
   EXPECT_EQ(FingerprintAll(a), FingerprintAll(b));
   std::remove(path.c_str());
-}
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  ThreadPool pool(8);
-  EXPECT_EQ(pool.threads(), 8);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1000);
-  // The pool is reusable after a Wait.
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1100);
-}
-
-TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.threads(), 1);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { ++count; });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

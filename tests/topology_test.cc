@@ -57,6 +57,19 @@ TEST(TopologySpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(spec.Parse("geo:dc=0", &err));
   EXPECT_FALSE(spec.Parse("geo:bb_bps=-1", &err));
   EXPECT_FALSE(spec.Parse("geo:bb_lat=-0.1", &err));
+  // Numbers are strict: no wrap into int, no NaN or infinity, no trailing
+  // text.
+  EXPECT_FALSE(spec.Parse("geo:dc=4294967299,metros=1", &err));
+  EXPECT_EQ(err, "bad value for topology key 'dc': '4294967299' "
+                 "(out of range)");
+  EXPECT_FALSE(spec.Parse("geo:bb_lat=nan", &err));
+  EXPECT_EQ(err, "bad value for topology key 'bb_lat': 'nan' "
+                 "(not a finite number)");
+  EXPECT_FALSE(spec.Parse("geo:up_bps=inf", &err));
+  EXPECT_FALSE(spec.Parse("geo:metros=2x", &err));
+  EXPECT_FALSE(spec.Parse("geo:bb_bps=0", &err));
+  EXPECT_NE(err.find("bandwidths must be positive"), std::string::npos)
+      << err;
 }
 
 TEST(TopologyTest, StarShape) {

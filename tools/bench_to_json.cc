@@ -10,9 +10,11 @@
 #include <cstdio>
 #include <string>
 
+#include "core/flags.h"
 #include "tools/bench_to_json_lib.h"
 
-int main() {
+int main(int argc, char** argv) {
+  lazyrep::core::Flags().Parse(argc, argv);
   std::string input;
   char buf[4096];
   size_t n;

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -21,7 +20,7 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/parse_number.h"
+#include "core/flags.h"
 #include "core/study.h"
 #include "core/system.h"
 #include "replay/workload_script.h"
@@ -30,72 +29,6 @@
 using namespace lazyrep;
 
 namespace {
-
-void PrintHelp() {
-  std::printf(
-      "lazyrep_cli — run one lazy-replication experiment\n\n"
-      "protocol / scenario\n"
-      "  --protocol=locking|pessimistic|optimistic|eager|all\n"
-      "                                  (default optimistic)\n"
-      "  --preset=oc3|oc1|oc1star        start from a paper study config\n"
-      "workload & system (override preset)\n"
-      "  --sites=N --items=N             sites, primary items per site\n"
-      "  --tps=X                         offered global load\n"
-      "  --txns=N                        transactions to submit\n"
-      "  --read-fraction=F --write-fraction=F --ops=MIN,MAX\n"
-      "  --latency=SEC --bandwidth=BPS   network\n"
-      "  --topology=star|geo[:KEY=VAL,..] network shape: flat star (default)\n"
-      "                                  or a geo hierarchy (keys: dc, metros,\n"
-      "                                  bb_bps, bb_lat, up_bps, up_lat)\n"
-      "  --timeout=SEC --seed=N\n"
-      "extensions\n"
-      "  --replication-degree=K --gatekeeper=N --two-version\n"
-      "  --relaxed-ownership --sequential-dispatch\n"
-      "fault injection\n"
-      "  --loss=P --dup=P                per-leg message loss/dup probability\n"
-      "  --site-mtbf=SEC --site-mttr=SEC exponential crash/recovery rotation\n"
-      "  --crash-graph-site              include the graph site in the rotation\n"
-      "  --crash=ENDPOINT,AT,DUR         scripted outage (repeatable;\n"
-      "                                  endpoint <sites> = graph site)\n"
-      "  --partition=E1+E2+..@AT:DUR     scripted group partition: the listed\n"
-      "                                  endpoints are cut off from the rest\n"
-      "                                  during [AT, AT+DUR) (repeatable)\n"
-      "  --partition=dc0|dc1.m0@AT:DUR   same, but by named topology group:\n"
-      "                                  each name becomes its own island,\n"
-      "                                  remaining endpoints form the last\n"
-      "                                  (requires --topology=geo...)\n"
-      "  --amnesia                       crashes wipe volatile state; sites\n"
-      "                                  replay their WAL on recovery\n"
-      "  --checkpoint-interval=SEC       fuzzy checkpoint period (amnesia)\n"
-      "  --retries=N --rto=SEC           reliable-messaging retry policy\n"
-      "replay (what-if re-execution of a captured workload)\n"
-      "  --replay=FILE                   re-run the exact workload recorded in\n"
-      "                                  a --trace capture: same submission\n"
-      "                                  instants, op lists, and per-site\n"
-      "                                  order. sites/txns/seed come from the\n"
-      "                                  recording; --protocol, --topology,\n"
-      "                                  faults etc. still apply (defaults:\n"
-      "                                  the recorded protocol; --seed keeps\n"
-      "                                  an explicit seed override)\n"
-      "  --replay-point=N                which point block of FILE (default 0)\n"
-      "output\n"
-      "  --csv=FILE                      append a machine-readable row\n"
-      "  --trace=FILE                    record per-transaction event traces\n"
-      "                                  (analyze with lazyrep_trace)\n"
-      "  --check-serializability         run the MVSG checker (slower)\n"
-      "  --jobs=N                        run --protocol=all runs on N worker\n"
-      "                                  threads (0 = all cores; default 1)\n"
-      "  --quiet                         suppress the human-readable block\n");
-}
-
-bool FlagValue(const char* arg, const char* name, const char** value) {
-  size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *value = arg + n + 1;
-    return true;
-  }
-  return false;
-}
 
 /// Splits `text` at every `sep` ("1,2" -> {"1", "2"}; "" -> {""}).
 std::vector<std::string_view> Split(std::string_view text, char sep) {
@@ -165,187 +98,196 @@ int main(int argc, char** argv) {
   constexpr int kMaxSite = std::numeric_limits<db::SiteId>::max();
   constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
   constexpr double kMaxDouble = std::numeric_limits<double>::max();
-  // Strict value of a numeric flag: a bad one names the flag and the text
-  // and exits 1, as the CLI's other input errors do.
-  auto Number = [&](const char* flag, std::string_view text, auto lo,
-                    auto hi) {
-    return core::ParseNumberOrExit(argv[0], flag, text, lo, hi, 1);
-  };
-
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    const char* v = nullptr;
-    if (std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) {
-      PrintHelp();
-      return 0;
-    } else if (FlagValue(a, "--protocol", &v)) {
-      protocol_set = true;
-      protocols.clear();
-      if (std::strcmp(v, "locking") == 0) {
-        protocols.push_back(core::ProtocolKind::kLocking);
-      } else if (std::strcmp(v, "pessimistic") == 0) {
-        protocols.push_back(core::ProtocolKind::kPessimistic);
-      } else if (std::strcmp(v, "optimistic") == 0) {
-        protocols.push_back(core::ProtocolKind::kOptimistic);
-      } else if (std::strcmp(v, "eager") == 0) {
-        protocols.push_back(core::ProtocolKind::kEager);
-      } else if (std::strcmp(v, "all") == 0) {
-        protocols = {core::ProtocolKind::kLocking,
-                     core::ProtocolKind::kPessimistic,
-                     core::ProtocolKind::kOptimistic,
-                     core::ProtocolKind::kEager};
-      } else {
-        std::fprintf(stderr, "unknown protocol %s\n", v);
-        return 1;
-      }
-    } else if (FlagValue(a, "--preset", &v)) {
-      double tps = config.tps;
-      uint64_t txns = config.total_txns;
-      if (std::strcmp(v, "oc3") == 0) {
-        config = core::SystemConfig::Oc3();
-      } else if (std::strcmp(v, "oc1") == 0) {
-        config = core::SystemConfig::Oc1();
-      } else if (std::strcmp(v, "oc1star") == 0) {
-        config = core::SystemConfig::Oc1Star();
-      } else {
-        std::fprintf(stderr, "unknown preset %s\n", v);
-        return 1;
-      }
-      config.tps = tps;
-      config.total_txns = txns;
-    } else if (FlagValue(a, "--sites", &v)) {
-      config.num_sites = Number("--sites", v, 1, kMaxSite);
-    } else if (FlagValue(a, "--items", &v)) {
-      config.workload.items_per_site = Number("--items", v, 1, kMaxInt);
-    } else if (FlagValue(a, "--tps", &v)) {
-      config.tps = Number("--tps", v, 0.0, kMaxDouble);
-    } else if (FlagValue(a, "--txns", &v)) {
-      config.total_txns = Number("--txns", v, uint64_t{1}, kMaxU64);
-    } else if (FlagValue(a, "--read-fraction", &v)) {
-      config.workload.read_only_fraction =
-          Number("--read-fraction", v, 0.0, 1.0);
-    } else if (FlagValue(a, "--write-fraction", &v)) {
-      config.workload.write_op_fraction =
-          Number("--write-fraction", v, 0.0, 1.0);
-    } else if (FlagValue(a, "--ops", &v)) {
-      std::vector<std::string_view> f = Split(v, ',');
-      if (f.size() != 2) {
-        std::fprintf(stderr, "--ops wants MIN,MAX\n");
-        return 1;
-      }
-      config.workload.min_ops = Number("--ops", f[0], 1, kMaxInt);
-      config.workload.max_ops = Number("--ops", f[1], 1, kMaxInt);
-    } else if (FlagValue(a, "--latency", &v)) {
-      config.network.latency = Number("--latency", v, 0.0, kMaxDouble);
-    } else if (FlagValue(a, "--bandwidth", &v)) {
-      config.network.bandwidth_bps =
-          Number("--bandwidth", v, 0.0, kMaxDouble);
-    } else if (FlagValue(a, "--topology", &v)) {
-      std::string err;
-      if (!config.topology.Parse(v, &err)) {
-        std::fprintf(stderr, "bad --topology: %s\n", err.c_str());
-        return 1;
-      }
-    } else if (FlagValue(a, "--timeout", &v)) {
-      config.timeout = Number("--timeout", v, 0.0, kMaxDouble);
-      config.graph.wait_timeout = config.timeout;
-    } else if (FlagValue(a, "--seed", &v)) {
-      config.seed = Number("--seed", v, uint64_t{0}, kMaxU64);
-      seed_set = true;
-    } else if (FlagValue(a, "--replication-degree", &v)) {
-      config.replication_degree =
-          Number("--replication-degree", v, 0, kMaxInt);
-    } else if (FlagValue(a, "--gatekeeper", &v)) {
-      config.read_gatekeeper = Number("--gatekeeper", v, 0, kMaxInt);
-    } else if (std::strcmp(a, "--two-version") == 0) {
-      config.two_version_reads = true;
-    } else if (std::strcmp(a, "--relaxed-ownership") == 0) {
-      config.workload.relaxed_ownership = true;
-    } else if (std::strcmp(a, "--sequential-dispatch") == 0) {
-      config.pipelined_dispatch = false;
-    } else if (FlagValue(a, "--loss", &v)) {
-      config.fault.loss_prob = Number("--loss", v, 0.0, 1.0);
-    } else if (FlagValue(a, "--dup", &v)) {
-      config.fault.dup_prob = Number("--dup", v, 0.0, 1.0);
-    } else if (FlagValue(a, "--site-mtbf", &v)) {
-      config.fault.site_mtbf = Number("--site-mtbf", v, 0.0, kMaxDouble);
-    } else if (FlagValue(a, "--site-mttr", &v)) {
-      config.fault.site_mttr = Number("--site-mttr", v, 0.0, kMaxDouble);
-    } else if (std::strcmp(a, "--crash-graph-site") == 0) {
-      config.fault.crash_graph_site = true;
-    } else if (FlagValue(a, "--crash", &v)) {
-      fault::ScheduledCrash c;
-      std::vector<std::string_view> f = Split(v, ',');
-      if (f.size() != 3) {
-        std::fprintf(stderr, "--crash wants ENDPOINT,AT,DURATION\n");
-        return 1;
-      }
-      c.endpoint = Number("--crash", f[0], 0, kMaxSite);
-      c.at = Number("--crash", f[1], 0.0, kMaxDouble);
-      c.duration = Number("--crash", f[2], 0.0, kMaxDouble);
-      config.fault.crashes.push_back(c);
-    } else if (FlagValue(a, "--partition", &v)) {
-      // Two spellings, both ending in @AT:DUR. Legacy: endpoints separated
-      // by '+'. Named: topology group names separated by '|', each becoming
-      // its own island (validated against the topology in Normalize()).
-      fault::ScheduledPartition part;
-      std::string_view spec(v);
-      size_t at_pos = spec.rfind('@');
-      std::vector<std::string_view> window;
-      if (at_pos != std::string_view::npos) {
-        window = Split(spec.substr(at_pos + 1), ':');
-      }
-      bool ok = window.size() == 2;
-      if (ok) {
-        part.at = Number("--partition", window[0], 0.0, kMaxDouble);
-        part.duration = Number("--partition", window[1], 0.0, kMaxDouble);
-        std::string_view members = spec.substr(0, at_pos);
-        const bool legacy =
-            members.find_first_not_of("0123456789+") == std::string_view::npos;
-        for (std::string_view m : Split(members, legacy ? '+' : '|')) {
-          ok = ok && !m.empty();
-          if (!ok) break;
-          if (legacy) {
-            part.group.push_back(Number("--partition", m, 0, kMaxSite));
-          } else {
-            part.groups.emplace_back(m);
-          }
-        }
-      }
-      if (!ok || (part.group.empty() && part.groups.empty())) {
-        std::fprintf(stderr,
-                     "--partition wants E1+E2+..@AT:DUR or NAME|NAME@AT:DUR\n");
-        return 1;
-      }
-      config.fault.partitions.push_back(std::move(part));
-    } else if (std::strcmp(a, "--amnesia") == 0) {
-      config.fault.amnesia = true;
-    } else if (FlagValue(a, "--checkpoint-interval", &v)) {
-      config.fault.checkpoint_interval =
-          Number("--checkpoint-interval", v, 0.0, kMaxDouble);
-    } else if (FlagValue(a, "--retries", &v)) {
-      config.fault.max_retries = Number("--retries", v, 0, kMaxInt);
-    } else if (FlagValue(a, "--rto", &v)) {
-      config.fault.rto_initial = Number("--rto", v, 0.0, kMaxDouble);
-    } else if (FlagValue(a, "--csv", &v)) {
-      csv_path = v;
-    } else if (FlagValue(a, "--trace", &v)) {
-      trace_path = v;
-    } else if (FlagValue(a, "--replay", &v)) {
-      replay_path = v;
-    } else if (FlagValue(a, "--replay-point", &v)) {
-      replay_point = Number("--replay-point", v, 0, kMaxInt);
-    } else if (FlagValue(a, "--jobs", &v)) {
-      jobs = Number("--jobs", v, 0, core::kMaxJobs);
-    } else if (std::strcmp(a, "--check-serializability") == 0) {
-      check_serializability = true;
-    } else if (std::strcmp(a, "--quiet") == 0) {
-      quiet = true;
-    } else {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", a);
-      return 1;
-    }
-  }
+  // Input errors exit 1: the CLI's exit 2 means a serializability violation.
+  core::Flags(1)
+      .Value("--protocol=NAME",
+             [&](std::string_view v, std::string* error) {
+               constexpr std::string_view kNames[] = {  // ProtocolKind order
+                   "locking", "pessimistic", "optimistic", "eager"};
+               protocols.clear();
+               for (size_t i = 0; i < std::size(kNames); ++i) {
+                 if (v == "all" || v == kNames[i]) {
+                   protocols.push_back(static_cast<core::ProtocolKind>(i));
+                 }
+               }
+               protocol_set = true;
+               return !protocols.empty() ||
+                      core::BadValue("--protocol", v,
+                                     "want locking, pessimistic, optimistic, "
+                                     "eager or all",
+                                     error);
+             },
+             "locking|pessimistic|optimistic|eager|all")
+      .Value("--preset=NAME",
+             [&config](std::string_view v, std::string* error) {
+               const double tps = config.tps;
+               const uint64_t txns = config.total_txns;
+               if (v == "oc3") {
+                 config = core::SystemConfig::Oc3();
+               } else if (v == "oc1") {
+                 config = core::SystemConfig::Oc1();
+               } else if (v == "oc1star") {
+                 config = core::SystemConfig::Oc1Star();
+               } else {
+                 return core::BadValue("--preset", v,
+                                       "want oc3, oc1 or oc1star", error);
+               }
+               config.tps = tps;
+               config.total_txns = txns;
+               return true;
+             },
+             "oc3|oc1|oc1star: a study's config, keeping tps, txns")
+      .Number("--sites=N", &config.num_sites, 1, kMaxSite, "database sites")
+      .Number("--items=N", &config.workload.items_per_site, 1, kMaxInt,
+              "primary items per site")
+      .Number("--tps=X", &config.tps, 0.0, kMaxDouble, "offered global load")
+      .Number("--txns=N", &config.total_txns, 1, kMaxU64,
+              "transactions to submit")
+      .Number("--read-fraction=F", &config.workload.read_only_fraction, 0.0,
+              1.0, "read-only share of transactions")
+      .Number("--write-fraction=F", &config.workload.write_op_fraction, 0.0,
+              1.0, "write share of an update's operations")
+      .Value("--ops=MIN,MAX",
+             [&config](std::string_view v, std::string* error) {
+               std::vector<std::string_view> f = Split(v, ',');
+               if (f.size() != 2) {
+                 return core::BadValue("--ops", v, "want MIN,MAX", error);
+               }
+               return core::ParseNumber("--ops", f[0], 1, kMaxInt,
+                                        &config.workload.min_ops, error) &&
+                      core::ParseNumber("--ops", f[1], 1, kMaxInt,
+                                        &config.workload.max_ops, error);
+             },
+             "operations per transaction")
+      .Number("--latency=SEC", &config.network.latency, 0.0, kMaxDouble,
+              "one-way network latency")
+      .Number("--bandwidth=BPS", &config.network.bandwidth_bps, 0.0,
+              kMaxDouble, "network bandwidth")
+      .Value("--topology=SPEC",
+             [&config](std::string_view v, std::string* error) {
+               return config.topology.Parse(std::string(v), error);
+             },
+             "star, geo or geo:dc=,metros=,bb_bps=,bb_lat=,...")
+      .Value("--timeout=SEC",
+             [&config](std::string_view v, std::string* error) {
+               if (!core::ParseNumber("--timeout", v, 0.0, kMaxDouble,
+                                      &config.timeout, error)) {
+                 return false;
+               }
+               config.graph.wait_timeout = config.timeout;
+               return true;
+             },
+             "deadlock timeout and graph-site wait timeout")
+      .Value("--seed=N",
+             [&](std::string_view v, std::string* error) {
+               seed_set = true;
+               return core::ParseNumber("--seed", v, uint64_t{0}, kMaxU64,
+                                        &config.seed, error);
+             },
+             "seed (with --replay: replaces the recorded one)")
+      .Number("--replication-degree=K", &config.replication_degree, 0,
+              kMaxInt, "replicas per item (0 = every site)")
+      .Number("--gatekeeper=N", &config.read_gatekeeper, 0, kMaxInt,
+              "read-only transactions per site (0 = no bound)")
+      .Switch("--two-version", &config.two_version_reads,
+              "reads take no read locks")
+      .Switch("--relaxed-ownership", &config.workload.relaxed_ownership,
+              "update any item at the origin site")
+      .Switch("--sequential-dispatch",
+              [&config] { config.pipelined_dispatch = false; },
+              "one control round trip per operation")
+      .Number("--loss=P", &config.fault.loss_prob, 0.0, 1.0,
+              "per-leg message loss probability")
+      .Number("--dup=P", &config.fault.dup_prob, 0.0, 1.0,
+              "per-leg message duplication probability")
+      .Number("--site-mtbf=SEC", &config.fault.site_mtbf, 0.0, kMaxDouble,
+              "mean time between site crashes (0 = none)")
+      .Number("--site-mttr=SEC", &config.fault.site_mttr, 0.0, kMaxDouble,
+              "mean outage duration")
+      .Switch("--crash-graph-site", &config.fault.crash_graph_site,
+              "the graph site crashes too")
+      .Value("--crash=ENDPOINT,AT,DUR",
+             [&config](std::string_view v, std::string* error) {
+               std::vector<std::string_view> f = Split(v, ',');
+               if (f.size() != 3) {
+                 return core::BadValue("--crash", v, "want ENDPOINT,AT,DUR",
+                                       error);
+               }
+               fault::ScheduledCrash c;
+               if (!core::ParseNumber("--crash", f[0], 0, kMaxSite,
+                                      &c.endpoint, error) ||
+                   !core::ParseNumber("--crash", f[1], 0.0, kMaxDouble, &c.at,
+                                      error) ||
+                   !core::ParseNumber("--crash", f[2], 0.0, kMaxDouble,
+                                      &c.duration, error)) {
+                 return false;
+               }
+               config.fault.crashes.push_back(c);
+               return true;
+             },
+             "scripted outage; ENDPOINT <sites> = graph site")
+      .Value("--partition=GROUP@AT:DUR",
+             [&config](std::string_view v, std::string* error) {
+               // GROUP is E1+E2+.. (endpoints forming one island) or
+               // NAME|NAME|.. (topology groups, each its own island; checked
+               // against the topology in Normalize()).
+               const std::string_view kWant =
+                   "want E1+E2+..@AT:DUR or NAME|NAME@AT:DUR";
+               fault::ScheduledPartition part;
+               const size_t at_pos = v.rfind('@');
+               std::vector<std::string_view> window;
+               if (at_pos != std::string_view::npos) {
+                 window = Split(v.substr(at_pos + 1), ':');
+               }
+               if (window.size() != 2) {
+                 return core::BadValue("--partition", v, kWant, error);
+               }
+               if (!core::ParseNumber("--partition", window[0], 0.0,
+                                      kMaxDouble, &part.at, error) ||
+                   !core::ParseNumber("--partition", window[1], 0.0,
+                                      kMaxDouble, &part.duration, error)) {
+                 return false;
+               }
+               std::string_view members = v.substr(0, at_pos);
+               const bool legacy = members.find_first_not_of("0123456789+") ==
+                                   std::string_view::npos;
+               for (std::string_view m : Split(members, legacy ? '+' : '|')) {
+                 int endpoint = 0;
+                 if (m.empty()) {
+                   return core::BadValue("--partition", v, kWant, error);
+                 } else if (!legacy) {
+                   part.groups.emplace_back(m);
+                 } else if (core::ParseNumber("--partition", m, 0, kMaxSite,
+                                              &endpoint, error)) {
+                   part.group.push_back(endpoint);
+                 } else {
+                   return false;
+                 }
+               }
+               config.fault.partitions.push_back(std::move(part));
+               return true;
+             },
+             "GROUP: E1+E2+.. or NAME|NAME|.. (dc0|dc1.m0)")
+      .Switch("--amnesia", &config.fault.amnesia,
+              "crashes wipe volatile state; recovery replays the WAL")
+      .Number("--checkpoint-interval=SEC", &config.fault.checkpoint_interval,
+              0.0, kMaxDouble, "fuzzy checkpoint period (--amnesia)")
+      .Number("--retries=N", &config.fault.max_retries, 0, kMaxInt,
+              "retransmissions before pre-commit traffic gives up")
+      .Number("--rto=SEC", &config.fault.rto_initial, 0.0, kMaxDouble,
+              "initial retransmission timeout")
+      .Text("--csv=FILE", &csv_path, "append a machine-readable row per run")
+      .Text("--trace=FILE", &trace_path, "record event traces (lazyrep_trace)")
+      .Text("--replay=FILE", &replay_path,
+            "re-run the workload of a --trace capture")
+      .Number("--replay-point=N", &replay_point, 0, kMaxInt,
+              "point block of the --replay file (default 0)")
+      .Number("--jobs=N", &jobs, 0, core::kMaxJobs,
+              "threads for --protocol=all (0 = all; default 1)")
+      .Switch("--check-serializability", &check_serializability,
+              "run the MVSG checker; exit 2 on a violation")
+      .Switch("--quiet", &quiet, "no human-readable block")
+      .Parse(argc, argv);
   std::shared_ptr<const replay::WorkloadScript> script;
   if (!replay_path.empty()) {
     trace::TraceFile file;
@@ -355,8 +297,7 @@ int main(int argc, char** argv) {
                    error.c_str());
       return 1;
     }
-    if (replay_point < 0 ||
-        static_cast<size_t>(replay_point) >= file.points.size()) {
+    if (static_cast<size_t>(replay_point) >= file.points.size()) {
       std::fprintf(stderr, "--replay-point=%d out of range: %s holds %zu "
                    "point block(s)\n", replay_point, replay_path.c_str(),
                    file.points.size());

@@ -7,20 +7,17 @@
 // context, plus a (txn id, event type, occurrence) keyed follow-up that
 // tells a displaced event from one that vanished.
 //
-//   lazyrep_diff A.trace B.trace              all points
-//   lazyrep_diff A.trace B.trace --point=2    one point pair (N >= 0)
-//   lazyrep_diff A.trace B.trace --context=8  wider context window (0-10000)
+//   lazyrep_diff A.trace B.trace [--point=N] [--context=N]
 //
 // Exit status: 0 identical, 1 divergence found, 2 usage or read error (a
 // malformed or out-of-range number is a usage error).
 
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
-#include "core/parse_number.h"
+#include "core/flags.h"
 #include "replay/trace_diff.h"
 #include "trace/trace_reader.h"
 
@@ -33,34 +30,18 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   TraceDiffOptions opt;
   int only_point = -1;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--point=", 8) == 0) {
-      only_point = lazyrep::core::ParseNumberOrExit(
-          "lazyrep_diff", "--point", a + 8, 0,
-          std::numeric_limits<int>::max(), 2);
-    } else if (std::strncmp(a, "--context=", 10) == 0) {
-      opt.context = lazyrep::core::ParseNumberOrExit(
-          "lazyrep_diff", "--context", a + 10, 0, 10000, 2);
-    } else if (std::strcmp(a, "--help") == 0) {
-      std::printf(
-          "usage: lazyrep_diff A.trace B.trace [--point=N] [--context=N]\n"
-          "  --point=N    diff only point pair N (N >= 0)\n"
-          "  --context=N  records shown around a divergence (0-10000, "
-          "default 3)\n"
-          "exit: 0 identical, 1 divergence, 2 error\n");
-      return 0;
-    } else if (a[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", a);
-      return 2;
-    } else {
-      paths.push_back(a);
-    }
-  }
-  if (paths.size() != 2) {
-    std::fprintf(stderr, "usage: lazyrep_diff A.trace B.trace\n");
-    return 2;
-  }
+  lazyrep::core::Flags()
+      .Positional("A.trace B.trace", 2, 2,
+                  [&paths](std::string_view text, std::string*) {
+                    paths.emplace_back(text);
+                    return true;
+                  },
+                  "the two captures to compare")
+      .Number("--point=N", &only_point, 0, std::numeric_limits<int>::max(),
+              "diff only point pair N (default: every pair)")
+      .Number("--context=N", &opt.context, 0, 10000,
+              "records around a divergence (0-10000, default 3)")
+      .Parse(argc, argv);
 
   TraceFile a, b;
   std::string error;

@@ -5,24 +5,15 @@
 // abort-cause timeline, and an offline MVSG serializability audit that is
 // independent of the in-simulation HistoryRecorder (the differential test
 // in tests/trace_audit_test.cc pins the two against each other).
+// `lazyrep_trace --help` lists the flags.
 //
-//   lazyrep_trace FILE            per-point summary
-//   lazyrep_trace FILE --by-site  ... plus per-site table
-//   lazyrep_trace FILE --by-dc    ... plus per-datacenter table
-//   lazyrep_trace FILE --timeline ... plus the abort-cause timeline
-//   lazyrep_trace FILE --audit    serializability verdicts only; exits
-//                                 nonzero when any point has an MVSG cycle
-//   lazyrep_trace FILE --json     machine-readable per-point "runs" array
-//   lazyrep_trace FILE --buckets=N  timeline buckets (1-10000, default 10)
-//
-// A usage error (an unknown flag, a malformed or out-of-range number) or an
-// unreadable trace exits 2.
+// A usage error (an unknown flag, a wrong number of files, a malformed or
+// out-of-range number) or an unreadable trace exits 2.
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
-#include "core/parse_number.h"
+#include "core/flags.h"
 #include "trace/trace_analysis.h"
 #include "trace/trace_reader.h"
 
@@ -166,37 +157,22 @@ int main(int argc, char** argv) {
   bool audit = false, json = false, by_site = false, by_dc = false;
   bool timeline = false;
   int buckets = 10;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--audit") == 0) {
-      audit = true;
-    } else if (std::strcmp(a, "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(a, "--by-site") == 0) {
-      by_site = true;
-    } else if (std::strcmp(a, "--by-dc") == 0) {
-      by_dc = true;
-    } else if (std::strcmp(a, "--timeline") == 0) {
-      timeline = true;
-    } else if (std::strncmp(a, "--buckets=", 10) == 0) {
-      buckets = lazyrep::core::ParseNumberOrExit("lazyrep_trace", "--buckets",
-                                                 a + 10, 1, 10000, 2);
-    } else if (std::strcmp(a, "--help") == 0) {
-      std::printf("usage: lazyrep_trace FILE [--audit] [--json] [--by-site] "
-                  "[--by-dc] [--timeline] [--buckets=N]\n"
-                  "  --buckets=N  timeline buckets (1-10000, default 10)\n");
-      return 0;
-    } else if (a[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s (try --help)\n", a);
-      return 2;
-    } else {
-      path = a;
-    }
-  }
-  if (path.empty()) {
-    std::fprintf(stderr, "usage: lazyrep_trace FILE [--audit|--json]\n");
-    return 2;
-  }
+  lazyrep::core::Flags()
+      .Positional("FILE", 1, 1,
+                  [&path](std::string_view text, std::string*) {
+                    path = text;
+                    return true;
+                  },
+                  "a --trace capture")
+      .Switch("--audit", &audit,
+              "MVSG verdicts only; exit 1 on a cycle")
+      .Switch("--json", &json, "machine-readable per-point \"runs\" array")
+      .Switch("--by-site", &by_site, "add the per-site table")
+      .Switch("--by-dc", &by_dc, "add the per-datacenter table")
+      .Switch("--timeline", &timeline, "add the abort-cause timeline")
+      .Number("--buckets=N", &buckets, 1, 10000,
+              "timeline buckets (1-10000, default 10)")
+      .Parse(argc, argv);
 
   TraceFile file;
   std::string error;
