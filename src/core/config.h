@@ -22,9 +22,29 @@ enum class ProtocolKind : uint8_t {
 
 const char* ProtocolKindName(ProtocolKind kind);
 
-/// Full simulation configuration — Table 1 of the paper plus the
-/// implementation constants the paper leaves unspecified (documented in
-/// DESIGN.md, Substitutions).
+// -- implementation costs the paper leaves unspecified (DESIGN.md §2) -------
+
+/// CPU instructions to process one database operation at a site.
+inline constexpr double kOpInstr = 50000;
+/// CPU instructions to send or receive one message at a database site.
+inline constexpr double kMessageInstr = 5000;
+/// Control-message size (lock requests/grants, RGtest requests, acks) —
+/// ATM-cell-scale payloads; large enough values would make the graph site's
+/// *link*, not its CPU, the first bottleneck, contradicting §4.1.
+inline constexpr size_t kCtrlMsgBytes = 128;
+/// Header bytes on an update-propagation message (plus item_bytes per item).
+inline constexpr size_t kPropagationOverheadBytes = 64;
+/// Log-force payload at commit.
+inline constexpr size_t kLogBytes = 512;
+/// Eager distributed-deadlock resolution: after a replica-lock round times
+/// out, the denied sites are retried up to this many more times.
+inline constexpr int kEagerLockRetries = 2;
+/// Base of eager's randomized exponential backoff between lock-round
+/// retries: the k-th retry sleeps Uniform(0, base * 2^k) seconds.
+inline constexpr double kEagerBackoffBase = 0.05;
+
+/// Full simulation configuration: Table 1 of the paper, the study's
+/// extensions and the run control.
 struct SystemConfig {
   // -- general ---------------------------------------------------------------
   int num_sites = 100;
@@ -57,20 +77,6 @@ struct SystemConfig {
   /// and every run is bit-identical to a build without them.
   fault::FaultParams fault;
 
-  // -- implementation cost constants (not published in the paper) -------------
-  /// CPU instructions to process one database operation at a site.
-  double op_instr = 50000;
-  /// CPU instructions to send or receive one message at a database site.
-  double message_instr = 5000;
-  /// Control-message size (lock requests/grants, RGtest requests, acks) —
-  /// ATM-cell-scale payloads; large enough values would make the graph
-  /// site's *link*, not its CPU, the first bottleneck, contradicting §4.1.
-  size_t ctrl_msg_bytes = 128;
-  /// Header bytes on an update-propagation message (plus item_bytes/item).
-  size_t propagation_overhead_bytes = 64;
-  /// Log-force payload at commit.
-  size_t log_bytes = 512;
-
   /// Read-only transactions read without acquiring local read locks
   /// (§4.3 future work, "two-version approach"): reads never block behind
   /// replica installations and installations never wait for readers.
@@ -84,12 +90,6 @@ struct SystemConfig {
   bool pipelined_dispatch = true;
 
   // -- eager baseline (2PC + strict 2PL; used only by ProtocolKind::kEager) ----
-  /// Distributed-deadlock resolution: after a replica-lock round times out,
-  /// retry the denied sites up to this many more times before aborting.
-  int eager_lock_retries = 2;
-  /// Base of the randomized exponential backoff between lock-round retries:
-  /// the k-th retry sleeps Uniform(0, base * 2^k) seconds.
-  double eager_backoff_base = 0.05;
   /// How long the 2PC coordinator waits for unanimous YES votes before
   /// presuming abort: the lock timeout plus four network latencies.
   double EagerVoteTimeout() const { return timeout + 4 * network.latency; }

@@ -37,10 +37,9 @@ struct MetricsSnapshot {
   sim::TallyStat update_response;
   /// Committed -> completed, update transactions (Figure 7).
   sim::TallyStat commit_to_complete;
-  /// Tail behaviour of the same three series (p50/p95/p99 and max).
+  /// Tail behaviour of the two response series (p50/p95/p99 and max).
   sim::QuantileStat read_only_quantiles;
   sim::QuantileStat update_quantiles;
-  sim::QuantileStat complete_quantiles;
 
   /// Graph-site CPU utilization (Figures 3, 12, 13); 0 for locking.
   double graph_cpu_utilization = 0;
@@ -195,7 +194,6 @@ class Metrics {
     if (t.is_update) {
       ++snap_.completed_update;
       snap_.commit_to_complete.Add(t.terminal_time - t.commit_time);
-      snap_.complete_quantiles.Add(t.terminal_time - t.commit_time);
     } else {
       ++snap_.completed_read_only;
     }

@@ -62,10 +62,10 @@ System::System(const SystemConfig& config, ProtocolKind kind)
       return injector_->OnDelivery(src, dst);
     });
     channel_ = std::make_unique<fault::ReliableChannel>(
-        &sim_, network_.get(), config_.fault, config_.ctrl_msg_bytes);
+        &sim_, network_.get(), config_.fault, kCtrlMsgBytes);
     channel_->set_charge([this](db::SiteId e) -> sim::Task<void> {
       if (e != graph_endpoint()) {
-        co_await site(e).cpu.Execute(config_.message_instr);
+        co_await site(e).cpu.Execute(kMessageInstr);
       }
     });
     downtime_at_window_.assign(config_.num_sites + 1, 0.0);
@@ -74,8 +74,7 @@ System::System(const SystemConfig& config, ProtocolKind kind)
       serving_waiters_.resize(config_.num_sites + 1);
       wals_.reserve(config_.num_sites);
       for (int s = 0; s < config_.num_sites; ++s) {
-        wals_.push_back(std::make_unique<fault::SiteWal>(&sites_[s]->disk,
-                                                         config_.fault));
+        wals_.push_back(std::make_unique<fault::SiteWal>(&sites_[s]->disk));
       }
       injector_->set_crash_hook([this](int e) { OnSiteCrash(e); });
       injector_->set_recovery_hook([this](int e) {
@@ -269,60 +268,32 @@ sim::Process System::GatedExecute(txn::Transaction* t) {
   sim_.Spawn(protocol_->Execute(t));
 }
 
-sim::Task<void> System::SendCtrl(db::SiteId from, db::SiteId to) {
+sim::Task<bool> System::Transfer(db::SiteId from, db::SiteId to,
+                                 size_t bytes, Retry retry) {
+  // With faults off the network has no fault hook and drops nothing.
+  if (channel_ == nullptr) return network_->Transfer(from, to, bytes);
+  return channel_->Send(from, to, bytes,
+                        retry == Retry::kAssured ? fault::kRetryForever
+                                                 : config_.fault.max_retries);
+}
+
+sim::Task<bool> System::SendCtrl(db::SiteId from, db::SiteId to,
+                                 Retry retry) {
   if (from != graph_endpoint()) {
-    co_await site(from).cpu.Execute(config_.message_instr);
+    co_await site(from).cpu.Execute(kMessageInstr);
   }
-  co_await network_->Transfer(from, to, config_.ctrl_msg_bytes);
-  if (to != graph_endpoint()) {
-    co_await site(to).cpu.Execute(config_.message_instr);
+  bool delivered = co_await Transfer(from, to, kCtrlMsgBytes, retry);
+  if (delivered && to != graph_endpoint()) {
+    co_await site(to).cpu.Execute(kMessageInstr);
   }
+  co_return delivered;
 }
 
-sim::Task<bool> System::SendCtrlReliable(db::SiteId from, db::SiteId to) {
-  if (channel_ == nullptr) {
-    co_await SendCtrl(from, to);
-    co_return true;
-  }
-  if (from != graph_endpoint()) {
-    co_await site(from).cpu.Execute(config_.message_instr);
-  }
-  bool ok = co_await channel_->Send(from, to, config_.ctrl_msg_bytes,
-                                    config_.fault.max_retries);
-  if (ok && to != graph_endpoint()) {
-    co_await site(to).cpu.Execute(config_.message_instr);
-  }
-  co_return ok;
-}
-
-sim::Task<void> System::SendCtrlAssured(db::SiteId from, db::SiteId to) {
-  if (channel_ == nullptr) {
-    co_await SendCtrl(from, to);
-    co_return;
-  }
-  if (from != graph_endpoint()) {
-    co_await site(from).cpu.Execute(config_.message_instr);
-  }
-  co_await channel_->Send(from, to, config_.ctrl_msg_bytes,
-                          fault::kRetryForever);
-  if (to != graph_endpoint()) {
-    co_await site(to).cpu.Execute(config_.message_instr);
-  }
-}
-
-sim::Task<void> System::SendPayloadAssured(db::SiteId from, db::SiteId to,
-                                           size_t bytes) {
-  LAZYREP_CHECK(channel_ != nullptr);  // fault-mode-only path
-  co_await site(from).cpu.Execute(config_.message_instr);
-  co_await channel_->Send(from, to, bytes, fault::kRetryForever);
-}
-
-sim::Task<bool> System::SendPayloadReliable(db::SiteId from, db::SiteId to,
-                                            size_t bytes) {
-  LAZYREP_CHECK(channel_ != nullptr);  // fault-mode-only path
-  co_await site(from).cpu.Execute(config_.message_instr);
-  co_return co_await channel_->Send(from, to, bytes,
-                                    config_.fault.max_retries);
+sim::Task<bool> System::SendPayload(db::SiteId from, db::SiteId to,
+                                    size_t bytes, Retry retry) {
+  co_await site(from).cpu.Execute(kMessageInstr);
+  bool delivered = co_await Transfer(from, to, bytes, retry);
+  co_return delivered;
 }
 
 sim::Task<void> System::AwaitServing(int e) {
@@ -340,7 +311,7 @@ sim::Task<bool> System::CommitWrites(txn::Transaction* t) {
     // (co-owners by the ownership rule, local readers) executes here. Only
     // updates commit through here; read-only commits force no log.
     co_await ApplyWrites(t->origin, *t, /*at_origin=*/true);
-    co_await site(t->origin).disk.ForceLog(config_.log_bytes);
+    co_await site(t->origin).disk.ForceLog(kLogBytes);
     co_return true;
   }
   if (LostToCrash(*t)) co_return false;  // already wiped: nothing to commit
@@ -398,8 +369,8 @@ sim::Process System::RecoverSiteProcess(int e) {
   // and store state need no explicit reconstruction — the simulation kept
   // them (they model exactly what the log would rebuild).
   if (bytes > 0) co_await st.disk.ReadLog(bytes);
-  double replay_instr = config_.fault.replay_instr_per_record *
-                        static_cast<double>(records);
+  double replay_instr =
+      fault::kReplayInstrPerRecord * static_cast<double>(records);
   if (replay_instr > 0) co_await st.cpu.Execute(replay_instr);
   if (site_epochs_[e] != epoch || !injector_->Recovering(e)) {
     co_return;  // re-crashed mid-replay (or the run ended): abandon
@@ -473,7 +444,7 @@ void System::DeliverEdges(const ConflictEdges& edges) {
 }
 
 sim::Task<void> System::ExecuteOpCost(db::SiteId s) {
-  co_await site(s).cpu.Execute(config_.op_instr);
+  co_await site(s).cpu.Execute(kOpInstr);
   co_await site(s).disk.ReadPage(config_.item_bytes);
 }
 

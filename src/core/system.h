@@ -35,6 +35,18 @@ class Protocol;
 
 namespace lazyrep::core {
 
+/// How hard a send tries under fault injection (with faults off every send
+/// is delivered on its first attempt).
+enum class Retry : uint8_t {
+  /// Pre-commit traffic: up to fault.max_retries retransmissions, then the
+  /// send resolves false and the caller aborts with kUnavailable.
+  kBounded,
+  /// Post-commit and cleanup traffic (commit, abort and completion notices,
+  /// installer acks, remote lock releases, propagation): retried without
+  /// bound, resolves only on delivery.
+  kAssured,
+};
+
 /// One physical database site: CPU, disk array + buffer, local 2PL lock
 /// manager, and its replica set.
 struct Site {
@@ -73,7 +85,6 @@ class System {
   sim::Simulation& sim() { return sim_; }
   const SystemConfig& config() const { return config_; }
   Site& site(db::SiteId s) { return *sites_[s]; }
-  int num_sites() const { return config_.num_sites; }
   net::Network& network() { return *network_; }
   /// The topology the network routes over (star by default).
   const net::Topology& topology() const { return network_->topology(); }
@@ -134,14 +145,21 @@ class System {
   /// locking protocol to hold read locks until completion).
   sim::OneShot* CompletionShotFor(db::TxnId id);
 
-  // -- shared mechanics -----------------------------------------------------------
+  // -- messaging --------------------------------------------------------------
 
   /// Sends a control message: sender CPU, network transfer, receiver CPU.
   /// Endpoints equal to graph_endpoint() skip the CPU charge there — the
-  /// GraphSite accounts for its own message handling.
-  sim::Task<void> SendCtrl(db::SiteId from, db::SiteId to);
+  /// GraphSite accounts for its own message handling. Under faults the
+  /// transfer rides the reliable channel with `retry`'s budget. Resolves
+  /// true once delivered (always, with faults off or kAssured); false when
+  /// a kBounded budget ran out, and then no receiver CPU is charged.
+  sim::Task<bool> SendCtrl(db::SiteId from, db::SiteId to, Retry retry);
 
-  // -- fault-aware messaging (identical to SendCtrl when faults are off) ------
+  /// Sends a bulk payload (update propagation, eager PREPARE): sender CPU
+  /// and the transfer; the receiver's handling cost is the caller's
+  /// business. Resolves like SendCtrl.
+  sim::Task<bool> SendPayload(db::SiteId from, db::SiteId to, size_t bytes,
+                              Retry retry);
 
   /// True when fault injection is active for this run.
   bool fault_enabled() const { return injector_ != nullptr; }
@@ -205,29 +223,6 @@ class System {
   /// after a clean post-run drain; nonzero means a coroutine is stranded on
   /// a wait that never resolved (the chaos harness's liveness audit).
   uint64_t LiveTxns() const { return submitted_ - terminal_; }
-
-  /// Control message with ack + capped retransmission. Resolves true once the
-  /// message (and its ack) got through; false when the retry budget ran out —
-  /// the caller must abort the transaction with AbortCause::kUnavailable.
-  /// Degenerates to plain SendCtrl / true on a perfect network.
-  sim::Task<bool> SendCtrlReliable(db::SiteId from, db::SiteId to);
-
-  /// Control message retried without bound (post-commit / cleanup traffic:
-  /// commit, abort and completion notices, installer acks, remote lock
-  /// releases). Resolves only on delivery.
-  sim::Task<void> SendCtrlAssured(db::SiteId from, db::SiteId to);
-
-  /// Bulk payload (update propagation) retried without bound. Charges send
-  /// CPU here; the receiver's handling cost is the installer's business.
-  sim::Task<void> SendPayloadAssured(db::SiteId from, db::SiteId to,
-                                     size_t bytes);
-
-  /// Bulk payload with the capped retry budget (eager PREPARE): resolves
-  /// true exactly when the receiver got the payload, false when the budget
-  /// ran out. Fault-mode only; charges send CPU, receiver handling is the
-  /// caller's business (symmetric with SendPayloadAssured).
-  sim::Task<bool> SendPayloadReliable(db::SiteId from, db::SiteId to,
-                                      size_t bytes);
 
   void DeliverEdges(const ConflictEdges& edges);
 
@@ -374,6 +369,11 @@ class System {
   std::vector<int> gate_running_;
   std::vector<std::deque<sim::OneShot*>> gate_queue_;
   void GateRelease(const txn::Transaction& t);
+  /// The transfer under a send: the plain network transfer with faults
+  /// off, else the reliable channel with `retry`'s budget. Not a coroutine,
+  /// so a send awaits the transfer itself and nests no frame.
+  sim::Task<bool> Transfer(db::SiteId from, db::SiteId to, size_t bytes,
+                           Retry retry);
 
   uint64_t txn_counter_ = 0;
   uint64_t submitted_ = 0;

@@ -16,7 +16,6 @@ ItemStore::WriteResult ItemStore::ApplyWrite(ItemId item, Timestamp ts) {
       Erase(pos);
     }
     version = ts;
-    ++writes_applied_;
   } else {
     // Thomas Write Rule: the write is ignored; logically it precedes the
     // installed (newer) version, so its writer must precede version.txn.

@@ -63,7 +63,6 @@ class ItemStore {
 
   uint32_t num_items() const { return static_cast<uint32_t>(versions_.size()); }
 
-  uint64_t writes_applied() const { return writes_applied_; }
   uint64_t writes_ignored() const { return writes_ignored_; }
 
  private:
@@ -98,7 +97,6 @@ class ItemStore {
   uint32_t live_ = 0;                // occupied slots
   std::vector<std::vector<TxnId>> lists_;
   std::vector<uint32_t> free_lists_;  // ids of lists_ not in any slot
-  uint64_t writes_applied_ = 0;
   uint64_t writes_ignored_ = 0;
 };
 

@@ -112,7 +112,6 @@ sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
 
   sim::SimTime wait_start = sim_->Now();
   sim::WaitStatus status = co_await waiter.shot.Wait(timeout);
-  wait_time_.Add(sim_->Now() - wait_start);
 
   if (status != sim::WaitStatus::kSignaled) {
     if (status == sim::WaitStatus::kTimeout) ++timeouts_;
@@ -246,7 +245,6 @@ std::vector<ItemId> LockManager::HeldItems(TxnId txn) const {
 
 void LockManager::ResetStats() {
   grants_ = waits_ = timeouts_ = 0;
-  wait_time_.Clear();
 }
 
 }  // namespace lazyrep::db

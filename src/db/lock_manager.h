@@ -10,7 +10,6 @@
 #include "sim/condition.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
-#include "sim/stats.h"
 #include "trace/trace_sink.h"
 
 namespace lazyrep::db {
@@ -92,8 +91,6 @@ class LockManager {
   uint64_t grants() const { return grants_; }
   uint64_t waits() const { return waits_; }
   uint64_t timeouts() const { return timeouts_; }
-  /// Waiting time of requests that had to wait (granted or timed out).
-  const sim::TallyStat& wait_time() const { return wait_time_; }
   void ResetStats();
 
   /// Trace hook: every Acquire resolution emits a kLockGrant/kLockDeny
@@ -168,7 +165,6 @@ class LockManager {
   uint64_t grants_ = 0;
   uint64_t waits_ = 0;
   uint64_t timeouts_ = 0;
-  sim::TallyStat wait_time_;
 };
 
 }  // namespace lazyrep::db

@@ -108,13 +108,6 @@ bool FaultParams::Validate(std::string* error) const {
       return Fail(error, "amnesia needs checkpoint_interval > 0 (got %g)",
                   checkpoint_interval);
     }
-    if (wal_record_bytes == 0) {
-      return Fail(error, "amnesia needs wal_record_bytes > 0");
-    }
-    if (replay_instr_per_record < 0) {
-      return Fail(error, "replay_instr_per_record %g negative",
-                  replay_instr_per_record);
-    }
   }
   return true;
 }

@@ -79,10 +79,6 @@ struct FaultParams {
   bool amnesia = false;
   /// Interval between fuzzy checkpoints per site, seconds (amnesia mode).
   double checkpoint_interval = 2.0;
-  /// Fixed header bytes per WAL record; item-write records add item_bytes.
-  size_t wal_record_bytes = 64;
-  /// CPU instructions charged per replayed WAL record during recovery.
-  double replay_instr_per_record = 2000;
 
   // -- reliable-messaging retry policy ---------------------------------------
   /// Retransmissions allowed for pre-commit control traffic before the

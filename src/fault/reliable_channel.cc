@@ -12,7 +12,7 @@ ReliableChannel::ReliableChannel(sim::Simulation* sim, net::Network* net,
       rto_initial_(params.rto_initial),
       rto_backoff_(params.rto_backoff),
       rto_max_(params.rto_max),
-      incarnation_(net->num_sites(), 0) {}
+      incarnation_(net->num_endpoints(), 0) {}
 
 sim::Task<void> ReliableChannel::Charge(db::SiteId endpoint) {
   if (charge_) co_await charge_(endpoint);

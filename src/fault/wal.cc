@@ -4,7 +4,7 @@ namespace lazyrep::fault {
 
 void SiteWal::Append(WalRecordType type, size_t payload_bytes) {
   (void)type;  // all record kinds cost the same header; contents are not kept
-  pending_bytes_ += params_.wal_record_bytes + payload_bytes;
+  pending_bytes_ += kWalRecordBytes + payload_bytes;
   ++pending_records_;
 }
 

@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "db/types.h"
-#include "fault/fault_params.h"
 #include "hw/disk.h"
 #include "sim/process.h"
 
@@ -26,6 +25,11 @@ enum class WalRecordType : uint8_t {
   kCheckpoint,  ///< fuzzy checkpoint: replay starts at the last durable one
 };
 
+/// Fixed header bytes per WAL record; item-write records add item_bytes.
+inline constexpr size_t kWalRecordBytes = 64;
+/// CPU instructions charged per replayed WAL record during recovery.
+inline constexpr double kReplayInstrPerRecord = 2000;
+
 /// Per-site write-ahead log, amnesia mode only.
 ///
 /// Appends buffer in memory (volatile: a crash wipes them); Force() stages
@@ -37,8 +41,7 @@ enum class WalRecordType : uint8_t {
 /// the next recovery replay.
 class SiteWal {
  public:
-  SiteWal(hw::DiskSubsystem* disk, const FaultParams& params)
-      : disk_(disk), params_(params) {}
+  explicit SiteWal(hw::DiskSubsystem* disk) : disk_(disk) {}
   SiteWal(const SiteWal&) = delete;
   SiteWal& operator=(const SiteWal&) = delete;
 
@@ -83,7 +86,6 @@ class SiteWal {
   void MarkPrepared(db::TxnId txn) { in_doubt_.insert(txn); }
   void MarkDecided(db::TxnId txn) { in_doubt_.erase(txn); }
   bool InDoubt(db::TxnId txn) const { return in_doubt_.contains(txn); }
-  size_t in_doubt_count() const { return in_doubt_.size(); }
 
   // -- statistics (window-resettable; log position is state, not a stat) ------
 
@@ -96,7 +98,6 @@ class SiteWal {
 
  private:
   hw::DiskSubsystem* disk_;
-  const FaultParams& params_;
 
   /// Buffered (volatile) appends awaiting the next force.
   size_t pending_bytes_ = 0;

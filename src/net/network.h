@@ -108,8 +108,6 @@ class Network {
   void ResetStats();
 
   int num_endpoints() const { return topology_.num_endpoints(); }
-  /// Historical name for num_endpoints() — sites plus auxiliary endpoints.
-  int num_sites() const { return num_endpoints(); }
   const NetworkParams& params() const { return params_; }
   const Topology& topology() const { return topology_; }
 

@@ -8,6 +8,7 @@
 
 namespace lazyrep::proto {
 
+using core::Retry;
 using core::System;
 using db::LockMode;
 using sim::WaitStatus;
@@ -15,36 +16,33 @@ using sim::WaitStatus;
 sim::Process EagerProtocol::LockLeg(txn::Transaction* t, db::SiteId dst,
                                     db::ItemId item, StatePtr st,
                                     RoundState* round, bool via_multicast) {
-  const core::SystemConfig& cfg = sys_->config();
   if (via_multicast) {
-    // Multicast legs charge their own receive; the reliable path below
-    // charges it inside SendCtrlReliable.
-    co_await sys_->site(dst).cpu.Execute(cfg.message_instr);
-  } else if (!co_await sys_->SendCtrlReliable(t->origin, dst)) {
-    ++round->unavailable;
-    round->done.Arrive();
-    co_return;
+    // Multicast legs charge their own receive; a point-to-point request
+    // charges it inside SendCtrl.
+    co_await sys_->site(dst).cpu.Execute(core::kMessageInstr);
+  } else {
+    bool requested = co_await sys_->SendCtrl(t->origin, dst, Retry::kBounded);
+    if (!requested) {
+      ++round->unavailable;
+      round->done.Arrive();
+      co_return;
+    }
   }
   WaitStatus s = co_await sys_->site(dst).locks.Acquire(
-      t->id, item, LockMode::kExclusive, cfg.timeout);
+      t->id, item, LockMode::kExclusive, sys_->config().timeout);
   if (s == WaitStatus::kSignaled) {
     // Record the grant before the reply leg: if the grant message never
     // arrives, the abort path still knows to release this lock.
     st->granted_remote.emplace_back(dst, item);
-    if (via_multicast) {
-      co_await sys_->SendCtrl(dst, t->origin);
-    } else if (!co_await sys_->SendCtrlReliable(dst, t->origin)) {
+    bool replied = co_await sys_->SendCtrl(dst, t->origin, Retry::kBounded);
+    if (!replied) {
       // The coordinator never learned of the grant: treat the site as
       // unreachable (the recorded grant is released on abort).
       ++round->unavailable;
     }
   } else {
     ++round->denied;
-    if (via_multicast) {
-      co_await sys_->SendCtrl(dst, t->origin);  // deny reply
-    } else {
-      co_await sys_->SendCtrlReliable(dst, t->origin);  // deny, best effort
-    }
+    co_await sys_->SendCtrl(dst, t->origin, Retry::kBounded);  // deny reply
   }
   round->done.Arrive();
 }
@@ -79,7 +77,7 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
             LockLeg(t, dst, item, st, &round, /*via_multicast=*/false));
       }
     } else {
-      co_await sys_->site(t->origin).cpu.Execute(cfg.message_instr);
+      co_await sys_->site(t->origin).cpu.Execute(core::kMessageInstr);
       // The callback must be a named lvalue: this toolchain's coroutine
       // transform runs one extra destructor on an owning prvalue temporary
       // materialized inside a co_await expression (here that would double-
@@ -91,7 +89,7 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
                 LockLeg(t, dst, item, st, &round, /*via_multicast=*/true));
           };
       co_await sys_->network().Multicast(t->origin, targets,
-                                         cfg.ctrl_msg_bytes,
+                                         core::kCtrlMsgBytes,
                                          std::move(on_locked));
     }
     // Every leg is bounded (lock waits and reliable sends time out), so the
@@ -105,23 +103,23 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
       co_return false;
     }
     if (round.denied == 0) co_return true;
-    if (attempt >= cfg.eager_lock_retries) {
+    if (attempt >= core::kEagerLockRetries) {
       st->fail_cause = txn::AbortCause::kLockTimeout;
       co_return false;
     }
     // Randomized exponential backoff breaks the symmetry of a distributed
     // deadlock: whichever rival backs off longer re-requests into queues the
     // other has already drained.
-    co_await sys_->sim().Delay(st->rng.Uniform01() * cfg.eager_backoff_base *
+    co_await sys_->sim().Delay(st->rng.Uniform01() * core::kEagerBackoffBase *
                                (1 << attempt));
   }
 }
 
 sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
-                                        TwoPCPtr pc, bool via_multicast) {
+                                        TwoPCPtr pc) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& site = sys_->site(dst);
-  co_await site.cpu.Execute(cfg.message_instr);  // receive the PREPARE payload
+  co_await site.cpu.Execute(core::kMessageInstr);  // receive the PREPARE
   int idx = pc->IndexOf(dst);
   LAZYREP_CHECK(idx >= 0);
   const bool amnesia = sys_->amnesia();
@@ -146,7 +144,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   size_t prepare_pages = 0;
   for (db::ItemId item : t->write_set) {
     if (cfg.HasReplica(item, dst)) {
-      co_await site.cpu.Execute(cfg.op_instr);
+      co_await site.cpu.Execute(core::kOpInstr);
       ++prepare_pages;
     }
   }
@@ -161,19 +159,15 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
     }
     w->MarkPrepared(t->id);  // in doubt: X locks now survive a crash
   } else {
-    co_await site.disk.ForceLog(cfg.log_bytes);
+    co_await site.disk.ForceLog(core::kLogBytes);
   }
 
   // Vote YES. From here the participant is in doubt: it no longer has the
   // right to abort unilaterally and blocks holding its X locks.
   sim::SimTime vote_at = sys_->sim().Now();
   sys_->TraceEvent(trace::EventType::kVote, *t, dst, 0, 1);
-  if (via_multicast) {
-    co_await sys_->SendCtrl(dst, t->origin);
-    pc->votes.Arrive();
-  } else if (co_await sys_->SendCtrlReliable(dst, t->origin)) {
-    pc->votes.Arrive();  // only a *delivered* YES counts
-  }
+  bool voted = co_await sys_->SendCtrl(dst, t->origin, Retry::kBounded);
+  if (voted) pc->votes.Arrive();  // only a *delivered* YES counts
   co_await pc->outcome[idx]->Wait();
   sys_->metrics().OnEagerInDoubt(t->measured, sys_->sim().Now() - vote_at);
   // A crash during the doubt window lost everything volatile *except* this
@@ -200,12 +194,12 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
       }
       w->MarkDecided(t->id);
     } else {
-      co_await site.disk.ForceLog(cfg.log_bytes);
+      co_await site.disk.ForceLog(core::kLogBytes);
     }
     site.locks.ReleaseAll(t->id);
     // COMMIT-ACK, carrying this site's conflict predecessors; the tracker
     // learns the subtransaction commit when the ack lands at the origin.
-    co_await sys_->SendCtrlAssured(dst, t->origin);
+    co_await sys_->SendCtrl(dst, t->origin, Retry::kAssured);
     sys_->DeliverEdges(edges);
     sys_->tracker().OnSubtxnCommitted(t->id);
   } else {
@@ -219,13 +213,15 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
 sim::Process EagerProtocol::PrepareAt(txn::Transaction* t, int idx,
                                       size_t bytes, TwoPCPtr pc) {
   db::SiteId dst = pc->targets[idx];
-  if (!co_await sys_->SendPayloadReliable(t->origin, dst, bytes)) {
+  bool delivered =
+      co_await sys_->SendPayload(t->origin, dst, bytes, Retry::kBounded);
+  if (!delivered) {
     // Never reached the participant: no vote, no locks-in-doubt there. The
     // coordinator learns through its vote timeout.
     co_return;
   }
   pc->prepared[idx] = 1;
-  sys_->sim().Spawn(Participant(t, dst, pc, /*via_multicast=*/false));
+  sys_->sim().Spawn(Participant(t, dst, pc));
   if (pc->decided) {
     // The PREPARE resolved only after the coordinator presumed abort (a
     // commit cannot be decided while a PREPARE is outstanding — it needs
@@ -240,12 +236,11 @@ sim::Process EagerProtocol::OutcomeAt(db::SiteId origin, TwoPCPtr pc,
   // Retried forever: a crashed coordinator endpoint stalls the retries until
   // recovery, which is precisely the 2PC blocking window the in-doubt metric
   // measures.
-  co_await sys_->SendCtrlAssured(origin, pc->targets[idx]);
+  co_await sys_->SendCtrl(origin, pc->targets[idx], Retry::kAssured);
   pc->outcome[idx]->Fire(WaitStatus::kSignaled);
 }
 
 sim::Process EagerProtocol::BroadcastOutcome(db::SiteId origin, TwoPCPtr pc) {
-  const core::SystemConfig& cfg = sys_->config();
   if (sys_->fault_enabled()) {
     for (size_t i = 0; i < pc->targets.size(); ++i) {
       if (pc->prepared[i]) {
@@ -254,17 +249,16 @@ sim::Process EagerProtocol::BroadcastOutcome(db::SiteId origin, TwoPCPtr pc) {
     }
     co_return;
   }
-  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
+  co_await sys_->site(origin).cpu.Execute(core::kMessageInstr);
   // Named lvalue: see AcquireReplicaLocks for the toolchain bug this avoids.
   net::Network::DeliveryFn on_outcome = [this, pc](db::SiteId dst) {
     sys_->sim().Spawn([](EagerProtocol* self, TwoPCPtr p,
                          db::SiteId site) -> sim::Process {
-      co_await self->sys_->site(site).cpu.Execute(
-          self->sys_->config().message_instr);
+      co_await self->sys_->site(site).cpu.Execute(core::kMessageInstr);
       p->outcome[p->IndexOf(site)]->Fire(WaitStatus::kSignaled);
     }(this, pc, dst));
   };
-  co_await sys_->network().Multicast(origin, pc->targets, cfg.ctrl_msg_bytes,
+  co_await sys_->network().Multicast(origin, pc->targets, core::kCtrlMsgBytes,
                                      std::move(on_outcome));
 }
 
@@ -308,7 +302,7 @@ sim::Process EagerProtocol::ReleaseRemote(
     }
   }
   for (db::SiteId s : sites) {
-    co_await sys_->SendCtrlAssured(origin, s);
+    co_await sys_->SendCtrl(origin, s, Retry::kAssured);
     sys_->site(s).locks.ReleaseAll(id);
   }
 }
@@ -324,22 +318,20 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   // eager discipline — no pipelined dispatch).
   for (int i = 0; i < t->num_ops(); ++i) {
     const db::Operation& op = t->ops[i];
-    LockMode mode = op.type == db::OpType::kWrite ? LockMode::kExclusive
-                                                  : LockMode::kShared;
-    WaitStatus s =
-        co_await origin.locks.Acquire(t->id, op.item, mode, cfg.timeout);
-    if (s != WaitStatus::kSignaled) {
+    const bool write = op.type == db::OpType::kWrite;
+    bool executed = co_await ExecuteLocal(
+        t, op, write ? LockMode::kExclusive : LockMode::kShared, &st->edges,
+        nullptr);
+    if (!executed) {
       AbortNow(t, st, txn::AbortCause::kLockTimeout);
       co_return;
     }
-    co_await sys_->ExecuteOpCost(t->origin);
-    if (op.type == db::OpType::kWrite) {
-      if (!co_await AcquireReplicaLocks(t, op.item, st)) {
+    if (write) {
+      bool locked = co_await AcquireReplicaLocks(t, op.item, st);
+      if (!locked) {
         AbortNow(t, st, st->fail_cause);
         co_return;
       }
-    } else {
-      sys_->NoteRead(*t, op.item, &st->edges);
     }
   }
 
@@ -351,24 +343,22 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
     co_return;
   }
 
-  if (!t->is_update) {
-    // Entirely local: commit, release (strict 2PL holds to commit, not to
-    // completion — the tracker's wr edges order completions instead).
-    sys_->NoteCommitted(t);
-    origin.locks.ReleaseAll(t->id);
-    sys_->DeliverEdges(st->edges);
-    sys_->tracker().OnSubtxnCommitted(t->id);
-    co_return;
-  }
-
-  std::vector<db::SiteId> targets = sys_->ReplicaTargets(*t, t->origin);
+  std::vector<db::SiteId> targets;
+  if (t->is_update) targets = sys_->ReplicaTargets(*t, t->origin);
   if (targets.empty()) {
-    // Degenerate partial-replication case: no replicas, one-site commit.
-    sys_->StampCommitTimestamp(t);
-    if (!co_await sys_->CommitWrites(t)) {
-      AbortNow(t, st, txn::AbortCause::kSiteFailure);
-      co_return;
+    // Entirely local: a read-only transaction, or an update with no replica
+    // elsewhere (partial replication). An update stamps its TWR timestamp
+    // and commits its writes; a read-only one keeps its submission stamp.
+    if (t->is_update) {
+      sys_->StampCommitTimestamp(t);
+      bool committed = co_await sys_->CommitWrites(t);
+      if (!committed) {
+        AbortNow(t, st, txn::AbortCause::kSiteFailure);
+        co_return;
+      }
     }
+    // Strict 2PL holds to commit, not to completion: the tracker's wr edges
+    // order completions instead.
     sys_->NoteCommitted(t);
     origin.locks.ReleaseAll(t->id);
     sys_->DeliverEdges(st->edges);
@@ -382,17 +372,17 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   sys_->TraceEvent(trace::EventType::kPrepare, *t, t->origin, 0,
                    pc->targets.size());
   size_t bytes =
-      cfg.propagation_overhead_bytes + t->write_set.size() * cfg.item_bytes;
+      core::kPropagationOverheadBytes + t->write_set.size() * cfg.item_bytes;
   if (sys_->fault_enabled()) {
     for (size_t i = 0; i < pc->targets.size(); ++i) {
       sys_->sim().Spawn(PrepareAt(t, static_cast<int>(i), bytes, pc));
     }
   } else {
     std::fill(pc->prepared.begin(), pc->prepared.end(), 1);
-    co_await origin.cpu.Execute(cfg.message_instr);
+    co_await origin.cpu.Execute(core::kMessageInstr);
     // Named lvalue: see AcquireReplicaLocks for the toolchain bug this avoids.
     net::Network::DeliveryFn on_prepare = [this, t, pc](db::SiteId dst) {
-      sys_->sim().Spawn(Participant(t, dst, pc, /*via_multicast=*/true));
+      sys_->sim().Spawn(Participant(t, dst, pc));
     };
     co_await sys_->network().Multicast(t->origin, pc->targets, bytes,
                                        std::move(on_prepare));
@@ -419,7 +409,8 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
     if (sys_->amnesia()) {
       sys_->wal(t->origin)->Append(fault::WalRecordType::kOutcome, 0);
     }
-    if (!co_await sys_->CommitWrites(t)) {
+    bool committed = co_await sys_->CommitWrites(t);
+    if (!committed) {
       PresumeAbort(t, st, pc, txn::AbortCause::kSiteFailure);
       co_return;
     }

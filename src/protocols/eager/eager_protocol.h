@@ -18,7 +18,7 @@ namespace lazyrep::proto {
 ///   the network, at every replica site — all before the transaction commits.
 /// * Distributed deadlocks resolve by lock-wait timeout: a denied replica
 ///   lock round is retried after a randomized exponential backoff, up to
-///   `eager_lock_retries` times, then the transaction aborts.
+///   core::kEagerLockRetries times, then the transaction aborts.
 /// * Commit is a presumed-abort 2PC. The coordinator (the origination site)
 ///   multicasts PREPARE carrying the write set; participants force a prepare
 ///   log record, vote YES, and are then *in doubt* — blocked holding their
@@ -117,8 +117,7 @@ class EagerProtocol : public Protocol {
 
   /// Participant state machine at `dst`: force prepare record, vote YES,
   /// block in doubt, then apply + ack (commit) or release (presumed abort).
-  sim::Process Participant(txn::Transaction* t, db::SiteId dst, TwoPCPtr pc,
-                           bool via_multicast);
+  sim::Process Participant(txn::Transaction* t, db::SiteId dst, TwoPCPtr pc);
 
   /// Delivers the decided outcome to the prepared targets.
   sim::Process BroadcastOutcome(db::SiteId origin, TwoPCPtr pc);

@@ -6,6 +6,7 @@
 
 namespace lazyrep::proto {
 
+using core::Retry;
 using core::System;
 using db::LockMode;
 using sim::WaitStatus;
@@ -45,7 +46,8 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
       // Relay the read-lock request to the primary site (§2.2).
       sys_->TraceEvent(trace::EventType::kRemoteRead, *t, primary, op.item,
                        origin);
-      if (!co_await sys_->SendCtrlReliable(origin, primary)) {
+      bool relayed = co_await sys_->SendCtrl(origin, primary, Retry::kBounded);
+      if (!relayed) {
         st->fail_cause = txn::AbortCause::kUnavailable;
         status = WaitStatus::kCancelled;
       } else {
@@ -60,7 +62,9 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
             // Record the grant before the reply leg: if the grant message
             // never arrives, ReleaseRemoteReads still knows to clean it up.
             st->granted_remote_reads.emplace_back(primary, op.item);
-            if (!co_await sys_->SendCtrlReliable(primary, origin)) {
+            bool replied =
+                co_await sys_->SendCtrl(primary, origin, Retry::kBounded);
+            if (!replied) {
               st->fail_cause = txn::AbortCause::kUnavailable;
               status = WaitStatus::kCancelled;
             }
@@ -69,7 +73,6 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
       }
     }
   }
-  st->statuses[index] = status;
   st->grants[index]->Fire(status == WaitStatus::kSignaled
                               ? WaitStatus::kSignaled
                               : WaitStatus::kCancelled);
@@ -95,7 +98,7 @@ sim::Process LockingProtocol::ReleaseRemoteReads(
   for (const auto& [primary, item] : granted) {
     txn::Transaction* t = sys_->FindTxn(id);
     LAZYREP_CHECK(t != nullptr);
-    co_await sys_->SendCtrlAssured(t->origin, primary);
+    co_await sys_->SendCtrl(t->origin, primary, Retry::kAssured);
     sys_->site(primary).locks.Release(id, item);
   }
 }
@@ -105,7 +108,7 @@ sim::Process LockingProtocol::Installer(txn::Transaction* t, db::SiteId dst,
   System::ConflictEdges edges = co_await InstallAt(t, dst);
   // Ack to the origin, carrying this site's conflict predecessors. The
   // origin blocks on the ack countdown, so the ack must get through.
-  co_await sys_->SendCtrlAssured(dst, t->origin);
+  co_await sys_->SendCtrl(dst, t->origin, Retry::kAssured);
   sys_->DeliverEdges(edges);
   acks->Arrive();
 }
@@ -113,7 +116,7 @@ sim::Process LockingProtocol::Installer(txn::Transaction* t, db::SiteId dst,
 sim::Process LockingProtocol::Execute(txn::Transaction* t) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& origin = sys_->site(t->origin);
-  auto st = std::make_shared<ExecState>(t->num_ops());
+  auto st = std::make_shared<ExecState>();
   // §4.3 exploration: two-version readers skip read locks entirely. Unlike
   // the replication-graph protocols (whose RGtests still guard the reads),
   // the locking protocol then has no global serializability guard for
@@ -121,51 +124,48 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
   // approach benefits more from multiversioning, and this is why.
   const bool lock_free_reads = cfg.two_version_reads && !t->is_update;
   System::ReadVersions read_versions;
-  st->grants.reserve(t->num_ops());
-  for (int i = 0; i < t->num_ops(); ++i) {
-    st->grants.push_back(std::make_unique<sim::OneShot>(&sys_->sim()));
-  }
-  if (cfg.pipelined_dispatch && !lock_free_reads) {
+  if (!lock_free_reads) {
+    st->grants.reserve(t->num_ops());
     for (int i = 0; i < t->num_ops(); ++i) {
-      sys_->sim().Spawn(FetchLock(t, i, st));
+      st->grants.push_back(std::make_unique<sim::OneShot>(&sys_->sim()));
+    }
+    if (cfg.pipelined_dispatch) {
+      for (int i = 0; i < t->num_ops(); ++i) {
+        sys_->sim().Spawn(FetchLock(t, i, st));
+      }
     }
   }
 
   for (int i = 0; i < t->num_ops(); ++i) {
-    if (lock_free_reads) {
-      st->statuses[i] = WaitStatus::kSignaled;
-      st->grants[i]->Fire(WaitStatus::kSignaled);
-    } else if (!cfg.pipelined_dispatch) {
-      sys_->sim().Spawn(FetchLock(t, i, st));
-    }
-    co_await st->grants[i]->Wait();
-    if (st->statuses[i] != WaitStatus::kSignaled) {
-      AbortNow(t, st, st->fail_cause);
-      co_return;
-    }
     const db::Operation& op = t->ops[i];
-    if (op.type == db::OpType::kRead && !lock_free_reads &&
-        cfg.PrimarySite(op.item) != t->origin) {
-      // Local DBMS read lock at the origination site (serializes against
-      // incoming replica installations).
-      WaitStatus ls = co_await origin.locks.Acquire(
-          t->id, op.item, LockMode::kShared, cfg.timeout);
-      if (ls != WaitStatus::kSignaled) {
-        AbortNow(t, st, txn::AbortCause::kLockTimeout);
+    // A write's global update lock and a read's global lock at its own
+    // primary are the local locks; a read of a remote primary also takes
+    // the local read lock (it serializes against incoming installs).
+    std::optional<LockMode> local_lock;
+    if (!lock_free_reads) {
+      if (!cfg.pipelined_dispatch) sys_->sim().Spawn(FetchLock(t, i, st));
+      WaitStatus granted = co_await st->grants[i]->Wait();
+      if (granted != WaitStatus::kSignaled) {
+        AbortNow(t, st, st->fail_cause);
         co_return;
       }
+      if (op.type == db::OpType::kRead &&
+          cfg.PrimarySite(op.item) != t->origin) {
+        local_lock = LockMode::kShared;
+      }
     }
-    co_await sys_->ExecuteOpCost(t->origin);
-    if (op.type == db::OpType::kRead) {
-      // Lock-free readers stay out of the completion dependency graph: with
-      // no global guard their stale reads can close a dependency cycle
-      // (reader waits on a read-from writer whose ww-predecessor waits on
-      // the reader) and deadlock the completion fixpoint. They read the
-      // version unregistered and record no wr edge — the MVSG recorder
-      // still sees the read, so the lost guarantee stays measurable.
-      db::Timestamp version =
-          sys_->NoteRead(*t, op.item, lock_free_reads ? nullptr : &st->edges);
-      if (lock_free_reads) read_versions.emplace_back(op.item, version);
+    // Lock-free readers stay out of the completion dependency graph: with
+    // no global guard their stale reads can close a dependency cycle
+    // (reader waits on a read-from writer whose ww-predecessor waits on the
+    // reader) and deadlock the completion fixpoint. They read the version
+    // unregistered and record no wr edge — the MVSG recorder still sees the
+    // read, so the lost guarantee stays measurable.
+    bool executed = co_await ExecuteLocal(
+        t, op, local_lock, lock_free_reads ? nullptr : &st->edges,
+        lock_free_reads ? &read_versions : nullptr);
+    if (!executed) {
+      AbortNow(t, st, txn::AbortCause::kLockTimeout);
+      co_return;
     }
   }
 
@@ -178,25 +178,10 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
     co_return;
   }
 
-  // Amnesia fencing: a crash at the origin wiped this transaction's locks
-  // and buffered state — it must not commit on what did not survive.
-  if (sys_->LostToCrash(*t)) {
-    AbortNow(t, st, txn::AbortCause::kSiteFailure);
+  txn::AbortCause cause = co_await CommitAtOrigin(t);
+  if (cause != txn::AbortCause::kNone) {
+    AbortNow(t, st, cause);
     co_return;
-  }
-
-  sys_->StampCommitTimestamp(t);
-  // Commit at the origination site. A write masked by a *terminal* newer
-  // writer cannot serialize anywhere (its timestamp is too old): abort.
-  if (t->is_update) {
-    if (sys_->HasStaleWriteVsTerminal(*t)) {
-      AbortNow(t, st, txn::AbortCause::kStaleWrite);
-      co_return;
-    }
-    if (!co_await sys_->CommitWrites(t)) {
-      AbortNow(t, st, txn::AbortCause::kSiteFailure);
-      co_return;
-    }
   }
   sys_->NoteCommitted(t);
   sys_->DeliverEdges(st->edges);

@@ -31,10 +31,9 @@ class LockingProtocol : public Protocol {
 
  private:
   struct ExecState {
-    explicit ExecState(int num_ops) { statuses.resize(num_ops); }
-    /// Per-operation lock grant slots (pipelined acquisition).
+    /// Per-operation lock grant slots (pipelined acquisition), each fired
+    /// with its grant's status; none for a lock-free reader.
     std::vector<std::unique_ptr<sim::OneShot>> grants;
-    std::vector<sim::WaitStatus> statuses;
     /// Items whose (possibly remote) global read lock was granted, by
     /// primary site, for release on abort/completion.
     std::vector<std::pair<db::SiteId, db::ItemId>> granted_remote_reads;

@@ -4,9 +4,9 @@
 
 namespace lazyrep::proto {
 
+using core::Retry;
 using core::System;
 using db::LockMode;
-using sim::WaitStatus;
 
 sim::Process OptimisticProtocol::Execute(txn::Transaction* t) {
   const core::SystemConfig& cfg = sys_->config();
@@ -18,23 +18,19 @@ sim::Process OptimisticProtocol::Execute(txn::Transaction* t) {
   const bool lock_free_reads = cfg.two_version_reads && !t->is_update;
   System::ReadVersions read_versions;
   for (const db::Operation& op : t->ops) {
-    LockMode mode = op.type == db::OpType::kRead ? LockMode::kShared
-                                                 : LockMode::kUpdate;
-    WaitStatus ls = lock_free_reads
-                        ? WaitStatus::kSignaled  // two-version: readers
-                                                 // never block (§4.3)
-                        : co_await origin.locks.Acquire(t->id, op.item, mode,
-                                                        cfg.timeout);
-    if (ls != WaitStatus::kSignaled) {
+    std::optional<LockMode> local_lock;  // two-version readers never block
+    if (!lock_free_reads) {
+      local_lock = op.type == db::OpType::kRead ? LockMode::kShared
+                                                : LockMode::kUpdate;
+    }
+    bool executed =
+        co_await ExecuteLocal(t, op, local_lock, &edges,
+                              lock_free_reads ? &read_versions : nullptr);
+    if (!executed) {
       // Local deadlock timeout: abort. The graph site was never contacted.
       AbortAtOrigin(t, txn::AbortCause::kLockTimeout,
                     /*remove_from_graph=*/false);
       co_return;
-    }
-    co_await sys_->ExecuteOpCost(t->origin);
-    if (op.type == db::OpType::kRead) {
-      db::Timestamp version = sys_->NoteRead(*t, op.item, &edges);
-      if (lock_free_reads) read_versions.emplace_back(op.item, version);
     }
   }
 
@@ -52,53 +48,40 @@ sim::Process OptimisticProtocol::Execute(txn::Transaction* t) {
   sim::SimTime local_ready = sys_->sim().Now();
 
   // Phase 2: the only graph-site coordination — RGtest at commit (step 4).
-  rg::Verdict v;
-  if (!co_await sys_->SendCtrlReliable(t->origin, sys_->graph_endpoint())) {
-    v = rg::Verdict::kUnavailable;  // request never reached the graph site
-  } else {
-    v = co_await sys_->graph_site()->TestCommit(t->id, t->origin, t->is_update,
-                                                t->ops);
-    if (!co_await sys_->SendCtrlReliable(sys_->graph_endpoint(), t->origin)) {
-      v = rg::Verdict::kUnavailable;  // verdict reply lost: must abort
-    }
+  // A request or verdict reply that never arrives leaves kUnavailable.
+  const db::SiteId graph = sys_->graph_endpoint();
+  rg::Verdict v = rg::Verdict::kUnavailable;
+  bool sent = co_await sys_->SendCtrl(t->origin, graph, Retry::kBounded);
+  if (sent) {
+    rg::Verdict tested = co_await sys_->graph_site()->TestCommit(
+        t->id, t->origin, t->is_update, t->ops);
+    bool replied = co_await sys_->SendCtrl(graph, t->origin, Retry::kBounded);
+    if (replied) v = tested;
   }
-  sys_->TraceEvent(trace::EventType::kGraphTest, *t, sys_->graph_endpoint(),
-                   0, static_cast<uint64_t>(v));
+  sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph, 0,
+                   static_cast<uint64_t>(v));
 
   if (v != rg::Verdict::kOk) {
     AbortForVerdict(t, v);
     co_return;
   }
 
-  // Amnesia fencing: a crash at the origin wiped this transaction's locks
-  // and buffered state. The OK verdict landed, so the graph site carries the
-  // node: from here on every abort asks it to drop us once reachable.
-  if (sys_->LostToCrash(*t)) {
-    AbortAtOrigin(t, txn::AbortCause::kSiteFailure, /*remove_from_graph=*/true);
-    co_return;
-  }
-
-  sys_->StampCommitTimestamp(t);
-  // A write masked by a terminal newer writer cannot serialize: abort
-  // ("timestamp too old").
-  if (t->is_update && sys_->HasStaleWriteVsTerminal(*t)) {
-    AbortAtOrigin(t, txn::AbortCause::kStaleWrite, true);
+  // The OK verdict landed, so the graph site carries the node: from here on
+  // every abort asks it to drop us once reachable.
+  txn::AbortCause cause = co_await CommitAtOrigin(t);
+  if (cause != txn::AbortCause::kNone) {
+    AbortAtOrigin(t, cause, /*remove_from_graph=*/true);
     co_return;
   }
   // Two-version commit-point revalidation: the graph round trip left the
   // reader's versions unpinned (no read locks), so an install landing
   // meanwhile can turn the view into an inconsistent multi-writer cut the
-  // RGtest never saw.
+  // RGtest never saw. A lock-free reader is read-only, so its commit point
+  // above scheduled nothing: this runs at the same instant.
   if (lock_free_reads &&
       sys_->HasInvalidatedReads(t->origin, read_versions)) {
     AbortAtOrigin(t, txn::AbortCause::kTornRead, true);
     co_return;
-  }
-  if (t->is_update) {
-    if (!co_await sys_->CommitWrites(t)) {
-      AbortAtOrigin(t, txn::AbortCause::kSiteFailure, true);
-      co_return;
-    }
   }
   // Response-time convention for read-only transactions (see DESIGN.md):
   // the paper's Fig 9 ratios (optimistic better than locking/pessimistic by

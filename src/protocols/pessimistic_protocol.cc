@@ -2,15 +2,18 @@
 
 namespace lazyrep::proto {
 
+using core::Retry;
 using core::System;
 using db::LockMode;
 using sim::WaitStatus;
 
 sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
                                            StatePtr st) {
-  if (!co_await sys_->SendCtrlReliable(t->origin, sys_->graph_endpoint())) {
+  const db::SiteId graph = sys_->graph_endpoint();
+  bool sent = co_await sys_->SendCtrl(t->origin, graph, Retry::kBounded);
+  if (!sent) {
     st->verdicts[index] = rg::Verdict::kUnavailable;
-    sys_->TraceEvent(trace::EventType::kGraphTest, *t, sys_->graph_endpoint(),
+    sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph,
                      t->ops[index].item,
                      static_cast<uint64_t>(rg::Verdict::kUnavailable));
     st->slots[index]->Fire(WaitStatus::kCancelled);
@@ -18,10 +21,9 @@ sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
   }
   rg::Verdict v = co_await sys_->graph_site()->TestOperation(
       t->id, t->origin, t->is_update, t->ops[index]);
-  if (!co_await sys_->SendCtrlReliable(sys_->graph_endpoint(), t->origin)) {
-    v = rg::Verdict::kUnavailable;  // verdict reply never reached the origin
-  }
-  sys_->TraceEvent(trace::EventType::kGraphTest, *t, sys_->graph_endpoint(),
+  bool replied = co_await sys_->SendCtrl(graph, t->origin, Retry::kBounded);
+  if (!replied) v = rg::Verdict::kUnavailable;  // reply never reached origin
+  sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph,
                    t->ops[index].item, static_cast<uint64_t>(v));
   st->verdicts[index] = v;
   st->slots[index]->Fire(v == rg::Verdict::kOk ? WaitStatus::kSignaled
@@ -30,7 +32,7 @@ sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
 
 sim::Process PessimisticProtocol::CommitNotice(txn::Transaction* t,
                                                StatePtr st) {
-  co_await sys_->SendCtrlAssured(t->origin, sys_->graph_endpoint());
+  co_await sys_->SendCtrl(t->origin, sys_->graph_endpoint(), Retry::kAssured);
   co_await sys_->graph_site()->HandleCommitted(t->id);
   sys_->DeliverEdges(st->edges);
   sys_->tracker().OnSubtxnCommitted(t->id);
@@ -60,21 +62,18 @@ sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
       co_return;
     }
     const db::Operation& op = t->ops[i];
-    LockMode mode = op.type == db::OpType::kRead ? LockMode::kShared
-                                                 : LockMode::kUpdate;
-    WaitStatus ls = lock_free_reads
-                        ? WaitStatus::kSignaled  // two-version readers
-                        : co_await origin.locks.Acquire(t->id, op.item, mode,
-                                                        cfg.timeout);
-    if (ls != WaitStatus::kSignaled) {
+    std::optional<LockMode> local_lock;  // none for two-version readers
+    if (!lock_free_reads) {
+      local_lock = op.type == db::OpType::kRead ? LockMode::kShared
+                                                : LockMode::kUpdate;
+    }
+    bool executed =
+        co_await ExecuteLocal(t, op, local_lock, &st->edges,
+                              lock_free_reads ? &read_versions : nullptr);
+    if (!executed) {
       AbortAtOrigin(t, txn::AbortCause::kLockTimeout,
                     /*remove_from_graph=*/true);
       co_return;
-    }
-    co_await sys_->ExecuteOpCost(t->origin);
-    if (op.type == db::OpType::kRead) {
-      db::Timestamp version = sys_->NoteRead(*t, op.item, &st->edges);
-      if (lock_free_reads) read_versions.emplace_back(op.item, version);
     }
   }
 
@@ -87,25 +86,10 @@ sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
     co_return;
   }
 
-  // Amnesia fencing: a crash at the origin wiped this transaction's locks
-  // and buffered state — abort and let the graph site GC its node.
-  if (sys_->LostToCrash(*t)) {
-    AbortAtOrigin(t, txn::AbortCause::kSiteFailure, true);
+  txn::AbortCause cause = co_await CommitAtOrigin(t);
+  if (cause != txn::AbortCause::kNone) {
+    AbortAtOrigin(t, cause, /*remove_from_graph=*/true);
     co_return;
-  }
-
-  sys_->StampCommitTimestamp(t);
-  // Commit at the origination site. A write masked by a terminal newer
-  // writer cannot serialize anywhere: abort ("timestamp too old").
-  if (t->is_update) {
-    if (sys_->HasStaleWriteVsTerminal(*t)) {
-      AbortAtOrigin(t, txn::AbortCause::kStaleWrite, true);
-      co_return;
-    }
-    if (!co_await sys_->CommitWrites(t)) {
-      AbortAtOrigin(t, txn::AbortCause::kSiteFailure, true);
-      co_return;
-    }
   }
   sys_->NoteCommitted(t);
 

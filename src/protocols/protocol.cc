@@ -4,6 +4,7 @@
 
 namespace lazyrep::proto {
 
+using core::Retry;
 using core::System;
 using sim::WaitStatus;
 
@@ -15,11 +16,44 @@ void Protocol::OnRegister(txn::Transaction* t) {
   sys_->tracker().SetRemainingCommits(t->id, remaining);
 }
 
+sim::Task<bool> Protocol::ExecuteLocal(txn::Transaction* t, db::Operation op,
+                                       std::optional<db::LockMode> lock,
+                                       System::ConflictEdges* edges,
+                                       System::ReadVersions* versions) {
+  if (lock.has_value()) {
+    WaitStatus s = co_await sys_->site(t->origin).locks.Acquire(
+        t->id, op.item, *lock, sys_->config().timeout);
+    if (s != WaitStatus::kSignaled) co_return false;
+  }
+  co_await sys_->ExecuteOpCost(t->origin);
+  if (op.type == db::OpType::kRead) {
+    db::Timestamp version = sys_->NoteRead(*t, op.item, edges);
+    if (versions != nullptr) versions->emplace_back(op.item, version);
+  }
+  co_return true;
+}
+
+sim::Task<txn::AbortCause> Protocol::CommitAtOrigin(txn::Transaction* t) {
+  // Amnesia fencing: a crash at the origin wiped this transaction's locks
+  // and buffered state — it must not commit on what did not survive.
+  if (sys_->LostToCrash(*t)) co_return txn::AbortCause::kSiteFailure;
+  sys_->StampCommitTimestamp(t);
+  if (!t->is_update) co_return txn::AbortCause::kNone;
+  // A write masked by a *terminal* newer writer cannot serialize anywhere
+  // (its timestamp is too old).
+  if (sys_->HasStaleWriteVsTerminal(*t)) {
+    co_return txn::AbortCause::kStaleWrite;
+  }
+  bool committed = co_await sys_->CommitWrites(t);
+  co_return committed ? txn::AbortCause::kNone
+                      : txn::AbortCause::kSiteFailure;
+}
+
 sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
                                                      db::SiteId dst) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& site = sys_->site(dst);
-  co_await site.cpu.Execute(cfg.message_instr);  // receive the propagation
+  co_await site.cpu.Execute(core::kMessageInstr);  // receive the propagation
 
   const bool amnesia = sys_->amnesia();
   uint32_t epoch = amnesia ? sys_->SiteEpoch(dst) : 0;
@@ -30,11 +64,11 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
       // the recovered site request the missed propagation, re-ship it, and
       // install from scratch (ApplyWrites is TWR-idempotent).
       co_await sys_->AwaitServing(dst);
-      co_await sys_->SendCtrlAssured(dst, t->origin);  // catch-up request
-      size_t bytes = cfg.propagation_overhead_bytes +
+      co_await sys_->SendCtrl(dst, t->origin, Retry::kAssured);  // catch-up
+      size_t bytes = core::kPropagationOverheadBytes +
                      t->write_set.size() * cfg.item_bytes;
-      co_await sys_->SendPayloadAssured(t->origin, dst, bytes);
-      co_await site.cpu.Execute(cfg.message_instr);  // receive again
+      co_await sys_->SendPayload(t->origin, dst, bytes, Retry::kAssured);
+      co_await site.cpu.Execute(core::kMessageInstr);  // receive again
       epoch = sys_->SiteEpoch(dst);
       sys_->NoteCatchupInstall();
       continue;
@@ -71,7 +105,7 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
     if (!locked) continue;
 
     for (size_t i = 0; i < held.size(); ++i) {
-      co_await site.cpu.Execute(cfg.op_instr);
+      co_await site.cpu.Execute(core::kOpInstr);
     }
     System::ConflictEdges edges = co_await sys_->ApplyWrites(dst, *t);
     if (amnesia) {
@@ -88,7 +122,7 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
       // recovery so the redo records make it into the log.
       if (!durable || sys_->SiteEpoch(dst) != epoch) continue;
     } else {
-      co_await site.disk.ForceLog(cfg.log_bytes);
+      co_await site.disk.ForceLog(core::kLogBytes);
       for (db::ItemId h : held) site.locks.Release(t->id, h);
     }
     co_return edges;
@@ -98,7 +132,7 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
 sim::Process Protocol::Installer(txn::Transaction* t, db::SiteId dst,
                                  sim::Countdown* /*acks*/) {
   System::ConflictEdges edges = co_await InstallAt(t, dst);
-  co_await sys_->SendCtrlAssured(dst, sys_->graph_endpoint());
+  co_await sys_->SendCtrl(dst, sys_->graph_endpoint(), Retry::kAssured);
   co_await sys_->graph_site()->ChargeMessages(1);
   sys_->DeliverEdges(edges);
   sys_->tracker().OnSubtxnCommitted(t->id);
@@ -109,14 +143,14 @@ sim::Task<void> Protocol::Propagate(txn::Transaction* t,
                                     sim::Countdown* acks) {
   const core::SystemConfig& cfg = sys_->config();
   size_t bytes =
-      cfg.propagation_overhead_bytes + t->write_set.size() * cfg.item_bytes;
+      core::kPropagationOverheadBytes + t->write_set.size() * cfg.item_bytes;
   if (sys_->fault_enabled()) {
     for (db::SiteId dst : targets) {
       sys_->sim().Spawn(PropagateAndInstall(t, dst, bytes, acks));
     }
     co_return;
   }
-  co_await sys_->site(t->origin).cpu.Execute(cfg.message_instr);
+  co_await sys_->site(t->origin).cpu.Execute(core::kMessageInstr);
   // Named lvalue: see Network::Multicast for the toolchain bug this avoids.
   net::Network::DeliveryFn on_payload = [this, t, acks](db::SiteId dst) {
     sys_->sim().Spawn(Installer(t, dst, acks));
@@ -128,7 +162,7 @@ sim::Task<void> Protocol::Propagate(txn::Transaction* t,
 sim::Process Protocol::PropagateAndInstall(txn::Transaction* t,
                                            db::SiteId dst, size_t bytes,
                                            sim::Countdown* acks) {
-  co_await sys_->SendPayloadAssured(t->origin, dst, bytes);
+  co_await sys_->SendPayload(t->origin, dst, bytes, Retry::kAssured);
   sys_->sim().Spawn(Installer(t, dst, acks));
 }
 
@@ -139,14 +173,14 @@ void Protocol::CompleteAtGraphSite(txn::Transaction* t) {
 
 sim::Process Protocol::CompletionNotice(db::SiteId origin) {
   // Models the message cost; the bookkeeping rides on the tracker.
-  co_await sys_->SendCtrlAssured(sys_->graph_endpoint(), origin);
+  co_await sys_->SendCtrl(sys_->graph_endpoint(), origin, Retry::kAssured);
 }
 
 // A remove requested by database site `from` first travels to the graph
 // site, assured; the graph site's own removes pass its endpoint.
 sim::Process Protocol::GraphRemove(db::TxnId id, db::SiteId from) {
   if (from != sys_->graph_endpoint()) {
-    co_await sys_->SendCtrlAssured(from, sys_->graph_endpoint());
+    co_await sys_->SendCtrl(from, sys_->graph_endpoint(), Retry::kAssured);
   }
   co_await sys_->graph_site()->HandleRemove(id);
 }
@@ -171,23 +205,23 @@ sim::Process Protocol::CompletionMulticast(db::TxnId id, db::SiteId origin) {
     }
     co_return;
   }
-  co_await sys_->site(origin).cpu.Execute(cfg.message_instr);
+  co_await sys_->site(origin).cpu.Execute(core::kMessageInstr);
   // Named lvalue: see Network::Multicast for the toolchain bug this avoids.
   net::Network::DeliveryFn on_notice = [this, id, origin](db::SiteId dst) {
     sys_->sim().Spawn(CompleteAtSite(id, origin, dst, /*via_multicast=*/true));
   };
-  co_await sys_->network().Multicast(origin, others, cfg.ctrl_msg_bytes,
+  co_await sys_->network().Multicast(origin, others, core::kCtrlMsgBytes,
                                      std::move(on_notice));
 }
 
 sim::Process Protocol::CompleteAtSite(db::TxnId id, db::SiteId origin,
                                       db::SiteId dst, bool via_multicast) {
   if (via_multicast) {
-    co_await sys_->site(dst).cpu.Execute(sys_->config().message_instr);
+    co_await sys_->site(dst).cpu.Execute(core::kMessageInstr);
   } else {
     // Reliable point-to-point notice: a lost leg would strand the relayed
     // locks and the dependents' completion fixpoints forever.
-    co_await sys_->SendCtrlAssured(origin, dst);
+    co_await sys_->SendCtrl(origin, dst, Retry::kAssured);
   }
   sys_->site(dst).locks.ReleaseAll(id);
   sys_->tracker().NotifyCompletionAtSite(id, dst);

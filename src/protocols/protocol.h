@@ -1,6 +1,7 @@
 #ifndef LAZYREP_PROTOCOLS_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_PROTOCOL_H_
 
+#include <optional>
 #include <vector>
 
 #include "core/system.h"
@@ -40,6 +41,23 @@ class Protocol {
   virtual const char* name() const = 0;
 
  protected:
+  /// One operation's step at the origination site: the local `lock` (none
+  /// when the reader is lock-free or the protocol's global lock already is
+  /// the local one), the operation's CPU and page read, and for a read the
+  /// read step (NoteRead with `edges`) plus, with `versions`, the lock-free
+  /// reader's version record. False on a local lock timeout; the abort is
+  /// the caller's.
+  sim::Task<bool> ExecuteLocal(txn::Transaction* t, db::Operation op,
+                               std::optional<db::LockMode> lock,
+                               core::System::ConflictEdges* edges,
+                               core::System::ReadVersions* versions);
+
+  /// The commit point at the origination site: the amnesia fence, the TWR
+  /// stamp and, for an update, the stale-write check and the commit write
+  /// (CommitWrites). kNone when `t` may commit, else the abort cause. A
+  /// read-only commit point schedules nothing.
+  sim::Task<txn::AbortCause> CommitAtOrigin(txn::Transaction* t);
+
   /// Receives `t`'s write set at `dst` and installs it: update locks (a local
   /// deadlock restarts the subtransaction, §2.1), TWR apply, log force; under
   /// amnesia a crash at `dst` re-fetches the payload and installs again.

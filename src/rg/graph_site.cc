@@ -27,11 +27,11 @@ sim::Task<sim::WaitStatus> GraphSite::ServeTest(
       // treat as an abort verdict without touching the graph.
       outcome->result = ReplicationGraph::TestResult::kCycle;
       outcome->cycle_has_committed = true;
-      return params_.message_instr;
+      return kGraphMessageInstr;
     }
     GraphCost cost;
     *outcome = graph_->RgTest(txn, ops, &cost);
-    return params_.message_instr +
+    return kGraphMessageInstr +
            cost.Instructions(params_.add_instr, params_.check_instr_per_edge);
   };
   co_return co_await cpu_->Serve(std::move(work),
@@ -46,9 +46,9 @@ sim::Task<void> GraphSite::RemoveUnderCpu(db::TxnId txn) {
       [this, txn]() -> double {
         GraphCost cost;
         graph_->Remove(txn, &cost);
-        return params_.message_instr + cost.Instructions(
-                                           params_.add_instr,
-                                           params_.check_instr_per_edge);
+        return kGraphMessageInstr +
+               cost.Instructions(params_.add_instr,
+                                 params_.check_instr_per_edge);
       },
       SIZE_MAX);
   ScheduleRetest();
@@ -212,7 +212,7 @@ sim::Task<Verdict> GraphSite::TestCommit(db::TxnId txn, db::SiteId origin,
 }
 
 sim::Task<void> GraphSite::HandleCommitted(db::TxnId txn) {
-  co_await cpu_->Execute(params_.message_instr);
+  co_await cpu_->Execute(kGraphMessageInstr);
   if (!finished_.contains(txn) && graph_->Contains(txn)) {
     graph_->MarkCommitted(txn);
   }
@@ -223,7 +223,7 @@ sim::Task<void> GraphSite::HandleRemove(db::TxnId txn) {
 }
 
 sim::Task<void> GraphSite::ChargeMessages(int count) {
-  co_await cpu_->Execute(params_.message_instr * count);
+  co_await cpu_->Execute(kGraphMessageInstr * count);
 }
 
 }  // namespace lazyrep::rg

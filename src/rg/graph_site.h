@@ -29,9 +29,11 @@ struct GraphSiteParams {
   double add_instr = 2000;
   /// Instructions per edge examined during cycle checking.
   double check_instr_per_edge = 117;
-  /// Instructions to receive/decode one protocol message at the graph site.
-  double message_instr = 1000;
 };
+
+/// Instructions to receive/decode one protocol message at the graph site
+/// (an implementation constant; the paper publishes none).
+inline constexpr double kGraphMessageInstr = 1000;
 
 /// Outcome of a graph-site request, as seen by the requesting transaction.
 enum class Verdict : uint8_t {

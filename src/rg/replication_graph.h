@@ -124,8 +124,6 @@ class ReplicationGraph {
   /// Exhaustive acyclicity check over the current graph (O(V+E); test use).
   bool IsAcyclic();
 
-  int num_sites() const { return num_sites_; }
-
  private:
   struct TxnInfo {
     db::SiteId origin = 0;

@@ -65,9 +65,6 @@ class Facility {
   /// Requests currently waiting (excluding those in service).
   size_t queue_length() const { return queue_len_; }
 
-  /// Servers currently busy.
-  int busy_servers() const { return busy_; }
-
   /// Completed services since the last ResetStats.
   uint64_t completed() const { return completed_; }
 

@@ -15,6 +15,7 @@
 // from the protocol code before its shared phases moved into
 // proto::Protocol, and pins the option branches no reference covers.
 
+#include <cstdint>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -216,11 +217,13 @@ const char* kGoldenD[] = {
     "0x1p+0|3|120|49|49|30|0x1.41eb9e1f991ep+4|0x1p-2|0x1.37bab0501c615p+1|0x1.7a05eca3e9ccdp-2|0x1.6018cbae87accp-1|0x1.3f2b553fa1975p-4|0x0p+0|0x1.7c9ffd8e9901fp-11|0x1.a000c44b81b62p-10|93|0|41|145|0|142|0|142|0",
 };
 
-void RunSweepD(int jobs) {
+/// Sweep D's specs in point order; `ids` receives each point's (protocol,
+/// schedule) label.
+std::vector<RunSpec> SweepDSpecs(
+    std::vector<std::pair<ProtocolKind, int>>* ids) {
   ChaosOptions opt;
   opt.txns = 150;
   std::vector<RunSpec> specs;
-  std::vector<std::pair<ProtocolKind, int>> ids;
   for (ProtocolKind k : kAll) {
     for (int option = 0; option < 4; ++option) {
       // Eager rejects two-version reads (SystemConfig::Validate).
@@ -243,10 +246,16 @@ void RunSweepD(int jobs) {
         }
         c.Normalize();
         specs.push_back({c, k});
-        ids.push_back({k, s});
+        ids->push_back({k, s});
       }
     }
   }
+  return specs;
+}
+
+void RunSweepD(int jobs) {
+  std::vector<std::pair<ProtocolKind, int>> ids;
+  std::vector<RunSpec> specs = SweepDSpecs(&ids);
   std::vector<MetricsSnapshot> ms =
       RunAll(specs, jobs, /*check_serializability=*/true, {},
              /*post_run_audit=*/true);
@@ -260,6 +269,42 @@ void RunSweepD(int jobs) {
 TEST(StarIdentityTest, SweepDMatchesProtocolOptionsSerial) { RunSweepD(1); }
 TEST(StarIdentityTest, SweepDMatchesProtocolOptionsParallel) {
   RunSweepD(4);
+}
+
+/// FNV-1a 64 over a byte string.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The snapshots above carry no abort causes and no record order; sweep D's
+// trace does. Pins every lifecycle record of the option branches, merged
+// from parallel workers.
+TEST(StarIdentityTest, SweepDTraceMatchesProtocolOptions) {
+  std::vector<std::pair<ProtocolKind, int>> ids;
+  std::vector<RunSpec> specs = SweepDSpecs(&ids);
+  std::string path = ::testing::TempDir() + "star_identity_sweep_d.trace";
+  RunAll(specs, /*jobs=*/4, /*check_serializability=*/true, {},
+         /*post_run_audit=*/true, path);
+
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string bytes;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  std::remove(path.c_str());
+  ASSERT_GT(bytes.size(), 0u);
+
+  char got[32];
+  std::snprintf(got, sizeof(got), "%016llx",
+                (unsigned long long)Fnv1a(bytes));
+  EXPECT_STREQ(got, "c0fa006892199b40");
 }
 
 }  // namespace
