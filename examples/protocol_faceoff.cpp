@@ -26,7 +26,6 @@ int main(int argc, char** argv) {
   c.total_txns = 12000;
   constexpr int kMaxSite = std::numeric_limits<db::SiteId>::max();
   constexpr int kMaxInt = std::numeric_limits<int>::max();
-  constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
   constexpr double kMaxDouble = std::numeric_limits<double>::max();
   core::Flags()
       .Number("--sites=N", &c.num_sites, 1, kMaxSite, "sites (default 20)")
@@ -36,7 +35,7 @@ int main(int argc, char** argv) {
               "primary items per site (default 20)")
       .Number("--latency=SEC", &c.network.latency, 0.0, kMaxDouble,
               "one-way network latency (default 0.01)")
-      .Number("--txns=N", &c.total_txns, 1, kMaxU64,
+      .Number("--txns=N", &c.total_txns, 1, db::kMaxTxnId,
               "transactions per protocol (default 12000)")
       .Parse(argc, argv);
   c.Normalize();

@@ -56,6 +56,17 @@ bool SystemConfig::Validate(ProtocolKind protocol, std::string* error) const {
     *error = buf;
     return false;
   }
+  // A replica names its writer in 4 bytes (db::ItemStore), and every
+  // transaction id is a potential writer.
+  if (total_txns > db::kMaxTxnId) {
+    std::snprintf(buf, sizeof(buf),
+                  "total_txns must be at most %llu, the 4-byte writer-id "
+                  "bound (got %llu)",
+                  static_cast<unsigned long long>(db::kMaxTxnId),
+                  static_cast<unsigned long long>(total_txns));
+    *error = buf;
+    return false;
+  }
   if (workload.min_ops < 1 || workload.min_ops > workload.max_ops) {
     std::snprintf(buf, sizeof(buf),
                   "operations per transaction need 1 <= min_ops <= max_ops "

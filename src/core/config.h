@@ -127,7 +127,8 @@ struct SystemConfig {
   void Normalize();
 
   /// Checks that the load, the operation range and the network bandwidth
-  /// are usable and that `protocol` implements everything this
+  /// are usable, that total_txns fits the 4-byte writer ids
+  /// (db::kMaxTxnId), and that `protocol` implements everything this
   /// configuration turns on; false with a named reason in `*error`
   /// otherwise. core::System checks it at construction; lazyrep_cli checks
   /// it before Normalize, so bad input exits with the reason.

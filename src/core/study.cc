@@ -278,8 +278,8 @@ Flags BenchOptions::FlagTable(unsigned fields, std::vector<int> figures) {
   constexpr int kMaxInt = std::numeric_limits<int>::max();
   Flags flags;
   if (fields & kBenchTxns) {
-    flags.Number("--txns=N", &txns, 1, kMaxU64, "transactions per point")
-        .Env("LAZYREP_TXNS", &txns, 1, kMaxU64, "default of --txns");
+    flags.Number("--txns=N", &txns, 1, db::kMaxTxnId, "transactions per point")
+        .Env("LAZYREP_TXNS", &txns, 1, db::kMaxTxnId, "default of --txns");
   }
   if (fields & kBenchPoints) {
     flags

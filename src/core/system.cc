@@ -25,7 +25,7 @@ System::System(const SystemConfig& config, ProtocolKind kind)
   for (int s = 0; s < config_.num_sites; ++s) {
     sites_.push_back(std::make_unique<Site>(
         &sim_, static_cast<db::SiteId>(s), config_,
-        config_.seed * 1000003 + s));
+        config_.seed * 1000003 + s, &writer_times_));
   }
   // The graph site's endpoint is allocated explicitly from the topology
   // (an auxiliary leaf at the root switch), replacing the historical

@@ -48,15 +48,16 @@ enum class Retry : uint8_t {
 };
 
 /// One physical database site: CPU, disk array + buffer, local 2PL lock
-/// manager, and its replica set.
+/// manager, and its replica set (whose writers' times live in the System's
+/// shared `writer_times`).
 struct Site {
   Site(sim::Simulation* sim, db::SiteId id, const SystemConfig& config,
-       uint64_t disk_seed)
+       uint64_t disk_seed, db::WriterTimes* writer_times)
       : id(id),
         cpu(sim, "cpu_" + std::to_string(id), config.cpu_mips),
         disk(sim, "disk_" + std::to_string(id), config.disk, disk_seed),
         locks(sim),
-        store(static_cast<uint32_t>(config.total_items())) {}
+        store(static_cast<uint32_t>(config.total_items()), writer_times) {}
 
   db::SiteId id;
   hw::Cpu cpu;
@@ -336,6 +337,8 @@ class System {
   ProtocolKind kind_;
   sim::Simulation sim_;
   std::unique_ptr<WorkloadSource> workload_;
+  /// Every writer's commit time, shared by the sites' stores.
+  db::WriterTimes writer_times_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::unique_ptr<net::Network> network_;
   db::SiteId graph_endpoint_ = 0;

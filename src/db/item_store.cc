@@ -3,22 +3,35 @@
 #include <algorithm>
 #include <bit>
 
+#include "sim/check.h"
+
 namespace lazyrep::db {
 
+void WriterTimes::Note(Timestamp ts) {
+  LAZYREP_CHECK_MSG(ts.txn <= kMaxTxnId, "writer id does not fit 4 bytes");
+  if (ts.txn >= times_.size()) times_.resize(ts.txn + 1, kUnstamped);
+  sim::SimTime& time = times_[ts.txn];
+  if (time == kUnstamped) time = ts.time;
+  LAZYREP_CHECK_MSG(time == ts.time,
+                    "writer applied with two different commit times");
+}
+
 ItemStore::WriteResult ItemStore::ApplyWrite(ItemId item, Timestamp ts) {
-  Timestamp& version = versions_[item];
+  writer_times_->Note(ts);
+  WriterId& writer = writers_[item];
   WriteResult result;
-  result.other_writer = version.txn;
-  if (ts > version) {
+  result.other_writer = writer;
+  if (ts > Version(writer)) {
     result.applied = true;
     if (const size_t pos = Find(item); pos != kNotFound) {
       result.prior_readers = lists_[slots_[pos].list];
       Erase(pos);
     }
-    version = ts;
+    writer = static_cast<WriterId>(ts.txn);
   } else {
     // Thomas Write Rule: the write is ignored; logically it precedes the
-    // installed (newer) version, so its writer must precede version.txn.
+    // installed (newer) version, so its writer must precede that version's
+    // writer.
     ++writes_ignored_;
   }
   return result;
@@ -32,7 +45,7 @@ Timestamp ItemStore::Read(ItemId item, TxnId reader) {
     if (std::find(readers.begin(), readers.end(), reader) == readers.end()) {
       readers.push_back(reader);
     }
-    return versions_[item];
+    return VersionOf(item);
   }
   if (2 * (live_ + 1) > slots_.size()) {
     Grow();
@@ -50,7 +63,7 @@ Timestamp ItemStore::Read(ItemId item, TxnId reader) {
   lists_[list].push_back(reader);
   slots_[pos] = Slot{item, list};
   ++live_;
-  return versions_[item];
+  return VersionOf(item);
 }
 
 void ItemStore::RemoveReader(TxnId reader, const std::vector<ItemId>& items) {

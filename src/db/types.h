@@ -14,14 +14,20 @@ using TxnId = uint64_t;
 /// Invalid / "no transaction" sentinel.
 inline constexpr TxnId kNoTxn = 0;
 
+/// A replica names the transaction that wrote it in 4 bytes (ItemStore), so
+/// a run issues transaction ids up to this bound.
+using WriterId = uint32_t;
+inline constexpr TxnId kMaxTxnId = UINT32_MAX;
+
 /// Data item identifier. Item i's primary site is i / items_per_site.
 using ItemId = uint32_t;
 
 /// Physical site identifier.
 using SiteId = uint16_t;
 
-/// Transaction timestamp used by the Thomas Write Rule: assigned when the
-/// transaction submits its first operation; totally ordered by (time, txn id).
+/// Transaction timestamp used by the Thomas Write Rule: stamped at the
+/// transaction's commit point (core::System::StampCommitTimestamp); totally
+/// ordered by (time, txn id).
 struct Timestamp {
   sim::SimTime time = 0;
   TxnId txn = kNoTxn;

@@ -13,7 +13,6 @@ Network::Network(sim::Simulation* sim, Topology topology,
     : sim_(sim), topology_(std::move(topology)), params_(params) {
   LAZYREP_CHECK(topology_.num_endpoints() >= 1);
   BuildLinks();
-  BuildRoutes();
 }
 
 Network::Network(sim::Simulation* sim, int num_endpoints,
@@ -52,48 +51,6 @@ void Network::BuildLinks() {
   }
 }
 
-void Network::BuildRoutes() {
-  // A route is the sender's access uplink, the uplinks from its switch up
-  // to the LCA, the downlinks from below the LCA to the receiver's switch,
-  // and the receiver's access downlink. A counting pass sizes the id array
-  // exactly, so building it never reallocates.
-  const size_t endpoints = topology_.num_endpoints();
-  route_offset_.assign(endpoints * endpoints + 1, 0);
-  uint64_t total = 0;
-  for (db::SiteId src = 0; src < endpoints; ++src) {
-    const int src_depth = topology_.group(topology_.endpoint(src).parent).depth;
-    for (db::SiteId dst = 0; dst < endpoints; ++dst) {
-      const int dst_depth =
-          topology_.group(topology_.endpoint(dst).parent).depth;
-      const int lca_depth = topology_.group(LcaOf(src, dst)).depth;
-      total += 2 + (src_depth - lca_depth) + (dst_depth - lca_depth);
-      LAZYREP_CHECK(total <= UINT32_MAX);
-      route_offset_[src * endpoints + dst + 1] = static_cast<uint32_t>(total);
-    }
-  }
-  route_links_.resize(total);
-  for (db::SiteId src = 0; src < endpoints; ++src) {
-    for (db::SiteId dst = 0; dst < endpoints; ++dst) {
-      const size_t idx = src * endpoints + dst;
-      const int lca = LcaOf(src, dst);
-      uint32_t* up = route_links_.data() + route_offset_[idx];
-      *up++ = UpId(src);
-      for (int g = topology_.endpoint(src).parent; g != lca;
-           g = topology_.group(g).parent) {
-        *up++ = UpId(GroupEdge(g));
-      }
-      // The down half is walked bottom-up, so it is written back to front.
-      uint32_t* down = route_links_.data() + route_offset_[idx + 1];
-      *--down = DownId(dst);
-      for (int g = topology_.endpoint(dst).parent; g != lca;
-           g = topology_.group(g).parent) {
-        *--down = DownId(GroupEdge(g));
-      }
-      LAZYREP_CHECK(up == down);
-    }
-  }
-}
-
 int Network::LcaOf(db::SiteId a, db::SiteId b) const {
   int x = topology_.endpoint(a).parent;
   int y = topology_.endpoint(b).parent;
@@ -123,26 +80,24 @@ int Network::FateOf(db::SiteId src, db::SiteId dst) {
 
 sim::Task<bool> Network::Transfer(db::SiteId src, db::SiteId dst,
                                   size_t bytes) {
-  // Few locals live across the awaits, so the coroutine frame stays small.
-  const uint32_t* id;
-  const uint32_t* last_id;
-  {
-    const size_t idx =
-        static_cast<size_t>(src) * topology_.num_endpoints() + dst;
-    id = route_links_.data() + route_offset_[idx];
-    last_id = route_links_.data() + route_offset_[idx + 1] - 1;
-  }
+  // The route is walked from the tree: the sender's access uplink, the group
+  // uplinks up to the LCA, the group downlinks below it top-down, then the
+  // receiver's access downlink. Only small integers and the current link
+  // live across the awaits, so the coroutine frame stays small.
   const double bits = static_cast<double>(bytes) * 8.0;
-  const Link* link = &links_[*id];
+  const Link* link = &LeafUp(src);
   co_await link->facility->Use(bits / link->bps);
   if (link->propagation > 0) co_await sim_->Delay(link->propagation);
-  while (++id != last_id) {
-    link = &links_[*id];
+  const int lca_depth = topology_.group(LcaOf(src, dst)).depth;
+  const int up_hops = SwitchDepth(src) - lca_depth;
+  const int hops = up_hops + SwitchDepth(dst) - lca_depth;
+  for (int hop = 0; hop < hops; ++hop) {
+    link = &InteriorLink(src, dst, lca_depth, up_hops, hop);
     co_await sim_->Delay(link->pre_delay);
     co_await link->facility->Use(bits / link->bps);
     if (link->propagation > 0) co_await sim_->Delay(link->propagation);
   }
-  link = &links_[*last_id];
+  link = &LeafDown(dst);
   co_await sim_->Delay(link->pre_delay);
   int copies = FateOf(src, dst);
   if (copies == 0) co_return false;  // lost at the final switch
@@ -152,6 +107,18 @@ sim::Task<bool> Network::Transfer(db::SiteId src, db::SiteId dst,
   if (link->propagation > 0) co_await sim_->Delay(link->propagation);
   ++messages_delivered_;
   co_return true;
+}
+
+const Network::Link& Network::InteriorLink(db::SiteId src, db::SiteId dst,
+                                           int lca_depth, int up_hops,
+                                           int hop) const {
+  if (hop < up_hops) {
+    // The uplink of the sender's ancestor `hop` levels above its switch.
+    return GroupUp(topology_.AncestorAt(src, SwitchDepth(src) - hop));
+  }
+  // The downlink of the receiver's ancestor `hop - up_hops + 1` levels below
+  // the LCA.
+  return GroupDown(topology_.AncestorAt(dst, lca_depth + 1 + hop - up_hops));
 }
 
 Network::MulticastNode* Network::AcquireNode(DeliveryFn on_delivered,

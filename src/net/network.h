@@ -28,10 +28,11 @@ namespace lazyrep::net {
 /// link" rule to "every edge once per subtree that contains recipients":
 /// the switch tree replicates the packet at the last possible branch point.
 ///
-/// Every direction of every edge is one link in a flat table, and every
-/// (src, dst) route is pre-resolved at construction into a run of 4-byte
-/// link ids. Multicast bookkeeping lives in pooled per-message nodes, so the
-/// steady-state data path performs no allocation.
+/// Every direction of every edge is one link in a flat table. A unicast
+/// route is walked from the tree on every transfer (up to the two
+/// endpoints' lowest common ancestor, then down), so the network keeps no
+/// per-(src, dst) state. Multicast bookkeeping lives in pooled per-message
+/// nodes, so the steady-state data path performs no allocation.
 class Network {
  public:
   /// Faulty-delivery hook, consulted once per delivery leg at the last
@@ -149,7 +150,6 @@ class Network {
   };
 
   void BuildLinks();
-  void BuildRoutes();
 
   MulticastNode* AcquireNode(DeliveryFn on_delivered, int legs);
   /// Marks one leg done; recycles the node when it was the last.
@@ -157,6 +157,17 @@ class Network {
 
   /// Lowest common ancestor group of two endpoints' parents.
   int LcaOf(db::SiteId a, db::SiteId b) const;
+  /// Depth of the switch endpoint `e` hangs off.
+  int SwitchDepth(db::SiteId e) const {
+    return topology_.group(topology_.endpoint(e).parent).depth;
+  }
+
+  /// Link `hop` between the access links of the src -> dst route, whose LCA
+  /// sits at `lca_depth`: the first `up_hops` are the group uplinks from the
+  /// sender's switch up to the LCA, the rest the group downlinks from below
+  /// the LCA down to the receiver's switch.
+  const Link& InteriorLink(db::SiteId src, db::SiteId dst, int lca_depth,
+                           int up_hops, int hop) const;
 
   /// Arranges node->recips so that, at every switch on the way, recipients
   /// sharing a child subtree are contiguous: first stable-grouped by branch
@@ -195,11 +206,6 @@ class Network {
   FaultHook fault_hook_;
   /// Every link, indexed by link id (see UpId/DownId).
   std::vector<Link> links_;
-  /// All unicast routes, concatenated as link ids: route (src, dst) is
-  /// route_links_[route_offset_[i] .. route_offset_[i + 1]), i = src * E +
-  /// dst.
-  std::vector<uint32_t> route_links_;
-  std::vector<uint32_t> route_offset_;
   std::vector<std::unique_ptr<MulticastNode>> node_arena_;
   MulticastNode* free_nodes_ = nullptr;
   /// Shared grouping buffer; only touched synchronously inside Multicast().

@@ -75,8 +75,9 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
     }
 
     // Local update locks for the installed items; a local deadlock aborts
-    // and restarts the subtransaction (§2.1).
-    std::vector<db::ItemId> held;
+    // and restarts the subtransaction (§2.1). The `held` locks are those of
+    // write_set[0, next) that dst replicates.
+    size_t held = 0;
     size_t next = 0;
     bool locked = true;
     while (next < t->write_set.size()) {
@@ -89,13 +90,13 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
                                                  db::LockMode::kUpdate,
                                                  cfg.timeout);
       if (s == WaitStatus::kSignaled) {
-        held.push_back(item);
+        ++held;
         ++next;
         continue;
       }
       // Timeout (or cancelled by a crash wipe): restart from scratch.
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
-      held.clear();
+      ReleaseInstallLocks(*t, dst, next);
+      held = 0;
       if (amnesia && sys_->SiteEpoch(dst) != epoch) {
         locked = false;  // crash mid-acquisition: back to catch-up
         break;
@@ -104,7 +105,7 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
     }
     if (!locked) continue;
 
-    for (size_t i = 0; i < held.size(); ++i) {
+    for (size_t i = 0; i < held; ++i) {
       co_await site.cpu.Execute(core::kOpInstr);
     }
     System::ConflictEdges edges = co_await sys_->ApplyWrites(dst, *t);
@@ -117,15 +118,24 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
       }
       w->Append(fault::WalRecordType::kReceipt, 0);
       bool durable = co_await w->Force();
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      ReleaseInstallLocks(*t, dst, next);
       // A crash mid-force lost the receipt: the install must re-run after
       // recovery so the redo records make it into the log.
       if (!durable || sys_->SiteEpoch(dst) != epoch) continue;
     } else {
       co_await site.disk.ForceLog(core::kLogBytes);
-      for (db::ItemId h : held) site.locks.Release(t->id, h);
+      ReleaseInstallLocks(*t, dst, next);
     }
     co_return edges;
+  }
+}
+
+void Protocol::ReleaseInstallLocks(const txn::Transaction& t, db::SiteId dst,
+                                   size_t next) {
+  db::LockManager& locks = sys_->site(dst).locks;
+  for (size_t i = 0; i < next; ++i) {
+    const db::ItemId item = t.write_set[i];
+    if (sys_->config().HasReplica(item, dst)) locks.Release(t.id, item);
   }
 }
 

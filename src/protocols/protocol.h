@@ -98,6 +98,11 @@ class Protocol {
   core::System* sys_;
 
  private:
+  /// Releases the update locks InstallAt holds at `dst` once it has walked
+  /// write_set[0, next): those of the items `dst` replicates, in write-set
+  /// order.
+  void ReleaseInstallLocks(const txn::Transaction& t, db::SiteId dst,
+                           size_t next);
   sim::Process GraphRemove(db::TxnId id, db::SiteId from);
   sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
                                    size_t bytes, sim::Countdown* acks);

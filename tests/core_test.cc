@@ -115,6 +115,21 @@ TEST(ConfigTest, FormatTableMentionsKeyParameters) {
   EXPECT_NE(table.find("300"), std::string::npos);   // MIPS / queue bound
 }
 
+// Replicas name their writer in 4 bytes, so a run may issue at most
+// db::kMaxTxnId transaction ids; the flags stop there, and Validate guards
+// configurations built in code.
+TEST(ConfigTest, ValidateBoundsTxnsByWriterIds) {
+  SystemConfig c = SystemConfig::Oc3();
+  std::string why;
+  c.total_txns = db::kMaxTxnId;
+  EXPECT_TRUE(c.Validate(ProtocolKind::kOptimistic, &why)) << why;
+  c.total_txns = db::kMaxTxnId + 1;
+  EXPECT_FALSE(c.Validate(ProtocolKind::kOptimistic, &why));
+  EXPECT_EQ(why,
+            "total_txns must be at most 4294967295, the 4-byte writer-id "
+            "bound (got 4294967296)");
+}
+
 TEST(ConfigTest, ProtocolNames) {
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kLocking), "Locking");
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kPessimistic), "Pessimistic");

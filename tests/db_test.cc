@@ -306,7 +306,8 @@ TEST(LockManagerTest, CrashResetKeepsSurvivorsAndCancelsWaiters) {
 // ---------------------------------------------------------------------------
 
 TEST(ItemStoreTest, NewerWriteInstalls) {
-  ItemStore store(10);
+  WriterTimes times;
+  ItemStore store(10, &times);
   Timestamp ts{1.0, 42};
   auto r = store.ApplyWrite(3, ts);
   EXPECT_TRUE(r.applied);
@@ -315,7 +316,8 @@ TEST(ItemStoreTest, NewerWriteInstalls) {
 }
 
 TEST(ItemStoreTest, ThomasWriteRuleIgnoresStaleWrite) {
-  ItemStore store(10);
+  WriterTimes times;
+  ItemStore store(10, &times);
   store.ApplyWrite(3, Timestamp{2.0, 50});
   auto r = store.ApplyWrite(3, Timestamp{1.0, 42});  // older timestamp
   EXPECT_FALSE(r.applied);
@@ -325,7 +327,8 @@ TEST(ItemStoreTest, ThomasWriteRuleIgnoresStaleWrite) {
 }
 
 TEST(ItemStoreTest, TieBreakByTxnId) {
-  ItemStore store(10);
+  WriterTimes times;
+  ItemStore store(10, &times);
   store.ApplyWrite(3, Timestamp{1.0, 50});
   // Same time, higher txn id: counts as newer.
   auto r = store.ApplyWrite(3, Timestamp{1.0, 51});
@@ -336,7 +339,8 @@ TEST(ItemStoreTest, TieBreakByTxnId) {
 }
 
 TEST(ItemStoreTest, WriteCollectsPriorReaders) {
-  ItemStore store(10);
+  WriterTimes times;
+  ItemStore store(10, &times);
   store.Read(3, 100);
   store.Read(3, 101);
   store.Read(3, 100);  // duplicate registration collapses
@@ -349,13 +353,27 @@ TEST(ItemStoreTest, WriteCollectsPriorReaders) {
 }
 
 TEST(ItemStoreTest, ReadReturnsVersionAndRegisters) {
-  ItemStore store(10);
+  WriterTimes times;
+  ItemStore store(10, &times);
   store.ApplyWrite(3, Timestamp{1.0, 42});
   Timestamp v = store.Read(3, 100);
   EXPECT_EQ(v.txn, 42u);
   EXPECT_EQ(store.ReadersOf(3).size(), 1u);
   store.RemoveReader(100, {3});
   EXPECT_EQ(store.ReadersOf(3).size(), 0u);
+}
+
+// A writer's time is stamped once, so every write by one writer carries
+// it; the table the stores of a System share rejects a second time.
+TEST(ItemStoreDeathTest, WriterAppliedWithTwoTimesDies) {
+  WriterTimes times;
+  ItemStore store(10, &times);
+  ItemStore other(10, &times);
+  store.ApplyWrite(3, Timestamp{1.0, 42});
+  other.ApplyWrite(4, Timestamp{1.0, 42});
+  EXPECT_EQ(other.VersionOf(4), (Timestamp{1.0, 42}));
+  EXPECT_DEATH(other.ApplyWrite(5, Timestamp{2.0, 42}),
+               "writer applied with two different commit times");
 }
 
 // The store before its reader table: one timestamp and one reader vector
@@ -460,8 +478,10 @@ TEST(ItemStoreTest, ReaderTableMatchesVectorPerItemModel) {
       return id;
     };
     while (items.size() < kItems) items.push_back(fresh_item());
-    ItemStore store(kUniverse);
+    WriterTimes times;
+    ItemStore store(kUniverse, &times);
     VectorPerItemStore model(kUniverse);
+    std::vector<TxnId> writes_of_draw(1000);
     double clock = 0;
     size_t max_slots = 0;
     int wrapped_shifts = 0;
@@ -492,8 +512,12 @@ TEST(ItemStoreTest, ReaderTableMatchesVectorPerItemModel) {
         ASSERT_EQ(store.Read(item, reader), model.Read(item, reader));
       } else if (kind < (filling ? 85u : 60u)) {
         // Newer, stale or same-instant writes, by writers outside the
-        // reader ids.
-        Timestamp ts{clock, 100 + below(1000)};
+        // reader ids. A writer's time is stamped once, so every write has
+        // a writer of its own, ordered by the draw: the k-th write to draw
+        // d is writer 100 + 32 d + k.
+        const uint64_t draw = below(1000);
+        ASSERT_LT(writes_of_draw[draw], 32u);
+        Timestamp ts{clock, 100 + 32 * draw + writes_of_draw[draw]++};
         const uint64_t age = below(4);
         if (age == 0) ts.time = (clock += 1);
         if (age == 1) ts.time = model.VersionOf(item).time;

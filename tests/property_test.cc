@@ -9,7 +9,9 @@
 //       once the system drains (no stuck completion chains);
 //   P4  conservation: measured completions + aborts never exceed measured
 //       submissions plus the in-flight backlog at freeze time;
-//   P5  split accounting: read-only vs update tallies sum to the totals.
+//   P5  split accounting: read-only vs update tallies sum to the totals;
+//   P6  every replica's version is its writer's commit timestamp (a store
+//       keeps only the writer id and looks the time up once per writer).
 
 #include <string>
 #include <tuple>
@@ -156,6 +158,18 @@ TEST_P(SystemProperties, InvariantsHold) {
   EXPECT_EQ(m.submitted, m.submitted_read_only + m.submitted_update);
   EXPECT_EQ(m.completed, m.completed_read_only + m.completed_update);
   EXPECT_EQ(m.aborted, m.aborted_read_only + m.aborted_update);
+
+  // P6: every installed version carries its writer's commit timestamp.
+  for (int s = 0; s < config.num_sites; ++s) {
+    const db::ItemStore& store = system.site(static_cast<db::SiteId>(s)).store;
+    for (int item = 0; item < config.total_items(); ++item) {
+      const db::Timestamp v = store.VersionOf(static_cast<db::ItemId>(item));
+      if (v.txn == db::kNoTxn) continue;
+      const txn::Transaction* writer = system.FindTxn(v.txn);
+      ASSERT_NE(writer, nullptr) << "item " << item << " at site " << s;
+      EXPECT_EQ(v, writer->ts) << "item " << item << " at site " << s;
+    }
+  }
 
   // Sanity: the run did real work.
   EXPECT_GT(m.submitted, 100u);

@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
       .Number("--items=N", &config.workload.items_per_site, 1, kMaxInt,
               "primary items per site")
       .Number("--tps=X", &config.tps, 0.0, kMaxDouble, "offered global load")
-      .Number("--txns=N", &config.total_txns, 1, kMaxU64,
+      .Number("--txns=N", &config.total_txns, 1, db::kMaxTxnId,
               "transactions to submit")
       .Number("--read-fraction=F", &config.workload.read_only_fraction, 0.0,
               1.0, "read-only share of transactions")
