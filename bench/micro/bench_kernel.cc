@@ -16,11 +16,11 @@
 // Modes:
 //   bench_kernel            human-readable summary
 //   bench_kernel --report   key=value lines (piped into tools/bench_to_json)
-//   bench_kernel --check    exit non-zero if a kernel scenario or the store
-//                           allocates in its measured rounds (budget: zero)
-//                           or if any scenario did no work; the lock and
-//                           graph scenarios' allocations are reported, not
-//                           gated
+//   bench_kernel --check    exit non-zero if a kernel scenario, the lock
+//                           manager or the store allocates in its measured
+//                           rounds (budget: zero) or if any scenario did no
+//                           work; the graph scenarios' allocations are
+//                           reported, not gated
 //   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
 //
 // An unknown argument or a malformed --rounds exits 2 with the usage line.
@@ -540,11 +540,16 @@ bool CountsEvents(const ScenarioResult& r) {
   return std::strcmp(r.unit, "event") == 0;
 }
 
+bool IsLockScenario(const ScenarioResult& r) {
+  return std::strncmp(r.name, "lock_", 5) == 0;
+}
+
 /// Scenarios --check holds to zero steady-state allocations: the kernel
-/// scenarios and the store. The lock table and the graph still allocate per
+/// scenarios, the lock manager and the store. The graph still allocates per
 /// operation.
 bool Gated(const ScenarioResult& r) {
-  return CountsEvents(r) || std::strcmp(r.name, "store_twr") == 0;
+  return CountsEvents(r) || IsLockScenario(r) ||
+         std::strcmp(r.name, "store_twr") == 0;
 }
 
 void PrintHuman(const ScenarioResult& r) {
@@ -632,12 +637,13 @@ int Run(int argc, char** argv) {
 
   if (check) {
     // The committed budget: zero heap allocations per unit at steady state
-    // in the kernel scenarios and the store. The warm-up round absorbs all
-    // capacity growth; any measured-round allocation there is a regression
-    // on the allocation-free hot path. The lock table and the graph still
-    // allocate per operation, so their scenarios report their counts (the
-    // baseline for making them allocation-free) without a budget. A
-    // scenario that did no work measured nothing, so it fails too.
+    // in the kernel scenarios, the lock manager and the store. The warm-up
+    // round absorbs all capacity growth (the lock tables' spare nodes
+    // included); any measured-round allocation there is a regression on the
+    // allocation-free hot path. The graph still allocates per operation, so
+    // its scenarios report their counts (the baseline for making it
+    // allocation-free) without a budget. A scenario that did no work
+    // measured nothing, so it fails too.
     int failures = 0;
     int gated = 0;
     for (const ScenarioResult& r : results) {
@@ -650,9 +656,10 @@ int Run(int argc, char** argv) {
 #ifdef LAZYREP_FRAME_POOL_DISABLED
       // Sanitized builds bypass the frame pool by design; only the
       // non-coroutine scenarios must stay allocation-free there.
-      bool pooled_scenario = CountsEvents(r) &&
-                             std::strcmp(r.name, "schedule_fire") != 0 &&
-                             std::strcmp(r.name, "cancel_heavy") != 0;
+      bool pooled_scenario = IsLockScenario(r) ||
+                             (CountsEvents(r) &&
+                              std::strcmp(r.name, "schedule_fire") != 0 &&
+                              std::strcmp(r.name, "cancel_heavy") != 0);
       if (pooled_scenario) continue;
 #endif
       ++gated;

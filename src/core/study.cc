@@ -290,7 +290,10 @@ Flags BenchOptions::FlagTable(unsigned fields, std::vector<int> figures) {
   if (fields & kBenchFigure) {
     LAZYREP_CHECK(!figures.empty());
     std::string want = "want 0 (all) or one of";
-    for (int n : figures) want += " " + std::to_string(n);
+    for (int n : figures) {
+      want += ' ';
+      want += std::to_string(n);
+    }
     figures.push_back(0);
     flags.Value(
         "--figure=N",

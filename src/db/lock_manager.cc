@@ -72,7 +72,7 @@ void LockManager::AddHolder(ItemLock* lock, TxnId txn, LockMode mode) {
 sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
                                                 LockMode mode,
                                                 sim::SimTime timeout) {
-  ItemLock& lock = locks_[item];
+  ItemLock& lock = LockFor(item);
 
   // Re-acquisition of an equal-or-weaker mode.
   bool holds_any = false;
@@ -92,7 +92,7 @@ sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
   if (CompatibleWithHolders(lock, txn, mode) &&
       (is_upgrade || lock.queue.empty())) {
     AddHolder(&lock, txn, mode);
-    if (!holds_any) held_[txn].push_back(item);
+    if (!holds_any) HeldFor(txn).push_back(item);
     ++grants_;
     TraceResolution(txn, item, mode, sim::WaitStatus::kSignaled, 0);
     co_return sim::WaitStatus::kSignaled;
@@ -117,7 +117,7 @@ sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
     if (status == sim::WaitStatus::kTimeout) ++timeouts_;
     // Remove ourselves from the queue; the lock entry may need pumping since
     // our departure can unblock requests behind us.
-    ItemLock& lk = locks_[item];
+    ItemLock& lk = LockFor(item);
     lk.queue.Remove(&waiter);
     PumpQueue(item, &lk);
     MaybeErase(item);
@@ -142,7 +142,7 @@ void LockManager::PumpQueue(ItemId item, ItemLock* lock) {
       if (holder == head->txn) already_held = true;
     }
     AddHolder(lock, head->txn, head->mode);
-    if (!already_held) held_[head->txn].push_back(item);
+    if (!already_held) HeldFor(head->txn).push_back(item);
     head->shot.Fire(sim::WaitStatus::kSignaled);
   }
 }
@@ -151,8 +151,44 @@ void LockManager::MaybeErase(ItemId item) {
   auto it = locks_.find(item);
   if (it != locks_.end() && it->second.holders.empty() &&
       it->second.queue.empty()) {
-    locks_.erase(it);
+    KeepSpare(locks_.extract(it));
   }
+}
+
+namespace {
+
+/// map[key], building a missing entry from a spare node when there is one;
+/// the map inserts it exactly where operator[] would have.
+template <typename Map>
+typename Map::mapped_type& EntryFor(
+    Map& map, std::vector<typename Map::node_type>& spares,
+    typename Map::key_type key) {
+  auto it = map.find(key);
+  if (it != map.end()) return it->second;
+  if (spares.empty()) return map[key];
+  typename Map::node_type node = std::move(spares.back());
+  spares.pop_back();
+  node.key() = key;
+  return map.insert(std::move(node)).position->second;
+}
+
+}  // namespace
+
+LockManager::ItemLock& LockManager::LockFor(ItemId item) {
+  return EntryFor(locks_, spare_locks_, item);
+}
+
+std::vector<ItemId>& LockManager::HeldFor(TxnId txn) {
+  return EntryFor(held_, spare_held_, txn);
+}
+
+void LockManager::KeepSpare(LockTable::node_type node) {
+  spare_locks_.push_back(std::move(node));
+}
+
+void LockManager::KeepSpare(HeldIndex::node_type node) {
+  node.mapped().clear();
+  spare_held_.push_back(std::move(node));
 }
 
 void LockManager::Release(TxnId txn, ItemId item) {
@@ -167,7 +203,7 @@ void LockManager::Release(TxnId txn, ItemId item) {
   if (held_it != held_.end()) {
     auto& items = held_it->second;
     items.erase(std::remove(items.begin(), items.end(), item), items.end());
-    if (items.empty()) held_.erase(held_it);
+    if (items.empty()) KeepSpare(held_.extract(held_it));
   }
   PumpQueue(item, &lock);
   MaybeErase(item);
@@ -176,9 +212,9 @@ void LockManager::Release(TxnId txn, ItemId item) {
 void LockManager::ReleaseAll(TxnId txn) {
   auto it = held_.find(txn);
   if (it == held_.end()) return;
-  std::vector<ItemId> items = std::move(it->second);
-  held_.erase(it);
-  for (ItemId item : items) {
+  // Out of the index first: a pumped waiter of `txn` starts a fresh entry.
+  HeldIndex::node_type held = held_.extract(it);
+  for (ItemId item : held.mapped()) {
     auto lit = locks_.find(item);
     if (lit == locks_.end()) continue;
     ItemLock& lock = lit->second;
@@ -188,6 +224,7 @@ void LockManager::ReleaseAll(TxnId txn) {
     PumpQueue(item, &lock);
     MaybeErase(item);
   }
+  KeepSpare(std::move(held));
 }
 
 void LockManager::CrashReset(const std::function<bool(TxnId)>& keep) {
@@ -201,16 +238,16 @@ void LockManager::CrashReset(const std::function<bool(TxnId)>& keep) {
     std::erase_if(lock.holders,
                   [&keep](const auto& p) { return !keep(p.first); });
     if (lock.holders.empty()) {
-      it = locks_.erase(it);
+      KeepSpare(locks_.extract(it++));
     } else {
       ++it;
     }
   }
   // Phase 2: rebuild the per-transaction held index from what survived.
-  held_.clear();
+  while (!held_.empty()) KeepSpare(held_.extract(held_.begin()));
   for (const auto& [item, lock] : locks_) {
     for (const auto& [holder, mode] : lock.holders) {
-      held_[holder].push_back(item);
+      HeldFor(holder).push_back(item);
     }
   }
   // Phase 3: wake the cancelled waiters; their Acquire frames clean up.

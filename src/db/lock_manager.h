@@ -46,6 +46,14 @@ inline bool LocksCompatible(LockMode requested, LockMode held) {
 /// One instance serves one physical site (the local DBMS's transaction
 /// manager); the locking protocol also uses the instances at primary sites
 /// for its global read/update locks.
+///
+/// Storage: an entry of either table is erased as soon as it is idle, but
+/// its node is kept as a spare, with the holder or item vector inside it
+/// still holding its capacity, and the next new entry reuses it. So at
+/// steady state an acquire allocates nothing, and the spares never outnumber
+/// the manager's peak live entries. The tables stay std::unordered_maps,
+/// inserted into and erased from in the same order as without spares,
+/// because CrashReset's walk follows their iteration order.
 class LockManager {
  public:
   explicit LockManager(sim::Simulation* sim) : sim_(sim) {}
@@ -145,6 +153,18 @@ class LockManager {
   /// Drops the lock entry if empty.
   void MaybeErase(ItemId item);
 
+  using LockTable = std::unordered_map<ItemId, ItemLock>;
+  using HeldIndex = std::unordered_map<TxnId, std::vector<ItemId>>;
+
+  /// locks_[item] and held_[txn], building a missing entry from a spare
+  /// node when there is one.
+  ItemLock& LockFor(ItemId item);
+  std::vector<ItemId>& HeldFor(TxnId txn);
+  /// Keeps an extracted node as a spare (a lock node is idle: no holders,
+  /// no waiters).
+  void KeepSpare(LockTable::node_type node);
+  void KeepSpare(HeldIndex::node_type node);
+
   /// Emits the Acquire resolution when tracing is on. `wait` is the time
   /// spent queued (0 for immediate grants); a deny carries the WaitStatus.
   void TraceResolution(TxnId txn, ItemId item, LockMode mode,
@@ -160,8 +180,10 @@ class LockManager {
   sim::Simulation* sim_;
   trace::TraceSink* trace_ = nullptr;
   uint16_t trace_site_ = 0;
-  std::unordered_map<ItemId, ItemLock> locks_;
-  std::unordered_map<TxnId, std::vector<ItemId>> held_;
+  LockTable locks_;
+  HeldIndex held_;
+  std::vector<LockTable::node_type> spare_locks_;
+  std::vector<HeldIndex::node_type> spare_held_;
   uint64_t grants_ = 0;
   uint64_t waits_ = 0;
   uint64_t timeouts_ = 0;

@@ -28,12 +28,28 @@ bool ReliableChannel::RecordDelivery(uint64_t key, uint64_t seq,
   RecvFlow& rf = recv_[key];
   if (!rf.init || rf.sender_inc != sent_inc) {
     // First contact, or the sender rebooted: its counters restarted, so the
-    // old delivered-seq set no longer applies to this incarnation.
+    // old delivered-seq window no longer applies to this incarnation.
     rf.init = true;
     rf.sender_inc = sent_inc;
-    rf.seen.clear();
+    rf.below = 0;
+    rf.ahead.clear();
   }
-  bool fresh = rf.seen.insert(seq).second;
+  bool fresh = seq >= rf.below;
+  if (seq == rf.below) {
+    // The next number in order: advance past it and past every number
+    // that had arrived ahead of it.
+    size_t absorbed = 0;
+    ++rf.below;
+    while (absorbed < rf.ahead.size() && rf.ahead[absorbed] == rf.below) {
+      ++absorbed;
+      ++rf.below;
+    }
+    rf.ahead.erase(rf.ahead.begin(), rf.ahead.begin() + absorbed);
+  } else if (fresh) {
+    auto it = std::lower_bound(rf.ahead.begin(), rf.ahead.end(), seq);
+    fresh = it == rf.ahead.end() || *it != seq;
+    if (fresh) rf.ahead.insert(it, seq);
+  }
   if (!fresh) ++dup_deliveries_;
   return fresh;
 }
@@ -75,15 +91,16 @@ sim::Task<bool> ReliableChannel::Send(db::SiteId from, db::SiteId to,
 
 void ReliableChannel::OnEndpointCrash(db::SiteId endpoint) {
   size_t n = incarnation_.size();
-  // Receiver dedup state at the crashed endpoint is volatile.
-  std::erase_if(recv_, [endpoint, n](const auto& kv) {
-    return kv.first % n == static_cast<uint64_t>(endpoint);
-  });
+  // Receiver dedup state at the crashed endpoint is volatile; a wiped flow
+  // keeps its storage and starts over on its next copy.
+  for (auto& [key, rf] : recv_) {
+    if (key % n == static_cast<uint64_t>(endpoint)) rf.init = false;
+  }
   // So are its sender counters; the incarnation bump keeps their restart
   // from colliding with pre-crash sequence numbers at the receivers.
-  std::erase_if(next_seq_, [endpoint, n](const auto& kv) {
-    return kv.first / n == static_cast<uint64_t>(endpoint);
-  });
+  for (auto& [key, next] : next_seq_) {
+    if (key / n == static_cast<uint64_t>(endpoint)) next = 0;
+  }
   ++incarnation_[endpoint];
 }
 

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "db/types.h"
 #include "fault/fault_params.h"
@@ -24,9 +24,14 @@ inline constexpr int kRetryForever = -1;
 /// retransmitted payloads by per-flow sequence number — modeled by handing
 /// the payload to the caller exactly once (when Send resolves true) while
 /// every delivered copy still pays link occupancy and receive-CPU cost.
+/// A flow's delivered numbers are kept as a window: a watermark below which
+/// every number arrived, plus the sorted numbers above it that arrived past
+/// a gap (a lost copy being retransmitted, or numbers the receiver forgot in
+/// a crash). The answers are those of a set of every delivered number; after
+/// a flow's first copy, recording one allocates only to grow that list.
 ///
 /// Sequence numbers are qualified by the sender's *incarnation*: an amnesia
-/// crash wipes both the receiver's delivered-seq sets and the crashed
+/// crash wipes both the receiver's delivered-seq windows and the crashed
 /// sender's counters (OnEndpointCrash), and bumps the endpoint's incarnation
 /// so its restarted counters — which begin again at zero — are never
 /// mistaken for duplicates of pre-crash traffic.
@@ -59,9 +64,9 @@ class ReliableChannel {
                        int max_retries);
 
   /// Amnesia-crash hook: wipes the crashed endpoint's volatile messaging
-  /// state — its receiver dedup sets and its sender sequence counters — and
-  /// bumps its incarnation. Pure bookkeeping: schedules no events, draws no
-  /// randomness, so legacy (non-amnesia) runs are unaffected.
+  /// state — its receiver dedup windows and its sender sequence counters —
+  /// and bumps its incarnation. Pure bookkeeping: schedules no events, draws
+  /// no randomness, so legacy (non-amnesia) runs are unaffected.
   void OnEndpointCrash(db::SiteId endpoint);
 
   /// Current incarnation of `endpoint` (number of amnesia crashes).
@@ -81,16 +86,23 @@ class ReliableChannel {
   void ResetStats();
 
  private:
-  /// Receiver-side dedup state of one (from -> to) flow, owned by `to`.
+  friend struct ReliableChannelTestPeer;  // drives RecordDelivery in tests
+
+  /// Receiver-side dedup state of one (from -> to) flow, owned by `to`: the
+  /// sender incarnation it tracks and the sequence numbers delivered under
+  /// it, which are every number below `below` and the numbers in `ahead`
+  /// (sorted, each above `below`).
   struct RecvFlow {
     bool init = false;
     uint32_t sender_inc = 0;
-    std::unordered_set<uint64_t> seen;
+    uint64_t below = 0;
+    std::vector<uint64_t> ahead;
   };
 
   sim::Task<void> Charge(db::SiteId endpoint);
   uint64_t FlowKey(db::SiteId from, db::SiteId to) const;
-  /// Receiver bookkeeping for one arrived copy; true when fresh.
+  /// Receiver bookkeeping for one arrived copy of `seq` on flow `key`, sent
+  /// under incarnation `sent_inc`; true when fresh.
   bool RecordDelivery(uint64_t key, uint64_t seq, uint32_t sent_inc);
 
   sim::Simulation* sim_;

@@ -3,7 +3,12 @@
 // partitions, the Network faulty-delivery hook, and the reliable
 // channel's retry/backoff/dedup behaviour across endpoint crashes.
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -502,6 +507,149 @@ TEST(ReliableChannelTest, LostAckTriggersDedupedRetransmission) {
   ASSERT_EQ(charged.size(), 2u);
   EXPECT_EQ(charged[0], 1);
   EXPECT_EQ(charged[1], 0);
+}
+
+}  // namespace
+
+// Hands the receiver's dedup window one arrived copy at a time.
+struct ReliableChannelTestPeer {
+  static bool Deliver(ReliableChannel* ch, SiteId from, SiteId to,
+                      uint64_t seq, uint32_t sent_inc) {
+    return ch->RecordDelivery(ch->FlowKey(from, to), seq, sent_inc);
+  }
+};
+
+namespace {
+
+// The receiver's dedup state before the window: per flow, the sender
+// incarnation it tracks and the set of every sequence number delivered
+// under it; a crashed receiver forgets its flows.
+class SetDedupModel {
+ public:
+  bool Deliver(SiteId from, SiteId to, uint64_t seq, uint32_t sent_inc) {
+    Flow& f = flows_[{from, to}];
+    if (!f.init || f.sender_inc != sent_inc) {
+      f.init = true;
+      f.sender_inc = sent_inc;
+      f.seen.clear();
+    }
+    return f.seen.insert(seq).second;
+  }
+
+  void Crash(SiteId endpoint) {
+    std::erase_if(flows_, [endpoint](const auto& kv) {
+      return kv.first.second == endpoint;
+    });
+  }
+
+ private:
+  struct Flow {
+    bool init = false;
+    uint32_t sender_inc = 0;
+    std::set<uint64_t> seen;
+  };
+  std::map<std::pair<SiteId, SiteId>, Flow> flows_;
+};
+
+TEST(ReliableChannelTest, DedupWindowAnswersLikeASet) {
+  Simulation sim;
+  net::Network net(&sim, 2, net::NetworkParams{0.0, 1e9});
+  ReliableChannel ch(&sim, &net, ChannelParams(), 64);
+  auto deliver = [&ch](uint64_t seq, uint32_t inc) {
+    return ReliableChannelTestPeer::Deliver(&ch, 0, 1, seq, inc);
+  };
+  // In order, then a duplicate below the watermark.
+  EXPECT_TRUE(deliver(0, 0));
+  EXPECT_TRUE(deliver(1, 0));
+  EXPECT_TRUE(deliver(2, 0));
+  EXPECT_FALSE(deliver(1, 0));
+  // Out of order above a hole at 3, with a duplicate there too.
+  EXPECT_TRUE(deliver(5, 0));
+  EXPECT_TRUE(deliver(4, 0));
+  EXPECT_FALSE(deliver(4, 0));
+  // Filling the hole absorbs 4 and 5 into the watermark.
+  EXPECT_TRUE(deliver(3, 0));
+  EXPECT_FALSE(deliver(5, 0));
+  EXPECT_TRUE(deliver(6, 0));
+  // The sender restarts (incarnation 1) and numbers from zero again; a
+  // late copy of its previous incarnation flips the flow back, as the set
+  // did, and then finds nothing delivered.
+  EXPECT_TRUE(deliver(0, 1));
+  EXPECT_FALSE(deliver(0, 1));
+  EXPECT_TRUE(deliver(6, 0));
+  EXPECT_TRUE(deliver(0, 1));
+  // The receiver crashes: every number is fresh again.
+  EXPECT_TRUE(deliver(1, 1));
+  ch.OnEndpointCrash(1);
+  EXPECT_TRUE(deliver(0, 1));
+  EXPECT_TRUE(deliver(1, 1));
+  EXPECT_FALSE(deliver(1, 1));
+  EXPECT_EQ(ch.dup_deliveries(), 5u);
+}
+
+// Seeded random traffic on the six flows among three endpoints: copies are
+// sent, duplicated, lost and delivered in random order, and endpoints crash
+// (a crash restarts the endpoint's sender counters under a new incarnation
+// and wipes its receiver state, while copies already sent stay in flight).
+// Every delivery must be answered as the set model answers it.
+TEST(ReliableChannelTest, DedupWindowMatchesSetModelOnRandomTraffic) {
+  constexpr SiteId kEndpoints = 3;
+  Simulation sim;
+  net::Network net(&sim, kEndpoints, net::NetworkParams{0.0, 1e9});
+  ReliableChannel ch(&sim, &net, ChannelParams(), 64);
+  SetDedupModel model;
+  std::mt19937_64 rng(11);
+  auto below = [&rng](uint64_t n) { return rng() % n; };
+  struct Copy {
+    SiteId from;
+    SiteId to;
+    uint64_t seq;
+    uint32_t inc;
+  };
+  std::vector<Copy> in_flight;
+  std::map<std::pair<SiteId, SiteId>, uint64_t> next_seq;
+  uint64_t duplicates = 0;
+  uint64_t crashes = 0;
+  for (int step = 0; step < 200000; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const uint64_t action = below(100);
+    if (action < 40 || in_flight.empty()) {
+      const auto from = static_cast<SiteId>(below(kEndpoints));
+      const auto to = static_cast<SiteId>((from + 1 + below(2)) % kEndpoints);
+      const uint64_t seq = next_seq[{from, to}]++;
+      const uint64_t copies = 1 + (below(4) == 0 ? below(3) : 0);
+      for (uint64_t c = 0; c < copies; ++c) {
+        in_flight.push_back({from, to, seq, ch.incarnation(from)});
+      }
+    } else if (action < 99) {
+      const size_t pick = below(in_flight.size());
+      const Copy copy = in_flight[pick];
+      if (action >= 90) {
+        // Lost: a gap in the flow that only a later copy can fill.
+      } else {
+        const bool fresh = ReliableChannelTestPeer::Deliver(
+            &ch, copy.from, copy.to, copy.seq, copy.inc);
+        ASSERT_EQ(fresh,
+                  model.Deliver(copy.from, copy.to, copy.seq, copy.inc))
+            << copy.from << "->" << copy.to << " seq " << copy.seq
+            << " inc " << copy.inc;
+        if (!fresh) ++duplicates;
+      }
+      in_flight[pick] = in_flight.back();
+      in_flight.pop_back();
+    } else {
+      const auto endpoint = static_cast<SiteId>(below(kEndpoints));
+      ch.OnEndpointCrash(endpoint);
+      model.Crash(endpoint);
+      for (auto& [flow, next] : next_seq) {
+        if (flow.first == endpoint) next = 0;
+      }
+      ++crashes;
+    }
+  }
+  EXPECT_EQ(ch.dup_deliveries(), duplicates);
+  EXPECT_GT(duplicates, 1000u);
+  EXPECT_GT(crashes, 100u);
 }
 
 }  // namespace
