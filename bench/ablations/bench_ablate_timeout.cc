@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
       c.total_txns = opt.txns;
       c.seed = opt.seed;
       c.timeout = timeout;
-      c.graph.wait_timeout = timeout;
       specs.push_back({c, kind});
       timeouts.push_back(timeout);
     }

@@ -45,8 +45,9 @@ System::System(const SystemConfig& config, ProtocolKind kind)
         return config_.HasReplica(item, site);
       });
     }
-    graph_site_ = std::make_unique<rg::GraphSite>(&sim_, graph_cpu_.get(),
-                                                  rgraph_.get(), config_.graph);
+    graph_site_ = std::make_unique<rg::GraphSite>(
+        &sim_, graph_cpu_.get(), rgraph_.get(), config_.graph,
+        config_.timeout);
   }
   tracker_.set_deferred_cascade(kind_ == ProtocolKind::kLocking ||
                                 kind_ == ProtocolKind::kEager);
@@ -341,7 +342,6 @@ void System::OnSiteCrash(int e) {
   ++site_epochs_[e];
   fault::SiteWal* w = wals_[e].get();
   w->OnCrash();
-  channel_->OnEndpointCrash(static_cast<db::SiteId>(e));
   site(static_cast<db::SiteId>(e))
       .locks.CrashReset([this, e, w](db::TxnId id) {
         // Survivors of the wipe: 2PC participants with a durable prepare

@@ -321,8 +321,9 @@ class System {
   // -- amnesia crash plumbing -------------------------------------------------
 
   /// Injector crash hook: bumps the site's epoch, wipes its volatile state
-  /// (WAL append buffer, channel dedup state, lock manager) keeping only
-  /// logged survivors (in-doubt participants, committed-at-origin holders).
+  /// (WAL append buffer, lock manager) keeping only logged survivors
+  /// (in-doubt participants, committed-at-origin holders). The reliable
+  /// channel keeps no per-endpoint state, so it has nothing to wipe.
   void OnSiteCrash(int e);
   /// Costed replay (ARIES-style analysis+redo from the last checkpoint).
   /// Abandons silently if the site re-crashes mid-replay.

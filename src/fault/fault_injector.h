@@ -24,21 +24,20 @@ namespace lazyrep::fault {
 ///  * Fail-silent (amnesia = false, the default): a down endpoint neither
 ///    receives nor emits messages (every delivery leg touching it is
 ///    dropped), but its volatile state — lock tables, in-flight
-///    transactions, messaging buffers — survives the outage intact, and the
+///    transactions, replica versions — survives the outage intact, and the
 ///    endpoint resumes the instant its window closes. Protocol reactions
 ///    are driven entirely by the missing messages. This is an optimistic
 ///    model (equivalent to instant, free recovery) kept for comparison runs.
 ///
 ///  * Amnesia (amnesia = true): a crash destroys the endpoint's volatile
 ///    state. The injector fires the registered crash hook (the System wipes
-///    lock manager, in-flight transactions, WAL append buffers and channel
-///    dedup state), and when the outage window closes the endpoint enters a
-///    *recovering* phase instead of coming straight back: the recovery hook
-///    starts a costed log replay, and only FinishRecovery() — called when
-///    replay completes — makes the endpoint reachable again. Downtime
-///    therefore includes replay time. A second crash while recovering
-///    abandons the replay (the hook fires again; recovery restarts at the
-///    next window close).
+///    lock manager, in-flight transactions and WAL append buffers), and when
+///    the outage window closes the endpoint enters a *recovering* phase
+///    instead of coming straight back: the recovery hook starts a costed log
+///    replay, and only FinishRecovery() — called when replay completes —
+///    makes the endpoint reachable again. Downtime therefore includes replay
+///    time. A second crash while recovering abandons the replay (the hook
+///    fires again; recovery restarts at the next window close).
 ///
 /// Scheduled partitions drop every delivery leg crossing an active group
 /// boundary; endpoints stay up and lose no state, so healing needs no

@@ -96,12 +96,11 @@ bool FaultParams::Validate(std::string* error) const {
   if (max_retries < 0) {
     return Fail(error, "max_retries %d negative", max_retries);
   }
-  if (rto_initial <= 0 || rto_backoff < 1.0 || rto_max < rto_initial) {
+  if (rto_initial <= 0 || rto_initial > kRtoMax) {
     return Fail(error,
-                "retry policy inconsistent: rto_initial=%g rto_backoff=%g "
-                "rto_max=%g (want rto_initial > 0, backoff >= 1, "
-                "rto_max >= rto_initial)",
-                rto_initial, rto_backoff, rto_max);
+                "retry policy inconsistent: rto_initial=%g (want 0 < "
+                "rto_initial <= %g, the timeout cap)",
+                rto_initial, kRtoMax);
   }
   if (amnesia) {
     if (checkpoint_interval <= 0) {

@@ -39,6 +39,11 @@ struct ScheduledPartition {
   std::vector<std::string> groups;
 };
 
+/// Growth of the reliable channel's retransmission timeout per retry.
+inline constexpr double kRtoBackoff = 2.0;
+/// Cap on the retransmission timeout, seconds.
+inline constexpr double kRtoMax = 1.0;
+
 /// Fault-injection knobs. All default to zero / empty: with the defaults the
 /// injector is never constructed and every simulated run is bit-identical to
 /// the fault-free model.
@@ -48,9 +53,8 @@ struct FaultParams {
   /// multicast leg) is dropped at the switch.
   double loss_prob = 0;
   /// Probability that a delivered leg is duplicated. The duplicate occupies
-  /// the receiver's incoming link (bandwidth + dedup cost) but the payload is
-  /// handed to the protocol once — receivers filter duplicates by sequence
-  /// number in the reliable-messaging layer.
+  /// the receiver's incoming link a second time; the payload is still handed
+  /// to the protocol once, because a reliable-channel send resolves once.
   double dup_prob = 0;
 
   // -- site crash / recovery --------------------------------------------------
@@ -70,8 +74,8 @@ struct FaultParams {
 
   // -- crash semantics --------------------------------------------------------
   /// When true, a crash wipes the site's volatile state (in-flight local
-  /// transactions abort, the lock manager resets, unacked reliable-channel
-  /// buffers drop) and recovery runs a costed redo replay from the site's
+  /// transactions abort, the lock manager resets, the unforced log tail is
+  /// lost) and recovery runs a costed redo replay from the site's
   /// write-ahead log before the site serves traffic again. When false, the
   /// legacy fail-silent model applies: the endpoint only drops messages
   /// while down and resumes with state intact — kept for comparison runs and
@@ -86,10 +90,9 @@ struct FaultParams {
   /// traffic (replica propagation, completion notices, cleanup) retries
   /// without bound — it is idempotent and must eventually be delivered.
   int max_retries = 5;
-  /// Initial retransmission timeout, seconds; doubles per retry (capped).
+  /// Initial retransmission timeout, seconds; grows by kRtoBackoff per
+  /// retry, up to kRtoMax.
   double rto_initial = 0.05;
-  double rto_backoff = 2.0;
-  double rto_max = 1.0;
 
   /// True when any fault mechanism is active. Gates the whole subsystem:
   /// when false, the network hook is not installed and all protocols use

@@ -39,10 +39,10 @@ class Network {
   /// switch before the destination. Returns how many copies reach `dst`'s
   /// access link: 0 = the leg is dropped (message loss or a crashed
   /// endpoint), 1 = normal delivery, n > 1 = duplication — each copy
-  /// occupies the link, but the payload is handed to the receiver once
-  /// (duplicates are deduped by the reliable-messaging layer). Unset =
-  /// perfect network. Interior (backbone) edges never drop: loss is an
-  /// access-link / endpoint phenomenon, partitions cut whole subtrees.
+  /// occupies the link, but the transfer completes once, so the payload is
+  /// handed to the receiver once. Unset = perfect network. Interior
+  /// (backbone) edges never drop: loss is an access-link / endpoint
+  /// phenomenon, partitions cut whole subtrees.
   using FaultHook = std::function<int(db::SiteId src, db::SiteId dst)>;
 
   /// Per-delivery callback. Inline (no heap): one instance is shared by all

@@ -1,5 +1,7 @@
 #include "replay/workload_script.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <unordered_map>
 #include <utility>
@@ -41,11 +43,28 @@ bool WorkloadScript::FromPoint(const trace::PointTrace& pt,
     uint64_t announced_ops = 0;
   };
   std::unordered_map<uint64_t, Open> open;
-  for (const trace::Record& r : pt.records) {
+  for (size_t i = 0; i < pt.records.size(); ++i) {
+    const trace::Record& r = pt.records[i];
     if (r.type == static_cast<uint8_t>(trace::EventType::kSubmit)) {
       if (r.site >= pt.header.num_sites) {
         return fail("submit record of txn " + std::to_string(r.txn) +
                     " at non-site endpoint " + std::to_string(r.site));
+      }
+      // The announced count sizes the op list, so it may not exceed the
+      // records left to deliver those ops.
+      const size_t left = pt.records.size() - i - 1;
+      if (r.aux > left) {
+        return fail("txn " + std::to_string(r.txn) + " announces " +
+                    std::to_string(r.aux) + " ops but only " +
+                    std::to_string(left) +
+                    " records follow in its point — truncated or corrupt "
+                    "capture");
+      }
+      // The event loop cannot order a NaN instant, and DelayUntil would move
+      // a negative one silently to the run's start.
+      if (!std::isfinite(r.time) || r.time < 0) {
+        return fail("txn " + std::to_string(r.txn) + " is submitted at t=" +
+                    std::to_string(r.time) + ", not a finite instant >= 0");
       }
       std::vector<ScriptTxn>& seq = out->per_site_[r.site];
       ScriptTxn st;
@@ -101,6 +120,51 @@ bool WorkloadScript::FromPoint(const trace::PointTrace& pt,
                   std::to_string(o.announced_ops) + " ops but recorded " +
                   std::to_string(st.ops.size()) +
                   " kSubmitOp records — truncated or pre-v2 capture");
+    }
+    // The protocols take an update's path exactly when it writes (the
+    // replication graph rejects a write by a read-only transaction).
+    const bool writes =
+        std::any_of(st.ops.begin(), st.ops.end(), [](const db::Operation& op) {
+          return op.type == db::OpType::kWrite;
+        });
+    if (writes != st.is_update) {
+      return fail("txn " + std::to_string(txn) +
+                  (st.is_update ? " is flagged update but writes nothing"
+                                : " is flagged read-only but writes"));
+    }
+  }
+  return true;
+}
+
+bool WorkloadScript::FitsDatabase(const core::SystemConfig& config,
+                                  std::string* error) const {
+  auto fail = [error](std::string why) {
+    if (error != nullptr) *error = std::move(why);
+    return false;
+  };
+  const auto items = static_cast<uint64_t>(config.total_items());
+  for (int s = 0; s < num_sites_; ++s) {
+    for (size_t i = 0; i < per_site_[s].size(); ++i) {
+      const std::string txn =
+          "site " + std::to_string(s) + " txn #" + std::to_string(i);
+      for (const db::Operation& op : per_site_[s][i].ops) {
+        if (op.item >= items) {
+          return fail(txn + " names item " + std::to_string(op.item) +
+                      " beyond the database's " + std::to_string(items) +
+                      " items");
+        }
+        const db::SiteId owner = config.PrimarySite(op.item);
+        if (op.type == db::OpType::kWrite && owner != s &&
+            !config.workload.relaxed_ownership) {
+          return fail(txn + " writes item " + std::to_string(op.item) +
+                      ", which site " + std::to_string(owner) +
+                      " owns, and ownership is not relaxed");
+        }
+        if (op.type == db::OpType::kRead && !config.HasReplica(op.item, s)) {
+          return fail(txn + " reads item " + std::to_string(op.item) +
+                      ", of which it holds no replica");
+        }
+      }
     }
   }
   return true;

@@ -36,6 +36,16 @@ class WorkloadScript {
   static bool FromPoint(const trace::PointTrace& pt, uint32_t trace_version,
                         WorkloadScript* out, std::string* error);
 
+  /// Checks the script against the database it will replay on, `config`
+  /// (as MakeReplayConfig returns it, so the sites match), as the generator
+  /// would have drawn it: every item below config.total_items(), every
+  /// write to an item its origin site owns (config.PrimarySite) unless the
+  /// workload relaxes ownership, and every read of an item the origin
+  /// replicates (config.HasReplica). Fails naming the first offending
+  /// transaction by site and position.
+  bool FitsDatabase(const core::SystemConfig& config,
+                    std::string* error) const;
+
   int num_sites() const { return num_sites_; }
   uint64_t total_submissions() const { return total_; }
   const std::vector<ScriptTxn>& site(db::SiteId s) const {

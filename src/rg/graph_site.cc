@@ -9,8 +9,13 @@
 namespace lazyrep::rg {
 
 GraphSite::GraphSite(sim::Simulation* sim, hw::Cpu* cpu,
-                     ReplicationGraph* graph, const GraphSiteParams& params)
-    : sim_(sim), cpu_(cpu), graph_(graph), params_(params) {}
+                     ReplicationGraph* graph, const GraphSiteParams& params,
+                     double timeout)
+    : sim_(sim),
+      cpu_(cpu),
+      graph_(graph),
+      params_(params),
+      timeout_(timeout) {}
 
 void GraphSite::EnsureRegistered(db::TxnId txn, db::SiteId origin,
                                  bool is_global) {
@@ -96,7 +101,7 @@ sim::Task<Verdict> GraphSite::ParkAndWait(db::TxnId txn, db::Operation op) {
   keepalive_.emplace(parked.get(), parked);
   ++parked_count_;
 
-  sim::WaitStatus status = co_await parked->shot.Wait(params_.wait_timeout);
+  sim::WaitStatus status = co_await parked->shot.Wait(timeout_);
   if (status == sim::WaitStatus::kSignaled) {
     keepalive_.erase(parked.get());
     co_return Verdict::kOk;

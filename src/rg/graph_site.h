@@ -22,9 +22,6 @@ struct GraphSiteParams {
   /// Bound on the request queue; overflowing requests are rejected and their
   /// transactions aborted (§4.1.2, bound of 300).
   size_t queue_bound = 300;
-  /// How long a pessimistic request may wait on a cycle before aborting
-  /// (the deadlock-timeout interval, 0.5 s).
-  double wait_timeout = 0.5;
   /// Instructions to add one operation to the graph.
   double add_instr = 2000;
   /// Instructions per edge examined during cycle checking.
@@ -53,8 +50,10 @@ enum class Verdict : uint8_t {
 /// the graph shrinks.
 class GraphSite {
  public:
+  /// `timeout` bounds how long a pessimistic request may wait on a cycle
+  /// before aborting: the deadlock-timeout interval (SystemConfig::timeout).
   GraphSite(sim::Simulation* sim, hw::Cpu* cpu, ReplicationGraph* graph,
-            const GraphSiteParams& params);
+            const GraphSiteParams& params, double timeout);
   GraphSite(const GraphSite&) = delete;
   GraphSite& operator=(const GraphSite&) = delete;
 
@@ -96,7 +95,6 @@ class GraphSite {
 
   hw::Cpu* cpu() { return cpu_; }
   ReplicationGraph* graph() { return graph_; }
-  const GraphSiteParams& params() const { return params_; }
 
  private:
   struct ParkedOp {
@@ -135,6 +133,7 @@ class GraphSite {
   hw::Cpu* cpu_;
   ReplicationGraph* graph_;
   GraphSiteParams params_;
+  double timeout_;
 
   /// Per-transaction FIFO of parked operations (head blocks the rest).
   std::unordered_map<db::TxnId, std::deque<ParkedOp*>> parked_;

@@ -23,11 +23,14 @@ using db::TxnId;
 Operation Read(ItemId d) { return Operation{OpType::kRead, d}; }
 Operation Write(ItemId d) { return Operation{OpType::kWrite, d}; }
 
+/// The deadlock-timeout interval of Table 1 (SystemConfig::timeout).
+constexpr double kTimeout = 0.5;
+
 struct Fixture : public ::testing::Test {
   Fixture()
       : cpu(&sim, "graph_cpu", 300.0),
         graph(4),
-        site(&sim, &cpu, &graph, GraphSiteParams{}) {}
+        site(&sim, &cpu, &graph, GraphSiteParams{}, kTimeout) {}
 
   sim::Process Op(GraphSite* gs, TxnId txn, SiteId origin, bool global,
                   Operation op, Verdict* out, double* when = nullptr) {
@@ -77,7 +80,7 @@ TEST_F(Fixture, QueueBoundOverflowReturnsRejected) {
   tight.queue_bound = 3;
   hw::Cpu slow_cpu(&sim, "slow", 0.05);  // 50k instr/s: requests pile up
   ReplicationGraph g2(4);
-  GraphSite s2(&sim, &slow_cpu, &g2, tight);
+  GraphSite s2(&sim, &slow_cpu, &g2, tight, kTimeout);
   std::vector<Verdict> burst(10, Verdict::kOk);
   std::vector<double> when(10, -1);
   for (int i = 0; i < 10; ++i) {
@@ -118,7 +121,7 @@ TEST_F(Fixture, WaitTimeoutExpiresToAbortAndRemoves) {
   sim.Run();
   EXPECT_EQ(blocked, Verdict::kAbort);
   EXPECT_EQ(site.wait_timeouts(), 1u);
-  EXPECT_GE(when, parked_at + site.params().wait_timeout);
+  EXPECT_GE(when, parked_at + kTimeout);
   // The timeout path removed the transaction from the graph on its own.
   EXPECT_EQ(site.parked_requests(), 0u);
   EXPECT_FALSE(graph.Contains(4));
@@ -127,11 +130,9 @@ TEST_F(Fixture, WaitTimeoutExpiresToAbortAndRemoves) {
 }
 
 TEST_F(Fixture, ShorterWaitTimeoutIsRespected) {
-  GraphSiteParams fast;
-  fast.wait_timeout = 0.1;
   hw::Cpu cpu2(&sim, "graph_cpu2", 300.0);
   ReplicationGraph g2(4);
-  GraphSite s2(&sim, &cpu2, &g2, fast);
+  GraphSite s2(&sim, &cpu2, &g2, GraphSiteParams{}, /*timeout=*/0.1);
   Verdict v;
   // Same bridge, on the second site instance.
   sim.Spawn(Op(&s2, 1, 0, true, Write(10), &v));

@@ -25,11 +25,14 @@ using db::TxnId;
 Operation Read(ItemId d) { return Operation{OpType::kRead, d}; }
 Operation Write(ItemId d) { return Operation{OpType::kWrite, d}; }
 
+/// The deadlock-timeout interval of Table 1 (SystemConfig::timeout).
+constexpr double kTimeout = 0.5;
+
 struct Fixture : public ::testing::Test {
   Fixture()
       : cpu(&sim, "graph_cpu", 300.0),
         graph(4),
-        site(&sim, &cpu, &graph, GraphSiteParams{}) {}
+        site(&sim, &cpu, &graph, GraphSiteParams{}, kTimeout) {}
 
   sim::Process Op(TxnId txn, SiteId origin, bool global, Operation op,
                   Verdict* out, double* when = nullptr) {
@@ -156,7 +159,7 @@ TEST_F(Fixture, RejectionStormRecovers) {
   tight.queue_bound = 4;
   hw::Cpu slow_cpu(&sim, "slow", 0.05);  // 50k instructions/second
   ReplicationGraph g2(4);
-  GraphSite s2(&sim, &slow_cpu, &g2, tight);
+  GraphSite s2(&sim, &slow_cpu, &g2, tight, kTimeout);
   std::vector<Verdict> burst(12, Verdict::kOk);
   for (int i = 0; i < 12; ++i) {
     struct Runner {

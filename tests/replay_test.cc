@@ -10,6 +10,8 @@
 // knob, never to workload re-sampling.
 
 #include <cstdio>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -342,6 +344,194 @@ TEST(ReplayTest, RejectsUnreplayableCaptures) {
   EXPECT_TRUE(replay::WorkloadScript::FromPoint(pt, 2, &script, &error))
       << error;
   EXPECT_EQ(script.total_submissions(), 4u);
+
+  auto rejects = [&](std::vector<trace::Record> records,
+                     const std::string& reason) {
+    pt.records = std::move(records);
+    EXPECT_FALSE(replay::WorkloadScript::FromPoint(pt, 2, &script, &error));
+    EXPECT_NE(error.find(reason), std::string::npos) << error;
+  };
+  // The announced op count sizes the op list before any op arrives, so it
+  // may not exceed the records left in the point (2^40 died in bad_alloc).
+  sub.site = 1;
+  sub.aux = 1ull << 40;
+  rejects({sub, op}, "txn 5 announces 1099511627776 ops but only 1");
+
+  // Submit instants are finite and not before the run starts, and an
+  // update is a transaction that writes.
+  sub.aux = 1;
+  trace::Record late = sub;
+  late.time = std::numeric_limits<double>::quiet_NaN();
+  rejects({late, op}, "not a finite instant");
+  late.time = -1;
+  rejects({late, op}, "not a finite instant");
+  trace::Record update = sub;
+  update.flags = trace::kFlagUpdate;
+  rejects({update, op}, "txn 5 is flagged update but writes nothing");
+  trace::Record write = op;
+  write.aux = 1;
+  rejects({sub, write}, "txn 5 is flagged read-only but writes");
+}
+
+TEST(ReplayTest, FitsDatabaseChecksItemsOwnershipAndReplicas) {
+  core::SystemConfig config = SmallConfig();  // 4 sites of 12 items
+  std::string rec_path = ::testing::TempDir() + "replay_fits_rec.trace";
+  core::MetricsSnapshot recorded;
+  trace::TraceFile rec_file;
+  Capture({config, core::ProtocolKind::kOptimistic}, rec_path, 1, &recorded,
+          &rec_file);
+  std::remove(rec_path.c_str());
+  std::shared_ptr<replay::WorkloadScript> script;
+  Extract(rec_file, &script);
+  std::string error;
+  EXPECT_TRUE(script->FitsDatabase(replay::MakeReplayConfig(*script, config),
+                                   &error))
+      << error;
+
+  // Fewer items per site: the script names items past the database's end.
+  core::SystemConfig smaller = config;
+  smaller.workload.items_per_site = 6;
+  EXPECT_FALSE(script->FitsDatabase(
+      replay::MakeReplayConfig(*script, smaller), &error));
+  EXPECT_NE(error.find("beyond the database's 24 items"), std::string::npos)
+      << error;
+
+  // More items per site: every item exists, but site 1's writes (items
+  // 12-23) now belong to site 0 — the run would break the ownership rule.
+  core::SystemConfig larger = config;
+  larger.workload.items_per_site = 24;
+  EXPECT_FALSE(script->FitsDatabase(
+      replay::MakeReplayConfig(*script, larger), &error));
+  EXPECT_NE(error.find("which site 0 owns"), std::string::npos) << error;
+  larger.workload.relaxed_ownership = true;
+  EXPECT_TRUE(script->FitsDatabase(replay::MakeReplayConfig(*script, larger),
+                                   &error))
+      << error;
+
+  // Two replicas per item: a site holds its own items and its
+  // predecessor's, and the full-replication script reads others.
+  core::SystemConfig partial = config;
+  partial.replication_degree = 2;
+  EXPECT_FALSE(script->FitsDatabase(
+      replay::MakeReplayConfig(*script, partial), &error));
+  EXPECT_NE(error.find("of which it holds no replica"), std::string::npos)
+      << error;
+}
+
+// -- mutation fuzz of the replay path -----------------------------------------
+
+uint64_t Mix(uint64_t* s) {
+  uint64_t z = (*s += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
+
+/// Flips one bit of `field`, or sets it to `edge` (truncated to its width).
+template <typename T>
+void MutateField(T* field, bool flip, uint64_t draw, uint64_t edge) {
+  if (flip) {
+    const uint64_t bit = uint64_t{1} << (draw % (8 * sizeof(T)));
+    *field = static_cast<T>(*field ^ bit);
+  } else {
+    *field = static_cast<T>(edge);
+  }
+}
+
+TEST(ReplayMutationFuzz, SeededMutantsFailWithAReasonOrReplay) {
+  // A small v2 capture: 3 sites of 6 items, 40 transactions.
+  core::SystemConfig config;
+  config.num_sites = 3;
+  config.workload.items_per_site = 6;
+  config.tps = 60;
+  config.total_txns = 40;
+  config.warmup_per_site = 1;
+  config.seed = 17;
+  config.Normalize();
+  const std::string path = ::testing::TempDir() + "replay_fuzz_rec.trace";
+  core::MetricsSnapshot recorded;
+  trace::TraceFile file;
+  Capture({config, core::ProtocolKind::kPessimistic}, path, 1, &recorded,
+          &file);
+  std::remove(path.c_str());
+  const trace::PointTrace& base = file.points[0];
+  // The kSubmit and the kSubmitOp records, drawn from evenly: a submit has
+  // several op records, and only a submit's time and site are read.
+  std::vector<size_t> targets[2];
+  for (size_t i = 0; i < base.records.size(); ++i) {
+    const auto type = static_cast<trace::EventType>(base.records[i].type);
+    if (type == trace::EventType::kSubmit) targets[0].push_back(i);
+    if (type == trace::EventType::kSubmitOp) targets[1].push_back(i);
+  }
+  ASSERT_EQ(targets[0].size(), 40u);
+  ASSERT_GT(targets[1].size(), 40u);
+
+  const uint64_t kEdges[] = {0,      1,          2,          3,
+                             12,     13,         17,         18,
+                             0xFF,   0xFFFF,     0x7FFFFFFF, 0xFFFFFFFF,
+                             1ull << 40, ~0ull};
+  const double kTimes[] = {0.0,
+                           -0.0,
+                           -1.0,
+                           1e-300,
+                           1e300,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()};
+  const char* kFields[] = {"txn", "aux", "item", "site", "type", "flags",
+                           "time"};
+  uint64_t s = 20261018;
+  int rejected = 0, replayed = 0;
+  for (int k = 0; k < 400; ++k) {
+    trace::PointTrace pt = base;
+    const std::vector<size_t>& pool = targets[Mix(&s) % 2];
+    const size_t at = pool[Mix(&s) % pool.size()];
+    trace::Record& r = pt.records[at];
+    const int field = static_cast<int>(Mix(&s) % 7);
+    const bool flip = Mix(&s) % 2 == 0;
+    const uint64_t draw = Mix(&s);
+    const uint64_t edge = kEdges[draw % std::size(kEdges)];
+    switch (field) {
+      case 0: MutateField(&r.txn, flip, draw, edge); break;
+      case 1: MutateField(&r.aux, flip, draw, edge); break;
+      case 2: MutateField(&r.item, flip, draw, edge); break;
+      case 3: MutateField(&r.site, flip, draw, edge); break;
+      case 4: MutateField(&r.type, flip, draw, edge); break;
+      case 5: MutateField(&r.flags, flip, draw, edge); break;
+      default: {
+        uint64_t bits = trace::BitsFromDouble(r.time);
+        MutateField(&bits, flip, draw, 0);
+        r.time = flip ? trace::DoubleFromBits(bits)
+                      : kTimes[draw % std::size(kTimes)];
+        break;
+      }
+    }
+    const std::string what = "mutant " + std::to_string(k) + ": record " +
+                             std::to_string(at) + " " + kFields[field] +
+                             (flip ? " bit flip" : " edge value");
+    SCOPED_TRACE(what);
+    replay::WorkloadScript script;
+    std::string error;
+    if (!replay::WorkloadScript::FromPoint(pt, file.header.version, &script,
+                                           &error) ||
+        !script.FitsDatabase(replay::MakeReplayConfig(script, config),
+                             &error)) {
+      EXPECT_FALSE(error.empty()) << "rejected without a reason";
+      ++rejected;
+      continue;
+    }
+    const core::ProtocolKind kind = kAll[k % kAll.size()];
+    auto shared = std::make_shared<replay::WorkloadScript>(std::move(script));
+    std::vector<core::MetricsSnapshot> snaps = core::RunAll(
+        {replay::MakeReplaySpec(shared, config, kind)}, /*jobs=*/1);
+    ASSERT_EQ(snaps.size(), 1u) << core::ProtocolKindName(kind);
+    ++replayed;
+  }
+  // Both outcomes occur, or the mutations are not reaching the decisions
+  // they are meant to probe.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(replayed, 0);
 }
 
 }  // namespace

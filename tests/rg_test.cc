@@ -25,6 +25,9 @@ using db::TxnId;
 Operation Read(ItemId d) { return Operation{OpType::kRead, d}; }
 Operation Write(ItemId d) { return Operation{OpType::kWrite, d}; }
 
+/// The deadlock-timeout interval of Table 1 (SystemConfig::timeout).
+constexpr double kTimeout = 0.5;
+
 ReplicationGraph::TestOutcome RunRg(ReplicationGraph* g, TxnId t,
                                    std::vector<Operation> ops,
                                    GraphCost* cost = nullptr) {
@@ -334,7 +337,7 @@ struct GraphSiteFixture : public ::testing::Test {
   GraphSiteFixture()
       : cpu(&sim, "graph_cpu", 300.0),
         graph(4),
-        site(&sim, &cpu, &graph, GraphSiteParams{}) {}
+        site(&sim, &cpu, &graph, GraphSiteParams{}, kTimeout) {}
 
   sim::Simulation sim;
   hw::Cpu cpu;
@@ -521,7 +524,7 @@ TEST(GraphSiteQueueTest, BoundedQueueRejects) {
   ReplicationGraph graph(4);
   GraphSiteParams params;
   params.queue_bound = 2;
-  GraphSite site(&sim, &cpu, &graph, params);
+  GraphSite site(&sim, &cpu, &graph, params, kTimeout);
   std::vector<Verdict> verdicts(6, Verdict::kOk);
   std::vector<double> times(6);
   for (int i = 0; i < 6; ++i) {

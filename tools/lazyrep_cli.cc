@@ -168,16 +168,8 @@ int main(int argc, char** argv) {
                return config.topology.Parse(std::string(v), error);
              },
              "star, geo or geo:dc=,metros=,bb_bps=,bb_lat=,...")
-      .Value("--timeout=SEC",
-             [&config](std::string_view v, std::string* error) {
-               if (!core::ParseNumber("--timeout", v, 0.0, kMaxDouble,
-                                      &config.timeout, error)) {
-                 return false;
-               }
-               config.graph.wait_timeout = config.timeout;
-               return true;
-             },
-             "deadlock timeout and graph-site wait timeout")
+      .Number("--timeout=SEC", &config.timeout, 0.0, kMaxDouble,
+              "deadlock timeout and graph-site wait timeout")
       .Value("--seed=N",
              [&](std::string_view v, std::string* error) {
                seed_set = true;
@@ -321,6 +313,11 @@ int main(int argc, char** argv) {
       protocols = {static_cast<core::ProtocolKind>(script->protocol())};
     }
     config = replay::MakeReplayConfig(*script, config, /*keep_seed=*/seed_set);
+    if (!script->FitsDatabase(config, &error)) {
+      std::fprintf(stderr, "cannot replay %s point %d: %s\n",
+                   replay_path.c_str(), replay_point, error.c_str());
+      return 1;
+    }
   }
   // Validate fault specs against the topology System will build (sites plus
   // the auxiliary graph endpoint) for a friendly error instead of the
