@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
       c.tps = kTps;
       c.total_txns = opt.txns;
       c.seed = opt.seed;
-      c.graph.queue_bound = bound;
+      c.graph_queue_bound = bound;
       specs.push_back({c, kind});
       bounds.push_back(bound);
     }

@@ -1,9 +1,12 @@
 #include "core/config.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <string>
 
+#include "hw/disk.h"
+#include "rg/replication_graph.h"
 #include "sim/check.h"
 
 namespace lazyrep::core {
@@ -31,8 +34,6 @@ bool SystemConfig::HasReplica(db::ItemId item, db::SiteId site) const {
 }
 
 void SystemConfig::Normalize() {
-  workload.num_sites = num_sites;
-  workload.replication_degree = full_replication() ? 0 : replicas_per_item();
   LAZYREP_CHECK(num_sites >= 1);
   LAZYREP_CHECK(tps > 0);
   LAZYREP_CHECK(workload.items_per_site >= 1);
@@ -64,6 +65,18 @@ bool SystemConfig::Validate(ProtocolKind protocol, std::string* error) const {
                   "bound (got %llu)",
                   static_cast<unsigned long long>(db::kMaxTxnId),
                   static_cast<unsigned long long>(total_txns));
+    *error = buf;
+    return false;
+  }
+  // Item ids, store sizes and total_items() are ints; computed in 64 bits
+  // so a product that wraps is caught, not run.
+  const int64_t items =
+      static_cast<int64_t>(workload.items_per_site) * num_sites;
+  if (items > INT_MAX) {
+    std::snprintf(buf, sizeof(buf),
+                  "items_per_site x num_sites must be at most %d, the int "
+                  "item-count bound (got %lld)",
+                  INT_MAX, static_cast<long long>(items));
     *error = buf;
     return false;
   }
@@ -145,6 +158,7 @@ SystemConfig SystemConfig::VsNFixed(int num_sites, double tps,
 }
 
 std::string FormatConfigTable(const SystemConfig& c) {
+  const hw::DiskParams disk;
   char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
@@ -176,18 +190,18 @@ std::string FormatConfigTable(const SystemConfig& c) {
       "  Cost to add operation to graph   %.0f instructions\n"
       "  Cost per edge in cycle checking  %.0f instructions\n"
       "  Queue bound at graph site        %zu\n",
-      c.num_sites, c.timeout, c.cpu_mips,
+      c.num_sites, c.timeout, kCpuMips,
       c.workload.read_only_fraction * 100,
       (1 - c.workload.read_only_fraction) * 100,
       c.workload.write_op_fraction * 100, c.workload.min_ops,
       c.workload.max_ops, (c.workload.min_ops + c.workload.max_ops) / 2.0,
-      c.tps, c.loc_tps(), c.item_bytes, c.workload.items_per_site,
+      c.tps, c.loc_tps(), kItemBytes, c.workload.items_per_site,
       c.total_items(),
       c.full_replication() ? "full (all sites)" : "partial",
-      c.network.latency, c.network.bandwidth_bps / 1e6, c.disk.latency,
-      c.disk.transfer_rate / 1e6, c.disk.disks_per_site,
-      c.disk.buffer_miss_ratio * 100, c.graph.add_instr,
-      c.graph.check_instr_per_edge, c.graph.queue_bound);
+      c.network.latency, c.network.bandwidth_bps / 1e6, disk.latency,
+      disk.transfer_rate / 1e6, disk.disks_per_site,
+      disk.buffer_miss_ratio * 100, rg::kAddInstr, rg::kCheckInstrPerEdge,
+      c.graph_queue_bound);
   std::string out = buf;
   // The historical star table is reproduced byte-for-byte above; geo layouts
   // append their extra knobs so study headers stay self-describing.

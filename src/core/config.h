@@ -1,13 +1,12 @@
 #ifndef LAZYREP_CORE_CONFIG_H_
 #define LAZYREP_CORE_CONFIG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
 #include "fault/fault_params.h"
-#include "hw/disk.h"
 #include "net/network.h"
-#include "rg/graph_site.h"
 #include "txn/workload.h"
 
 namespace lazyrep::core {
@@ -22,6 +21,15 @@ enum class ProtocolKind : uint8_t {
 
 const char* ProtocolKindName(ProtocolKind kind);
 
+// -- Table 1 constants every study runs on (the disks are hw::DiskParams{},
+// the replication-graph costs rg::kAddInstr and rg::kCheckInstrPerEdge) ------
+
+/// Site CPU speed, also the graph site's CPU.
+inline constexpr double kCpuMips = 300.0;
+/// Data item size: page reads and writes, propagation and PREPARE payloads,
+/// WAL redo records.
+inline constexpr size_t kItemBytes = 1024;
+
 // -- implementation costs the paper leaves unspecified (DESIGN.md §2) -------
 
 /// CPU instructions to process one database operation at a site.
@@ -32,7 +40,7 @@ inline constexpr double kMessageInstr = 5000;
 /// ATM-cell-scale payloads; large enough values would make the graph site's
 /// *link*, not its CPU, the first bottleneck, contradicting §4.1.
 inline constexpr size_t kCtrlMsgBytes = 128;
-/// Header bytes on an update-propagation message (plus item_bytes per item).
+/// Header bytes on an update-propagation message (plus kItemBytes per item).
 inline constexpr size_t kPropagationOverheadBytes = 64;
 /// Log-force payload at commit.
 inline constexpr size_t kLogBytes = 512;
@@ -43,33 +51,30 @@ inline constexpr int kEagerLockRetries = 2;
 /// retries: the k-th retry sleeps Uniform(0, base * 2^k) seconds.
 inline constexpr double kEagerBackoffBase = 0.05;
 
-/// Full simulation configuration: Table 1 of the paper, the study's
-/// extensions and the run control.
+/// Full simulation configuration: the Table 1 values the studies vary (the
+/// rest are the constants above), the study's extensions and the run
+/// control.
 struct SystemConfig {
   // -- general ---------------------------------------------------------------
   int num_sites = 100;
   /// Deadlock-timeout interval (lock waits and graph-site waits), seconds.
   double timeout = 0.5;
-  /// Site CPU speed (also the graph site's CPU).
-  double cpu_mips = 300.0;
 
   // -- transactions ----------------------------------------------------------
   txn::WorkloadParams workload;
   /// Global submitted transaction rate (TPS); each site generates TPS/#sites.
   double tps = 1000.0;
 
-  // -- data items ------------------------------------------------------------
-  size_t item_bytes = 1024;
-
-  // -- network / disks / graph site -------------------------------------------
+  // -- network / graph site ---------------------------------------------------
   net::NetworkParams network;
   /// Shape of the network: the paper's flat star (default) or a composed
   /// geo-hierarchical tree (backbone -> datacenters -> metro stars). Site
   /// access links and metro switches always take their parameters from
   /// `network`; the spec adds the backbone/uplink edges on top.
   net::TopologySpec topology;
-  hw::DiskParams disk;
-  rg::GraphSiteParams graph;
+  /// Bound on the graph site's request queue; overflowing requests are
+  /// rejected and their transactions aborted (§4.1.2, bound of 300).
+  size_t graph_queue_bound = 300;
 
   /// Fault injection (message loss/duplication, site crashes) and the
   /// reliable-messaging retry policy. All knobs default to zero/off: with
@@ -123,12 +128,15 @@ struct SystemConfig {
   /// True when `site` holds a replica of `item`.
   bool HasReplica(db::ItemId item, db::SiteId site) const;
 
-  /// Validates internal consistency (e.g. workload.num_sites == num_sites).
+  /// Hard-checks (LAZYREP_CHECK) what no run can start without: at least
+  /// one site and one item per site, a positive load, a valid topology, and
+  /// fault specs that name endpoints of it. Changes nothing.
   void Normalize();
 
   /// Checks that the load, the operation range and the network bandwidth
   /// are usable, that total_txns fits the 4-byte writer ids
-  /// (db::kMaxTxnId), and that `protocol` implements everything this
+  /// (db::kMaxTxnId), that the database's items_per_site x num_sites fits
+  /// an int (INT_MAX), and that `protocol` implements everything this
   /// configuration turns on; false with a named reason in `*error`
   /// otherwise. core::System checks it at construction; lazyrep_cli checks
   /// it before Normalize, so bad input exits with the reason.

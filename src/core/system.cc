@@ -18,9 +18,7 @@ System::System(const SystemConfig& config, ProtocolKind kind)
   std::string unsupported;
   LAZYREP_CHECK_MSG(config_.Validate(kind_, &unsupported),
                     unsupported.c_str());
-  workload_ =
-      std::make_unique<GeneratedWorkload>(config_.workload, config_.loc_tps());
-  sim::RandomStream seeder(config_.seed);
+  workload_ = std::make_unique<GeneratedWorkload>(config_);
   sites_.reserve(config_.num_sites);
   for (int s = 0; s < config_.num_sites; ++s) {
     sites_.push_back(std::make_unique<Site>(
@@ -36,8 +34,7 @@ System::System(const SystemConfig& config, ProtocolKind kind)
                                             config_.network);
   if (kind_ == ProtocolKind::kPessimistic ||
       kind_ == ProtocolKind::kOptimistic) {
-    graph_cpu_ = std::make_unique<hw::Cpu>(&sim_, "graph_cpu",
-                                           config_.cpu_mips);
+    graph_cpu_ = std::make_unique<hw::Cpu>(&sim_, "graph_cpu", kCpuMips);
     rgraph_ = std::make_unique<rg::ReplicationGraph>(
         config_.num_sites, config_.full_replication());
     if (!config_.full_replication()) {
@@ -46,7 +43,7 @@ System::System(const SystemConfig& config, ProtocolKind kind)
       });
     }
     graph_site_ = std::make_unique<rg::GraphSite>(
-        &sim_, graph_cpu_.get(), rgraph_.get(), config_.graph,
+        &sim_, graph_cpu_.get(), rgraph_.get(), config_.graph_queue_bound,
         config_.timeout);
   }
   tracker_.set_deferred_cascade(kind_ == ProtocolKind::kLocking ||
@@ -117,14 +114,7 @@ System::System(const SystemConfig& config, ProtocolKind kind)
   site_submitted_.assign(config_.num_sites, 0);
 }
 
-System::~System() {
-  // A stranded transaction's process stays suspended on its completion shot
-  // and never resumes: leave that shot to it, so the liveness audit reports
-  // the strand instead of the destructor's armed-shot check aborting.
-  for (auto& [id, shot] : completion_shots_) {
-    if (shot->armed()) shot.release();
-  }
-}
+System::~System() = default;
 
 const char* System::protocol_name() const { return ProtocolKindName(kind_); }
 
@@ -189,7 +179,6 @@ void System::NoteAborted(txn::Transaction* t, txn::AbortCause cause) {
   t->state = txn::TxnState::kAborted;
   t->abort_cause = cause;
   t->terminal_time = sim_.Now();
-  ++terminal_;
   metrics_.OnAbort(*t);
   TraceEvent(trace::EventType::kAbort, *t, t->origin, 0,
              static_cast<uint64_t>(cause));
@@ -219,26 +208,18 @@ void System::set_trace(trace::TraceSink* sink) {
   }
 }
 
-sim::OneShot* System::CompletionShotFor(db::TxnId id) {
-  auto& shot = completion_shots_[id];
-  if (!shot) shot = std::make_unique<sim::OneShot>(&sim_);
-  return shot.get();
-}
-
 void System::OnTrackerCompleted(db::TxnId id) {
   txn::Transaction* t = FindTxn(id);
   LAZYREP_CHECK(t != nullptr);
   LAZYREP_CHECK(t->state == txn::TxnState::kCommitted);
   t->state = txn::TxnState::kCompleted;
   t->terminal_time = sim_.Now();
-  ++terminal_;
   metrics_.OnComplete(*t);
   TraceEvent(trace::EventType::kComplete, *t, t->origin);
   site(t->origin).store.RemoveReader(t->id, t->read_set);
   protocol_->OnCompleted(t);
-  auto it = completion_shots_.find(id);
-  if (it != completion_shots_.end()) {
-    it->second->Fire(sim::WaitStatus::kSignaled);
+  if (sim::OneShot* shot = std::exchange(t->completion, nullptr)) {
+    shot->Fire(sim::WaitStatus::kSignaled);
   }
   GateRelease(*t);
 }
@@ -306,6 +287,13 @@ sim::Task<void> System::AwaitServing(int e) {
   }
 }
 
+void System::AppendRedoRecords(db::SiteId s, const txn::Transaction& t) {
+  fault::SiteWal* w = wals_[s].get();
+  for (db::ItemId item : t.write_set) {
+    if (config_.HasReplica(item, s)) w->Append(kItemBytes);
+  }
+}
+
 sim::Task<bool> System::CommitWrites(txn::Transaction* t) {
   if (!amnesia()) {
     // Conflict edges of the origin apply deliver instantly: every party
@@ -317,12 +305,8 @@ sim::Task<bool> System::CommitWrites(txn::Transaction* t) {
   }
   if (LostToCrash(*t)) co_return false;  // already wiped: nothing to commit
   fault::SiteWal* w = wals_[t->origin].get();
-  for (db::ItemId item : t->write_set) {
-    if (config_.HasReplica(item, t->origin)) {
-      w->Append(fault::WalRecordType::kItemWrite, config_.item_bytes);
-    }
-  }
-  w->Append(fault::WalRecordType::kCommit, 0);
+  AppendRedoRecords(t->origin, *t);
+  w->Append(0);  // the commit record
   bool forced = co_await w->Force();
   // A crash between the append and the force's completion loses the commit
   // record even if the platter write finished in some interleaving: only a
@@ -392,7 +376,7 @@ sim::Process System::CheckpointProcess(db::SiteId s) {
     if (done_) break;
     if (!injector_->IsUp(s) || injector_->Recovering(s)) continue;
     fault::SiteWal* w = wals_[s].get();
-    w->Append(fault::WalRecordType::kCheckpoint, 0);
+    w->Append(0);  // the checkpoint record
     // Only a force that completed crash-free moves the replay horizon.
     if (co_await w->Force()) w->OnCheckpointDurable();
   }
@@ -445,7 +429,7 @@ void System::DeliverEdges(const ConflictEdges& edges) {
 
 sim::Task<void> System::ExecuteOpCost(db::SiteId s) {
   co_await site(s).cpu.Execute(kOpInstr);
-  co_await site(s).disk.ReadPage(config_.item_bytes);
+  co_await site(s).disk.ReadPage(kItemBytes);
 }
 
 bool System::HasStaleWriteVsTerminal(const txn::Transaction& t) {
@@ -521,7 +505,7 @@ sim::Task<System::ConflictEdges> System::ApplyWrites(db::SiteId s,
     edges.clear();
   }
   for (int i = 0; i < pages; ++i) {
-    co_await st.disk.WritePage(config_.item_bytes);
+    co_await st.disk.WritePage(kItemBytes);
   }
   co_return edges;
 }
@@ -654,7 +638,7 @@ void System::Freeze(MetricsSnapshot* snap) {
     snap->graph_rejections = graph_site_->rejections();
     snap->graph_cycle_aborts = graph_site_->cycle_aborts();
   }
-  snap->in_flight_at_end = submitted_ - terminal_;
+  snap->in_flight_at_end = tracker_.live_count();
   if (injector_) {
     snap->faults_injected_loss = injector_->messages_dropped();
     snap->faults_injected_dup = injector_->messages_duplicated();

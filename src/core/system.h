@@ -54,8 +54,8 @@ struct Site {
   Site(sim::Simulation* sim, db::SiteId id, const SystemConfig& config,
        uint64_t disk_seed, db::WriterTimes* writer_times)
       : id(id),
-        cpu(sim, "cpu_" + std::to_string(id), config.cpu_mips),
-        disk(sim, "disk_" + std::to_string(id), config.disk, disk_seed),
+        cpu(sim, "cpu_" + std::to_string(id), kCpuMips),
+        disk(sim, "disk_" + std::to_string(id), hw::DiskParams{}, disk_seed),
         locks(sim),
         store(static_cast<uint32_t>(config.total_items()), writer_times) {}
 
@@ -142,10 +142,6 @@ class System {
   db::Timestamp NoteRead(const txn::Transaction& t, db::ItemId item,
                          ConflictEdges* edges);
 
-  /// One-shot fired when the tracker completes the transaction (used by the
-  /// locking protocol to hold read locks until completion).
-  sim::OneShot* CompletionShotFor(db::TxnId id);
-
   // -- messaging --------------------------------------------------------------
 
   /// Sends a control message: sender CPU, network transfer, receiver CPU.
@@ -196,6 +192,10 @@ class System {
   /// fault injection is off or the endpoint is already serving.
   sim::Task<void> AwaitServing(int e);
 
+  /// Amnesia mode: buffers in `s`'s WAL one redo record of kItemBytes per
+  /// item of `t`'s write set that `s` replicates.
+  void AppendRedoRecords(db::SiteId s, const txn::Transaction& t);
+
   /// Commits update `t`'s writes at its origination site, under the locks
   /// the caller holds. Amnesia mode follows the WAL discipline: one redo
   /// record per write-set page plus the commit record are forced *before*
@@ -223,7 +223,7 @@ class System {
   /// Transactions submitted but not yet terminal (measured or not). Zero
   /// after a clean post-run drain; nonzero means a coroutine is stranded on
   /// a wait that never resolved (the chaos harness's liveness audit).
-  uint64_t LiveTxns() const { return submitted_ - terminal_; }
+  uint64_t LiveTxns() const { return tracker_.live_count(); }
 
   void DeliverEdges(const ConflictEdges& edges);
 
@@ -364,8 +364,6 @@ class System {
   uint64_t indoubt_abort_ = 0;
   std::unique_ptr<proto::Protocol> protocol_;
   std::unordered_map<db::TxnId, std::unique_ptr<txn::Transaction>> txns_;
-  std::unordered_map<db::TxnId, std::unique_ptr<sim::OneShot>>
-      completion_shots_;
   HistoryRecorder* history_ = nullptr;
   trace::TraceSink* trace_ = nullptr;
 
@@ -381,7 +379,6 @@ class System {
 
   uint64_t txn_counter_ = 0;
   uint64_t submitted_ = 0;
-  uint64_t terminal_ = 0;  // aborted + completed, measured or not
   std::vector<int> site_submitted_;
   bool window_open_ = false;
   bool done_ = false;

@@ -1,6 +1,7 @@
 #ifndef LAZYREP_CORE_WORKLOAD_SOURCE_H_
 #define LAZYREP_CORE_WORKLOAD_SOURCE_H_
 
+#include "core/config.h"
 #include "db/types.h"
 #include "sim/random.h"
 #include "txn/transaction.h"
@@ -49,12 +50,15 @@ class WorkloadSource {
 
 /// The paper's open-loop Poisson workload: exponential inter-arrival times
 /// at each site's share of the offered load, transactions drawn from the
-/// Table-1 mix. Byte-identical to the pre-WorkloadSource generator loop —
-/// the same RNG draws in the same order (star_identity_test pins this).
+/// Table-1 mix over the configured sites and replica placement.
+/// Byte-identical to the pre-WorkloadSource generator loop — the same RNG
+/// draws in the same order (star_identity_test pins this).
 class GeneratedWorkload final : public WorkloadSource {
  public:
-  GeneratedWorkload(const txn::WorkloadParams& params, double site_tps)
-      : generator_(params), mean_(1.0 / site_tps) {}
+  explicit GeneratedWorkload(const SystemConfig& config)
+      : generator_(config.workload, config.num_sites,
+                   config.replicas_per_item()),
+        mean_(1.0 / config.loc_tps()) {}
 
   Arrival NextArrival(db::SiteId /*s*/, sim::RandomStream* rng) override {
     return Arrival{true, rng->Exponential(mean_), /*absolute=*/false};

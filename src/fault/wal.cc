@@ -2,8 +2,7 @@
 
 namespace lazyrep::fault {
 
-void SiteWal::Append(WalRecordType type, size_t payload_bytes) {
-  (void)type;  // all record kinds cost the same header; contents are not kept
+void SiteWal::Append(size_t payload_bytes) {
   pending_bytes_ += kWalRecordBytes + payload_bytes;
   ++pending_records_;
 }

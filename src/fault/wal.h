@@ -11,26 +11,18 @@
 
 namespace lazyrep::fault {
 
-/// Kinds of redo records a site appends to its write-ahead log. The log is
-/// simulated at the cost level: records carry sizes, not contents — replay
-/// is a costed scan, and the item states it would reconstruct are the ones
-/// the simulation kept in ItemStore (which plays the role of the always-
-/// correct "disk image plus redo" state).
-enum class WalRecordType : uint8_t {
-  kItemWrite,   ///< redo image of one replicated-item write (commit path)
-  kCommit,      ///< transaction commit record (origin site)
-  kPrepare,     ///< 2PC prepare record (eager participant)
-  kOutcome,     ///< 2PC outcome record (eager: coordinator decision)
-  kReceipt,     ///< replica-propagation receipt (lazy installer)
-  kCheckpoint,  ///< fuzzy checkpoint: replay starts at the last durable one
-};
-
-/// Fixed header bytes per WAL record; item-write records add item_bytes.
+/// Fixed header bytes per WAL record; redo records add the item's bytes.
 inline constexpr size_t kWalRecordBytes = 64;
 /// CPU instructions charged per replayed WAL record during recovery.
 inline constexpr double kReplayInstrPerRecord = 2000;
 
 /// Per-site write-ahead log, amnesia mode only.
+///
+/// The log is simulated at the cost level: records carry sizes, not kinds
+/// or contents (DESIGN.md §4.6 lists what each append stands for) — replay
+/// is a costed scan, and the item states it would reconstruct are the ones
+/// the simulation kept in ItemStore (which plays the role of the always-
+/// correct "disk image plus redo" state).
 ///
 /// Appends buffer in memory (volatile: a crash wipes them); Force() stages
 /// the buffered records and charges one physical log write through the
@@ -45,9 +37,9 @@ class SiteWal {
   SiteWal(const SiteWal&) = delete;
   SiteWal& operator=(const SiteWal&) = delete;
 
-  /// Buffers one record of `record_bytes + payload_bytes` (volatile until
-  /// the next successful Force()).
-  void Append(WalRecordType type, size_t payload_bytes);
+  /// Buffers one record of kWalRecordBytes + `payload_bytes` (volatile
+  /// until the next successful Force()).
+  void Append(size_t payload_bytes);
 
   /// Forces all buffered records to disk (one sequential log write). True
   /// when the force completed before any crash; false when the site crashed
@@ -62,7 +54,7 @@ class SiteWal {
 
   /// Marks the just-forced checkpoint record as the new replay horizon:
   /// records before it will not be replayed. Call only after the Force()
-  /// carrying the kCheckpoint record returned true.
+  /// carrying the checkpoint record returned true.
   void OnCheckpointDurable();
 
   // -- recovery replay --------------------------------------------------------

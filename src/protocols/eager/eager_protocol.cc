@@ -150,8 +150,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   }
   if (amnesia) {
     fault::SiteWal* w = sys_->wal(dst);
-    w->Append(fault::WalRecordType::kPrepare,
-              prepare_pages * cfg.item_bytes);
+    w->Append(prepare_pages * core::kItemBytes);  // the prepare record
     if (!co_await w->Force() || sys_->SiteEpoch(dst) != epoch) {
       // Crashed before the prepare record was durable: never voted, not in
       // doubt. The coordinator's vote timeout presumes abort.
@@ -184,12 +183,8 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
       // mid-force re-enters the doubt window (the outcome is already known,
       // so just force again after the wipe).
       for (;;) {
-        for (db::ItemId item : t->write_set) {
-          if (cfg.HasReplica(item, dst)) {
-            w->Append(fault::WalRecordType::kItemWrite, cfg.item_bytes);
-          }
-        }
-        w->Append(fault::WalRecordType::kOutcome, 0);
+        sys_->AppendRedoRecords(dst, *t);
+        w->Append(0);  // the outcome record
         if (co_await w->Force()) break;
       }
       w->MarkDecided(t->id);
@@ -372,7 +367,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   sys_->TraceEvent(trace::EventType::kPrepare, *t, t->origin, 0,
                    pc->targets.size());
   size_t bytes =
-      core::kPropagationOverheadBytes + t->write_set.size() * cfg.item_bytes;
+      core::kPropagationOverheadBytes + t->write_set.size() * core::kItemBytes;
   if (sys_->fault_enabled()) {
     for (size_t i = 0; i < pc->targets.size(); ++i) {
       sys_->sim().Spawn(PrepareAt(t, static_cast<int>(i), bytes, pc));
@@ -407,7 +402,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
     // durable before the store mutates; losing the force to a crash means
     // no commit record survives — presumed abort, like the crash above.
     if (sys_->amnesia()) {
-      sys_->wal(t->origin)->Append(fault::WalRecordType::kOutcome, 0);
+      sys_->wal(t->origin)->Append(0);  // the outcome record
     }
     bool committed = co_await sys_->CommitWrites(t);
     if (!committed) {

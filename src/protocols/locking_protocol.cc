@@ -201,14 +201,16 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
     }
   }
 
-  // Create the completion shot before reporting the commit: with no pending
-  // predecessors the tracker completes the transaction synchronously, and
-  // the pre-fired shot then falls straight through the wait.
-  sim::OneShot* completed = sys_->CompletionShotFor(t->id);
+  // Point the transaction at the completion shot before reporting the
+  // commit: with no pending predecessors the tracker completes the
+  // transaction synchronously, and the pre-fired shot then falls straight
+  // through the wait.
+  sim::OneShot completed(&sys_->sim());
+  t->completion = &completed;
   sys_->tracker().OnSubtxnCommitted(t->id);
   // Read locks are retained until the transaction completes [6]; completion
   // fires the shot, and OnCompleted releases the locks.
-  co_await completed->Wait();
+  co_await completed.Wait();
 }
 
 void LockingProtocol::OnCompleted(txn::Transaction* t) {

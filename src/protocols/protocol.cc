@@ -66,7 +66,7 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
       co_await sys_->AwaitServing(dst);
       co_await sys_->SendCtrl(dst, t->origin, Retry::kAssured);  // catch-up
       size_t bytes = core::kPropagationOverheadBytes +
-                     t->write_set.size() * cfg.item_bytes;
+                     t->write_set.size() * core::kItemBytes;
       co_await sys_->SendPayload(t->origin, dst, bytes, Retry::kAssured);
       co_await site.cpu.Execute(core::kMessageInstr);  // receive again
       epoch = sys_->SiteEpoch(dst);
@@ -111,12 +111,8 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
     System::ConflictEdges edges = co_await sys_->ApplyWrites(dst, *t);
     if (amnesia) {
       fault::SiteWal* w = sys_->wal(dst);
-      for (db::ItemId item : t->write_set) {
-        if (cfg.HasReplica(item, dst)) {
-          w->Append(fault::WalRecordType::kItemWrite, cfg.item_bytes);
-        }
-      }
-      w->Append(fault::WalRecordType::kReceipt, 0);
+      sys_->AppendRedoRecords(dst, *t);
+      w->Append(0);  // the receipt
       bool durable = co_await w->Force();
       ReleaseInstallLocks(*t, dst, next);
       // A crash mid-force lost the receipt: the install must re-run after
@@ -151,9 +147,8 @@ sim::Process Protocol::Installer(txn::Transaction* t, db::SiteId dst,
 sim::Task<void> Protocol::Propagate(txn::Transaction* t,
                                     const std::vector<db::SiteId>& targets,
                                     sim::Countdown* acks) {
-  const core::SystemConfig& cfg = sys_->config();
   size_t bytes =
-      core::kPropagationOverheadBytes + t->write_set.size() * cfg.item_bytes;
+      core::kPropagationOverheadBytes + t->write_set.size() * core::kItemBytes;
   if (sys_->fault_enabled()) {
     for (db::SiteId dst : targets) {
       sys_->sim().Spawn(PropagateAndInstall(t, dst, bytes, acks));

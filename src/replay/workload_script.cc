@@ -198,7 +198,6 @@ txn::Transaction ScriptWorkload::NextTxn(db::TxnId id, db::SiteId s,
 core::SystemConfig MakeReplayConfig(const WorkloadScript& script,
                                     core::SystemConfig base, bool keep_seed) {
   base.num_sites = script.num_sites();
-  base.workload.num_sites = script.num_sites();
   base.total_txns = script.total_submissions();
   if (!keep_seed) base.seed = script.seed();
   // The script dictates the offered load; base.tps only feeds the Poisson

@@ -9,12 +9,12 @@
 namespace lazyrep::rg {
 
 GraphSite::GraphSite(sim::Simulation* sim, hw::Cpu* cpu,
-                     ReplicationGraph* graph, const GraphSiteParams& params,
+                     ReplicationGraph* graph, size_t queue_bound,
                      double timeout)
     : sim_(sim),
       cpu_(cpu),
       graph_(graph),
-      params_(params),
+      queue_bound_(queue_bound),
       timeout_(timeout) {}
 
 void GraphSite::EnsureRegistered(db::TxnId txn, db::SiteId origin,
@@ -36,11 +36,10 @@ sim::Task<sim::WaitStatus> GraphSite::ServeTest(
     }
     GraphCost cost;
     *outcome = graph_->RgTest(txn, ops, &cost);
-    return kGraphMessageInstr +
-           cost.Instructions(params_.add_instr, params_.check_instr_per_edge);
+    return kGraphMessageInstr + cost.Instructions();
   };
   co_return co_await cpu_->Serve(std::move(work),
-                                 bounded ? params_.queue_bound : SIZE_MAX);
+                                 bounded ? queue_bound_ : SIZE_MAX);
 }
 
 sim::Task<void> GraphSite::RemoveUnderCpu(db::TxnId txn) {
@@ -51,9 +50,7 @@ sim::Task<void> GraphSite::RemoveUnderCpu(db::TxnId txn) {
       [this, txn]() -> double {
         GraphCost cost;
         graph_->Remove(txn, &cost);
-        return kGraphMessageInstr +
-               cost.Instructions(params_.add_instr,
-                                 params_.check_instr_per_edge);
+        return kGraphMessageInstr + cost.Instructions();
       },
       SIZE_MAX);
   ScheduleRetest();

@@ -17,17 +17,6 @@
 
 namespace lazyrep::rg {
 
-/// Configuration of the replication-graph manager (Table 1).
-struct GraphSiteParams {
-  /// Bound on the request queue; overflowing requests are rejected and their
-  /// transactions aborted (§4.1.2, bound of 300).
-  size_t queue_bound = 300;
-  /// Instructions to add one operation to the graph.
-  double add_instr = 2000;
-  /// Instructions per edge examined during cycle checking.
-  double check_instr_per_edge = 117;
-};
-
 /// Instructions to receive/decode one protocol message at the graph site
 /// (an implementation constant; the paper publishes none).
 inline constexpr double kGraphMessageInstr = 1000;
@@ -50,10 +39,13 @@ enum class Verdict : uint8_t {
 /// the graph shrinks.
 class GraphSite {
  public:
-  /// `timeout` bounds how long a pessimistic request may wait on a cycle
-  /// before aborting: the deadlock-timeout interval (SystemConfig::timeout).
+  /// `queue_bound` bounds the request queue; overflowing requests are
+  /// rejected and their transactions aborted (§4.1.2;
+  /// SystemConfig::graph_queue_bound). `timeout` bounds how long a
+  /// pessimistic request may wait on a cycle before aborting: the
+  /// deadlock-timeout interval (SystemConfig::timeout).
   GraphSite(sim::Simulation* sim, hw::Cpu* cpu, ReplicationGraph* graph,
-            const GraphSiteParams& params, double timeout);
+            size_t queue_bound, double timeout);
   GraphSite(const GraphSite&) = delete;
   GraphSite& operator=(const GraphSite&) = delete;
 
@@ -132,7 +124,7 @@ class GraphSite {
   sim::Simulation* sim_;
   hw::Cpu* cpu_;
   ReplicationGraph* graph_;
-  GraphSiteParams params_;
+  size_t queue_bound_;
   double timeout_;
 
   /// Per-transaction FIFO of parked operations (head blocks the rest).

@@ -12,18 +12,22 @@
 
 namespace lazyrep::rg {
 
+/// Instructions to add one operation to the graph (Table 1).
+inline constexpr double kAddInstr = 2000.0;
+/// Instructions per edge examined during cycle checking (Table 1).
+inline constexpr double kCheckInstrPerEdge = 117.0;
+
 /// Work performed on the replication graph, in the units the paper costs:
-/// operations added to the graph (2000 instructions each) and edges examined
-/// during cycle checking (117 instructions each). See Table 1.
+/// operations added to the graph (kAddInstr each) and edges examined during
+/// cycle checking (kCheckInstrPerEdge each).
 struct GraphCost {
   uint64_t add_units = 0;    ///< (item, virtual-site) insertions
   uint64_t check_edges = 0;  ///< edges traversed by cycle-checking DFS
 
   /// Converts to instructions using the paper's published costs.
-  double Instructions(double add_instr = 2000.0,
-                      double check_instr_per_edge = 117.0) const {
-    return static_cast<double>(add_units) * add_instr +
-           static_cast<double>(check_edges) * check_instr_per_edge;
+  double Instructions() const {
+    return static_cast<double>(add_units) * kAddInstr +
+           static_cast<double>(check_edges) * kCheckInstrPerEdge;
   }
 
   GraphCost& operator+=(const GraphCost& o) {

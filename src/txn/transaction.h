@@ -7,6 +7,10 @@
 #include "db/types.h"
 #include "sim/event_queue.h"
 
+namespace lazyrep::sim {
+class OneShot;
+}  // namespace lazyrep::sim
+
 namespace lazyrep::txn {
 
 /// The four global transaction states of §2.1 (Figure 1).
@@ -82,6 +86,10 @@ struct Transaction {
   /// logged state recovery re-establishes), even if the coroutine has not
   /// yet reached NoteCommitted.
   bool commit_durable = false;
+
+  /// Locking: the shot on its Execute frame that waits for completion;
+  /// System fires it when the transaction completes.
+  sim::OneShot* completion = nullptr;
 
   /// Items read / written, in op order (derived from `ops`, cached).
   std::vector<db::ItemId> read_set;

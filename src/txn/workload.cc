@@ -8,7 +8,7 @@ namespace lazyrep::txn {
 
 Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
                                         sim::RandomStream* rng) const {
-  LAZYREP_CHECK(origin < params_.num_sites);
+  LAZYREP_CHECK(origin < num_sites_);
   Transaction t;
   t.id = id;
   t.origin = origin;
@@ -17,15 +17,14 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
   int num_ops =
       static_cast<int>(rng->UniformInt(params_.min_ops, params_.max_ops));
 
-  const int total = params_.total_items();
+  const int total = params_.items_per_site * num_sites_;
+  const bool full_replication = replicas_per_item_ == num_sites_;
   // Items are distinct within a transaction, so a tiny database bounds the
   // operation count: reads draw only from the items replicated at the origin
   // (the whole database under full replication). Without the clamp the
   // distinct-item rejection loops below cannot terminate.
   const int reachable =
-      params_.full_replication()
-          ? total
-          : params_.replication_degree * params_.items_per_site;
+      full_replication ? total : replicas_per_item_ * params_.items_per_site;
   if (num_ops > reachable) num_ops = reachable;
   t.ops.reserve(num_ops);
   // The primary-item range owned by the origination site.
@@ -67,16 +66,16 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
       }
     }
     db::ItemId item;
-    if (op.type == db::OpType::kRead && !params_.full_replication()) {
+    if (op.type == db::OpType::kRead && !full_replication) {
       // Reads must hit a replica at the origination site: the k consecutive
       // primary blocks ending at `origin` hold exactly the locally
       // replicated items.
-      int k = params_.replication_degree;
+      int k = replicas_per_item_;
       do {
         int block =
             (origin - static_cast<int>(rng->UniformInt(0, k - 1)) +
-             params_.num_sites) %
-            params_.num_sites;
+             num_sites_) %
+            num_sites_;
         item = static_cast<db::ItemId>(
             block * params_.items_per_site +
             rng->UniformInt(0, params_.items_per_site - 1));

@@ -20,38 +20,37 @@ struct WorkloadParams {
   /// average 10).
   int min_ops = 5;
   int max_ops = 15;
-  /// Primary items per site (paper: 20). |DB| = items_per_site * num_sites.
+  /// Primary items per site (paper: 20). |DB| = items_per_site * #sites.
   int items_per_site = 20;
-  int num_sites = 100;
   /// Footnote-2 relaxation (ablation A5): when true, update transactions may
   /// write any item, not just items whose primary site is the origin.
   bool relaxed_ownership = false;
-  /// 0 = full replication. Otherwise each item lives at its primary site and
-  /// the next k-1 sites; reads then draw only from items replicated at the
-  /// origination site (a transaction reads only at its origin, §2.1).
-  int replication_degree = 0;
-
-  int total_items() const { return items_per_site * num_sites; }
-  bool full_replication() const {
-    return replication_degree == 0 || replication_degree >= num_sites;
-  }
 };
 
 /// Generates transactions per the paper's model: items are drawn uniformly
 /// from the (hot-spot) database, operation items are distinct within a
 /// transaction, and write items respect primary-copy ownership.
+///
+/// The database is `num_sites` primary blocks of params.items_per_site
+/// items, each held at `replicas_per_item` consecutive sites starting at
+/// its primary (SystemConfig::HasReplica); `replicas_per_item ==
+/// num_sites` is full replication.
 class WorkloadGenerator {
  public:
-  explicit WorkloadGenerator(const WorkloadParams& params) : params_(params) {}
+  WorkloadGenerator(const WorkloadParams& params, int num_sites,
+                    int replicas_per_item)
+      : params_(params),
+        num_sites_(num_sites),
+        replicas_per_item_(replicas_per_item) {}
 
   /// Builds the next transaction originating at `origin`.
   Transaction Generate(db::TxnId id, db::SiteId origin,
                        sim::RandomStream* rng) const;
 
-  const WorkloadParams& params() const { return params_; }
-
  private:
   WorkloadParams params_;
+  int num_sites_;
+  int replicas_per_item_;
 };
 
 }  // namespace lazyrep::txn

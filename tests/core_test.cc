@@ -1,10 +1,11 @@
 // Unit tests for the core layer (src/core): configuration presets, replica
-// placement, the MVSG serializability checker, metrics accounting, the
-// analytic contention model, the flag table, the bench options and the
-// strict number parser.
+// placement, the generated workload, the MVSG serializability checker,
+// metrics accounting, the analytic contention model, the flag table, the
+// bench options and the strict number parser.
 
 #include <algorithm>
 #include <cfloat>
+#include <climits>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -21,6 +22,9 @@
 #include "core/history.h"
 #include "core/metrics.h"
 #include "core/study.h"
+#include "core/workload_source.h"
+#include "hw/disk.h"
+#include "rg/replication_graph.h"
 
 namespace lazyrep::core {
 namespace {
@@ -36,13 +40,17 @@ TEST(ConfigTest, Oc3PresetMatchesTable1) {
   EXPECT_DOUBLE_EQ(c.network.bandwidth_bps, 155e6);
   EXPECT_EQ(c.total_items(), 2000);
   EXPECT_DOUBLE_EQ(c.timeout, 0.5);
-  EXPECT_DOUBLE_EQ(c.cpu_mips, 300.0);
-  EXPECT_EQ(c.graph.queue_bound, 300u);
-  EXPECT_DOUBLE_EQ(c.graph.add_instr, 2000);
-  EXPECT_DOUBLE_EQ(c.graph.check_instr_per_edge, 117);
-  EXPECT_DOUBLE_EQ(c.disk.latency, 0.0097);
-  EXPECT_EQ(c.disk.disks_per_site, 10);
-  EXPECT_DOUBLE_EQ(c.disk.buffer_miss_ratio, 0.10);
+  EXPECT_EQ(c.graph_queue_bound, 300u);
+  // The Table 1 values no study varies are constants.
+  EXPECT_DOUBLE_EQ(kCpuMips, 300.0);
+  EXPECT_EQ(kItemBytes, 1024u);
+  EXPECT_DOUBLE_EQ(rg::kAddInstr, 2000);
+  EXPECT_DOUBLE_EQ(rg::kCheckInstrPerEdge, 117);
+  const hw::DiskParams disk;
+  EXPECT_DOUBLE_EQ(disk.latency, 0.0097);
+  EXPECT_DOUBLE_EQ(disk.transfer_rate, 40e6);
+  EXPECT_EQ(disk.disks_per_site, 10);
+  EXPECT_DOUBLE_EQ(disk.buffer_miss_ratio, 0.10);
   EXPECT_DOUBLE_EQ(c.workload.read_only_fraction, 0.90);
   EXPECT_DOUBLE_EQ(c.workload.write_op_fraction, 0.30);
 }
@@ -136,10 +144,68 @@ TEST(ConfigTest, ValidateBoundsTxnsByWriterIds) {
             "bound (got 4294967296)");
 }
 
+// Item ids and store sizes are ints: a database whose items_per_site x
+// num_sites overflows one is rejected by name instead of wrapping. Only the
+// config is checked; no System (and no store) is built.
+TEST(ConfigTest, ValidateBoundsItemCountByInt) {
+  SystemConfig c = SystemConfig::Oc3();
+  std::string why;
+  c.num_sites = 1;
+  c.workload.items_per_site = INT_MAX;
+  EXPECT_TRUE(c.Validate(ProtocolKind::kOptimistic, &why)) << why;
+  c.num_sites = 2;
+  c.workload.items_per_site = 1 << 30;  // INT_MAX + 1 items
+  EXPECT_FALSE(c.Validate(ProtocolKind::kOptimistic, &why));
+  EXPECT_EQ(why,
+            "items_per_site x num_sites must be at most 2147483647, the int "
+            "item-count bound (got 2147483648)");
+}
+
 TEST(ConfigTest, ProtocolNames) {
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kLocking), "Locking");
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kPessimistic), "Pessimistic");
   EXPECT_STREQ(ProtocolKindName(ProtocolKind::kOptimistic), "Optimistic");
+}
+
+// Full replication is replicas_per_item() == num_sites, whichever way the
+// config says it: degree 0, degree #sites and any degree beyond draw the
+// same workload, op for op and arrival for arrival.
+TEST(WorkloadSourceTest, DegreeAtOrBeyondSitesDrawsTheFullReplicationWorkload) {
+  SystemConfig full = SystemConfig::Oc1Star();
+  // Three ownable items per site: updates exhaust their write pool and
+  // fall back to reads.
+  full.workload.items_per_site = 3;
+  full.workload.write_op_fraction = 0.8;
+  full.workload.read_only_fraction = 0.5;
+  std::vector<SystemConfig> configs(3, full);
+  configs[1].replication_degree = full.num_sites;
+  configs[2].replication_degree = full.num_sites + 2;
+  std::vector<GeneratedWorkload> sources;
+  std::vector<sim::RandomStream> rngs;
+  for (const SystemConfig& c : configs) {
+    sources.emplace_back(c);
+    rngs.emplace_back(7);
+  }
+  db::TxnId id = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (db::SiteId s = 0; s < full.num_sites; ++s) {
+      ++id;
+      WorkloadSource::Arrival first = sources[0].NextArrival(s, &rngs[0]);
+      txn::Transaction expect = sources[0].NextTxn(id, s, &rngs[0]);
+      for (size_t k = 1; k < sources.size(); ++k) {
+        WorkloadSource::Arrival next = sources[k].NextArrival(s, &rngs[k]);
+        EXPECT_EQ(next.at, first.at) << "degree "
+                                     << configs[k].replication_degree;
+        txn::Transaction t = sources[k].NextTxn(id, s, &rngs[k]);
+        ASSERT_EQ(t.num_ops(), expect.num_ops())
+            << "degree " << configs[k].replication_degree << ", txn " << id;
+        for (int i = 0; i < t.num_ops(); ++i) {
+          EXPECT_EQ(t.ops[i].item, expect.ops[i].item);
+          EXPECT_EQ(t.ops[i].type, expect.ops[i].type);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

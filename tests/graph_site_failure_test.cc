@@ -25,12 +25,14 @@ Operation Write(ItemId d) { return Operation{OpType::kWrite, d}; }
 
 /// The deadlock-timeout interval of Table 1 (SystemConfig::timeout).
 constexpr double kTimeout = 0.5;
+/// The graph site's queue bound of Table 1 (SystemConfig::graph_queue_bound).
+constexpr size_t kQueueBound = 300;
 
 struct Fixture : public ::testing::Test {
   Fixture()
       : cpu(&sim, "graph_cpu", 300.0),
         graph(4),
-        site(&sim, &cpu, &graph, GraphSiteParams{}, kTimeout) {}
+        site(&sim, &cpu, &graph, kQueueBound, kTimeout) {}
 
   sim::Process Op(GraphSite* gs, TxnId txn, SiteId origin, bool global,
                   Operation op, Verdict* out, double* when = nullptr) {
@@ -76,11 +78,9 @@ struct Fixture : public ::testing::Test {
 };
 
 TEST_F(Fixture, QueueBoundOverflowReturnsRejected) {
-  GraphSiteParams tight;
-  tight.queue_bound = 3;
   hw::Cpu slow_cpu(&sim, "slow", 0.05);  // 50k instr/s: requests pile up
   ReplicationGraph g2(4);
-  GraphSite s2(&sim, &slow_cpu, &g2, tight, kTimeout);
+  GraphSite s2(&sim, &slow_cpu, &g2, /*queue_bound=*/3, kTimeout);
   std::vector<Verdict> burst(10, Verdict::kOk);
   std::vector<double> when(10, -1);
   for (int i = 0; i < 10; ++i) {
@@ -132,7 +132,7 @@ TEST_F(Fixture, WaitTimeoutExpiresToAbortAndRemoves) {
 TEST_F(Fixture, ShorterWaitTimeoutIsRespected) {
   hw::Cpu cpu2(&sim, "graph_cpu2", 300.0);
   ReplicationGraph g2(4);
-  GraphSite s2(&sim, &cpu2, &g2, GraphSiteParams{}, /*timeout=*/0.1);
+  GraphSite s2(&sim, &cpu2, &g2, kQueueBound, /*timeout=*/0.1);
   Verdict v;
   // Same bridge, on the second site instance.
   sim.Spawn(Op(&s2, 1, 0, true, Write(10), &v));

@@ -27,12 +27,14 @@ Operation Write(ItemId d) { return Operation{OpType::kWrite, d}; }
 
 /// The deadlock-timeout interval of Table 1 (SystemConfig::timeout).
 constexpr double kTimeout = 0.5;
+/// The graph site's queue bound of Table 1 (SystemConfig::graph_queue_bound).
+constexpr size_t kQueueBound = 300;
 
 struct Fixture : public ::testing::Test {
   Fixture()
       : cpu(&sim, "graph_cpu", 300.0),
         graph(4),
-        site(&sim, &cpu, &graph, GraphSiteParams{}, kTimeout) {}
+        site(&sim, &cpu, &graph, kQueueBound, kTimeout) {}
 
   sim::Process Op(TxnId txn, SiteId origin, bool global, Operation op,
                   Verdict* out, double* when = nullptr) {
@@ -155,11 +157,9 @@ TEST_F(Fixture, HandleRemoveCancelsParkedOps) {
 TEST_F(Fixture, RejectionStormRecovers) {
   // Saturate the bounded queue with a burst; later traffic must be admitted
   // once the queue drains.
-  GraphSiteParams tight;
-  tight.queue_bound = 4;
   hw::Cpu slow_cpu(&sim, "slow", 0.05);  // 50k instructions/second
   ReplicationGraph g2(4);
-  GraphSite s2(&sim, &slow_cpu, &g2, tight, kTimeout);
+  GraphSite s2(&sim, &slow_cpu, &g2, /*queue_bound=*/4, kTimeout);
   std::vector<Verdict> burst(12, Verdict::kOk);
   for (int i = 0; i < 12; ++i) {
     struct Runner {

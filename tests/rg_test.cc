@@ -27,6 +27,8 @@ Operation Write(ItemId d) { return Operation{OpType::kWrite, d}; }
 
 /// The deadlock-timeout interval of Table 1 (SystemConfig::timeout).
 constexpr double kTimeout = 0.5;
+/// The graph site's queue bound of Table 1 (SystemConfig::graph_queue_bound).
+constexpr size_t kQueueBound = 300;
 
 ReplicationGraph::TestOutcome RunRg(ReplicationGraph* g, TxnId t,
                                    std::vector<Operation> ops,
@@ -337,7 +339,7 @@ struct GraphSiteFixture : public ::testing::Test {
   GraphSiteFixture()
       : cpu(&sim, "graph_cpu", 300.0),
         graph(4),
-        site(&sim, &cpu, &graph, GraphSiteParams{}, kTimeout) {}
+        site(&sim, &cpu, &graph, kQueueBound, kTimeout) {}
 
   sim::Simulation sim;
   hw::Cpu cpu;
@@ -522,9 +524,7 @@ TEST(GraphSiteQueueTest, BoundedQueueRejects) {
   sim::Simulation sim;
   hw::Cpu cpu(&sim, "graph_cpu", 0.001);  // very slow CPU to force queueing
   ReplicationGraph graph(4);
-  GraphSiteParams params;
-  params.queue_bound = 2;
-  GraphSite site(&sim, &cpu, &graph, params, kTimeout);
+  GraphSite site(&sim, &cpu, &graph, /*queue_bound=*/2, kTimeout);
   std::vector<Verdict> verdicts(6, Verdict::kOk);
   std::vector<double> times(6);
   for (int i = 0; i < 6; ++i) {

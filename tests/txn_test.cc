@@ -11,11 +11,18 @@
 namespace lazyrep::txn {
 namespace {
 
-WorkloadParams PaperParams(int num_sites = 10) {
+constexpr int kSites = 10;
+
+WorkloadParams PaperParams() {
   WorkloadParams p;
-  p.num_sites = num_sites;
   p.items_per_site = 20;
   return p;
+}
+
+/// A generator over `num_sites` sites with every item at every site.
+WorkloadGenerator FullyReplicated(const WorkloadParams& p,
+                                  int num_sites = kSites) {
+  return WorkloadGenerator(p, num_sites, /*replicas_per_item=*/num_sites);
 }
 
 TEST(TransactionTest, RebuildAccessSetsSplitsOps) {
@@ -38,7 +45,7 @@ TEST(TransactionTest, StateNames) {
 }
 
 TEST(WorkloadTest, OpCountWithinBounds) {
-  WorkloadGenerator gen(PaperParams());
+  WorkloadGenerator gen = FullyReplicated(PaperParams());
   sim::RandomStream rng(1);
   for (int i = 0; i < 2000; ++i) {
     Transaction t = gen.Generate(i + 1, 3, &rng);
@@ -48,7 +55,7 @@ TEST(WorkloadTest, OpCountWithinBounds) {
 }
 
 TEST(WorkloadTest, ReadOnlyFractionApproximatelyNinety) {
-  WorkloadGenerator gen(PaperParams());
+  WorkloadGenerator gen = FullyReplicated(PaperParams());
   sim::RandomStream rng(2);
   int updates = 0;
   const int n = 20000;
@@ -62,7 +69,7 @@ TEST(WorkloadTest, ReadOnlyFractionApproximatelyNinety) {
 }
 
 TEST(WorkloadTest, WriteFractionWithinUpdates) {
-  WorkloadGenerator gen(PaperParams());
+  WorkloadGenerator gen = FullyReplicated(PaperParams());
   sim::RandomStream rng(3);
   int64_t writes = 0;
   int64_t ops = 0;
@@ -76,7 +83,7 @@ TEST(WorkloadTest, WriteFractionWithinUpdates) {
 }
 
 TEST(WorkloadTest, ItemsDistinctWithinTransaction) {
-  WorkloadGenerator gen(PaperParams());
+  WorkloadGenerator gen = FullyReplicated(PaperParams());
   sim::RandomStream rng(4);
   for (int i = 0; i < 2000; ++i) {
     Transaction t = gen.Generate(i + 1, 2, &rng);
@@ -90,10 +97,10 @@ TEST(WorkloadTest, ItemsDistinctWithinTransaction) {
 
 TEST(WorkloadTest, WritesRespectOwnership) {
   WorkloadParams p = PaperParams();
-  WorkloadGenerator gen(p);
+  WorkloadGenerator gen = FullyReplicated(p);
   sim::RandomStream rng(5);
   for (int i = 0; i < 3000; ++i) {
-    db::SiteId origin = static_cast<db::SiteId>(i % p.num_sites);
+    db::SiteId origin = static_cast<db::SiteId>(i % kSites);
     Transaction t = gen.Generate(i + 1, origin, &rng);
     for (db::ItemId w : t.write_set) {
       EXPECT_EQ(w / p.items_per_site, origin)
@@ -105,7 +112,7 @@ TEST(WorkloadTest, WritesRespectOwnership) {
 TEST(WorkloadTest, RelaxedOwnershipWritesAnywhere) {
   WorkloadParams p = PaperParams();
   p.relaxed_ownership = true;
-  WorkloadGenerator gen(p);
+  WorkloadGenerator gen = FullyReplicated(p);
   sim::RandomStream rng(6);
   bool saw_foreign_write = false;
   for (int i = 0; i < 5000 && !saw_foreign_write; ++i) {
@@ -118,8 +125,8 @@ TEST(WorkloadTest, RelaxedOwnershipWritesAnywhere) {
 }
 
 TEST(WorkloadTest, ReadsCoverWholeDatabase) {
-  WorkloadParams p = PaperParams(5);
-  WorkloadGenerator gen(p);
+  WorkloadParams p = PaperParams();
+  WorkloadGenerator gen = FullyReplicated(p, /*num_sites=*/5);
   sim::RandomStream rng(7);
   std::unordered_set<db::ItemId> read_items;
   for (int i = 0; i < 5000; ++i) {
@@ -127,28 +134,28 @@ TEST(WorkloadTest, ReadsCoverWholeDatabase) {
     for (db::ItemId r : t.read_set) read_items.insert(r);
   }
   // With 100 items and 5k transactions, every item should be read.
-  EXPECT_EQ(read_items.size(), static_cast<size_t>(p.total_items()));
+  EXPECT_EQ(read_items.size(), static_cast<size_t>(p.items_per_site * 5));
 }
 
 TEST(WorkloadTest, PartialReplicationReadsStayLocal) {
-  WorkloadParams p = PaperParams(10);
-  p.replication_degree = 3;
-  WorkloadGenerator gen(p);
+  WorkloadParams p = PaperParams();
+  constexpr int kReplicas = 3;
+  WorkloadGenerator gen(p, kSites, kReplicas);
   sim::RandomStream rng(8);
   for (int i = 0; i < 3000; ++i) {
-    db::SiteId origin = static_cast<db::SiteId>(i % p.num_sites);
+    db::SiteId origin = static_cast<db::SiteId>(i % kSites);
     Transaction t = gen.Generate(i + 1, origin, &rng);
     for (db::ItemId r : t.read_set) {
       int primary = r / p.items_per_site;
-      int offset = (origin - primary + p.num_sites) % p.num_sites;
-      EXPECT_LT(offset, p.replication_degree)
+      int offset = (origin - primary + kSites) % kSites;
+      EXPECT_LT(offset, kReplicas)
           << "read of item " << r << " not replicated at site " << origin;
     }
   }
 }
 
 TEST(WorkloadTest, NoWritesMeansReadOnlyClassification) {
-  WorkloadGenerator gen(PaperParams());
+  WorkloadGenerator gen = FullyReplicated(PaperParams());
   sim::RandomStream rng(9);
   for (int i = 0; i < 5000; ++i) {
     Transaction t = gen.Generate(i + 1, 1, &rng);
@@ -157,7 +164,7 @@ TEST(WorkloadTest, NoWritesMeansReadOnlyClassification) {
 }
 
 TEST(WorkloadTest, DeterministicForSameSeed) {
-  WorkloadGenerator gen(PaperParams());
+  WorkloadGenerator gen = FullyReplicated(PaperParams());
   sim::RandomStream a(11);
   sim::RandomStream b(11);
   for (int i = 0; i < 100; ++i) {
@@ -175,13 +182,12 @@ TEST(WorkloadTest, WritePoolExhaustionFallsBackToReads) {
   // More write draws than the origin owns distinct items: the generator
   // must not loop forever and must keep items distinct.
   WorkloadParams p;
-  p.num_sites = 4;
   p.items_per_site = 2;  // only two ownable items per site
   p.read_only_fraction = 0.0;
   p.write_op_fraction = 1.0;
   p.min_ops = 6;
   p.max_ops = 6;
-  WorkloadGenerator gen(p);
+  WorkloadGenerator gen = FullyReplicated(p, /*num_sites=*/4);
   sim::RandomStream rng(12);
   for (int i = 0; i < 200; ++i) {
     Transaction t = gen.Generate(i + 1, 1, &rng);

@@ -1,9 +1,10 @@
 // lazyrep_cli — run one replication experiment from the command line.
 //
-// A downstream-user front-end over the library: every Table-1 parameter and
-// extension flag is reachable without writing C++. Prints the human-readable
-// metrics block and, with --csv, appends one machine-readable row (with a
-// header when the file is new) for scripting and plotting.
+// A downstream-user front-end over the library: every Table-1 parameter a
+// study varies and every extension flag is reachable without writing C++.
+// Prints the human-readable metrics block and, with --csv, appends one
+// machine-readable row (with a header when the file is new) for scripting
+// and plotting.
 //
 // Examples:
 //   lazyrep_cli --protocol=optimistic --preset=oc3 --tps=1800 --txns=20000
@@ -313,11 +314,6 @@ int main(int argc, char** argv) {
       protocols = {static_cast<core::ProtocolKind>(script->protocol())};
     }
     config = replay::MakeReplayConfig(*script, config, /*keep_seed=*/seed_set);
-    if (!script->FitsDatabase(config, &error)) {
-      std::fprintf(stderr, "cannot replay %s point %d: %s\n",
-                   replay_path.c_str(), replay_point, error.c_str());
-      return 1;
-    }
   }
   // Validate fault specs against the topology System will build (sites plus
   // the auxiliary graph endpoint) for a friendly error instead of the
@@ -330,11 +326,19 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  // Validate before the replay check: FitsDatabase, like every run, sizes
+  // the database by total_items(), which Validate bounds.
   for (core::ProtocolKind kind : protocols) {
     if (std::string err; !config.Validate(kind, &err)) {
       std::fprintf(stderr, "invalid configuration: %s\n", err.c_str());
       return 1;
     }
+  }
+  if (std::string err;
+      script != nullptr && !script->FitsDatabase(config, &err)) {
+    std::fprintf(stderr, "cannot replay %s point %d: %s\n",
+                 replay_path.c_str(), replay_point, err.c_str());
+    return 1;
   }
   config.Normalize();
 
