@@ -6,21 +6,26 @@
 //     queue, coroutines, wake-ups, facility, network) count events fired;
 //     the db and replication-graph scenarios count lock acquires, store
 //     operations or graph steps;
-//   * heap allocations per unit during the measured (steady-state) rounds;
+//   * heap allocations and coroutine frames built per unit during the
+//     measured (steady-state) rounds;
 //   * throughput (units per wall second), events fired and wall-seconds per
 //     simulated second.
 // Every scenario runs one warm-up round first — the warm-up pays for event
 // queue growth, coroutine frame-pool population, multicast node arenas and
-// hash-table buckets — then the measured rounds follow.
+// hash-table buckets — then the measured rounds follow. The `system` row
+// runs one small OC-3 point through core::System per round.
 //
 // Modes:
 //   bench_kernel            human-readable summary
 //   bench_kernel --report   key=value lines (piped into tools/bench_to_json)
 //   bench_kernel --check    exit non-zero if a kernel scenario, the lock
 //                           manager or the store allocates in its measured
-//                           rounds (budget: zero) or if any scenario did no
-//                           work; the graph scenarios' allocations are
-//                           reported, not gated
+//                           rounds (budget: zero), if the facility or the
+//                           uncontended lock rows build a frame beyond their
+//                           own processes, if the system row exceeds its
+//                           allocation or frame budget per event, or if any
+//                           scenario did no work; the graph scenarios'
+//                           allocations are reported, not gated
 //   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
 //
 // An unknown argument or a malformed --rounds exits 2 with the usage line.
@@ -39,7 +44,9 @@
 #include <string>
 #include <vector>
 
+#include "core/config.h"
 #include "core/flags.h"
+#include "core/system.h"
 #include "db/item_store.h"
 #include "db/lock_manager.h"
 #include "net/network.h"
@@ -108,8 +115,13 @@ struct ScenarioResult {
   uint64_t work = 0;    ///< units of work across the measured rounds
   uint64_t events = 0;  ///< events fired across the measured rounds
   uint64_t allocs = 0;  ///< heap allocations across the measured rounds
+  uint64_t frames = 0;  ///< coroutine frames built across the measured rounds
   double wall_s = 0;    ///< wall time of the measured rounds
   double sim_s = 0;     ///< simulated seconds advanced by the measured rounds
+  /// Frames --check allows across the measured rounds: a scenario's own
+  /// processes. kUngated for the rows without a frame budget.
+  uint64_t frames_allowed = kUngated;
+  static constexpr uint64_t kUngated = UINT64_MAX;
 };
 
 /// Runs `round` once as warm-up, then `rounds` more under measurement.
@@ -122,10 +134,12 @@ ScenarioResult Measure(ScenarioResult r, int rounds, const Simulation* sim,
   uint64_t events0 = sim != nullptr ? sim->events_fired() : 0;
   double sim0 = sim != nullptr ? sim->Now() : 0;
   uint64_t allocs0 = g_allocs;
+  uint64_t frames0 = FramePoolThreadStats().frames();
   Clock::time_point t0 = Clock::now();
   for (int i = 0; i < rounds; ++i) r.work += round();
   r.wall_s = std::chrono::duration<double>(Clock::now() - t0).count();
   r.allocs = g_allocs - allocs0;
+  r.frames = FramePoolThreadStats().frames() - frames0;
   if (sim != nullptr) {
     r.events = sim->events_fired() - events0;
     r.sim_s = sim->Now() - sim0;
@@ -317,15 +331,20 @@ Process FacilityUser(Facility* fac, int uses) {
 
 /// FCFS facility under contention, the shape of a site CPU or disk: 100
 /// processes queue for 1,000 services each on one server.
+constexpr int kFacilityProcs = 100;
+
 ScenarioResult FacilityContention(int rounds) {
-  constexpr int kProcs = 100;
+  constexpr int kProcs = kFacilityProcs;
   constexpr int kUses = 1000;
   Simulation sim;
   Facility fac(&sim, "cpu");
-  return MeasureEvents("facility", rounds, &sim, [&] {
+  ScenarioResult r = MeasureEvents("facility", rounds, &sim, [&] {
     for (int i = 0; i < kProcs; ++i) sim.Spawn(FacilityUser(&fac, kUses));
     sim.Run();
   });
+  // A facility use parks in its user's frame: only the users are frames.
+  r.frames_allowed = uint64_t{kProcs} * rounds;
+  return r;
 }
 
 // Lock requests never time out in these scenarios, but each wait still arms
@@ -371,8 +390,37 @@ ScenarioResult LockScenario(const char* name, int rounds, int txns,
     return lm.grants() - grants0;
   });
   // Holding locks across a delay is what makes requests queue; without a
-  // hold, every request must be granted at once.
+  // hold, every request must be granted at once, and an immediate grant
+  // builds no frame: only the transactions are frames.
   if ((lm.waits() > 0) != (hold > 0)) std::abort();
+  if (hold == 0) r.frames_allowed = static_cast<uint64_t>(txns) * rounds;
+  return r;
+}
+
+/// One small OC-3 point through core::System per round: the paper's
+/// 100-site star, pessimistic at 1,400 TPS, 1,500 transactions (500 of them
+/// warm-up). Counts System::Run only, not construction: the whole stack's
+/// allocations and frames per event, which --check holds to committed
+/// budgets. The first run is the warm-up, as in Measure.
+ScenarioResult SystemPoint(int rounds) {
+  ScenarioResult r{"system", "event"};
+  for (int i = 0; i <= rounds; ++i) {
+    core::SystemConfig config = core::SystemConfig::Oc3();
+    config.tps = 1400;
+    config.total_txns = 1500;
+    core::System system(config, core::ProtocolKind::kPessimistic);
+    const uint64_t allocs0 = g_allocs;
+    const uint64_t frames0 = FramePoolThreadStats().frames();
+    const Clock::time_point t0 = Clock::now();
+    system.Run();
+    if (i == 0) continue;
+    r.wall_s += std::chrono::duration<double>(Clock::now() - t0).count();
+    r.allocs += g_allocs - allocs0;
+    r.frames += FramePoolThreadStats().frames() - frames0;
+    r.events += system.sim().events_fired();
+    r.sim_s += system.sim().Now();
+  }
+  r.work = r.events;
   return r;
 }
 
@@ -544,20 +592,34 @@ bool IsLockScenario(const ScenarioResult& r) {
   return std::strncmp(r.name, "lock_", 5) == 0;
 }
 
+bool IsSystemScenario(const ScenarioResult& r) {
+  return std::strcmp(r.name, "system") == 0;
+}
+
 /// Scenarios --check holds to zero steady-state allocations: the kernel
 /// scenarios, the lock manager and the store. The graph still allocates per
-/// operation.
+/// operation; the system row has budgets of its own (below).
 bool Gated(const ScenarioResult& r) {
-  return CountsEvents(r) || IsLockScenario(r) ||
+  return (CountsEvents(r) && !IsSystemScenario(r)) || IsLockScenario(r) ||
          std::strcmp(r.name, "store_twr") == 0;
 }
 
+/// The system row's committed budgets per event fired by System::Run. It
+/// measures 0.2480 allocations (a fresh System grows its tables as it runs)
+/// and 0.3507 frames per event, where it built 0.9852 frames per event
+/// before facility uses, disk pages and immediate lock grants stopped
+/// building frames. Both counts are deterministic; the budgets leave about
+/// 5% of headroom.
+constexpr double kSystemAllocsPerEvent = 0.26;
+constexpr double kSystemFramesPerEvent = 0.37;
+
 void PrintHuman(const ScenarioResult& r) {
   std::printf(
-      "%-16s %9llu %-8s allocs=%-8llu (%.4f/%s)  wall=%.3fs  %.2fM/s  "
-      "wall/sim-s=%.4f",
+      "%-16s %9llu %-8s allocs=%-8llu (%.4f/%s)  frames=%-8llu (%.4f/%s)  "
+      "wall=%.3fs  %.2fM/s  wall/sim-s=%.4f",
       r.name, static_cast<unsigned long long>(r.work), r.unit,
       static_cast<unsigned long long>(r.allocs), PerUnit(r.allocs, r), r.unit,
+      static_cast<unsigned long long>(r.frames), PerUnit(r.frames, r), r.unit,
       r.wall_s, r.work / r.wall_s / 1e6,
       r.sim_s > 0 ? r.wall_s / r.sim_s : 0.0);
   if (!CountsEvents(r)) {
@@ -581,6 +643,9 @@ void PrintReport(const ScenarioResult& r) {
   std::printf("kernel.%s.allocs=%llu\n", n,
               static_cast<unsigned long long>(r.allocs));
   std::printf("kernel.%s.allocs_per_%s=%.6f\n", n, u, PerUnit(r.allocs, r));
+  std::printf("kernel.%s.frames=%llu\n", n,
+              static_cast<unsigned long long>(r.frames));
+  std::printf("kernel.%s.frames_per_%s=%.6f\n", n, u, PerUnit(r.frames, r));
   std::printf("kernel.%s.wall_s=%.6f\n", n, r.wall_s);
   std::printf("kernel.%s.%ss_per_s=%.0f\n", n, u, r.work / r.wall_s);
   std::printf("kernel.%s.wall_per_sim_s=%.6f\n", n,
@@ -619,6 +684,7 @@ int Run(int argc, char** argv) {
   results.push_back(RgChurn(rounds));
   results.push_back(RgCycleCheck(rounds));
   results.push_back(RgSplit(rounds));
+  results.push_back(SystemPoint(rounds));
 
   FramePoolStats pool = FramePoolThreadStats();
   if (report) {
@@ -642,14 +708,44 @@ int Run(int argc, char** argv) {
     // included); any measured-round allocation there is a regression on the
     // allocation-free hot path. The graph still allocates per operation, so
     // its scenarios report their counts (the baseline for making it
-    // allocation-free) without a budget. A scenario that did no work
-    // measured nothing, so it fails too.
+    // allocation-free) without a budget. A facility use and an immediate
+    // lock grant build no coroutine frame, so those rows may build only
+    // their own processes' frames. The system row has committed budgets per
+    // event. A scenario that did no work measured nothing, so it fails too.
     int failures = 0;
     int gated = 0;
     for (const ScenarioResult& r : results) {
       if (r.work == 0) {
         std::fprintf(stderr, "CHECK FAILED: %s did no work\n", r.name);
         ++failures;
+        continue;
+      }
+      if (r.frames > r.frames_allowed) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: %s built %llu coroutine frames (budget: "
+                     "%llu, its own processes)\n",
+                     r.name, static_cast<unsigned long long>(r.frames),
+                     static_cast<unsigned long long>(r.frames_allowed));
+        ++failures;
+      }
+      if (IsSystemScenario(r)) {
+        if (PerUnit(r.frames, r) > kSystemFramesPerEvent) {
+          std::fprintf(stderr,
+                       "CHECK FAILED: system built %.4f coroutine frames per "
+                       "event (budget: %.4f)\n",
+                       PerUnit(r.frames, r), kSystemFramesPerEvent);
+          ++failures;
+        }
+#ifndef LAZYREP_FRAME_POOL_DISABLED
+        // Sanitized builds allocate every frame; the frame budget covers it.
+        if (PerUnit(r.allocs, r) > kSystemAllocsPerEvent) {
+          std::fprintf(stderr,
+                       "CHECK FAILED: system performed %.4f heap allocations "
+                       "per event (budget: %.4f)\n",
+                       PerUnit(r.allocs, r), kSystemAllocsPerEvent);
+          ++failures;
+        }
+#endif
         continue;
       }
       if (!Gated(r)) continue;
@@ -673,7 +769,8 @@ int Run(int argc, char** argv) {
     }
     if (failures > 0) return 1;
     std::printf("alloc budget check passed: 0 steady-state allocations in "
-                "%d gated scenarios\n", gated);
+                "%d gated scenarios; frame and system budgets held\n",
+                gated);
   }
   return 0;
 }

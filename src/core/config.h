@@ -108,7 +108,8 @@ struct SystemConfig {
 
   // -- extensions / ablations ---------------------------------------------------
   /// 0 = full replication (paper). k >= 1: each item is replicated at its
-  /// primary site plus the next k-1 sites (§5 future work).
+  /// primary site plus the next k-1 sites (§5 future work); k >= num_sites
+  /// is full replication again.
   int replication_degree = 0;
   /// 0 = off. Otherwise the maximum concurrently executing read-only
   /// transactions per site; excess submissions wait (§4.3 gatekeeper).
@@ -119,12 +120,14 @@ struct SystemConfig {
   db::SiteId PrimarySite(db::ItemId item) const {
     return static_cast<db::SiteId>(item / workload.items_per_site);
   }
-  bool full_replication() const { return replication_degree == 0; }
   /// Number of replicas each item has.
   int replicas_per_item() const {
-    return full_replication() ? num_sites
-                              : std::min(replication_degree, num_sites);
+    return replication_degree == 0 ? num_sites
+                                   : std::min(replication_degree, num_sites);
   }
+  /// True when every site holds every item, whichever way the config says
+  /// it: degree 0, or a degree of at least num_sites.
+  bool full_replication() const { return replicas_per_item() == num_sites; }
   /// True when `site` holds a replica of `item`.
   bool HasReplica(db::ItemId item, db::SiteId site) const;
 

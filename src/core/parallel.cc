@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -22,14 +24,22 @@ void ParallelFor(int jobs, size_t n,
     return;
   }
   std::atomic<size_t> next{0};
+  std::mutex failed_mu;
+  std::exception_ptr failed;
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&next, &body, n] {
-      for (size_t i = next++; i < n; i = next++) body(i);
+    threads.emplace_back([&next, &body, n, &failed_mu, &failed] {
+      try {
+        for (size_t i = next++; i < n; i = next++) body(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(failed_mu);
+        if (!failed) failed = std::current_exception();
+      }
     });
   }
   for (std::thread& t : threads) t.join();
+  if (failed) std::rethrow_exception(failed);
 }
 
 uint64_t SplitMix64(uint64_t x) {

@@ -17,6 +17,9 @@ int DefaultJobs();
 /// bottleneck. With one effective worker the loop runs inline on the calling
 /// thread, in index order — byte-identical to a plain for loop. `body` must
 /// be safe to call concurrently from distinct threads for distinct indices.
+/// An exception `body` throws on a worker (a System too big for memory
+/// throws std::bad_alloc) ends that worker and is rethrown here once every
+/// worker has joined, the first one if several throw.
 void ParallelFor(int jobs, size_t n, const std::function<void(size_t)>& body);
 
 /// splitmix64 finalizer (Steele/Lea/Flood). Bijective on uint64_t, so

@@ -133,11 +133,15 @@ std::vector<db::SiteId> System::ReplicaTargets(const txn::Transaction& t,
     }
     return targets;
   }
+  // An item's replicas are its primary and the next k-1 sites, wrapping
+  // (SystemConfig::HasReplica).
   std::vector<bool> seen(config_.num_sites, false);
+  const int k = config_.replicas_per_item();
   for (db::ItemId item : t.write_set) {
-    for (int s = 0; s < config_.num_sites; ++s) {
-      if (!seen[s] && s != except &&
-          config_.HasReplica(item, static_cast<db::SiteId>(s))) {
+    const int primary = config_.PrimarySite(item);
+    for (int i = 0; i < k; ++i) {
+      const int s = (primary + i) % config_.num_sites;
+      if (!seen[s] && s != except) {
         seen[s] = true;
         targets.push_back(static_cast<db::SiteId>(s));
       }
@@ -425,11 +429,6 @@ void System::DeliverEdges(const ConflictEdges& edges) {
   for (const auto& [dep, pred] : edges) {
     if (tracker_.IsLive(dep)) tracker_.AddPredecessor(dep, pred);
   }
-}
-
-sim::Task<void> System::ExecuteOpCost(db::SiteId s) {
-  co_await site(s).cpu.Execute(kOpInstr);
-  co_await site(s).disk.ReadPage(kItemBytes);
 }
 
 bool System::HasStaleWriteVsTerminal(const txn::Transaction& t) {

@@ -227,10 +227,6 @@ class System {
 
   void DeliverEdges(const ConflictEdges& edges);
 
-  /// Executes one operation's local cost at `s`: CPU plus a buffered page
-  /// read.
-  sim::Task<void> ExecuteOpCost(db::SiteId s);
-
   /// True when committing `t` would install a write already masked by a
   /// *terminal* newer writer: t would have to serialize before a transaction
   /// whose position is final, so t must abort ("timestamp too old"). Since

@@ -82,7 +82,7 @@ sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
     if (LockStrength(held_mode) >= LockStrength(mode)) {
       ++grants_;
       TraceResolution(txn, item, mode, sim::WaitStatus::kSignaled, 0);
-      co_return sim::WaitStatus::kSignaled;
+      return sim::Task<sim::WaitStatus>::Finished(sim::WaitStatus::kSignaled);
     }
   }
   bool is_upgrade = holds_any;  // holds a weaker mode, wants a stronger one
@@ -95,15 +95,21 @@ sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
     if (!holds_any) HeldFor(txn).push_back(item);
     ++grants_;
     TraceResolution(txn, item, mode, sim::WaitStatus::kSignaled, 0);
-    co_return sim::WaitStatus::kSignaled;
+    return sim::Task<sim::WaitStatus>::Finished(sim::WaitStatus::kSignaled);
   }
+  return QueueAndWait(txn, item, mode, timeout, is_upgrade);
+}
 
-  // Must wait.
+sim::Task<sim::WaitStatus> LockManager::QueueAndWait(TxnId txn, ItemId item,
+                                                     LockMode mode,
+                                                     sim::SimTime timeout,
+                                                     bool is_upgrade) {
   ++waits_;
   Waiter waiter(sim_);
   waiter.txn = txn;
   waiter.mode = mode;
   waiter.is_upgrade = is_upgrade;
+  ItemLock& lock = LockFor(item);
   if (is_upgrade) {
     lock.queue.PushFront(&waiter);  // upgrades served before plain requests
   } else {
@@ -250,7 +256,7 @@ void LockManager::CrashReset(const std::function<bool(TxnId)>& keep) {
       HeldFor(holder).push_back(item);
     }
   }
-  // Phase 3: wake the cancelled waiters; their Acquire frames clean up.
+  // Phase 3: wake the cancelled waiters; their QueueAndWait frames clean up.
   for (Waiter* w : cancelled) w->shot.Fire(sim::WaitStatus::kCancelled);
 }
 

@@ -66,6 +66,10 @@ class LockManager {
   /// stronger mode than the one held performs an upgrade (upgrades are
   /// evaluated against current holders only, jumping the FIFO queue, so an
   /// upgrade cannot deadlock against ordinary queued requests).
+  ///
+  /// A kernel wait (sim/condition.h): a re-acquisition or an immediate grant
+  /// is granted, counted and traced at the call and returns a finished task;
+  /// only a request that must queue starts a coroutine.
   sim::Task<sim::WaitStatus> Acquire(TxnId txn, ItemId item, LockMode mode,
                                      sim::SimTime timeout);
 
@@ -109,9 +113,9 @@ class LockManager {
   }
 
  private:
-  /// A waiting lock request. Lives on the Acquire coroutine's frame; the
-  /// wait queue links through it intrusively, so queuing a request performs
-  /// no heap allocation.
+  /// A waiting lock request. Lives on the QueueAndWait coroutine's frame;
+  /// the wait queue links through it intrusively, so queuing a request
+  /// performs no heap allocation.
   struct Waiter {
     explicit Waiter(sim::Simulation* sim) : shot(sim) {}
     TxnId txn = kNoTxn;
@@ -142,6 +146,12 @@ class LockManager {
     std::vector<std::pair<TxnId, LockMode>> holders;
     WaiterQueue queue;
   };
+
+  /// Acquire's queued path: waits for the grant, the timeout or a
+  /// CrashReset cancellation, and cleans up after the last two.
+  sim::Task<sim::WaitStatus> QueueAndWait(TxnId txn, ItemId item,
+                                          LockMode mode, sim::SimTime timeout,
+                                          bool is_upgrade);
 
   /// True when `txn` requesting `mode` is compatible with all other holders.
   static bool CompatibleWithHolders(const ItemLock& lock, TxnId txn,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "sim/condition.h"
 #include "sim/facility.h"
 #include "sim/process.h"
 #include "sim/random.h"
@@ -36,39 +37,42 @@ class DiskSubsystem {
         params_(params),
         rng_(seed) {}
 
+  // Each access is a kernel wait (sim/condition.h): the array's use, or on
+  // a buffer hit a finished task. The buffer draw happens at the call.
+
   /// Reads a data page of `bytes`; returns immediately on a buffer hit.
-  sim::Task<void> ReadPage(size_t bytes) {
-    if (rng_.Chance(params_.buffer_miss_ratio)) {
-      ++physical_reads_;
-      co_await array_.Use(AccessTime(bytes));
-    } else {
+  sim::Task<sim::WaitStatus> ReadPage(size_t bytes) {
+    if (!rng_.Chance(params_.buffer_miss_ratio)) {
       ++buffer_hits_;
+      return sim::Task<sim::WaitStatus>::Finished(sim::WaitStatus::kSignaled);
     }
+    ++physical_reads_;
+    return array_.Use(AccessTime(bytes));
   }
 
   /// Writes a data page of `bytes` through the buffer (write-back: a
   /// physical write happens with the buffer miss probability; see DESIGN.md,
   /// Substitutions).
-  sim::Task<void> WritePage(size_t bytes) {
-    if (rng_.Chance(params_.buffer_miss_ratio)) {
-      ++physical_writes_;
-      co_await array_.Use(AccessTime(bytes));
-    } else {
+  sim::Task<sim::WaitStatus> WritePage(size_t bytes) {
+    if (!rng_.Chance(params_.buffer_miss_ratio)) {
       ++buffer_hits_;
+      return sim::Task<sim::WaitStatus>::Finished(sim::WaitStatus::kSignaled);
     }
+    ++physical_writes_;
+    return array_.Use(AccessTime(bytes));
   }
 
   /// Forces the log to disk (commit durability); always a physical write.
-  sim::Task<void> ForceLog(size_t bytes) {
+  sim::Task<sim::WaitStatus> ForceLog(size_t bytes) {
     ++physical_writes_;
-    co_await array_.Use(AccessTime(bytes));
+    return array_.Use(AccessTime(bytes));
   }
 
   /// Sequentially reads `bytes` of log during crash recovery; always a
   /// physical access (the buffer pool did not survive the crash).
-  sim::Task<void> ReadLog(size_t bytes) {
+  sim::Task<sim::WaitStatus> ReadLog(size_t bytes) {
     ++physical_reads_;
-    co_await array_.Use(AccessTime(bytes));
+    return array_.Use(AccessTime(bytes));
   }
 
   /// Seconds for one physical access of `bytes`.

@@ -20,12 +20,14 @@ sim::Task<bool> Protocol::ExecuteLocal(txn::Transaction* t, db::Operation op,
                                        std::optional<db::LockMode> lock,
                                        System::ConflictEdges* edges,
                                        System::ReadVersions* versions) {
+  core::Site& origin = sys_->site(t->origin);
   if (lock.has_value()) {
-    WaitStatus s = co_await sys_->site(t->origin).locks.Acquire(
-        t->id, op.item, *lock, sys_->config().timeout);
+    WaitStatus s = co_await origin.locks.Acquire(t->id, op.item, *lock,
+                                                 sys_->config().timeout);
     if (s != WaitStatus::kSignaled) co_return false;
   }
-  co_await sys_->ExecuteOpCost(t->origin);
+  co_await origin.cpu.Execute(core::kOpInstr);
+  co_await origin.disk.ReadPage(core::kItemBytes);
   if (op.type == db::OpType::kRead) {
     db::Timestamp version = sys_->NoteRead(*t, op.item, edges);
     if (versions != nullptr) versions->emplace_back(op.item, version);

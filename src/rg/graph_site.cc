@@ -221,11 +221,11 @@ sim::Task<void> GraphSite::HandleCommitted(db::TxnId txn) {
 }
 
 sim::Task<void> GraphSite::HandleRemove(db::TxnId txn) {
-  co_await RemoveUnderCpu(txn);
+  return RemoveUnderCpu(txn);
 }
 
-sim::Task<void> GraphSite::ChargeMessages(int count) {
-  co_await cpu_->Execute(kGraphMessageInstr * count);
+sim::Task<sim::WaitStatus> GraphSite::ChargeMessages(int count) {
+  return cpu_->Execute(kGraphMessageInstr * count);
 }
 
 }  // namespace lazyrep::rg

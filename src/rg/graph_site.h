@@ -70,8 +70,9 @@ class GraphSite {
   sim::Task<void> HandleRemove(db::TxnId txn);
 
   /// Charges the CPU for handling `count` protocol messages that carry no
-  /// graph work (acks, completion notices).
-  sim::Task<void> ChargeMessages(int count);
+  /// graph work (acks, completion notices). A kernel wait: await it where it
+  /// is made.
+  sim::Task<sim::WaitStatus> ChargeMessages(int count);
 
   /// True once the transaction was removed (aborted or completed here).
   bool IsFinished(db::TxnId txn) const { return finished_.contains(txn); }

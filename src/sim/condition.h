@@ -2,9 +2,12 @@
 #define LAZYREP_SIM_CONDITION_H_
 
 #include <coroutine>
+#include <optional>
+#include <utility>
 
 #include "sim/check.h"
 #include "sim/event_queue.h"
+#include "sim/process.h"
 #include "sim/simulation.h"
 
 namespace lazyrep::sim {
@@ -19,6 +22,120 @@ enum class WaitStatus : uint8_t {
 
 /// Returns a short human-readable name ("signaled", "timeout", ...).
 const char* WaitStatusName(WaitStatus status);
+
+class Facility;
+
+/// A facility request with no frame of its own. It lives inside the
+/// Task<WaitStatus> that Facility::Use returns, that is in the frame of the
+/// coroutine awaiting it, and the facility's FIFO links through it. The
+/// service's completion resumes `waiter` directly. Every co_await of a
+/// kernel wait holds one in its awaiter's frame, so it is kept to 24 bytes:
+/// the facility is needed only until the request parks, the link only after.
+struct FacilityRequest {
+  union {
+    Facility* facility;     ///< until parked: where the request queues
+    FacilityRequest* next;  ///< once parked: the facility's FIFO link
+  };
+  SimTime service;
+  std::coroutine_handle<> waiter;  ///< resumed when the service completes
+
+  /// Suspends `h` on this request: service starts at once when a server is
+  /// free, else the request queues FCFS (sim/facility.cc).
+  void Park(std::coroutine_handle<> h);
+};
+static_assert(sizeof(FacilityRequest) == 24);
+
+/// A kernel leaf wait: what Facility::Use/UseBounded/Serve,
+/// LockManager::Acquire and the disk accesses return. It takes one of three
+/// forms:
+///
+/// * a coroutine, started lazily like every Task (a Serve, a lock request
+///   that must queue);
+/// * finished: the wait resolved at the call (an immediate or repeated lock
+///   grant, a bounded-queue rejection, a buffer hit), and co_await returns
+///   its status without suspending;
+/// * parked: a FacilityRequest held inside the Task. co_await queues the
+///   awaiting coroutine itself at the facility, and the completion's wake-up
+///   resumes it: no frame and no transfer through one.
+///
+/// A finished task has done its side effects at the call (the grant and its
+/// trace record, the rejection count, the buffer draw), so a kernel wait is
+/// awaited in the expression that makes it. A finished or parked task
+/// destroyed unawaited fails a LAZYREP_CHECK.
+template <>
+class [[nodiscard]] Task<WaitStatus> {
+ public:
+  struct promise_type : TaskPromiseBase {
+    std::optional<WaitStatus> value;
+
+    Task get_return_object() {
+      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
+    }
+    void return_value(WaitStatus v) { value = v; }
+  };
+
+  explicit Task(std::coroutine_handle<promise_type> handle)
+      : handle_(handle), form_(Form::kCoroutine) {}
+  /// A wait that already resolved with `status`.
+  static Task Finished(WaitStatus status) { return Task(status); }
+  /// `service` seconds at `facility`, FCFS; resolves kSignaled.
+  static Task Parked(Facility* facility, SimTime service) {
+    return Task(FacilityRequest{{facility}, service, nullptr});
+  }
+
+  Task(Task&& other) noexcept
+      : status_(other.status_),
+        form_(std::exchange(other.form_, Form::kEmpty)) {
+    if (form_ == Form::kCoroutine) handle_ = other.handle_;
+    if (form_ == Form::kParked) request_ = other.request_;
+  }
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
+  Task& operator=(Task&&) = delete;
+  ~Task() {
+    if (form_ == Form::kCoroutine) {
+      handle_.destroy();
+      return;
+    }
+    LAZYREP_CHECK_MSG(form_ == Form::kEmpty,
+                      "kernel wait destroyed unawaited: await it where it "
+                      "is made");
+  }
+
+  bool await_ready() const noexcept { return form_ == Form::kFinished; }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> awaiter) {
+    if (form_ == Form::kParked) {
+      request_.Park(awaiter);
+      return std::noop_coroutine();
+    }
+    handle_.promise().continuation = awaiter;
+    return handle_;  // symmetric transfer into the task body
+  }
+  WaitStatus await_resume() {
+    if (form_ == Form::kCoroutine) {
+      LAZYREP_CHECK(handle_.promise().value.has_value());
+      return *handle_.promise().value;
+    }
+    form_ = Form::kEmpty;  // awaited: nothing is left to check
+    return status_;
+  }
+
+ private:
+  enum class Form : uint8_t { kEmpty, kCoroutine, kFinished, kParked };
+
+  explicit Task(WaitStatus status)
+      : handle_(nullptr), status_(status), form_(Form::kFinished) {}
+  explicit Task(FacilityRequest request)
+      : request_(request), form_(Form::kParked) {}
+
+  union {
+    std::coroutine_handle<promise_type> handle_;  ///< kCoroutine
+    FacilityRequest request_;                     ///< kParked
+  };
+  WaitStatus status_ = WaitStatus::kSignaled;  ///< kFinished and kParked
+  Form form_;
+};
+static_assert(sizeof(Task<WaitStatus>) == 32);
 
 /// One-shot synchronization point between one waiting process and one
 /// signaler, with an optional timeout.

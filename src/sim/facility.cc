@@ -11,7 +11,22 @@ Facility::Facility(Simulation* sim, std::string name, int servers)
   queue_stat_.Start(sim_->Now());
 }
 
-void Facility::Enqueue(Request* request) {
+void FacilityRequest::Park(std::coroutine_handle<> h) {
+  Facility* at = facility;
+  next = nullptr;
+  waiter = h;
+  at->Admit(this);
+}
+
+void Facility::Admit(FacilityRequest* request) {
+  if (busy_ < servers_) {
+    StartService(request);
+  } else {
+    Enqueue(request);
+  }
+}
+
+void Facility::Enqueue(FacilityRequest* request) {
   if (queue_tail_ == nullptr) {
     queue_head_ = queue_tail_ = request;
   } else {
@@ -22,8 +37,8 @@ void Facility::Enqueue(Request* request) {
   queue_stat_.Set(sim_->Now(), static_cast<double>(queue_len_));
 }
 
-Facility::Request* Facility::Dequeue() {
-  Request* head = queue_head_;
+FacilityRequest* Facility::Dequeue() {
+  FacilityRequest* head = queue_head_;
   queue_head_ = head->next;
   if (queue_head_ == nullptr) queue_tail_ = nullptr;
   head->next = nullptr;
@@ -32,60 +47,60 @@ Facility::Request* Facility::Dequeue() {
   return head;
 }
 
-void Facility::StartService(Request* request) {
+void Facility::StartService(FacilityRequest* request) {
   ++busy_;
   busy_stat_.Set(sim_->Now(), busy_);
-  if (request->work) {
-    request->service = request->work() / request->work_rate;
+  if (request->service == kServiceFromWork) {
+    auto* serve = static_cast<ServeRequest*>(request);
+    request->service = serve->work() / serve->work_rate;
   }
   sim_->ScheduleCallbackAt(sim_->Now() + request->service,
                            [this, request] { OnServiceComplete(request); });
 }
 
-void Facility::OnServiceComplete(Request* request) {
+void Facility::OnServiceComplete(FacilityRequest* request) {
   --busy_;
   busy_stat_.Set(sim_->Now(), busy_);
   ++completed_;
-  request->done.Fire(WaitStatus::kSignaled);
+  // Through the event queue, as every wake-up: the completion finishes
+  // starting the next service before the waiter runs.
+  sim_->ScheduleResumeNow(request->waiter);
   if (queue_head_ != nullptr && busy_ < servers_) {
     StartService(Dequeue());
   }
 }
 
 Task<WaitStatus> Facility::Use(SimTime service) {
-  Request request(sim_);
-  request.service = service;
-  if (busy_ < servers_) {
-    StartService(&request);
-  } else {
-    Enqueue(&request);
-  }
-  co_return co_await request.done.Wait();
+  return Task<WaitStatus>::Parked(this, service);
 }
 
 Task<WaitStatus> Facility::UseBounded(SimTime service, size_t queue_bound) {
-  if (busy_ >= servers_ && queue_len_ >= queue_bound) {
+  if (Rejects(queue_bound)) {
     ++rejected_;
-    co_return WaitStatus::kRejected;
+    return Task<WaitStatus>::Finished(WaitStatus::kRejected);
   }
-  co_return co_await Use(service);
+  return Task<WaitStatus>::Parked(this, service);
 }
 
 Task<WaitStatus> Facility::Serve(WorkFn work, size_t queue_bound,
                                  double work_rate) {
-  if (busy_ >= servers_ && queue_len_ >= queue_bound) {
+  if (Rejects(queue_bound)) {
     ++rejected_;
     co_return WaitStatus::kRejected;
   }
-  Request request(sim_);
+  ServeRequest request;
+  request.facility = this;
+  request.service = kServiceFromWork;
   request.work = std::move(work);
   request.work_rate = work_rate;
-  if (busy_ < servers_) {
-    StartService(&request);
-  } else {
-    Enqueue(&request);
-  }
-  co_return co_await request.done.Wait();
+  struct Parking {
+    FacilityRequest* request;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { request->Park(h); }
+    void await_resume() const noexcept {}
+  };
+  co_await Parking{&request};
+  co_return WaitStatus::kSignaled;
 }
 
 double Facility::Utilization() const {

@@ -23,9 +23,10 @@ namespace lazyrep::sim {
 /// requests has reached a bound — this models the paper's bounded request
 /// queue at the replication-graph site (§4.1.2).
 ///
-/// The wait queue is intrusive: each Request (which lives on its awaiting
-/// coroutine's frame) carries the link pointer, so queuing performs no heap
-/// allocation.
+/// Use and UseBounded build no coroutine: the request is the
+/// FacilityRequest inside the returned Task, so it lives in the awaiting
+/// coroutine's frame, and the intrusive wait queue links through it without
+/// a heap allocation. The completion's wake-up resumes the awaiter itself.
 class Facility {
  public:
   Facility(Simulation* sim, std::string name, int servers = 1);
@@ -33,11 +34,13 @@ class Facility {
   Facility& operator=(const Facility&) = delete;
 
   /// Occupies a server for `service` seconds, queuing FCFS when all servers
-  /// are busy. Always returns kSignaled.
+  /// are busy. Always returns kSignaled. A parked task: the request joins
+  /// the facility when the task is awaited.
   Task<WaitStatus> Use(SimTime service);
 
   /// Like Use, but returns kRejected immediately (consuming no service) when
-  /// `queue_bound` requests are already waiting.
+  /// `queue_bound` requests are already waiting. The rejection is decided,
+  /// and counted, at the call.
   Task<WaitStatus> UseBounded(SimTime service, size_t queue_bound);
 
   /// Work function evaluated when a Serve request reaches the server; it
@@ -52,7 +55,8 @@ class Facility {
   /// FCFS service whose duration (and side effects) are determined when the
   /// server picks the request up: the service time is work() / work_rate.
   /// Rejects like UseBounded when `queue_bound` requests are waiting; pass
-  /// SIZE_MAX for an unbounded queue.
+  /// SIZE_MAX for an unbounded queue. A coroutine, whose frame keeps `work`
+  /// alive while the request queues.
   Task<WaitStatus> Serve(WorkFn work, size_t queue_bound,
                          double work_rate = 1.0);
 
@@ -78,26 +82,32 @@ class Facility {
   const std::string& name() const { return name_; }
 
  private:
-  struct Request {
-    explicit Request(Simulation* sim) : done(sim) {}
-    OneShot done;
-    SimTime service = 0;
-    double work_rate = 1.0;
-    WorkFn work;  // when set, evaluated at service start to produce `service`
-    Request* next = nullptr;  // intrusive FIFO link
-  };
+  friend struct FacilityRequest;
 
-  void Enqueue(Request* request);
-  Request* Dequeue();
-  void StartService(Request* request);
-  void OnServiceComplete(Request* request);
+  /// A Serve request, in the Serve frame. Its service time is unknown until
+  /// `work` runs at service start; kServiceFromWork marks it in the queue.
+  struct ServeRequest : FacilityRequest {
+    WorkFn work;
+    double work_rate = 1.0;
+  };
+  static constexpr SimTime kServiceFromWork = -1;
+
+  /// Starts service at once when a server is free, else queues FCFS.
+  void Admit(FacilityRequest* request);
+  void Enqueue(FacilityRequest* request);
+  FacilityRequest* Dequeue();
+  void StartService(FacilityRequest* request);
+  void OnServiceComplete(FacilityRequest* request);
+  bool Rejects(size_t queue_bound) const {
+    return busy_ >= servers_ && queue_len_ >= queue_bound;
+  }
 
   Simulation* sim_;
   std::string name_;
   int servers_;
   int busy_ = 0;
-  Request* queue_head_ = nullptr;
-  Request* queue_tail_ = nullptr;
+  FacilityRequest* queue_head_ = nullptr;
+  FacilityRequest* queue_tail_ = nullptr;
   size_t queue_len_ = 0;
   TimeWeightedStat busy_stat_;
   TimeWeightedStat queue_stat_;

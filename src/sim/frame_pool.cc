@@ -6,12 +6,21 @@ namespace lazyrep::sim {
 
 #if defined(LAZYREP_FRAME_POOL_DISABLED)
 
-void* FramePoolAlloc(size_t bytes) { return ::operator new(bytes); }
+namespace {
+thread_local FramePoolStats tls_stats;
+}  // namespace
+
+// Every frame comes from the real allocator, so every one counts as fresh:
+// frame counts read the same with the pool on or off.
+void* FramePoolAlloc(size_t bytes) {
+  ++tls_stats.fresh_allocs;
+  return ::operator new(bytes);
+}
 void FramePoolFree(void* ptr, size_t bytes) noexcept {
   (void)bytes;
   ::operator delete(ptr);
 }
-FramePoolStats FramePoolThreadStats() { return {}; }
+FramePoolStats FramePoolThreadStats() { return tls_stats; }
 
 #else
 

@@ -5,8 +5,8 @@
 #include <cstdint>
 
 // The frame pool recycles coroutine-frame memory through thread-local
-// free lists, so the steady-state hot path (one frame per message leg,
-// facility use, lock acquire, ...) performs no heap allocation. Pooling is
+// free lists, so the steady-state hot path (a frame per message leg, per
+// queued lock request, ...) performs no heap allocation. Pooling is
 // disabled under ASan/TSan/MSan: recycled frames would mask use-after-free
 // and lose allocation stack traces.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -25,6 +25,9 @@ namespace lazyrep::sim {
 struct FramePoolStats {
   uint64_t fresh_allocs = 0;   ///< requests that hit the real allocator
   uint64_t pooled_allocs = 0;  ///< requests served from a free list
+
+  /// Coroutine frames built, with the pool on or off.
+  uint64_t frames() const { return fresh_allocs + pooled_allocs; }
 };
 
 /// Allocates `bytes` from the calling thread's frame pool. Requests above

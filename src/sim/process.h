@@ -70,6 +70,28 @@ class Process {
   std::coroutine_handle<> handle_;
 };
 
+/// What every Task promise shares: the body starts when the task is
+/// awaited, and when it finishes control transfers symmetrically back to the
+/// awaiter.
+struct TaskPromiseBase : PooledFrame {
+  std::coroutine_handle<> continuation;
+
+  std::suspend_always initial_suspend() noexcept { return {}; }
+
+  struct FinalAwaiter {
+    bool await_ready() noexcept { return false; }
+    template <typename Promise>
+    std::coroutine_handle<> await_suspend(
+        std::coroutine_handle<Promise> h) noexcept {
+      std::coroutine_handle<> cont = h.promise().continuation;
+      return cont ? cont : std::noop_coroutine();
+    }
+    void await_resume() noexcept {}
+  };
+  FinalAwaiter final_suspend() noexcept { return {}; }
+  void unhandled_exception() { std::abort(); }
+};
+
 /// Awaitable subroutine coroutine, composable with co_await.
 ///
 /// Task<T> is lazy: the body does not run until the task is awaited. When the
@@ -80,31 +102,23 @@ class Process {
 /// (Process) awaits Task-returning helpers such as "send a message and wait
 /// for the reply", which themselves await kernel awaitables (delays,
 /// facilities, conditions).
+///
+/// The kernel's leaf waits return Task<WaitStatus> (sim/condition.h), which
+/// has two more forms with no frame of their own: a wait already resolved
+/// at the call (a buffer hit, an immediate lock grant, a rejection) and a
+/// facility request parked inside the Task itself. A resolved wait does its
+/// side effects at the call, so a kernel wait is awaited in the expression
+/// that makes it.
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : PooledFrame {
-    std::coroutine_handle<> continuation;
+  struct promise_type : TaskPromiseBase {
     std::optional<T> value;
 
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-
-    struct FinalAwaiter {
-      bool await_ready() noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<promise_type> h) noexcept {
-        std::coroutine_handle<> cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
-      }
-      void await_resume() noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
-
     void return_value(T v) { value = std::move(v); }
-    void unhandled_exception() { std::abort(); }
   };
 
   explicit Task(std::coroutine_handle<promise_type> handle) : handle_(handle) {}
@@ -134,27 +148,11 @@ class [[nodiscard]] Task {
 template <>
 class [[nodiscard]] Task<void> {
  public:
-  struct promise_type : PooledFrame {
-    std::coroutine_handle<> continuation;
-
+  struct promise_type : TaskPromiseBase {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-
-    struct FinalAwaiter {
-      bool await_ready() noexcept { return false; }
-      std::coroutine_handle<> await_suspend(
-          std::coroutine_handle<promise_type> h) noexcept {
-        std::coroutine_handle<> cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
-      }
-      void await_resume() noexcept {}
-    };
-    FinalAwaiter final_suspend() noexcept { return {}; }
-
     void return_void() {}
-    void unhandled_exception() { std::abort(); }
   };
 
   explicit Task(std::coroutine_handle<promise_type> handle) : handle_(handle) {}

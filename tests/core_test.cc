@@ -121,6 +121,21 @@ TEST(ConfigTest, PartialReplicationPlacesKConsecutive) {
   EXPECT_EQ(c.replicas_per_item(), 3);
 }
 
+TEST(ConfigTest, DegreeAtOrBeyondSitesIsFullReplication) {
+  SystemConfig c = SystemConfig::Oc1Star();  // 20 sites
+  for (int degree : {20, 22}) {
+    c.replication_degree = degree;
+    EXPECT_TRUE(c.full_replication()) << degree;
+    EXPECT_EQ(c.replicas_per_item(), 20) << degree;
+    EXPECT_NE(FormatConfigTable(c).find("full (all sites)"),
+              std::string::npos)
+        << degree;
+  }
+  c.replication_degree = 19;
+  EXPECT_FALSE(c.full_replication());
+  EXPECT_NE(FormatConfigTable(c).find("partial"), std::string::npos);
+}
+
 TEST(ConfigTest, FormatTableMentionsKeyParameters) {
   std::string table = FormatConfigTable(SystemConfig::Oc3());
   EXPECT_NE(table.find("100"), std::string::npos);   // sites

@@ -13,6 +13,7 @@
 #include "db/item_store.h"
 #include "db/lock_manager.h"
 #include "db/types.h"
+#include "sim/frame_pool.h"
 #include "sim/process.h"
 #include "sim/simulation.h"
 
@@ -299,6 +300,58 @@ TEST(LockManagerTest, CrashResetKeepsSurvivorsAndCancelsWaiters) {
   sim.Spawn(AcquireLock(&sim, &lm, 4, 5, LockMode::kUpdate, 1.0, &s4, &t4));
   sim.Run(3.0);
   EXPECT_EQ(s4, WaitStatus::kSignaled);
+}
+
+/// Acquire that records the frames its call built, besides the status. The
+/// call and the co_await are split only to read the count in between;
+/// nothing runs there.
+Process AcquireCountingFrames(LockManager* lm, TxnId txn, ItemId item,
+                              LockMode mode, sim::SimTime timeout,
+                              WaitStatus* status, uint64_t* frames) {
+  const uint64_t frames0 = sim::FramePoolThreadStats().frames();
+  sim::Task<WaitStatus> wait = lm->Acquire(txn, item, mode, timeout);
+  *frames = sim::FramePoolThreadStats().frames() - frames0;
+  *status = co_await wait;
+}
+
+TEST(LockManagerTest, OnlyAQueuedRequestBuildsAFrame) {
+  Simulation sim;
+  LockManager lm(&sim);
+  WaitStatus status[6];
+  uint64_t frames[6];
+  // Two immediate grants and a re-acquisition resolve at the call.
+  sim.Spawn(AcquireCountingFrames(&lm, 1, 5, LockMode::kShared, 9.0,
+                                  &status[0], &frames[0]));
+  sim.Spawn(AcquireCountingFrames(&lm, 1, 5, LockMode::kShared, 9.0,
+                                  &status[1], &frames[1]));
+  sim.Spawn(AcquireCountingFrames(&lm, 3, 6, LockMode::kShared, 9.0,
+                                  &status[2], &frames[2]));
+  // Three requests queue: txn 2 is granted when txn 1 releases at t = 1,
+  // txn 4 times out at t = 0.5, and a crash wipe at t = 1.5 cancels txn 5.
+  sim.Spawn(AcquireCountingFrames(&lm, 2, 5, LockMode::kUpdate, 9.0,
+                                  &status[3], &frames[3]));
+  sim.Spawn(AcquireCountingFrames(&lm, 4, 6, LockMode::kUpdate, 0.5,
+                                  &status[4], &frames[4]));
+  sim.Spawn(AcquireCountingFrames(&lm, 5, 6, LockMode::kUpdate, 9.0,
+                                  &status[5], &frames[5]));
+  sim.ScheduleCallbackAt(1.0, [&lm] { lm.Release(1, 5); });
+  sim.ScheduleCallbackAt(1.5, [&lm] {
+    lm.CrashReset([](TxnId) { return true; });
+  });
+  sim.Run();
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(status[i], WaitStatus::kSignaled) << i;
+    EXPECT_EQ(frames[i], 0u) << i;
+  }
+  EXPECT_EQ(status[3], WaitStatus::kSignaled);
+  EXPECT_EQ(status[4], WaitStatus::kTimeout);
+  EXPECT_EQ(status[5], WaitStatus::kCancelled);
+  for (int i = 3; i < 6; ++i) EXPECT_EQ(frames[i], 1u) << i;
+  EXPECT_TRUE(lm.Holds(2, 5, LockMode::kUpdate));
+  EXPECT_EQ(lm.WaiterCount(6), 0u);
+  EXPECT_EQ(lm.grants(), 4u);
+  EXPECT_EQ(lm.waits(), 3u);
+  EXPECT_EQ(lm.timeouts(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -222,5 +222,43 @@ TEST(IntegrationPartialReplication, DegreeTwoStaysCorrect) {
   EXPECT_TRUE(r.replicas_converged);
 }
 
+// A degree of #sites or more is full replication: the same graph mode and
+// replica targets, so the same run as degree 0. (A partial-mode graph whose
+// every site holds every item ran this pessimistic point differently: one
+// more RGtest and one more cycle abort.)
+TEST(IntegrationPartialReplication, DegreeAtOrBeyondSitesRunsAsFull) {
+  SystemConfig full;
+  full.num_sites = 4;
+  full.workload.items_per_site = 10;
+  full.tps = 100;
+  full.total_txns = 500;
+  for (ProtocolKind kind :
+       {ProtocolKind::kPessimistic, ProtocolKind::kOptimistic}) {
+    const std::string expect = RunOne(full, kind).snap.ToString();
+    for (int degree : {4, 6}) {
+      SystemConfig c = full;
+      c.replication_degree = degree;
+      EXPECT_EQ(RunOne(c, kind).snap.ToString(), expect)
+          << ProtocolKindName(kind) << ", degree " << degree;
+    }
+  }
+}
+
+TEST(IntegrationPartialReplication, ReplicaTargetsAreTheWrittenItemsSites) {
+  SystemConfig c = SmallConfig(5, 60, 400, 9);
+  c.replication_degree = 2;
+  System system(c, ProtocolKind::kOptimistic);
+  txn::Transaction t;
+  t.origin = 1;
+  // Ten items per site: item 12 lives at sites 1 and 2, item 45 at sites 4
+  // and 0 (wrapping).
+  t.write_set = {12, 45};
+  EXPECT_EQ(system.ReplicaTargets(t, 1), (std::vector<db::SiteId>{0, 2, 4}));
+  c.replication_degree = 7;
+  System full(c, ProtocolKind::kOptimistic);
+  EXPECT_EQ(full.ReplicaTargets(t, 1),
+            (std::vector<db::SiteId>{0, 2, 3, 4}));
+}
+
 }  // namespace
 }  // namespace lazyrep::core

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "hw/cpu.h"
+#include "hw/disk.h"
 #include "sim/condition.h"
 #include "sim/event_queue.h"
 #include "sim/facility.h"
+#include "sim/frame_pool.h"
 #include "sim/process.h"
 #include "sim/random.h"
 #include "sim/simulation.h"
@@ -455,6 +458,122 @@ TEST(FacilityTest, BoundedQueueRejectsOverflow) {
   EXPECT_EQ(rejected, 1);
   EXPECT_EQ(fac.rejected(), 1u);
   EXPECT_EQ(fac.completed(), 3u);
+}
+
+// -- the frame-free forms of a kernel wait -------------------------------------
+
+/// What one awaited kernel wait cost its awaiter: the events fired and the
+/// frames built between the call and the resumption.
+struct WaitCost {
+  WaitStatus status = WaitStatus::kSignaled;
+  uint64_t events = 0;
+  uint64_t frames = 0;
+  SimTime elapsed = 0;
+};
+
+template <typename MakeWait>
+Process MeasureWait(Simulation* sim, MakeWait make, WaitCost* cost) {
+  const uint64_t events0 = sim->events_fired();
+  const uint64_t frames0 = FramePoolThreadStats().frames();
+  const SimTime t0 = sim->Now();
+  WaitStatus status = co_await make();
+  cost->status = status;
+  cost->events = sim->events_fired() - events0;
+  cost->frames = FramePoolThreadStats().frames() - frames0;
+  cost->elapsed = sim->Now() - t0;
+}
+
+TEST(KernelWaitTest, CpuExecuteFiresItsCompletionAndWakeUpAndBuildsNoFrame) {
+  Simulation sim;
+  hw::Cpu cpu(&sim, "cpu", 100);  // 100 MIPS
+  WaitCost cost;
+  sim.Spawn(MeasureWait(&sim, [&cpu] { return cpu.Execute(2e6); }, &cost));
+  sim.Run();
+  EXPECT_EQ(cost.status, WaitStatus::kSignaled);
+  EXPECT_EQ(cost.events, 2u);  // the service completion, then the wake-up
+  EXPECT_EQ(cost.frames, 0u);
+  EXPECT_DOUBLE_EQ(cost.elapsed, 0.02);
+}
+
+TEST(KernelWaitTest, UseBoundedRejectionFinishesWithoutSuspending) {
+  Simulation sim;
+  Facility fac(&sim, "graph_cpu");
+  std::vector<double> done;
+  WaitCost cost;
+  sim.Spawn(UseFacility(&sim, &fac, 1.0, &done));  // occupies the server
+  sim.Spawn(MeasureWait(&sim, [&fac] { return fac.UseBounded(1.0, 0); },
+                        &cost));
+  sim.Run();
+  EXPECT_EQ(cost.status, WaitStatus::kRejected);
+  EXPECT_EQ(cost.events, 0u);  // no suspension: nothing had to resume it
+  EXPECT_EQ(cost.frames, 0u);
+  EXPECT_EQ(fac.rejected(), 1u);
+  EXPECT_EQ(fac.completed(), 1u);
+}
+
+TEST(KernelWaitTest, BufferHitReadPageFinishesWithoutSuspending) {
+  Simulation sim;
+  hw::DiskParams params;
+  params.buffer_miss_ratio = 0;  // every page is in the buffer
+  hw::DiskSubsystem disk(&sim, "disk", params, 1);
+  WaitCost cost;
+  sim.Spawn(MeasureWait(&sim, [&disk] { return disk.ReadPage(4096); }, &cost));
+  sim.Run();
+  EXPECT_EQ(cost.events, 0u);
+  EXPECT_EQ(cost.frames, 0u);
+  EXPECT_EQ(disk.buffer_hits(), 1u);
+  EXPECT_EQ(disk.physical_reads(), 0u);
+}
+
+Process ServeFacility(Simulation* sim, Facility* fac, int id, SimTime service,
+                      std::vector<int>* started,
+                      std::vector<double>* done_times) {
+  WaitStatus s = co_await fac->Serve(
+      [started, id, service] {
+        started->push_back(id);
+        return service;
+      },
+      SIZE_MAX);
+  EXPECT_EQ(s, WaitStatus::kSignaled);
+  done_times->push_back(sim->Now());
+}
+
+TEST(FacilityTest, UseAndServeShareOneFcfsQueue) {
+  Simulation sim;
+  Facility fac(&sim, "graph_cpu");
+  std::vector<int> served;
+  std::vector<double> done;
+  // A Use holds the server for 1 s; two Serves and a Use queue behind it.
+  // Each Serve's work runs when its service starts, in queue order.
+  sim.Spawn(UseFacility(&sim, &fac, 1.0, &done));
+  sim.Spawn(ServeFacility(&sim, &fac, 1, 2.0, &served, &done));
+  sim.Spawn(UseFacility(&sim, &fac, 0.5, &done));
+  sim.Spawn(ServeFacility(&sim, &fac, 2, 0.25, &served, &done));
+  sim.ScheduleCallbackAt(0.5, [&] { EXPECT_TRUE(served.empty()); });
+  sim.Run();
+  EXPECT_EQ(served, (std::vector<int>{1, 2}));
+  EXPECT_EQ(done, (std::vector<double>{1.0, 3.0, 3.5, 3.75}));
+  EXPECT_EQ(fac.completed(), 4u);
+  EXPECT_NEAR(fac.Utilization(), 1.0, 1e-9);
+  // Waiting: 3 requests over [0, 1), 2 over [1, 3), 1 over [3, 3.5).
+  EXPECT_NEAR(fac.MeanQueueLength(), (3 * 1.0 + 2 * 2.0 + 1 * 0.5) / 3.75,
+              1e-9);
+}
+
+TEST(KernelWaitDeathTest, UnawaitedParkedWaitFailsTheCheck) {
+  EXPECT_DEATH(
+      {
+        Simulation sim;
+        Facility fac(&sim, "cpu");
+        (void)fac.Use(1.0);
+      },
+      "kernel wait destroyed unawaited");
+}
+
+TEST(KernelWaitDeathTest, UnawaitedFinishedWaitFailsTheCheck) {
+  EXPECT_DEATH(
+      { (void)Task<WaitStatus>::Finished(WaitStatus::kSignaled); },
+      "kernel wait destroyed unawaited");
 }
 
 TEST(FacilityTest, MeanQueueLengthTracksWaiters) {

@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <string_view>
 #include <sys/stat.h>
@@ -24,6 +25,7 @@
 #include "core/flags.h"
 #include "core/study.h"
 #include "core/system.h"
+#include "db/types.h"
 #include "replay/workload_script.h"
 #include "trace/trace_reader.h"
 
@@ -352,9 +354,23 @@ int main(int argc, char** argv) {
       specs.push_back({config, kind});
     }
   }
-  std::vector<core::MetricsSnapshot> snaps =
-      core::RunAll(specs, jobs, check_serializability, {},
-                   /*post_run_audit=*/false, trace_path);
+  std::vector<core::MetricsSnapshot> snaps;
+  try {
+    snaps = core::RunAll(specs, jobs, check_serializability, {},
+                         /*post_run_audit=*/false, trace_path);
+  } catch (const std::bad_alloc&) {
+    // Every site's store keeps a writer id for every item of the database.
+    const unsigned long long bytes =
+        sizeof(db::WriterId) * static_cast<unsigned long long>(
+                                   config.num_sites) *
+        static_cast<unsigned long long>(config.total_items());
+    std::fprintf(stderr, "database too big for memory: %d sites x %d items "
+                 "need %llu bytes of replica stores (%zu bytes per "
+                 "replica)\n",
+                 config.num_sites, config.total_items(), bytes,
+                 sizeof(db::WriterId));
+    return 1;
+  }
 
   int exit_code = 0;
   for (size_t i = 0; i < specs.size(); ++i) {
