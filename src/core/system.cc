@@ -282,6 +282,58 @@ sim::Task<bool> System::SendPayload(db::SiteId from, db::SiteId to,
   co_return delivered;
 }
 
+sim::Task<void> System::FanOutCtrl(db::SiteId from,
+                                   const std::vector<db::SiteId>& targets,
+                                   net::Network::DeliveryFn start_leg) {
+  if (channel_ != nullptr) {
+    for (db::SiteId dst : targets) start_leg(dst);
+    co_return;
+  }
+  co_await site(from).cpu.Execute(kMessageInstr);
+  co_await network_->Multicast(from, targets, kCtrlMsgBytes,
+                               std::move(start_leg));
+}
+
+sim::Task<sim::WaitStatus> System::ReceiveCtrl(db::SiteId from, db::SiteId to,
+                                               Retry retry) {
+  if (channel_ == nullptr) return site(to).cpu.Execute(kMessageInstr);
+  return SendCtrlLeg(from, to, retry);
+}
+
+sim::Task<sim::WaitStatus> System::SendCtrlLeg(db::SiteId from, db::SiteId to,
+                                               Retry retry) {
+  co_await site(from).cpu.Execute(kMessageInstr);
+  bool delivered = co_await Transfer(from, to, kCtrlMsgBytes, retry);
+  if (!delivered) co_return sim::WaitStatus::kCancelled;
+  co_await site(to).cpu.Execute(kMessageInstr);
+  co_return sim::WaitStatus::kSignaled;
+}
+
+sim::Task<void> System::FanOutPayload(db::SiteId from,
+                                      const std::vector<db::SiteId>& targets,
+                                      size_t bytes, Retry retry,
+                                      net::Network::DeliveryFn on_delivered) {
+  if (channel_ != nullptr) {
+    // The legs outlive this frame, so they share the callback.
+    auto shared = std::make_shared<net::Network::DeliveryFn>(
+        std::move(on_delivered));
+    for (db::SiteId dst : targets) {
+      sim_.Spawn(PayloadLeg(from, dst, bytes, retry, shared));
+    }
+    co_return;
+  }
+  co_await site(from).cpu.Execute(kMessageInstr);
+  co_await network_->Multicast(from, targets, bytes, std::move(on_delivered));
+}
+
+sim::Process System::PayloadLeg(
+    db::SiteId from, db::SiteId to, size_t bytes, Retry retry,
+    std::shared_ptr<net::Network::DeliveryFn> on_delivered) {
+  co_await site(from).cpu.Execute(kMessageInstr);
+  bool delivered = co_await Transfer(from, to, bytes, retry);
+  if (delivered) (*on_delivered)(to);
+}
+
 sim::Task<void> System::AwaitServing(int e) {
   if (!amnesia()) co_return;
   while (!injector_->IsUp(e) || injector_->Recovering(e)) {

@@ -158,6 +158,34 @@ class System {
   sim::Task<bool> SendPayload(db::SiteId from, db::SiteId to, size_t bytes,
                               Retry retry);
 
+  /// One control message from database site `from` to every database site
+  /// in `targets`. With faults off: the sender's CPU once, one multicast of
+  /// kCtrlMsgBytes, and `start_leg(dst)` as each copy lands. Under faults
+  /// `start_leg(dst)` runs for every target at once and the leg sends its
+  /// own copy, so every leg starts with ReceiveCtrl. `targets` must outlive
+  /// the await.
+  sim::Task<void> FanOutCtrl(db::SiteId from,
+                             const std::vector<db::SiteId>& targets,
+                             net::Network::DeliveryFn start_leg);
+
+  /// A FanOutCtrl leg's first step at `to`. With faults off the copy has
+  /// landed and this is the receive CPU's parked wait (no frame); under
+  /// faults, SendCtrl's steps with `retry`'s budget. Resolves kSignaled once
+  /// received, kCancelled when a kBounded budget ran out.
+  sim::Task<sim::WaitStatus> ReceiveCtrl(db::SiteId from, db::SiteId to,
+                                         Retry retry);
+
+  /// A payload from `from` to every site in `targets`. With faults off: the
+  /// sender's CPU once and one multicast of `bytes`; under faults one
+  /// SendPayload leg per target, all started at once. Each delivery calls
+  /// the one shared `on_delivered(dst)`, which spawns the receiver; a leg
+  /// whose kBounded budget ran out calls nothing. `targets` must outlive the
+  /// await.
+  sim::Task<void> FanOutPayload(db::SiteId from,
+                                const std::vector<db::SiteId>& targets,
+                                size_t bytes, Retry retry,
+                                net::Network::DeliveryFn on_delivered);
+
   /// True when fault injection is active for this run.
   bool fault_enabled() const { return injector_ != nullptr; }
   /// Null unless fault injection is active.
@@ -268,7 +296,6 @@ class System {
 
   /// Test-only hook: record reads/commits for serializability checking.
   void set_history(HistoryRecorder* history) { history_ = history; }
-  HistoryRecorder* history() { return history_; }
 
   /// Replaces the workload source (default: the Poisson GeneratedWorkload
   /// built from config.workload). The trace-replay path installs a
@@ -372,6 +399,14 @@ class System {
   /// so a send awaits the transfer itself and nests no frame.
   sim::Task<bool> Transfer(db::SiteId from, db::SiteId to, size_t bytes,
                            Retry retry);
+  /// ReceiveCtrl under faults.
+  sim::Task<sim::WaitStatus> SendCtrlLeg(db::SiteId from, db::SiteId to,
+                                         Retry retry);
+  /// One FanOutPayload leg under faults: SendPayload's steps, then the
+  /// shared callback on delivery.
+  sim::Process PayloadLeg(
+      db::SiteId from, db::SiteId to, size_t bytes, Retry retry,
+      std::shared_ptr<net::Network::DeliveryFn> on_delivered);
 
   uint64_t txn_counter_ = 0;
   uint64_t submitted_ = 0;

@@ -40,10 +40,8 @@ class Cpu {
 
   double Utilization() const { return facility_.Utilization(); }
   double MeanQueueLength() const { return facility_.MeanQueueLength(); }
-  size_t queue_length() const { return facility_.queue_length(); }
   uint64_t rejected() const { return facility_.rejected(); }
   void ResetStats() { facility_.ResetStats(); }
-  double mips() const { return mips_; }
 
  private:
   sim::Facility facility_;

@@ -109,7 +109,6 @@ class Network {
   void ResetStats();
 
   int num_endpoints() const { return topology_.num_endpoints(); }
-  const NetworkParams& params() const { return params_; }
   const Topology& topology() const { return topology_; }
 
  private:

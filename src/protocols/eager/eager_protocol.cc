@@ -15,18 +15,13 @@ using sim::WaitStatus;
 
 sim::Process EagerProtocol::LockLeg(txn::Transaction* t, db::SiteId dst,
                                     db::ItemId item, StatePtr st,
-                                    RoundState* round, bool via_multicast) {
-  if (via_multicast) {
-    // Multicast legs charge their own receive; a point-to-point request
-    // charges it inside SendCtrl.
-    co_await sys_->site(dst).cpu.Execute(core::kMessageInstr);
-  } else {
-    bool requested = co_await sys_->SendCtrl(t->origin, dst, Retry::kBounded);
-    if (!requested) {
-      ++round->unavailable;
-      round->done.Arrive();
-      co_return;
-    }
+                                    RoundState* round) {
+  WaitStatus requested =
+      co_await sys_->ReceiveCtrl(t->origin, dst, Retry::kBounded);
+  if (requested != WaitStatus::kSignaled) {
+    ++round->unavailable;
+    round->done.Arrive();
+    co_return;
   }
   WaitStatus s = co_await sys_->site(dst).locks.Acquire(
       t->id, item, LockMode::kExclusive, sys_->config().timeout);
@@ -71,27 +66,16 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
     sys_->metrics().OnEagerLockRound(t->measured, attempt > 0);
 
     RoundState round(&sys_->sim(), static_cast<int>(targets.size()));
-    if (sys_->fault_enabled()) {
-      for (db::SiteId dst : targets) {
-        sys_->sim().Spawn(
-            LockLeg(t, dst, item, st, &round, /*via_multicast=*/false));
-      }
-    } else {
-      co_await sys_->site(t->origin).cpu.Execute(core::kMessageInstr);
-      // The callback must be a named lvalue: this toolchain's coroutine
-      // transform runs one extra destructor on an owning prvalue temporary
-      // materialized inside a co_await expression (here that would double-
-      // release the captured shared_ptr). Moving from a named local instead
-      // keeps exactly one destruction per object.
-      net::Network::DeliveryFn on_locked =
-          [this, t, item, st, &round](db::SiteId dst) {
-            sys_->sim().Spawn(
-                LockLeg(t, dst, item, st, &round, /*via_multicast=*/true));
-          };
-      co_await sys_->network().Multicast(t->origin, targets,
-                                         core::kCtrlMsgBytes,
-                                         std::move(on_locked));
-    }
+    // The callback must be a named lvalue: this toolchain's coroutine
+    // transform runs one extra destructor on an owning prvalue temporary
+    // materialized inside a co_await expression (here that would double-
+    // release the captured shared_ptr). Moving from a named local instead
+    // keeps exactly one destruction per object.
+    net::Network::DeliveryFn on_locked =
+        [this, t, item, st, &round](db::SiteId dst) {
+          sys_->sim().Spawn(LockLeg(t, dst, item, st, &round));
+        };
+    co_await sys_->FanOutCtrl(t->origin, targets, std::move(on_locked));
     // Every leg is bounded (lock waits and reliable sends time out), so the
     // round wait needs no deadline and `round` can live on this frame.
     co_await round.done.Wait();
@@ -205,56 +189,22 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   }
 }
 
-sim::Process EagerProtocol::PrepareAt(txn::Transaction* t, int idx,
-                                      size_t bytes, TwoPCPtr pc) {
-  db::SiteId dst = pc->targets[idx];
-  bool delivered =
-      co_await sys_->SendPayload(t->origin, dst, bytes, Retry::kBounded);
-  if (!delivered) {
-    // Never reached the participant: no vote, no locks-in-doubt there. The
-    // coordinator learns through its vote timeout.
-    co_return;
-  }
-  pc->prepared[idx] = 1;
-  sys_->sim().Spawn(Participant(t, dst, pc));
-  if (pc->decided) {
-    // The PREPARE resolved only after the coordinator presumed abort (a
-    // commit cannot be decided while a PREPARE is outstanding — it needs
-    // every vote), so the decision-time broadcast missed this target:
-    // deliver its abort outcome now.
-    sys_->sim().Spawn(OutcomeAt(t->origin, pc, idx));
-  }
-}
-
-sim::Process EagerProtocol::OutcomeAt(db::SiteId origin, TwoPCPtr pc,
-                                      int idx) {
-  // Retried forever: a crashed coordinator endpoint stalls the retries until
-  // recovery, which is precisely the 2PC blocking window the in-doubt metric
-  // measures.
-  co_await sys_->SendCtrl(origin, pc->targets[idx], Retry::kAssured);
-  pc->outcome[idx]->Fire(WaitStatus::kSignaled);
+sim::Process EagerProtocol::OutcomeLeg(db::SiteId origin, TwoPCPtr pc,
+                                       db::SiteId dst) {
+  co_await sys_->ReceiveCtrl(origin, dst, Retry::kAssured);
+  pc->outcome[pc->IndexOf(dst)]->Fire(WaitStatus::kSignaled);
 }
 
 sim::Process EagerProtocol::BroadcastOutcome(db::SiteId origin, TwoPCPtr pc) {
-  if (sys_->fault_enabled()) {
-    for (size_t i = 0; i < pc->targets.size(); ++i) {
-      if (pc->prepared[i]) {
-        sys_->sim().Spawn(OutcomeAt(origin, pc, static_cast<int>(i)));
-      }
-    }
-    co_return;
-  }
-  co_await sys_->site(origin).cpu.Execute(core::kMessageInstr);
+  // A target the PREPARE never reached holds nothing in doubt and starts no
+  // leg (with faults off every target is prepared).
   // Named lvalue: see AcquireReplicaLocks for the toolchain bug this avoids.
-  net::Network::DeliveryFn on_outcome = [this, pc](db::SiteId dst) {
-    sys_->sim().Spawn([](EagerProtocol* self, TwoPCPtr p,
-                         db::SiteId site) -> sim::Process {
-      co_await self->sys_->site(site).cpu.Execute(core::kMessageInstr);
-      p->outcome[p->IndexOf(site)]->Fire(WaitStatus::kSignaled);
-    }(this, pc, dst));
+  net::Network::DeliveryFn on_outcome = [this, origin, pc](db::SiteId dst) {
+    if (pc->prepared[pc->IndexOf(dst)]) {
+      sys_->sim().Spawn(OutcomeLeg(origin, pc, dst));
+    }
   };
-  co_await sys_->network().Multicast(origin, pc->targets, core::kCtrlMsgBytes,
-                                     std::move(on_outcome));
+  co_await sys_->FanOutCtrl(origin, pc->targets, std::move(on_outcome));
 }
 
 void EagerProtocol::AbortNow(txn::Transaction* t, StatePtr st,
@@ -362,26 +312,30 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   }
 
   // -- 2PC: PREPARE / VOTE ---------------------------------------------------
-  auto pc = std::make_shared<TwoPC>(&sys_->sim(), std::move(targets));
+  // With faults off every PREPARE lands, so every target starts prepared:
+  // a presumed abort decided before a copy lands still sends it the
+  // outcome, and leaves its grants to that outcome.
+  auto pc = std::make_shared<TwoPC>(&sys_->sim(), std::move(targets),
+                                    /*all_prepared=*/!sys_->fault_enabled());
   sys_->metrics().OnEagerPrepare(t->measured);
   sys_->TraceEvent(trace::EventType::kPrepare, *t, t->origin, 0,
                    pc->targets.size());
   size_t bytes =
       core::kPropagationOverheadBytes + t->write_set.size() * core::kItemBytes;
-  if (sys_->fault_enabled()) {
-    for (size_t i = 0; i < pc->targets.size(); ++i) {
-      sys_->sim().Spawn(PrepareAt(t, static_cast<int>(i), bytes, pc));
-    }
-  } else {
-    std::fill(pc->prepared.begin(), pc->prepared.end(), 1);
-    co_await origin.cpu.Execute(core::kMessageInstr);
-    // Named lvalue: see AcquireReplicaLocks for the toolchain bug this avoids.
-    net::Network::DeliveryFn on_prepare = [this, t, pc](db::SiteId dst) {
-      sys_->sim().Spawn(Participant(t, dst, pc));
-    };
-    co_await sys_->network().Multicast(t->origin, pc->targets, bytes,
-                                       std::move(on_prepare));
-  }
+  // A PREPARE whose bounded budget runs out never reaches the participant:
+  // no vote, no locks in doubt there; the vote timeout tells the
+  // coordinator. Named lvalue: see AcquireReplicaLocks.
+  net::Network::DeliveryFn on_prepare = [this, t, pc](db::SiteId dst) {
+    int idx = pc->IndexOf(dst);
+    // Landing after the coordinator presumed abort (a commit needs every
+    // vote), an unprepared target was missed by the decision's broadcast.
+    const bool missed = pc->decided && !pc->prepared[idx];
+    pc->prepared[idx] = 1;
+    sys_->sim().Spawn(Participant(t, dst, pc));
+    if (missed) sys_->sim().Spawn(OutcomeLeg(t->origin, pc, dst));
+  };
+  co_await sys_->FanOutPayload(t->origin, pc->targets, bytes, Retry::kBounded,
+                               std::move(on_prepare));
   WaitStatus vs = co_await pc->votes.Wait(cfg.EagerVoteTimeout());
 
   // Coordinator crash during the vote collection: the transaction's state

@@ -74,20 +74,22 @@ class EagerProtocol : public Protocol {
   /// Shared 2PC state; shared_ptr because the vote wait has a timeout, so
   /// participant and outcome processes can outlive the coordinator's frame.
   struct TwoPC {
-    TwoPC(sim::Simulation* sim, std::vector<db::SiteId> tgts)
+    TwoPC(sim::Simulation* sim, std::vector<db::SiteId> tgts,
+          bool all_prepared)
         : targets(std::move(tgts)),
           votes(sim, static_cast<int>(targets.size())) {
       outcome.reserve(targets.size());
       for (size_t i = 0; i < targets.size(); ++i) {
         outcome.push_back(std::make_unique<sim::OneShot>(sim));
       }
-      prepared.assign(targets.size(), 0);
+      prepared.assign(targets.size(), all_prepared ? 1 : 0);
     }
     std::vector<db::SiteId> targets;
     sim::Countdown votes;  ///< counts delivered YES votes
     /// Per-target outcome signal; participants block on theirs in doubt.
     std::vector<std::unique_ptr<sim::OneShot>> outcome;
-    /// Which targets actually received PREPARE (all, when faults are off).
+    /// Which targets the PREPARE reached (all from the start when faults are
+    /// off: every copy of the multicast lands).
     std::vector<char> prepared;
     bool decided = false;
     bool commit = false;
@@ -105,15 +107,9 @@ class EagerProtocol : public Protocol {
   sim::Task<bool> AcquireReplicaLocks(txn::Transaction* t, db::ItemId item,
                                       StatePtr st);
 
-  /// One remote lock request/grant leg of a round.
+  /// One remote lock request/grant leg of a round (a FanOutCtrl leg).
   sim::Process LockLeg(txn::Transaction* t, db::SiteId dst, db::ItemId item,
-                       StatePtr st, RoundState* round, bool via_multicast);
-
-  /// Fault-mode PREPARE to one target: bounded-retry payload, then the
-  /// participant; a send failure leaves the vote missing (the coordinator
-  /// learns via its vote timeout).
-  sim::Process PrepareAt(txn::Transaction* t, int idx, size_t bytes,
-                         TwoPCPtr pc);
+                       StatePtr st, RoundState* round);
 
   /// Participant state machine at `dst`: force prepare record, vote YES,
   /// block in doubt, then apply + ack (commit) or release (presumed abort).
@@ -122,9 +118,10 @@ class EagerProtocol : public Protocol {
   /// Delivers the decided outcome to the prepared targets.
   sim::Process BroadcastOutcome(db::SiteId origin, TwoPCPtr pc);
 
-  /// Fault-mode outcome leg: assured delivery (the retries ride through
-  /// coordinator crashes — the blocking window ends only at delivery).
-  sim::Process OutcomeAt(db::SiteId origin, TwoPCPtr pc, int idx);
+  /// One outcome leg to `dst` (a FanOutCtrl leg): assured, so under faults
+  /// the retries ride through coordinator crashes and the blocking window
+  /// ends only at delivery.
+  sim::Process OutcomeLeg(db::SiteId origin, TwoPCPtr pc, db::SiteId dst);
 
   /// Abort path: release origin locks, queue remote releases, notify.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);

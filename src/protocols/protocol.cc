@@ -151,26 +151,12 @@ sim::Task<void> Protocol::Propagate(txn::Transaction* t,
                                     sim::Countdown* acks) {
   size_t bytes =
       core::kPropagationOverheadBytes + t->write_set.size() * core::kItemBytes;
-  if (sys_->fault_enabled()) {
-    for (db::SiteId dst : targets) {
-      sys_->sim().Spawn(PropagateAndInstall(t, dst, bytes, acks));
-    }
-    co_return;
-  }
-  co_await sys_->site(t->origin).cpu.Execute(core::kMessageInstr);
-  // Named lvalue: see Network::Multicast for the toolchain bug this avoids.
+  // Named lvalue, like every fan-out callback (see Network::Multicast).
   net::Network::DeliveryFn on_payload = [this, t, acks](db::SiteId dst) {
     sys_->sim().Spawn(Installer(t, dst, acks));
   };
-  co_await sys_->network().Multicast(t->origin, targets, bytes,
-                                     std::move(on_payload));
-}
-
-sim::Process Protocol::PropagateAndInstall(txn::Transaction* t,
-                                           db::SiteId dst, size_t bytes,
-                                           sim::Countdown* acks) {
-  co_await sys_->SendPayload(t->origin, dst, bytes, Retry::kAssured);
-  sys_->sim().Spawn(Installer(t, dst, acks));
+  return sys_->FanOutPayload(t->origin, targets, bytes, Retry::kAssured,
+                             std::move(on_payload));
 }
 
 void Protocol::CompleteAtGraphSite(txn::Transaction* t) {
@@ -205,31 +191,18 @@ sim::Process Protocol::CompletionMulticast(db::TxnId id, db::SiteId origin) {
   for (int s = 0; s < cfg.num_sites; ++s) {
     if (s != origin) others.push_back(static_cast<db::SiteId>(s));
   }
-  if (sys_->fault_enabled()) {
-    for (db::SiteId dst : others) {
-      sys_->sim().Spawn(
-          CompleteAtSite(id, origin, dst, /*via_multicast=*/false));
-    }
-    co_return;
-  }
-  co_await sys_->site(origin).cpu.Execute(core::kMessageInstr);
   // Named lvalue: see Network::Multicast for the toolchain bug this avoids.
   net::Network::DeliveryFn on_notice = [this, id, origin](db::SiteId dst) {
-    sys_->sim().Spawn(CompleteAtSite(id, origin, dst, /*via_multicast=*/true));
+    sys_->sim().Spawn(CompleteAtSite(id, origin, dst));
   };
-  co_await sys_->network().Multicast(origin, others, core::kCtrlMsgBytes,
-                                     std::move(on_notice));
+  co_await sys_->FanOutCtrl(origin, others, std::move(on_notice));
 }
 
 sim::Process Protocol::CompleteAtSite(db::TxnId id, db::SiteId origin,
-                                      db::SiteId dst, bool via_multicast) {
-  if (via_multicast) {
-    co_await sys_->site(dst).cpu.Execute(core::kMessageInstr);
-  } else {
-    // Reliable point-to-point notice: a lost leg would strand the relayed
-    // locks and the dependents' completion fixpoints forever.
-    co_await sys_->SendCtrl(origin, dst, Retry::kAssured);
-  }
+                                      db::SiteId dst) {
+  // Assured: a lost notice would strand the relayed locks and the
+  // dependents' completion fixpoints forever.
+  co_await sys_->ReceiveCtrl(origin, dst, Retry::kAssured);
   sys_->site(dst).locks.ReleaseAll(id);
   sys_->tracker().NotifyCompletionAtSite(id, dst);
 }

@@ -71,9 +71,9 @@ class Protocol {
   virtual sim::Process Installer(txn::Transaction* t, db::SiteId dst,
                                  sim::Countdown* acks);
 
-  /// Post-commit propagation of `t`'s write set to `targets`: one multicast,
-  /// or under faults one assured payload per target. Every delivery spawns
-  /// Installer(t, dst, acks).
+  /// Post-commit propagation of `t`'s write set to `targets`, an assured
+  /// System::FanOutPayload. Every delivery spawns Installer(t, dst, acks).
+  /// `targets` must outlive the await.
   sim::Task<void> Propagate(txn::Transaction* t,
                             const std::vector<db::SiteId>& targets,
                             sim::Countdown* acks);
@@ -104,12 +104,10 @@ class Protocol {
   void ReleaseInstallLocks(const txn::Transaction& t, db::SiteId dst,
                            size_t next);
   sim::Process GraphRemove(db::TxnId id, db::SiteId from);
-  sim::Process PropagateAndInstall(txn::Transaction* t, db::SiteId dst,
-                                   size_t bytes, sim::Countdown* acks);
   sim::Process CompletionNotice(db::SiteId origin);
   sim::Process CompletionMulticast(db::TxnId id, db::SiteId origin);
   sim::Process CompleteAtSite(db::TxnId id, db::SiteId origin,
-                              db::SiteId dst, bool via_multicast);
+                              db::SiteId dst);
 };
 
 }  // namespace lazyrep::proto

@@ -38,8 +38,7 @@ sim::Task<sim::WaitStatus> GraphSite::ServeTest(
     *outcome = graph_->RgTest(txn, ops, &cost);
     return kGraphMessageInstr + cost.Instructions();
   };
-  co_return co_await cpu_->Serve(std::move(work),
-                                 bounded ? queue_bound_ : SIZE_MAX);
+  return cpu_->Serve(std::move(work), bounded ? queue_bound_ : SIZE_MAX);
 }
 
 sim::Task<void> GraphSite::RemoveUnderCpu(db::TxnId txn) {

@@ -101,7 +101,8 @@ class GraphSite {
   void EnsureRegistered(db::TxnId txn, db::SiteId origin, bool is_global);
 
   /// Runs one RGtest under the CPU, translating costs to instructions.
-  /// `bounded` selects whether the request respects the queue bound.
+  /// `bounded` selects whether the request respects the queue bound. Not a
+  /// coroutine: the caller awaits the Serve itself.
   sim::Task<sim::WaitStatus> ServeTest(
       db::TxnId txn, std::vector<db::Operation> ops, bool bounded,
       ReplicationGraph::TestOutcome* outcome);

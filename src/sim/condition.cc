@@ -2,20 +2,6 @@
 
 namespace lazyrep::sim {
 
-const char* WaitStatusName(WaitStatus status) {
-  switch (status) {
-    case WaitStatus::kSignaled:
-      return "signaled";
-    case WaitStatus::kTimeout:
-      return "timeout";
-    case WaitStatus::kCancelled:
-      return "cancelled";
-    case WaitStatus::kRejected:
-      return "rejected";
-  }
-  return "unknown";
-}
-
 bool OneShot::Fire(WaitStatus status) {
   if (fired_) return false;
   fired_ = true;

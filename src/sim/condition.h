@@ -20,9 +20,6 @@ enum class WaitStatus : uint8_t {
   kRejected,   ///< admission refused (bounded queue overflow)
 };
 
-/// Returns a short human-readable name ("signaled", "timeout", ...).
-const char* WaitStatusName(WaitStatus status);
-
 class Facility;
 
 /// A facility request with no frame of its own. It lives inside the
@@ -162,9 +159,6 @@ class OneShot {
   /// True once Fire() has been called.
   bool fired() const { return fired_; }
 
-  /// True while a process is suspended in Wait().
-  bool armed() const { return waiter_ != nullptr; }
-
   /// Resets a fired, unarmed OneShot so it can be reused.
   void Reset();
 
@@ -209,8 +203,6 @@ class Countdown {
   void Cancel() {
     if (!shot_.fired()) shot_.Fire(WaitStatus::kCancelled);
   }
-
-  int remaining() const { return remaining_; }
 
   /// Waits for the count to reach zero (or timeout/cancellation).
   OneShot::Awaiter Wait(SimTime timeout = kTimeInfinity) {

@@ -66,9 +66,6 @@ class Facility {
   /// Time-averaged number of waiting (not in service) requests.
   double MeanQueueLength() const;
 
-  /// Requests currently waiting (excluding those in service).
-  size_t queue_length() const { return queue_len_; }
-
   /// Completed services since the last ResetStats.
   uint64_t completed() const { return completed_; }
 

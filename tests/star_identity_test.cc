@@ -13,7 +13,9 @@
 // fingerprints, regenerate them together with the committed results/
 // references — they describe the same behavior. Sweep D was captured later,
 // from the protocol code before its shared phases moved into
-// proto::Protocol, and pins the option branches no reference covers.
+// proto::Protocol, and pins the option branches no reference covers. The
+// trace fingerprints of sweeps A–C were captured from the build before the
+// fan-outs (one message to many sites) moved into core::System.
 
 #include <cstdint>
 #include <cstdio>
@@ -70,7 +72,7 @@ const char* kGoldenA[] = {
     "0x1.68p+6|3|290|78|78|157|0x1.a100f63e9d037p+4|0x1.152fab4152fabp-1|0x1.7f1360172300ep+1|0x1.2bb5040c838bap-3|0x1.4417afd7b62f8p-1|0x1.27d36e5a5ddcp-6|0x0p+0|0x1.43981d5a013cbp-13|0x1.2a9872fb27dfbp-12|341|0|55|0|0|0|0|0|0",
 };
 
-void RunSweepA(int jobs) {
+std::vector<RunSpec> SweepASpecs() {
   std::vector<RunSpec> specs;
   for (ProtocolKind k : kAll) {
     for (double tps : {40.0, 90.0}) {
@@ -85,8 +87,12 @@ void RunSweepA(int jobs) {
       specs.push_back({c, k});
     }
   }
+  return specs;
+}
+
+void RunSweepA(int jobs) {
   std::vector<MetricsSnapshot> ms =
-      RunAll(specs, jobs, /*check_serializability=*/true);
+      RunAll(SweepASpecs(), jobs, /*check_serializability=*/true);
   size_t i = 0;
   for (ProtocolKind k : kAll) {
     for (double tps : {40.0, 90.0}) {
@@ -109,7 +115,7 @@ const char* kGoldenB[] = {
     "0x1.9p+5|3|238|86|85|129|0x1.3390b0cd1ffaap+4|0x1.15833a15833a1p-1|0x1.1aff355e08ebbp+2|0x1.79f7e97fadc18p-5|0x1.361b09022148ep+1|0x0p+0|0x0p+0|0x1.ebe8f3cda7a0cp-11|0x1.9cce98e66830ep-10|194|0|24|483|12|495|13|485|0",
 };
 
-void RunSweepB(int jobs) {
+std::vector<RunSpec> SweepBSpecs() {
   std::vector<RunSpec> specs;
   for (ProtocolKind k : kAll) {
     SystemConfig c;
@@ -131,8 +137,12 @@ void RunSweepB(int jobs) {
     c.Normalize();
     specs.push_back({c, k});
   }
+  return specs;
+}
+
+void RunSweepB(int jobs) {
   std::vector<MetricsSnapshot> ms =
-      RunAll(specs, jobs, /*check_serializability=*/true);
+      RunAll(SweepBSpecs(), jobs, /*check_serializability=*/true);
   for (size_t i = 0; i < ms.size(); ++i) {
     EXPECT_EQ(Fp(ms[i], kAll[i], 50), kGoldenB[i]) << "point " << i;
   }
@@ -155,19 +165,26 @@ const char* kGoldenC[] = {
     "0x1p+0|3|120|61|61|36|0x1.90c20dfd8a5eep+4|0x1.3333333333333p-2|0x1.37bab0501c615p+1|0x1.ed8250a6319bdp-4|0x1.29fb3a76c318bp-2|0x1.91ff01fa80268p-4|0x0p+0|0x1.3546bba74774fp-11|0x1.111191eaaabccp-10|124|0|23|149|0|146|0|146|0",
 };
 
-void RunSweepC(int jobs) {
+/// Sweep C's specs in point order; `ids` receives each point's (protocol,
+/// schedule) label.
+std::vector<RunSpec> SweepCSpecs(
+    std::vector<std::pair<ProtocolKind, int>>* ids) {
   ChaosOptions opt;
   opt.txns = 150;
   std::vector<RunSpec> specs;
-  std::vector<std::pair<ProtocolKind, int>> ids;
   for (ProtocolKind k : kAll) {
     for (int s = 0; s < 2; ++s) {
       specs.push_back({MakeChaosConfig(opt, k, s), k});
-      ids.push_back({k, s});
+      ids->push_back({k, s});
     }
   }
+  return specs;
+}
+
+void RunSweepC(int jobs) {
+  std::vector<std::pair<ProtocolKind, int>> ids;
   std::vector<MetricsSnapshot> ms =
-      RunAll(specs, jobs, /*check_serializability=*/true, {},
+      RunAll(SweepCSpecs(&ids), jobs, /*check_serializability=*/true, {},
              /*post_run_audit=*/true);
   for (size_t i = 0; i < ms.size(); ++i) {
     EXPECT_EQ(Fp(ms[i], ids[i].first, ids[i].second), kGoldenC[i])
@@ -281,30 +298,55 @@ uint64_t Fnv1a(const std::string& bytes) {
   return h;
 }
 
-// The snapshots above carry no abort causes and no record order; sweep D's
-// trace does. Pins every lifecycle record of the option branches, merged
-// from parallel workers.
-TEST(StarIdentityTest, SweepDTraceMatchesProtocolOptions) {
-  std::vector<std::pair<ProtocolKind, int>> ids;
-  std::vector<RunSpec> specs = SweepDSpecs(&ids);
-  std::string path = ::testing::TempDir() + "star_identity_sweep_d.trace";
+/// FNV-1a of the trace that `specs` record, merged from four workers, run
+/// with each sweep's own audit arguments.
+std::string TraceFingerprint(const std::vector<RunSpec>& specs,
+                             bool post_run_audit, const char* name) {
+  std::string path = ::testing::TempDir() + "star_identity_" + name + ".trace";
   RunAll(specs, /*jobs=*/4, /*check_serializability=*/true, {},
-         /*post_run_audit=*/true, path);
+         post_run_audit, path);
 
   std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
+  if (f == nullptr) return "no trace at " + path;
   std::string bytes;
   char buf[4096];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, n);
   std::fclose(f);
   std::remove(path.c_str());
-  ASSERT_GT(bytes.size(), 0u);
+  if (bytes.empty()) return "empty trace";
 
   char got[32];
   std::snprintf(got, sizeof(got), "%016llx",
                 (unsigned long long)Fnv1a(bytes));
-  EXPECT_STREQ(got, "c0fa006892199b40");
+  return got;
+}
+
+// The snapshots above carry no abort causes and no record order; the traces
+// do. Each pins every lifecycle record of its sweep: A the fault-free
+// multicasts of all four protocols, B the point-to-point legs under loss,
+// duplication and a partition (bounded failures included), C the amnesia
+// chaos schedules, D the option branches.
+TEST(StarIdentityTest, SweepATraceMatchesHistoricalStar) {
+  EXPECT_EQ(TraceFingerprint(SweepASpecs(), /*post_run_audit=*/false, "a"),
+            "96075a352a0b7646");
+}
+
+TEST(StarIdentityTest, SweepBTraceMatchesHistoricalStar) {
+  EXPECT_EQ(TraceFingerprint(SweepBSpecs(), /*post_run_audit=*/false, "b"),
+            "54436db32f851617");
+}
+
+TEST(StarIdentityTest, SweepCTraceMatchesHistoricalStar) {
+  std::vector<std::pair<ProtocolKind, int>> ids;
+  EXPECT_EQ(TraceFingerprint(SweepCSpecs(&ids), /*post_run_audit=*/true, "c"),
+            "a824984607365a20");
+}
+
+TEST(StarIdentityTest, SweepDTraceMatchesProtocolOptions) {
+  std::vector<std::pair<ProtocolKind, int>> ids;
+  EXPECT_EQ(TraceFingerprint(SweepDSpecs(&ids), /*post_run_audit=*/true, "d"),
+            "c0fa006892199b40");
 }
 
 }  // namespace

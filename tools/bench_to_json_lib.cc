@@ -1,24 +1,87 @@
 #include "tools/bench_to_json_lib.h"
 
+#include <cctype>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <utility>
 #include <vector>
 
 namespace lazyrep::tools {
 namespace {
 
-bool IsNumber(const std::string& s) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0';
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// Advances `*i` past one JSON number in `s`:
+/// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. False when none starts
+/// there.
+bool SkipNumber(const std::string& s, size_t* i) {
+  auto digits = [&] {
+    const size_t start = *i;
+    while (*i < s.size() && IsDigit(s[*i])) ++*i;
+    return *i > start;
+  };
+  if (*i < s.size() && s[*i] == '-') ++*i;
+  if (*i < s.size() && s[*i] == '0') {
+    ++*i;
+  } else if (!digits()) {
+    return false;
+  }
+  if (*i < s.size() && s[*i] == '.') {
+    ++*i;
+    if (!digits()) return false;
+  }
+  if (*i < s.size() && (s[*i] == 'e' || s[*i] == 'E')) {
+    ++*i;
+    if (*i < s.size() && (s[*i] == '+' || s[*i] == '-')) ++*i;
+    if (!digits()) return false;
+  }
+  return true;
 }
 
+/// True when the whole of `s` is one JSON number ("nan", "inf", "0x10",
+/// "+5" and "007" are not, whatever strtod makes of them).
+bool IsNumber(const std::string& s) {
+  size_t i = 0;
+  return SkipNumber(s, &i) && i == s.size();
+}
+
+/// Length of the well-formed UTF-8 sequence starting at s[i], or 0.
+size_t Utf8Length(const std::string& s, size_t i) {
+  const auto byte = [&](size_t k) {
+    return k < s.size() ? static_cast<unsigned char>(s[k]) : 0u;
+  };
+  const unsigned c = byte(i);
+  if (c < 0x80) return 1;
+  size_t n = 0;
+  unsigned lo = 0x80, hi = 0xBF;  // the second byte's range
+  if (c >= 0xC2 && c <= 0xDF) {
+    n = 2;
+  } else if (c >= 0xE0 && c <= 0xEF) {
+    n = 3;
+    if (c == 0xE0) lo = 0xA0;  // no overlong forms
+    if (c == 0xED) hi = 0x9F;  // no surrogates
+  } else if (c >= 0xF0 && c <= 0xF4) {
+    n = 4;
+    if (c == 0xF0) lo = 0x90;
+    if (c == 0xF4) hi = 0x8F;  // nothing past U+10FFFF
+  } else {
+    return 0;
+  }
+  if (byte(i + 1) < lo || byte(i + 1) > hi) return 0;
+  for (size_t k = 2; k < n; ++k) {
+    if (byte(i + k) < 0x80 || byte(i + k) > 0xBF) return 0;
+  }
+  return n;
+}
+
+/// `s` as the body of a JSON string: quotes, backslashes and control bytes
+/// escaped, and a byte that is not well-formed UTF-8 replaced by U+FFFD.
 std::string EscapeJson(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
+  for (size_t i = 0; i < s.size();) {
+    const char c = s[i];
+    const size_t n = Utf8Length(s, i);
     if (c == '"' || c == '\\') {
       out.push_back('\\');
       out.push_back(c);
@@ -26,43 +89,115 @@ std::string EscapeJson(const std::string& s) {
       char buf[8];
       std::snprintf(buf, sizeof(buf), "\\u%04x", c);
       out += buf;
+    } else if (n == 0) {
+      out += "\\ufffd";
     } else {
-      out.push_back(c);
+      out.append(s, i, n);
+      i += n;
+      continue;
     }
+    ++i;
   }
   return out;
 }
 
-/// Shallow well-formedness check for a one-line run object: braces balance
-/// outside of string literals and the line closes the object it opened.
-/// Full JSON validation is out of scope — this only has to distinguish a
-/// complete record from a truncated or mangled one.
-bool LooksLikeRunObject(const std::string& s) {
-  if (s.size() < 2 || s.front() != '{' || s.back() != '}') return false;
-  int depth = 0;
-  bool in_string = false, escaped = false;
-  for (size_t i = 0; i < s.size(); ++i) {
-    char c = s[i];
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0 && i + 1 != s.size()) return false;
+/// A strict JSON reader over one line (RFC 8259, with the nesting capped so
+/// a hostile line cannot exhaust the stack). Each Skip advances `i_` past
+/// one production and returns false where the text leaves the grammar.
+class JsonLine {
+ public:
+  explicit JsonLine(const std::string& s) : s_(s) {}
+
+  /// True when the line is exactly one JSON object.
+  bool IsOneObject() {
+    SkipSpace();
+    if (Peek() != '{' || !SkipValue(0)) return false;
+    SkipSpace();
+    return i_ == s_.size();
+  }
+
+ private:
+  static constexpr int kMaxDepth = 64;
+
+  char Peek() const { return i_ < s_.size() ? s_[i_] : '\0'; }
+  bool Eat(char c) {
+    if (i_ >= s_.size() || s_[i_] != c) return false;
+    ++i_;
+    return true;
+  }
+  void SkipSpace() {
+    while (i_ < s_.size() && (s_[i_] == ' ' || s_[i_] == '\t' ||
+                              s_[i_] == '\n' || s_[i_] == '\r')) {
+      ++i_;
     }
   }
-  return depth == 0 && !in_string;
-}
+  bool SkipWord(const char* word) {
+    for (; *word != '\0'; ++word) {
+      if (!Eat(*word)) return false;
+    }
+    return true;
+  }
+
+  bool SkipString() {
+    if (!Eat('"')) return false;
+    while (i_ < s_.size()) {
+      const unsigned char c = static_cast<unsigned char>(s_[i_]);
+      if (c == '"') {
+        ++i_;
+        return true;
+      }
+      if (c < 0x20) return false;
+      if (c != '\\') {
+        const size_t n = Utf8Length(s_, i_);
+        if (n == 0) return false;
+        i_ += n;
+        continue;
+      }
+      ++i_;
+      const char e = Peek();
+      ++i_;
+      if (e == 'u') {
+        for (int k = 0; k < 4; ++k, ++i_) {
+          if (!std::isxdigit(static_cast<unsigned char>(Peek()))) return false;
+        }
+      } else if (std::strchr("\"\\/bfnrt", e) == nullptr || e == '\0') {
+        return false;
+      }
+    }
+    return false;  // unterminated
+  }
+
+  bool SkipValue(int depth) {
+    SkipSpace();
+    const char c = Peek();
+    if (c == '{' || c == '[') {
+      if (depth == kMaxDepth) return false;
+      const char close = c == '{' ? '}' : ']';
+      ++i_;
+      SkipSpace();
+      if (Eat(close)) return true;
+      do {
+        if (c == '{') {
+          SkipSpace();
+          if (!SkipString()) return false;
+          SkipSpace();
+          if (!Eat(':')) return false;
+        }
+        if (!SkipValue(depth + 1)) return false;
+        SkipSpace();
+      } while (Eat(','));
+      return Eat(close);
+    }
+    if (c == '"') return SkipString();
+    if (c == 't') return SkipWord("true");
+    if (c == 'f') return SkipWord("false");
+    if (c == 'n') return SkipWord("null");
+    return SkipNumber(s_, &i_);
+  }
+
+  const std::string& s_;
+  size_t i_ = 0;
+};
 
 }  // namespace
 
@@ -86,7 +221,7 @@ bool ConvertBenchReport(const std::string& input, std::string* out,
     size_t ws = s.find_first_not_of(" \t");
     if (ws != std::string::npos && s[ws] == '{') {
       std::string obj = s.substr(ws);
-      if (!LooksLikeRunObject(obj)) {
+      if (!JsonLine(obj).IsOneObject()) {
         if (error != nullptr) {
           char buf[64];
           std::snprintf(buf, sizeof(buf), "line %zu: ", line_no);

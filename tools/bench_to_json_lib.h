@@ -10,15 +10,17 @@ namespace lazyrep::tools {
 /// harnesses) into a single JSON document in `*out`.
 ///
 /// Two input shapes compose freely:
-///   * key=value lines become top-level fields; values that parse fully as
-///     numbers are emitted as JSON numbers, everything else as strings;
+///   * key=value lines become top-level fields; a value that is exactly a
+///     JSON number is emitted as one, everything else ("nan", "0x10", "+5")
+///     as a string;
 ///   * lines that are themselves JSON objects (one per run) are collected
 ///     verbatim into a top-level "runs" array.
 /// Prose lines are ignored, so the converter can sit at the end of a
 /// pipeline that also prints diagnostics — except that a line which *starts*
-/// like a run object ('{') but is not a well-formed single-line object is
-/// rejected: returns false with a line-numbered message in `*error` rather
-/// than silently dropping what was almost certainly a truncated run record.
+/// like a run object ('{') but is not exactly one JSON object is rejected:
+/// returns false with a line-numbered message in `*error` rather than
+/// silently dropping, or passing on, what was almost certainly a truncated
+/// or mangled run record. A document returned is strict JSON (RFC 8259).
 bool ConvertBenchReport(const std::string& input, std::string* out,
                         std::string* error);
 
