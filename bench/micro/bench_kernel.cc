@@ -8,6 +8,8 @@
 //     operations or graph steps;
 //   * heap allocations and coroutine frames built per unit during the
 //     measured (steady-state) rounds;
+//   * heap nodes the event queue opened per event fired: a heap push that
+//     joins the run of the previous one opens none (DESIGN.md §4.1.1, runs);
 //   * throughput (units per wall second), events fired and wall-seconds per
 //     simulated second.
 // Every scenario runs one warm-up round first — the warm-up pays for event
@@ -23,9 +25,9 @@
 //                           rounds (budget: zero), if the facility or the
 //                           uncontended lock rows build a frame beyond their
 //                           own processes, if the system row exceeds its
-//                           allocation or frame budget per event, or if any
-//                           scenario did no work; the graph scenarios'
-//                           allocations are reported, not gated
+//                           allocation, frame or heap-node budget per event,
+//                           or if any scenario did no work; the graph
+//                           scenarios' allocations are reported, not gated
 //   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
 //
 // An unknown argument or a malformed --rounds exits 2 with the usage line.
@@ -116,6 +118,7 @@ struct ScenarioResult {
   uint64_t events = 0;  ///< events fired across the measured rounds
   uint64_t allocs = 0;  ///< heap allocations across the measured rounds
   uint64_t frames = 0;  ///< coroutine frames built across the measured rounds
+  uint64_t heap_nodes = 0;  ///< event-queue heap nodes opened, same rounds
   double wall_s = 0;    ///< wall time of the measured rounds
   double sim_s = 0;     ///< simulated seconds advanced by the measured rounds
   /// Frames --check allows across the measured rounds: a scenario's own
@@ -133,6 +136,8 @@ ScenarioResult Measure(ScenarioResult r, int rounds, const Simulation* sim,
   round();  // warm-up: grows the queue, pools frames, fills arenas
   uint64_t events0 = sim != nullptr ? sim->events_fired() : 0;
   double sim0 = sim != nullptr ? sim->Now() : 0;
+  uint64_t nodes0 =
+      sim != nullptr ? sim->event_queue().heap_nodes_opened() : 0;
   uint64_t allocs0 = g_allocs;
   uint64_t frames0 = FramePoolThreadStats().frames();
   Clock::time_point t0 = Clock::now();
@@ -143,6 +148,7 @@ ScenarioResult Measure(ScenarioResult r, int rounds, const Simulation* sim,
   if (sim != nullptr) {
     r.events = sim->events_fired() - events0;
     r.sim_s = sim->Now() - sim0;
+    r.heap_nodes = sim->event_queue().heap_nodes_opened() - nodes0;
   }
   return r;
 }
@@ -400,8 +406,8 @@ ScenarioResult LockScenario(const char* name, int rounds, int txns,
 /// One small OC-3 point through core::System per round: the paper's
 /// 100-site star, pessimistic at 1,400 TPS, 1,500 transactions (500 of them
 /// warm-up). Counts System::Run only, not construction: the whole stack's
-/// allocations and frames per event, which --check holds to committed
-/// budgets. The first run is the warm-up, as in Measure.
+/// allocations, frames and heap nodes per event, which --check holds to
+/// committed budgets. The first run is the warm-up, as in Measure.
 ScenarioResult SystemPoint(int rounds) {
   ScenarioResult r{"system", "event"};
   for (int i = 0; i <= rounds; ++i) {
@@ -411,12 +417,14 @@ ScenarioResult SystemPoint(int rounds) {
     core::System system(config, core::ProtocolKind::kPessimistic);
     const uint64_t allocs0 = g_allocs;
     const uint64_t frames0 = FramePoolThreadStats().frames();
+    const uint64_t nodes0 = system.sim().event_queue().heap_nodes_opened();
     const Clock::time_point t0 = Clock::now();
     system.Run();
     if (i == 0) continue;
     r.wall_s += std::chrono::duration<double>(Clock::now() - t0).count();
     r.allocs += g_allocs - allocs0;
     r.frames += FramePoolThreadStats().frames() - frames0;
+    r.heap_nodes += system.sim().event_queue().heap_nodes_opened() - nodes0;
     r.events += system.sim().events_fired();
     r.sim_s += system.sim().Now();
   }
@@ -584,6 +592,10 @@ double PerUnit(double x, const ScenarioResult& r) {
   return r.work ? x / r.work : 0.0;
 }
 
+double PerEvent(double x, const ScenarioResult& r) {
+  return r.events ? x / r.events : 0.0;
+}
+
 bool CountsEvents(const ScenarioResult& r) {
   return std::strcmp(r.unit, "event") == 0;
 }
@@ -608,10 +620,13 @@ bool Gated(const ScenarioResult& r) {
 /// measures 0.2480 allocations (a fresh System grows its tables as it runs)
 /// and 0.3291 frames per event, where it built 0.9852 frames per event
 /// before facility uses, disk pages and immediate lock grants stopped
-/// building frames, and 0.3507 while an RGtest built a frame of its own.
-/// Both counts are deterministic; the budgets leave about 5% of headroom.
+/// building frames, and 0.3507 while an RGtest built a frame of its own. It
+/// opens 0.3051 heap nodes per event, where a queue without runs opened one
+/// per heap event, 0.5072. The counts are deterministic; the budgets leave
+/// about 5% of headroom.
 constexpr double kSystemAllocsPerEvent = 0.26;
 constexpr double kSystemFramesPerEvent = 0.35;
+constexpr double kSystemHeapNodesPerEvent = 0.32;
 
 void PrintHuman(const ScenarioResult& r) {
   std::printf(
@@ -630,7 +645,7 @@ void PrintHuman(const ScenarioResult& r) {
 
 /// Keys name the scenario's unit: kernel.<name>.<unit>s, allocs_per_<unit>
 /// and <unit>s_per_s. A scenario not counted in events also reports the
-/// events it fired.
+/// events it fired. Heap nodes are counted per event fired in every row.
 void PrintReport(const ScenarioResult& r) {
   const char* n = r.name;
   const char* u = r.unit;
@@ -646,6 +661,10 @@ void PrintReport(const ScenarioResult& r) {
   std::printf("kernel.%s.frames=%llu\n", n,
               static_cast<unsigned long long>(r.frames));
   std::printf("kernel.%s.frames_per_%s=%.6f\n", n, u, PerUnit(r.frames, r));
+  std::printf("kernel.%s.heap_nodes=%llu\n", n,
+              static_cast<unsigned long long>(r.heap_nodes));
+  std::printf("kernel.%s.heap_nodes_per_event=%.6f\n", n,
+              PerEvent(r.heap_nodes, r));
   std::printf("kernel.%s.wall_s=%.6f\n", n, r.wall_s);
   std::printf("kernel.%s.%ss_per_s=%.0f\n", n, u, r.work / r.wall_s);
   std::printf("kernel.%s.wall_per_sim_s=%.6f\n", n,
@@ -711,7 +730,8 @@ int Run(int argc, char** argv) {
     // allocation-free) without a budget. A facility use and an immediate
     // lock grant build no coroutine frame, so those rows may build only
     // their own processes' frames. The system row has committed budgets per
-    // event. A scenario that did no work measured nothing, so it fails too.
+    // event: allocations, frames and heap nodes opened. A scenario that did
+    // no work measured nothing, so it fails too.
     int failures = 0;
     int gated = 0;
     for (const ScenarioResult& r : results) {
@@ -734,6 +754,13 @@ int Run(int argc, char** argv) {
                        "CHECK FAILED: system built %.4f coroutine frames per "
                        "event (budget: %.4f)\n",
                        PerUnit(r.frames, r), kSystemFramesPerEvent);
+          ++failures;
+        }
+        if (PerUnit(r.heap_nodes, r) > kSystemHeapNodesPerEvent) {
+          std::fprintf(stderr,
+                       "CHECK FAILED: system opened %.4f event-queue heap "
+                       "nodes per event (budget: %.4f)\n",
+                       PerUnit(r.heap_nodes, r), kSystemHeapNodesPerEvent);
           ++failures;
         }
 #ifndef LAZYREP_FRAME_POOL_DISABLED

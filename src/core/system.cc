@@ -434,7 +434,8 @@ sim::Process System::CheckpointProcess(db::SiteId s) {
     fault::SiteWal* w = wals_[s].get();
     w->Append(0);  // the checkpoint record
     // Only a force that completed crash-free moves the replay horizon.
-    if (co_await w->Force()) w->OnCheckpointDurable();
+    bool durable = co_await w->Force();
+    if (durable) w->OnCheckpointDurable();
   }
 }
 

@@ -135,7 +135,8 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   if (amnesia) {
     fault::SiteWal* w = sys_->wal(dst);
     w->Append(prepare_pages * core::kItemBytes);  // the prepare record
-    if (!co_await w->Force() || sys_->SiteEpoch(dst) != epoch) {
+    bool durable = co_await w->Force();
+    if (!durable || sys_->SiteEpoch(dst) != epoch) {
       // Crashed before the prepare record was durable: never voted, not in
       // doubt. The coordinator's vote timeout presumes abort.
       co_return;
@@ -169,7 +170,8 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
       for (;;) {
         sys_->AppendRedoRecords(dst, *t);
         w->Append(0);  // the outcome record
-        if (co_await w->Force()) break;
+        bool durable = co_await w->Force();
+        if (durable) break;
       }
       w->MarkDecided(t->id);
     } else {

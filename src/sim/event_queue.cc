@@ -1,7 +1,6 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "sim/check.h"
@@ -14,9 +13,6 @@ namespace {
 /// the cancel-heavy and schedule/fire microbenches.
 constexpr size_t kArity = 4;
 static_assert(kArity == 4, "RemoveAt's child tournament is written for four");
-
-/// heap_pos_ value of a slot whose event waits in the same-instant lane.
-constexpr uint32_t kInLane = std::numeric_limits<uint32_t>::max();
 }  // namespace
 
 uint32_t EventQueue::AllocateSlot() {
@@ -26,7 +22,7 @@ uint32_t EventQueue::AllocateSlot() {
     return slot;
   }
   slots_.emplace_back();
-  heap_pos_.push_back(0);
+  links_.emplace_back();
   return static_cast<uint32_t>(slots_.size() - 1);
 }
 
@@ -34,7 +30,6 @@ void EventQueue::ReleaseSlot(uint32_t slot) {
   Slot& s = slots_[slot];
   ++s.generation;
   if (s.generation == 0) ++s.generation;  // generation 0 means "invalid id"
-  s.kind = Kind::kFree;
   s.handle = nullptr;
   s.callback.Reset();
   free_slots_.push_back(slot);
@@ -42,7 +37,7 @@ void EventQueue::ReleaseSlot(uint32_t slot) {
 
 void EventQueue::PlaceNode(size_t pos, const HeapNode& node) {
   heap_[pos] = node;
-  heap_pos_[node.slot] = static_cast<uint32_t>(pos);
+  links_[node.slot].pos = static_cast<uint32_t>(pos);
 }
 
 void EventQueue::SiftUp(size_t pos, HeapNode node) {
@@ -61,9 +56,25 @@ EventId EventQueue::Push(SimTime t, uint32_t slot) {
   if (key == lane_key_) {
     // Same instant as the lane: appending keeps it sorted by (time, seq).
     AppendToLane(seq, slot);
+    return EventId{slot, slots_[slot].generation};
+  }
+  ++heap_events_;
+  if (key == open_key_ && open_tail_ != kNoSlot) {
+    // Same instant as the previous heap push, whose run is still queued:
+    // every heap push since the run opened has joined it, and lane pushes
+    // for this instant cannot be live (the lane holds only lane_key_), so
+    // the run's seqs stay an interval no other event for this time is in.
+    slots_[open_tail_].next = slot;
+    slots_[slot].next = kNoSlot;
+    links_[slot] = Link{kInRun, open_tail_};
+    open_tail_ = slot;
   } else {
+    ++heap_nodes_opened_;
+    slots_[slot].next = kNoSlot;
     heap_.emplace_back();  // grow; SiftUp writes every vacated position
     SiftUp(heap_.size() - 1, HeapNode{key, seq, slot});
+    open_key_ = key;
+    open_tail_ = slot;
   }
   return EventId{slot, slots_[slot].generation};
 }
@@ -76,7 +87,7 @@ void EventQueue::AppendToLane(uint64_t seq, uint32_t slot) {
     lane_head_ = 0;
   }
   lane_.push_back(LaneNode{seq, slot});
-  heap_pos_[slot] = kInLane;
+  links_[slot].pos = kInLane;
 }
 
 void EventQueue::RemoveFromLane(uint32_t slot) {
@@ -93,18 +104,14 @@ void EventQueue::RemoveFromLane(uint32_t slot) {
 EventId EventQueue::ScheduleResume(SimTime t, std::coroutine_handle<> handle) {
   LAZYREP_CHECK(handle);
   uint32_t slot = AllocateSlot();
-  Slot& s = slots_[slot];
-  s.kind = Kind::kResume;
-  s.handle = handle;
+  slots_[slot].handle = handle;
   return Push(t, slot);
 }
 
 EventId EventQueue::ScheduleCallback(SimTime t, Callback fn) {
   LAZYREP_CHECK(fn);
   uint32_t slot = AllocateSlot();
-  Slot& s = slots_[slot];
-  s.kind = Kind::kCallback;
-  s.callback = std::move(fn);
+  slots_[slot].callback = std::move(fn);
   return Push(t, slot);
 }
 
@@ -151,15 +158,37 @@ void EventQueue::RemoveAt(size_t pos) {
   SiftUp(hole, last);
 }
 
+void EventQueue::RemoveHead(size_t pos, uint32_t slot) {
+  const uint32_t next = slots_[slot].next;
+  if (next != kNoSlot) {
+    // The node keeps its key and seq: the successor's seq lies in the same
+    // interval, so the node orders exactly as before.
+    heap_[pos].slot = next;
+    links_[next].pos = static_cast<uint32_t>(pos);
+  } else {
+    RemoveAt(pos);
+    if (slot == open_tail_) open_tail_ = kNoSlot;  // its run left the heap
+  }
+  --heap_events_;
+}
+
 bool EventQueue::Cancel(EventId id) {
   if (!id.valid() || id.slot >= slots_.size()) return false;
   Slot& s = slots_[id.slot];
-  if (s.generation != id.generation || s.kind == Kind::kFree) return false;
-  const uint32_t pos = heap_pos_[id.slot];
-  if (pos == kInLane) {
+  if (s.generation != id.generation || (!s.handle && !s.callback)) {
+    return false;
+  }
+  const Link link = links_[id.slot];
+  if (link.pos == kInLane) {
     RemoveFromLane(id.slot);
+  } else if (link.pos == kInRun) {
+    slots_[link.prev].next = s.next;
+    if (s.next != kNoSlot) links_[s.next].prev = link.prev;
+    // The open run's last member leaves: its predecessor is last now.
+    if (id.slot == open_tail_) open_tail_ = link.prev;
+    --heap_events_;
   } else {
-    RemoveAt(pos);
+    RemoveHead(link.pos, id.slot);
   }
   ReleaseSlot(id.slot);
   return true;
@@ -184,12 +213,12 @@ EventQueue::Fired EventQueue::Pop() {
     const uint64_t key = heap_[0].key;
     slot = heap_[0].slot;
     fired.time = KeyTime(key);
-    RemoveAt(0);
+    RemoveHead(0, slot);
     // The lane follows the clock: events scheduled at this instant join it.
     if (lane_.empty()) lane_key_ = key;
   }
   Slot& s = slots_[slot];
-  if (s.kind == Kind::kResume) {
+  if (s.handle) {
     fired.handle = s.handle;
   } else {
     fired.callback = std::move(s.callback);

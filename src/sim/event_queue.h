@@ -30,7 +30,8 @@ struct EventId {
 /// Priority queue of simulation events ordered by (time, insertion sequence).
 ///
 /// Events are either a coroutine handle to resume or an arbitrary callback.
-/// The queue is an **indexed 4-ary min-heap** beside a **same-instant lane**:
+/// The queue is an **indexed 4-ary min-heap of runs** beside a **same-instant
+/// lane**:
 ///
 ///   * The lane is a FIFO of events scheduled at exactly the instant being
 ///     fired — the zero-delay wake-ups (OneShot::Fire, Simulation::Spawn)
@@ -39,13 +40,22 @@ struct EventId {
 ///     arrive in sequence order, so the lane is sorted by (time, seq), and
 ///     Pop() merges it with the heap under that key: the pop order is
 ///     exactly that of the heap alone.
-///   * Every other event goes to the heap. Each slot records its current
-///     heap position, so Cancel() removes the entry in O(log n) instead of
-///     leaving a dead entry behind; cancelling a lane entry shifts the lane
-///     (linear in its length; zero-delay wake-ups are not cancelled in
-///     practice). A heap node stores its time as an integer key that orders
-///     exactly like the double (TimeKey), so (time, seq) compares as one
-///     unsigned 128-bit integer, without a data-dependent branch.
+///   * Every other event goes to the heap, whose node is a *run*: a FIFO of
+///     events for one time. A heap push for the same time as the previous
+///     heap push joins that push's run in O(1), with no sift, as long as the
+///     run is still queued — the legs of one multicast, for instance. A node
+///     is ordered by its time and its first member's seq; the members' seqs
+///     form an interval no other event for that time falls into, so the
+///     node order is the (time, seq) order of its members (DESIGN.md
+///     §4.1.1, runs). Popping or cancelling a run's head hands the node to
+///     the next member in place; only a run's last member leaves the heap.
+///     Each head records its heap position, so Cancel() removes an event in
+///     O(1) within a run and O(log n) otherwise, instead of leaving a dead
+///     entry behind; cancelling a lane entry shifts the lane (linear in its
+///     length; zero-delay wake-ups are not cancelled in practice). A heap
+///     node stores its time as an integer key that orders exactly like the
+///     double (TimeKey), so (time, seq) compares as one unsigned 128-bit
+///     integer, without a data-dependent branch.
 ///
 /// Heap plus lane therefore hold exactly the live events at all times —
 /// cancel-heavy workloads (condition timeouts, retransmission timers) cannot
@@ -78,7 +88,7 @@ class EventQueue {
   bool Empty() const { return heap_.empty() && lane_.empty(); }
 
   /// Number of live pending events.
-  size_t Size() const { return heap_.size() + lane_size(); }
+  size_t Size() const { return heap_events_ + lane_size(); }
 
   /// Time of the earliest live event, or kTimeInfinity when empty.
   SimTime PeekTime() const {
@@ -98,10 +108,13 @@ class EventQueue {
   /// Removes and returns the earliest live event. Requires !Empty().
   Fired Pop();
 
-  /// Number of heap entries. heap_size() + lane_size() is always Size():
-  /// neither keeps dead entries (the O(live) invariant the fuzz test pins
-  /// down).
-  size_t heap_size() const { return heap_.size(); }
+  /// Number of events in the heap's runs. heap_size() + lane_size() is
+  /// always Size(): neither keeps dead entries (the O(live) invariant the
+  /// fuzz test pins down).
+  size_t heap_size() const { return heap_events_; }
+
+  /// Heap nodes opened so far: the heap pushes that did not join a run.
+  uint64_t heap_nodes_opened() const { return heap_nodes_opened_; }
 
   /// Number of same-instant lane entries.
   size_t lane_size() const { return lane_.size() - lane_head_; }
@@ -110,11 +123,10 @@ class EventQueue {
   size_t slot_count() const { return slots_.size(); }
 
  private:
-  enum class Kind : uint8_t { kFree, kResume, kCallback };
-
   /// Heap node (24 bytes), kept small so sift compares stay within few cache
-  /// lines. Ordering key is (time, seq), with the time stored as its
-  /// TimeKey; seq is unique, so the order is total and pop order is
+  /// lines: one run, its time stored as its TimeKey, the seq of the run's
+  /// first member and the slot of its current head. Ordering key is (time,
+  /// seq); seq is unique, so the order is total and pop order is
   /// independent of the heap arity or cancellation history.
   struct HeapNode {
     uint64_t key;
@@ -129,12 +141,35 @@ class EventQueue {
     uint32_t slot;
   };
 
+  /// A scheduled event resumes `handle` when it is set and otherwise runs
+  /// `callback`; a free slot has neither. `next` links a run's members, so
+  /// a pop finds the successor on the line it reads anyway, and the slot
+  /// stays 80 bytes.
   struct Slot {
     uint32_t generation = 1;
-    Kind kind = Kind::kFree;
+    uint32_t next = 0;  ///< next member of its run; kNoSlot for the last
     std::coroutine_handle<> handle;
     Callback callback;
   };
+  static_assert(sizeof(Slot) == 80);
+
+  /// Where a scheduled slot waits, parallel to slots_. Kept out of Slot on
+  /// purpose: every sift step writes the moved node's `pos`, and a dense
+  /// 8-byte array keeps those scattered writes far more cache-friendly than
+  /// striding through the full Slot records.
+  struct Link {
+    /// Heap position of a run head; kInRun for a later member of a run,
+    /// kInLane for a lane entry.
+    uint32_t pos;
+    uint32_t prev;  ///< previous member of its run (for kInRun only)
+  };
+
+  /// Link::pos of a slot whose event waits in the same-instant lane.
+  static constexpr uint32_t kInLane = std::numeric_limits<uint32_t>::max();
+  /// Link::pos of a run member behind its head.
+  static constexpr uint32_t kInRun = kInLane - 1;
+  /// No slot: the end of a run, or no open run.
+  static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
   static constexpr uint64_t kSignBit = uint64_t{1} << 63;
 
@@ -169,22 +204,28 @@ class EventQueue {
   void AppendToLane(uint64_t seq, uint32_t slot);
   /// Removes lane entry `slot` (linear in the lane length).
   void RemoveFromLane(uint32_t slot);
-  /// Writes `node` at heap position `pos` and updates its slot's heap_pos.
+  /// Writes `node` at heap position `pos` and updates its head's Link::pos.
   void PlaceNode(size_t pos, const HeapNode& node);
   void SiftUp(size_t pos, HeapNode node);
-  /// Removes the heap entry at `pos`, restoring the heap property (bottom-up
+  /// Removes the heap node at `pos`, restoring the heap property (bottom-up
   /// hole descent; see the definition).
   void RemoveAt(size_t pos);
+  /// Takes run head `slot`, at heap position `pos`, out of the heap: it
+  /// hands the node to its successor, or a lone member's node is removed.
+  void RemoveHead(size_t pos, uint32_t slot);
 
   std::vector<Slot> slots_;
-  /// Heap position of each scheduled slot (kInLane for lane entries),
-  /// parallel to slots_. Kept out of Slot on purpose: every sift step writes
-  /// the moved node's position, and a dense 4-byte array keeps those
-  /// scattered writes an order of magnitude more cache-friendly than
-  /// striding through the full Slot records.
-  std::vector<uint32_t> heap_pos_;
+  std::vector<Link> links_;
   std::vector<uint32_t> free_slots_;
   std::vector<HeapNode> heap_;
+  /// Events in the heap's runs (heap_ holds one node per run).
+  size_t heap_events_ = 0;
+  uint64_t heap_nodes_opened_ = 0;
+  /// The open run: the run of the most recent heap push, while it is still
+  /// in the heap. A heap push for open_key_ appends to it after open_tail_,
+  /// its last member (kNoSlot: no run is open).
+  uint32_t open_tail_ = kNoSlot;
+  uint64_t open_key_ = 0;
   /// Same-instant lane: live entries are lane_[lane_head_..], in seq order.
   /// An empty lane is always cleared, so lane_.empty() means "no entries".
   std::vector<LaneNode> lane_;

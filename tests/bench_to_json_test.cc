@@ -1,13 +1,16 @@
 // Golden-file coverage of the bench_to_json conversion (the library behind
 // the tools/bench_to_json pipeline stage): key=value lifting, numeric vs
 // string values, the "runs" array, prose tolerance, escaping, the
-// malformed-run-object rejection path, and a seeded mutation fuzz whose
-// every mutant must convert to strict JSON or fail naming a line.
+// malformed-run-object, repeated-key and reserved-key rejection paths, and a
+// seeded mutation fuzz whose every mutant must convert to strict JSON with
+// unique keys or fail naming a line.
 
 #include <cctype>
 #include <cstdint>
 #include <iterator>
+#include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -180,6 +183,27 @@ TEST(BenchToJsonTest, ValuesThatAreNotUtf8AreReplaced) {
   EXPECT_EQ(out, "{\n  \"why\": \"caf\xc3\xa9 \\ufffd\"\n}\n");
 }
 
+TEST(BenchToJsonTest, RepeatedKeyIsRejected) {
+  // Two "a" members in one object: most readers keep only the last.
+  std::string out, error;
+  EXPECT_FALSE(ConvertBenchReport("a=1\nb=2\na=2\n", &out, &error));
+  EXPECT_EQ(error, "line 3: repeated key \"a\"");
+}
+
+TEST(BenchToJsonTest, RunsKeyIsRejected) {
+  // "runs" names the array of run objects; a key=value line of that name
+  // would sit beside it, or stand in for it when there are no runs.
+  for (const char* input : {"runs=1\n{\"a\":1}\n", "ok=1\nruns=1\n"}) {
+    std::string out, error;
+    EXPECT_FALSE(ConvertBenchReport(input, &out, &error)) << input;
+    EXPECT_NE(error.find(": key \"runs\" names the run objects"),
+              std::string::npos)
+        << error;
+    EXPECT_EQ(error.rfind(input[0] == 'r' ? "line 1: " : "line 2: ", 0), 0u)
+        << error;
+  }
+}
+
 /// A strict RFC 8259 checker, written apart from the converter's so the
 /// fuzz below does not grade the converter by its own reading of JSON.
 class StrictJson {
@@ -307,6 +331,20 @@ TEST(BenchToJsonTest, StrictCheckerAgreesOnKnownDocuments) {
   EXPECT_FALSE(StrictJson("{\"a\": \"\xc0\xaf\"}").Valid());  // overlong
 }
 
+/// The top-level member names of a converted document, which puts each on
+/// a line of its own after a two-space indent.
+std::vector<std::string> TopLevelNames(const std::string& doc) {
+  std::vector<std::string> names;
+  for (size_t pos = 0; (pos = doc.find("\n  \"", pos)) != std::string::npos;) {
+    const size_t from = pos + 4;
+    size_t i = from;
+    while (i < doc.size() && doc[i] != '"') i += doc[i] == '\\' ? 2 : 1;
+    names.push_back(doc.substr(from, i - from));
+    pos = i;
+  }
+  return names;
+}
+
 uint64_t Mix(uint64_t* s) {
   uint64_t z = (*s += 0x9e3779b97f4a7c15ull);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -317,7 +355,8 @@ uint64_t Mix(uint64_t* s) {
 TEST(BenchToJsonMutationFuzz, SeededMutantsConvertToStrictJsonOrNameALine) {
   // The inputs the tests above convert or reject, mutated one to three
   // times each: a bit flip, a truncation, an inserted or a deleted
-  // structural byte ('{', '}', '"', '\\', '=', newline, NUL).
+  // structural byte ('{', '}', '"', '\\', '=', newline, NUL). A bit flip
+  // can turn one key into another ("e" into "g"), which must fail too.
   const std::string kCorpus[] = {
       kGoldenInput,
       kPairedInput,
@@ -366,10 +405,16 @@ TEST(BenchToJsonMutationFuzz, SeededMutantsConvertToStrictJsonOrNameALine) {
     std::string out, error;
     if (ConvertBenchReport(in, &out, &error)) {
       EXPECT_TRUE(StrictJson(out).Valid()) << out;
+      const std::vector<std::string> names = TopLevelNames(out);
+      EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+                names.size())
+          << out;
       ++converted;
     } else {
       EXPECT_EQ(error.rfind("line ", 0), 0u) << error;
-      EXPECT_NE(error.find(": malformed run object"), std::string::npos)
+      EXPECT_TRUE(error.find(": malformed run object") != std::string::npos ||
+                  error.find(": repeated key ") != std::string::npos ||
+                  error.find(": key \"runs\" names") != std::string::npos)
           << error;
       ++rejected;
     }

@@ -1,13 +1,14 @@
-// Randomized differential tests for the event queue (indexed heap plus
-// same-instant lane): long random interleavings of schedule / cancel / pop
-// are checked move-for-move against a naive sorted-vector model that orders
-// by the double time and then seq, including stale-id and double-cancel
-// abuse. The first draws uniform random times, so it exercises the heap; the
-// second draws from a coarse grid with signed zeros and tiny negative times,
-// the edges of the heap's integer time key; the third schedules mostly at the
-// current instant, so it exercises the lane and its merge with the heap. All
-// pin down the O(live) invariant: cancelled events leave no dead entries
-// behind.
+// Randomized differential tests for the event queue (indexed heap of runs
+// plus same-instant lane): long random interleavings of schedule / cancel /
+// pop are checked move-for-move against a naive sorted-vector model that
+// orders by the double time and then seq, including stale-id and
+// double-cancel abuse. The first draws uniform random times, so it exercises
+// the heap; the second draws from a coarse grid with signed zeros and tiny
+// negative times, the edges of the heap's integer time key; the third
+// schedules mostly at the current instant, so it exercises the lane and its
+// merge with the heap; the fourth schedules bursts for one instant, so it
+// exercises the heap's runs. All pin down the O(live) invariant: cancelled
+// events leave no dead entries behind.
 
 #include <gtest/gtest.h>
 
@@ -203,14 +204,24 @@ struct SameInstantHarness {
   SimTime now = 0;
   int next_tag = 0;
   int fired_tag = -1;
+  /// Set by the test loop after a pop that left the lane empty: until the
+  /// next pop, the lane holds the popped instant, so an event scheduled at
+  /// `now` must join it. Schedules at `now` that did not are counted in
+  /// lane_misses.
+  bool now_joins_lane = false;
+  int lane_misses = 0;
 
   explicit SameInstantHarness(uint64_t seed) : rng(seed) {}
 
   void Schedule(SimTime t) {
     int tag = next_tag++;
     uint64_t seq = model.Schedule(t, tag);
+    const size_t lane0 = q.lane_size();
     EventId id = q.ScheduleCallback(t, [this, tag] { Fire(tag); });
     live.push_back({id, seq, t});
+    if (now_joins_lane && t == now && q.lane_size() != lane0 + 1) {
+      ++lane_misses;
+    }
   }
 
   void Fire(int tag) {
@@ -289,6 +300,162 @@ TEST(EventQueueFuzz, SameInstantLaneMatchesModel) {
     // The schedule above must actually reach the lane.
     ASSERT_GE(max_lane, 8u);
 
+    while (!d.model.Empty()) {
+      ModelQueue::Entry expect = d.model.Pop();
+      EventQueue::Fired fired = d.q.Pop();
+      ASSERT_EQ(fired.time, expect.time);
+      d.now = fired.time;
+      d.fired_tag = -1;
+      fired.callback();
+      ASSERT_EQ(d.fired_tag, expect.tag);
+    }
+    ASSERT_TRUE(d.q.Empty());
+  }
+}
+
+// Runs: bursts of 2-120 schedules for one instant, a few instants apart (the
+// grid's -0.0 and +0.0, which share a key, and times up to 1e-12 in the
+// past among them), with lane schedules interleaved inside a burst and
+// between bursts, and cancels aimed at run heads, middle members and the
+// open run's last member, the last also inside a burst so that the next
+// member appends after its predecessor. Besides the model's order, the lane
+// admission is checked from outside: after a pop at T that leaves the lane
+// empty, a schedule at T joins the lane even when T's run is still queued
+// and open (checking the open run first puts it in the run and fails here).
+TEST(EventQueueFuzz, RunsOfOneInstantMatchModel) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SameInstantHarness d(seed);
+    // Model seqs of each burst's live members, in schedule order; the last
+    // burst's last member is the open run's tail while the run is queued.
+    std::vector<std::vector<uint64_t>> bursts;
+    size_t heap_pushes = 0;
+    int head_cancels = 0, middle_cancels = 0, tail_cancels = 0;
+
+    auto forget = [&](uint64_t seq) {
+      for (std::vector<uint64_t>& b : bursts) {
+        auto it = std::find(b.begin(), b.end(), seq);
+        if (it != b.end()) {
+          b.erase(it);
+          return;
+        }
+      }
+    };
+    auto cancel = [&](uint64_t seq) {
+      auto it = std::find_if(
+          d.live.begin(), d.live.end(),
+          [&](const LiveEvent& e) { return e.model_seq == seq; });
+      ASSERT_NE(it, d.live.end());
+      ASSERT_TRUE(d.q.Cancel(it->id));
+      ASSERT_TRUE(d.model.Cancel(seq));
+      d.stale.push_back(it->id);
+      d.live.erase(it);
+      forget(seq);
+    };
+    auto schedule = [&](SimTime t) {
+      const size_t heap0 = d.q.heap_size();
+      d.Schedule(t);
+      heap_pushes += d.q.heap_size() - heap0;
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+      double roll = d.rng.Uniform01();
+      if (roll < 0.05 || d.live.empty()) {
+        SimTime t;
+        double pick = d.rng.Uniform01();
+        if (pick < 0.15) {
+          t = -0.0;
+        } else if (pick < 0.30) {
+          t = 0.0;
+        } else if (pick < 0.45) {
+          t = d.now - d.rng.Uniform(0, 1e-12);
+        } else {
+          t = d.now + 0.25 * static_cast<double>(d.rng.UniformInt(1, 3));
+        }
+        bursts.emplace_back();
+        for (int64_t n = d.rng.UniformInt(2, 120); n > 0; --n) {
+          if (d.rng.Chance(0.1)) schedule(d.now);
+          if (bursts.back().size() >= 2 && d.rng.Chance(0.05)) {
+            ASSERT_NO_FATAL_FAILURE(cancel(bursts.back().back()));
+            ++tail_cancels;
+          }
+          schedule(t);
+          bursts.back().push_back(d.live.back().model_seq);
+        }
+      } else if (roll < 0.25) {
+        schedule(d.now);
+      } else if (roll < 0.40) {
+        // A head, a middle member or the last member of a random burst's
+        // run, or of the latest burst's, whose last member is the open tail.
+        const int kind = static_cast<int>(d.rng.UniformInt(0, 3));
+        std::vector<uint64_t>* b = &bursts.back();
+        if (kind != 2 || b->empty()) {
+          std::vector<size_t> queued;
+          for (size_t i = 0; i < bursts.size(); ++i) {
+            if (!bursts[i].empty()) queued.push_back(i);
+          }
+          if (!queued.empty()) {
+            b = &bursts[queued[static_cast<size_t>(d.rng.UniformInt(
+                0, static_cast<int64_t>(queued.size()) - 1))]];
+          }
+        }
+        if (b->empty()) {
+          // Any live event: a lane entry, or a member of some run.
+          const LiveEvent& e = d.live[static_cast<size_t>(d.rng.UniformInt(
+              0, static_cast<int64_t>(d.live.size()) - 1))];
+          ASSERT_NO_FATAL_FAILURE(cancel(e.model_seq));
+        } else if (kind == 0 || b->size() == 1) {
+          ASSERT_NO_FATAL_FAILURE(cancel(b->front()));
+          ++head_cancels;
+        } else if (kind == 1 && b->size() >= 3) {
+          ASSERT_NO_FATAL_FAILURE(cancel((*b)[static_cast<size_t>(
+              d.rng.UniformInt(1, static_cast<int64_t>(b->size()) - 2))]));
+          ++middle_cancels;
+        } else {
+          ASSERT_NO_FATAL_FAILURE(cancel(b->back()));
+          ++tail_cancels;
+        }
+      } else if (roll < 0.43 && !d.stale.empty()) {
+        size_t pick = static_cast<size_t>(d.rng.UniformInt(
+            0, static_cast<int64_t>(d.stale.size()) - 1));
+        ASSERT_FALSE(d.q.Cancel(d.stale[pick]));
+        ASSERT_FALSE(d.q.Cancel(EventId{}));
+      } else {
+        for (int64_t n = d.rng.UniformInt(1, 16); n > 0 && !d.model.Empty();
+             --n) {
+          ModelQueue::Entry expect = d.model.Pop();
+          ASSERT_EQ(d.q.PeekTime(), expect.time);
+          EventQueue::Fired fired = d.q.Pop();
+          ASSERT_EQ(fired.time, expect.time);
+          ASSERT_TRUE(fired.callback);
+          auto it = std::find_if(
+              d.live.begin(), d.live.end(),
+              [&](const LiveEvent& e) { return e.model_seq == expect.seq; });
+          ASSERT_NE(it, d.live.end());
+          d.stale.push_back(it->id);
+          d.live.erase(it);
+          forget(expect.seq);
+          d.now = fired.time;
+          d.now_joins_lane = d.q.lane_size() == 0;
+          d.fired_tag = -1;
+          fired.callback();
+          ASSERT_EQ(d.fired_tag, expect.tag);
+        }
+      }
+      ASSERT_EQ(d.lane_misses, 0) << "a schedule at the instant just fired "
+                                     "missed the lane, step "
+                                  << step;
+      ASSERT_EQ(d.q.Size(), d.model.Size());
+      ASSERT_EQ(d.q.Empty(), d.model.Empty());
+      ASSERT_EQ(d.q.PeekTime(), d.model.PeekTime());
+      ASSERT_EQ(d.q.heap_size() + d.q.lane_size(), d.model.Size());
+    }
+    // The bursts must actually share nodes, and every cancel kind must run.
+    ASSERT_LT(d.q.heap_nodes_opened() * 4, heap_pushes);
+    ASSERT_GT(head_cancels, 50);
+    ASSERT_GT(middle_cancels, 50);
+    ASSERT_GT(tail_cancels, 50);
+
+    d.now_joins_lane = false;
     while (!d.model.Empty()) {
       ModelQueue::Entry expect = d.model.Pop();
       EventQueue::Fired fired = d.q.Pop();

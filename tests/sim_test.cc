@@ -133,6 +133,64 @@ TEST(EventQueueTest, EarlierScheduledEventsAtAnInstantFireBeforeZeroDelayOnes) {
   EXPECT_EQ(sim.event_queue().lane_size(), 0u);
 }
 
+// Runs: heap pushes for the instant of the previous heap push share its node
+// while that node is queued, and fire FIFO.
+TEST(EventQueueTest, SchedulesForOneInstantShareOneHeapNode) {
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 99; ++i) {
+    q.ScheduleCallback(1.0, [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(q.heap_nodes_opened(), 1u);
+  EXPECT_EQ(q.heap_size(), 99u);
+  while (!q.Empty()) q.Pop().callback();
+  std::vector<int> want(99);
+  for (int i = 0; i < 99; ++i) want[i] = i;
+  EXPECT_EQ(order, want);
+}
+
+TEST(EventQueueTest, PushAfterAnotherInstantOpensANewNode) {
+  EventQueue q;
+  std::vector<std::string> order;
+  q.ScheduleCallback(1.0, [&] { order.push_back("a"); });
+  q.ScheduleCallback(2.0, [&] { order.push_back("b"); });
+  q.ScheduleCallback(1.0, [&] { order.push_back("c"); });
+  EXPECT_EQ(q.heap_nodes_opened(), 3u);
+  while (!q.Empty()) q.Pop().callback();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "c", "b"}));
+}
+
+TEST(EventQueueTest, CancellingTheOpenTailAppendsAfterItsPredecessor) {
+  EventQueue q;
+  std::vector<std::string> order;
+  q.ScheduleCallback(1.0, [&] { order.push_back("a"); });
+  EventId b = q.ScheduleCallback(1.0, [&] { order.push_back("b"); });
+  EXPECT_TRUE(q.Cancel(b));
+  q.ScheduleCallback(1.0, [&] { order.push_back("c"); });
+  EXPECT_EQ(q.heap_nodes_opened(), 1u);
+  EXPECT_EQ(q.heap_size(), 2u);
+  while (!q.Empty()) q.Pop().callback();
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "c"}));
+}
+
+// Once a run's node fires, later events for its instant join the lane, so
+// they fire after the run's remaining members.
+TEST(EventQueueTest, PushAfterTheRunBeganFiringJoinsTheLane) {
+  Simulation sim;
+  std::vector<std::string> order;
+  sim.ScheduleCallbackAt(1.0, [&] {
+    order.push_back("a");
+    sim.ScheduleCallbackAt(sim.Now(), [&] { order.push_back("d"); });
+    EXPECT_EQ(sim.event_queue().lane_size(), 1u);
+    EXPECT_EQ(sim.event_queue().heap_size(), 2u);  // b and c
+  });
+  sim.ScheduleCallbackAt(1.0, [&] { order.push_back("b"); });
+  sim.ScheduleCallbackAt(1.0, [&] { order.push_back("c"); });
+  sim.Run();
+  EXPECT_EQ(sim.event_queue().heap_nodes_opened(), 1u);
+  EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "d"}));
+}
+
 TEST(EventQueueTest, ManyEventsStressOrdering) {
   Simulation sim;
   RandomStream rng(42);

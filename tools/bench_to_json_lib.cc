@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -204,8 +205,15 @@ class JsonLine {
 bool ConvertBenchReport(const std::string& input, std::string* out,
                         std::string* error) {
   std::vector<std::pair<std::string, std::string>> entries;
+  std::set<std::string> names;  // the keys as the document spells them
   std::vector<std::string> runs;
   size_t pos = 0, line_no = 0;
+  auto fail = [&](const std::string& what) {
+    if (error != nullptr) {
+      *error = "line " + std::to_string(line_no) + ": " + what;
+    }
+    return false;
+  };
   while (pos < input.size()) {
     ++line_no;
     size_t nl = input.find('\n', pos);
@@ -222,12 +230,7 @@ bool ConvertBenchReport(const std::string& input, std::string* out,
     if (ws != std::string::npos && s[ws] == '{') {
       std::string obj = s.substr(ws);
       if (!JsonLine(obj).IsOneObject()) {
-        if (error != nullptr) {
-          char buf[64];
-          std::snprintf(buf, sizeof(buf), "line %zu: ", line_no);
-          *error = std::string(buf) + "malformed run object: " + obj;
-        }
-        return false;
+        return fail("malformed run object: " + obj);
       }
       runs.push_back(std::move(obj));
       continue;
@@ -236,7 +239,15 @@ bool ConvertBenchReport(const std::string& input, std::string* out,
     if (eq == std::string::npos || eq == 0) continue;
     // A key with spaces is prose that happens to contain '=', not a field.
     if (s.find(' ') < eq) continue;
-    entries.emplace_back(s.substr(0, eq), s.substr(eq + 1));
+    // A document holding one key twice keeps only one of them for most
+    // readers, so a repeated key, or one that names the runs array, fails.
+    std::string key = s.substr(0, eq);
+    const std::string name = EscapeJson(key);
+    if (name == "runs") return fail("key \"runs\" names the run objects");
+    if (!names.insert(name).second) {
+      return fail("repeated key \"" + key + "\"");
+    }
+    entries.emplace_back(std::move(key), s.substr(eq + 1));
   }
 
   std::string& o = *out;

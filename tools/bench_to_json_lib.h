@@ -20,7 +20,10 @@ namespace lazyrep::tools {
 /// like a run object ('{') but is not exactly one JSON object is rejected:
 /// returns false with a line-numbered message in `*error` rather than
 /// silently dropping, or passing on, what was almost certainly a truncated
-/// or mangled run record. A document returned is strict JSON (RFC 8259).
+/// or mangled run record. A key=value key that repeats, or that is "runs"
+/// (the run objects' array), is rejected the same way: a reader of a
+/// document holding one key twice keeps only one value. A document returned
+/// is strict JSON (RFC 8259) with unique keys.
 bool ConvertBenchReport(const std::string& input, std::string* out,
                         std::string* error);
 
