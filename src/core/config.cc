@@ -25,14 +25,6 @@ const char* ProtocolKindName(ProtocolKind kind) {
   return "unknown";
 }
 
-bool SystemConfig::HasReplica(db::ItemId item, db::SiteId site) const {
-  if (full_replication()) return true;
-  db::SiteId primary = PrimarySite(item);
-  int k = replicas_per_item();
-  int offset = (site - primary + num_sites) % num_sites;
-  return offset < k;
-}
-
 void SystemConfig::Normalize() {
   LAZYREP_CHECK(num_sites >= 1);
   LAZYREP_CHECK(tps > 0);
@@ -57,7 +49,7 @@ bool SystemConfig::Validate(ProtocolKind protocol, std::string* error) const {
     *error = buf;
     return false;
   }
-  // A replica names its writer in 4 bytes (db::ItemStore), and every
+  // A version names its writer in 4 bytes (db::ReplicaVersions), and every
   // transaction id is a potential writer.
   if (total_txns > db::kMaxTxnId) {
     std::snprintf(buf, sizeof(buf),

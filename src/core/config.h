@@ -128,8 +128,16 @@ struct SystemConfig {
   /// True when every site holds every item, whichever way the config says
   /// it: degree 0, or a degree of at least num_sites.
   bool full_replication() const { return replicas_per_item() == num_sites; }
+  /// Where the replicas live: replicas_per_item() of them per item.
+  db::Placement placement() const {
+    return {static_cast<uint32_t>(num_sites),
+            static_cast<uint32_t>(workload.items_per_site),
+            static_cast<uint32_t>(replicas_per_item())};
+  }
   /// True when `site` holds a replica of `item`.
-  bool HasReplica(db::ItemId item, db::SiteId site) const;
+  bool HasReplica(db::ItemId item, db::SiteId site) const {
+    return placement().Holds(item, site);
+  }
 
   /// Hard-checks (LAZYREP_CHECK) what no run can start without: at least
   /// one site and one item per site, a positive load, a valid topology, and

@@ -27,10 +27,10 @@ namespace lazyrep::core {
 /// every later writer of that item follows it on the ww chain, so it stays
 /// reachable from the reader and the verdict is unchanged.
 /// trace::CheckTraceSerializable is the independent reference for it.
-/// Like db::WriterTimes and db::ItemStore, the check indexes dense tables
-/// by id: 4 bytes per transaction id up to the largest committed one and
-/// per item id up to the largest written one (a System issues both from 0
-/// or 1 upward).
+/// Like db::WriterTimes and db::ReplicaVersions, the check indexes dense
+/// tables by id: 4 bytes per transaction id up to the largest committed one
+/// and per item id up to the largest written one (a System issues both from
+/// 0 or 1 upward).
 class HistoryRecorder {
  public:
   /// Records that `reader` read the version of `item` written by the

@@ -19,11 +19,12 @@ System::System(const SystemConfig& config, ProtocolKind kind)
   LAZYREP_CHECK_MSG(config_.Validate(kind_, &unsupported),
                     unsupported.c_str());
   workload_ = std::make_unique<GeneratedWorkload>(config_);
+  versions_ = std::make_unique<db::ReplicaVersions>(config_.placement());
   sites_.reserve(config_.num_sites);
   for (int s = 0; s < config_.num_sites; ++s) {
     sites_.push_back(std::make_unique<Site>(
-        &sim_, static_cast<db::SiteId>(s), config_,
-        config_.seed * 1000003 + s, &writer_times_));
+        &sim_, static_cast<db::SiteId>(s), config_.seed * 1000003 + s,
+        versions_.get()));
   }
   // The graph site's endpoint is allocated explicitly from the topology
   // (an auxiliary leaf at the root switch), replacing the historical

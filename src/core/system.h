@@ -48,16 +48,16 @@ enum class Retry : uint8_t {
 };
 
 /// One physical database site: CPU, disk array + buffer, local 2PL lock
-/// manager, and its replica set (whose writers' times live in the System's
-/// shared `writer_times`).
+/// manager, and its replica set (whose versions live in the System's shared
+/// `versions`).
 struct Site {
-  Site(sim::Simulation* sim, db::SiteId id, const SystemConfig& config,
-       uint64_t disk_seed, db::WriterTimes* writer_times)
+  Site(sim::Simulation* sim, db::SiteId id, uint64_t disk_seed,
+       db::ReplicaVersions* versions)
       : id(id),
         cpu(sim, "cpu_" + std::to_string(id), kCpuMips),
         disk(sim, "disk_" + std::to_string(id), hw::DiskParams{}, disk_seed),
         locks(sim),
-        store(static_cast<uint32_t>(config.total_items()), writer_times) {}
+        store(versions, id) {}
 
   db::SiteId id;
   hw::Cpu cpu;
@@ -86,6 +86,8 @@ class System {
   sim::Simulation& sim() { return sim_; }
   const SystemConfig& config() const { return config_; }
   Site& site(db::SiteId s) { return *sites_[s]; }
+  /// The versions the sites' stores hold, kept once per item.
+  const db::ReplicaVersions& versions() const { return *versions_; }
   net::Network& network() { return *network_; }
   /// The topology the network routes over (star by default).
   const net::Topology& topology() const { return network_->topology(); }
@@ -361,8 +363,9 @@ class System {
   ProtocolKind kind_;
   sim::Simulation sim_;
   std::unique_ptr<WorkloadSource> workload_;
-  /// Every writer's commit time, shared by the sites' stores.
-  db::WriterTimes writer_times_;
+  /// Every replica's version and every writer's commit time, shared by the
+  /// sites' stores.
+  std::unique_ptr<db::ReplicaVersions> versions_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::unique_ptr<net::Network> network_;
   db::SiteId graph_endpoint_ = 0;

@@ -14,8 +14,8 @@ using TxnId = uint64_t;
 /// Invalid / "no transaction" sentinel.
 inline constexpr TxnId kNoTxn = 0;
 
-/// A replica names the transaction that wrote it in 4 bytes (ItemStore), so
-/// a run issues transaction ids up to this bound.
+/// A version names the transaction that wrote it in 4 bytes
+/// (ReplicaVersions), so a run issues transaction ids up to this bound.
 using WriterId = uint32_t;
 inline constexpr TxnId kMaxTxnId = UINT32_MAX;
 
@@ -24,6 +24,24 @@ using ItemId = uint32_t;
 
 /// Physical site identifier.
 using SiteId = uint16_t;
+
+/// Which sites hold a replica of which item. With `replicas` equal to
+/// `num_sites` every site holds every item (the paper's full replication);
+/// otherwise item i is held by its primary site, i / items_per_site, and
+/// the replicas - 1 sites after it, wrapping around (§5 future work).
+struct Placement {
+  uint32_t num_sites = 1;
+  uint32_t items_per_site = 1;
+  uint32_t replicas = 1;
+
+  uint32_t num_items() const { return num_sites * items_per_site; }
+  bool full() const { return replicas == num_sites; }
+  bool Holds(ItemId item, SiteId site) const {
+    if (full()) return true;
+    const uint32_t primary = item / items_per_site;
+    return (site + num_sites - primary) % num_sites < replicas;
+  }
+};
 
 /// Transaction timestamp used by the Thomas Write Rule: stamped at the
 /// transaction's commit point (core::System::StampCommitTimestamp); totally

@@ -2,6 +2,7 @@
 // with the Thomas Write Rule, and the completion tracker.
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <span>
 #include <utility>
@@ -359,8 +360,8 @@ TEST(LockManagerTest, OnlyAQueuedRequestBuildsAFrame) {
 // ---------------------------------------------------------------------------
 
 TEST(ItemStoreTest, NewerWriteInstalls) {
-  WriterTimes times;
-  ItemStore store(10, &times);
+  ReplicaVersions versions(Placement{1, 10, 1});
+  ItemStore store(&versions, 0);
   Timestamp ts{1.0, 42};
   auto r = store.ApplyWrite(3, ts);
   EXPECT_TRUE(r.applied);
@@ -369,8 +370,8 @@ TEST(ItemStoreTest, NewerWriteInstalls) {
 }
 
 TEST(ItemStoreTest, ThomasWriteRuleIgnoresStaleWrite) {
-  WriterTimes times;
-  ItemStore store(10, &times);
+  ReplicaVersions versions(Placement{1, 10, 1});
+  ItemStore store(&versions, 0);
   store.ApplyWrite(3, Timestamp{2.0, 50});
   auto r = store.ApplyWrite(3, Timestamp{1.0, 42});  // older timestamp
   EXPECT_FALSE(r.applied);
@@ -380,8 +381,8 @@ TEST(ItemStoreTest, ThomasWriteRuleIgnoresStaleWrite) {
 }
 
 TEST(ItemStoreTest, TieBreakByTxnId) {
-  WriterTimes times;
-  ItemStore store(10, &times);
+  ReplicaVersions versions(Placement{1, 10, 1});
+  ItemStore store(&versions, 0);
   store.ApplyWrite(3, Timestamp{1.0, 50});
   // Same time, higher txn id: counts as newer.
   auto r = store.ApplyWrite(3, Timestamp{1.0, 51});
@@ -392,8 +393,8 @@ TEST(ItemStoreTest, TieBreakByTxnId) {
 }
 
 TEST(ItemStoreTest, WriteCollectsPriorReaders) {
-  WriterTimes times;
-  ItemStore store(10, &times);
+  ReplicaVersions versions(Placement{1, 10, 1});
+  ItemStore store(&versions, 0);
   store.Read(3, 100);
   store.Read(3, 101);
   store.Read(3, 100);  // duplicate registration collapses
@@ -406,8 +407,8 @@ TEST(ItemStoreTest, WriteCollectsPriorReaders) {
 }
 
 TEST(ItemStoreTest, ReadReturnsVersionAndRegisters) {
-  WriterTimes times;
-  ItemStore store(10, &times);
+  ReplicaVersions versions(Placement{1, 10, 1});
+  ItemStore store(&versions, 0);
   store.ApplyWrite(3, Timestamp{1.0, 42});
   Timestamp v = store.Read(3, 100);
   EXPECT_EQ(v.txn, 42u);
@@ -419,9 +420,9 @@ TEST(ItemStoreTest, ReadReturnsVersionAndRegisters) {
 // A writer's time is stamped once, so every write by one writer carries
 // it; the table the stores of a System share rejects a second time.
 TEST(ItemStoreDeathTest, WriterAppliedWithTwoTimesDies) {
-  WriterTimes times;
-  ItemStore store(10, &times);
-  ItemStore other(10, &times);
+  ReplicaVersions versions(Placement{2, 5, 2});
+  ItemStore store(&versions, 0);
+  ItemStore other(&versions, 1);
   store.ApplyWrite(3, Timestamp{1.0, 42});
   other.ApplyWrite(4, Timestamp{1.0, 42});
   EXPECT_EQ(other.VersionOf(4), (Timestamp{1.0, 42}));
@@ -429,8 +430,9 @@ TEST(ItemStoreDeathTest, WriterAppliedWithTwoTimesDies) {
                "writer applied with two different commit times");
 }
 
-// The store before its reader table: one timestamp and one reader vector
-// per item. The differential test below holds ItemStore to it.
+// The store before its reader table and before the shared version table:
+// one timestamp and one reader vector per item at each site. The
+// differential tests below hold ItemStore to it.
 class VectorPerItemStore {
  public:
   explicit VectorPerItemStore(uint32_t num_items) : replicas_(num_items) {}
@@ -450,6 +452,8 @@ class VectorPerItemStore {
       result.prior_readers = std::move(r.readers);
       r.readers.clear();
       r.ts = ts;
+    } else {
+      ++writes_ignored_;
     }
     return result;
   }
@@ -475,6 +479,7 @@ class VectorPerItemStore {
   const std::vector<TxnId>& ReadersOf(ItemId item) const {
     return replicas_[item].readers;
   }
+  uint64_t writes_ignored() const { return writes_ignored_; }
 
  private:
   struct Replica {
@@ -482,6 +487,7 @@ class VectorPerItemStore {
     std::vector<TxnId> readers;
   };
   std::vector<Replica> replicas_;
+  uint64_t writes_ignored_ = 0;
 };
 
 std::vector<TxnId> Copy(std::span<const TxnId> readers) {
@@ -531,8 +537,8 @@ TEST(ItemStoreTest, ReaderTableMatchesVectorPerItemModel) {
       return id;
     };
     while (items.size() < kItems) items.push_back(fresh_item());
-    WriterTimes times;
-    ItemStore store(kUniverse, &times);
+    ReplicaVersions versions(Placement{1, kUniverse, 1});
+    ItemStore store(&versions, 0);
     VectorPerItemStore model(kUniverse);
     std::vector<TxnId> writes_of_draw(1000);
     double clock = 0;
@@ -605,6 +611,246 @@ TEST(ItemStoreTest, ReaderTableMatchesVectorPerItemModel) {
     EXPECT_GE(max_slots, 128u);
     EXPECT_GT(wrapped_shifts, 0);
   }
+}
+
+// N stores sharing one ReplicaVersions against N dense per-site arrays (the
+// layout before the table: VectorPerItemStore per site). Writers with
+// random commit times, some older than writers already propagating, each
+// write 1-3 items and reach their items' replica sites one site at a time
+// in a random interleaving; a delivery applies the writer's items that
+// site holds, in write-set order, as System::ApplyWrites does. Repeated
+// deliveries of one writer at one site, stale (ignored) writes, reads and
+// reader removals are mixed in. After every apply the WriteResult and the
+// item's readers at that site must agree, and so must every site's
+// VersionOf of every item and writes_ignored, and the table's in-flight
+// count must equal the writers applied at some but not all replica sites
+// of an item that are newer than the newest writer applied at all of them.
+// Once every writer has reached every site, nothing may be in flight.
+TEST(ReplicaVersionsTest, SharedTableMatchesDenseArraysPerSite) {
+  struct Shape {
+    uint32_t sites;
+    uint32_t items_per_site;
+    uint32_t replicas;
+  };
+  // Full replication, two bitset words (70 sites), k of N with and without
+  // wrapping past the last site, and one replica per item.
+  const Shape shapes[] = {{5, 4, 5}, {70, 1, 70}, {6, 3, 3},
+                          {70, 1, 4}, {4, 5, 1}};
+  constexpr size_t kWriters = 150;
+  constexpr TxnId kReaders = 40;  // reader ids 1..40; writers from 1,000
+  constexpr size_t kMaxLive = 10;
+  for (const Shape& shape : shapes) {
+    for (uint64_t seed : {1, 2, 3}) {
+      SCOPED_TRACE(testing::Message()
+                   << shape.sites << " sites, " << shape.items_per_site
+                   << " items per site, " << shape.replicas
+                   << " replicas, seed " << seed);
+      std::mt19937_64 rng(seed);
+      auto below = [&rng](uint64_t n) { return rng() % n; };
+      const Placement placement{shape.sites, shape.items_per_site,
+                                shape.replicas};
+      const uint32_t num_items = placement.num_items();
+      ReplicaVersions versions(placement);
+      std::vector<ItemStore> stores;
+      std::vector<VectorPerItemStore> arrays;
+      for (uint32_t site = 0; site < shape.sites; ++site) {
+        stores.emplace_back(&versions, static_cast<SiteId>(site));
+        arrays.emplace_back(num_items);
+      }
+
+      struct Writer {
+        Timestamp ts;
+        std::vector<ItemId> items;
+        std::vector<SiteId> pending;    // sites not yet reached
+        std::vector<SiteId> delivered;  // sites reached
+      };
+      std::vector<Writer> writers;
+      std::vector<size_t> live;  // writers with pending sites
+      TxnId next_writer = 1000;
+      double clock = 10;
+
+      // What the dense arrays say about the table's in-flight writers:
+      // replica sites that applied each (writer, item) and, per item, the
+      // newest writer every replica site applied.
+      std::map<std::pair<TxnId, ItemId>, uint32_t> applied_at;
+      std::vector<Timestamp> settled(num_items);
+      auto stamp = [&](TxnId writer) { return writers[writer - 1000].ts; };
+      auto expected_in_flight = [&] {
+        size_t n = 0;
+        for (const auto& [key, count] : applied_at) {
+          if (count < shape.replicas && stamp(key.first) > settled[key.second]) {
+            ++n;
+          }
+        }
+        return n;
+      };
+
+      auto check_sites = [&] {
+        for (uint32_t site = 0; site < shape.sites; ++site) {
+          ASSERT_EQ(stores[site].writes_ignored(),
+                    arrays[site].writes_ignored())
+              << "site " << site;
+          for (ItemId item = 0; item < num_items; ++item) {
+            ASSERT_EQ(stores[site].VersionOf(item),
+                      arrays[site].VersionOf(item))
+                << "item " << item << " at site " << site;
+          }
+        }
+        ASSERT_EQ(versions.writers_in_flight(), expected_in_flight());
+      };
+
+      auto deliver = [&](const Writer& w, SiteId site) {
+        for (ItemId item : w.items) {
+          if (!placement.Holds(item, site)) continue;
+          SCOPED_TRACE(testing::Message() << "writer " << w.ts.txn
+                                          << " item " << item << " at site "
+                                          << site);
+          auto got = stores[site].ApplyWrite(item, w.ts);
+          auto want = arrays[site].ApplyWrite(item, w.ts);
+          ASSERT_EQ(got.applied, want.applied);
+          ASSERT_EQ(got.other_writer, want.other_writer);
+          ASSERT_EQ(Copy(got.prior_readers), want.prior_readers);
+          ASSERT_EQ(Copy(stores[site].ReadersOf(item)),
+                    arrays[site].ReadersOf(item));
+          if (want.applied) {
+            const uint32_t count = ++applied_at[{w.ts.txn, item}];
+            if (count == shape.replicas && w.ts > settled[item]) {
+              settled[item] = w.ts;
+            }
+          }
+          // Drop what can no longer be in flight.
+          std::erase_if(applied_at, [&](const auto& entry) {
+            return entry.second == shape.replicas ||
+                   stamp(entry.first.first) <= settled[entry.first.second];
+          });
+          check_sites();
+          if (HasFatalFailure()) return;
+        }
+      };
+
+      // A 70-site writer takes 70 deliveries; fewer of them cover as much.
+      const size_t wanted = shape.sites > 10 ? kWriters / 3 : kWriters;
+      size_t max_in_flight = 0;
+      for (int step = 0; writers.size() < wanted && !HasFatalFailure();
+           ++step) {
+        SCOPED_TRACE(testing::Message() << "step " << step);
+        const uint64_t kind = below(100);
+        if (kind < 20 && live.size() < kMaxLive) {
+          // A new writer, stamped up to 3 s before or after the clock on a
+          // half-second grid, so some are older than writers in flight and
+          // some share a time.
+          Writer w;
+          clock += 1;
+          w.ts = Timestamp{clock + 0.5 * (static_cast<double>(below(13)) - 6),
+                           next_writer++};
+          for (uint64_t n = 1 + below(3); n > 0; --n) {
+            const ItemId item = static_cast<ItemId>(below(num_items));
+            if (std::find(w.items.begin(), w.items.end(), item) ==
+                w.items.end()) {
+              w.items.push_back(item);
+            }
+          }
+          for (uint32_t site = 0; site < shape.sites; ++site) {
+            for (ItemId item : w.items) {
+              if (placement.Holds(item, static_cast<SiteId>(site))) {
+                w.pending.push_back(static_cast<SiteId>(site));
+                break;
+              }
+            }
+          }
+          live.push_back(writers.size());
+          writers.push_back(std::move(w));
+        } else if (kind < 65 && !live.empty()) {
+          // The next site of a writer in flight, in a random order.
+          const size_t k = below(live.size());
+          Writer& w = writers[live[k]];
+          const size_t p = below(w.pending.size());
+          const SiteId site = w.pending[p];
+          w.pending.erase(w.pending.begin() + p);
+          w.delivered.push_back(site);
+          if (w.pending.empty()) live.erase(live.begin() + k);
+          deliver(w, site);
+          max_in_flight = std::max(max_in_flight, versions.writers_in_flight());
+        } else if (kind < 75 && !writers.empty()) {
+          // A repeated delivery at a site the writer already reached.
+          const Writer& w = writers[below(writers.size())];
+          if (!w.delivered.empty()) {
+            deliver(w, w.delivered[below(w.delivered.size())]);
+          }
+        } else if (kind < 93) {
+          const SiteId site = static_cast<SiteId>(below(shape.sites));
+          const ItemId item = static_cast<ItemId>(below(num_items));
+          if (!placement.Holds(item, site)) continue;
+          const TxnId reader = 1 + below(kReaders);
+          ASSERT_EQ(stores[site].Read(item, reader),
+                    arrays[site].Read(item, reader));
+        } else {
+          const SiteId site = static_cast<SiteId>(below(shape.sites));
+          const TxnId reader = 1 + below(kReaders);
+          std::vector<ItemId> items;
+          for (uint64_t n = 1 + below(4); n > 0; --n) {
+            items.push_back(static_cast<ItemId>(below(num_items)));
+          }
+          stores[site].RemoveReader(reader, items);
+          arrays[site].RemoveReader(reader, items);
+        }
+      }
+      // Drain: every writer reaches every site it has left.
+      while (!live.empty() && !HasFatalFailure()) {
+        const size_t k = below(live.size());
+        Writer& w = writers[live[k]];
+        const SiteId site = w.pending.back();
+        w.pending.pop_back();
+        w.delivered.push_back(site);
+        if (w.pending.empty()) live.erase(live.begin() + k);
+        deliver(w, site);
+      }
+      ASSERT_FALSE(HasFatalFailure());
+      uint64_t ignored = 0;
+      for (const ItemStore& store : stores) ignored += store.writes_ignored();
+      EXPECT_GT(ignored, 0u);
+      // Several writers of one item, or of several, propagate at once,
+      // except with one replica, where a write settles as it applies.
+      if (shape.replicas > 1) {
+        EXPECT_GE(max_in_flight, 4u);
+      } else {
+        EXPECT_EQ(max_in_flight, 0u);
+      }
+      EXPECT_EQ(versions.writers_in_flight(), 0u);
+    }
+  }
+}
+
+// The table's own contract, below the stores: a repeated install at one
+// site counts that site once, so a writer settles only when every replica
+// site applied it. Through ItemStore a repeat never reaches Install (TWR
+// ignores a write whose timestamp the site already holds), so this is the
+// test that pins it.
+TEST(ReplicaVersionsTest, RepeatedInstallCountsOnce) {
+  ReplicaVersions versions(Placement{3, 2, 3});
+  versions.NoteWriter(Timestamp{1.0, 7});
+  versions.Install(4, 0, 7);
+  versions.Install(4, 0, 7);
+  versions.Install(4, 1, 7);
+  EXPECT_EQ(versions.writers_in_flight(), 1u);
+  EXPECT_EQ(versions.WriterAt(4, 0), 7u);
+  EXPECT_EQ(versions.WriterAt(4, 2), 0u);  // not applied there yet
+  versions.Install(4, 2, 7);
+  EXPECT_EQ(versions.writers_in_flight(), 0u);
+  EXPECT_EQ(versions.WriterAt(4, 2), 7u);
+}
+
+// A site without a replica of an item never applies it: its version stays
+// the initial one, and a write there is a bug in the caller.
+TEST(ReplicaVersionsDeathTest, InstallAtSiteWithoutReplicaDies) {
+  ReplicaVersions versions(Placement{4, 1, 2});  // item 0 at sites 0 and 1
+  versions.NoteWriter(Timestamp{1.0, 7});
+  versions.Install(0, 0, 7);
+  versions.Install(0, 1, 7);
+  EXPECT_EQ(versions.WriterAt(0, 1), 7u);
+  EXPECT_EQ(versions.WriterAt(0, 2), 0u);
+  EXPECT_DEATH(versions.Install(0, 2, 7),
+               "write applied at a site without a replica");
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include "core/flags.h"
 #include "core/study.h"
 #include "core/system.h"
+#include "db/item_store.h"
 #include "db/types.h"
 #include "replay/workload_script.h"
 #include "trace/trace_reader.h"
@@ -359,16 +360,15 @@ int main(int argc, char** argv) {
     snaps = core::RunAll(specs, jobs, check_serializability, {},
                          /*post_run_audit=*/false, trace_path);
   } catch (const std::bad_alloc&) {
-    // Every site's store keeps a writer id for every item of the database.
+    // The System's one version table keeps an entry for every item of the
+    // database, whatever the site count.
     const unsigned long long bytes =
-        sizeof(db::WriterId) * static_cast<unsigned long long>(
-                                   config.num_sites) *
+        db::ReplicaVersions::kBytesPerItem *
         static_cast<unsigned long long>(config.total_items());
-    std::fprintf(stderr, "database too big for memory: %d sites x %d items "
-                 "need %llu bytes of replica stores (%zu bytes per "
-                 "replica)\n",
-                 config.num_sites, config.total_items(), bytes,
-                 sizeof(db::WriterId));
+    std::fprintf(stderr, "database too big for memory: %d items need %llu "
+                 "bytes of replica versions (%zu bytes per item)\n",
+                 config.total_items(), bytes,
+                 db::ReplicaVersions::kBytesPerItem);
     return 1;
   }
 
