@@ -118,7 +118,7 @@ struct SystemConfig {
   double loc_tps() const { return tps / num_sites; }
   int total_items() const { return workload.items_per_site * num_sites; }
   db::SiteId PrimarySite(db::ItemId item) const {
-    return static_cast<db::SiteId>(item / workload.items_per_site);
+    return placement().Primary(item);
   }
   /// Number of replicas each item has.
   int replicas_per_item() const {

@@ -36,20 +36,15 @@ System::System(const SystemConfig& config, ProtocolKind kind)
   if (kind_ == ProtocolKind::kPessimistic ||
       kind_ == ProtocolKind::kOptimistic) {
     graph_cpu_ = std::make_unique<hw::Cpu>(&sim_, "graph_cpu", kCpuMips);
-    rgraph_ = std::make_unique<rg::ReplicationGraph>(
-        config_.num_sites, config_.full_replication());
-    if (!config_.full_replication()) {
-      rgraph_->set_replica_fn([this](db::ItemId item, db::SiteId site) {
-        return config_.HasReplica(item, site);
-      });
-    }
+    rgraph_ = std::make_unique<rg::ReplicationGraph>(config_.placement());
     graph_site_ = std::make_unique<rg::GraphSite>(
         &sim_, graph_cpu_.get(), rgraph_.get(), config_.graph_queue_bound,
         config_.timeout);
   }
   tracker_.set_deferred_cascade(kind_ == ProtocolKind::kLocking ||
                                 kind_ == ProtocolKind::kEager);
-  tracker_.set_on_completed([this](db::TxnId id) { OnTrackerCompleted(id); });
+  tracker_.set_on_completed(
+      [this](txn::Transaction* t) { OnTrackerCompleted(t); });
 
   if (config_.fault.enabled()) {
     // Dedicated stream: the injector's draws never perturb the workload or
@@ -69,7 +64,6 @@ System::System(const SystemConfig& config, ProtocolKind kind)
     });
     downtime_at_window_.assign(config_.num_sites + 1, 0.0);
     if (config_.fault.amnesia) {
-      site_epochs_.assign(config_.num_sites, 0);
       serving_waiters_.resize(config_.num_sites + 1);
       wals_.reserve(config_.num_sites);
       for (int s = 0; s < config_.num_sites; ++s) {
@@ -119,34 +113,25 @@ System::~System() = default;
 
 const char* System::protocol_name() const { return ProtocolKindName(kind_); }
 
-txn::Transaction* System::FindTxn(db::TxnId id) {
-  auto it = txns_.find(id);
-  return it == txns_.end() ? nullptr : it->second.get();
-}
-
 std::vector<db::SiteId> System::ReplicaTargets(const txn::Transaction& t,
                                                db::SiteId except) const {
   std::vector<db::SiteId> targets;
-  if (config_.full_replication()) {
+  const db::Placement placement = config_.placement();
+  if (placement.full()) {
     targets.reserve(config_.num_sites - 1);
     for (int s = 0; s < config_.num_sites; ++s) {
       if (s != except) targets.push_back(static_cast<db::SiteId>(s));
     }
     return targets;
   }
-  // An item's replicas are its primary and the next k-1 sites, wrapping
-  // (SystemConfig::HasReplica).
   std::vector<bool> seen(config_.num_sites, false);
-  const int k = config_.replicas_per_item();
   for (db::ItemId item : t.write_set) {
-    const int primary = config_.PrimarySite(item);
-    for (int i = 0; i < k; ++i) {
-      const int s = (primary + i) % config_.num_sites;
+    placement.ForEachReplica(item, [&](db::SiteId s) {
       if (!seen[s] && s != except) {
         seen[s] = true;
-        targets.push_back(static_cast<db::SiteId>(s));
+        targets.push_back(s);
       }
-    }
+    });
   }
   std::sort(targets.begin(), targets.end());
   return targets;
@@ -181,12 +166,13 @@ void System::NoteCommitted(txn::Transaction* t,
 void System::NoteAborted(txn::Transaction* t, txn::AbortCause cause) {
   if (t->state == txn::TxnState::kAborted) return;
   LAZYREP_CHECK(t->state == txn::TxnState::kActive);
-  t->state = txn::TxnState::kAborted;
   t->abort_cause = cause;
   t->terminal_time = sim_.Now();
   metrics_.OnAbort(*t);
   TraceEvent(trace::EventType::kAbort, *t, t->origin, 0,
              static_cast<uint64_t>(cause));
+  // Sets the state, then releases the edges: dependents may complete here,
+  // after the abort's own sample and record.
   tracker_.OnAborted(t->id);
   site(t->origin).store.RemoveReader(t->id, t->read_set);
   GateRelease(*t);
@@ -213,11 +199,7 @@ void System::set_trace(trace::TraceSink* sink) {
   }
 }
 
-void System::OnTrackerCompleted(db::TxnId id) {
-  txn::Transaction* t = FindTxn(id);
-  LAZYREP_CHECK(t != nullptr);
-  LAZYREP_CHECK(t->state == txn::TxnState::kCommitted);
-  t->state = txn::TxnState::kCompleted;
+void System::OnTrackerCompleted(txn::Transaction* t) {
   t->terminal_time = sim_.Now();
   metrics_.OnComplete(*t);
   TraceEvent(trace::EventType::kComplete, *t, t->origin);
@@ -380,9 +362,8 @@ void System::OnSiteCrash(int e) {
     // fail-silent (RGtest requests simply go unanswered until recovery).
     return;
   }
-  ++site_epochs_[e];
   fault::SiteWal* w = wals_[e].get();
-  w->OnCrash();
+  w->OnCrash();  // bumps the site's epoch
   site(static_cast<db::SiteId>(e))
       .locks.CrashReset([this, e, w](db::TxnId id) {
         // Survivors of the wipe: 2PC participants with a durable prepare
@@ -399,7 +380,7 @@ void System::OnSiteCrash(int e) {
 
 sim::Process System::RecoverSiteProcess(int e) {
   if (!injector_->Recovering(e)) co_return;  // re-crashed before we started
-  uint32_t epoch = site_epochs_[e];
+  uint32_t epoch = SiteEpoch(e);
   sim::SimTime start = sim_.Now();
   Site& st = site(static_cast<db::SiteId>(e));
   fault::SiteWal* w = wals_[e].get();
@@ -413,7 +394,7 @@ sim::Process System::RecoverSiteProcess(int e) {
   double replay_instr =
       fault::kReplayInstrPerRecord * static_cast<double>(records);
   if (replay_instr > 0) co_await st.cpu.Execute(replay_instr);
-  if (site_epochs_[e] != epoch || !injector_->Recovering(e)) {
+  if (SiteEpoch(e) != epoch || !injector_->Recovering(e)) {
     co_return;  // re-crashed mid-replay (or the run ended): abandon
   }
   w->OnReplayComplete();
@@ -564,12 +545,11 @@ sim::Task<System::ConflictEdges> System::ApplyWrites(db::SiteId s,
 }
 
 void System::Submit(db::SiteId s, sim::RandomStream* rng) {
-  db::TxnId id = ++txn_counter_;
+  db::TxnId id = ++submitted_;
   txn::Transaction t = workload_->NextTxn(id, s, rng);
   t.submit_time = sim_.Now();
   t.ts = db::Timestamp{sim_.Now(), id};
-  t.born_epoch = amnesia() ? site_epochs_[s] : 0;
-  ++submitted_;
+  t.born_epoch = SiteEpoch(s);
   ++site_submitted_[s];
   if (!window_open_ &&
       submitted_ >=
@@ -580,11 +560,7 @@ void System::Submit(db::SiteId s, sim::RandomStream* rng) {
   }
   t.measured = window_open_ && site_submitted_[s] > config_.warmup_per_site;
 
-  auto owned = std::make_unique<txn::Transaction>(std::move(t));
-  txn::Transaction* ptr = owned.get();
-  txns_.emplace(id, std::move(owned));
-
-  tracker_.Register(id, s);
+  txn::Transaction* ptr = tracker_.Register(std::move(t));
   protocol_->OnRegister(ptr);
   metrics_.OnSubmit(*ptr);
   TraceEvent(trace::EventType::kSubmit, *ptr, s, 0, ptr->ops.size());

@@ -4,13 +4,11 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/config.h"
 #include "core/history.h"
 #include "core/metrics.h"
-#include "db/completion_tracker.h"
 #include "db/lock_manager.h"
 #include "db/item_store.h"
 #include "fault/fault_injector.h"
@@ -27,6 +25,7 @@
 #include "sim/simulation.h"
 #include "core/workload_source.h"
 #include "trace/trace_sink.h"
+#include "txn/completion_tracker.h"
 #include "txn/transaction.h"
 
 namespace lazyrep::proto {
@@ -91,7 +90,7 @@ class System {
   net::Network& network() { return *network_; }
   /// The topology the network routes over (star by default).
   const net::Topology& topology() const { return network_->topology(); }
-  db::CompletionTracker& tracker() { return tracker_; }
+  txn::CompletionTracker& tracker() { return tracker_; }
   /// Null when running the locking or eager protocol.
   rg::GraphSite* graph_site() { return graph_site_.get(); }
   /// The graph site's network endpoint, allocated explicitly from the
@@ -99,7 +98,9 @@ class System {
   /// endpoints follow).
   db::SiteId graph_endpoint() const { return graph_endpoint_; }
   Metrics& metrics() { return metrics_; }
-  txn::Transaction* FindTxn(db::TxnId id);
+  /// The record of transaction `id` (kept for the whole run); null when no
+  /// transaction has that id.
+  txn::Transaction* FindTxn(db::TxnId id) { return tracker_.Find(id); }
 
   /// Sites other than `except` that hold replicas of the transaction's write
   /// set (full replication: all other sites).
@@ -199,10 +200,11 @@ class System {
   /// True when crashes wipe volatile state and recovery replays the log.
   bool amnesia() const { return injector_ != nullptr && config_.fault.amnesia; }
 
-  /// Crash epoch of site `s`: bumped on every amnesia crash. A transaction
-  /// whose origin epoch moved past its birth epoch was lost with the crash.
+  /// Crash epoch of site `s`, its WAL's: bumped on every amnesia crash (0
+  /// without amnesia). A transaction whose origin epoch moved past its
+  /// birth epoch was lost with the crash.
   uint32_t SiteEpoch(int s) const {
-    return site_epochs_.empty() ? 0 : site_epochs_[s];
+    return wals_.empty() ? 0 : wals_[s]->epoch();
   }
 
   /// True when `t`'s origin site crashed since `t` was submitted: its locks,
@@ -210,7 +212,7 @@ class System {
   /// coroutine must abort with AbortCause::kSiteFailure at its next commit
   /// point (never commit on state that did not survive).
   bool LostToCrash(const txn::Transaction& t) const {
-    return amnesia() && site_epochs_[t.origin] != t.born_epoch;
+    return amnesia() && SiteEpoch(t.origin) != t.born_epoch;
   }
 
   /// Per-site write-ahead log; null unless amnesia mode.
@@ -254,6 +256,11 @@ class System {
   /// after a clean post-run drain; nonzero means a coroutine is stranded on
   /// a wait that never resolved (the chaos harness's liveness audit).
   uint64_t LiveTxns() const { return tracker_.live_count(); }
+
+  /// Transactions whose record the System keeps: every one submitted,
+  /// terminal ones included (none is retired). A deterministic count,
+  /// unlike a run's RSS.
+  uint64_t RetainedTxns() const { return tracker_.size(); }
 
   void DeliverEdges(const ConflictEdges& edges);
 
@@ -339,16 +346,17 @@ class System {
   sim::Process GeneratorProcess(db::SiteId s, sim::RandomStream rng);
   sim::Process GatedExecute(txn::Transaction* t);
   void Submit(db::SiteId s, sim::RandomStream* rng);
-  void OnTrackerCompleted(db::TxnId id);
+  void OnTrackerCompleted(txn::Transaction* t);
   void ResetAllStats();
   void Freeze(MetricsSnapshot* snap);
 
   // -- amnesia crash plumbing -------------------------------------------------
 
-  /// Injector crash hook: bumps the site's epoch, wipes its volatile state
-  /// (WAL append buffer, lock manager) keeping only logged survivors
-  /// (in-doubt participants, committed-at-origin holders). The reliable
-  /// channel keeps no per-endpoint state, so it has nothing to wipe.
+  /// Injector crash hook: wipes the site's volatile state (WAL append
+  /// buffer, lock manager) and with it bumps the WAL's epoch, keeping only
+  /// logged survivors (in-doubt participants, committed-at-origin holders).
+  /// The reliable channel keeps no per-endpoint state, so it has nothing to
+  /// wipe.
   void OnSiteCrash(int e);
   /// Costed replay (ARIES-style analysis+redo from the last checkpoint).
   /// Abandons silently if the site re-crashes mid-replay.
@@ -372,7 +380,8 @@ class System {
   std::unique_ptr<hw::Cpu> graph_cpu_;
   std::unique_ptr<rg::ReplicationGraph> rgraph_;
   std::unique_ptr<rg::GraphSite> graph_site_;
-  db::CompletionTracker tracker_;
+  /// Every submitted transaction's record, indexed by id.
+  txn::CompletionTracker tracker_;
   Metrics metrics_;
   /// Both null unless config_.fault.enabled().
   std::unique_ptr<fault::FaultInjector> injector_;
@@ -380,7 +389,6 @@ class System {
   /// Per-endpoint downtime at measurement-window start (availability base).
   std::vector<double> downtime_at_window_;
   // Amnesia-mode state; empty/zero otherwise.
-  std::vector<uint32_t> site_epochs_;
   std::vector<std::unique_ptr<fault::SiteWal>> wals_;
   std::vector<std::vector<sim::OneShot*>> serving_waiters_;
   uint64_t site_recoveries_ = 0;
@@ -389,7 +397,6 @@ class System {
   uint64_t indoubt_commit_ = 0;
   uint64_t indoubt_abort_ = 0;
   std::unique_ptr<proto::Protocol> protocol_;
-  std::unordered_map<db::TxnId, std::unique_ptr<txn::Transaction>> txns_;
   HistoryRecorder* history_ = nullptr;
   trace::TraceSink* trace_ = nullptr;
 
@@ -411,7 +418,7 @@ class System {
       db::SiteId from, db::SiteId to, size_t bytes, Retry retry,
       std::shared_ptr<net::Network::DeliveryFn> on_delivered);
 
-  uint64_t txn_counter_ = 0;
+  /// Transactions submitted so far; the last one's id.
   uint64_t submitted_ = 0;
   std::vector<int> site_submitted_;
   bool window_open_ = false;

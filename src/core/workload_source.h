@@ -56,8 +56,7 @@ class WorkloadSource {
 class GeneratedWorkload final : public WorkloadSource {
  public:
   explicit GeneratedWorkload(const SystemConfig& config)
-      : generator_(config.workload, config.num_sites,
-                   config.replicas_per_item()),
+      : generator_(config.workload, config.placement()),
         mean_(1.0 / config.loc_tps()) {}
 
   Arrival NextArrival(db::SiteId /*s*/, sim::RandomStream* rng) override {

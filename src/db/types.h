@@ -36,10 +36,32 @@ struct Placement {
 
   uint32_t num_items() const { return num_sites * items_per_site; }
   bool full() const { return replicas == num_sites; }
+  SiteId Primary(ItemId item) const {
+    return static_cast<SiteId>(item / items_per_site);
+  }
   bool Holds(ItemId item, SiteId site) const {
     if (full()) return true;
-    const uint32_t primary = item / items_per_site;
-    return (site + num_sites - primary) % num_sites < replicas;
+    return (site + num_sites - Primary(item)) % num_sites < replicas;
+  }
+  /// Items each site holds: `replicas` primary blocks.
+  uint32_t items_held() const { return replicas * items_per_site; }
+  /// The primary site of the `back`-th block `site` holds, counting back
+  /// from its own (back < replicas).
+  SiteId HeldBlock(SiteId site, uint32_t back) const {
+    return static_cast<SiteId>((site + num_sites - back) % num_sites);
+  }
+  /// Calls `fn(site)` for every site holding `item`, in ascending site
+  /// order.
+  template <typename Fn>
+  void ForEachReplica(ItemId item, Fn&& fn) const {
+    const uint32_t primary = full() ? 0 : Primary(item);
+    const uint32_t end = primary + replicas;  // one past the last, unwrapped
+    for (uint32_t s = num_sites; s < end; ++s) {
+      fn(static_cast<SiteId>(s - num_sites));  // the wrapped ones come first
+    }
+    for (uint32_t s = primary; s < end && s < num_sites; ++s) {
+      fn(static_cast<SiteId>(s));
+    }
   }
 };
 

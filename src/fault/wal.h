@@ -50,6 +50,9 @@ class SiteWal {
   /// epoch so in-flight forces report failure when they resume.
   void OnCrash();
 
+  /// Crashes so far: the site's crash epoch.
+  uint32_t epoch() const { return epoch_; }
+
   // -- checkpointing ----------------------------------------------------------
 
   /// Marks the just-forced checkpoint record as the new replay horizon:

@@ -15,7 +15,7 @@ void LockingProtocol::OnRegister(txn::Transaction* t) {
   // The origination site coordinates its own transaction's completion; the
   // remote installs are gathered through acks before the single
   // OnSubtxnCommitted, so one commit unit suffices.
-  sys_->tracker().SetRemainingCommits(t->id, 1);
+  t->remaining_commits = 1;
 }
 
 sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
@@ -27,7 +27,8 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
     // Primary-copy update lock; the primary is the origin (ownership rule).
     status = co_await sys_->site(origin).locks.Acquire(
         t->id, op.item, LockMode::kUpdate, sys_->config().timeout);
-    if (status == WaitStatus::kSignaled && st->aborted) {
+    if (status == WaitStatus::kSignaled &&
+        t->state == txn::TxnState::kAborted) {
       // Granted after the transaction aborted (AbortNow already released
       // everything else): give the lock back immediately.
       sys_->site(origin).locks.Release(t->id, op.item);
@@ -38,7 +39,8 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
     if (primary == origin) {
       status = co_await sys_->site(origin).locks.Acquire(
           t->id, op.item, LockMode::kShared, sys_->config().timeout);
-      if (status == WaitStatus::kSignaled && st->aborted) {
+      if (status == WaitStatus::kSignaled &&
+          t->state == txn::TxnState::kAborted) {
         sys_->site(origin).locks.Release(t->id, op.item);
         status = WaitStatus::kCancelled;
       }
@@ -54,7 +56,7 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
         status = co_await sys_->site(primary).locks.Acquire(
             t->id, op.item, LockMode::kShared, sys_->config().timeout);
         if (status == WaitStatus::kSignaled) {
-          if (st->aborted) {
+          if (t->state == txn::TxnState::kAborted) {
             // The transaction died while we were acquiring: give it back.
             sys_->site(primary).locks.Release(t->id, op.item);
             status = WaitStatus::kCancelled;
@@ -80,7 +82,6 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
 
 void LockingProtocol::AbortNow(txn::Transaction* t, StatePtr st,
                                txn::AbortCause cause) {
-  st->aborted = true;
   sys_->site(t->origin).locks.ReleaseAll(t->id);
   if (!st->granted_remote_reads.empty()) {
     sys_->sim().Spawn(

@@ -39,7 +39,6 @@ class LockingProtocol : public Protocol {
     std::vector<std::pair<db::SiteId, db::ItemId>> granted_remote_reads;
     /// Conflict edges discovered at the origination site.
     core::System::ConflictEdges edges;
-    bool aborted = false;
     /// Why a failed grant failed (kUnavailable when a lock-relay message
     /// exhausted its retry budget; lock timeout otherwise).
     txn::AbortCause fail_cause = txn::AbortCause::kLockTimeout;

@@ -13,7 +13,7 @@ void Protocol::OnRegister(txn::Transaction* t) {
   if (t->is_update) {
     remaining += static_cast<int>(sys_->ReplicaTargets(*t, t->origin).size());
   }
-  sys_->tracker().SetRemainingCommits(t->id, remaining);
+  t->remaining_commits = remaining;
 }
 
 sim::Task<bool> Protocol::ExecuteLocal(txn::Transaction* t, db::Operation op,

@@ -160,8 +160,10 @@ bool WorkloadScript::FitsDatabase(const core::SystemConfig& config,
                       ", which site " + std::to_string(owner) +
                       " owns, and ownership is not relaxed");
         }
-        if (op.type == db::OpType::kRead && !config.HasReplica(op.item, s)) {
-          return fail(txn + " reads item " + std::to_string(op.item) +
+        if (!config.HasReplica(op.item, s)) {
+          return fail(txn +
+                      (op.type == db::OpType::kRead ? " reads" : " writes") +
+                      " item " + std::to_string(op.item) +
                       ", of which it holds no replica");
         }
       }

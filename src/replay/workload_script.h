@@ -40,7 +40,7 @@ class WorkloadScript {
   /// (as MakeReplayConfig returns it, so the sites match), as the generator
   /// would have drawn it: every item below config.total_items(), every
   /// write to an item its origin site owns (config.PrimarySite) unless the
-  /// workload relaxes ownership, and every read of an item the origin
+  /// workload relaxes ownership, and every operation on an item the origin
   /// replicates (config.HasReplica). Fails naming the first offending
   /// transaction by site and position.
   bool FitsDatabase(const core::SystemConfig& config,

@@ -18,7 +18,8 @@ uint64_t GroupNode(db::SiteId site, db::TxnId root) {
   return kGroupBit | (static_cast<uint64_t>(site) << 47) | root;
 }
 
-bool VecContains(const std::vector<db::ItemId>& v, db::ItemId x) {
+template <typename T>
+bool VecContains(const std::vector<T>& v, T x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
@@ -28,11 +29,15 @@ void EraseValue(std::vector<db::TxnId>* v, db::TxnId x) {
 
 }  // namespace
 
-ReplicationGraph::ReplicationGraph(int num_sites, bool full_replication)
-    : num_sites_(num_sites), full_replication_(full_replication) {
-  LAZYREP_CHECK(num_sites >= 1);
-  sites_.resize(num_sites);
+ReplicationGraph::ReplicationGraph(db::Placement placement)
+    : placement_(placement) {
+  LAZYREP_CHECK(placement.num_sites >= 1);
+  sites_.resize(placement.num_sites);
 }
+
+ReplicationGraph::ReplicationGraph(int num_sites)
+    : ReplicationGraph(db::Placement{static_cast<uint32_t>(num_sites), 1,
+                                     static_cast<uint32_t>(num_sites)}) {}
 
 void ReplicationGraph::AddTxn(db::TxnId txn, db::SiteId origin,
                               bool is_global) {
@@ -40,7 +45,7 @@ void ReplicationGraph::AddTxn(db::TxnId txn, db::SiteId origin,
   LAZYREP_CHECK_MSG(inserted, "transaction already in replication graph");
   it->second.origin = origin;
   it->second.is_global = is_global;
-  if (!full_replication_) it->second.present.push_back(origin);
+  if (!placement_.full()) it->second.present.push_back(origin);
 }
 
 void ReplicationGraph::MarkCommitted(db::TxnId txn) {
@@ -227,26 +232,17 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       // Footnote 4: a write is an access at every replica, so it lands in
       // the transaction's virtual site at every replica site (every physical
       // site under full replication).
-      if (full_replication_) {
-        cost->add_units += static_cast<uint64_t>(num_sites_);
+      if (placement_.full()) {
+        cost->add_units += placement_.num_sites;
       } else {
-        LAZYREP_CHECK_MSG(replica_fn_ != nullptr,
-                          "partial replication requires set_replica_fn");
-        for (int s = 0; s < num_sites_; ++s) {
-          db::SiteId site = static_cast<db::SiteId>(s);
-          if (!replica_fn_(op.item, site)) continue;
+        placement_.ForEachReplica(op.item, [&](db::SiteId site) {
           ++cost->add_units;
-          bool have = false;
-          for (db::SiteId ps : info.present) {
-            if (ps == site) have = true;
+          if (VecContains(info.present, site)) return;
+          if (present_undo_size == SIZE_MAX) {
+            present_undo_size = info.present.size();
           }
-          if (!have) {
-            if (present_undo_size == SIZE_MAX) {
-              present_undo_size = info.present.size();
-            }
-            info.present.push_back(site);
-          }
-        }
+          info.present.push_back(site);
+        });
       }
       info.has_writes = true;
       if (!VecContains(info.writes, op.item)) {

@@ -2,7 +2,6 @@
 #define LAZYREP_RG_REPLICATION_GRAPH_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -59,18 +58,14 @@ struct GraphCost {
 /// GraphCost and charged to a CPU by the caller (GraphSite).
 class ReplicationGraph {
  public:
-  /// `num_sites` physical sites; with `full_replication` every update
-  /// transaction acquires a virtual site at every physical site the moment
-  /// it first writes (footnote 4: a write is an access at every replica).
-  explicit ReplicationGraph(int num_sites, bool full_replication = true);
-
-  /// Partial replication (degree-k ablation): tells the graph which sites
-  /// hold a replica of each item. Must be set when constructed with
-  /// full_replication == false; a write then lands in the transaction's
-  /// virtual sites at exactly the item's replica sites.
-  using ReplicaFn = std::function<bool(db::ItemId, db::SiteId)>;
-  void set_replica_fn(ReplicaFn fn) { replica_fn_ = std::move(fn); }
-
+  /// The sites and items `placement` lays out. A write is an access at
+  /// every replica of its item (footnote 4), so it lands in the
+  /// transaction's virtual site at each of the item's replica sites: under
+  /// full replication every update transaction acquires a virtual site at
+  /// every physical site the moment it first writes.
+  explicit ReplicationGraph(db::Placement placement);
+  /// `num_sites` fully replicated sites.
+  explicit ReplicationGraph(int num_sites);
 
   // -- transaction lifecycle ------------------------------------------------
 
@@ -167,7 +162,7 @@ class ReplicationGraph {
   /// Global with writes: every site (full replication) or its tracked
   /// presence set (partial). Otherwise: the origin only.
   bool PresentEverywhere(const TxnInfo& info) const {
-    return info.is_global && info.has_writes && full_replication_;
+    return info.is_global && info.has_writes && placement_.full();
   }
 
   /// Invokes `fn(site)` for every site where the transaction has a virtual
@@ -175,8 +170,10 @@ class ReplicationGraph {
   template <typename Fn>
   void ForEachPresentSite(const TxnInfo& info, Fn&& fn) const {
     if (PresentEverywhere(info)) {
-      for (int s = 0; s < num_sites_; ++s) fn(static_cast<db::SiteId>(s));
-    } else if (!full_replication_ && info.is_global && info.has_writes) {
+      for (uint32_t s = 0; s < placement_.num_sites; ++s) {
+        fn(static_cast<db::SiteId>(s));
+      }
+    } else if (!placement_.full() && info.is_global && info.has_writes) {
       for (db::SiteId s : info.present) fn(s);
     } else {
       fn(info.origin);
@@ -200,9 +197,7 @@ class ReplicationGraph {
   void Recompute(db::SiteId site, std::vector<db::TxnId> members,
                  GraphCost* cost);
 
-  int num_sites_;
-  bool full_replication_;
-  ReplicaFn replica_fn_;
+  db::Placement placement_;
   std::unordered_map<db::TxnId, TxnInfo> txns_;
   std::vector<SitePartition> sites_;
   /// item -> live global transactions writing it.

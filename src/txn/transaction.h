@@ -2,6 +2,7 @@
 #define LAZYREP_TXN_TRANSACTION_H_
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "db/types.h"
@@ -46,7 +47,9 @@ inline constexpr size_t kAbortCauseCount =
     static_cast<size_t>(AbortCause::kCount);
 
 /// A transaction instance generated by the workload and executed by one of
-/// the protocols.
+/// the protocols. The record is the transaction's one copy:
+/// txn::CompletionTracker keeps it for the run, and `state` is its only
+/// lifecycle state.
 ///
 /// A *global* transaction updates replicated data (with full replication,
 /// every update transaction is global); all others are *local* (§2.1). Reads
@@ -94,6 +97,16 @@ struct Transaction {
   /// Items read / written, in op order (derived from `ops`, cached).
   std::vector<db::ItemId> read_set;
   std::vector<db::ItemId> write_set;
+
+  // The completion fixpoint's own fields (txn::CompletionTracker).
+  /// Site-level commits still owed before completion (1 for a local
+  /// transaction; the protocol sets it at registration).
+  int remaining_commits = 1;
+  /// Uncompleted conflict predecessors `id` waits on, and the dependents
+  /// that wait on `id`. Dependents complete in `deps`' iteration order, so
+  /// the schedule depends on these being unordered sets of ids.
+  std::unordered_set<db::TxnId> preds;
+  std::unordered_set<db::TxnId> deps;
 
   /// Recomputes read_set/write_set from ops.
   void RebuildAccessSets();

@@ -6,9 +6,16 @@
 
 namespace lazyrep::txn {
 
+WorkloadGenerator::WorkloadGenerator(const WorkloadParams& params,
+                                     db::Placement placement)
+    : params_(params), placement_(placement) {
+  LAZYREP_CHECK(placement.items_per_site ==
+                static_cast<uint32_t>(params.items_per_site));
+}
+
 Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
                                         sim::RandomStream* rng) const {
-  LAZYREP_CHECK(origin < num_sites_);
+  LAZYREP_CHECK(origin < placement_.num_sites);
   Transaction t;
   t.id = id;
   t.origin = origin;
@@ -17,14 +24,11 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
   int num_ops =
       static_cast<int>(rng->UniformInt(params_.min_ops, params_.max_ops));
 
-  const int total = params_.items_per_site * num_sites_;
-  const bool full_replication = replicas_per_item_ == num_sites_;
+  const int total = static_cast<int>(placement_.num_items());
   // Items are distinct within a transaction, so a tiny database bounds the
-  // operation count: reads draw only from the items replicated at the origin
-  // (the whole database under full replication). Without the clamp the
-  // distinct-item rejection loops below cannot terminate.
-  const int reachable =
-      full_replication ? total : replicas_per_item_ * params_.items_per_site;
+  // operation count: every draw is an item the origin holds. Without the
+  // clamp the distinct-item rejection loops below cannot terminate.
+  const int reachable = static_cast<int>(placement_.items_held());
   if (num_ops > reachable) num_ops = reachable;
   t.ops.reserve(num_ops);
   // The primary-item range owned by the origination site.
@@ -40,20 +44,17 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
                   ? db::OpType::kWrite
                   : db::OpType::kRead;
     // Writes draw from the origin's primary items (ownership rule, §2.1)
-    // unless relaxed; reads draw from the whole database. Items are distinct
-    // within the transaction (Appendix assumption), found by rejection.
-    int lo = 0;
-    int hi = total - 1;
-    if (op.type == db::OpType::kWrite && !params_.relaxed_ownership) {
-      lo = own_lo;
-      hi = own_hi;
-    }
+    // unless relaxed; reads and relaxed writes draw from the items the
+    // origin holds. Items are distinct within the transaction (Appendix
+    // assumption), found by rejection.
+    bool owned_write =
+        op.type == db::OpType::kWrite && !params_.relaxed_ownership;
     // A write pool of items_per_site bounds the distinct writes available;
     // fall back to a read when the pool is exhausted.
-    if (op.type == db::OpType::kWrite &&
-        static_cast<int>(used.size()) >= hi - lo + 1) {
+    if (owned_write &&
+        static_cast<int>(used.size()) >= params_.items_per_site) {
       bool pool_full = true;
-      for (int d = lo; d <= hi; ++d) {
+      for (int d = own_lo; d <= own_hi; ++d) {
         if (!used.contains(static_cast<db::ItemId>(d))) {
           pool_full = false;
           break;
@@ -61,28 +62,28 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
       }
       if (pool_full) {
         op.type = db::OpType::kRead;
-        lo = 0;
-        hi = total - 1;
+        owned_write = false;
       }
     }
     db::ItemId item;
-    if (op.type == db::OpType::kRead && !full_replication) {
-      // Reads must hit a replica at the origination site: the k consecutive
-      // primary blocks ending at `origin` hold exactly the locally
-      // replicated items.
-      int k = replicas_per_item_;
+    if (owned_write) {
       do {
-        int block =
-            (origin - static_cast<int>(rng->UniformInt(0, k - 1)) +
-             num_sites_) %
-            num_sites_;
+        item = static_cast<db::ItemId>(rng->UniformInt(own_lo, own_hi));
+      } while (used.contains(item));
+    } else if (placement_.full()) {
+      do {
+        item = static_cast<db::ItemId>(rng->UniformInt(0, total - 1));
+      } while (used.contains(item));
+    } else {
+      // The origin holds exactly the `replicas` primary blocks ending at its
+      // own.
+      do {
+        const db::SiteId block = placement_.HeldBlock(
+            origin, static_cast<uint32_t>(
+                        rng->UniformInt(0, placement_.replicas - 1)));
         item = static_cast<db::ItemId>(
             block * params_.items_per_site +
             rng->UniformInt(0, params_.items_per_site - 1));
-      } while (used.contains(item));
-    } else {
-      do {
-        item = static_cast<db::ItemId>(rng->UniformInt(lo, hi));
       } while (used.contains(item));
     }
     used.insert(item);

@@ -23,7 +23,8 @@ struct WorkloadParams {
   /// Primary items per site (paper: 20). |DB| = items_per_site * #sites.
   int items_per_site = 20;
   /// Footnote-2 relaxation (ablation A5): when true, update transactions may
-  /// write any item, not just items whose primary site is the origin.
+  /// write any item the origin holds, not just items whose primary site is
+  /// the origin.
   bool relaxed_ownership = false;
 };
 
@@ -31,17 +32,12 @@ struct WorkloadParams {
 /// from the (hot-spot) database, operation items are distinct within a
 /// transaction, and write items respect primary-copy ownership.
 ///
-/// The database is `num_sites` primary blocks of params.items_per_site
-/// items, each held at `replicas_per_item` consecutive sites starting at
-/// its primary (SystemConfig::HasReplica); `replicas_per_item ==
-/// num_sites` is full replication.
+/// The database is the one `placement` lays out, whose items_per_site must
+/// be params.items_per_site. Every operation's item is held at the
+/// transaction's origin.
 class WorkloadGenerator {
  public:
-  WorkloadGenerator(const WorkloadParams& params, int num_sites,
-                    int replicas_per_item)
-      : params_(params),
-        num_sites_(num_sites),
-        replicas_per_item_(replicas_per_item) {}
+  WorkloadGenerator(const WorkloadParams& params, db::Placement placement);
 
   /// Builds the next transaction originating at `origin`.
   Transaction Generate(db::TxnId id, db::SiteId origin,
@@ -49,8 +45,7 @@ class WorkloadGenerator {
 
  private:
   WorkloadParams params_;
-  int num_sites_;
-  int replicas_per_item_;
+  db::Placement placement_;
 };
 
 }  // namespace lazyrep::txn

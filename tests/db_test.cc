@@ -1,5 +1,5 @@
-// Unit tests for the local-DBMS substrate (src/db): lock manager, item store
-// with the Thomas Write Rule, and the completion tracker.
+// Unit tests for the local-DBMS substrate (src/db): lock manager and item
+// store with the Thomas Write Rule.
 
 #include <algorithm>
 #include <map>
@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "db/completion_tracker.h"
 #include "db/item_store.h"
 #include "db/lock_manager.h"
 #include "db/types.h"
@@ -851,134 +850,6 @@ TEST(ReplicaVersionsDeathTest, InstallAtSiteWithoutReplicaDies) {
   EXPECT_EQ(versions.WriterAt(0, 2), 0u);
   EXPECT_DEATH(versions.Install(0, 2, 7),
                "write applied at a site without a replica");
-}
-
-// ---------------------------------------------------------------------------
-// CompletionTracker
-// ---------------------------------------------------------------------------
-
-TEST(CompletionTrackerTest, CompletesWhenCommitsAndNoPreds) {
-  CompletionTracker tracker;
-  std::vector<TxnId> completed;
-  tracker.set_on_completed([&](TxnId t) { completed.push_back(t); });
-  tracker.Register(1, 0);
-  tracker.SetRemainingCommits(1, 3);
-  tracker.OnSubtxnCommitted(1);
-  tracker.OnSubtxnCommitted(1);
-  EXPECT_TRUE(completed.empty());
-  tracker.OnSubtxnCommitted(1);
-  EXPECT_EQ(completed, (std::vector<TxnId>{1}));
-  EXPECT_TRUE(tracker.IsCompleted(1));
-}
-
-TEST(CompletionTrackerTest, PredecessorDelaysCompletion) {
-  CompletionTracker tracker;
-  std::vector<TxnId> completed;
-  tracker.set_on_completed([&](TxnId t) { completed.push_back(t); });
-  tracker.Register(1, 0);
-  tracker.Register(2, 1);
-  tracker.AddPredecessor(2, 1);
-  tracker.SetRemainingCommits(2, 1);
-  tracker.OnSubtxnCommitted(2);
-  EXPECT_TRUE(completed.empty());  // waiting on txn 1
-  tracker.SetRemainingCommits(1, 1);
-  tracker.OnSubtxnCommitted(1);
-  // Central cascade: 1 completes, then 2.
-  EXPECT_EQ(completed, (std::vector<TxnId>{1, 2}));
-}
-
-TEST(CompletionTrackerTest, CascadeThroughChain) {
-  CompletionTracker tracker;
-  std::vector<TxnId> completed;
-  tracker.set_on_completed([&](TxnId t) { completed.push_back(t); });
-  for (TxnId t = 1; t <= 4; ++t) {
-    tracker.Register(t, 0);
-    tracker.SetRemainingCommits(t, 1);
-  }
-  tracker.AddPredecessor(2, 1);
-  tracker.AddPredecessor(3, 2);
-  tracker.AddPredecessor(4, 3);
-  tracker.OnSubtxnCommitted(4);
-  tracker.OnSubtxnCommitted(3);
-  tracker.OnSubtxnCommitted(2);
-  EXPECT_TRUE(completed.empty());
-  tracker.OnSubtxnCommitted(1);
-  EXPECT_EQ(completed, (std::vector<TxnId>{1, 2, 3, 4}));
-}
-
-TEST(CompletionTrackerTest, AbortReleasesDependents) {
-  CompletionTracker tracker;
-  std::vector<TxnId> completed;
-  tracker.set_on_completed([&](TxnId t) { completed.push_back(t); });
-  tracker.Register(1, 0);
-  tracker.Register(2, 0);
-  tracker.AddPredecessor(2, 1);
-  tracker.SetRemainingCommits(2, 1);
-  tracker.OnSubtxnCommitted(2);
-  EXPECT_TRUE(completed.empty());
-  tracker.OnAborted(1);
-  EXPECT_EQ(completed, (std::vector<TxnId>{2}));
-  EXPECT_TRUE(tracker.IsAborted(1));
-  EXPECT_FALSE(tracker.IsCompleted(1));
-}
-
-TEST(CompletionTrackerTest, TerminalPredecessorIgnored) {
-  CompletionTracker tracker;
-  std::vector<TxnId> completed;
-  tracker.set_on_completed([&](TxnId t) { completed.push_back(t); });
-  tracker.Register(1, 0);
-  tracker.SetRemainingCommits(1, 1);
-  tracker.OnSubtxnCommitted(1);  // completed immediately
-  tracker.Register(2, 0);
-  tracker.AddPredecessor(2, 1);    // terminal: no edge
-  tracker.AddPredecessor(2, 999);  // unknown: no edge
-  tracker.SetRemainingCommits(2, 1);
-  tracker.OnSubtxnCommitted(2);
-  EXPECT_EQ(completed, (std::vector<TxnId>{1, 2}));
-}
-
-TEST(CompletionTrackerTest, SelfPredecessorIgnored) {
-  CompletionTracker tracker;
-  tracker.Register(1, 0);
-  tracker.AddPredecessor(1, 1);
-  tracker.SetRemainingCommits(1, 1);
-  tracker.OnSubtxnCommitted(1);
-  EXPECT_TRUE(tracker.IsCompleted(1));
-}
-
-TEST(CompletionTrackerTest, DeferredCascadeWaitsForPerSiteNotice) {
-  CompletionTracker tracker;
-  tracker.set_deferred_cascade(true);
-  std::vector<TxnId> completed;
-  tracker.set_on_completed([&](TxnId t) { completed.push_back(t); });
-  tracker.Register(1, 0);
-  tracker.Register(2, 3);  // dependent originates at site 3
-  tracker.Register(3, 4);  // dependent originates at site 4
-  tracker.AddPredecessor(2, 1);
-  tracker.AddPredecessor(3, 1);
-  for (TxnId t : {TxnId{1}, TxnId{2}, TxnId{3}}) {
-    tracker.SetRemainingCommits(t, 1);
-    tracker.OnSubtxnCommitted(t);
-  }
-  // Txn 1 completed, but 2 and 3 wait for the notice to reach their sites.
-  EXPECT_EQ(completed, (std::vector<TxnId>{1}));
-  tracker.NotifyCompletionAtSite(1, 3);
-  EXPECT_EQ(completed, (std::vector<TxnId>{1, 2}));
-  tracker.NotifyCompletionAtSite(1, 4);
-  EXPECT_EQ(completed, (std::vector<TxnId>{1, 2, 3}));
-}
-
-TEST(CompletionTrackerTest, LiveCountTracksStates) {
-  CompletionTracker tracker;
-  tracker.Register(1, 0);
-  tracker.Register(2, 0);
-  EXPECT_EQ(tracker.live_count(), 2u);
-  tracker.OnAborted(1);
-  EXPECT_EQ(tracker.live_count(), 1u);
-  tracker.SetRemainingCommits(2, 1);
-  tracker.OnSubtxnCommitted(2);
-  EXPECT_EQ(tracker.live_count(), 0u);
-  EXPECT_TRUE(tracker.IsLive(2) == false && tracker.IsTerminal(2));
 }
 
 }  // namespace

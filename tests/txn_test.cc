@@ -1,10 +1,14 @@
-// Unit tests for the transaction model and workload generator (src/txn).
+// Unit tests for the transaction model, the completion tracker and the
+// workload generator (src/txn).
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/random.h"
+#include "txn/completion_tracker.h"
 #include "txn/transaction.h"
 #include "txn/workload.h"
 
@@ -19,10 +23,19 @@ WorkloadParams PaperParams() {
   return p;
 }
 
+/// The placement of `num_sites` sites of p.items_per_site items each, every
+/// item held at `replicas` sites.
+db::Placement PlacementOf(const WorkloadParams& p, int num_sites,
+                          int replicas) {
+  return {static_cast<uint32_t>(num_sites),
+          static_cast<uint32_t>(p.items_per_site),
+          static_cast<uint32_t>(replicas)};
+}
+
 /// A generator over `num_sites` sites with every item at every site.
 WorkloadGenerator FullyReplicated(const WorkloadParams& p,
                                   int num_sites = kSites) {
-  return WorkloadGenerator(p, num_sites, /*replicas_per_item=*/num_sites);
+  return WorkloadGenerator(p, PlacementOf(p, num_sites, num_sites));
 }
 
 TEST(TransactionTest, RebuildAccessSetsSplitsOps) {
@@ -140,7 +153,7 @@ TEST(WorkloadTest, ReadsCoverWholeDatabase) {
 TEST(WorkloadTest, PartialReplicationReadsStayLocal) {
   WorkloadParams p = PaperParams();
   constexpr int kReplicas = 3;
-  WorkloadGenerator gen(p, kSites, kReplicas);
+  WorkloadGenerator gen(p, PlacementOf(p, kSites, kReplicas));
   sim::RandomStream rng(8);
   for (int i = 0; i < 3000; ++i) {
     db::SiteId origin = static_cast<db::SiteId>(i % kSites);
@@ -152,6 +165,29 @@ TEST(WorkloadTest, PartialReplicationReadsStayLocal) {
           << "read of item " << r << " not replicated at site " << origin;
     }
   }
+}
+
+TEST(WorkloadTest, PartialReplicationRelaxedWritesStayLocal) {
+  // A relaxed write may leave the origin's own block, but only for a block
+  // the origin holds: the origin applies every write it commits.
+  WorkloadParams p = PaperParams();
+  p.relaxed_ownership = true;
+  p.read_only_fraction = 0.0;
+  constexpr int kReplicas = 2;
+  const db::Placement placement = PlacementOf(p, kSites, kReplicas);
+  WorkloadGenerator gen(p, placement);
+  sim::RandomStream rng(13);
+  bool saw_foreign_write = false;
+  for (int i = 0; i < 3000; ++i) {
+    db::SiteId origin = static_cast<db::SiteId>(i % kSites);
+    Transaction t = gen.Generate(i + 1, origin, &rng);
+    for (db::ItemId w : t.write_set) {
+      EXPECT_TRUE(placement.Holds(w, origin))
+          << "write of item " << w << " not replicated at site " << origin;
+      if (placement.Primary(w) != origin) saw_foreign_write = true;
+    }
+  }
+  EXPECT_TRUE(saw_foreign_write);
 }
 
 TEST(WorkloadTest, NoWritesMeansReadOnlyClassification) {
@@ -196,6 +232,172 @@ TEST(WorkloadTest, WritePoolExhaustionFallsBackToReads) {
     std::unordered_set<db::ItemId> seen;
     for (const auto& op : t.ops) EXPECT_TRUE(seen.insert(op.item).second);
   }
+}
+
+// ---------------------------------------------------------------------------
+// CompletionTracker
+// ---------------------------------------------------------------------------
+
+/// Registers transaction `id` (ids run densely from 1) from site `origin`.
+Transaction* Register(CompletionTracker* tracker, db::TxnId id,
+                      db::SiteId origin) {
+  Transaction t;
+  t.id = id;
+  t.origin = origin;
+  return tracker->Register(std::move(t));
+}
+
+/// Commits `t` at its origin, owing `remaining` site-level commits.
+void Commit(Transaction* t, int remaining) {
+  t->state = TxnState::kCommitted;
+  t->remaining_commits = remaining;
+}
+
+/// Records every completion's id, in order.
+void RecordCompletions(CompletionTracker* tracker,
+                       std::vector<db::TxnId>* completed) {
+  tracker->set_on_completed(
+      [completed](Transaction* t) { completed->push_back(t->id); });
+}
+
+TEST(CompletionTrackerTest, CompletesWhenCommitsAndNoPreds) {
+  CompletionTracker tracker;
+  std::vector<db::TxnId> completed;
+  RecordCompletions(&tracker, &completed);
+  Transaction* t1 = Register(&tracker, 1, 0);
+  Commit(t1, 3);
+  tracker.OnSubtxnCommitted(1);
+  tracker.OnSubtxnCommitted(1);
+  EXPECT_TRUE(completed.empty());
+  tracker.OnSubtxnCommitted(1);
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{1}));
+  EXPECT_EQ(t1->state, TxnState::kCompleted);
+}
+
+TEST(CompletionTrackerTest, PredecessorDelaysCompletion) {
+  CompletionTracker tracker;
+  std::vector<db::TxnId> completed;
+  RecordCompletions(&tracker, &completed);
+  Transaction* t1 = Register(&tracker, 1, 0);
+  Transaction* t2 = Register(&tracker, 2, 1);
+  tracker.AddPredecessor(2, 1);
+  Commit(t2, 1);
+  tracker.OnSubtxnCommitted(2);
+  EXPECT_TRUE(completed.empty());  // waiting on txn 1
+  Commit(t1, 1);
+  tracker.OnSubtxnCommitted(1);
+  // Central cascade: 1 completes, then 2.
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{1, 2}));
+}
+
+TEST(CompletionTrackerTest, CascadeThroughChain) {
+  CompletionTracker tracker;
+  std::vector<db::TxnId> completed;
+  RecordCompletions(&tracker, &completed);
+  for (db::TxnId t = 1; t <= 4; ++t) Commit(Register(&tracker, t, 0), 1);
+  tracker.AddPredecessor(2, 1);
+  tracker.AddPredecessor(3, 2);
+  tracker.AddPredecessor(4, 3);
+  tracker.OnSubtxnCommitted(4);
+  tracker.OnSubtxnCommitted(3);
+  tracker.OnSubtxnCommitted(2);
+  EXPECT_TRUE(completed.empty());
+  tracker.OnSubtxnCommitted(1);
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{1, 2, 3, 4}));
+}
+
+TEST(CompletionTrackerTest, AbortReleasesDependents) {
+  CompletionTracker tracker;
+  std::vector<db::TxnId> completed;
+  RecordCompletions(&tracker, &completed);
+  Transaction* t1 = Register(&tracker, 1, 0);
+  Transaction* t2 = Register(&tracker, 2, 0);
+  tracker.AddPredecessor(2, 1);
+  Commit(t2, 1);
+  tracker.OnSubtxnCommitted(2);
+  EXPECT_TRUE(completed.empty());
+  tracker.OnAborted(1);
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{2}));
+  EXPECT_EQ(t1->state, TxnState::kAborted);
+  EXPECT_NE(t1->state, TxnState::kCompleted);
+}
+
+TEST(CompletionTrackerTest, TerminalPredecessorIgnored) {
+  CompletionTracker tracker;
+  std::vector<db::TxnId> completed;
+  RecordCompletions(&tracker, &completed);
+  Commit(Register(&tracker, 1, 0), 1);
+  tracker.OnSubtxnCommitted(1);  // completed immediately
+  Transaction* t2 = Register(&tracker, 2, 0);
+  tracker.AddPredecessor(2, 1);    // terminal: no edge
+  tracker.AddPredecessor(2, 999);  // unknown: no edge
+  Commit(t2, 1);
+  tracker.OnSubtxnCommitted(2);
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{1, 2}));
+}
+
+TEST(CompletionTrackerTest, SelfPredecessorIgnored) {
+  CompletionTracker tracker;
+  Transaction* t1 = Register(&tracker, 1, 0);
+  tracker.AddPredecessor(1, 1);
+  Commit(t1, 1);
+  tracker.OnSubtxnCommitted(1);
+  EXPECT_EQ(t1->state, TxnState::kCompleted);
+}
+
+TEST(CompletionTrackerTest, DeferredCascadeWaitsForPerSiteNotice) {
+  CompletionTracker tracker;
+  tracker.set_deferred_cascade(true);
+  std::vector<db::TxnId> completed;
+  RecordCompletions(&tracker, &completed);
+  Register(&tracker, 1, 0);
+  Register(&tracker, 2, 3);  // dependent originates at site 3
+  Register(&tracker, 3, 4);  // dependent originates at site 4
+  tracker.AddPredecessor(2, 1);
+  tracker.AddPredecessor(3, 1);
+  for (db::TxnId t : {db::TxnId{1}, db::TxnId{2}, db::TxnId{3}}) {
+    Commit(tracker.Find(t), 1);
+    tracker.OnSubtxnCommitted(t);
+  }
+  // Txn 1 completed, but 2 and 3 wait for the notice to reach their sites.
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{1}));
+  tracker.NotifyCompletionAtSite(1, 3);
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{1, 2}));
+  tracker.NotifyCompletionAtSite(1, 4);
+  EXPECT_EQ(completed, (std::vector<db::TxnId>{1, 2, 3}));
+}
+
+TEST(CompletionTrackerTest, LiveCountTracksStates) {
+  CompletionTracker tracker;
+  Register(&tracker, 1, 0);
+  Transaction* t2 = Register(&tracker, 2, 0);
+  EXPECT_EQ(tracker.live_count(), 2u);
+  tracker.OnAborted(1);
+  EXPECT_EQ(tracker.live_count(), 1u);
+  Commit(t2, 1);
+  tracker.OnSubtxnCommitted(2);
+  EXPECT_EQ(tracker.live_count(), 0u);
+  EXPECT_TRUE(tracker.IsLive(2) == false && tracker.IsTerminal(2));
+}
+
+TEST(CompletionTrackerTest, RecordsAreIndexedByDenseIds) {
+  CompletionTracker tracker;
+  Transaction* t1 = Register(&tracker, 1, 0);
+  for (db::TxnId t = 2; t <= 1000; ++t) Register(&tracker, t, 0);
+  EXPECT_EQ(tracker.size(), 1000u);
+  EXPECT_EQ(tracker.Find(1), t1);  // records keep their addresses
+  EXPECT_EQ(tracker.Find(1000)->id, 1000u);
+  EXPECT_EQ(tracker.Find(0), nullptr);
+  EXPECT_EQ(tracker.Find(1001), nullptr);
+  EXPECT_DEATH(Register(&tracker, 1002, 0), "registered out of id order");
+}
+
+TEST(CompletionTrackerTest, CompletesOnlyAfterTheOriginCommit) {
+  CompletionTracker tracker;
+  Transaction* t1 = Register(&tracker, 1, 0);
+  t1->remaining_commits = 1;  // still active at its origin
+  EXPECT_DEATH(tracker.OnSubtxnCommitted(1),
+               "completed before its origin commit");
 }
 
 }  // namespace
