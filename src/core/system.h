@@ -341,8 +341,6 @@ class System {
   const char* protocol_name() const;
 
  private:
-  friend class proto::Protocol;
-
   sim::Process GeneratorProcess(db::SiteId s, sim::RandomStream rng);
   sim::Process GatedExecute(txn::Transaction* t);
   void Submit(db::SiteId s, sim::RandomStream* rng);

@@ -17,13 +17,6 @@ void LockManager::WaiterQueue::PushBack(Waiter* w) {
   ++size;
 }
 
-void LockManager::WaiterQueue::PushFront(Waiter* w) {
-  w->next = head;
-  head = w;
-  if (tail == nullptr) tail = w;
-  ++size;
-}
-
 LockManager::Waiter* LockManager::WaiterQueue::PopFront() {
   Waiter* w = head;
   head = w->next;
@@ -50,71 +43,41 @@ bool LockManager::WaiterQueue::Remove(Waiter* w) {
   return false;
 }
 
-bool LockManager::CompatibleWithHolders(const ItemLock& lock, TxnId txn,
-                                        LockMode mode) {
+bool LockManager::CompatibleWithHolders(const ItemLock& lock, LockMode mode) {
   for (const auto& [holder, held_mode] : lock.holders) {
-    if (holder == txn) continue;
     if (!LocksCompatible(mode, held_mode)) return false;
   }
   return true;
-}
-
-void LockManager::AddHolder(ItemLock* lock, TxnId txn, LockMode mode) {
-  for (auto& [holder, held_mode] : lock->holders) {
-    if (holder == txn) {
-      if (LockStrength(mode) > LockStrength(held_mode)) held_mode = mode;
-      return;
-    }
-  }
-  lock->holders.emplace_back(txn, mode);
 }
 
 sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
                                                 LockMode mode,
                                                 sim::SimTime timeout) {
   ItemLock& lock = LockFor(item);
-
-  // Re-acquisition of an equal-or-weaker mode.
-  bool holds_any = false;
   for (const auto& [holder, held_mode] : lock.holders) {
-    if (holder != txn) continue;
-    holds_any = true;
-    if (LockStrength(held_mode) >= LockStrength(mode)) {
-      ++grants_;
-      TraceResolution(txn, item, mode, sim::WaitStatus::kSignaled, 0);
-      return sim::Task<sim::WaitStatus>::Finished(sim::WaitStatus::kSignaled);
-    }
+    LAZYREP_CHECK_MSG(holder != txn,
+                      "transaction requests a lock it already holds here");
   }
-  bool is_upgrade = holds_any;  // holds a weaker mode, wants a stronger one
-
-  // Immediate grant: compatible with holders, and either an upgrade (which
-  // jumps the queue) or no earlier waiter pending (FIFO fairness).
-  if (CompatibleWithHolders(lock, txn, mode) &&
-      (is_upgrade || lock.queue.empty())) {
-    AddHolder(&lock, txn, mode);
-    if (!holds_any) HeldFor(txn).push_back(item);
+  // Immediate grant: compatible with every holder and no earlier waiter
+  // pending (FIFO fairness).
+  if (lock.queue.empty() && CompatibleWithHolders(lock, mode)) {
+    lock.holders.emplace_back(txn, mode);
+    HeldFor(txn).push_back(item);
     ++grants_;
     TraceResolution(txn, item, mode, sim::WaitStatus::kSignaled, 0);
     return sim::Task<sim::WaitStatus>::Finished(sim::WaitStatus::kSignaled);
   }
-  return QueueAndWait(txn, item, mode, timeout, is_upgrade);
+  return QueueAndWait(txn, item, mode, timeout);
 }
 
 sim::Task<sim::WaitStatus> LockManager::QueueAndWait(TxnId txn, ItemId item,
                                                      LockMode mode,
-                                                     sim::SimTime timeout,
-                                                     bool is_upgrade) {
+                                                     sim::SimTime timeout) {
   ++waits_;
   Waiter waiter(sim_);
   waiter.txn = txn;
   waiter.mode = mode;
-  waiter.is_upgrade = is_upgrade;
-  ItemLock& lock = LockFor(item);
-  if (is_upgrade) {
-    lock.queue.PushFront(&waiter);  // upgrades served before plain requests
-  } else {
-    lock.queue.PushBack(&waiter);
-  }
+  LockFor(item).queue.PushBack(&waiter);
 
   sim::SimTime wait_start = sim_->Now();
   sim::WaitStatus status = co_await waiter.shot.Wait(timeout);
@@ -138,17 +101,12 @@ sim::Task<sim::WaitStatus> LockManager::QueueAndWait(TxnId txn, ItemId item,
 }
 
 void LockManager::PumpQueue(ItemId item, ItemLock* lock) {
-  (void)item;
   while (!lock->queue.empty()) {
     Waiter* head = lock->queue.head;
-    if (!CompatibleWithHolders(*lock, head->txn, head->mode)) break;
+    if (!CompatibleWithHolders(*lock, head->mode)) break;
     lock->queue.PopFront();
-    bool already_held = false;
-    for (const auto& [holder, mode] : lock->holders) {
-      if (holder == head->txn) already_held = true;
-    }
-    AddHolder(lock, head->txn, head->mode);
-    if (!already_held) HeldFor(head->txn).push_back(item);
+    lock->holders.emplace_back(head->txn, head->mode);
+    HeldFor(head->txn).push_back(item);
     head->shot.Fire(sim::WaitStatus::kSignaled);
   }
 }
@@ -264,8 +222,7 @@ bool LockManager::Holds(TxnId txn, ItemId item, LockMode mode) const {
   auto it = locks_.find(item);
   if (it == locks_.end()) return false;
   for (const auto& [holder, held_mode] : it->second.holders) {
-    if (holder != txn) continue;
-    return LockStrength(held_mode) >= LockStrength(mode);
+    if (holder == txn) return held_mode == mode;
   }
   return false;
 }

@@ -29,10 +29,6 @@ enum class LockMode : uint8_t {
   kExclusive,  ///< write lock that excludes everything (eager strict 2PL)
 };
 
-/// Total strength order kShared < kUpdate < kExclusive: a held mode covers
-/// any request of equal or lesser strength by the same transaction.
-inline int LockStrength(LockMode mode) { return static_cast<int>(mode); }
-
 /// Returns true when a `requested` lock may coexist with a `held` lock of
 /// another transaction.
 inline bool LocksCompatible(LockMode requested, LockMode held) {
@@ -46,6 +42,11 @@ inline bool LocksCompatible(LockMode requested, LockMode held) {
 /// One instance serves one physical site (the local DBMS's transaction
 /// manager); the locking protocol also uses the instances at primary sites
 /// for its global read/update locks.
+///
+/// A transaction names each item once (the generator draws its items
+/// distinct, and a replayed script that names one twice is rejected at
+/// input), so it requests each item's lock once per site: there are no
+/// re-acquisitions and no upgrades.
 ///
 /// Storage: an entry of either table is erased as soon as it is idle, but
 /// its node is kept as a spare, with the holder or item vector inside it
@@ -61,15 +62,13 @@ class LockManager {
   LockManager& operator=(const LockManager&) = delete;
 
   /// Acquires `mode` on `item` for `txn`, waiting at most `timeout` seconds.
-  /// Returns kSignaled on grant, kTimeout on deadlock-timeout. Re-acquiring
-  /// an already-held equal-or-weaker mode succeeds immediately; requesting a
-  /// stronger mode than the one held performs an upgrade (upgrades are
-  /// evaluated against current holders only, jumping the FIFO queue, so an
-  /// upgrade cannot deadlock against ordinary queued requests).
+  /// Returns kSignaled on grant, kTimeout on deadlock-timeout. `txn` must not
+  /// already hold `item` here (named check: a protocol that asks twice has a
+  /// bug).
   ///
-  /// A kernel wait (sim/condition.h): a re-acquisition or an immediate grant
-  /// is granted, counted and traced at the call and returns a finished task;
-  /// only a request that must queue starts a coroutine.
+  /// A kernel wait (sim/condition.h): an immediate grant is granted, counted
+  /// and traced at the call and returns a finished task; only a request that
+  /// must queue starts a coroutine.
   sim::Task<sim::WaitStatus> Acquire(TxnId txn, ItemId item, LockMode mode,
                                      sim::SimTime timeout);
 
@@ -86,7 +85,7 @@ class LockManager {
   /// the event queue, never inside this call.
   void CrashReset(const std::function<bool(TxnId)>& keep);
 
-  /// True if `txn` currently holds at least `mode` on `item`.
+  /// True if `txn` currently holds `mode` on `item`.
   bool Holds(TxnId txn, ItemId item, LockMode mode) const;
 
   /// Number of transactions currently holding a lock on `item`.
@@ -120,14 +119,12 @@ class LockManager {
     explicit Waiter(sim::Simulation* sim) : shot(sim) {}
     TxnId txn = kNoTxn;
     LockMode mode = LockMode::kShared;
-    bool is_upgrade = false;
     sim::OneShot shot;
     Waiter* next = nullptr;
   };
 
-  /// Intrusive FIFO of Waiters with O(1) push at either end (upgrades jump
-  /// to the front). Removal (timeout path) walks from the head — queues are
-  /// short, and the erased deque did the same linear scan.
+  /// Intrusive FIFO of Waiters. Removal (timeout path) walks from the head —
+  /// queues are short, and the erased deque did the same linear scan.
   struct WaiterQueue {
     Waiter* head = nullptr;
     Waiter* tail = nullptr;
@@ -135,7 +132,6 @@ class LockManager {
 
     bool empty() const { return head == nullptr; }
     void PushBack(Waiter* w);
-    void PushFront(Waiter* w);
     Waiter* PopFront();
     /// Unlinks `w` if present; returns whether it was.
     bool Remove(Waiter* w);
@@ -150,14 +146,10 @@ class LockManager {
   /// Acquire's queued path: waits for the grant, the timeout or a
   /// CrashReset cancellation, and cleans up after the last two.
   sim::Task<sim::WaitStatus> QueueAndWait(TxnId txn, ItemId item,
-                                          LockMode mode, sim::SimTime timeout,
-                                          bool is_upgrade);
+                                          LockMode mode, sim::SimTime timeout);
 
-  /// True when `txn` requesting `mode` is compatible with all other holders.
-  static bool CompatibleWithHolders(const ItemLock& lock, TxnId txn,
-                                    LockMode mode);
-  /// Installs/updates the holder entry.
-  static void AddHolder(ItemLock* lock, TxnId txn, LockMode mode);
+  /// True when a request for `mode` is compatible with every holder.
+  static bool CompatibleWithHolders(const ItemLock& lock, LockMode mode);
   /// Grants queued requests from the head while compatible.
   void PumpQueue(ItemId item, ItemLock* lock);
   /// Drops the lock entry if empty.

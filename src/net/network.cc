@@ -80,31 +80,32 @@ int Network::FateOf(db::SiteId src, db::SiteId dst) {
 
 sim::Task<bool> Network::Transfer(db::SiteId src, db::SiteId dst,
                                   size_t bytes) {
-  // The route is walked from the tree: the sender's access uplink, the group
-  // uplinks up to the LCA, the group downlinks below it top-down, then the
-  // receiver's access downlink. Only small integers and the current link
-  // live across the awaits, so the coroutine frame stays small.
+  // The route is walked from the tree, one link per hop: hop 0 is the
+  // sender's access uplink, hops 1 to last - 1 are the group uplinks up to
+  // the LCA and then the group downlinks below it top-down, and the last hop
+  // is the receiver's access downlink, where the fault hook decides how many
+  // copies arrive. Only small integers and the current link live across the
+  // awaits, and one Use site serves every hop, so the frame stays small.
   const double bits = static_cast<double>(bytes) * 8.0;
-  const Link* link = &LeafUp(src);
-  co_await link->facility->Use(bits / link->bps);
-  if (link->propagation > 0) co_await sim_->Delay(link->propagation);
   const int lca_depth = topology_.group(LcaOf(src, dst)).depth;
   const int up_hops = SwitchDepth(src) - lca_depth;
-  const int hops = up_hops + SwitchDepth(dst) - lca_depth;
-  for (int hop = 0; hop < hops; ++hop) {
-    link = &InteriorLink(src, dst, lca_depth, up_hops, hop);
-    co_await sim_->Delay(link->pre_delay);
-    co_await link->facility->Use(bits / link->bps);
+  const int last = up_hops + SwitchDepth(dst) - lca_depth + 1;
+  for (int hop = 0; hop <= last; ++hop) {
+    const Link* link =
+        hop == 0      ? &LeafUp(src)
+        : hop == last ? &LeafDown(dst)
+                      : &InteriorLink(src, dst, lca_depth, up_hops, hop - 1);
+    if (hop > 0) co_await sim_->Delay(link->pre_delay);
+    int copies = 1;
+    if (hop == last) {
+      copies = FateOf(src, dst);
+      if (copies == 0) co_return false;  // lost at the final switch
+    }
+    for (int i = 0; i < copies; ++i) {
+      co_await link->facility->Use(bits / link->bps);
+    }
     if (link->propagation > 0) co_await sim_->Delay(link->propagation);
   }
-  link = &LeafDown(dst);
-  co_await sim_->Delay(link->pre_delay);
-  int copies = FateOf(src, dst);
-  if (copies == 0) co_return false;  // lost at the final switch
-  for (int i = 0; i < copies; ++i) {
-    co_await link->facility->Use(bits / link->bps);
-  }
-  if (link->propagation > 0) co_await sim_->Delay(link->propagation);
   ++messages_delivered_;
   co_return true;
 }

@@ -43,7 +43,6 @@ class EagerProtocol : public Protocol {
 
   sim::Process Execute(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
-  const char* name() const override { return "Eager"; }
 
  private:
   struct ExecState {

@@ -27,7 +27,6 @@ class LockingProtocol : public Protocol {
   sim::Process Execute(txn::Transaction* t) override;
   void OnRegister(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
-  const char* name() const override { return "Locking"; }
 
  private:
   struct ExecState {

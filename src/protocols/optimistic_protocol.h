@@ -20,7 +20,6 @@ class OptimisticProtocol : public Protocol {
 
   sim::Process Execute(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
-  const char* name() const override { return "Optimistic"; }
 };
 
 }  // namespace lazyrep::proto

@@ -25,7 +25,6 @@ class PessimisticProtocol : public Protocol {
 
   sim::Process Execute(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
-  const char* name() const override { return "Pessimistic"; }
 
  private:
   struct ExecState {

@@ -38,8 +38,6 @@ class Protocol {
   /// protocol-specific teardown, one of the two completion styles below.
   virtual void OnCompleted(txn::Transaction* t) = 0;
 
-  virtual const char* name() const = 0;
-
  protected:
   /// One operation's step at the origination site: the local `lock` (none
   /// when the reader is lock-free or the protocol's global lock already is

@@ -80,10 +80,18 @@ bool WorkloadScript::FromPoint(const trace::PointTrace& pt,
         return fail("kSubmitOp of txn " + std::to_string(r.txn) +
                     " precedes its kSubmit");
       }
+      // A transaction names each item once, as the generator draws them: the
+      // lock manager takes a second request for a held lock as a bug.
+      std::vector<db::Operation>& ops =
+          out->per_site_[it->second.site][it->second.index].ops;
+      if (std::ranges::find(ops, r.item, &db::Operation::item) != ops.end()) {
+        return fail("txn " + std::to_string(r.txn) + " names item " +
+                    std::to_string(r.item) + " twice");
+      }
       db::Operation op;
       op.item = r.item;
       op.type = (r.aux & 1) != 0 ? db::OpType::kWrite : db::OpType::kRead;
-      out->per_site_[it->second.site][it->second.index].ops.push_back(op);
+      ops.push_back(op);
     }
   }
   if (out->total_ == 0) {

@@ -31,8 +31,9 @@ class WorkloadScript {
  public:
   /// Extracts the schedule from `pt` (from a file whose header said
   /// `trace_version`). Fails with a diagnostic in `error` when the point
-  /// recorded no submissions at all, or when it lacks the v2 kSubmitOp
-  /// access-set records (a v1-era capture cannot be replayed).
+  /// recorded no submissions at all, when it lacks the v2 kSubmitOp
+  /// access-set records (a v1-era capture cannot be replayed), or when it is
+  /// corrupt: among others, a transaction that names an item twice.
   static bool FromPoint(const trace::PointTrace& pt, uint32_t trace_version,
                         WorkloadScript* out, std::string* error);
 

@@ -23,10 +23,10 @@ void GraphSite::EnsureRegistered(db::TxnId txn, db::SiteId origin,
 }
 
 sim::Task<sim::WaitStatus> GraphSite::ServeTest(
-    db::TxnId txn, std::vector<db::Operation> ops, bool bounded,
+    db::TxnId txn, std::span<const db::Operation> ops, bool bounded,
     ReplicationGraph::TestOutcome* outcome) {
   ++tests_run_;
-  auto work = [this, txn, ops = std::move(ops), outcome]() -> double {
+  auto work = [this, txn, ops, outcome]() -> double {
     if (finished_.contains(txn)) {
       // The transaction was aborted while this request sat in the queue;
       // treat as an abort verdict without touching the graph.
@@ -61,9 +61,8 @@ sim::Task<Verdict> GraphSite::TestOperation(db::TxnId txn, db::SiteId origin,
   EnsureRegistered(txn, origin, is_global);
 
   ReplicationGraph::TestOutcome outcome;
-  std::vector<db::Operation> single{op};
   sim::WaitStatus status =
-      co_await ServeTest(txn, std::move(single), /*bounded=*/true, &outcome);
+      co_await ServeTest(txn, {&op, 1}, /*bounded=*/true, &outcome);
   if (status == sim::WaitStatus::kRejected) {
     // Queue overflow (§4.1.2): the new entrant is aborted.
     ++rejections_;
@@ -160,8 +159,7 @@ sim::Process GraphSite::RetestPump() {
         ParkedOp* head_raw = it->second.front();
         std::shared_ptr<ParkedOp> head = keepalive_.at(head_raw);
         ReplicationGraph::TestOutcome outcome;
-        std::vector<db::Operation> single{head->op};
-        co_await ServeTest(txn, std::move(single), /*bounded=*/false, &outcome);
+        co_await ServeTest(txn, {&head->op, 1}, /*bounded=*/false, &outcome);
         if (finished_.contains(txn)) break;
         if (outcome.result == ReplicationGraph::TestResult::kOk) {
           auto it2 = parked_.find(txn);
@@ -196,7 +194,7 @@ sim::Task<Verdict> GraphSite::TestCommit(db::TxnId txn, db::SiteId origin,
 
   ReplicationGraph::TestOutcome outcome;
   sim::WaitStatus status =
-      co_await ServeTest(txn, std::move(ops), /*bounded=*/true, &outcome);
+      co_await ServeTest(txn, ops, /*bounded=*/true, &outcome);
   if (status == sim::WaitStatus::kRejected) {
     ++rejections_;
     co_await RemoveUnderCpu(txn);

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -102,9 +103,10 @@ class GraphSite {
 
   /// Runs one RGtest under the CPU, translating costs to instructions.
   /// `bounded` selects whether the request respects the queue bound. Not a
-  /// coroutine: the caller awaits the Serve itself.
+  /// coroutine: the caller awaits the Serve itself, and its frame holds
+  /// `ops` until the Serve resolves.
   sim::Task<sim::WaitStatus> ServeTest(
-      db::TxnId txn, std::vector<db::Operation> ops, bool bounded,
+      db::TxnId txn, std::span<const db::Operation> ops, bool bounded,
       ReplicationGraph::TestOutcome* outcome);
 
   /// Parks `op` for `txn` and waits for a retest verdict or timeout.

@@ -211,13 +211,12 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
         rl.push_back(txn);
       }
       // Union rule: rw conflict with every live writer of the item; the
-      // reader reads at its origination site.
+      // reader reads at its origination site. The conflict lists, here and
+      // below, are walked in place: TryUnion writes only the site
+      // partitions, never writers_ or readers_.
       auto wit = writers_.find(op.item);
       if (wit != writers_.end()) {
-        // Copy: TryUnion never mutates writer lists, but be defensive about
-        // iterator stability across map rehash from readers_ insertions.
-        std::vector<db::TxnId> ws = wit->second;
-        for (db::TxnId w : ws) {
+        for (db::TxnId w : wit->second) {
           if (w == txn) continue;
           if (!TryUnion(info.origin, txn, w, cost, &has_committed,
                         &undo_unions)) {
@@ -260,8 +259,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       // contention "during replica propagation".)
       auto wit2 = writers_.find(op.item);
       if (wit2 != writers_.end()) {
-        std::vector<db::TxnId> ws = wit2->second;
-        for (db::TxnId w : ws) {
+        for (db::TxnId w : wit2->second) {
           if (w == txn) continue;
           db::SiteId w_origin = txns_.at(w).origin;
           if (!TryUnion(info.origin, txn, w, cost, &has_committed,
@@ -288,8 +286,7 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       // the reader's origination site (where the read happened).
       auto rit = readers_.find(op.item);
       if (rit != readers_.end() && outcome.result != TestResult::kCycle) {
-        std::vector<db::TxnId> rs = rit->second;
-        for (db::TxnId r : rs) {
+        for (db::TxnId r : rit->second) {
           if (r == txn) continue;
           if (!TryUnion(txns_.at(r).origin, txn, r, cost, &has_committed,
                         &undo_unions)) {

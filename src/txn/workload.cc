@@ -1,6 +1,6 @@
 #include "txn/workload.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "sim/check.h"
 
@@ -34,9 +34,11 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
   // The primary-item range owned by the origination site.
   const int own_lo = origin * params_.items_per_site;
   const int own_hi = own_lo + params_.items_per_site - 1;
-
-  std::unordered_set<db::ItemId> used;
-  used.reserve(num_ops * 2);
+  // Whether an operation drawn so far names `item`: scanning 5-15
+  // operations is cheaper than building a hash set per transaction.
+  auto drawn = [&t](db::ItemId item) {
+    return std::ranges::find(t.ops, item, &db::Operation::item) != t.ops.end();
+  };
 
   for (int i = 0; i < num_ops; ++i) {
     db::Operation op;
@@ -52,10 +54,10 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
     // A write pool of items_per_site bounds the distinct writes available;
     // fall back to a read when the pool is exhausted.
     if (owned_write &&
-        static_cast<int>(used.size()) >= params_.items_per_site) {
+        static_cast<int>(t.ops.size()) >= params_.items_per_site) {
       bool pool_full = true;
       for (int d = own_lo; d <= own_hi; ++d) {
-        if (!used.contains(static_cast<db::ItemId>(d))) {
+        if (!drawn(static_cast<db::ItemId>(d))) {
           pool_full = false;
           break;
         }
@@ -69,11 +71,11 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
     if (owned_write) {
       do {
         item = static_cast<db::ItemId>(rng->UniformInt(own_lo, own_hi));
-      } while (used.contains(item));
+      } while (drawn(item));
     } else if (placement_.full()) {
       do {
         item = static_cast<db::ItemId>(rng->UniformInt(0, total - 1));
-      } while (used.contains(item));
+      } while (drawn(item));
     } else {
       // The origin holds exactly the `replicas` primary blocks ending at its
       // own.
@@ -84,9 +86,8 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
         item = static_cast<db::ItemId>(
             block * params_.items_per_site +
             rng->UniformInt(0, params_.items_per_site - 1));
-      } while (used.contains(item));
+      } while (drawn(item));
     }
-    used.insert(item);
     op.item = item;
     t.ops.push_back(op);
   }

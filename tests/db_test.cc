@@ -118,65 +118,6 @@ TEST(LockManagerTest, FifoOrderAmongWaiters) {
   EXPECT_DOUBLE_EQ(t3, 2.0);
 }
 
-TEST(LockManagerTest, ReacquisitionIsImmediate) {
-  Simulation sim;
-  LockManager lm(&sim);
-  WaitStatus s1, s2, s3;
-  double t1, t2, t3;
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kUpdate, 1.0, &s1, &t1));
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kShared, 1.0, &s2, &t2));
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kUpdate, 1.0, &s3, &t3));
-  sim.Run();
-  EXPECT_EQ(s2, WaitStatus::kSignaled);
-  EXPECT_EQ(s3, WaitStatus::kSignaled);
-  EXPECT_EQ(lm.HolderCount(5), 1u);
-}
-
-TEST(LockManagerTest, UpgradeWaitsForOtherReaders) {
-  Simulation sim;
-  LockManager lm(&sim);
-  WaitStatus s1, s2, s3;
-  double t1, t2, t3;
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kShared, 99.0, &s1, &t1));
-  sim.Spawn(AcquireLock(&sim, &lm, 2, 5, LockMode::kShared, 99.0, &s2, &t2));
-  // Txn 1 upgrades; must wait for txn 2's shared lock to go away.
-  sim.ScheduleCallbackAt(1.0, [&] {
-    sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kUpdate, 99.0, &s3, &t3));
-  });
-  sim.ScheduleCallbackAt(2.0, [&] { lm.ReleaseAll(2); });
-  sim.Run();
-  EXPECT_EQ(s3, WaitStatus::kSignaled);
-  EXPECT_DOUBLE_EQ(t3, 2.0);
-  EXPECT_TRUE(lm.Holds(1, 5, LockMode::kUpdate));
-}
-
-TEST(LockManagerTest, UpgradeJumpsQueueAheadOfNewRequests) {
-  Simulation sim;
-  LockManager lm(&sim);
-  WaitStatus s_up, s_new;
-  double t_up, t_new;
-  // Txn 1 holds S. Txn 2 queues an update. Txn 1 then upgrades: its request
-  // goes to the queue front, so after txn 1 releases... actually txn 1's
-  // upgrade is only blocked by other S holders (none besides itself), so it
-  // is granted immediately even though txn 2 queued first.
-  WaitStatus s1;
-  double t1;
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kShared, 99.0, &s1, &t1));
-  sim.ScheduleCallbackAt(1.0, [&] {
-    sim.Spawn(AcquireLock(&sim, &lm, 2, 5, LockMode::kShared, 99.0, &s_new,
-                          &t_new));
-  });
-  // Txn 2's shared request coexists with txn 1's shared lock.
-  sim.ScheduleCallbackAt(2.0, [&] {
-    sim.Spawn(
-        AcquireLock(&sim, &lm, 1, 5, LockMode::kUpdate, 99.0, &s_up, &t_up));
-  });
-  sim.ScheduleCallbackAt(3.0, [&] { lm.ReleaseAll(2); });
-  sim.Run();
-  EXPECT_EQ(s_up, WaitStatus::kSignaled);
-  EXPECT_DOUBLE_EQ(t_up, 3.0);  // blocked only by txn 2's shared hold
-}
-
 TEST(LockManagerTest, ExclusiveExcludesEveryMode) {
   // The eager baseline's strict-2PL mode: X conflicts with S, U, and X.
   Simulation sim;
@@ -195,47 +136,6 @@ TEST(LockManagerTest, ExclusiveExcludesEveryMode) {
   EXPECT_EQ(su, WaitStatus::kTimeout);
   EXPECT_EQ(sx2, WaitStatus::kTimeout);
   EXPECT_EQ(lm.HolderCount(5), 1u);
-}
-
-TEST(LockManagerTest, ExclusiveCoversWeakerReacquisition) {
-  // Strength lattice S < U < X: a held X satisfies any same-txn request.
-  Simulation sim;
-  LockManager lm(&sim);
-  WaitStatus sx, ss, su;
-  double tx, ts, tu;
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kExclusive, 1.0, &sx,
-                        &tx));
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kShared, 1.0, &ss, &ts));
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kUpdate, 1.0, &su, &tu));
-  sim.Run();
-  EXPECT_EQ(ss, WaitStatus::kSignaled);
-  EXPECT_EQ(su, WaitStatus::kSignaled);
-  EXPECT_DOUBLE_EQ(tu, 0.0);
-  EXPECT_EQ(lm.HolderCount(5), 1u);
-  EXPECT_TRUE(lm.Holds(1, 5, LockMode::kShared));
-  EXPECT_TRUE(lm.Holds(1, 5, LockMode::kUpdate));
-  EXPECT_TRUE(lm.Holds(1, 5, LockMode::kExclusive));
-}
-
-TEST(LockManagerTest, UpdateUpgradesToExclusiveAfterRivalReleases) {
-  // Two TWR writers coexist under U; one then needs X (eager discipline)
-  // and must wait for the other's U to go away.
-  Simulation sim;
-  LockManager lm(&sim);
-  WaitStatus s1, s2, sx;
-  double t1, t2, tx;
-  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kUpdate, 99.0, &s1, &t1));
-  sim.Spawn(AcquireLock(&sim, &lm, 2, 5, LockMode::kUpdate, 99.0, &s2, &t2));
-  sim.ScheduleCallbackAt(1.0, [&] {
-    sim.Spawn(AcquireLock(&sim, &lm, 1, 5, LockMode::kExclusive, 99.0, &sx,
-                          &tx));
-  });
-  sim.ScheduleCallbackAt(2.0, [&] { lm.ReleaseAll(2); });
-  sim.Run();
-  EXPECT_EQ(sx, WaitStatus::kSignaled);
-  EXPECT_DOUBLE_EQ(tx, 2.0);
-  EXPECT_TRUE(lm.Holds(1, 5, LockMode::kExclusive));
-  EXPECT_FALSE(lm.Holds(2, 5, LockMode::kUpdate));
 }
 
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
@@ -319,10 +219,10 @@ TEST(LockManagerTest, OnlyAQueuedRequestBuildsAFrame) {
   LockManager lm(&sim);
   WaitStatus status[6];
   uint64_t frames[6];
-  // Two immediate grants and a re-acquisition resolve at the call.
+  // Three immediate grants resolve at the call.
   sim.Spawn(AcquireCountingFrames(&lm, 1, 5, LockMode::kShared, 9.0,
                                   &status[0], &frames[0]));
-  sim.Spawn(AcquireCountingFrames(&lm, 1, 5, LockMode::kShared, 9.0,
+  sim.Spawn(AcquireCountingFrames(&lm, 6, 7, LockMode::kShared, 9.0,
                                   &status[1], &frames[1]));
   sim.Spawn(AcquireCountingFrames(&lm, 3, 6, LockMode::kShared, 9.0,
                                   &status[2], &frames[2]));
@@ -352,6 +252,29 @@ TEST(LockManagerTest, OnlyAQueuedRequestBuildsAFrame) {
   EXPECT_EQ(lm.grants(), 4u);
   EXPECT_EQ(lm.waits(), 3u);
   EXPECT_EQ(lm.timeouts(), 1u);
+}
+
+// A transaction names each item once, so it requests each item's lock once
+// per site; a second request, whatever its mode, is a protocol bug and dies
+// with the named check.
+void AcquireTwice(LockMode first, LockMode second) {
+  Simulation sim;
+  LockManager lm(&sim);
+  WaitStatus s1, s2;
+  double t1, t2;
+  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, first, 1.0, &s1, &t1));
+  sim.Spawn(AcquireLock(&sim, &lm, 1, 5, second, 1.0, &s2, &t2));
+  sim.Run();
+}
+
+TEST(LockManagerDeathTest, SecondRequestForAHeldLockDies) {
+  EXPECT_DEATH(AcquireTwice(LockMode::kShared, LockMode::kShared),
+               "requests a lock it already holds here");
+}
+
+TEST(LockManagerDeathTest, UpgradeRequestDies) {
+  EXPECT_DEATH(AcquireTwice(LockMode::kShared, LockMode::kUpdate),
+               "requests a lock it already holds here");
 }
 
 // ---------------------------------------------------------------------------

@@ -373,6 +373,41 @@ TEST(ReplayTest, RejectsUnreplayableCaptures) {
   rejects({sub, write}, "txn 5 is flagged read-only but writes");
 }
 
+TEST(ReplayTest, RejectsATransactionThatNamesAnItemTwice) {
+  // A captured script whose transaction names one item twice: its second
+  // operation is rewritten to the item of its first. The generator never
+  // draws that, and the lock manager takes the second request for the held
+  // lock as a protocol bug, so extraction must refuse it, naming both.
+  core::SystemConfig config = SmallConfig();
+  const std::string path = ::testing::TempDir() + "replay_twice_rec.trace";
+  core::MetricsSnapshot recorded;
+  trace::TraceFile file;
+  Capture({config, core::ProtocolKind::kLocking}, path, 1, &recorded, &file);
+  std::remove(path.c_str());
+  trace::PointTrace pt = file.points[0];
+  const trace::Record* first = nullptr;
+  trace::Record* second = nullptr;
+  for (trace::Record& r : pt.records) {
+    if (r.type != static_cast<uint8_t>(trace::EventType::kSubmitOp)) continue;
+    if (first != nullptr && first->txn == r.txn) {
+      second = &r;
+      break;
+    }
+    first = &r;
+  }
+  ASSERT_NE(second, nullptr);
+  ASSERT_NE(second->item, first->item);
+  second->item = first->item;
+  replay::WorkloadScript script;
+  std::string error;
+  EXPECT_FALSE(replay::WorkloadScript::FromPoint(pt, file.header.version,
+                                                 &script, &error));
+  const std::string named = "txn " + std::to_string(second->txn) +
+                            " names item " + std::to_string(first->item) +
+                            " twice";
+  EXPECT_NE(error.find(named), std::string::npos) << error;
+}
+
 TEST(ReplayTest, FitsDatabaseChecksItemsOwnershipAndReplicas) {
   core::SystemConfig config = SmallConfig();  // 4 sites of 12 items
   std::string rec_path = ::testing::TempDir() + "replay_fits_rec.trace";
