@@ -10,12 +10,6 @@ void HistoryRecorder::RecordRead(db::TxnId reader, db::ItemId item,
   reads_.push_back(Read{reader, version, item});
 }
 
-void HistoryRecorder::RecordCommit(db::TxnId txn, db::Timestamp ts,
-                                   const std::vector<db::ItemId>& write_set) {
-  commits_.push_back(txn);
-  for (db::ItemId item : write_set) writes_.push_back(Write{ts, item});
-}
-
 namespace {
 
 enum class EdgeKind : uint8_t { kWr, kWw, kRw };

@@ -1,6 +1,7 @@
 #ifndef LAZYREP_CORE_HISTORY_H_
 #define LAZYREP_CORE_HISTORY_H_
 
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -39,8 +40,11 @@ class HistoryRecorder {
 
   /// Records a transaction's commit with its timestamp (which names the
   /// transaction, `ts.txn == txn`) and write set. Once per transaction.
-  void RecordCommit(db::TxnId txn, db::Timestamp ts,
-                    const std::vector<db::ItemId>& write_set);
+  template <typename Items = std::initializer_list<db::ItemId>>
+  void RecordCommit(db::TxnId txn, db::Timestamp ts, Items&& writes) {
+    commits_.push_back(txn);
+    for (db::ItemId item : writes) writes_.push_back(Write{ts, item});
+  }
 
   /// Builds the MVSG over committed transactions and checks acyclicity.
   /// On failure, `why` (if non-null) names one cycle, each edge with its

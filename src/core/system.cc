@@ -125,7 +125,7 @@ std::vector<db::SiteId> System::ReplicaTargets(const txn::Transaction& t,
     return targets;
   }
   std::vector<bool> seen(config_.num_sites, false);
-  for (db::ItemId item : t.write_set) {
+  for (db::ItemId item : t.Writes()) {
     placement.ForEachReplica(item, [&](db::SiteId s) {
       if (!seen[s] && s != except) {
         seen[s] = true;
@@ -148,7 +148,7 @@ void System::NoteCommitted(txn::Transaction* t,
   t->commit_time = sim_.Now();  // commit->complete measures from the real
                                 // commit instant
   if (history_ != nullptr) {
-    history_->RecordCommit(t->id, t->ts, t->write_set);
+    history_->RecordCommit(t->id, t->ts, t->Writes());
   }
   if (trace_ != nullptr) {
     // The response-reference instant rides along bit-cast so the analyzer
@@ -156,7 +156,7 @@ void System::NoteCommitted(txn::Transaction* t,
     // timestamp's time goes in aux_time (ts.txn always equals t->id).
     TraceEvent(trace::EventType::kCommit, *t, t->origin, 0,
                trace::BitsFromDouble(response_used), t->ts.time);
-    for (db::ItemId item : t->write_set) {
+    for (db::ItemId item : t->Writes()) {
       TraceEvent(trace::EventType::kCommitItem, *t, t->origin, item, 0,
                  t->ts.time);
     }
@@ -174,7 +174,7 @@ void System::NoteAborted(txn::Transaction* t, txn::AbortCause cause) {
   // Sets the state, then releases the edges: dependents may complete here,
   // after the abort's own sample and record.
   tracker_.OnAborted(t->id);
-  site(t->origin).store.RemoveReader(t->id, t->read_set);
+  site(t->origin).store.RemoveReader(t->id, t->Reads());
   GateRelease(*t);
 }
 
@@ -203,7 +203,7 @@ void System::OnTrackerCompleted(txn::Transaction* t) {
   t->terminal_time = sim_.Now();
   metrics_.OnComplete(*t);
   TraceEvent(trace::EventType::kComplete, *t, t->origin);
-  site(t->origin).store.RemoveReader(t->id, t->read_set);
+  site(t->origin).store.RemoveReader(t->id, t->Reads());
   protocol_->OnCompleted(t);
   if (sim::OneShot* shot = std::exchange(t->completion, nullptr)) {
     shot->Fire(sim::WaitStatus::kSignaled);
@@ -328,7 +328,7 @@ sim::Task<void> System::AwaitServing(int e) {
 
 void System::AppendRedoRecords(db::SiteId s, const txn::Transaction& t) {
   fault::SiteWal* w = wals_[s].get();
-  for (db::ItemId item : t.write_set) {
+  for (db::ItemId item : t.Writes()) {
     if (config_.HasReplica(item, s)) w->Append(kItemBytes);
   }
 }
@@ -468,7 +468,7 @@ void System::DeliverEdges(const ConflictEdges& edges) {
 
 bool System::HasStaleWriteVsTerminal(const txn::Transaction& t) {
   const db::ItemStore& store = site(t.origin).store;
-  for (db::ItemId item : t.write_set) {
+  for (db::ItemId item : t.Writes()) {
     db::Timestamp current = store.VersionOf(item);
     if (current <= t.ts) continue;
     // Relaxed ownership (footnote 2): writers no longer co-originate, so
@@ -488,7 +488,7 @@ bool System::HasTornReads(const ReadVersions& reads) {
     if (w == nullptr) continue;
     for (const auto& [item, v] : reads) {
       if (v >= w->ts) continue;  // read at or past W's version: consistent
-      for (db::ItemId wi : w->write_set) {
+      for (db::ItemId wi : w->Writes()) {
         if (wi == item) return true;  // read pre-W `item`, post-W `item2`
       }
     }
@@ -513,7 +513,7 @@ sim::Task<System::ConflictEdges> System::ApplyWrites(db::SiteId s,
   ConflictEdges edges;
   Site& st = site(s);
   int pages = 0;
-  for (db::ItemId item : t.write_set) {
+  for (db::ItemId item : t.Writes()) {
     if (!config_.HasReplica(item, s)) continue;
     db::ItemStore::WriteResult r = st.store.ApplyWrite(item, t.ts);
     ++pages;

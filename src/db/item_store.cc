@@ -134,15 +134,13 @@ Timestamp ItemStore::Read(ItemId item, TxnId reader) {
   return VersionOf(item);
 }
 
-void ItemStore::RemoveReader(TxnId reader, const std::vector<ItemId>& items) {
-  for (ItemId item : items) {
-    const size_t pos = Find(item);
-    if (pos == kNotFound) continue;
-    std::vector<TxnId>& readers = lists_[slots_[pos].list];
-    readers.erase(std::remove(readers.begin(), readers.end(), reader),
-                  readers.end());
-    if (readers.empty()) Erase(pos);
-  }
+void ItemStore::RemoveReaderOf(TxnId reader, ItemId item) {
+  const size_t pos = Find(item);
+  if (pos == kNotFound) return;
+  std::vector<TxnId>& readers = lists_[slots_[pos].list];
+  readers.erase(std::remove(readers.begin(), readers.end(), reader),
+                readers.end());
+  if (readers.empty()) Erase(pos);
 }
 
 std::span<const TxnId> ItemStore::ReadersOf(ItemId item) const {

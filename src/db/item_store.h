@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -178,8 +179,11 @@ class ItemStore {
     return versions_->Stamp(versions_->WriterAt(item, site_));
   }
 
-  /// Removes `reader`'s registrations (on abort or completion).
-  void RemoveReader(TxnId reader, const std::vector<ItemId>& items);
+  /// Removes `reader`'s registrations on `items` (on abort or completion).
+  template <typename Items = std::initializer_list<ItemId>>
+  void RemoveReader(TxnId reader, Items&& items) {
+    for (ItemId item : items) RemoveReaderOf(reader, item);
+  }
 
   /// Readers registered against the current version of `item`, in
   /// registration order. Valid until the next call on this store.
@@ -200,6 +204,8 @@ class ItemStore {
   };
   static constexpr uint32_t kEmpty = UINT32_MAX;
 
+  /// Drops `reader` from `item`'s readers, and the slot once it is empty.
+  void RemoveReaderOf(TxnId reader, ItemId item);
   /// Slot holding `item`, or kNotFound.
   size_t Find(ItemId item) const;
   static constexpr size_t kNotFound = SIZE_MAX;

@@ -115,7 +115,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
     // site no longer enforces — vote NO by silence instead (never Arrive);
     // the coordinator's vote timeout presumes abort. Crashes after this
     // check are caught by the epoch comparison below.
-    for (db::ItemId item : t->write_set) {
+    for (db::ItemId item : t->Writes()) {
       if (cfg.HasReplica(item, dst) &&
           !site.locks.Holds(t->id, item, LockMode::kExclusive)) {
         site.locks.ReleaseAll(t->id);
@@ -126,7 +126,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   // Process the write set into the prepare log record and force it: the YES
   // vote must survive a crash.
   size_t prepare_pages = 0;
-  for (db::ItemId item : t->write_set) {
+  for (db::ItemId item : t->Writes()) {
     if (cfg.HasReplica(item, dst)) {
       co_await site.cpu.Execute(core::kOpInstr);
       ++prepare_pages;
@@ -152,7 +152,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
   sys_->TraceEvent(trace::EventType::kVote, *t, dst, 0, 1);
   bool voted = co_await sys_->SendCtrl(dst, t->origin, Retry::kBounded);
   if (voted) pc->votes.Arrive();  // only a *delivered* YES counts
-  co_await pc->outcome[idx]->Wait();
+  co_await pc->outcome[idx].Wait();
   sys_->metrics().OnEagerInDoubt(t->measured, sys_->sim().Now() - vote_at);
   // A crash during the doubt window lost everything volatile *except* this
   // transaction: the prepare record re-established it during replay, and
@@ -194,7 +194,7 @@ sim::Process EagerProtocol::Participant(txn::Transaction* t, db::SiteId dst,
 sim::Process EagerProtocol::OutcomeLeg(db::SiteId origin, TwoPCPtr pc,
                                        db::SiteId dst) {
   co_await sys_->ReceiveCtrl(origin, dst, Retry::kAssured);
-  pc->outcome[pc->IndexOf(dst)]->Fire(WaitStatus::kSignaled);
+  pc->outcome[pc->IndexOf(dst)].Fire(WaitStatus::kSignaled);
 }
 
 sim::Process EagerProtocol::BroadcastOutcome(db::SiteId origin, TwoPCPtr pc) {
@@ -323,7 +323,7 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   sys_->TraceEvent(trace::EventType::kPrepare, *t, t->origin, 0,
                    pc->targets.size());
   size_t bytes =
-      core::kPropagationOverheadBytes + t->write_set.size() * core::kItemBytes;
+      core::kPropagationOverheadBytes + t->num_writes() * core::kItemBytes;
   // A PREPARE whose bounded budget runs out never reaches the participant:
   // no vote, no locks in doubt there; the vote timeout tells the
   // coordinator. Named lvalue: see AcquireReplicaLocks.

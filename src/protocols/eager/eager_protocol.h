@@ -1,6 +1,7 @@
 #ifndef LAZYREP_PROTOCOLS_EAGER_EAGER_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_EAGER_EAGER_PROTOCOL_H_
 
+#include <deque>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -77,16 +78,13 @@ class EagerProtocol : public Protocol {
           bool all_prepared)
         : targets(std::move(tgts)),
           votes(sim, static_cast<int>(targets.size())) {
-      outcome.reserve(targets.size());
-      for (size_t i = 0; i < targets.size(); ++i) {
-        outcome.push_back(std::make_unique<sim::OneShot>(sim));
-      }
+      for (size_t i = 0; i < targets.size(); ++i) outcome.emplace_back(sim);
       prepared.assign(targets.size(), all_prepared ? 1 : 0);
     }
     std::vector<db::SiteId> targets;
     sim::Countdown votes;  ///< counts delivered YES votes
     /// Per-target outcome signal; participants block on theirs in doubt.
-    std::vector<std::unique_ptr<sim::OneShot>> outcome;
+    std::deque<sim::OneShot> outcome;
     /// Which targets the PREPARE reached (all from the start when faults are
     /// off: every copy of the multicast lands).
     std::vector<char> prepared;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sim/check.h"
-
 namespace lazyrep::proto {
 
 using core::Retry;
@@ -75,31 +73,30 @@ sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
       }
     }
   }
-  st->grants[index]->Fire(status == WaitStatus::kSignaled
-                              ? WaitStatus::kSignaled
-                              : WaitStatus::kCancelled);
+  st->grants[index].Fire(status == WaitStatus::kSignaled
+                             ? WaitStatus::kSignaled
+                             : WaitStatus::kCancelled);
 }
 
 void LockingProtocol::AbortNow(txn::Transaction* t, StatePtr st,
                                txn::AbortCause cause) {
   sys_->site(t->origin).locks.ReleaseAll(t->id);
   if (!st->granted_remote_reads.empty()) {
-    sys_->sim().Spawn(
-        ReleaseRemoteReads(t->id, std::move(st->granted_remote_reads)));
+    sys_->sim().Spawn(ReleaseRemoteReads(
+        t->origin, t->id, std::move(st->granted_remote_reads)));
     st->granted_remote_reads.clear();
   }
   sys_->NoteAborted(t, cause);
 }
 
 sim::Process LockingProtocol::ReleaseRemoteReads(
-    db::TxnId id, std::vector<std::pair<db::SiteId, db::ItemId>> granted) {
+    db::SiteId origin, db::TxnId id,
+    std::vector<std::pair<db::SiteId, db::ItemId>> granted) {
   // Group per site would batch messages; individual releases are rare enough
   // (abort path only) that one control message per lock is acceptable. The
   // release must eventually arrive or the lock is stuck: retry forever.
   for (const auto& [primary, item] : granted) {
-    txn::Transaction* t = sys_->FindTxn(id);
-    LAZYREP_CHECK(t != nullptr);
-    co_await sys_->SendCtrl(t->origin, primary, Retry::kAssured);
+    co_await sys_->SendCtrl(origin, primary, Retry::kAssured);
     sys_->site(primary).locks.Release(id, item);
   }
 }
@@ -126,10 +123,7 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
   const bool lock_free_reads = cfg.two_version_reads && !t->is_update;
   System::ReadVersions read_versions;
   if (!lock_free_reads) {
-    st->grants.reserve(t->num_ops());
-    for (int i = 0; i < t->num_ops(); ++i) {
-      st->grants.push_back(std::make_unique<sim::OneShot>(&sys_->sim()));
-    }
+    for (int i = 0; i < t->num_ops(); ++i) st->grants.emplace_back(&sys_->sim());
     if (cfg.pipelined_dispatch) {
       for (int i = 0; i < t->num_ops(); ++i) {
         sys_->sim().Spawn(FetchLock(t, i, st));
@@ -145,7 +139,7 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
     std::optional<LockMode> local_lock;
     if (!lock_free_reads) {
       if (!cfg.pipelined_dispatch) sys_->sim().Spawn(FetchLock(t, i, st));
-      WaitStatus granted = co_await st->grants[i]->Wait();
+      WaitStatus granted = co_await st->grants[i].Wait();
       if (granted != WaitStatus::kSignaled) {
         AbortNow(t, st, st->fail_cause);
         co_return;
@@ -197,7 +191,7 @@ sim::Process LockingProtocol::Execute(txn::Transaction* t) {
       co_await acks.Wait();
     }
     // All replicas updated: the primary-copy update locks may fall (§2.2).
-    for (db::ItemId item : t->write_set) {
+    for (db::ItemId item : t->Writes()) {
       origin.locks.Release(t->id, item);
     }
   }

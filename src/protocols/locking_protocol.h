@@ -1,6 +1,7 @@
 #ifndef LAZYREP_PROTOCOLS_LOCKING_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_LOCKING_PROTOCOL_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -32,7 +33,7 @@ class LockingProtocol : public Protocol {
   struct ExecState {
     /// Per-operation lock grant slots (pipelined acquisition), each fired
     /// with its grant's status; none for a lock-free reader.
-    std::vector<std::unique_ptr<sim::OneShot>> grants;
+    std::deque<sim::OneShot> grants;
     /// Items whose (possibly remote) global read lock was granted, by
     /// primary site, for release on abort/completion.
     std::vector<std::pair<db::SiteId, db::ItemId>> granted_remote_reads;
@@ -55,10 +56,11 @@ class LockingProtocol : public Protocol {
   /// Abort path: release everything, notify the tracker and metrics.
   void AbortNow(txn::Transaction* t, StatePtr st, txn::AbortCause cause);
 
-  /// Sends asynchronous read-lock releases for remotely held locks.
-  sim::Process ReleaseRemoteReads(db::TxnId id,
-                                  std::vector<std::pair<db::SiteId, db::ItemId>>
-                                      granted);
+  /// Sends asynchronous read-lock releases from `origin` for remotely held
+  /// locks.
+  sim::Process ReleaseRemoteReads(
+      db::SiteId origin, db::TxnId id,
+      std::vector<std::pair<db::SiteId, db::ItemId>> granted);
 };
 
 }  // namespace lazyrep::proto

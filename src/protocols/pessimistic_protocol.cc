@@ -16,7 +16,7 @@ sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
     sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph,
                      t->ops[index].item,
                      static_cast<uint64_t>(rg::Verdict::kUnavailable));
-    st->slots[index]->Fire(WaitStatus::kCancelled);
+    st->slots[index].Fire(WaitStatus::kCancelled);
     co_return;
   }
   rg::Verdict v = co_await sys_->graph_site()->TestOperation(
@@ -26,8 +26,8 @@ sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
   sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph,
                    t->ops[index].item, static_cast<uint64_t>(v));
   st->verdicts[index] = v;
-  st->slots[index]->Fire(v == rg::Verdict::kOk ? WaitStatus::kSignaled
-                                               : WaitStatus::kCancelled);
+  st->slots[index].Fire(v == rg::Verdict::kOk ? WaitStatus::kSignaled
+                                              : WaitStatus::kCancelled);
 }
 
 sim::Process PessimisticProtocol::CommitNotice(txn::Transaction* t,
@@ -44,10 +44,7 @@ sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
   auto st = std::make_shared<ExecState>(t->num_ops());
   System::ReadVersions read_versions;
   const bool lock_free_reads = cfg.two_version_reads && !t->is_update;
-  st->slots.reserve(t->num_ops());
-  for (int i = 0; i < t->num_ops(); ++i) {
-    st->slots.push_back(std::make_unique<sim::OneShot>(&sys_->sim()));
-  }
+  for (int i = 0; i < t->num_ops(); ++i) st->slots.emplace_back(&sys_->sim());
   if (cfg.pipelined_dispatch) {
     for (int i = 0; i < t->num_ops(); ++i) {
       sys_->sim().Spawn(OpTester(t, i, st));
@@ -56,7 +53,7 @@ sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
 
   for (int i = 0; i < t->num_ops(); ++i) {
     if (!cfg.pipelined_dispatch) sys_->sim().Spawn(OpTester(t, i, st));
-    co_await st->slots[i]->Wait();
+    co_await st->slots[i].Wait();
     if (st->verdicts[i] != rg::Verdict::kOk) {
       AbortForVerdict(t, st->verdicts[i]);
       co_return;

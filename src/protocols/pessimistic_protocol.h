@@ -1,6 +1,7 @@
 #ifndef LAZYREP_PROTOCOLS_PESSIMISTIC_PROTOCOL_H_
 #define LAZYREP_PROTOCOLS_PESSIMISTIC_PROTOCOL_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -29,7 +30,7 @@ class PessimisticProtocol : public Protocol {
  private:
   struct ExecState {
     explicit ExecState(int num_ops) : verdicts(num_ops, rg::Verdict::kAbort) {}
-    std::vector<std::unique_ptr<sim::OneShot>> slots;
+    std::deque<sim::OneShot> slots;
     std::vector<rg::Verdict> verdicts;
     core::System::ConflictEdges edges;
   };

@@ -68,7 +68,7 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
       co_await sys_->AwaitServing(dst);
       co_await sys_->SendCtrl(dst, t->origin, Retry::kAssured);  // catch-up
       size_t bytes = core::kPropagationOverheadBytes +
-                     t->write_set.size() * core::kItemBytes;
+                     t->num_writes() * core::kItemBytes;
       co_await sys_->SendPayload(t->origin, dst, bytes, Retry::kAssured);
       co_await site.cpu.Execute(core::kMessageInstr);  // receive again
       epoch = sys_->SiteEpoch(dst);
@@ -78,17 +78,17 @@ sim::Task<System::ConflictEdges> Protocol::InstallAt(txn::Transaction* t,
 
     // Local update locks for the installed items; a local deadlock aborts
     // and restarts the subtransaction (§2.1). The `held` locks are those of
-    // write_set[0, next) that dst replicates.
+    // the writes among ops[0, next) that dst replicates.
     size_t held = 0;
     size_t next = 0;
     bool locked = true;
-    while (next < t->write_set.size()) {
-      db::ItemId item = t->write_set[next];
-      if (!cfg.HasReplica(item, dst)) {
+    while (next < t->ops.size()) {
+      const db::Operation op = t->ops[next];
+      if (op.type != db::OpType::kWrite || !cfg.HasReplica(op.item, dst)) {
         ++next;
         continue;
       }
-      WaitStatus s = co_await site.locks.Acquire(t->id, item,
+      WaitStatus s = co_await site.locks.Acquire(t->id, op.item,
                                                  db::LockMode::kUpdate,
                                                  cfg.timeout);
       if (s == WaitStatus::kSignaled) {
@@ -132,8 +132,11 @@ void Protocol::ReleaseInstallLocks(const txn::Transaction& t, db::SiteId dst,
                                    size_t next) {
   db::LockManager& locks = sys_->site(dst).locks;
   for (size_t i = 0; i < next; ++i) {
-    const db::ItemId item = t.write_set[i];
-    if (sys_->config().HasReplica(item, dst)) locks.Release(t.id, item);
+    const db::Operation op = t.ops[i];
+    if (op.type == db::OpType::kWrite &&
+        sys_->config().HasReplica(op.item, dst)) {
+      locks.Release(t.id, op.item);
+    }
   }
 }
 
@@ -150,7 +153,7 @@ sim::Task<void> Protocol::Propagate(txn::Transaction* t,
                                     const std::vector<db::SiteId>& targets,
                                     sim::Countdown* acks) {
   size_t bytes =
-      core::kPropagationOverheadBytes + t->write_set.size() * core::kItemBytes;
+      core::kPropagationOverheadBytes + t->num_writes() * core::kItemBytes;
   // Named lvalue, like every fan-out callback (see Network::Multicast).
   net::Network::DeliveryFn on_payload = [this, t, acks](db::SiteId dst) {
     sys_->sim().Spawn(Installer(t, dst, acks));

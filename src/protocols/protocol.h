@@ -97,7 +97,7 @@ class Protocol {
 
  private:
   /// Releases the update locks InstallAt holds at `dst` once it has walked
-  /// write_set[0, next): those of the items `dst` replicates, in write-set
+  /// ops[0, next): those of the written items `dst` replicates, in op
   /// order.
   void ReleaseInstallLocks(const txn::Transaction& t, db::SiteId dst,
                            size_t next);

@@ -201,7 +201,6 @@ txn::Transaction ScriptWorkload::NextTxn(db::TxnId id, db::SiteId s,
   t.origin = s;
   t.is_update = st.is_update;
   t.ops = st.ops;
-  t.RebuildAccessSets();
   return t;
 }
 

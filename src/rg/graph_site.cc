@@ -1,7 +1,6 @@
 #include "rg/graph_site.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/check.h"
@@ -85,32 +84,25 @@ sim::Task<Verdict> GraphSite::TestOperation(db::TxnId txn, db::SiteId origin,
 
 sim::Task<Verdict> GraphSite::ParkAndWait(db::TxnId txn, db::Operation op) {
   ++waits_;
-  auto parked = std::make_shared<ParkedOp>(sim_);
-  parked->txn = txn;
-  parked->op = op;
+  // The request lives on this frame: it leaves its queue (fired by the
+  // retest pump, unparked on timeout, or cancelled) before the frame ends.
+  ParkedOp parked(sim_, txn, op);
   auto& queue = parked_[txn];
   if (queue.empty()) wait_order_.push_back(txn);
-  // The deque stores raw pointers; the shared_ptr copies held here and by the
-  // retest pump keep the object alive across removal races.
-  queue.push_back(parked.get());
-  keepalive_.emplace(parked.get(), parked);
+  queue.push_back(&parked);
   ++parked_count_;
 
-  sim::WaitStatus status = co_await parked->shot.Wait(timeout_);
-  if (status == sim::WaitStatus::kSignaled) {
-    keepalive_.erase(parked.get());
-    co_return Verdict::kOk;
-  }
+  sim::WaitStatus status = co_await parked.shot.Wait(timeout_);
+  if (status == sim::WaitStatus::kSignaled) co_return Verdict::kOk;
   if (status == sim::WaitStatus::kTimeout) {
-    // Deadlock-timeout while waiting (§3): abort the transaction.
+    // Deadlock-timeout while waiting (§3): abort the transaction. Unpark and
+    // the remove's `finished_` mark happen in this one step.
     ++wait_timeouts_;
-    Unpark(parked.get());
-    keepalive_.erase(parked.get());
+    Unpark(&parked);
     co_await RemoveUnderCpu(txn);
     co_return Verdict::kAbort;
   }
   // kCancelled: the transaction was aborted through another path.
-  keepalive_.erase(parked.get());
   co_return Verdict::kAbort;
 }
 
@@ -156,19 +148,22 @@ sim::Process GraphSite::RetestPump() {
       while (true) {
         auto it = parked_.find(txn);
         if (it == parked_.end() || it->second.empty()) break;
-        ParkedOp* head_raw = it->second.front();
-        std::shared_ptr<ParkedOp> head = keepalive_.at(head_raw);
+        ParkedOp* head = it->second.front();
+        // The test reads this frame's copy: a cancellation ends the waiting
+        // frame, and with it `head`, even while the Serve is queued.
+        const db::Operation op = head->op;
         ReplicationGraph::TestOutcome outcome;
-        co_await ServeTest(txn, {&head->op, 1}, /*bounded=*/false, &outcome);
+        co_await ServeTest(txn, {&op, 1}, /*bounded=*/false, &outcome);
+        // A timeout or cancellation marks `txn` finished in the step that
+        // takes its request off the queue, so a live `txn` still has `head`
+        // first.
         if (finished_.contains(txn)) break;
         if (outcome.result == ReplicationGraph::TestResult::kOk) {
           auto it2 = parked_.find(txn);
-          if (it2 != parked_.end() && !it2->second.empty() &&
-              it2->second.front() == head.get()) {
-            it2->second.pop_front();
-            --parked_count_;
-            if (it2->second.empty()) parked_.erase(it2);
-          }
+          LAZYREP_CHECK(it2 != parked_.end() && it2->second.front() == head);
+          it2->second.pop_front();
+          --parked_count_;
+          if (it2->second.empty()) parked_.erase(it2);
           head->shot.Fire(sim::WaitStatus::kSignaled);
           continue;  // try this transaction's next parked op
         }

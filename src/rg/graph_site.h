@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -91,9 +90,11 @@ class GraphSite {
   ReplicationGraph* graph() { return graph_; }
 
  private:
+  /// A parked request, on the frame of the ParkAndWait that waits on it.
   struct ParkedOp {
-    explicit ParkedOp(sim::Simulation* sim) : shot(sim) {}
-    db::TxnId txn = db::kNoTxn;
+    ParkedOp(sim::Simulation* sim, db::TxnId txn, db::Operation op)
+        : txn(txn), op(op), shot(sim) {}
+    db::TxnId txn;
     db::Operation op;
     sim::OneShot shot;
   };
@@ -133,9 +134,6 @@ class GraphSite {
 
   /// Per-transaction FIFO of parked operations (head blocks the rest).
   std::unordered_map<db::TxnId, std::deque<ParkedOp*>> parked_;
-  /// Keeps parked ops alive across removal races between the waiting
-  /// coroutine (timeout path) and the retest pump.
-  std::unordered_map<ParkedOp*, std::shared_ptr<ParkedOp>> keepalive_;
   /// FIFO of transactions with parked heads, for fair retesting.
   std::deque<db::TxnId> wait_order_;
   size_t parked_count_ = 0;

@@ -184,19 +184,15 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
   LAZYREP_CHECK_MSG(it != txns_.end(), "RgTest for unknown transaction");
   TxnInfo& info = it->second;
 
+  // Every access this call admits is appended to `reads` or `writes` and
+  // puts `txn` at the back of that item's readers_ or writers_ list (the
+  // VecContains dedupe makes the two one-to-one; TryUnion touches neither),
+  // so a rollback truncates back to these sizes.
   std::vector<UndoUnion> undo_unions;
-  struct ListUndo {
-    std::vector<db::TxnId>* list;
-    size_t old_size;
-  };
-  struct ItemListUndo {
-    std::vector<db::ItemId>* list;
-    size_t old_size;
-  };
-  std::vector<ListUndo> list_undo;
-  std::vector<ItemListUndo> item_undo;
+  const size_t reads_before = info.reads.size();
+  const size_t writes_before = info.writes.size();
+  const size_t present_before = info.present.size();
   const bool had_writes = info.has_writes;
-  size_t present_undo_size = SIZE_MAX;  // first growth point of `present`
 
   TestOutcome outcome;
   for (const db::Operation& op : ops) {
@@ -204,11 +200,8 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
     if (op.type == db::OpType::kRead) {
       cost->add_units += 1;
       if (!VecContains(info.reads, op.item)) {
-        item_undo.push_back({&info.reads, info.reads.size()});
         info.reads.push_back(op.item);
-        std::vector<db::TxnId>& rl = readers_[op.item];
-        list_undo.push_back({&rl, rl.size()});
-        rl.push_back(txn);
+        readers_[op.item].push_back(txn);
       }
       // Union rule: rw conflict with every live writer of the item; the
       // reader reads at its origination site. The conflict lists, here and
@@ -236,20 +229,13 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       } else {
         placement_.ForEachReplica(op.item, [&](db::SiteId site) {
           ++cost->add_units;
-          if (VecContains(info.present, site)) return;
-          if (present_undo_size == SIZE_MAX) {
-            present_undo_size = info.present.size();
-          }
-          info.present.push_back(site);
+          if (!VecContains(info.present, site)) info.present.push_back(site);
         });
       }
       info.has_writes = true;
       if (!VecContains(info.writes, op.item)) {
-        item_undo.push_back({&info.writes, info.writes.size()});
         info.writes.push_back(op.item);
-        std::vector<db::TxnId>& wl = writers_[op.item];
-        list_undo.push_back({&wl, wl.size()});
-        wl.push_back(txn);
+        writers_[op.item].push_back(txn);
       }
       // Union rule, first bullet: at the item's *primary* site any conflict
       // merges -- including ww. All writers of an item originate at its
@@ -307,14 +293,16 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       part.members.at(u->kept_root).resize(u->kept_members_before);
       part.parent[u->absorbed_root] = u->absorbed_root;
     }
-    for (auto l = list_undo.rbegin(); l != list_undo.rend(); ++l) {
-      l->list->resize(l->old_size);
+    for (size_t i = reads_before; i < info.reads.size(); ++i) {
+      readers_.at(info.reads[i]).pop_back();
     }
-    for (auto l = item_undo.rbegin(); l != item_undo.rend(); ++l) {
-      l->list->resize(l->old_size);
+    for (size_t i = writes_before; i < info.writes.size(); ++i) {
+      writers_.at(info.writes[i]).pop_back();
     }
+    info.reads.resize(reads_before);
+    info.writes.resize(writes_before);
+    info.present.resize(present_before);
     info.has_writes = had_writes;
-    if (present_undo_size != SIZE_MAX) info.present.resize(present_undo_size);
     return outcome;
   }
 

@@ -40,16 +40,4 @@ const char* AbortCauseName(AbortCause cause) {
   return "unknown";
 }
 
-void Transaction::RebuildAccessSets() {
-  read_set.clear();
-  write_set.clear();
-  for (const db::Operation& op : ops) {
-    if (op.type == db::OpType::kRead) {
-      read_set.push_back(op.item);
-    } else {
-      write_set.push_back(op.item);
-    }
-  }
-}
-
 }  // namespace lazyrep::txn

@@ -1,7 +1,9 @@
 #ifndef LAZYREP_TXN_TRANSACTION_H_
 #define LAZYREP_TXN_TRANSACTION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <ranges>
 #include <unordered_set>
 #include <vector>
 
@@ -45,6 +47,14 @@ const char* AbortCauseName(AbortCause cause);
 
 inline constexpr size_t kAbortCauseCount =
     static_cast<size_t>(AbortCause::kCount);
+
+/// The items of the `type` operations among `ops`, in op order: a view.
+inline auto ItemsOf(const std::vector<db::Operation>& ops, db::OpType type) {
+  return ops | std::views::filter([type](const db::Operation& op) {
+           return op.type == type;
+         }) |
+         std::views::transform(&db::Operation::item);
+}
 
 /// A transaction instance generated by the workload and executed by one of
 /// the protocols. The record is the transaction's one copy:
@@ -94,10 +104,6 @@ struct Transaction {
   /// System fires it when the transaction completes.
   sim::OneShot* completion = nullptr;
 
-  /// Items read / written, in op order (derived from `ops`, cached).
-  std::vector<db::ItemId> read_set;
-  std::vector<db::ItemId> write_set;
-
   // The completion fixpoint's own fields (txn::CompletionTracker).
   /// Site-level commits still owed before completion (1 for a local
   /// transaction; the protocol sets it at registration).
@@ -108,11 +114,19 @@ struct Transaction {
   std::unordered_set<db::TxnId> preds;
   std::unordered_set<db::TxnId> deps;
 
-  /// Recomputes read_set/write_set from ops.
-  void RebuildAccessSets();
+  /// The items read / written, in op order: views of `ops`, so an edit to
+  /// `ops` shows at once. A filter view is not const-iterable; iterate the
+  /// view where it is made or pass it by forwarding reference.
+  auto Reads() const { return ItemsOf(ops, db::OpType::kRead); }
+  auto Writes() const { return ItemsOf(ops, db::OpType::kWrite); }
 
   /// Number of operations.
   int num_ops() const { return static_cast<int>(ops.size()); }
+  /// Number of write operations.
+  size_t num_writes() const {
+    return static_cast<size_t>(
+        std::ranges::count(ops, db::OpType::kWrite, &db::Operation::type));
+  }
 };
 
 }  // namespace lazyrep::txn

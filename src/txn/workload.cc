@@ -92,10 +92,9 @@ Transaction WorkloadGenerator::Generate(db::TxnId id, db::SiteId origin,
     t.ops.push_back(op);
   }
 
-  t.RebuildAccessSets();
   // A transaction that drew the update class but no write operations behaves
   // as (and is classified as) read-only.
-  if (t.write_set.empty()) t.is_update = false;
+  if (t.num_writes() == 0) t.is_update = false;
   return t;
 }
 

@@ -129,6 +129,44 @@ TEST_F(Fixture, WaitTimeoutExpiresToAbortAndRemoves) {
   EXPECT_TRUE(graph.IsAcyclic());
 }
 
+TEST_F(Fixture, WaitTimeoutWhileRetestQueuesBehindBusyCpu) {
+  BuildBridge(10, 20, 1, 2, 3);
+  Verdict v;
+  sim.Spawn(Op(&site, 4, 3, true, Write(30), &v));
+  sim.Run();
+  sim.Spawn(Op(&site, 4, 3, true, Read(10), &v));
+  sim.Run();
+  sim.Spawn(Op(&site, 5, 0, true, Write(40), &v));  // unrelated to the cycle
+  sim.Run();
+  Verdict blocked = Verdict::kOk;
+  double when = -1;
+  const double parked_at = sim.Now();
+  sim.Spawn(Op(&site, 4, 3, true, Read(20), &blocked, &when));
+  sim.Run(parked_at + 0.1);
+  ASSERT_EQ(site.parked_requests(), 1u);
+  // Removing txn 5 starts the retest pump, whose test of the parked head
+  // queues behind a second of other work: the head's deadlock timeout fires
+  // while that test waits, and the timeout's own remove queues behind it.
+  struct Busy {
+    static sim::Process Run(hw::Cpu* cpu, double instructions) {
+      co_await cpu->Execute(instructions);
+    }
+  };
+  sim.Spawn(Remove(5));
+  sim.Spawn(Busy::Run(&cpu, 300e6));
+  sim.Run(parked_at + kTimeout + 0.1);
+  EXPECT_EQ(site.wait_timeouts(), 1u);
+  EXPECT_EQ(site.parked_requests(), 0u);
+  EXPECT_TRUE(site.IsFinished(4));
+  EXPECT_EQ(when, -1);  // the verdict waits for the remove behind the retest
+  sim.Run();
+  EXPECT_EQ(blocked, Verdict::kAbort);
+  EXPECT_GE(when, parked_at + 1.1);
+  EXPECT_FALSE(graph.Contains(4));
+  EXPECT_FALSE(graph.Contains(5));
+  EXPECT_TRUE(graph.IsAcyclic());
+}
+
 TEST_F(Fixture, ShorterWaitTimeoutIsRespected) {
   hw::Cpu cpu2(&sim, "graph_cpu2", 300.0);
   ReplicationGraph g2(4);

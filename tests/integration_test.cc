@@ -252,7 +252,7 @@ TEST(IntegrationPartialReplication, ReplicaTargetsAreTheWrittenItemsSites) {
   t.origin = 1;
   // Ten items per site: item 12 lives at sites 1 and 2, item 45 at sites 4
   // and 0 (wrapping).
-  t.write_set = {12, 45};
+  t.ops = {{db::OpType::kWrite, 12}, {db::OpType::kWrite, 45}};
   EXPECT_EQ(system.ReplicaTargets(t, 1), (std::vector<db::SiteId>{0, 2, 4}));
   c.replication_degree = 7;
   System full(c, ProtocolKind::kOptimistic);

@@ -167,6 +167,28 @@ TEST_F(CycleFixture, RollbackRestoresState) {
   EXPECT_TRUE(g_->IsAcyclic());
 }
 
+// One RGtest of two reads whose second closes the cycle: the rollback takes
+// back the first read as well, its merge and its reader registration.
+TEST_F(CycleFixture, FailedMultiOpTestLeavesNoTraceOfItsFirstRead) {
+  g_->AddTxn(kL2, 3, false);
+  ASSERT_EQ(RunRg(g_.get(), kL2, {Read(kX), Read(kY)}).result,
+            ReplicationGraph::TestResult::kCycle);
+  EXPECT_FALSE(g_->SameVirtualSite(3, kL2, kT1));
+  EXPECT_FALSE(g_->SameVirtualSite(3, kL2, kT2));
+  EXPECT_TRUE(g_->IsAcyclic());
+  // With L1 gone T1 and T2 no longer share a group, so a new writer of x
+  // merges with whatever reads x; L2 must not be among them.
+  GraphCost cost;
+  g_->Remove(kL1, &cost);
+  constexpr TxnId kT3 = 5;
+  g_->AddTxn(kT3, 0, true);
+  ASSERT_EQ(RunRg(g_.get(), kT3, {Write(kX)}).result,
+            ReplicationGraph::TestResult::kOk);
+  EXPECT_TRUE(g_->SameVirtualSite(0, kT3, kT1));
+  EXPECT_FALSE(g_->SameVirtualSite(3, kT3, kL2));
+  EXPECT_TRUE(g_->IsAcyclic());
+}
+
 TEST_F(CycleFixture, CommittedTransactionOnCycleIsReported) {
   g_->MarkCommitted(kT2);
   g_->AddTxn(kL2, 3, false);

@@ -38,16 +38,31 @@ WorkloadGenerator FullyReplicated(const WorkloadParams& p,
   return WorkloadGenerator(p, PlacementOf(p, num_sites, num_sites));
 }
 
-TEST(TransactionTest, RebuildAccessSetsSplitsOps) {
+/// The items a view yields, in its order.
+template <typename View>
+std::vector<db::ItemId> ItemsIn(View&& view) {
+  std::vector<db::ItemId> items;
+  for (db::ItemId item : view) items.push_back(item);
+  return items;
+}
+
+TEST(TransactionTest, AccessViewsFollowOpsWithNoRebuild) {
   Transaction t;
   t.ops = {{db::OpType::kRead, 1},
            {db::OpType::kWrite, 2},
            {db::OpType::kRead, 3},
            {db::OpType::kWrite, 4}};
-  t.RebuildAccessSets();
-  EXPECT_EQ(t.read_set, (std::vector<db::ItemId>{1, 3}));
-  EXPECT_EQ(t.write_set, (std::vector<db::ItemId>{2, 4}));
+  EXPECT_EQ(ItemsIn(t.Reads()), (std::vector<db::ItemId>{1, 3}));
+  EXPECT_EQ(ItemsIn(t.Writes()), (std::vector<db::ItemId>{2, 4}));
+  EXPECT_EQ(t.num_writes(), 2u);
   EXPECT_EQ(t.num_ops(), 4);
+  // An edit to ops shows in the views at once, still in op order.
+  t.ops[0].type = db::OpType::kWrite;
+  t.ops.push_back({db::OpType::kRead, 5});
+  EXPECT_EQ(ItemsIn(t.Reads()), (std::vector<db::ItemId>{3, 5}));
+  EXPECT_EQ(ItemsIn(t.Writes()), (std::vector<db::ItemId>{1, 2, 4}));
+  EXPECT_EQ(t.num_writes(), 3u);
+  EXPECT_EQ(t.num_ops(), 5);
 }
 
 TEST(TransactionTest, StateNames) {
@@ -90,7 +105,7 @@ TEST(WorkloadTest, WriteFractionWithinUpdates) {
     Transaction t = gen.Generate(i + 1, 0, &rng);
     if (!t.is_update) continue;
     ops += t.num_ops();
-    writes += static_cast<int64_t>(t.write_set.size());
+    writes += static_cast<int64_t>(t.num_writes());
   }
   EXPECT_NEAR(writes / static_cast<double>(ops), 0.30, 0.02);
 }
@@ -115,7 +130,7 @@ TEST(WorkloadTest, WritesRespectOwnership) {
   for (int i = 0; i < 3000; ++i) {
     db::SiteId origin = static_cast<db::SiteId>(i % kSites);
     Transaction t = gen.Generate(i + 1, origin, &rng);
-    for (db::ItemId w : t.write_set) {
+    for (db::ItemId w : t.Writes()) {
       EXPECT_EQ(w / p.items_per_site, origin)
           << "write outside the origin's primary partition";
     }
@@ -130,7 +145,7 @@ TEST(WorkloadTest, RelaxedOwnershipWritesAnywhere) {
   bool saw_foreign_write = false;
   for (int i = 0; i < 5000 && !saw_foreign_write; ++i) {
     Transaction t = gen.Generate(i + 1, 0, &rng);
-    for (db::ItemId w : t.write_set) {
+    for (db::ItemId w : t.Writes()) {
       if (w / p.items_per_site != 0) saw_foreign_write = true;
     }
   }
@@ -144,7 +159,7 @@ TEST(WorkloadTest, ReadsCoverWholeDatabase) {
   std::unordered_set<db::ItemId> read_items;
   for (int i = 0; i < 5000; ++i) {
     Transaction t = gen.Generate(i + 1, 0, &rng);
-    for (db::ItemId r : t.read_set) read_items.insert(r);
+    for (db::ItemId r : t.Reads()) read_items.insert(r);
   }
   // With 100 items and 5k transactions, every item should be read.
   EXPECT_EQ(read_items.size(), static_cast<size_t>(p.items_per_site * 5));
@@ -158,7 +173,7 @@ TEST(WorkloadTest, PartialReplicationReadsStayLocal) {
   for (int i = 0; i < 3000; ++i) {
     db::SiteId origin = static_cast<db::SiteId>(i % kSites);
     Transaction t = gen.Generate(i + 1, origin, &rng);
-    for (db::ItemId r : t.read_set) {
+    for (db::ItemId r : t.Reads()) {
       int primary = r / p.items_per_site;
       int offset = (origin - primary + kSites) % kSites;
       EXPECT_LT(offset, kReplicas)
@@ -181,7 +196,7 @@ TEST(WorkloadTest, PartialReplicationRelaxedWritesStayLocal) {
   for (int i = 0; i < 3000; ++i) {
     db::SiteId origin = static_cast<db::SiteId>(i % kSites);
     Transaction t = gen.Generate(i + 1, origin, &rng);
-    for (db::ItemId w : t.write_set) {
+    for (db::ItemId w : t.Writes()) {
       EXPECT_TRUE(placement.Holds(w, origin))
           << "write of item " << w << " not replicated at site " << origin;
       if (placement.Primary(w) != origin) saw_foreign_write = true;
@@ -195,7 +210,7 @@ TEST(WorkloadTest, NoWritesMeansReadOnlyClassification) {
   sim::RandomStream rng(9);
   for (int i = 0; i < 5000; ++i) {
     Transaction t = gen.Generate(i + 1, 1, &rng);
-    EXPECT_EQ(t.is_update, !t.write_set.empty());
+    EXPECT_EQ(t.is_update, t.num_writes() != 0);
   }
 }
 
@@ -227,7 +242,7 @@ TEST(WorkloadTest, WritePoolExhaustionFallsBackToReads) {
   sim::RandomStream rng(12);
   for (int i = 0; i < 200; ++i) {
     Transaction t = gen.Generate(i + 1, 1, &rng);
-    EXPECT_LE(t.write_set.size(), 2u);
+    EXPECT_LE(t.num_writes(), 2u);
     EXPECT_EQ(t.num_ops(), 6);
     std::unordered_set<db::ItemId> seen;
     for (const auto& op : t.ops) EXPECT_TRUE(seen.insert(op.item).second);
