@@ -27,8 +27,8 @@
 //                           uncontended lock rows build a frame beyond their
 //                           own processes, if the system row exceeds its
 //                           allocation, frame or heap-node budget per event,
-//                           or if any scenario did no work; the graph
-//                           scenarios' allocations are reported, not gated
+//                           if a graph scenario exceeds its allocation
+//                           budget per step, or if any scenario did no work
 //   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
 //
 // An unknown argument or a malformed --rounds exits 2 with the usage line.
@@ -131,6 +131,9 @@ struct ScenarioResult {
   /// processes. kUngated for the rows without a frame budget.
   uint64_t frames_allowed = kUngated;
   static constexpr uint64_t kUngated = UINT64_MAX;
+  /// Allocations per unit --check allows in a graph row, which still
+  /// allocates per operation; negative for the other rows.
+  double allocs_per_unit_allowed = -1;
 };
 
 /// Runs `round` once as warm-up, then `rounds` more under measurement.
@@ -573,7 +576,7 @@ ScenarioResult RgChurn(int rounds) {
   };
   for (int slot = 0; slot < kPopulation; ++slot) admit(slot);
   int oldest = 0;
-  return Measure({"rg_churn", "step"}, rounds, nullptr, [&] {
+  ScenarioResult r = Measure({"rg_churn", "step"}, rounds, nullptr, [&] {
     for (int s = 0; s < kSteps; ++s) {
       graph.Remove(live[oldest], &cost);
       admit(oldest);
@@ -581,6 +584,8 @@ ScenarioResult RgChurn(int rounds) {
     }
     return uint64_t{kSteps};
   });
+  r.allocs_per_unit_allowed = 39;  // measures 37.1; about 5% of headroom
+  return r;
 }
 
 /// Cycle check through a merged virtual site: 32 global writers from site 0
@@ -611,16 +616,19 @@ ScenarioResult RgCycleCheck(int rounds) {
   graph.AddTxn(kProbe, 6, false);
   graph.RgTest(kProbe, first, &cost);
   const db::Operation probe[] = {ReadOf(kFirstItem + 1)};
-  return Measure({"rg_cycle_check", "step"}, rounds, nullptr, [&] {
-    for (int s = 0; s < kSteps; ++s) {
-      rg::ReplicationGraph::TestOutcome outcome =
-          graph.RgTest(kProbe, probe, &cost);
-      if (outcome.result != rg::ReplicationGraph::TestResult::kCycle) {
-        std::abort();
-      }
-    }
-    return uint64_t{kSteps};
-  });
+  ScenarioResult r =
+      Measure({"rg_cycle_check", "step"}, rounds, nullptr, [&] {
+        for (int s = 0; s < kSteps; ++s) {
+          rg::ReplicationGraph::TestOutcome outcome =
+              graph.RgTest(kProbe, probe, &cost);
+          if (outcome.result != rg::ReplicationGraph::TestResult::kCycle) {
+            std::abort();
+          }
+        }
+        return uint64_t{kSteps};
+      });
+  r.allocs_per_unit_allowed = 348;  // measures 331; about 5% of headroom
+  return r;
 }
 
 /// Large-group split: 64 local readers at site 3 have read item 5. Each
@@ -641,7 +649,7 @@ ScenarioResult RgSplit(int rounds) {
   }
   const db::Operation write[] = {WriteOf(kItem)};
   db::TxnId writer = 1 + kReaders;
-  return Measure({"rg_split", "step"}, rounds, nullptr, [&] {
+  ScenarioResult r = Measure({"rg_split", "step"}, rounds, nullptr, [&] {
     for (int s = 0; s < kSteps; ++s) {
       graph.AddTxn(writer, 0, true);
       graph.RgTest(writer, write, &cost);
@@ -651,6 +659,8 @@ ScenarioResult RgSplit(int rounds) {
     }
     return uint64_t{kSteps};
   });
+  r.allocs_per_unit_allowed = 1439;  // measures 1,370; about 5% of headroom
+  return r;
 }
 
 // -- reporting ---------------------------------------------------------------
@@ -681,17 +691,19 @@ bool IsStoreScenario(const ScenarioResult& r) {
 
 /// Scenarios --check holds to zero steady-state allocations: the kernel
 /// scenarios, the lock manager and the two store rows. The graph still
-/// allocates per operation; the system row has budgets of its own (below).
+/// allocates per operation, so its rows have per-step budgets, and the
+/// system row has budgets of its own (below).
 bool Gated(const ScenarioResult& r) {
   return (CountsEvents(r) && !IsSystemScenario(r)) || IsLockScenario(r) ||
          IsStoreScenario(r);
 }
 
 /// The system row's committed budgets per event fired by System::Run. It
-/// measures 0.1236 allocations (a fresh System grows its tables as it runs),
-/// where it made 0.1975 while an RGtest kept two undo logs, a transaction
-/// kept copies of its read and write sets and each operation's grant slot
-/// was a heap object of its own, and 0.2438 while the generator built a
+/// measures 0.1213 allocations (a fresh System grows its tables as it runs),
+/// where it made 0.1236 while an update built its replica targets twice,
+/// 0.1975 while an RGtest kept two undo logs, a transaction kept copies of
+/// its read and write sets and each operation's grant slot was a heap
+/// object of its own, and 0.2438 while the generator built a
 /// hash set per transaction and an RGtest copied its operation and conflict
 /// lists. It builds 0.3291 frames per event, where it built 0.9852 before
 /// facility uses, disk pages and immediate lock grants stopped building
@@ -803,12 +815,12 @@ int Run(int argc, char** argv) {
     // round absorbs all capacity growth (the lock tables' spare nodes
     // included); any measured-round allocation there is a regression on the
     // allocation-free hot path. The graph still allocates per operation, so
-    // its scenarios report their counts (the baseline for making it
-    // allocation-free) without a budget. A facility use and an immediate
-    // lock grant build no coroutine frame, so those rows may build only
-    // their own processes' frames. The system row has committed budgets per
-    // event: allocations, frames and heap nodes opened. A scenario that did
-    // no work measured nothing, so it fails too.
+    // its scenarios are held to committed allocations per step instead (the
+    // baseline for making it allocation-free). A facility use and an
+    // immediate lock grant build no coroutine frame, so those rows may build
+    // only their own processes' frames. The system row has committed
+    // budgets per event: allocations, frames and heap nodes opened. A
+    // scenario that did no work measured nothing, so it fails too.
     int failures = 0;
     int gated = 0;
     for (const ScenarioResult& r : results) {
@@ -852,6 +864,17 @@ int Run(int argc, char** argv) {
 #endif
         continue;
       }
+      if (r.allocs_per_unit_allowed >= 0) {
+        if (PerUnit(r.allocs, r) > r.allocs_per_unit_allowed) {
+          std::fprintf(stderr,
+                       "CHECK FAILED: %s performed %.4f heap allocations per "
+                       "%s (budget: %.4f)\n",
+                       r.name, PerUnit(r.allocs, r), r.unit,
+                       r.allocs_per_unit_allowed);
+          ++failures;
+        }
+        continue;
+      }
       if (!Gated(r)) continue;
 #ifdef LAZYREP_FRAME_POOL_DISABLED
       // Sanitized builds bypass the frame pool by design; only the
@@ -873,7 +896,7 @@ int Run(int argc, char** argv) {
     }
     if (failures > 0) return 1;
     std::printf("alloc budget check passed: 0 steady-state allocations in "
-                "%d gated scenarios; frame and system budgets held\n",
+                "%d gated scenarios; frame, graph and system budgets held\n",
                 gated);
   }
   return 0;

@@ -561,7 +561,6 @@ void System::Submit(db::SiteId s, sim::RandomStream* rng) {
   t.measured = window_open_ && site_submitted_[s] > config_.warmup_per_site;
 
   txn::Transaction* ptr = tracker_.Register(std::move(t));
-  protocol_->OnRegister(ptr);
   metrics_.OnSubmit(*ptr);
   TraceEvent(trace::EventType::kSubmit, *ptr, s, 0, ptr->ops.size());
   if (trace_ != nullptr) {

@@ -319,6 +319,8 @@ sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   // outcome, and leaves its grants to that outcome.
   auto pc = std::make_shared<TwoPC>(&sys_->sim(), std::move(targets),
                                     /*all_prepared=*/!sys_->fault_enabled());
+  // Completion owes one more commit per participant.
+  t->remaining_commits += static_cast<int>(pc->targets.size());
   sys_->metrics().OnEagerPrepare(t->measured);
   sys_->TraceEvent(trace::EventType::kPrepare, *t, t->origin, 0,
                    pc->targets.size());

@@ -9,13 +9,6 @@ using core::System;
 using db::LockMode;
 using sim::WaitStatus;
 
-void LockingProtocol::OnRegister(txn::Transaction* t) {
-  // The origination site coordinates its own transaction's completion; the
-  // remote installs are gathered through acks before the single
-  // OnSubtxnCommitted, so one commit unit suffices.
-  t->remaining_commits = 1;
-}
-
 sim::Process LockingProtocol::FetchLock(txn::Transaction* t, int index,
                                         StatePtr st) {
   const db::Operation op = t->ops[index];

@@ -26,7 +26,6 @@ class LockingProtocol : public Protocol {
   explicit LockingProtocol(core::System* system) : Protocol(system) {}
 
   sim::Process Execute(txn::Transaction* t) override;
-  void OnRegister(txn::Transaction* t) override;
   void OnCompleted(txn::Transaction* t) override;
 
  private:

@@ -53,8 +53,8 @@ sim::Process OptimisticProtocol::Execute(txn::Transaction* t) {
   rg::Verdict v = rg::Verdict::kUnavailable;
   bool sent = co_await sys_->SendCtrl(t->origin, graph, Retry::kBounded);
   if (sent) {
-    rg::Verdict tested = co_await sys_->graph_site()->TestCommit(
-        t->id, t->origin, t->is_update, t->ops);
+    rg::Verdict tested = co_await sys_->graph_site()->Test(
+        t->id, t->origin, t->is_update, t->ops, /*may_wait=*/false);
     bool replied = co_await sys_->SendCtrl(graph, t->origin, Retry::kBounded);
     if (replied) v = tested;
   }
@@ -99,13 +99,15 @@ sim::Process OptimisticProtocol::Execute(txn::Transaction* t) {
   if (t->is_update && sys_->graph_site()->graph()->Contains(t->id)) {
     sys_->graph_site()->graph()->MarkCommitted(t->id);
   }
+  // Completion owes one more commit per replica target, counted before the
+  // origin's own.
+  std::vector<db::SiteId> targets;
+  if (t->is_update) targets = sys_->ReplicaTargets(*t, t->origin);
+  t->remaining_commits += static_cast<int>(targets.size());
   sys_->DeliverEdges(edges);
   sys_->tracker().OnSubtxnCommitted(t->id);
 
-  if (t->is_update) {
-    std::vector<db::SiteId> targets = sys_->ReplicaTargets(*t, t->origin);
-    if (!targets.empty()) co_await Propagate(t, targets, nullptr);
-  }
+  if (!targets.empty()) co_await Propagate(t, targets, nullptr);
 }
 
 void OptimisticProtocol::OnCompleted(txn::Transaction* t) {

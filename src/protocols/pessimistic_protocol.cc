@@ -9,22 +9,23 @@ using sim::WaitStatus;
 
 sim::Process PessimisticProtocol::OpTester(txn::Transaction* t, int index,
                                            StatePtr st) {
+  // The graph site tests this frame's copy of the operation.
+  const db::Operation op = t->ops[index];
   const db::SiteId graph = sys_->graph_endpoint();
   bool sent = co_await sys_->SendCtrl(t->origin, graph, Retry::kBounded);
   if (!sent) {
     st->verdicts[index] = rg::Verdict::kUnavailable;
-    sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph,
-                     t->ops[index].item,
+    sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph, op.item,
                      static_cast<uint64_t>(rg::Verdict::kUnavailable));
     st->slots[index].Fire(WaitStatus::kCancelled);
     co_return;
   }
-  rg::Verdict v = co_await sys_->graph_site()->TestOperation(
-      t->id, t->origin, t->is_update, t->ops[index]);
+  rg::Verdict v = co_await sys_->graph_site()->Test(
+      t->id, t->origin, t->is_update, {&op, 1}, /*may_wait=*/true);
   bool replied = co_await sys_->SendCtrl(graph, t->origin, Retry::kBounded);
   if (!replied) v = rg::Verdict::kUnavailable;  // reply never reached origin
-  sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph,
-                   t->ops[index].item, static_cast<uint64_t>(v));
+  sys_->TraceEvent(trace::EventType::kGraphTest, *t, graph, op.item,
+                   static_cast<uint64_t>(v));
   st->verdicts[index] = v;
   st->slots[index].Fire(v == rg::Verdict::kOk ? WaitStatus::kSignaled
                                               : WaitStatus::kCancelled);
@@ -97,7 +98,9 @@ sim::Process PessimisticProtocol::Execute(txn::Transaction* t) {
   sys_->sim().Spawn(CommitNotice(t, st));
 
   if (t->is_update) {
+    // Completion owes one more commit per replica target.
     std::vector<db::SiteId> targets = sys_->ReplicaTargets(*t, t->origin);
+    t->remaining_commits += static_cast<int>(targets.size());
     if (!targets.empty()) co_await Propagate(t, targets, nullptr);
   }
   // Completion is detected at the graph site (tracker); nothing to hold here.

@@ -8,14 +8,6 @@ using core::Retry;
 using core::System;
 using sim::WaitStatus;
 
-void Protocol::OnRegister(txn::Transaction* t) {
-  int remaining = 1;
-  if (t->is_update) {
-    remaining += static_cast<int>(sys_->ReplicaTargets(*t, t->origin).size());
-  }
-  t->remaining_commits = remaining;
-}
-
 sim::Task<bool> Protocol::ExecuteLocal(txn::Transaction* t, db::Operation op,
                                        std::optional<db::LockMode> lock,
                                        System::ConflictEdges* edges,

@@ -29,11 +29,6 @@ class Protocol {
   /// The transaction's top-level process, spawned at submission time.
   virtual sim::Process Execute(txn::Transaction* t) = 0;
 
-  /// Called at submission, before Execute: how many site-level commits
-  /// completion requires. Default: the origin plus, for an update, every
-  /// replica target.
-  virtual void OnRegister(txn::Transaction* t);
-
   /// Called the instant the completion tracker declares `t` completed:
   /// protocol-specific teardown, one of the two completion styles below.
   virtual void OnCompleted(txn::Transaction* t) = 0;

@@ -16,17 +16,12 @@ GraphSite::GraphSite(sim::Simulation* sim, hw::Cpu* cpu,
       queue_bound_(queue_bound),
       timeout_(timeout) {}
 
-void GraphSite::EnsureRegistered(db::TxnId txn, db::SiteId origin,
-                                 bool is_global) {
-  if (!graph_->Contains(txn)) graph_->AddTxn(txn, origin, is_global);
-}
-
 sim::Task<sim::WaitStatus> GraphSite::ServeTest(
     db::TxnId txn, std::span<const db::Operation> ops, bool bounded,
     ReplicationGraph::TestOutcome* outcome) {
   ++tests_run_;
   auto work = [this, txn, ops, outcome]() -> double {
-    if (finished_.contains(txn)) {
+    if (IsFinished(txn)) {
       // The transaction was aborted while this request sat in the queue;
       // treat as an abort verdict without touching the graph.
       outcome->result = ReplicationGraph::TestResult::kCycle;
@@ -40,9 +35,10 @@ sim::Task<sim::WaitStatus> GraphSite::ServeTest(
   return cpu_->Serve(std::move(work), bounded ? queue_bound_ : SIZE_MAX);
 }
 
-sim::Task<void> GraphSite::RemoveUnderCpu(db::TxnId txn) {
-  if (finished_.contains(txn)) co_return;
-  finished_.insert(txn);
+sim::Task<void> GraphSite::HandleRemove(db::TxnId txn) {
+  if (IsFinished(txn)) co_return;
+  if (txn >= finished_.size()) finished_.resize(txn + 1);
+  finished_[txn] = true;
   CancelParked(txn);
   co_await cpu_->Serve(
       [this, txn]() -> double {
@@ -54,32 +50,38 @@ sim::Task<void> GraphSite::RemoveUnderCpu(db::TxnId txn) {
   ScheduleRetest();
 }
 
-sim::Task<Verdict> GraphSite::TestOperation(db::TxnId txn, db::SiteId origin,
-                                            bool is_global, db::Operation op) {
-  if (finished_.contains(txn)) co_return Verdict::kAbort;
-  EnsureRegistered(txn, origin, is_global);
+sim::Task<Verdict> GraphSite::Test(db::TxnId txn, db::SiteId origin,
+                                   bool is_global,
+                                   std::span<const db::Operation> ops,
+                                   bool may_wait) {
+  LAZYREP_CHECK_MSG(!may_wait || ops.size() == 1,
+                    "a test that may wait covers one operation");
+  if (IsFinished(txn)) co_return Verdict::kAbort;
+  if (!graph_->Contains(txn)) graph_->AddTxn(txn, origin, is_global);
 
   ReplicationGraph::TestOutcome outcome;
   sim::WaitStatus status =
-      co_await ServeTest(txn, {&op, 1}, /*bounded=*/true, &outcome);
+      co_await ServeTest(txn, ops, /*bounded=*/true, &outcome);
   if (status == sim::WaitStatus::kRejected) {
     // Queue overflow (§4.1.2): the new entrant is aborted.
     ++rejections_;
-    co_await RemoveUnderCpu(txn);
+    co_await HandleRemove(txn);
     co_return Verdict::kRejected;
   }
   if (outcome.result == ReplicationGraph::TestResult::kOk) {
     co_return Verdict::kOk;
   }
-  if (outcome.cycle_has_committed) {
-    // §2.4 step 2: a cycle through a committed transaction cannot resolve in
-    // our favor — abort.
-    ++cycle_aborts_;
-    co_await RemoveUnderCpu(txn);
-    co_return Verdict::kAbort;
+  if (may_wait && !outcome.cycle_has_committed) {
+    // Cycle of uncommitted transactions: wait for the graph to shrink.
+    co_return co_await ParkAndWait(txn, ops.front());
   }
-  // Cycle of uncommitted transactions: wait for the graph to shrink.
-  co_return co_await ParkAndWait(txn, op);
+  // §2.4 step 2: a cycle through a committed transaction cannot resolve in
+  // our favor; §2.5 step 4: an optimistic commit never waits (RgTest already
+  // rolled back its tentative changes). Either way the transaction aborts
+  // and leaves the graph.
+  ++cycle_aborts_;
+  co_await HandleRemove(txn);
+  co_return Verdict::kAbort;
 }
 
 sim::Task<Verdict> GraphSite::ParkAndWait(db::TxnId txn, db::Operation op) {
@@ -99,7 +101,7 @@ sim::Task<Verdict> GraphSite::ParkAndWait(db::TxnId txn, db::Operation op) {
     // the remove's `finished_` mark happen in this one step.
     ++wait_timeouts_;
     Unpark(&parked);
-    co_await RemoveUnderCpu(txn);
+    co_await HandleRemove(txn);
     co_return Verdict::kAbort;
   }
   // kCancelled: the transaction was aborted through another path.
@@ -157,19 +159,17 @@ sim::Process GraphSite::RetestPump() {
         // A timeout or cancellation marks `txn` finished in the step that
         // takes its request off the queue, so a live `txn` still has `head`
         // first.
-        if (finished_.contains(txn)) break;
+        if (IsFinished(txn)) break;
         if (outcome.result == ReplicationGraph::TestResult::kOk) {
           auto it2 = parked_.find(txn);
           LAZYREP_CHECK(it2 != parked_.end() && it2->second.front() == head);
-          it2->second.pop_front();
-          --parked_count_;
-          if (it2->second.empty()) parked_.erase(it2);
+          Unpark(head);
           head->shot.Fire(sim::WaitStatus::kSignaled);
           continue;  // try this transaction's next parked op
         }
         if (outcome.cycle_has_committed) {
           ++cycle_aborts_;
-          co_await RemoveUnderCpu(txn);  // cancels remaining parked ops
+          co_await HandleRemove(txn);  // cancels remaining parked ops
           break;
         }
         still_parked = true;  // still blocked by live transactions
@@ -181,39 +181,11 @@ sim::Process GraphSite::RetestPump() {
   retest_running_ = false;
 }
 
-sim::Task<Verdict> GraphSite::TestCommit(db::TxnId txn, db::SiteId origin,
-                                         bool is_global,
-                                         std::vector<db::Operation> ops) {
-  if (finished_.contains(txn)) co_return Verdict::kAbort;
-  EnsureRegistered(txn, origin, is_global);
-
-  ReplicationGraph::TestOutcome outcome;
-  sim::WaitStatus status =
-      co_await ServeTest(txn, ops, /*bounded=*/true, &outcome);
-  if (status == sim::WaitStatus::kRejected) {
-    ++rejections_;
-    co_await RemoveUnderCpu(txn);
-    co_return Verdict::kRejected;
-  }
-  if (outcome.result == ReplicationGraph::TestResult::kOk) {
-    co_return Verdict::kOk;
-  }
-  // §2.5 step 4: cancel tentative changes (RgTest already rolled back) and
-  // abort; the transaction leaves the graph.
-  ++cycle_aborts_;
-  co_await RemoveUnderCpu(txn);
-  co_return Verdict::kAbort;
-}
-
 sim::Task<void> GraphSite::HandleCommitted(db::TxnId txn) {
   co_await cpu_->Execute(kGraphMessageInstr);
-  if (!finished_.contains(txn) && graph_->Contains(txn)) {
+  if (!IsFinished(txn) && graph_->Contains(txn)) {
     graph_->MarkCommitted(txn);
   }
-}
-
-sim::Task<void> GraphSite::HandleRemove(db::TxnId txn) {
-  return RemoveUnderCpu(txn);
 }
 
 sim::Task<sim::WaitStatus> GraphSite::ChargeMessages(int count) {

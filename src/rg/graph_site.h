@@ -5,7 +5,6 @@
 #include <deque>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "db/types.h"
@@ -49,17 +48,17 @@ class GraphSite {
   GraphSite(const GraphSite&) = delete;
   GraphSite& operator=(const GraphSite&) = delete;
 
-  /// Pessimistic per-operation RGtest (protocol §2.4 step 2). Invoke at the
-  /// simulated instant the request message reaches the graph site. The task
-  /// resolves when a verdict exists — possibly after waiting.
-  sim::Task<Verdict> TestOperation(db::TxnId txn, db::SiteId origin,
-                                   bool is_global, db::Operation op);
-
-  /// Optimistic commit-time RGtest over the whole access set (§2.5 step 4).
-  /// kAbort removes the transaction from the graph immediately.
-  sim::Task<Verdict> TestCommit(db::TxnId txn, db::SiteId origin,
-                                bool is_global,
-                                std::vector<db::Operation> ops);
+  /// The RGtest of `ops` for `txn`, registered in the graph with `origin`
+  /// and `is_global` by its first request: one operation at a time under
+  /// the pessimistic protocol (§2.4 step 2), the whole access set at commit
+  /// under the optimistic one (§2.5 step 4). Invoke at the simulated instant
+  /// the request message reaches the graph site; `ops` must stay live until
+  /// the task resolves with the verdict. A cycle of uncommitted
+  /// transactions parks a `may_wait` request (one operation) until a retest
+  /// passes or the wait times out; any other cycle aborts, and an abort
+  /// removes the transaction from the graph at once.
+  sim::Task<Verdict> Test(db::TxnId txn, db::SiteId origin, bool is_global,
+                          std::span<const db::Operation> ops, bool may_wait);
 
   /// Marks a transaction committed at its origination site (pessimistic
   /// cycle-abort rule input).
@@ -75,7 +74,9 @@ class GraphSite {
   sim::Task<sim::WaitStatus> ChargeMessages(int count);
 
   /// True once the transaction was removed (aborted or completed here).
-  bool IsFinished(db::TxnId txn) const { return finished_.contains(txn); }
+  bool IsFinished(db::TxnId txn) const {
+    return txn < finished_.size() && finished_[txn];
+  }
 
   // -- statistics ------------------------------------------------------------
 
@@ -99,13 +100,10 @@ class GraphSite {
     sim::OneShot shot;
   };
 
-  /// Ensures the transaction is known to the graph (first message wins).
-  void EnsureRegistered(db::TxnId txn, db::SiteId origin, bool is_global);
-
   /// Runs one RGtest under the CPU, translating costs to instructions.
   /// `bounded` selects whether the request respects the queue bound. Not a
-  /// coroutine: the caller awaits the Serve itself, and its frame holds
-  /// `ops` until the Serve resolves.
+  /// coroutine: the caller awaits the Serve itself, and `ops` must stay
+  /// live until the Serve resolves.
   sim::Task<sim::WaitStatus> ServeTest(
       db::TxnId txn, std::span<const db::Operation> ops, bool bounded,
       ReplicationGraph::TestOutcome* outcome);
@@ -123,9 +121,6 @@ class GraphSite {
   void ScheduleRetest();
   sim::Process RetestPump();
 
-  /// Removes `txn` from the graph under the CPU and marks it finished.
-  sim::Task<void> RemoveUnderCpu(db::TxnId txn);
-
   sim::Simulation* sim_;
   hw::Cpu* cpu_;
   ReplicationGraph* graph_;
@@ -138,7 +133,9 @@ class GraphSite {
   std::deque<db::TxnId> wait_order_;
   size_t parked_count_ = 0;
 
-  std::unordered_set<db::TxnId> finished_;
+  /// Removed transactions, one bit per id: ids run densely from 1, and a
+  /// removed transaction is never admitted again.
+  std::vector<bool> finished_;
 
   bool retest_pending_ = false;
   bool retest_running_ = false;

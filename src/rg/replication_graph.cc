@@ -1,6 +1,7 @@
 #include "rg/replication_graph.h"
 
 #include <algorithm>
+#include <unordered_set>
 #include <utility>
 
 #include "sim/check.h"
@@ -25,6 +26,15 @@ bool VecContains(const std::vector<T>& v, T x) {
 
 void EraseValue(std::vector<db::TxnId>* v, db::TxnId x) {
   v->erase(std::remove(v->begin(), v->end(), x), v->end());
+}
+
+/// The live transactions `lists` holds for `item` (none when absent).
+std::span<const db::TxnId> ListAt(
+    const std::unordered_map<db::ItemId, std::vector<db::TxnId>>& lists,
+    db::ItemId item) {
+  auto it = lists.find(item);
+  if (it == lists.end()) return {};
+  return it->second;
 }
 
 }  // namespace
@@ -73,108 +83,92 @@ void ReplicationGraph::Materialize(db::SiteId site, db::TxnId txn,
   info->materialized.push_back(site);
 }
 
+template <typename Fn>
+bool ReplicationGraph::ForEachNeighbor(uint64_t node, Fn&& fn) const {
+  if (!(node & kGroupBit)) {
+    const db::TxnId txn = node;
+    return ForEachPresentSite(txns_.at(txn), [&](db::SiteId s) {
+      return fn(GroupNode(s, Find(s, txn)));
+    });
+  }
+  const auto s = static_cast<db::SiteId>((node >> 47) & 0xffff);
+  const db::TxnId root = node & ((uint64_t{1} << 47) - 1);
+  auto mit = sites_[s].members.find(root);
+  if (mit == sites_[s].members.end()) {
+    return txns_.at(root).is_global && fn(TxnNode(root));
+  }
+  for (db::TxnId member : mit->second) {
+    if (txns_.at(member).is_global && fn(TxnNode(member))) return true;
+  }
+  return false;
+}
+
 bool ReplicationGraph::Connected(db::SiteId site, db::TxnId from_root,
                                  db::TxnId to_root, GraphCost* cost,
-                                 std::vector<db::TxnId>* path_txns) {
+                                 bool* committed_on_path) const {
   const uint64_t start = GroupNode(site, from_root);
   const uint64_t target = GroupNode(site, to_root);
 
-  // Iterative DFS with parent tracking for path reconstruction.
-  std::unordered_map<uint64_t, uint64_t> came_from;
-  came_from.emplace(start, start);
-  std::vector<uint64_t> stack{start};
-
-  auto visit = [&](uint64_t next, uint64_t from) -> bool {
-    ++cost->check_edges;
-    if (came_from.contains(next)) return false;
-    came_from.emplace(next, from);
-    if (next == target) return true;
-    stack.push_back(next);
-    return false;
+  // Iterative DFS. Each entry carries whether a committed transaction lies
+  // on the path that discovered its node, so the node that reaches the
+  // target holds the closing path's answer.
+  struct Entry {
+    uint64_t node;
+    bool committed;
   };
-
-  bool found = false;
-  while (!stack.empty() && !found) {
-    uint64_t node = stack.back();
+  std::unordered_set<uint64_t> visited;
+  visited.insert(start);
+  std::vector<Entry> stack{{start, false}};
+  while (!stack.empty()) {
+    const Entry from = stack.back();
     stack.pop_back();
-    if (node & kGroupBit) {
-      db::SiteId s = static_cast<db::SiteId>((node >> 47) & 0xffff);
-      db::TxnId root = node & ((uint64_t{1} << 47) - 1);
-      // Neighbors: the *global* member transactions of this group. Local
-      // transactions have no edges in the bipartite graph; an unmaterialized
-      // root is an implicit singleton {root}.
-      auto mit = sites_[s].members.find(root);
-      if (mit != sites_[s].members.end()) {
-        for (db::TxnId member : mit->second) {
-          const TxnInfo& mi = txns_.at(member);
-          if (!mi.is_global) continue;
-          if (visit(TxnNode(member), node)) {
-            found = true;
-            break;
-          }
-        }
-      } else {
-        const TxnInfo& mi = txns_.at(root);
-        if (mi.is_global && visit(TxnNode(root), node)) found = true;
-      }
-    } else {
-      db::TxnId txn = node;
-      const TxnInfo& info = txns_.at(txn);
-      ForEachPresentSite(info, [&](db::SiteId s) {
-        if (!found && visit(GroupNode(s, Find(s, txn)), node)) found = true;
-      });
+    const bool found = ForEachNeighbor(from.node, [&](uint64_t next) {
+      ++cost->check_edges;
+      if (!visited.insert(next).second) return false;
+      if (next == target) return true;
+      stack.push_back({next, from.committed || (!(next & kGroupBit) &&
+                                                txns_.at(next).committed)});
+      return false;
+    });
+    if (found) {
+      *committed_on_path = from.committed;
+      return true;
     }
   }
+  return false;
+}
 
-  if (found && path_txns != nullptr) {
-    path_txns->clear();
-    uint64_t cur = target;
-    while (cur != start) {
-      if (!(cur & kGroupBit)) path_txns->push_back(cur);
-      cur = came_from.at(cur);
-    }
+ReplicationGraph::UndoUnion ReplicationGraph::Merge(db::SiteId site,
+                                                    db::TxnId ra,
+                                                    db::TxnId rb) {
+  SitePartition& part = sites_[site];
+  std::vector<db::TxnId>* kept = &part.members.at(ra);
+  std::vector<db::TxnId>* absorbed = &part.members.at(rb);
+  if (kept->size() < absorbed->size()) {
+    std::swap(ra, rb);
+    std::swap(kept, absorbed);
   }
-  return found;
+  const UndoUnion merge{site, ra, rb, kept->size()};
+  kept->insert(kept->end(), absorbed->begin(), absorbed->end());
+  part.parent[rb] = ra;
+  return merge;
 }
 
 bool ReplicationGraph::TryUnion(db::SiteId site, db::TxnId a, db::TxnId b,
                                 GraphCost* cost, bool* has_committed,
                                 std::vector<UndoUnion>* undo) {
-  TxnInfo& ia = txns_.at(a);
-  TxnInfo& ib = txns_.at(b);
-  Materialize(site, a, &ia);
-  Materialize(site, b, &ib);
+  Materialize(site, a, &txns_.at(a));
+  Materialize(site, b, &txns_.at(b));
   db::TxnId ra = Find(site, a);
   db::TxnId rb = Find(site, b);
   if (ra == rb) return true;  // already share the virtual site
 
   // Would merging close a cycle? (The two groups are already connected via
-  // another part of the bipartite graph.)
-  std::vector<db::TxnId> path;
-  if (Connected(site, ra, rb, cost, &path)) {
-    *has_committed = false;
-    for (db::TxnId t : path) {
-      if (txns_.at(t).committed) {
-        *has_committed = true;
-        break;
-      }
-    }
-    // The requester's own groups are endpoints of the cycle; committed
-    // endpoint members on the path were already covered (path includes the
-    // traversed transactions only, matching "a transaction in the cycle").
-    return false;
-  }
-
-  SitePartition& part = sites_[site];
-  std::vector<db::TxnId>& ma = part.members.at(ra);
-  std::vector<db::TxnId>& mb = part.members.at(rb);
-  db::TxnId kept = ma.size() >= mb.size() ? ra : rb;
-  db::TxnId absorbed = kept == ra ? rb : ra;
-  std::vector<db::TxnId>& mk = part.members.at(kept);
-  std::vector<db::TxnId>& mab = part.members.at(absorbed);
-  undo->push_back(UndoUnion{site, kept, absorbed, mk.size()});
-  mk.insert(mk.end(), mab.begin(), mab.end());
-  part.parent[absorbed] = kept;
+  // another part of the bipartite graph.) The requester's own groups are
+  // the cycle's endpoints; "a transaction in the cycle" is one the search
+  // passed on its way between them.
+  if (Connected(site, ra, rb, cost, has_committed)) return false;
+  undo->push_back(Merge(site, ra, rb));
   return true;
 }
 
@@ -192,11 +186,20 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
   const size_t reads_before = info.reads.size();
   const size_t writes_before = info.writes.size();
   const size_t present_before = info.present.size();
-  const bool had_writes = info.has_writes;
 
   TestOutcome outcome;
+  // The union rule's one step: merge `txn`'s virtual site at `site` with
+  // `other`'s under a cycle check. After the call's first cycle no further
+  // union is tried; false from then on.
+  auto unite = [&](db::SiteId site, db::TxnId other) {
+    if (outcome.result == TestResult::kOk && other != txn &&
+        !TryUnion(site, txn, other, cost, &outcome.cycle_has_committed,
+                  &undo_unions)) {
+      outcome.result = TestResult::kCycle;
+    }
+    return outcome.result == TestResult::kOk;
+  };
   for (const db::Operation& op : ops) {
-    bool has_committed = false;
     if (op.type == db::OpType::kRead) {
       cost->add_units += 1;
       if (!VecContains(info.reads, op.item)) {
@@ -207,17 +210,8 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       // reader reads at its origination site. The conflict lists, here and
       // below, are walked in place: TryUnion writes only the site
       // partitions, never writers_ or readers_.
-      auto wit = writers_.find(op.item);
-      if (wit != writers_.end()) {
-        for (db::TxnId w : wit->second) {
-          if (w == txn) continue;
-          if (!TryUnion(info.origin, txn, w, cost, &has_committed,
-                        &undo_unions)) {
-            outcome.result = TestResult::kCycle;
-            outcome.cycle_has_committed = has_committed;
-            break;
-          }
-        }
+      for (db::TxnId w : ListAt(writers_, op.item)) {
+        if (!unite(info.origin, w)) break;
       }
     } else {
       LAZYREP_CHECK_MSG(info.is_global, "local transactions cannot write");
@@ -232,7 +226,6 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
           if (!VecContains(info.present, site)) info.present.push_back(site);
         });
       }
-      info.has_writes = true;
       if (!VecContains(info.writes, op.item)) {
         info.writes.push_back(op.item);
         writers_[op.item].push_back(txn);
@@ -243,44 +236,22 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
       // origin. (Only at secondary copies does the Thomas Write Rule excuse
       // ww conflicts from merging, per the remark in section 2.3.1 about
       // contention "during replica propagation".)
-      auto wit2 = writers_.find(op.item);
-      if (wit2 != writers_.end()) {
-        for (db::TxnId w : wit2->second) {
-          if (w == txn) continue;
-          db::SiteId w_origin = txns_.at(w).origin;
-          if (!TryUnion(info.origin, txn, w, cost, &has_committed,
-                        &undo_unions)) {
-            outcome.result = TestResult::kCycle;
-            outcome.cycle_has_committed = has_committed;
-            break;
-          }
-          // Relaxed ownership: co-writers from different origination sites
-          // have no single local DBMS serializing them, so the virtual-site
-          // merge cannot vouch for their order. Merging at *both* origins
-          // deliberately closes a cycle, forcing one of the pair to wait or
-          // abort — the conservative "preliminary" protocol of footnote 2.
-          if (w_origin != info.origin &&
-              !TryUnion(w_origin, txn, w, cost, &has_committed,
-                        &undo_unions)) {
-            outcome.result = TestResult::kCycle;
-            outcome.cycle_has_committed = has_committed;
-            break;
-          }
+      // Relaxed ownership: co-writers from different origination sites
+      // have no single local DBMS serializing them, so the virtual-site
+      // merge cannot vouch for their order. Merging at *both* origins
+      // deliberately closes a cycle, forcing one of the pair to wait or
+      // abort — the conservative "preliminary" protocol of footnote 2.
+      for (db::TxnId w : ListAt(writers_, op.item)) {
+        const db::SiteId w_origin = txns_.at(w).origin;
+        if (!unite(info.origin, w) ||
+            (w_origin != info.origin && !unite(w_origin, w))) {
+          break;
         }
       }
       // Union rule, second bullet: wr conflict with every live reader, at
       // the reader's origination site (where the read happened).
-      auto rit = readers_.find(op.item);
-      if (rit != readers_.end() && outcome.result != TestResult::kCycle) {
-        for (db::TxnId r : rit->second) {
-          if (r == txn) continue;
-          if (!TryUnion(txns_.at(r).origin, txn, r, cost, &has_committed,
-                        &undo_unions)) {
-            outcome.result = TestResult::kCycle;
-            outcome.cycle_has_committed = has_committed;
-            break;
-          }
-        }
+      for (db::TxnId r : ListAt(readers_, op.item)) {
+        if (!unite(txns_.at(r).origin, r)) break;
       }
     }
     if (outcome.result == TestResult::kCycle) break;
@@ -302,7 +273,6 @@ ReplicationGraph::TestOutcome ReplicationGraph::RgTest(
     info.reads.resize(reads_before);
     info.writes.resize(writes_before);
     info.present.resize(present_before);
-    info.has_writes = had_writes;
     return outcome;
   }
 
@@ -331,28 +301,18 @@ void ReplicationGraph::Recompute(db::SiteId site,
   std::unordered_set<db::TxnId> member_set(members.begin(), members.end());
   // Re-apply the union rule among the survivors. Splitting cannot create
   // cycles (the graph was acyclic and only lost edges), so unions here are
-  // unchecked; the DFS cost is already reflected in the re-add units.
+  // unchecked, and final at once; the DFS cost is already reflected in the
+  // re-add units.
   auto unite = [&](db::TxnId a, db::TxnId b) {
     db::TxnId ra = Find(site, a);
     db::TxnId rb = Find(site, b);
-    if (ra == rb) return;
-    std::vector<db::TxnId>& ma = part.members.at(ra);
-    std::vector<db::TxnId>& mb = part.members.at(rb);
-    db::TxnId kept = ma.size() >= mb.size() ? ra : rb;
-    db::TxnId absorbed = kept == ra ? rb : ra;
-    auto& mk = part.members.at(kept);
-    auto& mab = part.members.at(absorbed);
-    mk.insert(mk.end(), mab.begin(), mab.end());
-    part.members.erase(absorbed);
-    part.parent[absorbed] = kept;
+    if (ra != rb) part.members.erase(Merge(site, ra, rb).absorbed_root);
   };
   for (db::TxnId m : members) {
     const TxnInfo& mi = txns_.at(m);
     if (mi.origin != site) continue;  // reads happen at the origin only
     for (db::ItemId d : mi.reads) {
-      auto wit = writers_.find(d);
-      if (wit == writers_.end()) continue;
-      for (db::TxnId w : wit->second) {
+      for (db::TxnId w : ListAt(writers_, d)) {
         if (w != m && member_set.contains(w)) unite(m, w);
       }
     }
@@ -363,9 +323,7 @@ void ReplicationGraph::Recompute(db::SiteId site,
   for (db::TxnId m : members) {
     const TxnInfo& mi = txns_.at(m);
     for (db::ItemId d : mi.writes) {
-      auto wit = writers_.find(d);
-      if (wit == writers_.end()) continue;
-      for (db::TxnId w : wit->second) {
+      for (db::TxnId w : ListAt(writers_, d)) {
         if (w == m || !member_set.contains(w)) continue;
         if (mi.origin == site || txns_.at(w).origin == site) unite(m, w);
       }
@@ -378,18 +336,13 @@ void ReplicationGraph::Remove(db::TxnId txn, GraphCost* cost) {
   if (it == txns_.end()) return;  // never entered the graph
   TxnInfo& info = it->second;
 
-  for (db::ItemId d : info.reads) {
-    auto rit = readers_.find(d);
-    if (rit != readers_.end()) {
-      EraseValue(&rit->second, txn);
-      if (rit->second.empty()) readers_.erase(rit);
-    }
-  }
-  for (db::ItemId d : info.writes) {
-    auto wit = writers_.find(d);
-    if (wit != writers_.end()) {
-      EraseValue(&wit->second, txn);
-      if (wit->second.empty()) writers_.erase(wit);
+  for (auto [items, lists] : {std::pair{&info.reads, &readers_},
+                              std::pair{&info.writes, &writers_}}) {
+    for (db::ItemId d : *items) {
+      auto lit = lists->find(d);
+      if (lit == lists->end()) continue;
+      EraseValue(&lit->second, txn);
+      if (lit->second.empty()) lists->erase(lit);
     }
   }
 
@@ -402,15 +355,12 @@ void ReplicationGraph::Remove(db::TxnId txn, GraphCost* cost) {
     std::vector<db::TxnId> survivors = std::move(mit->second);
     EraseValue(&survivors, txn);
     // Clear the whole group, then rebuild the survivors' partition.
+    // Recompute consults only the survivors' records and the reader and
+    // writer lists, which no longer hold `txn`.
     part.members.erase(root);
     part.parent.erase(txn);
     for (db::TxnId m : survivors) part.parent.erase(m);
-    if (!survivors.empty()) {
-      // Temporarily drop `txn` from txns_? Not needed: Recompute only
-      // consults survivors' info and the reader/writer lists already
-      // stripped of `txn`.
-      Recompute(site, std::move(survivors), cost);
-    }
+    if (!survivors.empty()) Recompute(site, std::move(survivors), cost);
   }
 
   txns_.erase(it);
@@ -445,41 +395,23 @@ bool ReplicationGraph::IsAcyclic() {
   for (const auto& [txn, info] : txns_) {
     if (!info.is_global) continue;
     uint64_t start = TxnNode(txn);
-    if (visited.contains(start)) continue;
+    if (!visited.insert(start).second) continue;
     // (node, via-edge-parent)
     std::vector<std::pair<uint64_t, uint64_t>> stack{{start, start}};
-    visited.insert(start);
     while (!stack.empty()) {
-      auto [node, parent] = stack.back();
+      const std::pair<uint64_t, uint64_t> top = stack.back();
       stack.pop_back();
-      std::vector<uint64_t> neighbors;
-      if (node & kGroupBit) {
-        db::SiteId s = static_cast<db::SiteId>((node >> 47) & 0xffff);
-        db::TxnId root = node & ((uint64_t{1} << 47) - 1);
-        auto mit = sites_[s].members.find(root);
-        if (mit != sites_[s].members.end()) {
-          for (db::TxnId m : mit->second) {
-            if (txns_.at(m).is_global) neighbors.push_back(TxnNode(m));
-          }
-        } else if (txns_.at(root).is_global) {
-          neighbors.push_back(TxnNode(root));
-        }
-      } else {
-        const TxnInfo& ti = txns_.at(node);
-        ForEachPresentSite(ti, [&](db::SiteId s) {
-          neighbors.push_back(GroupNode(s, Find(s, node)));
-        });
-      }
       bool skipped_parent = false;
-      for (uint64_t nb : neighbors) {
-        if (nb == parent && !skipped_parent) {
+      const bool cycle = ForEachNeighbor(top.first, [&](uint64_t nb) {
+        if (nb == top.second && !skipped_parent) {
           skipped_parent = true;  // the tree edge back; one occurrence only
-          continue;
+          return false;
         }
-        if (visited.contains(nb)) return false;  // cycle
-        visited.insert(nb);
-        stack.push_back({nb, node});
-      }
+        if (!visited.insert(nb).second) return true;
+        stack.push_back({nb, top.first});
+        return false;
+      });
+      if (cycle) return false;
     }
   }
   return true;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "db/types.h"
@@ -128,9 +127,6 @@ class ReplicationGraph {
     db::SiteId origin = 0;
     bool is_global = false;
     bool committed = false;
-    /// Whether this transaction has performed any write yet (global
-    /// transactions get their site-spanning presence on first write).
-    bool has_writes = false;
     std::vector<db::ItemId> reads;   // read at the origin site
     std::vector<db::ItemId> writes;  // replicated to all sites
     /// Sites where this transaction has virtual sites under partial
@@ -147,7 +143,7 @@ class ReplicationGraph {
     std::unordered_map<db::TxnId, std::vector<db::TxnId>> members;
   };
 
-  /// One tentative union, for rollback.
+  /// One merge, as Merge reports it: what RgTest's rollback undoes.
   struct UndoUnion {
     db::SiteId site;
     db::TxnId kept_root;
@@ -158,39 +154,53 @@ class ReplicationGraph {
   db::TxnId Find(db::SiteId site, db::TxnId txn) const;
   void Materialize(db::SiteId site, db::TxnId txn, TxnInfo* info);
 
-  /// Sites where a transaction has virtual sites.
-  /// Global with writes: every site (full replication) or its tracked
-  /// presence set (partial). Otherwise: the origin only.
-  bool PresentEverywhere(const TxnInfo& info) const {
-    return info.is_global && info.has_writes && placement_.full();
+  /// Invokes `fn(site)` for every site where the transaction has a virtual
+  /// site until a call returns true, and returns whether one did. Once it
+  /// has written (only global transactions write): every site in order
+  /// (full replication) or its tracked presence set (partial). Otherwise:
+  /// the origin only.
+  template <typename Fn>
+  bool ForEachPresentSite(const TxnInfo& info, Fn&& fn) const {
+    if (info.writes.empty()) return fn(info.origin);
+    if (!placement_.full()) {
+      for (db::SiteId s : info.present) {
+        if (fn(s)) return true;
+      }
+      return false;
+    }
+    for (uint32_t s = 0; s < placement_.num_sites; ++s) {
+      if (fn(static_cast<db::SiteId>(s))) return true;
+    }
+    return false;
   }
 
-  /// Invokes `fn(site)` for every site where the transaction has a virtual
-  /// site.
+  /// Invokes `fn(next)` for every neighbour of a DFS node of the bipartite
+  /// graph until a call returns true, and returns whether one did. A
+  /// group's neighbours are its global members in member-list order (an
+  /// unmaterialized root is the implicit singleton {root}; local
+  /// transactions have no edges); a transaction's are its virtual sites,
+  /// in ForEachPresentSite's order.
   template <typename Fn>
-  void ForEachPresentSite(const TxnInfo& info, Fn&& fn) const {
-    if (PresentEverywhere(info)) {
-      for (uint32_t s = 0; s < placement_.num_sites; ++s) {
-        fn(static_cast<db::SiteId>(s));
-      }
-    } else if (!placement_.full() && info.is_global && info.has_writes) {
-      for (db::SiteId s : info.present) fn(s);
-    } else {
-      fn(info.origin);
-    }
-  }
+  bool ForEachNeighbor(uint64_t node, Fn&& fn) const;
 
   /// Merges the groups of `a` and `b` at `site` after a cycle check.
   /// Returns false (and performs nothing) when the merge would close a
-  /// cycle; sets `*has_committed` from the transactions on the cycle path.
+  /// cycle, setting `*has_committed` from the transactions on the closing
+  /// path; otherwise logs the merge into `undo`.
   bool TryUnion(db::SiteId site, db::TxnId a, db::TxnId b, GraphCost* cost,
                 bool* has_committed, std::vector<UndoUnion>* undo);
 
   /// DFS connectivity query between two group roots at `site`, excluding the
-  /// union about to happen. Charges 117/edge via `cost`. When connected,
-  /// fills `path_txns` with the transactions on the connecting path.
+  /// union about to happen. Charges every edge it examines via `cost`. When
+  /// connected, sets `*committed_on_path` to whether a committed transaction
+  /// lies on the path the search found.
   bool Connected(db::SiteId site, db::TxnId from_root, db::TxnId to_root,
-                 GraphCost* cost, std::vector<db::TxnId>* path_txns);
+                 GraphCost* cost, bool* committed_on_path) const;
+
+  /// Merges the groups rooted at `ra` and `rb` at `site`: the larger one
+  /// (`ra`'s on a tie) keeps its root and appends the other's members. The
+  /// absorbed root's member list stays until the caller drops it.
+  UndoUnion Merge(db::SiteId site, db::TxnId ra, db::TxnId rb);
 
   /// Re-partitions `members` at `site` by re-applying the union rule
   /// (split rule). Charges re-add units.

@@ -105,8 +105,9 @@ struct Transaction {
   sim::OneShot* completion = nullptr;
 
   // The completion fixpoint's own fields (txn::CompletionTracker).
-  /// Site-level commits still owed before completion (1 for a local
-  /// transaction; the protocol sets it at registration).
+  /// Site-level commits still owed before completion: the origin's, plus
+  /// one per replica target, which a protocol adds where it builds the
+  /// target list (locking gathers its targets' acks before its one commit).
   int remaining_commits = 1;
   /// Uncompleted conflict predecessors `id` waits on, and the dependents
   /// that wait on `id`. Dependents complete in `deps`' iteration order, so

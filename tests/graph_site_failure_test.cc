@@ -40,7 +40,8 @@ struct Fixture : public ::testing::Test {
       static sim::Process Run(sim::Simulation* sim, GraphSite* gs, TxnId txn,
                               SiteId origin, bool global, Operation op,
                               Verdict* out, double* when) {
-        *out = co_await gs->TestOperation(txn, origin, global, op);
+        *out = co_await gs->Test(txn, origin, global, {&op, 1},
+                                 /*may_wait=*/true);
         if (when != nullptr) *when = sim->Now();
       }
     };

@@ -42,7 +42,8 @@ struct Fixture : public ::testing::Test {
       static sim::Process Run(Fixture* f, TxnId txn, SiteId origin,
                               bool global, Operation op, Verdict* out,
                               double* when) {
-        *out = co_await f->site.TestOperation(txn, origin, global, op);
+        *out = co_await f->site.Test(txn, origin, global, {&op, 1},
+                                     /*may_wait=*/true);
         if (when != nullptr) *when = f->sim.Now();
       }
     };
@@ -164,8 +165,8 @@ TEST_F(Fixture, RejectionStormRecovers) {
   for (int i = 0; i < 12; ++i) {
     struct Runner {
       static sim::Process Run(GraphSite* gs, TxnId t, Verdict* out) {
-        *out = co_await gs->TestOperation(t, 0, true,
-                                          Write(static_cast<ItemId>(t)));
+        const Operation op = Write(static_cast<ItemId>(t));
+        *out = co_await gs->Test(t, 0, true, {&op, 1}, /*may_wait=*/true);
       }
     };
     sim.Spawn(Runner::Run(&s2, 200 + i, &burst[i]));
@@ -181,7 +182,8 @@ TEST_F(Fixture, RejectionStormRecovers) {
   Verdict later = Verdict::kRejected;
   struct Runner {
     static sim::Process Run(GraphSite* gs, Verdict* out) {
-      *out = co_await gs->TestOperation(500, 1, true, Write(90));
+      const Operation op = Write(90);
+      *out = co_await gs->Test(500, 1, true, {&op, 1}, /*may_wait=*/true);
     }
   };
   sim.Spawn(Runner::Run(&s2, &later));

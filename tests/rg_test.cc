@@ -199,6 +199,25 @@ TEST_F(CycleFixture, CommittedTransactionOnCycleIsReported) {
   EXPECT_TRUE(out.cycle_has_committed);
 }
 
+// Committed means on the cycle: C shares L2's virtual site at site 3 and
+// the search explores it first, but the cycle closes through T1, L1's group
+// and T2, none of them committed.
+TEST_F(CycleFixture, CommittedTransactionOffTheCycleIsNotReported) {
+  constexpr TxnId kC = 5;
+  constexpr ItemId kZ = 30;
+  g_->AddTxn(kC, 3, true);
+  ASSERT_EQ(RunRg(g_.get(), kC, {Write(kZ)}).result,
+            ReplicationGraph::TestResult::kOk);
+  g_->MarkCommitted(kC);
+  g_->AddTxn(kL2, 3, false);
+  ASSERT_EQ(RunRg(g_.get(), kL2, {Read(kX), Read(kZ)}).result,
+            ReplicationGraph::TestResult::kOk);
+  ASSERT_TRUE(g_->SameVirtualSite(3, kL2, kC));
+  auto out = RunRg(g_.get(), kL2, {Read(kY)});
+  EXPECT_EQ(out.result, ReplicationGraph::TestResult::kCycle);
+  EXPECT_FALSE(out.cycle_has_committed);
+}
+
 TEST_F(CycleFixture, GlobalSecondReaderAlsoClosesCycle) {
   g_->AddTxn(kL2, 3, true);  // a global transaction this time
   ASSERT_EQ(RunRg(g_.get(), kL2, {Write(30), Read(kX)}).result,
@@ -372,7 +391,8 @@ struct GraphSiteFixture : public ::testing::Test {
 sim::Process RunOpTest(GraphSite* gs, TxnId txn, SiteId origin, bool global,
                        Operation op, Verdict* verdict, double* when,
                        sim::Simulation* sim) {
-  *verdict = co_await gs->TestOperation(txn, origin, global, op);
+  *verdict = co_await gs->Test(txn, origin, global, {&op, 1},
+                               /*may_wait=*/true);
   *when = sim->Now();
 }
 
@@ -380,7 +400,7 @@ sim::Process RunCommitTest(GraphSite* gs, TxnId txn, SiteId origin,
                            bool global, std::vector<Operation> ops,
                            Verdict* verdict, double* when,
                            sim::Simulation* sim) {
-  *verdict = co_await gs->TestCommit(txn, origin, global, std::move(ops));
+  *verdict = co_await gs->Test(txn, origin, global, ops, /*may_wait=*/false);
   *when = sim->Now();
 }
 
