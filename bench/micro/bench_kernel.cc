@@ -10,6 +10,8 @@
 //     measured (steady-state) rounds;
 //   * heap nodes the event queue opened per event fired: a heap push that
 //     joins the run of the previous one opens none (DESIGN.md §4.1.1, runs);
+//   * in the rows counted in events, the event queue's slot high-water:
+//     heap events and callbacks take a slot, a zero-delay wake-up does not;
 //   * throughput (units per wall second) pooled over the measured rounds and
 //     of the fastest round, events fired and wall-seconds per simulated
 //     second.
@@ -28,7 +30,9 @@
 //                           own processes, if the system row exceeds its
 //                           allocation, frame or heap-node budget per event,
 //                           if a graph scenario exceeds its allocation
-//                           budget per step, or if any scenario did no work
+//                           budget per step, if the wakeup row takes more
+//                           event slots than its standing timers, or if any
+//                           scenario did no work
 //   bench_kernel --rounds=N measured rounds per scenario (1-1000, default 5)
 //
 // An unknown argument or a malformed --rounds exits 2 with the usage line.
@@ -121,6 +125,10 @@ struct ScenarioResult {
   uint64_t allocs = 0;  ///< heap allocations across the measured rounds
   uint64_t frames = 0;  ///< coroutine frames built across the measured rounds
   uint64_t heap_nodes = 0;  ///< event-queue heap nodes opened, same rounds
+  /// Event-queue slots after the rounds (EventQueue::slot_count): the most
+  /// heap events and callbacks pending at once. The system row reports its
+  /// largest round.
+  uint64_t slots = 0;
   double wall_s = 0;    ///< wall time of the measured rounds
   /// Units per wall second of the fastest measured round: on a shared host
   /// the pooled rate swings with whatever else runs, and the fastest round
@@ -131,6 +139,8 @@ struct ScenarioResult {
   /// processes. kUngated for the rows without a frame budget.
   uint64_t frames_allowed = kUngated;
   static constexpr uint64_t kUngated = UINT64_MAX;
+  /// Slots --check allows; kUngated for the rows without a slot budget.
+  uint64_t slots_allowed = kUngated;
   /// Allocations per unit --check allows in a graph row, which still
   /// allocates per operation; negative for the other rows.
   double allocs_per_unit_allowed = -1;
@@ -165,6 +175,7 @@ ScenarioResult Measure(ScenarioResult r, int rounds, const Simulation* sim,
     r.events = sim->events_fired() - events0;
     r.sim_s = sim->Now() - sim0;
     r.heap_nodes = sim->event_queue().heap_nodes_opened() - nodes0;
+    r.slots = sim->event_queue().slot_count();
   }
   return r;
 }
@@ -276,13 +287,17 @@ ScenarioResult Wakeup(int rounds) {
   for (int i = 0; i < kPairs; ++i) {
     shots.push_back(std::make_unique<OneShot>(&sim));
   }
-  return MeasureEvents("wakeup", rounds, &sim, [&] {
+  ScenarioResult r = MeasureEvents("wakeup", rounds, &sim, [&] {
     for (int i = 0; i < kPairs; ++i) {
       sim.Spawn(Sleeper(shots[i].get(), kTicks));
       sim.Spawn(Ticker(&sim, &rng, shots[i].get(), kTicks));
     }
     sim.Run();
   });
+  // Only the timers are heap events: the spawns and wake-ups at the
+  // current instant take no event slot.
+  r.slots_allowed = kPairs;
+  return r;
 }
 
 Process MulticastDriver(net::Network* net, const std::vector<db::SiteId>* dsts,
@@ -444,6 +459,8 @@ ScenarioResult SystemPoint(int rounds) {
     r.allocs += g_allocs - allocs0;
     r.frames += FramePoolThreadStats().frames() - frames0;
     r.heap_nodes += system.sim().event_queue().heap_nodes_opened() - nodes0;
+    r.slots = std::max<uint64_t>(r.slots,
+                                 system.sim().event_queue().slot_count());
     r.events += system.sim().events_fired();
     r.sim_s += system.sim().Now();
   }
@@ -584,7 +601,7 @@ ScenarioResult RgChurn(int rounds) {
     }
     return uint64_t{kSteps};
   });
-  r.allocs_per_unit_allowed = 39;  // measures 37.1; about 5% of headroom
+  r.allocs_per_unit_allowed = 27;  // measures 25.6; about 5% of headroom
   return r;
 }
 
@@ -627,7 +644,9 @@ ScenarioResult RgCycleCheck(int rounds) {
         }
         return uint64_t{kSteps};
       });
-  r.allocs_per_unit_allowed = 348;  // measures 331; about 5% of headroom
+  // The search keeps its visited set and stack across checks, so a check
+  // that finds its cycle allocates nothing.
+  r.allocs_per_unit_allowed = 0;
   return r;
 }
 
@@ -659,7 +678,7 @@ ScenarioResult RgSplit(int rounds) {
     }
     return uint64_t{kSteps};
   });
-  r.allocs_per_unit_allowed = 1439;  // measures 1,370; about 5% of headroom
+  r.allocs_per_unit_allowed = 296;  // measures 282; about 5% of headroom
   return r;
 }
 
@@ -691,16 +710,18 @@ bool IsStoreScenario(const ScenarioResult& r) {
 
 /// Scenarios --check holds to zero steady-state allocations: the kernel
 /// scenarios, the lock manager and the two store rows. The graph still
-/// allocates per operation, so its rows have per-step budgets, and the
-/// system row has budgets of its own (below).
+/// allocates per operation where it admits or removes transactions, so its
+/// rows have per-step budgets (`rg_cycle_check`'s is 0), and the system row
+/// has budgets of its own (below).
 bool Gated(const ScenarioResult& r) {
   return (CountsEvents(r) && !IsSystemScenario(r)) || IsLockScenario(r) ||
          IsStoreScenario(r);
 }
 
 /// The system row's committed budgets per event fired by System::Run. It
-/// measures 0.1213 allocations (a fresh System grows its tables as it runs),
-/// where it made 0.1236 while an update built its replica targets twice,
+/// measures 0.1017 allocations (a fresh System grows its tables as it runs),
+/// where it made 0.1213 while each graph cycle check built its own visited
+/// set and stack, 0.1236 while an update built its replica targets twice,
 /// 0.1975 while an RGtest kept two undo logs, a transaction kept copies of
 /// its read and write sets and each operation's grant slot was a heap
 /// object of its own, and 0.2438 while the generator built a
@@ -711,7 +732,7 @@ bool Gated(const ScenarioResult& r) {
 /// 0.3051 heap nodes per event, where a queue without runs opened one per
 /// heap event, 0.5072. The counts are deterministic; the budgets leave about
 /// 5% of headroom.
-constexpr double kSystemAllocsPerEvent = 0.13;
+constexpr double kSystemAllocsPerEvent = 0.107;
 constexpr double kSystemFramesPerEvent = 0.35;
 constexpr double kSystemHeapNodesPerEvent = 0.32;
 
@@ -724,21 +745,27 @@ void PrintHuman(const ScenarioResult& r) {
       static_cast<unsigned long long>(r.frames), PerUnit(r.frames, r), r.unit,
       r.wall_s, r.work / r.wall_s / 1e6, r.best_rate / 1e6,
       r.sim_s > 0 ? r.wall_s / r.sim_s : 0.0);
-  if (!CountsEvents(r)) {
+  if (CountsEvents(r)) {
+    std::printf("  slots=%llu", static_cast<unsigned long long>(r.slots));
+  } else {
     std::printf("  events=%llu", static_cast<unsigned long long>(r.events));
   }
   std::printf("\n");
 }
 
 /// Keys name the scenario's unit: kernel.<name>.<unit>s, allocs_per_<unit>
-/// and <unit>s_per_s. A scenario not counted in events also reports the
-/// events it fired. Heap nodes are counted per event fired in every row.
+/// and <unit>s_per_s. A scenario counted in events also reports its event
+/// slots; one not counted in events reports the events it fired. Heap nodes
+/// are counted per event fired in every row.
 void PrintReport(const ScenarioResult& r) {
   const char* n = r.name;
   const char* u = r.unit;
   std::printf("kernel.%s.%ss=%llu\n", n, u,
               static_cast<unsigned long long>(r.work));
-  if (!CountsEvents(r)) {
+  if (CountsEvents(r)) {
+    std::printf("kernel.%s.slots=%llu\n", n,
+                static_cast<unsigned long long>(r.slots));
+  } else {
     std::printf("kernel.%s.events=%llu\n", n,
                 static_cast<unsigned long long>(r.events));
   }
@@ -819,8 +846,10 @@ int Run(int argc, char** argv) {
     // baseline for making it allocation-free). A facility use and an
     // immediate lock grant build no coroutine frame, so those rows may build
     // only their own processes' frames. The system row has committed
-    // budgets per event: allocations, frames and heap nodes opened. A
-    // scenario that did no work measured nothing, so it fails too.
+    // budgets per event: allocations, frames and heap nodes opened. The
+    // wakeup row may take one event slot per standing timer: a zero-delay
+    // wake-up takes none. A scenario that did no work measured nothing, so
+    // it fails too.
     int failures = 0;
     int gated = 0;
     for (const ScenarioResult& r : results) {
@@ -835,6 +864,14 @@ int Run(int argc, char** argv) {
                      "%llu, its own processes)\n",
                      r.name, static_cast<unsigned long long>(r.frames),
                      static_cast<unsigned long long>(r.frames_allowed));
+        ++failures;
+      }
+      if (r.slots > r.slots_allowed) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: %s took %llu event slots (budget: %llu, "
+                     "its standing timers)\n",
+                     r.name, static_cast<unsigned long long>(r.slots),
+                     static_cast<unsigned long long>(r.slots_allowed));
         ++failures;
       }
       if (IsSystemScenario(r)) {
@@ -896,7 +933,8 @@ int Run(int argc, char** argv) {
     }
     if (failures > 0) return 1;
     std::printf("alloc budget check passed: 0 steady-state allocations in "
-                "%d gated scenarios; frame, graph and system budgets held\n",
+                "%d gated scenarios; frame, slot, graph and system budgets "
+                "held\n",
                 gated);
   }
   return 0;

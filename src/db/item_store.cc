@@ -1,7 +1,6 @@
 #include "db/item_store.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "sim/check.h"
 
@@ -91,9 +90,9 @@ ItemStore::WriteResult ItemStore::ApplyWrite(ItemId item, Timestamp ts) {
   result.other_writer = writer;
   if (ts > versions_->Stamp(writer)) {
     result.applied = true;
-    if (const size_t pos = Find(item); pos != kNotFound) {
-      result.prior_readers = lists_[slots_[pos].list];
-      Erase(pos);
+    if (const size_t pos = readers_.Find(item); pos != readers_.kNotFound) {
+      result.prior_readers = readers_.At(pos);
+      readers_.Erase(pos);
     }
     versions_->Install(item, site_, static_cast<WriterId>(ts.txn));
   } else {
@@ -106,96 +105,25 @@ ItemStore::WriteResult ItemStore::ApplyWrite(ItemId item, Timestamp ts) {
 }
 
 Timestamp ItemStore::Read(ItemId item, TxnId reader) {
-  if (slots_.empty()) Grow();
-  size_t pos = Probe(item);
-  if (slots_[pos].list != kEmpty) {
-    std::vector<TxnId>& readers = lists_[slots_[pos].list];
-    if (std::find(readers.begin(), readers.end(), reader) == readers.end()) {
-      readers.push_back(reader);
-    }
-    return VersionOf(item);
+  std::vector<TxnId>& readers = readers_.FindOrInsert(item);
+  if (std::find(readers.begin(), readers.end(), reader) == readers.end()) {
+    readers.push_back(reader);
   }
-  if (2 * (live_ + 1) > slots_.size()) {
-    Grow();
-    pos = Probe(item);
-  }
-  uint32_t list;
-  if (free_lists_.empty()) {
-    list = static_cast<uint32_t>(lists_.size());
-    lists_.emplace_back();
-  } else {
-    list = free_lists_.back();
-    free_lists_.pop_back();
-    lists_[list].clear();
-  }
-  lists_[list].push_back(reader);
-  slots_[pos] = Slot{item, list};
-  ++live_;
   return VersionOf(item);
 }
 
 void ItemStore::RemoveReaderOf(TxnId reader, ItemId item) {
-  const size_t pos = Find(item);
-  if (pos == kNotFound) return;
-  std::vector<TxnId>& readers = lists_[slots_[pos].list];
-  readers.erase(std::remove(readers.begin(), readers.end(), reader),
-                readers.end());
-  if (readers.empty()) Erase(pos);
+  const size_t pos = readers_.Find(item);
+  if (pos == readers_.kNotFound) return;
+  std::vector<TxnId>& readers = readers_.At(pos);
+  std::erase(readers, reader);
+  if (readers.empty()) readers_.Erase(pos);
 }
 
 std::span<const TxnId> ItemStore::ReadersOf(ItemId item) const {
-  const size_t pos = Find(item);
-  if (pos == kNotFound) return {};
-  return lists_[slots_[pos].list];
-}
-
-size_t ItemStore::Home(ItemId item) const {
-  // Fibonacci hashing: the top log2(size) bits of a multiplicative hash.
-  return static_cast<size_t>((uint64_t{item} * 0x9E3779B97F4A7C15ull) >>
-                             shift_);
-}
-
-size_t ItemStore::Probe(ItemId item) const {
-  const size_t mask = slots_.size() - 1;
-  size_t pos = Home(item);
-  while (slots_[pos].list != kEmpty && slots_[pos].item != item) {
-    pos = (pos + 1) & mask;
-  }
-  return pos;
-}
-
-size_t ItemStore::Find(ItemId item) const {
-  if (live_ == 0) return kNotFound;
-  const size_t pos = Probe(item);
-  return slots_[pos].list == kEmpty ? kNotFound : pos;
-}
-
-void ItemStore::Erase(size_t pos) {
-  free_lists_.push_back(slots_[pos].list);
-  --live_;
-  const size_t mask = slots_.size() - 1;
-  size_t hole = pos;
-  for (size_t next = (hole + 1) & mask; slots_[next].list != kEmpty;
-       next = (next + 1) & mask) {
-    // The entry at `next` fills the hole when its probe run from its home
-    // slot passes through the hole.
-    const size_t home = Home(slots_[next].item);
-    if (((next - home) & mask) >= ((next - hole) & mask)) {
-      slots_[hole] = slots_[next];
-      hole = next;
-    }
-  }
-  slots_[hole].list = kEmpty;
-}
-
-void ItemStore::Grow() {
-  const size_t size = slots_.empty() ? 16 : 2 * slots_.size();
-  std::vector<Slot> old(size);
-  old.swap(slots_);
-  shift_ = static_cast<uint32_t>(64 - std::countr_zero(size));
-  for (const Slot& slot : old) {
-    if (slot.list != kEmpty) slots_[Probe(slot.item)] = slot;
-  }
+  const size_t pos = readers_.Find(item);
+  if (pos == readers_.kNotFound) return {};
+  return readers_.At(pos);
 }
 
 }  // namespace lazyrep::db

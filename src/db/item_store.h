@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "db/list_table.h"
 #include "db/types.h"
 
 namespace lazyrep::db {
@@ -138,9 +139,8 @@ class ReplicaVersions {
 /// writer's time, the writer's id). A sparse reader table holds only the
 /// items with live readers. Only a site's own transactions register
 /// readers, so at any instant the table holds a few dozen items, not the
-/// site's whole replica set. The table is open-addressed (linear probing,
-/// backward-shift deletion) and maps an item to one of a pool of reader
-/// lists; each list keeps its readers in registration order, and emptied
+/// site's whole replica set. It is a ListTable (open-addressed, pooled
+/// lists): each list keeps its readers in registration order, and emptied
 /// lists are recycled, so the steady state allocates nothing.
 class ItemStore {
  public:
@@ -196,38 +196,14 @@ class ItemStore {
  private:
   friend struct ItemStoreTestPeer;  // reads slot placement in db_test
 
-  /// One reader-table slot: `item`'s readers are lists_[list]. A slot with
-  /// list == kEmpty is free.
-  struct Slot {
-    ItemId item = 0;
-    uint32_t list = kEmpty;
-  };
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-
-  /// Drops `reader` from `item`'s readers, and the slot once it is empty.
+  /// Drops `reader` from `item`'s readers, and the item once it has none.
   void RemoveReaderOf(TxnId reader, ItemId item);
-  /// Slot holding `item`, or kNotFound.
-  size_t Find(ItemId item) const;
-  static constexpr size_t kNotFound = SIZE_MAX;
-  /// Slot holding `item`, or the free slot that ends its probe run. Needs a
-  /// non-empty slot array.
-  size_t Probe(ItemId item) const;
-  /// First slot of `item`'s probe run.
-  size_t Home(ItemId item) const;
-  /// Frees slot `pos` (its list goes back to the pool untouched, so a view
-  /// of it stays readable until the list is reused) and shifts the rest of
-  /// its probe run back so no lookup crosses a hole.
-  void Erase(size_t pos);
-  /// Doubles the slot array (16 slots at first) and re-places every entry.
-  void Grow();
 
   ReplicaVersions* versions_;
   SiteId site_;
-  std::vector<Slot> slots_;  // power-of-two size, or empty
-  uint32_t shift_ = 0;       // 64 - log2(slots_.size())
-  uint32_t live_ = 0;        // occupied slots
-  std::vector<std::vector<TxnId>> lists_;
-  std::vector<uint32_t> free_lists_;  // ids of lists_ not in any slot
+  /// Items with live readers. An applied write erases its item's entry and
+  /// hands back a view of the list, readable until the list is reused.
+  ListTable<ItemId, TxnId> readers_;
   uint64_t writes_ignored_ = 0;
 };
 

@@ -50,10 +50,18 @@ bool LockManager::CompatibleWithHolders(const ItemLock& lock, LockMode mode) {
   return true;
 }
 
+bool LockManager::RemoveHolder(ItemLock* lock, TxnId txn) {
+  auto h = std::find_if(lock->holders.begin(), lock->holders.end(),
+                        [txn](const auto& p) { return p.first == txn; });
+  if (h == lock->holders.end()) return false;
+  lock->holders.erase(h);
+  return true;
+}
+
 sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
                                                 LockMode mode,
                                                 sim::SimTime timeout) {
-  ItemLock& lock = LockFor(item);
+  ItemLock& lock = LockFor(item)->second;
   for (const auto& [holder, held_mode] : lock.holders) {
     LAZYREP_CHECK_MSG(holder != txn,
                       "transaction requests a lock it already holds here");
@@ -62,7 +70,7 @@ sim::Task<sim::WaitStatus> LockManager::Acquire(TxnId txn, ItemId item,
   // pending (FIFO fairness).
   if (lock.queue.empty() && CompatibleWithHolders(lock, mode)) {
     lock.holders.emplace_back(txn, mode);
-    HeldFor(txn).push_back(item);
+    held_.FindOrInsert(txn).push_back(item);
     ++grants_;
     TraceResolution(txn, item, mode, sim::WaitStatus::kSignaled, 0);
     return sim::Task<sim::WaitStatus>::Finished(sim::WaitStatus::kSignaled);
@@ -77,7 +85,7 @@ sim::Task<sim::WaitStatus> LockManager::QueueAndWait(TxnId txn, ItemId item,
   Waiter waiter(sim_);
   waiter.txn = txn;
   waiter.mode = mode;
-  LockFor(item).queue.PushBack(&waiter);
+  LockFor(item)->second.queue.PushBack(&waiter);
 
   sim::SimTime wait_start = sim_->Now();
   sim::WaitStatus status = co_await waiter.shot.Wait(timeout);
@@ -86,10 +94,10 @@ sim::Task<sim::WaitStatus> LockManager::QueueAndWait(TxnId txn, ItemId item,
     if (status == sim::WaitStatus::kTimeout) ++timeouts_;
     // Remove ourselves from the queue; the lock entry may need pumping since
     // our departure can unblock requests behind us.
-    ItemLock& lk = LockFor(item);
-    lk.queue.Remove(&waiter);
-    PumpQueue(item, &lk);
-    MaybeErase(item);
+    auto it = LockFor(item);
+    it->second.queue.Remove(&waiter);
+    PumpQueue(item, &it->second);
+    MaybeErase(it);
     TraceResolution(txn, item, mode, status, sim_->Now() - wait_start);
     co_return status;
   }
@@ -106,89 +114,54 @@ void LockManager::PumpQueue(ItemId item, ItemLock* lock) {
     if (!CompatibleWithHolders(*lock, head->mode)) break;
     lock->queue.PopFront();
     lock->holders.emplace_back(head->txn, head->mode);
-    HeldFor(head->txn).push_back(item);
+    held_.FindOrInsert(head->txn).push_back(item);
     head->shot.Fire(sim::WaitStatus::kSignaled);
   }
 }
 
-void LockManager::MaybeErase(ItemId item) {
-  auto it = locks_.find(item);
-  if (it != locks_.end() && it->second.holders.empty() &&
-      it->second.queue.empty()) {
-    KeepSpare(locks_.extract(it));
+void LockManager::MaybeErase(LockTable::iterator it) {
+  if (it->second.holders.empty() && it->second.queue.empty()) {
+    spare_locks_.push_back(locks_.extract(it));
   }
 }
 
-namespace {
-
-/// map[key], building a missing entry from a spare node when there is one;
-/// the map inserts it exactly where operator[] would have.
-template <typename Map>
-typename Map::mapped_type& EntryFor(
-    Map& map, std::vector<typename Map::node_type>& spares,
-    typename Map::key_type key) {
-  auto it = map.find(key);
-  if (it != map.end()) return it->second;
-  if (spares.empty()) return map[key];
-  typename Map::node_type node = std::move(spares.back());
-  spares.pop_back();
-  node.key() = key;
-  return map.insert(std::move(node)).position->second;
-}
-
-}  // namespace
-
-LockManager::ItemLock& LockManager::LockFor(ItemId item) {
-  return EntryFor(locks_, spare_locks_, item);
-}
-
-std::vector<ItemId>& LockManager::HeldFor(TxnId txn) {
-  return EntryFor(held_, spare_held_, txn);
-}
-
-void LockManager::KeepSpare(LockTable::node_type node) {
-  spare_locks_.push_back(std::move(node));
-}
-
-void LockManager::KeepSpare(HeldIndex::node_type node) {
-  node.mapped().clear();
-  spare_held_.push_back(std::move(node));
+LockManager::LockTable::iterator LockManager::LockFor(ItemId item) {
+  auto it = locks_.find(item);
+  if (it != locks_.end()) return it;
+  if (spare_locks_.empty()) return locks_.try_emplace(item).first;
+  LockTable::node_type node = std::move(spare_locks_.back());
+  spare_locks_.pop_back();
+  node.key() = item;
+  return locks_.insert(std::move(node)).position;
 }
 
 void LockManager::Release(TxnId txn, ItemId item) {
   auto it = locks_.find(item);
-  if (it == locks_.end()) return;
-  ItemLock& lock = it->second;
-  auto h = std::find_if(lock.holders.begin(), lock.holders.end(),
-                        [txn](const auto& p) { return p.first == txn; });
-  if (h == lock.holders.end()) return;
-  lock.holders.erase(h);
-  auto held_it = held_.find(txn);
-  if (held_it != held_.end()) {
-    auto& items = held_it->second;
-    items.erase(std::remove(items.begin(), items.end(), item), items.end());
-    if (items.empty()) KeepSpare(held_.extract(held_it));
+  if (it == locks_.end() || !RemoveHolder(&it->second, txn)) return;
+  if (const size_t pos = held_.Find(txn); pos != held_.kNotFound) {
+    std::vector<ItemId>& items = held_.At(pos);
+    std::erase(items, item);
+    if (items.empty()) held_.Erase(pos);
   }
-  PumpQueue(item, &lock);
-  MaybeErase(item);
+  PumpQueue(item, &it->second);
+  MaybeErase(it);
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  auto it = held_.find(txn);
-  if (it == held_.end()) return;
-  // Out of the index first: a pumped waiter of `txn` starts a fresh entry.
-  HeldIndex::node_type held = held_.extract(it);
-  for (ItemId item : held.mapped()) {
-    auto lit = locks_.find(item);
-    if (lit == locks_.end()) continue;
-    ItemLock& lock = lit->second;
-    auto h = std::find_if(lock.holders.begin(), lock.holders.end(),
-                          [txn](const auto& p) { return p.first == txn; });
-    if (h != lock.holders.end()) lock.holders.erase(h);
-    PumpQueue(item, &lock);
-    MaybeErase(item);
+  const size_t pos = held_.Find(txn);
+  if (pos == held_.kNotFound) return;
+  // Out of the table first, but not back in the pool: a waiter a pump
+  // grants may start a new entry, which must not be handed this list while
+  // the loop reads it.
+  const uint32_t list = held_.Detach(pos);
+  for (ItemId item : held_.Detached(list)) {
+    auto it = locks_.find(item);
+    if (it == locks_.end()) continue;
+    RemoveHolder(&it->second, txn);
+    PumpQueue(item, &it->second);
+    MaybeErase(it);
   }
-  KeepSpare(std::move(held));
+  held_.Recycle(list);
 }
 
 void LockManager::CrashReset(const std::function<bool(TxnId)>& keep) {
@@ -202,16 +175,16 @@ void LockManager::CrashReset(const std::function<bool(TxnId)>& keep) {
     std::erase_if(lock.holders,
                   [&keep](const auto& p) { return !keep(p.first); });
     if (lock.holders.empty()) {
-      KeepSpare(locks_.extract(it++));
+      spare_locks_.push_back(locks_.extract(it++));
     } else {
       ++it;
     }
   }
   // Phase 2: rebuild the per-transaction held index from what survived.
-  while (!held_.empty()) KeepSpare(held_.extract(held_.begin()));
+  held_.Clear();
   for (const auto& [item, lock] : locks_) {
     for (const auto& [holder, mode] : lock.holders) {
-      HeldFor(holder).push_back(item);
+      held_.FindOrInsert(holder).push_back(item);
     }
   }
   // Phase 3: wake the cancelled waiters; their QueueAndWait frames clean up.
@@ -238,9 +211,9 @@ size_t LockManager::WaiterCount(ItemId item) const {
 }
 
 std::vector<ItemId> LockManager::HeldItems(TxnId txn) const {
-  auto it = held_.find(txn);
-  if (it == held_.end()) return {};
-  return it->second;
+  const size_t pos = held_.Find(txn);
+  if (pos == held_.kNotFound) return {};
+  return held_.At(pos);
 }
 
 void LockManager::ResetStats() {

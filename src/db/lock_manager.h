@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "db/list_table.h"
 #include "db/types.h"
 #include "sim/condition.h"
 #include "sim/process.h"
@@ -48,13 +49,15 @@ inline bool LocksCompatible(LockMode requested, LockMode held) {
 /// input), so it requests each item's lock once per site: there are no
 /// re-acquisitions and no upgrades.
 ///
-/// Storage: an entry of either table is erased as soon as it is idle, but
-/// its node is kept as a spare, with the holder or item vector inside it
-/// still holding its capacity, and the next new entry reuses it. So at
-/// steady state an acquire allocates nothing, and the spares never outnumber
-/// the manager's peak live entries. The tables stay std::unordered_maps,
-/// inserted into and erased from in the same order as without spares,
-/// because CrashReset's walk follows their iteration order.
+/// Storage: `locks_` erases an item's entry as soon as it is idle, but keeps
+/// its node as a spare, with the holder vector inside it still holding its
+/// capacity, and the next new entry reuses it. It stays a
+/// std::unordered_map, inserted into and erased from in the same order as
+/// without spares, because CrashReset's walk follows its iteration order.
+/// `held_`, the items each transaction holds, is a ListTable whose lists
+/// are pooled; nothing walks it in order. So at steady state an acquire
+/// allocates nothing, and a ReleaseAll of a transaction that holds nothing
+/// here is one probe of an open-addressed table.
 class LockManager {
  public:
   explicit LockManager(sim::Simulation* sim) : sim_(sim) {}
@@ -150,22 +153,19 @@ class LockManager {
 
   /// True when a request for `mode` is compatible with every holder.
   static bool CompatibleWithHolders(const ItemLock& lock, LockMode mode);
-  /// Grants queued requests from the head while compatible.
-  void PumpQueue(ItemId item, ItemLock* lock);
-  /// Drops the lock entry if empty.
-  void MaybeErase(ItemId item);
+  /// Removes `txn` from `lock`'s holders; false when it holds none.
+  static bool RemoveHolder(ItemLock* lock, TxnId txn);
 
   using LockTable = std::unordered_map<ItemId, ItemLock>;
-  using HeldIndex = std::unordered_map<TxnId, std::vector<ItemId>>;
 
-  /// locks_[item] and held_[txn], building a missing entry from a spare
-  /// node when there is one.
-  ItemLock& LockFor(ItemId item);
-  std::vector<ItemId>& HeldFor(TxnId txn);
-  /// Keeps an extracted node as a spare (a lock node is idle: no holders,
-  /// no waiters).
-  void KeepSpare(LockTable::node_type node);
-  void KeepSpare(HeldIndex::node_type node);
+  /// Grants queued requests from the head while compatible.
+  void PumpQueue(ItemId item, ItemLock* lock);
+  /// Drops the lock entry `it` if it is idle (no holders, no waiters).
+  void MaybeErase(LockTable::iterator it);
+
+  /// locks_[item], building a missing entry from a spare node when there is
+  /// one; the map inserts it exactly where operator[] would have.
+  LockTable::iterator LockFor(ItemId item);
 
   /// Emits the Acquire resolution when tracing is on. `wait` is the time
   /// spent queued (0 for immediate grants); a deny carries the WaitStatus.
@@ -183,9 +183,10 @@ class LockManager {
   trace::TraceSink* trace_ = nullptr;
   uint16_t trace_site_ = 0;
   LockTable locks_;
-  HeldIndex held_;
+  /// txn -> the items it holds here, in grant order (after a CrashReset,
+  /// in locks_ order).
+  ListTable<TxnId, ItemId> held_;
   std::vector<LockTable::node_type> spare_locks_;
-  std::vector<HeldIndex::node_type> spare_held_;
   uint64_t grants_ = 0;
   uint64_t waits_ = 0;
   uint64_t timeouts_ = 0;

@@ -94,8 +94,8 @@ sim::Task<bool> EagerProtocol::AcquireReplicaLocks(txn::Transaction* t,
     // Randomized exponential backoff breaks the symmetry of a distributed
     // deadlock: whichever rival backs off longer re-requests into queues the
     // other has already drained.
-    co_await sys_->sim().Delay(st->rng.Uniform01() * core::kEagerBackoffBase *
-                               (1 << attempt));
+    co_await sys_->sim().Delay(st->Backoff().Uniform01() *
+                               core::kEagerBackoffBase * (1 << attempt));
   }
 }
 
@@ -257,8 +257,8 @@ sim::Process EagerProtocol::ReleaseRemote(
 sim::Process EagerProtocol::Execute(txn::Transaction* t) {
   const core::SystemConfig& cfg = sys_->config();
   core::Site& origin = sys_->site(t->origin);
-  auto st = std::make_shared<ExecState>(
-      sim::RandomStream(cfg.seed ^ (0x9e3779b97f4a7c15ULL * t->id)));
+  auto st =
+      std::make_shared<ExecState>(cfg.seed ^ (0x9e3779b97f4a7c15ULL * t->id));
 
   // Operations execute strictly in order; a write's replica X locks are
   // acquired synchronously before the next operation starts (the textbook

@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -47,7 +48,14 @@ class EagerProtocol : public Protocol {
 
  private:
   struct ExecState {
-    explicit ExecState(sim::RandomStream rng) : rng(rng) {}
+    explicit ExecState(uint64_t backoff_seed) : backoff_seed(backoff_seed) {}
+    /// The retry backoff's stream, built from `backoff_seed` at the first
+    /// backoff: most transactions never back off, and seeding the stream
+    /// costs more than the rest of the transaction's state.
+    sim::RandomStream& Backoff() {
+      if (!backoff) backoff.emplace(backoff_seed);
+      return *backoff;
+    }
     /// Replica X locks granted so far, for release on abort; participants
     /// that reached the prepared state release via the outcome instead.
     std::vector<std::pair<db::SiteId, db::ItemId>> granted_remote;
@@ -55,9 +63,10 @@ class EagerProtocol : public Protocol {
     core::System::ConflictEdges edges;
     /// Why the replica lock phase failed.
     txn::AbortCause fail_cause = txn::AbortCause::kLockTimeout;
-    /// Per-transaction stream for the retry backoff (seeded from the config
-    /// seed and the transaction id: deterministic at any --jobs level).
-    sim::RandomStream rng;
+    /// Seed of the per-transaction backoff stream (from the config seed and
+    /// the transaction id: deterministic at any --jobs level).
+    uint64_t backoff_seed;
+    std::optional<sim::RandomStream> backoff;
   };
   using StatePtr = std::shared_ptr<ExecState>;
 

@@ -1,6 +1,7 @@
 #include "rg/replication_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_set>
 #include <utility>
 
@@ -103,31 +104,56 @@ bool ReplicationGraph::ForEachNeighbor(uint64_t node, Fn&& fn) const {
   return false;
 }
 
+bool ReplicationGraph::VisitedSet::Insert(uint64_t node) {
+  if (2 * (live_ + 1) > slots_.size()) Grow();
+  const size_t mask = slots_.size() - 1;
+  size_t pos = Home(node);
+  while (slots_[pos].epoch == epoch_) {
+    if (slots_[pos].node == node) return false;
+    pos = (pos + 1) & mask;
+  }
+  slots_[pos] = Slot{node, epoch_};
+  ++live_;
+  return true;
+}
+
+void ReplicationGraph::VisitedSet::Grow() {
+  const size_t size = slots_.empty() ? 64 : 2 * slots_.size();
+  std::vector<Slot> old(size);
+  old.swap(slots_);
+  shift_ = static_cast<uint32_t>(64 - std::countr_zero(size));
+  const size_t mask = size - 1;
+  for (const Slot& slot : old) {
+    if (slot.epoch != epoch_) continue;
+    size_t pos = Home(slot.node);
+    while (slots_[pos].epoch == epoch_) pos = (pos + 1) & mask;
+    slots_[pos] = slot;
+  }
+}
+
 bool ReplicationGraph::Connected(db::SiteId site, db::TxnId from_root,
                                  db::TxnId to_root, GraphCost* cost,
-                                 bool* committed_on_path) const {
+                                 bool* committed_on_path) {
   const uint64_t start = GroupNode(site, from_root);
   const uint64_t target = GroupNode(site, to_root);
 
   // Iterative DFS. Each entry carries whether a committed transaction lies
   // on the path that discovered its node, so the node that reaches the
   // target holds the closing path's answer.
-  struct Entry {
-    uint64_t node;
-    bool committed;
-  };
-  std::unordered_set<uint64_t> visited;
-  visited.insert(start);
-  std::vector<Entry> stack{{start, false}};
-  while (!stack.empty()) {
-    const Entry from = stack.back();
-    stack.pop_back();
+  visited_.Clear();
+  visited_.Insert(start);
+  dfs_stack_.assign(1, DfsEntry{start, false});
+  while (!dfs_stack_.empty()) {
+    const DfsEntry from = dfs_stack_.back();
+    dfs_stack_.pop_back();
     const bool found = ForEachNeighbor(from.node, [&](uint64_t next) {
       ++cost->check_edges;
-      if (!visited.insert(next).second) return false;
+      if (!visited_.Insert(next)) return false;
       if (next == target) return true;
-      stack.push_back({next, from.committed || (!(next & kGroupBit) &&
-                                                txns_.at(next).committed)});
+      const bool committed =
+          from.committed ||
+          (!(next & kGroupBit) && txns_.at(next).committed);
+      dfs_stack_.push_back({next, committed});
       return false;
     });
     if (found) {

@@ -137,6 +137,45 @@ class ReplicationGraph {
     std::vector<db::SiteId> materialized;
   };
 
+  /// The DFS nodes one search has visited: an open-addressed set (linear
+  /// probing, at most half full) whose slot counts only when it carries the
+  /// current search's epoch, so Clear is an epoch bump. It answers
+  /// membership only, so the search order does not depend on it. Kept
+  /// across searches, it allocates only while it grows.
+  class VisitedSet {
+   public:
+    void Clear() {
+      ++epoch_;
+      live_ = 0;
+    }
+    /// Adds `node`; false when the search has visited it already.
+    bool Insert(uint64_t node);
+
+   private:
+    struct Slot {
+      uint64_t node = 0;
+      uint64_t epoch = 0;  // a slot of an earlier search is free
+    };
+    /// Doubles the slot array (64 slots at first) and re-places this
+    /// search's nodes.
+    void Grow();
+    size_t Home(uint64_t node) const {
+      // Fibonacci hashing: the top log2(size) bits of a multiplicative hash.
+      return static_cast<size_t>((node * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    std::vector<Slot> slots_;  // power-of-two size, or empty
+    uint32_t shift_ = 0;       // 64 - log2(slots_.size())
+    size_t live_ = 0;          // this search's nodes
+    uint64_t epoch_ = 1;
+  };
+
+  /// A DFS stack entry of Connected: a node, and whether a committed
+  /// transaction lies on the path that discovered it.
+  struct DfsEntry {
+    uint64_t node;
+    bool committed;
+  };
+
   struct SitePartition {
     std::unordered_map<db::TxnId, db::TxnId> parent;
     /// root -> member list (materialized members only, root included).
@@ -195,7 +234,7 @@ class ReplicationGraph {
   /// connected, sets `*committed_on_path` to whether a committed transaction
   /// lies on the path the search found.
   bool Connected(db::SiteId site, db::TxnId from_root, db::TxnId to_root,
-                 GraphCost* cost, bool* committed_on_path) const;
+                 GraphCost* cost, bool* committed_on_path);
 
   /// Merges the groups rooted at `ra` and `rb` at `site`: the larger one
   /// (`ra`'s on a tie) keeps its root and appends the other's members. The
@@ -214,6 +253,9 @@ class ReplicationGraph {
   std::unordered_map<db::ItemId, std::vector<db::TxnId>> writers_;
   /// item -> live transactions that read it (each reads at its origin site).
   std::unordered_map<db::ItemId, std::vector<db::TxnId>> readers_;
+  /// Connected's working state, kept and reused by every search.
+  VisitedSet visited_;
+  std::vector<DfsEntry> dfs_stack_;
 };
 
 }  // namespace lazyrep::rg

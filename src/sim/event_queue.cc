@@ -50,14 +50,7 @@ void EventQueue::SiftUp(size_t pos, HeapNode node) {
   PlaceNode(pos, node);
 }
 
-EventId EventQueue::Push(SimTime t, uint32_t slot) {
-  const uint64_t seq = next_seq_++;
-  const uint64_t key = TimeKey(t);
-  if (key == lane_key_) {
-    // Same instant as the lane: appending keeps it sorted by (time, seq).
-    AppendToLane(seq, slot);
-    return EventId{slot, slots_[slot].generation};
-  }
+EventId EventQueue::PushToHeap(uint64_t key, uint64_t seq, uint32_t slot) {
   ++heap_events_;
   if (key == open_key_ && open_tail_ != kNoSlot) {
     // Same instant as the previous heap push, whose run is still queued:
@@ -79,20 +72,20 @@ EventId EventQueue::Push(SimTime t, uint32_t slot) {
   return EventId{slot, slots_[slot].generation};
 }
 
-void EventQueue::AppendToLane(uint64_t seq, uint32_t slot) {
+void EventQueue::AppendToLane(uint64_t seq, uintptr_t ref) {
   // When full, drop the fired prefix if it is at least half the array, so
   // capacity tracks the live lane length, not the events per instant.
   if (lane_.size() == lane_.capacity() && 2 * lane_head_ >= lane_.size()) {
     lane_.erase(lane_.begin(), lane_.begin() + lane_head_);
     lane_head_ = 0;
   }
-  lane_.push_back(LaneNode{seq, slot});
-  links_[slot].pos = kInLane;
+  lane_.push_back(LaneNode{seq, ref});
 }
 
 void EventQueue::RemoveFromLane(uint32_t slot) {
+  const uintptr_t ref = CallbackRef(slot);
   auto it = std::find_if(lane_.begin() + lane_head_, lane_.end(),
-                         [slot](const LaneNode& n) { return n.slot == slot; });
+                         [ref](const LaneNode& n) { return n.ref == ref; });
   LAZYREP_CHECK(it != lane_.end());
   lane_.erase(it);
   if (lane_head_ == lane_.size()) {
@@ -102,17 +95,33 @@ void EventQueue::RemoveFromLane(uint32_t slot) {
 }
 
 EventId EventQueue::ScheduleResume(SimTime t, std::coroutine_handle<> handle) {
-  LAZYREP_CHECK(handle);
-  uint32_t slot = AllocateSlot();
+  const auto frame = reinterpret_cast<uintptr_t>(handle.address());
+  LAZYREP_CHECK(frame != 0 && (frame & kCallbackTag) == 0);
+  const uint64_t seq = next_seq_++;
+  const uint64_t key = TimeKey(t);
+  if (key == lane_key_) {
+    // Same instant as the lane: appending keeps it sorted by (time, seq).
+    // Nothing cancels a wake-up, so it takes no slot and gets no id.
+    AppendToLane(seq, frame);
+    return EventId{};
+  }
+  const uint32_t slot = AllocateSlot();
   slots_[slot].handle = handle;
-  return Push(t, slot);
+  return PushToHeap(key, seq, slot);
 }
 
 EventId EventQueue::ScheduleCallback(SimTime t, Callback fn) {
   LAZYREP_CHECK(fn);
-  uint32_t slot = AllocateSlot();
+  const uint64_t seq = next_seq_++;
+  const uint64_t key = TimeKey(t);
+  const uint32_t slot = AllocateSlot();
   slots_[slot].callback = std::move(fn);
-  return Push(t, slot);
+  if (key == lane_key_) {
+    AppendToLane(seq, CallbackRef(slot));
+    links_[slot].pos = kInLane;
+    return EventId{slot, slots_[slot].generation};
+  }
+  return PushToHeap(key, seq, slot);
 }
 
 void EventQueue::RemoveAt(size_t pos) {
@@ -203,12 +212,19 @@ EventQueue::Fired EventQueue::Pop() {
   if (!lane_.empty() &&
       (heap_.empty() ||
        Before(HeapNode{lane_key_, lane_[lane_head_].seq, 0}, heap_[0]))) {
-    slot = lane_[lane_head_].slot;
+    const uintptr_t ref = lane_[lane_head_].ref;
     fired.time = KeyTime(lane_key_);
     if (++lane_head_ == lane_.size()) {
       lane_.clear();
       lane_head_ = 0;
     }
+    if ((ref & kCallbackTag) == 0) {
+      // A lane resume: its frame address is the whole event.
+      fired.handle =
+          std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ref));
+      return fired;
+    }
+    slot = static_cast<uint32_t>(ref >> 1);
   } else {
     const uint64_t key = heap_[0].key;
     slot = heap_[0].slot;

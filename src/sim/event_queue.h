@@ -19,7 +19,9 @@ inline constexpr SimTime kTimeInfinity =
     std::numeric_limits<SimTime>::infinity();
 
 /// Handle to a scheduled event; can be used to cancel it before it fires.
-/// A default-constructed EventId is invalid and safe to cancel (no-op).
+/// A default-constructed EventId is invalid and safe to cancel (no-op). A
+/// resume that joins the same-instant lane gets an invalid id: it cannot be
+/// cancelled (EventQueue::ScheduleResume).
 struct EventId {
   uint32_t slot = 0;
   uint32_t generation = 0;
@@ -39,7 +41,10 @@ struct EventId {
 ///     O(log n) push and pop. Every lane entry has the same time and they
 ///     arrive in sequence order, so the lane is sorted by (time, seq), and
 ///     Pop() merges it with the heap under that key: the pop order is
-///     exactly that of the heap alone.
+///     exactly that of the heap alone. A lane resume is its coroutine's
+///     frame address and nothing else: no slot, so it cannot be cancelled
+///     and costs no slot bookkeeping. A lane callback keeps a slot, as every
+///     callback does, because callbacks are what callers cancel.
 ///   * Every other event goes to the heap, whose node is a *run*: a FIFO of
 ///     events for one time. A heap push for the same time as the previous
 ///     heap push joins that push's run in O(1), with no sift, as long as the
@@ -51,8 +56,8 @@ struct EventId {
 ///     the next member in place; only a run's last member leaves the heap.
 ///     Each head records its heap position, so Cancel() removes an event in
 ///     O(1) within a run and O(log n) otherwise, instead of leaving a dead
-///     entry behind; cancelling a lane entry shifts the lane (linear in its
-///     length; zero-delay wake-ups are not cancelled in practice). A heap
+///     entry behind; cancelling a lane callback shifts the lane (linear in
+///     its length; zero-delay callbacks are not cancelled in practice). A heap
 ///     node stores its time as an integer key that orders exactly like the
 ///     double (TimeKey), so (time, seq) compares as one unsigned 128-bit
 ///     integer, without a data-dependent branch.
@@ -61,11 +66,12 @@ struct EventId {
 /// cancel-heavy workloads (condition timeouts, retransmission timers) cannot
 /// bloat them, and PeekTime()/Empty() are const.
 ///
+/// Every heap event and every callback owns a slot; a lane resume does not.
 /// Slots are recycled through a free list; generation counters make stale
 /// EventIds (including ids of already-fired events) harmless to cancel.
 /// Callbacks are stored inline in the slot (InlineFunction): scheduling an
-/// event performs no heap allocation once the slot and heap arrays have
-/// reached steady-state capacity.
+/// event performs no heap allocation once the slot, heap and lane arrays
+/// have reached steady-state capacity.
 class EventQueue {
  public:
   using Callback = InlineFunction<void()>;
@@ -74,7 +80,11 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  /// Schedules `handle` to be resumed at absolute time `t`.
+  /// Schedules `handle` to be resumed at absolute time `t`. A resume for
+  /// the lane's instant (the zero-delay wake-up) joins the lane as its frame
+  /// address and returns an invalid EventId: cancelling it is a no-op that
+  /// returns false, and the resume still fires. A resume for any other time
+  /// returns a cancellable id.
   EventId ScheduleResume(SimTime t, std::coroutine_handle<> handle);
 
   /// Schedules `fn` to run at absolute time `t`.
@@ -119,7 +129,8 @@ class EventQueue {
   /// Number of same-instant lane entries.
   size_t lane_size() const { return lane_.size() - lane_head_; }
 
-  /// Slot array length (live + free-listed); bounds memory diagnostics.
+  /// Slot array length (live + free-listed): the most slots ever in use,
+  /// that is, heap events plus lane callbacks. Lane resumes take none.
   size_t slot_count() const { return slots_.size(); }
 
  private:
@@ -135,16 +146,24 @@ class EventQueue {
   };
   static_assert(sizeof(HeapNode) == 24);
 
-  /// Lane entry; its time is the one lane_key_ encodes.
+  /// Lane entry (16 bytes); its time is the one lane_key_ encodes. `ref` is
+  /// a resume's frame address, or a callback's slot shifted left with the
+  /// low bit set (kCallbackTag): a frame holds pointers, so its address is
+  /// aligned, and the bit tells the two apart.
   struct LaneNode {
     uint64_t seq;
-    uint32_t slot;
+    uintptr_t ref;
   };
+  static_assert(sizeof(LaneNode) == 16);
+  static constexpr uintptr_t kCallbackTag = 1;
+  static uintptr_t CallbackRef(uint32_t slot) {
+    return (uintptr_t{slot} << 1) | kCallbackTag;
+  }
 
-  /// A scheduled event resumes `handle` when it is set and otherwise runs
-  /// `callback`; a free slot has neither. `next` links a run's members, so
-  /// a pop finds the successor on the line it reads anyway, and the slot
-  /// stays 80 bytes.
+  /// A heap event or a callback. It resumes `handle` when it is set and
+  /// otherwise runs `callback`; a free slot has neither. `next` links a
+  /// run's members, so a pop finds the successor on the line it reads
+  /// anyway, and the slot stays 80 bytes.
   struct Slot {
     uint32_t generation = 1;
     uint32_t next = 0;  ///< next member of its run; kNoSlot for the last
@@ -159,12 +178,12 @@ class EventQueue {
   /// striding through the full Slot records.
   struct Link {
     /// Heap position of a run head; kInRun for a later member of a run,
-    /// kInLane for a lane entry.
+    /// kInLane for a lane callback.
     uint32_t pos;
     uint32_t prev;  ///< previous member of its run (for kInRun only)
   };
 
-  /// Link::pos of a slot whose event waits in the same-instant lane.
+  /// Link::pos of a callback that waits in the same-instant lane.
   static constexpr uint32_t kInLane = std::numeric_limits<uint32_t>::max();
   /// Link::pos of a run member behind its head.
   static constexpr uint32_t kInRun = kInLane - 1;
@@ -198,11 +217,14 @@ class EventQueue {
 
   uint32_t AllocateSlot();
   void ReleaseSlot(uint32_t slot);
-  EventId Push(SimTime t, uint32_t slot);
-  /// Kept out of Push so the heap path stays small enough to inline into
-  /// the Schedule* entry points.
-  void AppendToLane(uint64_t seq, uint32_t slot);
-  /// Removes lane entry `slot` (linear in the lane length).
+  /// Pushes heap event `slot`, whose time is `key`, onto the heap: it joins
+  /// the open run or opens a node. This and AppendToLane are inline (both
+  /// are defined in event_queue.cc, their one user): each Schedule* entry
+  /// point then runs its event's whole push without a call.
+  inline EventId PushToHeap(uint64_t key, uint64_t seq, uint32_t slot);
+  /// Appends a lane entry (LaneNode::ref).
+  inline void AppendToLane(uint64_t seq, uintptr_t ref);
+  /// Removes lane callback `slot` (linear in the lane length).
   void RemoveFromLane(uint32_t slot);
   /// Writes `node` at heap position `pos` and updates its head's Link::pos.
   void PlaceNode(size_t pos, const HeapNode& node);

@@ -69,9 +69,10 @@ class Simulation {
   }
 
   /// Schedules `handle` to resume immediately (at the current time, after
-  /// already-queued same-time events).
-  EventId ScheduleResumeNow(std::coroutine_handle<> handle) {
-    return events_.ScheduleResume(now_, handle);
+  /// already-queued same-time events). A wake-up cannot be cancelled, so it
+  /// has no id: in the lane it is the frame address alone.
+  void ScheduleResumeNow(std::coroutine_handle<> handle) {
+    events_.ScheduleResume(now_, handle);
   }
 
   /// Schedules a callback at absolute time `t`. `fn` is anything a Callback

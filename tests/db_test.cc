@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "db/item_store.h"
+#include "db/list_table.h"
 #include "db/lock_manager.h"
 #include "db/types.h"
 #include "sim/frame_pool.h"
@@ -200,6 +201,128 @@ TEST(LockManagerTest, CrashResetKeepsSurvivorsAndCancelsWaiters) {
   sim.Spawn(AcquireLock(&sim, &lm, 4, 5, LockMode::kUpdate, 1.0, &s4, &t4));
   sim.Run(3.0);
   EXPECT_EQ(s4, WaitStatus::kSignaled);
+}
+
+/// Acquire that records its grant in a held-index model. A transaction has
+/// at most one request pending, so its grants reach the model in the order
+/// the lock manager appends them to its held list.
+Process AcquireIntoModel(LockManager* lm, TxnId txn, ItemId item,
+                         LockMode mode, std::vector<std::vector<ItemId>>* model,
+                         std::vector<char>* pending) {
+  const WaitStatus status = co_await lm->Acquire(txn, item, mode, 1e9);
+  if (status == WaitStatus::kSignaled) (*model)[txn].push_back(item);
+  (*pending)[txn] = 0;
+}
+
+// The held index against a vector-per-transaction model: seeded random
+// acquires (shared and exclusive, so requests queue and are granted by the
+// pumps of later releases), single releases and ReleaseAlls, some of them
+// for a transaction that holds nothing. The clock stays at 0: after each
+// operation the simulation fires that instant's wake-ups, never a timeout.
+// HeldItems must equal the model element by element after every operation.
+// Every 250 operations a CrashReset keeps a random half of the
+// transactions; the index is rebuilt in the lock table's order, so the kept
+// lists must equal the model as sets, and the model then takes that order.
+TEST(LockManagerTest, HeldIndexMatchesVectorPerTxnModel) {
+  constexpr TxnId kTxns = 24;
+  constexpr ItemId kItems = 16;
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::mt19937_64 rng(seed);
+    auto below = [&rng](uint64_t n) { return rng() % n; };
+    Simulation sim;
+    LockManager lm(&sim);
+    std::vector<std::vector<ItemId>> model(kTxns + 1);
+    std::vector<char> pending(kTxns + 1, 0);
+    int releases_of_nothing = 0;
+    int resets = 0;
+    auto sorted = [](std::vector<ItemId> v) {
+      std::sort(v.begin(), v.end());
+      return v;
+    };
+    for (int op = 1; op <= 5000; ++op) {
+      const TxnId txn = 1 + below(kTxns);
+      std::vector<ItemId>& held = model[txn];
+      const uint64_t kind = below(100);
+      if (kind < 55) {
+        const auto item = static_cast<ItemId>(below(kItems));
+        if (!pending[txn] &&
+            std::find(held.begin(), held.end(), item) == held.end()) {
+          pending[txn] = 1;
+          const LockMode mode =
+              below(3) == 0 ? LockMode::kExclusive : LockMode::kShared;
+          sim.Spawn(AcquireIntoModel(&lm, txn, item, mode, &model, &pending));
+        }
+      } else if (kind < 75) {
+        if (!held.empty()) {
+          const ItemId item = held[below(held.size())];
+          lm.Release(txn, item);
+          std::erase(held, item);
+        }
+      } else {
+        if (held.empty()) ++releases_of_nothing;
+        lm.ReleaseAll(txn);
+        held.clear();
+      }
+      sim.Run(sim.Now());
+      for (TxnId t = 1; t <= kTxns; ++t) {
+        ASSERT_EQ(lm.HeldItems(t), model[t]) << "txn " << t << ", op " << op;
+      }
+      if (op % 250 != 0) continue;
+      std::vector<char> keep(kTxns + 1);
+      for (TxnId t = 1; t <= kTxns; ++t) keep[t] = below(2) == 0;
+      lm.CrashReset([&keep](TxnId t) { return keep[t] != 0; });
+      ++resets;
+      for (TxnId t = 1; t <= kTxns; ++t) {
+        if (!keep[t]) model[t].clear();
+        ASSERT_EQ(sorted(lm.HeldItems(t)), sorted(model[t])) << "txn " << t;
+        model[t] = lm.HeldItems(t);
+      }
+      sim.Run(sim.Now());  // the cancelled waiters clean up
+    }
+    EXPECT_GT(lm.waits(), 200u);
+    EXPECT_GT(releases_of_nothing, 200);
+    EXPECT_EQ(resets, 20);
+    // Drain: release everything until no request is left waiting.
+    while (std::find(pending.begin(), pending.end(), 1) != pending.end()) {
+      for (TxnId t = 1; t <= kTxns; ++t) lm.ReleaseAll(t);
+      sim.Run(sim.Now());
+    }
+    for (TxnId t = 1; t <= kTxns; ++t) lm.ReleaseAll(t);
+    for (ItemId i = 0; i < kItems; ++i) EXPECT_EQ(lm.HolderCount(i), 0u);
+  }
+}
+
+// ReleaseAll's hand-off: a detached list is out of the table but not in the
+// pool, so no new key is handed it while it is read, and its values stay
+// readable through Detached() while the slot array and the pool of lists
+// grow; once recycled, the next new key takes it, cleared, with its storage.
+TEST(ListTableTest, DetachedListIsNotReusedUntilRecycled) {
+  ListTable<TxnId, ItemId> table;
+  std::vector<ItemId>& first = table.FindOrInsert(7);
+  for (ItemId i = 0; i < 5; ++i) first.push_back(100 + i);
+  const size_t pos = table.Find(7);
+  ASSERT_NE(pos, table.kNotFound);
+  const uint32_t list = table.Detach(pos);
+  EXPECT_EQ(table.Find(7), table.kNotFound);
+  const std::span<const ItemId> held = table.Detached(list);
+  for (TxnId key = 1000; key < 1200; ++key) {
+    std::vector<ItemId>& fresh = table.FindOrInsert(key);
+    ASSERT_TRUE(fresh.empty()) << "key " << key;
+    fresh.push_back(static_cast<ItemId>(key));
+  }
+  EXPECT_GT(table.slot_count(), 256u);
+  EXPECT_EQ(std::vector<ItemId>(held.begin(), held.end()),
+            (std::vector<ItemId>{100, 101, 102, 103, 104}));
+  table.Recycle(list);
+  std::vector<ItemId>& reused = table.FindOrInsert(7);
+  EXPECT_TRUE(reused.empty());
+  EXPECT_EQ(reused.data(), held.data());
+  for (TxnId key = 1000; key < 1200; ++key) {
+    const size_t at = table.Find(key);
+    ASSERT_NE(at, table.kNotFound) << "key " << key;
+    EXPECT_EQ(table.At(at), std::vector<ItemId>{static_cast<ItemId>(key)});
+  }
 }
 
 /// Acquire that records the frames its call built, besides the status. The
@@ -422,11 +545,13 @@ std::vector<TxnId> Copy(std::span<const TxnId> readers) {
 // can show that its sequences grow the table and shift entries back across
 // its end.
 struct ItemStoreTestPeer {
-  static size_t Slots(const ItemStore& store) { return store.slots_.size(); }
+  static size_t Slots(const ItemStore& store) {
+    return store.readers_.slot_count();
+  }
   /// Slot of `item`'s reader list, or -1 when it has no live readers.
   static long SlotOf(const ItemStore& store, ItemId item) {
-    const size_t pos = store.Find(item);
-    return pos == ItemStore::kNotFound ? -1 : static_cast<long>(pos);
+    const size_t pos = store.readers_.Find(item);
+    return pos == store.readers_.kNotFound ? -1 : static_cast<long>(pos);
   }
 };
 

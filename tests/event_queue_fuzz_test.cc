@@ -7,12 +7,14 @@
 // negative times, the edges of the heap's integer time key; the third
 // schedules mostly at the current instant, so it exercises the lane and its
 // merge with the heap; the fourth schedules bursts for one instant, so it
-// exercises the heap's runs. All pin down the O(live) invariant: cancelled
-// events leave no dead entries behind.
+// exercises the heap's runs; the fifth schedules coroutine resumes beside
+// the callbacks, so it exercises the lane's slotless resumes. All pin down
+// the O(live) invariant: cancelled events leave no dead entries behind.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -466,6 +468,124 @@ TEST(EventQueueFuzz, RunsOfOneInstantMatchModel) {
       ASSERT_EQ(d.fired_tag, expect.tag);
     }
     ASSERT_TRUE(d.q.Empty());
+  }
+}
+
+// Resumes beside callbacks, at the current instant and later ones. A resume
+// is identified by a distinct fake frame address, which its pop must hand
+// back (it is popped, never resumed). A resume that joins the lane takes no
+// slot and gets an invalid id, and cancelling that id changes nothing; a
+// heap resume keeps a slot and a valid id, and some are cancelled. A fired
+// event may schedule more at its instant (a resumed process that wakes
+// another), so zero-delay chains mix both kinds.
+TEST(EventQueueFuzz, ResumesBesideCallbacksMatchModel) {
+  // A frame holds pointers, so its address is aligned; tag k's is 16 (k + 1).
+  auto frame_of = [](int tag) {
+    return std::coroutine_handle<>::from_address(
+        reinterpret_cast<void*>(static_cast<uintptr_t>(tag + 1) * 16));
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    EventQueue q;
+    ModelQueue model;
+    RandomStream rng(seed);
+    std::vector<LiveEvent> live;  // the cancellable events
+    std::vector<EventId> stale;
+    std::vector<bool> is_resume;  // by tag, which is also the model seq
+    SimTime now = 0;
+    int fired_tag = -1;
+    int lane_resumes = 0, heap_resumes = 0, resume_cancels = 0;
+
+    auto schedule = [&](SimTime t) {
+      const int tag = static_cast<int>(is_resume.size());
+      const bool resume = rng.Chance(0.5);
+      is_resume.push_back(resume);
+      const uint64_t seq = model.Schedule(t, tag);
+      const size_t lane0 = q.lane_size();
+      const size_t slots0 = q.slot_count();
+      const EventId id =
+          resume ? q.ScheduleResume(t, frame_of(tag))
+                 : q.ScheduleCallback(t, [tag, &fired_tag] {
+                     fired_tag = tag;
+                   });
+      if (resume && q.lane_size() == lane0 + 1) {
+        ++lane_resumes;
+        ASSERT_FALSE(id.valid());
+        ASSERT_EQ(q.slot_count(), slots0);
+        ASSERT_FALSE(q.Cancel(id));
+        ASSERT_EQ(q.lane_size(), lane0 + 1);
+        ASSERT_EQ(q.Size(), model.Size());
+        return;
+      }
+      ASSERT_TRUE(id.valid());
+      if (resume) ++heap_resumes;
+      live.push_back({id, seq, t});
+    };
+    auto pop = [&] {
+      const ModelQueue::Entry expect = model.Pop();
+      ASSERT_EQ(q.PeekTime(), expect.time);
+      EventQueue::Fired fired = q.Pop();
+      ASSERT_EQ(fired.time, expect.time);
+      now = fired.time;
+      if (is_resume[expect.tag]) {
+        ASSERT_EQ(fired.handle.address(), frame_of(expect.tag).address());
+        ASSERT_FALSE(fired.callback);
+      } else {
+        ASSERT_FALSE(fired.handle);
+        fired_tag = -1;
+        fired.callback();
+        ASSERT_EQ(fired_tag, expect.tag);
+      }
+      auto it = std::find_if(
+          live.begin(), live.end(),
+          [&](const LiveEvent& e) { return e.model_seq == expect.seq; });
+      if (it != live.end()) {
+        stale.push_back(it->id);
+        live.erase(it);
+      }
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+      const double roll = rng.Uniform01();
+      if (roll < 0.30 || model.Empty()) {
+        ASSERT_NO_FATAL_FAILURE(schedule(now));
+      } else if (roll < 0.38) {
+        ASSERT_NO_FATAL_FAILURE(
+            schedule(now + 0.25 * static_cast<double>(rng.UniformInt(1, 4))));
+      } else if (roll < 0.40) {
+        ASSERT_NO_FATAL_FAILURE(schedule(now - rng.Uniform(0, 1e-12)));
+      } else if (roll < 0.50 && !live.empty()) {
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1));
+        if (is_resume[static_cast<size_t>(live[pick].model_seq)]) {
+          ++resume_cancels;
+        }
+        ASSERT_TRUE(q.Cancel(live[pick].id));
+        ASSERT_TRUE(model.Cancel(live[pick].model_seq));
+        stale.push_back(live[pick].id);
+        live.erase(live.begin() + pick);
+      } else if (roll < 0.53 && !stale.empty()) {
+        const size_t pick = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(stale.size()) - 1));
+        ASSERT_FALSE(q.Cancel(stale[pick]));
+        ASSERT_FALSE(q.Cancel(EventId{}));
+      } else {
+        ASSERT_NO_FATAL_FAILURE(pop());
+        if (rng.Chance(0.2)) {
+          ASSERT_NO_FATAL_FAILURE(schedule(now));
+        }
+      }
+      ASSERT_EQ(q.Size(), model.Size());
+      ASSERT_EQ(q.Empty(), model.Empty());
+      ASSERT_EQ(q.PeekTime(), model.PeekTime());
+      ASSERT_EQ(q.heap_size() + q.lane_size(), model.Size());
+    }
+    // Both resume paths must run, and heap resumes must be cancelled.
+    ASSERT_GT(lane_resumes, 1000);
+    ASSERT_GT(heap_resumes, 1000);
+    ASSERT_GT(resume_cancels, 100);
+
+    while (!model.Empty()) ASSERT_NO_FATAL_FAILURE(pop());
+    ASSERT_TRUE(q.Empty());
   }
 }
 

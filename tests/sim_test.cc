@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulation kernel (src/sim).
 
 #include <cmath>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -131,6 +132,48 @@ TEST(EventQueueTest, EarlierScheduledEventsAtAnInstantFireBeforeZeroDelayOnes) {
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "z0", "z1",
                                              "woken", "z2", "nested", "d"}));
   EXPECT_EQ(sim.event_queue().lane_size(), 0u);
+}
+
+Process WakeCounter(OneShot* shot, int* woken) {
+  co_await shot->Wait();
+  ++*woken;
+}
+
+Process SpawnCounter(int* ran) {
+  ++*ran;
+  co_return;
+}
+
+// A zero-delay wake-up is its frame address in the lane: a burst of
+// OneShot::Fire wake-ups and Spawns at the current instant takes no event
+// slot. The burst's own delay is a heap resume and does take one.
+Process WakeBurst(Simulation* sim, std::deque<OneShot>* shots, int* ran,
+                  size_t* slots_before) {
+  co_await sim->Delay(1.0);
+  *slots_before = sim->event_queue().slot_count();
+  for (OneShot& shot : *shots) shot.Fire(WaitStatus::kSignaled);
+  for (size_t i = 0; i < shots->size(); ++i) sim->Spawn(SpawnCounter(ran));
+  EXPECT_EQ(sim->event_queue().lane_size(), 2 * shots->size());
+}
+
+TEST(EventQueueTest, ZeroDelayWakeUpsAndSpawnsTakeNoSlot) {
+  constexpr int kWaiters = 200;
+  Simulation sim;
+  std::deque<OneShot> shots;
+  for (int i = 0; i < kWaiters; ++i) shots.emplace_back(&sim);
+  int woken = 0;
+  int ran = 0;
+  size_t slots_before = 0;
+  for (OneShot& shot : shots) sim.Spawn(WakeCounter(&shot, &woken));
+  sim.Spawn(WakeBurst(&sim, &shots, &ran, &slots_before));
+  EXPECT_EQ(sim.event_queue().slot_count(), 0u);  // spawns at time 0
+  sim.Run();
+  EXPECT_EQ(woken, kWaiters);
+  EXPECT_EQ(ran, kWaiters);
+  EXPECT_EQ(slots_before, 1u);  // the delay's
+  EXPECT_EQ(sim.event_queue().slot_count(), slots_before);
+  // The first spawns, the delay, the wake-ups and the burst's spawns.
+  EXPECT_EQ(sim.events_fired(), static_cast<uint64_t>(3 * kWaiters + 2));
 }
 
 // Runs: heap pushes for the instant of the previous heap push share its node
