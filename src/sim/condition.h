@@ -24,23 +24,34 @@ class Facility;
 
 /// A facility request with no frame of its own. It lives inside the
 /// Task<WaitStatus> that Facility::Use returns, that is in the frame of the
-/// coroutine awaiting it, and the facility's FIFO links through it. The
-/// service's completion resumes `waiter` directly. Every co_await of a
-/// kernel wait holds one in its awaiter's frame, so it is kept to 24 bytes:
-/// the facility is needed only until the request parks, the link only after.
+/// coroutine awaiting it, and the facility's FIFO links through it. Its
+/// service's end is the request itself: the event is its tagged address
+/// (Simulation::ScheduleServiceEnd), and ending the service schedules the
+/// wake-up of `waiter`. Every co_await of a kernel wait holds one in its
+/// awaiter's frame, so it is kept to 24 bytes: one field holds the facility
+/// until the request parks and again while it is in service, and the FIFO
+/// link while it queues.
 struct FacilityRequest {
   union {
-    Facility* facility;     ///< until parked: where the request queues
-    FacilityRequest* next;  ///< once parked: the facility's FIFO link
+    Facility* facility;     ///< until parked, and in service: its facility
+    FacilityRequest* next;  ///< while queued: the facility's FIFO link
   };
   SimTime service;
-  std::coroutine_handle<> waiter;  ///< resumed when the service completes
+  std::coroutine_handle<> waiter;  ///< woken when the service ends
 
   /// Suspends `h` on this request: service starts at once when a server is
   /// free, else the request queues FCFS (sim/facility.cc).
   void Park(std::coroutine_handle<> h);
+
+  /// Ends the service, at the instant its start scheduled (Simulation::Step
+  /// calls it): frees the server, schedules the wake-up of `waiter` and
+  /// starts the next queued request.
+  void EndService();
 };
 static_assert(sizeof(FacilityRequest) == 24);
+// Bits 0 and 1 of a request's address are clear, so the service-end tag
+// (bit 1) fits, as it does in a coroutine frame's address.
+static_assert(alignof(FacilityRequest) >= 4);
 
 /// A kernel leaf wait: what Facility::Use/UseBounded/Serve,
 /// LockManager::Acquire and the disk accesses return. It takes one of three
@@ -52,8 +63,8 @@ static_assert(sizeof(FacilityRequest) == 24);
 ///   grant, a bounded-queue rejection, a buffer hit), and co_await returns
 ///   its status without suspending;
 /// * parked: a FacilityRequest held inside the Task. co_await queues the
-///   awaiting coroutine itself at the facility, and the completion's wake-up
-///   resumes it: no frame and no transfer through one.
+///   awaiting coroutine itself at the facility, and the service end's
+///   wake-up resumes it: no frame and no transfer through one.
 ///
 /// A finished task has done its side effects at the call (the grant and its
 /// trace record, the rejection count, the buffer draw), so a kernel wait is

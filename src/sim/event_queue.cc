@@ -50,6 +50,12 @@ void EventQueue::SiftUp(size_t pos, HeapNode node) {
   PlaceNode(pos, node);
 }
 
+void EventQueue::EnterHeap(HeapNode node) {
+  ++heap_entries_;
+  heap_.emplace_back();  // grow; SiftUp writes every vacated position
+  SiftUp(heap_.size() - 1, node);
+}
+
 EventId EventQueue::PushToHeap(uint64_t key, uint64_t seq, uint32_t slot) {
   ++heap_events_;
   if (key == open_key_ && open_tail_ != kNoSlot) {
@@ -64,8 +70,18 @@ EventId EventQueue::PushToHeap(uint64_t key, uint64_t seq, uint32_t slot) {
   } else {
     ++heap_nodes_opened_;
     slots_[slot].next = kNoSlot;
-    heap_.emplace_back();  // grow; SiftUp writes every vacated position
-    SiftUp(heap_.size() - 1, HeapNode{key, seq, slot});
+    const HeapNode node{key, seq, slot};
+    // The new earliest node takes the top slot. An occupied slot's node
+    // sorts before every heap node, so beating it beats them all, and it is
+    // second now: it enters the heap.
+    const HeapNode* first = Earliest();
+    if (first == nullptr || Before(node, *first)) {
+      if (first == &top_) EnterHeap(top_);
+      top_ = node;
+      links_[slot].pos = kInTop;
+    } else {
+      EnterHeap(node);
+    }
     open_key_ = key;
     open_tail_ = slot;
   }
@@ -167,15 +183,19 @@ void EventQueue::RemoveAt(size_t pos) {
   SiftUp(hole, last);
 }
 
-void EventQueue::RemoveHead(size_t pos, uint32_t slot) {
+void EventQueue::RemoveHead(uint32_t pos, uint32_t slot) {
   const uint32_t next = slots_[slot].next;
   if (next != kNoSlot) {
     // The node keeps its key and seq: the successor's seq lies in the same
     // interval, so the node orders exactly as before.
-    heap_[pos].slot = next;
-    links_[next].pos = static_cast<uint32_t>(pos);
+    (pos == kInTop ? top_ : heap_[pos]).slot = next;
+    links_[next].pos = pos;
   } else {
-    RemoveAt(pos);
+    if (pos == kInTop) {
+      top_.slot = kNoSlot;
+    } else {
+      RemoveAt(pos);
+    }
     if (slot == open_tail_) open_tail_ = kNoSlot;  // its run left the heap
   }
   --heap_events_;
@@ -207,11 +227,13 @@ EventQueue::Fired EventQueue::Pop() {
   LAZYREP_CHECK(!Empty());
   Fired fired;
   uint32_t slot;
-  // Merge on the (time, seq) key: the lane front fires unless the heap top
-  // comes first, so the pop order is the heap-only order.
+  // Merge on the (time, seq) key: the lane front fires unless the heap
+  // side's earliest node comes first, so the pop order is the heap-only
+  // order.
+  const HeapNode* first = Earliest();
   if (!lane_.empty() &&
-      (heap_.empty() ||
-       Before(HeapNode{lane_key_, lane_[lane_head_].seq, 0}, heap_[0]))) {
+      (first == nullptr ||
+       Before(HeapNode{lane_key_, lane_[lane_head_].seq, 0}, *first))) {
     const uintptr_t ref = lane_[lane_head_].ref;
     fired.time = KeyTime(lane_key_);
     if (++lane_head_ == lane_.size()) {
@@ -219,17 +241,17 @@ EventQueue::Fired EventQueue::Pop() {
       lane_head_ = 0;
     }
     if ((ref & kCallbackTag) == 0) {
-      // A lane resume: its frame address is the whole event.
+      // A lane resume: its address is the whole event.
       fired.handle =
           std::coroutine_handle<>::from_address(reinterpret_cast<void*>(ref));
       return fired;
     }
     slot = static_cast<uint32_t>(ref >> 1);
   } else {
-    const uint64_t key = heap_[0].key;
-    slot = heap_[0].slot;
+    const uint64_t key = first->key;
+    slot = first->slot;
     fired.time = KeyTime(key);
-    RemoveHead(0, slot);
+    RemoveHead(first == &top_ ? kInTop : 0, slot);
     // The lane follows the clock: events scheduled at this instant join it.
     if (lane_.empty()) lane_key_ = key;
   }

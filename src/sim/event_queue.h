@@ -61,6 +61,14 @@ struct EventId {
 ///     node stores its time as an integer key that orders exactly like the
 ///     double (TimeKey), so (time, seq) compares as one unsigned 128-bit
 ///     integer, without a data-dependent branch.
+///   * The heap's earliest node may wait outside it, in the *top slot*: a
+///     push that opens a node sorting before every queued node takes the
+///     slot (displacing the node there into the heap), so it pops with no
+///     sift in and no RemoveAt out. While the slot is occupied its node
+///     sorts before every node in the 4-ary heap, so the slot, else the heap
+///     root, is the heap side's earliest node; the nodes and their keys are
+///     those of the heap alone, and so is the pop order (DESIGN.md §4.1.1,
+///     top slot).
 ///
 /// Heap plus lane therefore hold exactly the live events at all times —
 /// cancel-heavy workloads (condition timeouts, retransmission timers) cannot
@@ -95,14 +103,15 @@ class EventQueue {
   bool Cancel(EventId id);
 
   /// True when no live event is pending.
-  bool Empty() const { return heap_.empty() && lane_.empty(); }
+  bool Empty() const { return heap_events_ == 0 && lane_.empty(); }
 
   /// Number of live pending events.
   size_t Size() const { return heap_events_ + lane_size(); }
 
   /// Time of the earliest live event, or kTimeInfinity when empty.
   SimTime PeekTime() const {
-    uint64_t key = heap_.empty() ? TimeKey(kTimeInfinity) : heap_[0].key;
+    const HeapNode* first = Earliest();
+    uint64_t key = first != nullptr ? first->key : TimeKey(kTimeInfinity);
     if (!lane_.empty() && lane_key_ < key) key = lane_key_;
     return KeyTime(key);
   }
@@ -111,20 +120,26 @@ class EventQueue {
   /// its slot exactly once, never copied.
   struct Fired {
     SimTime time = 0;
-    std::coroutine_handle<> handle;  // set when the event resumes a coroutine
-    Callback callback;               // set when the event runs a callback
+    // Set when the event resumes a coroutine or ends a service (the tagged
+    // address of Simulation::ScheduleServiceEnd, which Step decodes).
+    std::coroutine_handle<> handle;
+    Callback callback;  // set when the event runs a callback
   };
 
   /// Removes and returns the earliest live event. Requires !Empty().
   Fired Pop();
 
-  /// Number of events in the heap's runs. heap_size() + lane_size() is
-  /// always Size(): neither keeps dead entries (the O(live) invariant the
-  /// fuzz test pins down).
+  /// Number of events in the heap's runs, the top slot's included.
+  /// heap_size() + lane_size() is always Size(): neither keeps dead entries
+  /// (the O(live) invariant the fuzz test pins down).
   size_t heap_size() const { return heap_events_; }
 
   /// Heap nodes opened so far: the heap pushes that did not join a run.
   uint64_t heap_nodes_opened() const { return heap_nodes_opened_; }
+
+  /// Nodes sifted into the 4-ary heap so far: the opened nodes that did not
+  /// take the top slot, and the top nodes they displaced.
+  uint64_t heap_entries() const { return heap_entries_; }
 
   /// Number of same-instant lane entries.
   size_t lane_size() const { return lane_.size() - lane_head_; }
@@ -147,9 +162,11 @@ class EventQueue {
   static_assert(sizeof(HeapNode) == 24);
 
   /// Lane entry (16 bytes); its time is the one lane_key_ encodes. `ref` is
-  /// a resume's frame address, or a callback's slot shifted left with the
-  /// low bit set (kCallbackTag): a frame holds pointers, so its address is
-  /// aligned, and the bit tells the two apart.
+  /// a resume's address, or a callback's slot shifted left with the low bit
+  /// set (kCallbackTag): a frame holds pointers, so its address is aligned,
+  /// and the bit tells the two apart. The queue does not look further into a
+  /// resume's address; a service end (Simulation::ScheduleServiceEnd) is
+  /// one too, its FacilityRequest's address with bit 1 set.
   struct LaneNode {
     uint64_t seq;
     uintptr_t ref;
@@ -160,10 +177,10 @@ class EventQueue {
     return (uintptr_t{slot} << 1) | kCallbackTag;
   }
 
-  /// A heap event or a callback. It resumes `handle` when it is set and
-  /// otherwise runs `callback`; a free slot has neither. `next` links a
-  /// run's members, so a pop finds the successor on the line it reads
-  /// anyway, and the slot stays 80 bytes.
+  /// A heap event or a callback. It resumes `handle` when it is set (a
+  /// frame, or a tagged service end) and otherwise runs `callback`; a free
+  /// slot has neither. `next` links a run's members, so a pop finds the
+  /// successor on the line it reads anyway, and the slot stays 80 bytes.
   struct Slot {
     uint32_t generation = 1;
     uint32_t next = 0;  ///< next member of its run; kNoSlot for the last
@@ -177,8 +194,8 @@ class EventQueue {
   /// 8-byte array keeps those scattered writes far more cache-friendly than
   /// striding through the full Slot records.
   struct Link {
-    /// Heap position of a run head; kInRun for a later member of a run,
-    /// kInLane for a lane callback.
+    /// Heap position of a run head; kInTop for the top node's head, kInRun
+    /// for a later member of a run, kInLane for a lane callback.
     uint32_t pos;
     uint32_t prev;  ///< previous member of its run (for kInRun only)
   };
@@ -187,6 +204,8 @@ class EventQueue {
   static constexpr uint32_t kInLane = std::numeric_limits<uint32_t>::max();
   /// Link::pos of a run member behind its head.
   static constexpr uint32_t kInRun = kInLane - 1;
+  /// Link::pos of the head of the node in the top slot.
+  static constexpr uint32_t kInTop = kInLane - 2;
   /// No slot: the end of a run, or no open run.
   static constexpr uint32_t kNoSlot = std::numeric_limits<uint32_t>::max();
 
@@ -215,12 +234,20 @@ class EventQueue {
     return ((U128{a.key} << 64) | a.seq) < ((U128{b.key} << 64) | b.seq);
   }
 
+  /// The heap side's earliest node: the top slot's, else the heap root;
+  /// null when no heap event is pending.
+  const HeapNode* Earliest() const {
+    if (top_.slot != kNoSlot) return &top_;
+    return heap_.empty() ? nullptr : heap_.data();
+  }
+
   uint32_t AllocateSlot();
   void ReleaseSlot(uint32_t slot);
   /// Pushes heap event `slot`, whose time is `key`, onto the heap: it joins
-  /// the open run or opens a node. This and AppendToLane are inline (both
-  /// are defined in event_queue.cc, their one user): each Schedule* entry
-  /// point then runs its event's whole push without a call.
+  /// the open run or opens a node, which takes the top slot when it sorts
+  /// before every queued node. This and AppendToLane are inline (both are
+  /// defined in event_queue.cc, their one user): each Schedule* entry point
+  /// then runs its event's whole push without a call.
   inline EventId PushToHeap(uint64_t key, uint64_t seq, uint32_t slot);
   /// Appends a lane entry (LaneNode::ref).
   inline void AppendToLane(uint64_t seq, uintptr_t ref);
@@ -229,20 +256,28 @@ class EventQueue {
   /// Writes `node` at heap position `pos` and updates its head's Link::pos.
   void PlaceNode(size_t pos, const HeapNode& node);
   void SiftUp(size_t pos, HeapNode node);
+  /// Sifts `node` into the 4-ary heap (counted in heap_entries_).
+  void EnterHeap(HeapNode node);
   /// Removes the heap node at `pos`, restoring the heap property (bottom-up
   /// hole descent; see the definition).
   void RemoveAt(size_t pos);
-  /// Takes run head `slot`, at heap position `pos`, out of the heap: it
-  /// hands the node to its successor, or a lone member's node is removed.
-  void RemoveHead(size_t pos, uint32_t slot);
+  /// Takes run head `slot`, at heap position `pos` or kInTop, out of the
+  /// heap: it hands the node to its successor, or a lone member's node is
+  /// removed (the top slot is emptied).
+  void RemoveHead(uint32_t pos, uint32_t slot);
 
   std::vector<Slot> slots_;
   std::vector<Link> links_;
   std::vector<uint32_t> free_slots_;
   std::vector<HeapNode> heap_;
-  /// Events in the heap's runs (heap_ holds one node per run).
+  /// The top slot: a node that sorts before every node in heap_, or none
+  /// (slot kNoSlot).
+  HeapNode top_{0, 0, kNoSlot};
+  /// Events in the heap's runs, the top node's included (heap_ and top_
+  /// hold one node per run).
   size_t heap_events_ = 0;
   uint64_t heap_nodes_opened_ = 0;
+  uint64_t heap_entries_ = 0;
   /// The open run: the run of the most recent heap push, while it is still
   /// in the heap. A heap push for open_key_ appends to it after open_tail_,
   /// its last member (kNoSlot: no run is open).

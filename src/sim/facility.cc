@@ -41,7 +41,6 @@ FacilityRequest* Facility::Dequeue() {
   FacilityRequest* head = queue_head_;
   queue_head_ = head->next;
   if (queue_head_ == nullptr) queue_tail_ = nullptr;
-  head->next = nullptr;
   --queue_len_;
   queue_stat_.Set(sim_->Now(), static_cast<double>(queue_len_));
   return head;
@@ -50,13 +49,15 @@ FacilityRequest* Facility::Dequeue() {
 void Facility::StartService(FacilityRequest* request) {
   ++busy_;
   busy_stat_.Set(sim_->Now(), busy_);
+  request->facility = this;  // in service: EndService finds it here
   if (request->service == kServiceFromWork) {
     auto* serve = static_cast<ServeRequest*>(request);
     request->service = serve->work() / serve->work_rate;
   }
-  sim_->ScheduleCallbackAt(sim_->Now() + request->service,
-                           [this, request] { OnServiceComplete(request); });
+  sim_->ScheduleServiceEnd(sim_->Now() + request->service, request);
 }
+
+void FacilityRequest::EndService() { facility->OnServiceComplete(this); }
 
 void Facility::OnServiceComplete(FacilityRequest* request) {
   --busy_;

@@ -26,7 +26,8 @@ namespace lazyrep::sim {
 /// Use and UseBounded build no coroutine: the request is the
 /// FacilityRequest inside the returned Task, so it lives in the awaiting
 /// coroutine's frame, and the intrusive wait queue links through it without
-/// a heap allocation. The completion's wake-up resumes the awaiter itself.
+/// a heap allocation. The service's end is an event made of the request's
+/// tagged address, and its wake-up resumes the awaiter itself.
 class Facility {
  public:
   Facility(Simulation* sim, std::string name, int servers = 1);

@@ -1,6 +1,7 @@
 #include "sim/simulation.h"
 
 #include "sim/check.h"
+#include "sim/condition.h"
 
 namespace lazyrep::sim {
 
@@ -12,7 +13,12 @@ bool Simulation::Step(SimTime until) {
   now_ = fired.time;
   ++events_fired_;
   if (fired.handle) {
-    fired.handle.resume();
+    const auto ref = reinterpret_cast<uintptr_t>(fired.handle.address());
+    if ((ref & kServiceEndTag) != 0) {
+      reinterpret_cast<FacilityRequest*>(ref ^ kServiceEndTag)->EndService();
+    } else {
+      fired.handle.resume();
+    }
   } else {
     fired.callback();
   }

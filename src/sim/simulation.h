@@ -10,6 +10,8 @@
 
 namespace lazyrep::sim {
 
+struct FacilityRequest;  // sim/condition.h
+
 /// The discrete-event simulation executive.
 ///
 /// Holds the clock and the event queue and drives coroutine processes.
@@ -75,6 +77,17 @@ class Simulation {
     events_.ScheduleResume(now_, handle);
   }
 
+  /// Schedules the end of `request`'s service at absolute time `t`, as a
+  /// resume of the request's address with bit 1 set (kServiceEndTag). A
+  /// coroutine frame holds pointers, so its address never has that bit, and
+  /// Step ends the service from the address (FacilityRequest::EndService):
+  /// the event carries no callback.
+  void ScheduleServiceEnd(SimTime t, FacilityRequest* request) {
+    events_.ScheduleResume(
+        t, std::coroutine_handle<>::from_address(reinterpret_cast<void*>(
+               reinterpret_cast<uintptr_t>(request) | kServiceEndTag)));
+  }
+
   /// Schedules a callback at absolute time `t`. `fn` is anything a Callback
   /// is constructible from; a lambda is built straight into the queue's
   /// by-value parameter, saving a Callback move per event.
@@ -105,6 +118,8 @@ class Simulation {
   const EventQueue& event_queue() const { return events_; }
 
  private:
+  static constexpr uintptr_t kServiceEndTag = 2;
+
   EventQueue events_;
   SimTime now_ = 0;
   uint64_t events_fired_ = 0;

@@ -8,8 +8,10 @@
 // schedules mostly at the current instant, so it exercises the lane and its
 // merge with the heap; the fourth schedules bursts for one instant, so it
 // exercises the heap's runs; the fifth schedules coroutine resumes beside
-// the callbacks, so it exercises the lane's slotless resumes. All pin down
-// the O(live) invariant: cancelled events leave no dead entries behind.
+// the callbacks, so it exercises the lane's slotless resumes; the sixth
+// schedules mostly around the earliest queued node, so it exercises the top
+// slot. All pin down the O(live) invariant: cancelled events leave no dead
+// entries behind.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -584,6 +587,240 @@ TEST(EventQueueFuzz, ResumesBesideCallbacksMatchModel) {
     ASSERT_GT(heap_resumes, 1000);
     ASSERT_GT(resume_cancels, 100);
 
+    while (!model.Empty()) ASSERT_NO_FATAL_FAILURE(pop());
+    ASSERT_TRUE(q.Empty());
+  }
+}
+
+// The top slot. A push that opens a node sorting before every queued node
+// waits outside the 4-ary heap; it displaces the node that held the slot
+// into the heap, and popping or cancelling its head hands the slot to the
+// run's successor or empties it. The test keeps its own model of the heap
+// side: the nodes (runs, ordered by time and first seq), the open run and
+// which node holds the slot by the push rule. Every push's heap_entries()
+// is checked against it (a node that takes an empty slot enters no heap),
+// every pop against the model queue, and after a pop that leaves the lane
+// empty a schedule at that instant must join the lane. Times are drawn
+// mostly just after the earliest node, some before it (new earliest nodes,
+// which displace an occupied slot), some far timers, in bursts that build
+// runs in the slot; cancels aim at the top node's head with and without a
+// successor, at later members of its run and at the open run's tail while
+// that run holds the slot.
+TEST(EventQueueFuzz, TopSlotMatchesModel) {
+  struct Node {
+    SimTime time;
+    uint64_t first_seq;
+    std::vector<uint64_t> members;  // model seqs, head first
+  };
+  auto before = [](const Node& a, const Node& b) {
+    return a.time < b.time || (a.time == b.time && a.first_seq < b.first_seq);
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    EventQueue q;
+    ModelQueue model;
+    RandomStream rng(seed);
+    std::vector<LiveEvent> live;
+    std::vector<EventId> stale;
+    std::map<int, Node> nodes;        // the heap side's live nodes, by id
+    std::map<uint64_t, int> node_of;  // a heap event's model seq -> node id
+    int top = -1;                     // the node in the top slot
+    int open = -1;                    // the node of the open run
+    int next_node = 0;
+    int next_tag = 0;  // the model seq of the next schedule
+    size_t heap_events = 0;
+    SimTime now = 0;
+    int fired_tag = -1;
+    bool now_joins_lane = false;
+    int takes = 0, displacements = 0, head_cancels = 0, lone_head_cancels = 0,
+        member_cancels = 0, open_tail_cancels = 0, top_pops = 0,
+        lane_checks = 0;
+
+    auto earliest = [&]() -> const Node* {
+      const Node* best = nullptr;
+      for (const auto& [id, n] : nodes) {
+        if (best == nullptr || before(n, *best)) best = &n;
+      }
+      return best;
+    };
+    // A heap event left (fired or cancelled): its node loses it, and a node
+    // left with no members leaves the slot and stops being the open run.
+    auto leave = [&](uint64_t seq) {
+      auto it = node_of.find(seq);
+      if (it == node_of.end()) return;  // a lane entry
+      const int id = it->second;
+      node_of.erase(it);
+      std::vector<uint64_t>& m = nodes.at(id).members;
+      m.erase(std::find(m.begin(), m.end(), seq));
+      --heap_events;
+      if (m.empty()) {
+        nodes.erase(id);
+        if (top == id) top = -1;
+        if (open == id) open = -1;
+      }
+    };
+    auto schedule = [&](SimTime t) {
+      const int tag = next_tag++;
+      const uint64_t seq = model.Schedule(t, tag);
+      const size_t lane0 = q.lane_size();
+      const uint64_t opened0 = q.heap_nodes_opened();
+      const uint64_t entries0 = q.heap_entries();
+      const EventId id =
+          q.ScheduleCallback(t, [tag, &fired_tag] { fired_tag = tag; });
+      live.push_back({id, seq, t});
+      if (q.lane_size() == lane0 + 1) {
+        if (now_joins_lane && t == now) ++lane_checks;
+        return;
+      }
+      ASSERT_FALSE(now_joins_lane && t == now)
+          << "a schedule at the instant just fired missed the lane";
+      ++heap_events;
+      if (q.heap_nodes_opened() == opened0) {
+        // Joined the open run: no node, no heap entry.
+        ASSERT_NE(open, -1);
+        ASSERT_EQ(nodes.at(open).time, t);
+        nodes.at(open).members.push_back(seq);
+        node_of[seq] = open;
+        ASSERT_EQ(q.heap_entries(), entries0);
+        return;
+      }
+      ASSERT_FALSE(open != -1 && nodes.at(open).time == t)
+          << "a push for the open run's instant opened a node";
+      const int node = next_node++;
+      const Node& n = nodes[node] = Node{t, seq, {seq}};
+      node_of[seq] = node;
+      open = node;
+      uint64_t entered = 1;  // the new node, or the top node it displaces
+      if (top != -1) {
+        if (before(n, nodes.at(top))) {
+          top = node;
+          ++displacements;
+        }
+      } else {
+        bool first = true;
+        for (const auto& [other, m] : nodes) {
+          if (other != node && !before(n, m)) first = false;
+        }
+        if (first) {
+          top = node;
+          entered = 0;  // it took the empty slot
+          ++takes;
+        }
+      }
+      ASSERT_EQ(q.heap_entries() - entries0, entered);
+    };
+    auto cancel = [&](uint64_t seq) {
+      auto it = std::find_if(
+          live.begin(), live.end(),
+          [&](const LiveEvent& e) { return e.model_seq == seq; });
+      ASSERT_NE(it, live.end());
+      ASSERT_TRUE(q.Cancel(it->id));
+      ASSERT_TRUE(model.Cancel(seq));
+      stale.push_back(it->id);
+      live.erase(it);
+      leave(seq);
+    };
+    auto pop = [&] {
+      const ModelQueue::Entry expect = model.Pop();
+      ASSERT_EQ(q.PeekTime(), expect.time);
+      EventQueue::Fired fired = q.Pop();
+      ASSERT_EQ(fired.time, expect.time);
+      ASSERT_TRUE(fired.callback);
+      fired_tag = -1;
+      fired.callback();
+      ASSERT_EQ(fired_tag, expect.tag);
+      auto node = node_of.find(expect.seq);
+      if (node != node_of.end() && node->second == top) ++top_pops;
+      auto it = std::find_if(
+          live.begin(), live.end(),
+          [&](const LiveEvent& e) { return e.model_seq == expect.seq; });
+      ASSERT_NE(it, live.end());
+      stale.push_back(it->id);
+      live.erase(it);
+      leave(expect.seq);
+      now = fired.time;
+      now_joins_lane = q.lane_size() == 0;
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+      const double roll = rng.Uniform01();
+      const Node* first = earliest();
+      if (roll < 0.17 || model.Empty()) {
+        ASSERT_NO_FATAL_FAILURE(schedule(now));
+      } else if (roll < 0.55) {
+        // Just after the earliest node, or before it: a new earliest node.
+        SimTime t;
+        if (first != nullptr && rng.Chance(0.6)) {
+          t = first->time + rng.Uniform(0, 0.05);
+        } else if (first != nullptr) {
+          t = now + (first->time - now) * rng.Uniform01();
+        } else {
+          t = now + rng.Uniform(0, 0.05);
+        }
+        ASSERT_NO_FATAL_FAILURE(schedule(t));
+        // A burst for that instant: the open run grows, in the slot or not.
+        for (int64_t n = rng.Chance(0.5) ? rng.UniformInt(1, 4) : 0; n > 0;
+             --n) {
+          ASSERT_NO_FATAL_FAILURE(schedule(t));
+        }
+      } else if (roll < 0.60) {
+        ASSERT_NO_FATAL_FAILURE(schedule(now + rng.Uniform(50, 100)));
+      } else if (roll < 0.75) {
+        const int kind = static_cast<int>(rng.UniformInt(0, 3));
+        if (top != -1 && kind <= 2) {
+          const std::vector<uint64_t> m = nodes.at(top).members;
+          if (kind == 0 || m.size() == 1) {
+            // The top head, handing the slot to its successor or emptying it.
+            ++(m.size() > 1 ? head_cancels : lone_head_cancels);
+            ASSERT_NO_FATAL_FAILURE(cancel(m.front()));
+          } else if (kind == 1) {
+            ++member_cancels;
+            ASSERT_NO_FATAL_FAILURE(cancel(m[static_cast<size_t>(
+                rng.UniformInt(1, static_cast<int64_t>(m.size()) - 1))]));
+          } else if (open == top) {
+            // The open tail while its run holds the slot: the next push for
+            // that instant appends after its predecessor.
+            ++open_tail_cancels;
+            const SimTime t = nodes.at(top).time;
+            ASSERT_NO_FATAL_FAILURE(cancel(m.back()));
+            ASSERT_NO_FATAL_FAILURE(schedule(t));
+          }
+        } else if (!live.empty()) {
+          ASSERT_NO_FATAL_FAILURE(cancel(live[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))]
+                                             .model_seq));
+        }
+      } else if (roll < 0.78 && !stale.empty()) {
+        ASSERT_FALSE(q.Cancel(stale[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(stale.size()) - 1))]));
+        ASSERT_FALSE(q.Cancel(EventId{}));
+      } else {
+        for (int64_t n = rng.UniformInt(1, 10); n > 0 && !model.Empty(); --n) {
+          ASSERT_NO_FATAL_FAILURE(pop());
+        }
+        // A zero-delay schedule after the pops: at an instant that left the
+        // lane empty, it must join the lane.
+        if (rng.Chance(0.5)) {
+          ASSERT_NO_FATAL_FAILURE(schedule(now));
+        }
+      }
+      ASSERT_EQ(q.Size(), model.Size());
+      ASSERT_EQ(q.Empty(), model.Empty());
+      ASSERT_EQ(q.PeekTime(), model.PeekTime());
+      ASSERT_EQ(q.heap_size() + q.lane_size(), model.Size());
+      ASSERT_EQ(q.heap_size(), heap_events);
+    }
+    // Every rule must run: both ways into the slot, and each cancel kind.
+    ASSERT_GT(takes, 1000);
+    ASSERT_GT(displacements, 500);
+    ASSERT_GT(head_cancels, 50);
+    ASSERT_GT(lone_head_cancels, 100);
+    ASSERT_GT(member_cancels, 50);
+    ASSERT_GT(open_tail_cancels, 40);
+    ASSERT_GT(top_pops, 1000);
+    ASSERT_GT(lane_checks, 1000);
+    ASSERT_LT(q.heap_entries(), q.heap_nodes_opened());
+
+    now_joins_lane = false;
     while (!model.Empty()) ASSERT_NO_FATAL_FAILURE(pop());
     ASSERT_TRUE(q.Empty());
   }

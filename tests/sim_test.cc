@@ -234,6 +234,25 @@ TEST(EventQueueTest, PushAfterTheRunBeganFiringJoinsTheLane) {
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "d"}));
 }
 
+// The top slot: a node that sorts before every queued node waits outside
+// the 4-ary heap. 10 takes the empty slot, 5 displaces it into the heap, and
+// 7 enters the heap behind 5; the pops take 5 from the slot, then 7 and 10.
+TEST(EventQueueTest, ANewEarliestNodeNeverEntersTheHeap) {
+  EventQueue q;
+  std::vector<int> order;
+  q.ScheduleCallback(10.0, [&] { order.push_back(10); });
+  EXPECT_EQ(q.heap_entries(), 0u);
+  q.ScheduleCallback(5.0, [&] { order.push_back(5); });
+  EXPECT_EQ(q.heap_entries(), 1u);  // 10, displaced
+  q.ScheduleCallback(7.0, [&] { order.push_back(7); });
+  EXPECT_EQ(q.heap_entries(), 2u);
+  EXPECT_EQ(q.heap_nodes_opened(), 3u);
+  EXPECT_EQ(q.heap_size(), 3u);
+  while (!q.Empty()) q.Pop().callback();
+  EXPECT_EQ(order, (std::vector<int>{5, 7, 10}));
+  EXPECT_EQ(q.heap_entries(), 2u);
+}
+
 TEST(EventQueueTest, ManyEventsStressOrdering) {
   Simulation sim;
   RandomStream rng(42);
@@ -659,6 +678,79 @@ TEST(FacilityTest, UseAndServeShareOneFcfsQueue) {
   // Waiting: 3 requests over [0, 1), 2 over [1, 3), 1 over [3, 3.5).
   EXPECT_NEAR(fac.MeanQueueLength(), (3 * 1.0 + 2 * 2.0 + 1 * 0.5) / 3.75,
               1e-9);
+}
+
+/// "name:n", n the facility's completed services.
+std::string WithCompleted(const char* name, const Facility& fac) {
+  std::string s = name;
+  s += ':';
+  s += std::to_string(fac.completed());
+  return s;
+}
+
+/// Records `name` with the facility's completed services when it resumes
+/// at `at`.
+Process RecordAt(Simulation* sim, SimTime at, const Facility* fac,
+                 std::vector<std::string>* order, const char* name) {
+  co_await sim->DelayUntil(at);
+  order->push_back(WithCompleted(name, *fac));
+}
+
+Process ServedUser(Facility* fac, SimTime service, bool serve,
+                   std::vector<std::string>* order) {
+  WaitStatus status;
+  if (serve) {
+    status = co_await fac->Serve([service] { return service; }, SIZE_MAX);
+  } else {
+    status = co_await fac->Use(service);
+  }
+  EXPECT_EQ(status, WaitStatus::kSignaled);
+  order->push_back(WithCompleted("woken", *fac));
+}
+
+// A service end is an event like any other, made of its request's address:
+// at its instant it fires in seq order among the callbacks and resumes
+// scheduled for that instant, in the heap (a positive service time) and in
+// the same-instant lane (zero), on one server and beside a busy second one,
+// for Use and for Serve. Its wake-up follows at the same instant. Each
+// record carries the completed services it saw.
+TEST(FacilityTest, ServiceEndFiresInSeqOrderBesideCallbacksAndResumes) {
+  for (bool serve : {false, true}) {
+    for (int servers : {1, 2}) {
+      for (SimTime service : {1.0, 0.0}) {
+        SCOPED_TRACE(testing::Message() << "serve=" << serve << " servers="
+                                        << servers << " service=" << service);
+        Simulation sim;
+        Facility fac(&sim, "cpu", servers);
+        std::vector<std::string> order;
+        std::vector<double> occupant_done;
+        if (servers == 2) {
+          sim.Spawn(UseFacility(&sim, &fac, 10.0, &occupant_done));
+        }
+        auto record_at = [&](const char* name) {
+          sim.ScheduleCallbackAt(0.0, [&sim, &fac, &order, service, name] {
+            sim.ScheduleCallbackAt(service, [&fac, &order, name] {
+              order.push_back(WithCompleted(name, fac));
+            });
+          });
+        };
+        // Each step at time 0 schedules one event for `service`, in this
+        // order: a resume, a callback, the service end, a resume, a callback.
+        sim.Spawn(RecordAt(&sim, service, &fac, &order, "resume1"));
+        record_at("callback1");
+        sim.Spawn(ServedUser(&fac, service, serve, &order));
+        sim.Spawn(RecordAt(&sim, service, &fac, &order, "resume2"));
+        record_at("callback2");
+        sim.Run(service);
+        EXPECT_EQ(order, (std::vector<std::string>{"resume1:0", "callback1:0",
+                                                   "resume2:1", "callback2:1",
+                                                   "woken:1"}));
+        EXPECT_EQ(fac.completed(), 1u);
+        sim.Run();
+        EXPECT_EQ(fac.completed(), static_cast<uint64_t>(servers));
+      }
+    }
+  }
 }
 
 TEST(KernelWaitDeathTest, UnawaitedParkedWaitFailsTheCheck) {
